@@ -10,9 +10,8 @@ simulated coincidence counts by constrained maximum likelihood.
 from .fisher import (FisherReport, KappaResult, SldSet, classical_fi, kappa,
                      measurement_probabilities, qfi_matrix, sld_operators,
                      sld_residual, weak_commutativity, weak_commutativity_root)
-from .kernels import BACKEND
 from .linalg import (bloch_vector, check_density_matrix, hermiticity_defect,
-                     is_density_matrix, purity, tensor_product, trace_distance)
+                     purity, tensor_product, trace_distance)
 from .povm import (GateModel, Povm, PovmValidation, bell_povm,
                    cs_gate_amplitudes, cs_gate_povm, load_povm, povm_from_json,
                    povm_to_json, product_projective_povm, save_povm,
@@ -24,7 +23,8 @@ from .scenarios import (CollectiveSearchResult, KappaCurve, OptimizeOutcome,
                         single_copy_qfi_diagonal)
 from .states import (ProbeFamily, StateWithDerivatives, dephased_phase_state,
                      make_equatorial_ket, make_equatorial_state,
-                     probe_with_derivatives, rotation_unitary, two_phase_state)
+                     probe_with_derivatives, rotation_unitary,
+                     two_phase_ket_with_derivatives, two_phase_state)
 from .tomography import (CountsTable, MleResult, ReferenceSet, counts_from_csv,
                          counts_to_csv, element_trace_distances, load_counts,
                          mle_reconstruct, monte_carlo_uncertainty,

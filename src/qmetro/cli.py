@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import __version__, kernels, serialize
+from . import __version__, serialize
 from .fisher import (qfi_matrix, sld_operators, weak_commutativity,
                      weak_commutativity_root)
 from .povm import (BALANCED_T_V, GateModel, bell_povm, cs_gate_amplitudes,
@@ -455,7 +455,6 @@ def run(command: str, cfg: dict) -> list[str]:
         "versions": {
             "qmetro": __version__,
             "numpy": np.__version__,
-            "backend": kernels.BACKEND,
         },
         "artifacts": sorted(artifacts),
     }

@@ -28,6 +28,10 @@ from .povm import Povm
 from .states import ProbeFamily, StateWithDerivatives, probe_with_derivatives
 
 DEFAULT_P_CUTOFF = 1e-12
+#: single-copy quantum-information denominators at or below this are excluded
+#: from kappa: they are zero up to round-off, and dividing by them would turn
+#: noise into a figure of merit
+H_FLOOR = 1e-9
 #: outcomes dropped for small probability are flagged as "boundary" when the
 #: corresponding derivative is not negligible (diverging information)
 BOUNDARY_DERIV_ATOL = 1e-6
@@ -248,8 +252,8 @@ def kappa(report: FisherReport, single_copy_qfi_diagonal, m: int) -> KappaResult
 
     ``single_copy_qfi_diagonal`` is always the single-copy quantum Fisher
     information diagonal, with the m-copy classical information divided by m.
-    Parameters with a non-positive quantum denominator are excluded from the
-    sum and flagged.
+    Parameters whose quantum denominator is at or below ``H_FLOOR`` are
+    excluded from the sum and flagged.
     """
     h = np.asarray(single_copy_qfi_diagonal, dtype=float)
     if m < 1:
@@ -260,7 +264,7 @@ def kappa(report: FisherReport, single_copy_qfi_diagonal, m: int) -> KappaResult
     per = np.zeros(n)
     excluded = []
     for j in range(n):
-        if h[j] <= 0.0:
+        if h[j] <= H_FLOOR:
             excluded.append(j)
             continue
         per[j] = (report.effective_fi[j] / m) / h[j]

@@ -1,80 +1,53 @@
 """Hot numeric kernels behind the scans, searches and the tomography loop.
 
-Every kernel exists in two versions: a loop-oriented one compiled with
-numba's ``@njit`` and a vectorized pure-numpy fallback. The active backend is
-selected at import time: numba when importable, unless the environment
-variable ``QMETRO_DISABLE_NUMBA`` is set to anything other than ``""``/``"0"``.
-``benchmarks/bench_kernels.py`` times the two implementations side by side.
+Kernel contracts:
 
-Kernel contracts (shared by both backends):
-
-* ``povm_probabilities(rho, povm)`` -> outcome probabilities ``Re Tr[rho P_k]``
-* ``povm_probability_derivs(drhos, povm)`` -> ``Re Tr[drho_i P_k]`` as (n, K)
 * ``fisher_matrix(p, dp, cutoff)`` -> classical Fisher matrix, skipping
   outcomes with probability below ``cutoff``
 * ``kappa_phase_dephasing(...)`` / ``kappa_two_phase(...)`` -> fused
   two-copy figure-of-merit evaluation: (kappa, per-parameter terms, status)
   with status 0 = ok, 1 = singular Fisher matrix, 2 = a quantum-information
-  denominator below floor (term excluded)
+  denominator at or below ``fisher.H_FLOOR`` (term excluded)
 * ``mle_iterate(...)`` -> multiplicative maximum-likelihood update loop for
   detector reconstruction with a monotone-likelihood safeguard
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+
+from . import fisher
+from .states import two_phase_ket_with_derivatives
 
 __all__ = [
     "BACKEND",
-    "NUMPY_IMPLS",
-    "NUMBA_IMPLS",
-    "povm_probabilities",
-    "povm_probability_derivs",
     "fisher_matrix",
     "kappa_phase_dephasing",
     "kappa_two_phase",
     "mle_iterate",
 ]
 
-_flag = os.environ.get("QMETRO_DISABLE_NUMBA", "")
-if _flag not in ("", "0"):
-    _numba = None
-else:
-    try:
-        import numba as _numba
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _numba = None
+#: The kernels are vectorized numpy; the name is recorded by benchmark runs.
+BACKEND = "numpy"
 
-BACKEND = "numpy" if _numba is None else "numba"
-
-_SMALL_ANGLE = 1e-8
 _DET_CUTOFF = 1e-12   # relative determinant cutoff for a singular Fisher matrix
-_H_FLOOR = 1e-9       # quantum-information denominators below this are excluded
 _LL_SLACK = 1e-12     # relative slack when enforcing likelihood monotonicity
 
 
-# ---------------------------------------------------------------------------
-# vectorized numpy implementations
-# ---------------------------------------------------------------------------
-
-def _povm_probabilities_numpy(rho, povm):
-    return np.einsum("kij,ji->k", povm, rho).real
-
-
-def _povm_probability_derivs_numpy(drhos, povm):
-    return np.einsum("kij,pji->pk", povm, drhos).real
-
-
-def _fisher_matrix_numpy(p, dp, cutoff):
+def fisher_matrix(p, dp, cutoff):
     keep = p >= cutoff
-    pk = p[keep]
     dk = dp[:, keep]
-    return (dk / pk) @ dk.T
+    return (dk / p[keep]) @ dk.T
 
 
-def _kappa_from_fisher_2x2(f00, f01, f11, h1, h2, m):
+def _kappa_two_copy(povm, state, dstates, h1, h2, cutoff):
+    """kappa of a two-copy state from its Fisher matrix and the single-copy
+    quantum-information diagonal (h1, h2)."""
+    p = np.einsum("kij,ji->k", povm, state).real
+    dp = np.einsum("kij,pji->pk", povm, dstates).real
+    keep = p >= cutoff
+    dk = dp[:, keep]
+    (f00, f01), (_, f11) = (dk / p[keep]) @ dk.T
     det = f00 * f11 - f01 * f01
     top = max(f00, f11)
     if top <= 0.0 or abs(det) < _DET_CUTOFF * top * top:
@@ -82,18 +55,18 @@ def _kappa_from_fisher_2x2(f00, f01, f11, h1, h2, m):
     status = 0
     k1 = 0.0
     k2 = 0.0
-    if h1 > _H_FLOOR:
-        k1 = (det / f11) / (m * h1)
+    if h1 > fisher.H_FLOOR:
+        k1 = (det / f11) / (2.0 * h1)
     else:
         status = 2
-    if h2 > _H_FLOOR:
-        k2 = (det / f00) / (m * h2)
+    if h2 > fisher.H_FLOOR:
+        k2 = (det / f00) / (2.0 * h2)
     else:
         status = 2
     return k1 + k2, k1, k2, status
 
 
-def _dephasing_pair_numpy(alpha, delta):
+def _dephasing_pair(alpha, delta):
     off = np.exp(-1j * alpha - delta * delta) / 2.0
     rho = np.array([[0.5, off], [off.conjugate(), 0.5]])
     d_phi = np.array([[0.0, -1j * off], [(-1j * off).conjugate(), 0.0]])
@@ -102,60 +75,41 @@ def _dephasing_pair_numpy(alpha, delta):
     return rho, d_phi, d_del
 
 
-def _kappa_phase_dephasing_numpy(alpha1, alpha2, delta, povm, h_phi, h_delta, cutoff):
-    r1, p1, q1 = _dephasing_pair_numpy(alpha1, delta)
-    r2, p2, q2 = _dephasing_pair_numpy(alpha2, delta)
+def kappa_phase_dephasing(alpha1, alpha2, delta, povm, h_phi, h_delta, cutoff):
+    r1, p1, q1 = _dephasing_pair(alpha1, delta)
+    r2, p2, q2 = _dephasing_pair(alpha2, delta)
     state = np.kron(r1, r2)
     d_phi = np.kron(p1, r2) + np.kron(r1, p2)
     d_del = np.kron(q1, r2) + np.kron(r1, q2)
-    p = np.einsum("kij,ji->k", povm, state).real
-    dp = np.einsum("kij,pji->pk", povm, np.stack((d_phi, d_del))).real
-    keep = p >= cutoff
-    dk = dp[:, keep]
-    F = (dk / p[keep]) @ dk.T
-    return _kappa_from_fisher_2x2(F[0, 0], F[0, 1], F[1, 1], h_phi, h_delta, 2.0)
+    return _kappa_two_copy(povm, state, np.stack((d_phi, d_del)),
+                           h_phi, h_delta, cutoff)
 
 
-def _two_phase_ket_numpy(xi, phi_y, phi_z):
-    theta = np.hypot(phi_y, phi_z)
-    sinc = 1.0 if theta < _SMALL_ANGLE else np.sin(theta) / theta
-    cs = np.cos(theta)
-    # rows of cos(theta)*I + i*sinc*(phi_y*sigma_y + phi_z*sigma_z)
-    a = 1.0 / np.sqrt(2.0)
-    b = np.exp(1j * xi) / np.sqrt(2.0)
-    return np.array([(cs + 1j * sinc * phi_z) * a + sinc * phi_y * b,
-                     -sinc * phi_y * a + (cs - 1j * sinc * phi_z) * b])
+def kappa_two_phase(xi, phi_y, phi_z, povm, *args):
+    """Two-copy kappa of the two-phase probe; ``args`` is ``(cutoff,)``.
 
-
-def _kappa_two_phase_numpy(xi, phi_y, phi_z, povm, fd_step, cutoff):
-    h = fd_step
-    psi = _two_phase_ket_numpy(xi, phi_y, phi_z)
-    dpsi = np.stack([
-        (_two_phase_ket_numpy(xi, phi_y + h, phi_z)
-         - _two_phase_ket_numpy(xi, phi_y - h, phi_z)) / (2 * h),
-        (_two_phase_ket_numpy(xi, phi_y, phi_z + h)
-         - _two_phase_ket_numpy(xi, phi_y, phi_z - h)) / (2 * h),
-    ])
-    # pure-state quantum Fisher information diagonal
-    hdiag = np.empty(2)
-    for i in range(2):
-        ov = np.vdot(psi, dpsi[i])
-        hdiag[i] = 4.0 * (np.vdot(dpsi[i], dpsi[i]).real - (ov.conjugate() * ov).real)
-    rho = np.outer(psi, psi.conj())
-    state = np.kron(rho, rho)
+    The derivatives are exact, so the older ``(step, cutoff)`` form, which
+    passed a finite-difference step first, is accepted and the step ignored.
+    """
+    if len(args) not in (1, 2):
+        raise TypeError("kappa_two_phase takes a cutoff after the POVM")
+    cutoff = args[-1]
+    psi, *dpsi = two_phase_ket_with_derivatives(xi, phi_y, phi_z)
+    bra = psi.conj()
+    rho = np.outer(psi, bra)
+    hdiag = []
     dstates = []
-    for i in range(2):
-        drho = np.outer(dpsi[i], psi.conj()) + np.outer(psi, dpsi[i].conj())
+    for d in dpsi:
+        # pure-state quantum Fisher information diagonal
+        ov = np.vdot(psi, d)
+        hdiag.append(4.0 * (np.vdot(d, d).real - (ov.conjugate() * ov).real))
+        drho = np.outer(d, bra) + np.outer(psi, d.conj())
         dstates.append(np.kron(drho, rho) + np.kron(rho, drho))
-    p = np.einsum("kij,ji->k", povm, state).real
-    dp = np.einsum("kij,pji->pk", povm, np.stack(dstates)).real
-    keep = p >= cutoff
-    dk = dp[:, keep]
-    F = (dk / p[keep]) @ dk.T
-    return _kappa_from_fisher_2x2(F[0, 0], F[0, 1], F[1, 1], hdiag[0], hdiag[1], 2.0)
+    return _kappa_two_copy(povm, np.kron(rho, rho), np.stack(dstates),
+                           hdiag[0], hdiag[1], cutoff)
 
 
-def _mle_iterate_numpy(counts, rhos, init, max_iters, tol, p_floor):
+def mle_iterate(counts, rhos, init, max_iters, tol, p_floor):
     povm = init.copy()
     pos = counts > 0
 
@@ -201,343 +155,3 @@ def _mle_iterate_numpy(counts, rhos, init, max_iters, tol, p_floor):
             break
         ll = llt
     return povm, np.array(ll_trace), iters, converged, floored
-
-
-NUMPY_IMPLS = {
-    "povm_probabilities": _povm_probabilities_numpy,
-    "povm_probability_derivs": _povm_probability_derivs_numpy,
-    "fisher_matrix": _fisher_matrix_numpy,
-    "kappa_phase_dephasing": _kappa_phase_dephasing_numpy,
-    "kappa_two_phase": _kappa_two_phase_numpy,
-    "mle_iterate": _mle_iterate_numpy,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba loop implementations
-# ---------------------------------------------------------------------------
-
-NUMBA_IMPLS = None
-
-if _numba is not None:
-    _njit = _numba.njit(cache=True)
-
-    @_numba.njit(cache=True)
-    def _probs_nb(rho, povm):
-        K = povm.shape[0]
-        d = povm.shape[1]
-        out = np.empty(K)
-        for k in range(K):
-            acc = 0.0
-            for i in range(d):
-                for j in range(d):
-                    acc += (povm[k, i, j] * rho[j, i]).real
-            out[k] = acc
-        return out
-
-    @_numba.njit(cache=True)
-    def _prob_derivs_nb(drhos, povm):
-        n = drhos.shape[0]
-        K = povm.shape[0]
-        d = povm.shape[1]
-        out = np.empty((n, K))
-        for q in range(n):
-            for k in range(K):
-                acc = 0.0
-                for i in range(d):
-                    for j in range(d):
-                        acc += (povm[k, i, j] * drhos[q, j, i]).real
-                out[q, k] = acc
-        return out
-
-    @_numba.njit(cache=True)
-    def _fisher_nb(p, dp, cutoff):
-        n = dp.shape[0]
-        K = p.shape[0]
-        F = np.zeros((n, n))
-        for k in range(K):
-            if p[k] < cutoff:
-                continue
-            inv = 1.0 / p[k]
-            for i in range(n):
-                for j in range(i, n):
-                    F[i, j] += dp[i, k] * dp[j, k] * inv
-        for i in range(n):
-            for j in range(i):
-                F[i, j] = F[j, i]
-        return F
-
-    @_numba.njit(cache=True)
-    def _kron2_nb(a, b):
-        out = np.empty((4, 4), dtype=np.complex128)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        out[2 * i + k, 2 * j + l] = a[i, j] * b[k, l]
-        return out
-
-    @_numba.njit(cache=True)
-    def _kappa_2x2_nb(f00, f01, f11, h1, h2, m):
-        det = f00 * f11 - f01 * f01
-        top = max(f00, f11)
-        if top <= 0.0 or abs(det) < _DET_CUTOFF * top * top:
-            return 0.0, 0.0, 0.0, 1
-        status = 0
-        k1 = 0.0
-        k2 = 0.0
-        if h1 > _H_FLOOR:
-            k1 = (det / f11) / (m * h1)
-        else:
-            status = 2
-        if h2 > _H_FLOOR:
-            k2 = (det / f00) / (m * h2)
-        else:
-            status = 2
-        return k1 + k2, k1, k2, status
-
-    @_numba.njit(cache=True)
-    def _dephasing_pair_nb(alpha, delta):
-        off = np.exp(-1j * alpha - delta * delta) / 2.0
-        rho = np.empty((2, 2), dtype=np.complex128)
-        rho[0, 0] = 0.5
-        rho[0, 1] = off
-        rho[1, 0] = np.conj(off)
-        rho[1, 1] = 0.5
-        d_phi = np.zeros((2, 2), dtype=np.complex128)
-        d_phi[0, 1] = -1j * off
-        d_phi[1, 0] = np.conj(-1j * off)
-        d_del = np.zeros((2, 2), dtype=np.complex128)
-        d_del[0, 1] = -2.0 * delta * off
-        d_del[1, 0] = np.conj(-2.0 * delta * off)
-        return rho, d_phi, d_del
-
-    @_numba.njit(cache=True)
-    def _kappa_phase_dephasing_nb(alpha1, alpha2, delta, povm, h_phi, h_delta, cutoff):
-        r1, p1, q1 = _dephasing_pair_nb(alpha1, delta)
-        r2, p2, q2 = _dephasing_pair_nb(alpha2, delta)
-        state = _kron2_nb(r1, r2)
-        d_phi = _kron2_nb(p1, r2) + _kron2_nb(r1, p2)
-        d_del = _kron2_nb(q1, r2) + _kron2_nb(r1, q2)
-        K = povm.shape[0]
-        f00 = 0.0
-        f01 = 0.0
-        f11 = 0.0
-        for k in range(K):
-            pk = 0.0
-            d1 = 0.0
-            d2 = 0.0
-            for i in range(4):
-                for j in range(4):
-                    pk += (povm[k, i, j] * state[j, i]).real
-                    d1 += (povm[k, i, j] * d_phi[j, i]).real
-                    d2 += (povm[k, i, j] * d_del[j, i]).real
-            if pk < cutoff:
-                continue
-            inv = 1.0 / pk
-            f00 += d1 * d1 * inv
-            f01 += d1 * d2 * inv
-            f11 += d2 * d2 * inv
-        return _kappa_2x2_nb(f00, f01, f11, h_phi, h_delta, 2.0)
-
-    @_numba.njit(cache=True)
-    def _two_phase_ket_nb(xi, phi_y, phi_z):
-        theta = np.hypot(phi_y, phi_z)
-        if theta < _SMALL_ANGLE:
-            sinc = 1.0
-        else:
-            sinc = np.sin(theta) / theta
-        cs = np.cos(theta)
-        a = 1.0 / np.sqrt(2.0)
-        b = np.exp(1j * xi) / np.sqrt(2.0)
-        out = np.empty(2, dtype=np.complex128)
-        out[0] = (cs + 1j * sinc * phi_z) * a + sinc * phi_y * b
-        out[1] = -sinc * phi_y * a + (cs - 1j * sinc * phi_z) * b
-        return out
-
-    @_numba.njit(cache=True)
-    def _kappa_two_phase_nb(xi, phi_y, phi_z, povm, fd_step, cutoff):
-        h = fd_step
-        psi = _two_phase_ket_nb(xi, phi_y, phi_z)
-        dpsi = np.empty((2, 2), dtype=np.complex128)
-        kp = _two_phase_ket_nb(xi, phi_y + h, phi_z)
-        km = _two_phase_ket_nb(xi, phi_y - h, phi_z)
-        for i in range(2):
-            dpsi[0, i] = (kp[i] - km[i]) / (2.0 * h)
-        kp = _two_phase_ket_nb(xi, phi_y, phi_z + h)
-        km = _two_phase_ket_nb(xi, phi_y, phi_z - h)
-        for i in range(2):
-            dpsi[1, i] = (kp[i] - km[i]) / (2.0 * h)
-
-        hdiag = np.empty(2)
-        for q in range(2):
-            dd = 0.0
-            ov = 0.0 + 0.0j
-            for i in range(2):
-                dd += (np.conj(dpsi[q, i]) * dpsi[q, i]).real
-                ov += np.conj(psi[i]) * dpsi[q, i]
-            hdiag[q] = 4.0 * (dd - (np.conj(ov) * ov).real)
-
-        rho = np.empty((2, 2), dtype=np.complex128)
-        for i in range(2):
-            for j in range(2):
-                rho[i, j] = psi[i] * np.conj(psi[j])
-        state = _kron2_nb(rho, rho)
-
-        f = np.zeros(3)
-        K = povm.shape[0]
-        drho = np.empty((2, 2, 2), dtype=np.complex128)
-        for q in range(2):
-            for i in range(2):
-                for j in range(2):
-                    drho[q, i, j] = (dpsi[q, i] * np.conj(psi[j])
-                                     + psi[i] * np.conj(dpsi[q, j]))
-        d1 = _kron2_nb(drho[0], rho) + _kron2_nb(rho, drho[0])
-        d2 = _kron2_nb(drho[1], rho) + _kron2_nb(rho, drho[1])
-        f00 = 0.0
-        f01 = 0.0
-        f11 = 0.0
-        for k in range(K):
-            pk = 0.0
-            g1 = 0.0
-            g2 = 0.0
-            for i in range(4):
-                for j in range(4):
-                    pk += (povm[k, i, j] * state[j, i]).real
-                    g1 += (povm[k, i, j] * d1[j, i]).real
-                    g2 += (povm[k, i, j] * d2[j, i]).real
-            if pk < cutoff:
-                continue
-            inv = 1.0 / pk
-            f00 += g1 * g1 * inv
-            f01 += g1 * g2 * inv
-            f11 += g2 * g2 * inv
-        return _kappa_2x2_nb(f00, f01, f11, hdiag[0], hdiag[1], 2.0)
-
-    @_numba.njit(cache=True)
-    def _mle_probs_nb(povm, rhos, out):
-        J = rhos.shape[0]
-        K = povm.shape[0]
-        d = povm.shape[1]
-        for j in range(J):
-            for k in range(K):
-                acc = 0.0
-                for a in range(d):
-                    for b in range(d):
-                        acc += (povm[k, a, b] * rhos[j, b, a]).real
-                out[j, k] = acc
-
-    @_numba.njit(cache=True)
-    def _mle_floor_ll_nb(counts, p, p_floor):
-        J, K = p.shape
-        floored = 0
-        ll = 0.0
-        for j in range(J):
-            for k in range(K):
-                if counts[j, k] > 0:
-                    if p[j, k] < p_floor:
-                        p[j, k] = p_floor
-                        floored += 1
-                    ll += counts[j, k] * np.log(p[j, k])
-        return ll, floored
-
-    @_numba.njit(cache=True)
-    def _mle_iterate_nb(counts, rhos, init, max_iters, tol, p_floor):
-        K = init.shape[0]
-        d = init.shape[1]
-        J = rhos.shape[0]
-        povm = init.copy()
-        p = np.empty((J, K))
-        _mle_probs_nb(povm, rhos, p)
-        ll, floored = _mle_floor_ll_nb(counts, p, p_floor)
-        ll_trace = np.empty(max_iters + 1)
-        ll_trace[0] = ll
-        n_ll = 1
-        converged = False
-        iters = 0
-        R = np.empty((K, d, d), dtype=np.complex128)
-        for it in range(1, max_iters + 1):
-            iters = it
-            R[:, :, :] = 0.0
-            for k in range(K):
-                for j in range(J):
-                    if counts[j, k] > 0:
-                        w = counts[j, k] / p[j, k]
-                        for a in range(d):
-                            for b in range(d):
-                                R[k, a, b] += w * rhos[j, a, b]
-            S = np.zeros((d, d), dtype=np.complex128)
-            for k in range(K):
-                S += R[k] @ povm[k] @ R[k]
-            w_eig, v = np.linalg.eigh(S)
-            for i in range(d):
-                if w_eig[i] < 1e-30:
-                    w_eig[i] = 1e-30
-            s_inv = (v * (w_eig ** -0.5)) @ v.conj().T
-            full = np.empty((K, d, d), dtype=np.complex128)
-            for k in range(K):
-                full[k] = s_inv @ R[k] @ povm[k] @ R[k] @ s_inv
-            lam = 1.0
-            accepted = False
-            llt = ll
-            trial = povm
-            pt = p
-            for _ in range(40):
-                trial = lam * full + (1.0 - lam) * povm
-                pt = np.empty((J, K))
-                _mle_probs_nb(trial, rhos, pt)
-                llt, nfl = _mle_floor_ll_nb(counts, pt, p_floor)
-                if llt >= ll - _LL_SLACK * abs(ll):
-                    accepted = True
-                    floored += nfl
-                    break
-                lam *= 0.5
-            if not accepted:
-                converged = True
-                iters = it - 1
-                break
-            povm = trial
-            p = pt
-            ll_trace[n_ll] = llt
-            n_ll += 1
-            if abs(llt - ll) <= tol * abs(llt):
-                ll = llt
-                converged = True
-                break
-            ll = llt
-        return povm, ll_trace[:n_ll], iters, converged, floored
-
-    NUMBA_IMPLS = {
-        "povm_probabilities": _probs_nb,
-        "povm_probability_derivs": _prob_derivs_nb,
-        "fisher_matrix": _fisher_nb,
-        "kappa_phase_dephasing": _kappa_phase_dephasing_nb,
-        "kappa_two_phase": _kappa_two_phase_nb,
-        "mle_iterate": _mle_iterate_nb,
-    }
-
-
-_active = NUMBA_IMPLS if BACKEND == "numba" else NUMPY_IMPLS
-povm_probabilities = _active["povm_probabilities"]
-povm_probability_derivs = _active["povm_probability_derivs"]
-fisher_matrix = _active["fisher_matrix"]
-kappa_phase_dephasing = _active["kappa_phase_dephasing"]
-kappa_two_phase = _active["kappa_two_phase"]
-mle_iterate = _active["mle_iterate"]
-
-
-def warmup() -> str:
-    """Trigger jit compilation of all kernels (no-op on the numpy backend)."""
-    povm = np.zeros((4, 4, 4), dtype=complex)
-    for k in range(4):
-        povm[k, k, k] = 1.0
-    rho = np.eye(4, dtype=complex) / 4.0
-    povm_probabilities(rho, povm)
-    povm_probability_derivs(np.zeros((2, 4, 4), dtype=complex), povm)
-    fisher_matrix(np.full(4, 0.25), np.full((2, 4), 0.1), 1e-12)
-    kappa_phase_dephasing(0.3, 0.2, 0.5, povm, 0.5, 0.5, 1e-12)
-    kappa_two_phase(0.3, 0.4, 0.3, povm, 1e-5, 1e-12)
-    counts = np.full((4, 4), 10.0)
-    rhos = np.stack([np.eye(4, dtype=complex) / 4.0] * 4)
-    mle_iterate(counts, rhos, povm.copy(), 2, 1e-10, 1e-12)
-    return BACKEND

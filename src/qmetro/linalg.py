@@ -63,28 +63,11 @@ def check_density_matrix(rho: np.ndarray, *, herm_atol: float = HERMITICITY_ATOL
         raise ValueError(f"negative eigenvalue {w.min():.3e}")
 
 
-def is_density_matrix(rho: np.ndarray, **kwargs) -> bool:
-    try:
-        check_density_matrix(rho, **kwargs)
-    except ValueError:
-        return False
-    return True
-
-
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Matrix square root of a Hermitian PSD matrix (eigenvalues clipped at 0)."""
     w, v = np.linalg.eigh(a)
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
-
-
-def psd_inv_sqrt(a: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Inverse square root of a Hermitian positive definite matrix."""
-    w, v = np.linalg.eigh(a)
-    if w.min() <= floor:
-        raise np.linalg.LinAlgError(
-            f"matrix not positive definite (min eigenvalue {w.min():.3e})")
-    return (v * (w ** -0.5)) @ v.conj().T
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -192,7 +192,7 @@ class _Objective:
                 h = single_copy_qfi_diagonal(fam, (0.0, delta), 0.0)
                 self._fast = ("dephasing", stack, delta, float(h[0]), float(h[1]))
             elif fam.kind == TWO_PHASE:
-                self._fast = ("two-phase", stack, fam.fd_step)
+                self._fast = ("two-phase", stack)
 
     def __call__(self, x) -> float:
         vals = dict(self.base)
@@ -206,10 +206,10 @@ class _Objective:
                 phi + phases[0], phi + phases[1], delta, stack, h1, h2,
                 DEFAULT_P_CUTOFF)
         elif self._fast is not None:
-            _, stack, fd = self._fast
+            _, stack = self._fast
             value, _, _, status = kernels.kappa_two_phase(
                 float(vals["xi"]), float(vals["phi_y"]), float(vals["phi_z"]),
-                stack, fd, DEFAULT_P_CUTOFF)
+                stack, DEFAULT_P_CUTOFF)
         else:
             result = evaluate_kappa(self.scenario, vals)
             value = result.kappa

@@ -8,8 +8,8 @@ Two built-in probe families are provided:
   ``exp(i*(phi_y*sigma_y + phi_z*sigma_z))``; parameters ``(phi_y, phi_z)``.
 
 Each family evaluates the output state together with one Hermitian derivative
-matrix per parameter; multi-copy probes are built by the tensor-product rule
-``d(rho (x) rho) = d(rho) (x) rho + rho (x) d(rho)``.
+matrix per parameter, both in closed form; multi-copy probes are built by the
+tensor-product rule ``d(rho (x) rho) = d(rho) (x) rho + rho (x) d(rho)``.
 """
 
 from __future__ import annotations
@@ -24,13 +24,10 @@ from .linalg import ID2, PAULI_Y, PAULI_Z, tensor_product
 PHASE_DEPHASING = "phase-dephasing"
 TWO_PHASE = "two-phase"
 
-#: Central-difference step for two-phase derivatives; balances truncation
-#: against round-off for float64.
-DEFAULT_FD_STEP = 1e-5
-
-#: Below this rotation angle the sin(theta)/theta factor is replaced by its
-#: limit 1 (relative error < 2e-17, removable singularity).
-_SMALL_ANGLE = 1e-8
+#: Below this rotation angle sin(theta)/theta and (cos(theta) - sinc)/theta^2
+#: come from their Taylor series (truncation error < 3e-16); above it the
+#: quotients are evaluated directly.
+_SERIES_ANGLE = 1e-2
 
 
 def _require_finite(**values: float) -> None:
@@ -51,17 +48,51 @@ def make_equatorial_state(xi: float) -> np.ndarray:
     return np.outer(k, k.conj())
 
 
+def _rotation_with_derivatives(phi_y: float, phi_z: float) -> np.ndarray:
+    """U = exp(i*(phi_y*sigma_y + phi_z*sigma_z)) and its two derivatives.
+
+    With theta = sqrt(phi_y^2 + phi_z^2), G = phi_y*sigma_y + phi_z*sigma_z,
+    s = sin(theta)/theta and c = (cos(theta) - s)/theta^2 (the derivative of
+    s divided by theta):
+
+        U          = cos(theta)*I + i*s*G
+        dU/dphi_j  = phi_j*(i*c*G - s*I) + i*s*sigma_j
+
+    Returns the (3, 2, 2) stack (U, dU/dphi_y, dU/dphi_z); the removable
+    singularity at theta = 0 is handled by the series branch.
+    """
+    _require_finite(phi_y=phi_y, phi_z=phi_z)
+    theta = math.hypot(phi_y, phi_z)
+    t2 = theta * theta
+    if theta < _SERIES_ANGLE:
+        s = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
+        c = -1.0 / 3.0 + t2 / 30.0 - t2 * t2 / 840.0
+    else:
+        s = math.sin(theta) / theta
+        c = (math.cos(theta) - s) / t2
+    ig = 1j * (phi_y * PAULI_Y + phi_z * PAULI_Z)
+    return np.array([math.cos(theta) * ID2 + s * ig,
+                     phi_y * (c * ig - s * ID2) + 1j * s * PAULI_Y,
+                     phi_z * (c * ig - s * ID2) + 1j * s * PAULI_Z])
+
+
 def rotation_unitary(phi_y: float, phi_z: float) -> np.ndarray:
     """exp(i*(phi_y*sigma_y + phi_z*sigma_z)) in closed form.
 
     With theta = sqrt(phi_y^2 + phi_z^2) this equals
-    cos(theta)*I + i*(sin(theta)/theta)*(phi_y*sigma_y + phi_z*sigma_z);
-    the theta -> 0 limit is handled by a series branch.
+    cos(theta)*I + i*(sin(theta)/theta)*(phi_y*sigma_y + phi_z*sigma_z).
     """
-    _require_finite(phi_y=phi_y, phi_z=phi_z)
-    theta = math.hypot(phi_y, phi_z)
-    sinc = 1.0 if theta < _SMALL_ANGLE else math.sin(theta) / theta
-    return math.cos(theta) * ID2 + 1j * sinc * (phi_y * PAULI_Y + phi_z * PAULI_Z)
+    return _rotation_with_derivatives(phi_y, phi_z)[0]
+
+
+def two_phase_ket_with_derivatives(xi: float, phi_y: float,
+                                   phi_z: float) -> np.ndarray:
+    """Two-phase output ket U(phi_y, phi_z)|xi> and its exact derivatives.
+
+    Returns a (3, 2) array: the ket, then its derivatives with respect to
+    phi_y and phi_z.
+    """
+    return _rotation_with_derivatives(phi_y, phi_z) @ make_equatorial_ket(xi)
 
 
 def dephased_phase_state(xi: float, phi: float, delta: float) -> np.ndarray:
@@ -89,7 +120,6 @@ class ProbeFamily:
     kind: str
     copies: int = 1
     input_phases: tuple[float, ...] = (0.0,)
-    fd_step: float = DEFAULT_FD_STEP
 
     def __post_init__(self):
         if self.kind not in (PHASE_DEPHASING, TWO_PHASE):
@@ -100,8 +130,6 @@ class ProbeFamily:
             raise ValueError(
                 f"need one input phase per copy: got {len(self.input_phases)} "
                 f"phases for {self.copies} copies")
-        if not self.fd_step > 0:
-            raise ValueError("fd_step must be positive")
 
     @property
     def parameter_names(self) -> tuple[str, str]:
@@ -119,9 +147,8 @@ class ProbeFamily:
         return cls(PHASE_DEPHASING, copies=copies, input_phases=phases)
 
     @classmethod
-    def two_phase(cls, copies: int = 1, xi: float = 0.0, fd_step: float = DEFAULT_FD_STEP):
-        return cls(TWO_PHASE, copies=copies, input_phases=(xi,) * copies,
-                   fd_step=fd_step)
+    def two_phase(cls, copies: int = 1, xi: float = 0.0):
+        return cls(TWO_PHASE, copies=copies, input_phases=(xi,) * copies)
 
 
 @dataclass(frozen=True)
@@ -156,13 +183,11 @@ def two_phase_state(xi: float, phi_y: float, phi_z: float) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def _two_phase_single(xi: float, phi_y: float, phi_z: float, h: float):
-    rho = two_phase_state(xi, phi_y, phi_z)
-    d_y = (two_phase_state(xi, phi_y + h, phi_z)
-           - two_phase_state(xi, phi_y - h, phi_z)) / (2.0 * h)
-    d_z = (two_phase_state(xi, phi_y, phi_z + h)
-           - two_phase_state(xi, phi_y, phi_z - h)) / (2.0 * h)
-    return rho, [d_y, d_z]
+def _two_phase_single(xi: float, phi_y: float, phi_z: float):
+    psi, *dpsi = two_phase_ket_with_derivatives(xi, phi_y, phi_z)
+    bra = psi.conj()
+    return np.outer(psi, bra), [np.outer(d, bra) + np.outer(psi, d.conj())
+                                for d in dpsi]
 
 
 def probe_with_derivatives(family: ProbeFamily, params) -> StateWithDerivatives:
@@ -182,7 +207,7 @@ def probe_with_derivatives(family: ProbeFamily, params) -> StateWithDerivatives:
         if family.kind == PHASE_DEPHASING:
             singles.append(_dephasing_single(xi, params[0], params[1]))
         else:
-            singles.append(_two_phase_single(xi, params[0], params[1], family.fd_step))
+            singles.append(_two_phase_single(xi, params[0], params[1]))
 
     state, derivs = singles[0]
     derivs = list(derivs)

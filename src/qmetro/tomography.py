@@ -68,8 +68,13 @@ class CountsTable:
         c = np.ascontiguousarray(np.asarray(self.counts, dtype=float))
         if c.shape != (len(self.input_labels), len(self.outcome_labels)):
             raise ValueError(f"counts shape {c.shape} does not match labels")
-        if c.min() < 0:
-            raise ValueError("counts must be nonnegative")
+        bad = np.argwhere(~(np.isfinite(c) & (c >= 0)))
+        if bad.size:
+            j, k = bad[0]
+            raise ValueError(
+                f"counts for input {self.input_labels[j]} and outcome "
+                f"{self.outcome_labels[k]!r} must be finite and nonnegative, "
+                f"got {c[j, k]}")
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
 
@@ -262,10 +267,7 @@ def counts_from_csv(text: str, exposure: float = 0.0) -> CountsTable:
         key = (row["input1"], row["input2"], row["outcome"])
         if key in cells:
             raise ValueError(f"duplicate row for {key}")
-        value = float(row["counts"])
-        if value < 0:
-            raise ValueError(f"negative counts for {key}")
-        cells[key] = value
+        cells[key] = float(row["counts"])
         pair = (row["input1"], row["input2"])
         if pair not in inputs:
             inputs.append(pair)

@@ -299,8 +299,8 @@ class TestQcrDominance:
             p, dp = measurement_probabilities(swd, povm)
             report = classical_fi(p, dp)
             single = probe_with_derivatives(
-                type(family)(family.kind, 1, family.input_phases[:1],
-                             family.fd_step), params)
+                type(family)(family.kind, 1, family.input_phases[:1]),
+                params)
             h = qfi_matrix(single)
             gap = 2.0 * h - report.classical_fi
             assert np.linalg.eigvalsh(gap).min() > -1e-7

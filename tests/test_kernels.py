@@ -1,77 +1,17 @@
-"""Cross-checks between the numba kernels and the pure-numpy fallbacks, and
-between the kernels and the unaccelerated module-level reference path."""
-
-import os
-import subprocess
-import sys
+"""Cross-checks between the fused kernels and the unaccelerated module-level
+reference path, and the quantum-information floor both paths share."""
 
 import numpy as np
 import pytest
 
-from qmetro import (ProbeFamily, Scenario, bell_povm, evaluate_kappa,
-                    product_projective_povm, reference_states, simulate_counts)
+from qmetro import (ProbeFamily, Scenario, bell_povm, classical_fi,
+                    evaluate_kappa, kappa, product_projective_povm)
 from qmetro import kernels
-
-HAVE_BOTH = kernels.NUMBA_IMPLS is not None
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_BOTH, reason="numba unavailable; nothing to cross-check")
-
-
-def random_density(rng, d):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = g @ g.conj().T
-    return np.ascontiguousarray(rho / np.trace(rho).real)
-
-
-def test_probabilities_agree():
-    rng = np.random.default_rng(0)
-    povm = np.ascontiguousarray(bell_povm().elements)
-    for _ in range(5):
-        rho = random_density(rng, 4)
-        a = kernels.NUMPY_IMPLS["povm_probabilities"](rho, povm)
-        b = kernels.NUMBA_IMPLS["povm_probabilities"](rho, povm)
-        assert np.abs(a - b).max() < 1e-14
-
-
-def test_probability_derivs_agree():
-    rng = np.random.default_rng(1)
-    povm = np.ascontiguousarray(bell_povm().elements)
-    d = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
-    d = np.ascontiguousarray(d + d.conj().transpose(0, 2, 1))
-    a = kernels.NUMPY_IMPLS["povm_probability_derivs"](d, povm)
-    b = kernels.NUMBA_IMPLS["povm_probability_derivs"](d, povm)
-    assert np.abs(a - b).max() < 1e-13
-
-
-def test_fisher_matrix_agree():
-    rng = np.random.default_rng(2)
-    p = rng.uniform(0.05, 1.0, 6)
-    p /= p.sum()
-    dp = rng.standard_normal((2, 6))
-    dp -= dp.mean(axis=1, keepdims=True)
-    a = kernels.NUMPY_IMPLS["fisher_matrix"](p, dp, 1e-12)
-    b = kernels.NUMBA_IMPLS["fisher_matrix"](p, dp, 1e-12)
-    assert np.abs(a - b).max() < 1e-12
-
-
-@pytest.mark.parametrize("name,args", [
-    ("kappa_phase_dephasing", (0.7, 1.9, 0.45, None, 0.667, 1.52, 1e-12)),
-    ("kappa_two_phase", (0.9, 0.4, 0.3, None, 1e-5, 1e-12)),
-])
-def test_fused_kappa_kernels_agree(name, args):
-    povm = np.ascontiguousarray(bell_povm().elements)
-    args = tuple(povm if a is None else a for a in args)
-    a = kernels.NUMPY_IMPLS[name](*args)
-    b = kernels.NUMBA_IMPLS[name](*args)
-    assert a[3] == b[3]
-    assert abs(a[0] - b[0]) < 1e-10
-    assert abs(a[1] - b[1]) < 1e-10
-    assert abs(a[2] - b[2]) < 1e-10
+from qmetro.fisher import H_FLOOR
+from qmetro.scenarios import single_copy_qfi_diagonal
 
 
 def test_dephasing_kernel_matches_reference_path():
-    from qmetro.scenarios import single_copy_qfi_diagonal
     family = ProbeFamily.phase_dephasing(copies=2, xi=(0.2, 1.1))
     scenario = Scenario(family=family, measurement=bell_povm(),
                         free_inputs=(),
@@ -81,54 +21,52 @@ def test_dephasing_kernel_matches_reference_path():
     reference = evaluate_kappa(scenario, {})
     h = single_copy_qfi_diagonal(family, (0.5, 0.45), 0.2)
     povm = np.ascontiguousarray(bell_povm().elements)
-    for impls in (kernels.NUMPY_IMPLS, kernels.NUMBA_IMPLS):
-        value, k1, k2, status = impls["kappa_phase_dephasing"](
-            0.5 + 0.2, 0.5 + 1.1, 0.45, povm, h[0], h[1], 1e-12)
-        assert status == 0
-        assert abs(value - reference.kappa) < 1e-9
-        assert abs(k1 - reference.per_parameter[0]) < 1e-9
-        assert abs(k2 - reference.per_parameter[1]) < 1e-9
+    value, k1, k2, status = kernels.kappa_phase_dephasing(
+        0.5 + 0.2, 0.5 + 1.1, 0.45, povm, h[0], h[1], 1e-12)
+    assert status == 0
+    assert abs(value - reference.kappa) < 1e-9
+    assert abs(k1 - reference.per_parameter[0]) < 1e-9
+    assert abs(k2 - reference.per_parameter[1]) < 1e-9
 
 
-def test_two_phase_kernel_matches_reference_path():
-    family = ProbeFamily.two_phase(copies=2, xi=0.7)
+@pytest.mark.parametrize("xi,phi_y,phi_z", [
+    (0.7, 0.4, 0.3), (2.1, -0.9, 0.05), (0.3, 1e-9, 2e-9), (1.2, 0.007, 0.006),
+])
+def test_two_phase_kernel_matches_reference_path(xi, phi_y, phi_z):
+    family = ProbeFamily.two_phase(copies=2, xi=xi)
     povm = product_projective_povm((0.9, 0.3, 1.4, 2.0))
     scenario = Scenario(family=family, measurement=povm, free_inputs=(),
-                        fixed_inputs={"phi_y": 0.4, "phi_z": 0.3, "xi": 0.7},
+                        fixed_inputs={"phi_y": phi_y, "phi_z": phi_z,
+                                      "xi": xi},
                         sweep="phi_z")
     reference = evaluate_kappa(scenario, {})
     stack = np.ascontiguousarray(povm.elements)
-    for impls in (kernels.NUMPY_IMPLS, kernels.NUMBA_IMPLS):
-        value, k1, k2, status = impls["kappa_two_phase"](
-            0.7, 0.4, 0.3, stack, 1e-5, 1e-12)
-        assert status == 0
-        # kernel and reference use differently-composed finite differences
-        assert abs(value - reference.kappa) < 1e-7
-        assert abs(k1 - reference.per_parameter[0]) < 1e-7
-        assert abs(k2 - reference.per_parameter[1]) < 1e-7
+    value, k1, k2, status = kernels.kappa_two_phase(
+        xi, phi_y, phi_z, stack, 1e-12)
+    assert status == 0
+    # both paths use the same closed-form derivative
+    assert abs(value - reference.kappa) < 1e-12
+    assert abs(k1 - reference.per_parameter[0]) < 1e-12
+    assert abs(k2 - reference.per_parameter[1]) < 1e-12
 
 
-def test_mle_iterate_agree():
-    refs = reference_states()
-    counts = simulate_counts(bell_povm(), refs, 2e4, seed=9)
-    init = np.ascontiguousarray(np.stack([np.eye(4, dtype=complex) / 4] * 4))
-    out_np = kernels.NUMPY_IMPLS["mle_iterate"](
-        counts.counts, refs.states, init.copy(), 200, 1e-10, 1e-12)
-    out_nb = kernels.NUMBA_IMPLS["mle_iterate"](
-        counts.counts, refs.states, init.copy(), 200, 1e-10, 1e-12)
-    assert out_np[2] == out_nb[2]            # same iteration count
-    assert out_np[3] == out_nb[3]            # same convergence flag
-    assert abs(out_np[1][-1] - out_nb[1][-1]) < 1e-6 * abs(out_np[1][-1])
-    assert np.abs(out_np[0] - out_nb[0]).max() < 1e-8
+def test_two_phase_kernel_ignores_a_legacy_step_argument():
+    stack = np.ascontiguousarray(bell_povm().elements)
+    assert (kernels.kappa_two_phase(0.3, 0.4, 0.3, stack, 1e-5, 1e-12)
+            == kernels.kappa_two_phase(0.3, 0.4, 0.3, stack, 1e-12))
 
 
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, QMETRO_DISABLE_NUMBA="1")
-    code = "import qmetro.kernels as k; print(k.BACKEND)"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
+def test_quantum_information_floor_boundary_on_both_paths():
+    h = np.array([H_FLOOR, 2.0 * H_FLOOR])
+    report = classical_fi(
+        np.full(4, 0.25),
+        np.array([[0.05, -0.05, 0.05, -0.05], [0.05, 0.05, -0.05, -0.05]]))
+    reference = kappa(report, h, m=2)
+    assert reference.excluded == (0,)
+    assert reference.per_parameter[0] == 0.0 and reference.per_parameter[1] > 0
 
-
-def test_default_backend_is_numba_here():
-    assert kernels.BACKEND == "numba"
+    povm = np.ascontiguousarray(bell_povm().elements)
+    value, k1, k2, status = kernels.kappa_phase_dephasing(
+        0.7, 1.9, 0.45, povm, h[0], h[1], 1e-12)
+    assert status == 2
+    assert k1 == 0.0 and k2 > 0 and value == k2

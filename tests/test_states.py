@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm_frechet
 
 from qmetro import (ProbeFamily, check_density_matrix, dephased_phase_state,
                     make_equatorial_ket, make_equatorial_state,
                     probe_with_derivatives, purity, rotation_unitary,
-                    tensor_product, two_phase_state)
+                    tensor_product, two_phase_ket_with_derivatives,
+                    two_phase_state)
 from qmetro.linalg import PAULI_Y, PAULI_Z, hermiticity_defect
 
 ANGLES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -130,13 +132,29 @@ class TestProbeWithDerivatives:
             commutator = 1j * (pauli @ rho - rho @ pauli)
             assert np.abs(deriv - commutator).max() < 1e-9
 
-    def test_two_phase_richardson_consistency(self):
-        # halving the step must agree within the second-order error budget
-        coarse = ProbeFamily.two_phase(xi=0.2, fd_step=1e-5)
-        fine = ProbeFamily.two_phase(xi=0.2, fd_step=5e-6)
-        d1 = probe_with_derivatives(coarse, (0.7, 0.3)).derivatives
-        d2 = probe_with_derivatives(fine, (0.7, 0.3)).derivatives
-        assert np.abs(d1 - d2).max() < 1e-6
+    def test_two_phase_analytic_derivative(self):
+        # closed form against a central difference of the ket and against
+        # the exact Frechet derivative of expm, at random points and around
+        # the series cutoff of the theta -> 0 branch
+        rng = np.random.default_rng(5)
+        points = [tuple(rng.uniform(-2.0, 2.0, 3)) for _ in range(50)]
+        for theta in (0.0, 1e-9, 0.99e-2, 1.01e-2):
+            points += [(0.4, theta, 0.0), (1.3, 0.6 * theta, 0.8 * theta)]
+        h = 1e-6
+        for xi, phi_y, phi_z in points:
+            psi, *dpsi = two_phase_ket_with_derivatives(xi, phi_y, phi_z)
+
+            def ket(a, b):
+                return two_phase_ket_with_derivatives(xi, a, b)[0]
+
+            fd = [(ket(phi_y + h, phi_z) - ket(phi_y - h, phi_z)) / (2 * h),
+                  (ket(phi_y, phi_z + h) - ket(phi_y, phi_z - h)) / (2 * h)]
+            generator = 1j * (phi_y * PAULI_Y + phi_z * PAULI_Z)
+            for d, fd_j, pauli in zip(dpsi, fd, (PAULI_Y, PAULI_Z)):
+                u, du = expm_frechet(generator, 1j * pauli)
+                assert np.abs(psi - u @ make_equatorial_ket(xi)).max() < 1e-14
+                assert np.abs(d - du @ make_equatorial_ket(xi)).max() < 1e-14
+                assert np.abs(d - fd_j).max() < 1e-9
 
     def test_two_copy_product_rule(self):
         family = ProbeFamily.phase_dephasing(copies=2, xi=(0.0, 0.2))

@@ -231,3 +231,12 @@ class TestCountsCsv:
                 "H,H,DD,5\nH,H,DA,6\nH,V,DD,2\n")
         with pytest.raises(ValueError):
             counts_from_csv(text)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_cell_rejected(self, cell):
+        refs = reference_states()
+        text = counts_to_csv(simulate_counts(bell_povm(), refs, 1e3, seed=3))
+        lines = text.splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + "," + cell
+        with pytest.raises(ValueError, match=r"input \('H', 'V'\) and outcome 'DD'"):
+            counts_from_csv("\n".join(lines) + "\n")
