@@ -231,15 +231,7 @@ def classical_fi(probabilities, derivative_probabilities,
     det = float(np.linalg.det(F))
     singular = top <= 0.0 or abs(det) < 1e-12 * top ** n
     if singular:
-        eff = np.zeros(n)
-        if top > 0:
-            w, v = np.linalg.eigh(F)
-            null = w < 1e-12 * top
-            affected = (np.abs(v[:, null]) ** 2).sum(axis=1) > 1e-8
-            pinv = np.linalg.pinv(F, rcond=1e-12)
-            for j in range(n):
-                if not affected[j] and pinv[j, j] > 0:
-                    eff[j] = 1.0 / pinv[j, j]
+        eff = kernels.singular_effective_information(F[None])[0]
     else:
         eff = 1.0 / np.diag(np.linalg.inv(F))
     return FisherReport(classical_fi=F, effective_fi=np.asarray(eff, dtype=float),

@@ -4,10 +4,14 @@ Kernel contracts:
 
 * ``fisher_matrix(p, dp, cutoff)`` -> classical Fisher matrix, skipping
   outcomes with probability below ``cutoff``
-* ``kappa_phase_dephasing(...)`` / ``kappa_two_phase(...)`` -> fused
-  two-copy figure-of-merit evaluation: (kappa, per-parameter terms, status)
-  with status 0 = ok, 1 = singular Fisher matrix, 2 = a quantum-information
-  denominator at or below ``fisher.H_FLOOR`` (term excluded)
+* ``kappa_two_copy_batch(...)`` and its front ends
+  ``kappa_phase_dephasing_batch(...)`` / ``kappa_two_phase_batch(...)`` ->
+  fused two-copy figure-of-merit evaluation of N points at once: arrays
+  (kappa, per-parameter terms, status) with status 0 = ok, 1 = singular
+  Fisher matrix (terms follow ``fisher.FisherReport``'s rule), 2 = a
+  quantum-information denominator at or below ``fisher.H_FLOOR`` (term
+  excluded); ``kappa_phase_dephasing(...)`` / ``kappa_two_phase(...)``
+  evaluate one point and return Python scalars
 * ``mle_iterate(...)`` -> multiplicative maximum-likelihood update loop for
   detector reconstruction with a monotone-likelihood safeguard
 """
@@ -17,20 +21,24 @@ from __future__ import annotations
 import numpy as np
 
 from . import fisher
-from .states import two_phase_ket_with_derivatives
+from .states import dephasing_with_derivatives, two_phase_ket_with_derivatives
 
 __all__ = [
     "BACKEND",
     "fisher_matrix",
     "kappa_phase_dephasing",
+    "kappa_phase_dephasing_batch",
+    "kappa_two_copy_batch",
     "kappa_two_phase",
+    "kappa_two_phase_batch",
     "mle_iterate",
+    "singular_effective_information",
 ]
 
 #: The kernels are vectorized numpy; the name is recorded by benchmark runs.
 BACKEND = "numpy"
 
-_DET_CUTOFF = 1e-12   # relative determinant cutoff for a singular Fisher matrix
+_DET_CUTOFF = 1e-12   # relative determinant and eigenvalue cutoff: singular Fisher
 _LL_SLACK = 1e-12     # relative slack when enforcing likelihood monotonicity
 
 
@@ -40,73 +48,116 @@ def fisher_matrix(p, dp, cutoff):
     return (dk / p[keep]) @ dk.T
 
 
-def _kappa_two_copy(povm, state, dstates, h1, h2, cutoff):
-    """kappa of a two-copy state from its Fisher matrix and the single-copy
-    quantum-information diagonal (h1, h2)."""
-    p = np.einsum("kij,ji->k", povm, state).real
-    dp = np.einsum("kij,pji->pk", povm, dstates).real
-    keep = p >= cutoff
-    dk = dp[:, keep]
-    (f00, f01), (_, f11) = (dk / p[keep]) @ dk.T
+def singular_effective_information(F):
+    """Per-parameter information of singular Fisher matrices (stack (N, n, n)).
+
+    A parameter whose direction overlaps the null space of F gets 0 (its
+    variance is unbounded); any other keeps ``1/pinv(F)_jj``. This is the
+    rule documented on ``fisher.FisherReport``. Returns shape (N, n).
+    """
+    F = np.asarray(F, dtype=float)
+    top = F.diagonal(axis1=-2, axis2=-1).max(axis=-1)
+    w, v = np.linalg.eigh(F)
+    null = w < _DET_CUTOFF * top[:, None]
+    affected = (np.abs(v) ** 2 * null[:, None, :]).sum(axis=-1) > 1e-8
+    pinv = np.linalg.pinv(F, rcond=_DET_CUTOFF).diagonal(axis1=-2, axis2=-1)
+    keep = (top[:, None] > 0.0) & ~affected & (pinv > 0.0)
+    return np.where(keep, 1.0 / np.where(keep, pinv, 1.0), 0.0)
+
+
+def kappa_two_copy_batch(povm, states, dstates, h1, h2, cutoff):
+    """kappa of N two-copy states from their Fisher matrices.
+
+    ``states`` is (N, 4, 4), ``dstates`` is (N, 2, 4, 4) and ``h1``, ``h2``
+    are the single-copy quantum-information diagonals, scalars or length N.
+    Returns arrays ``(kappa, k1, k2, status)`` of length N.
+    """
+    p = np.einsum("kij,nji->nk", povm, states).real
+    dp = np.einsum("kij,npji->npk", povm, dstates).real
+    keep = (p >= cutoff)[:, None, :]
+    F = np.divide(dp, p[:, None, :], out=np.zeros_like(dp), where=keep) \
+        @ dp.transpose(0, 2, 1)
+    f00, f01, f11 = F[:, 0, 0], F[:, 0, 1], F[:, 1, 1]
     det = f00 * f11 - f01 * f01
-    top = max(f00, f11)
-    if top <= 0.0 or abs(det) < _DET_CUTOFF * top * top:
-        return 0.0, 0.0, 0.0, 1
-    status = 0
-    k1 = 0.0
-    k2 = 0.0
-    if h1 > fisher.H_FLOOR:
-        k1 = (det / f11) / (2.0 * h1)
-    else:
-        status = 2
-    if h2 > fisher.H_FLOOR:
-        k2 = (det / f00) / (2.0 * h2)
-    else:
-        status = 2
-    return k1 + k2, k1, k2, status
+    top = np.maximum(f00, f11)
+    singular = (top <= 0.0) | (np.abs(det) < _DET_CUTOFF * top * top)
+    # 1/(F^-1)_jj of an invertible 2x2 matrix is det(F) / F_kk with k != j
+    other = F.diagonal(axis1=1, axis2=2)[:, ::-1]
+    eff = det[:, None] / np.where(singular[:, None], 1.0, other)
+    if singular.any():
+        eff[singular] = singular_effective_information(F[singular])
+    h = np.empty_like(eff)
+    h[:, 0], h[:, 1] = h1, h2
+    counted = h > fisher.H_FLOOR
+    # (two-copy effective information / m) / H_jj with m = 2
+    terms = np.where(counted, eff / (2.0 * np.where(counted, h, 1.0)), 0.0)
+    status = np.where(singular, 1, np.where(counted.all(axis=-1), 0, 2))
+    return terms.sum(axis=-1), terms[:, 0], terms[:, 1], status
 
 
-def _dephasing_pair(alpha, delta):
-    off = np.exp(-1j * alpha - delta * delta) / 2.0
-    rho = np.array([[0.5, off], [off.conjugate(), 0.5]])
-    d_phi = np.array([[0.0, -1j * off], [(-1j * off).conjugate(), 0.0]])
-    d_del = np.array([[0.0, -2.0 * delta * off],
-                      [(-2.0 * delta * off).conjugate(), 0.0]])
-    return rho, d_phi, d_del
+def _kron(a, b):
+    """Kronecker products of two broadcast stacks of 2x2 matrices."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (4, 4))
+
+
+def _two_copy(first, second):
+    """Two-copy state and its derivatives by the tensor-product rule.
+
+    ``first`` and ``second`` are (3, N, 2, 2) stacks of each copy's state
+    and its two derivatives. Returns the (N, 4, 4) states and the
+    (N, 2, 4, 4) derivatives.
+    """
+    left = _kron(first, second[0])
+    return left[0], (left[1:] + _kron(first[0], second[1:])).swapaxes(0, 1)
+
+
+def kappa_phase_dephasing_batch(alpha1, alpha2, delta, povm, h_phi, h_delta,
+                                cutoff):
+    """Two-copy kappa of the dephased probe at N pairs of total phases."""
+    first, second = dephasing_with_derivatives(np.stack((alpha1, alpha2)),
+                                               delta).swapaxes(0, 1)
+    return kappa_two_copy_batch(povm, *_two_copy(first, second), h_phi,
+                                h_delta, cutoff)
+
+
+def kappa_two_phase_batch(xi, phi_y, phi_z, povm, cutoff):
+    """Two-copy kappa of the two-phase probe at N input phases ``xi``."""
+    kets = two_phase_ket_with_derivatives(xi, phi_y, phi_z)
+    psi, dpsi = kets[0], kets[1:]
+    # pure-state quantum Fisher information diagonal
+    overlap = (psi.conj() * dpsi).sum(axis=-1)
+    h = 4.0 * ((np.abs(dpsi) ** 2).sum(axis=-1) - np.abs(overlap) ** 2)
+    # |psi><psi| and |d psi><psi| + |psi><d psi|
+    single = kets[..., :, None] * psi.conj()[..., None, :]
+    single[1:] += single[1:].conj().swapaxes(-1, -2)
+    return kappa_two_copy_batch(povm, *_two_copy(single, single), h[0], h[1],
+                                cutoff)
+
+
+def _scalars(batch):
+    kappa, k1, k2, status = batch
+    return float(kappa[0]), float(k1[0]), float(k2[0]), int(status[0])
 
 
 def kappa_phase_dephasing(alpha1, alpha2, delta, povm, h_phi, h_delta, cutoff):
-    r1, p1, q1 = _dephasing_pair(alpha1, delta)
-    r2, p2, q2 = _dephasing_pair(alpha2, delta)
-    state = np.kron(r1, r2)
-    d_phi = np.kron(p1, r2) + np.kron(r1, p2)
-    d_del = np.kron(q1, r2) + np.kron(r1, q2)
-    return _kappa_two_copy(povm, state, np.stack((d_phi, d_del)),
-                           h_phi, h_delta, cutoff)
+    """One row of ``kappa_phase_dephasing_batch``, as Python scalars."""
+    return _scalars(kappa_phase_dephasing_batch(
+        np.array([alpha1], dtype=float), np.array([alpha2], dtype=float),
+        delta, povm, h_phi, h_delta, cutoff))
 
 
 def kappa_two_phase(xi, phi_y, phi_z, povm, *args):
-    """Two-copy kappa of the two-phase probe; ``args`` is ``(cutoff,)``.
+    """One row of ``kappa_two_phase_batch``, as Python scalars; ``args`` is
+    ``(cutoff,)``.
 
     The derivatives are exact, so the older ``(step, cutoff)`` form, which
     passed a finite-difference step first, is accepted and the step ignored.
     """
     if len(args) not in (1, 2):
         raise TypeError("kappa_two_phase takes a cutoff after the POVM")
-    cutoff = args[-1]
-    psi, *dpsi = two_phase_ket_with_derivatives(xi, phi_y, phi_z)
-    bra = psi.conj()
-    rho = np.outer(psi, bra)
-    hdiag = []
-    dstates = []
-    for d in dpsi:
-        # pure-state quantum Fisher information diagonal
-        ov = np.vdot(psi, d)
-        hdiag.append(4.0 * (np.vdot(d, d).real - (ov.conjugate() * ov).real))
-        drho = np.outer(d, bra) + np.outer(psi, d.conj())
-        dstates.append(np.kron(drho, rho) + np.kron(rho, drho))
-    return _kappa_two_copy(povm, np.kron(rho, rho), np.stack(dstates),
-                           hdiag[0], hdiag[1], cutoff)
+    return _scalars(kappa_two_phase_batch(np.array([xi], dtype=float), phi_y,
+                                          phi_z, povm, args[-1]))
 
 
 def mle_iterate(counts, rhos, init, max_iters, tol, p_floor):

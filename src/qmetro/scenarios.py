@@ -193,6 +193,9 @@ class _Objective:
                 self._fast = ("dephasing", stack, delta, float(h[0]), float(h[1]))
             elif fam.kind == TWO_PHASE:
                 self._fast = ("two-phase", stack)
+        #: the two-phase batch shares one rotation, so it needs phi_y, phi_z fixed
+        self._batched = self._fast is not None and not (
+            self._fast[0] == "two-phase" and {"phi_y", "phi_z"} & set(names))
 
     def __call__(self, x) -> float:
         vals = dict(self.base)
@@ -214,13 +217,60 @@ class _Objective:
             result = evaluate_kappa(self.scenario, vals)
             value = result.kappa
             status = 1 if (value == 0.0 and not result.per_parameter.any()) else 0
+        if self._fast is not None:
+            value = float(_search_score(value, status))
         if status == 0:
             self.any_regular = True
         return value
 
+    def batch(self, X) -> np.ndarray:
+        """kappa at every row of ``X`` (shape (N, len(names))); one kernel
+        call on the fast paths, one call per row otherwise."""
+        X = np.asarray(X, dtype=float)
+        if not self._batched:
+            return np.array([self(x) for x in X], dtype=float)
+        cols = {n: X[:, i] for i, n in enumerate(self.names)}
+
+        def column(name):
+            return cols[name] if name in cols else np.full(
+                len(X), float(self.base[name]))
+
+        if self._fast[0] == "dephasing":
+            _, stack, delta, h1, h2 = self._fast
+            phi = column("phi")
+            shared = "xi" in cols or "xi" in self.base
+            xi_1 = column("xi" if shared else "xi_1")
+            xi_2 = column("xi" if shared else "xi_2")
+            values, _, _, status = kernels.kappa_phase_dephasing_batch(
+                phi + xi_1, phi + xi_2, delta, stack, h1, h2, DEFAULT_P_CUTOFF)
+        else:
+            _, stack = self._fast
+            values, _, _, status = kernels.kappa_two_phase_batch(
+                column("xi"), float(self.base["phi_y"]),
+                float(self.base["phi_z"]), stack, DEFAULT_P_CUTOFF)
+        self.evaluations += len(X)
+        if (status == 0).any():
+            self.any_regular = True
+        return _search_score(values, status)
+
+
+def _search_score(kappa_values, status):
+    """The fast paths' search score: kappa, but 0 where the Fisher matrix is
+    singular (kernel status 1).
+
+    kappa jumps at a singular point: the unaffected parameter keeps its full
+    information there (see ``FisherReport``), which no neighbouring point
+    attains, so a search started from such a point would stall on it.
+    """
+    return np.where(status == 1, 0.0, kappa_values)
+
 
 def _maximize(objective, names: list[str], budget: int):
-    """Deterministic coarse grid plus Nelder-Mead refinement."""
+    """Deterministic coarse grid plus Nelder-Mead refinement.
+
+    The grid is scored by one ``objective.batch`` call, the refinement by
+    calls of ``objective``; both add to ``objective.evaluations``.
+    """
     ndim = len(names)
     if ndim == 0:
         return np.zeros(0), objective(np.zeros(0))
@@ -228,13 +278,14 @@ def _maximize(objective, names: list[str], budget: int):
                   max(3, int((_GRID_FRACTION * budget) ** (1.0 / ndim))))
     axes = [np.linspace(0.0, _PERIODS.get(n, _DEFAULT_PERIOD), per_dim,
                         endpoint=False) for n in names]
-    best_x = None
-    best_v = -np.inf
-    for idx in np.ndindex(*(len(a) for a in axes)):
-        x = np.array([axes[d][idx[d]] for d in range(ndim)])
-        v = objective(x)
-        if v > best_v:
-            best_v, best_x = v, x
+    # rows in np.ndindex order: the last input varies fastest
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, ndim)
+    values = objective.batch(grid)
+    # the first strict maximum wins and NaN never does, as a running
+    # ``v > best`` comparison from -inf would choose
+    ranked = np.where(np.isnan(values), -np.inf, values)
+    best = int(np.argmax(ranked))
+    best_x, best_v = grid[best], ranked[best]
     remaining = budget - objective.evaluations
     if remaining >= ndim + 2:
         steps = [0.5 * (_PERIODS.get(n, _DEFAULT_PERIOD) / per_dim) for n in names]

@@ -36,10 +36,15 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {v!r}")
 
 
-def make_equatorial_ket(xi: float) -> np.ndarray:
-    """(|0> + e^{i xi} |1>)/sqrt(2)."""
-    _require_finite(xi=xi)
-    return np.array([1.0, np.exp(1j * xi)], dtype=complex) / np.sqrt(2.0)
+def make_equatorial_ket(xi) -> np.ndarray:
+    """(|0> + e^{i xi} |1>)/sqrt(2); an array of phases gives one ket per
+    phase, shape xi.shape + (2,)."""
+    xi = np.asarray(xi, dtype=float)
+    if not np.isfinite(xi).all():
+        raise ValueError(f"xi must be finite, got {xi.tolist()!r}")
+    ket = np.ones(xi.shape + (2,), dtype=complex)
+    ket[..., 1] = np.exp(1j * xi)
+    return ket / np.sqrt(2.0)
 
 
 def make_equatorial_state(xi: float) -> np.ndarray:
@@ -85,14 +90,39 @@ def rotation_unitary(phi_y: float, phi_z: float) -> np.ndarray:
     return _rotation_with_derivatives(phi_y, phi_z)[0]
 
 
-def two_phase_ket_with_derivatives(xi: float, phi_y: float,
+def two_phase_ket_with_derivatives(xi, phi_y: float,
                                    phi_z: float) -> np.ndarray:
     """Two-phase output ket U(phi_y, phi_z)|xi> and its exact derivatives.
 
     Returns a (3, 2) array: the ket, then its derivatives with respect to
-    phi_y and phi_z.
+    phi_y and phi_z. N input phases ``xi`` give shape (3, N, 2).
     """
-    return _rotation_with_derivatives(phi_y, phi_z) @ make_equatorial_ket(xi)
+    rotation = _rotation_with_derivatives(phi_y, phi_z)
+    return make_equatorial_ket(xi) @ rotation.transpose(0, 2, 1)
+
+
+def dephasing_with_derivatives(alpha, delta: float) -> np.ndarray:
+    """Dephased equatorial states and their (phi, delta) derivatives.
+
+    ``alpha`` is the total phase phi + xi, a scalar or an array of them. The
+    (0,1) entry of the state is exp(-i*alpha - delta^2)/2 and its diagonal is
+    1/2. Returns shape (3,) + alpha.shape + (2, 2): the state, d/dphi and
+    d/ddelta. Inputs are not validated; see ``dephased_phase_state``.
+    """
+    off = np.exp(-1j * np.asarray(alpha) - delta * delta) / 2.0
+    out = np.zeros((3,) + off.shape + (2, 2), dtype=complex)
+    out[0, ..., 0, 0] = out[0, ..., 1, 1] = 0.5
+    out[0, ..., 0, 1] = off
+    out[1, ..., 0, 1] = -1j * off
+    out[2, ..., 0, 1] = -2.0 * delta * off
+    out[..., 1, 0] = out[..., 0, 1].conjugate()
+    return out
+
+
+def _check_dephasing(xi: float, phi: float, delta: float) -> None:
+    _require_finite(xi=xi, phi=phi, delta=delta)
+    if delta < 0:
+        raise ValueError(f"dephasing strength must be >= 0, got {delta}")
 
 
 def dephased_phase_state(xi: float, phi: float, delta: float) -> np.ndarray:
@@ -101,11 +131,8 @@ def dephased_phase_state(xi: float, phi: float, delta: float) -> np.ndarray:
     Diagonal entries are 1/2; the (0,1) entry is exp(-i*(phi+xi) - delta^2)/2,
     so the Bloch vector has length exp(-delta^2).
     """
-    _require_finite(xi=xi, phi=phi, delta=delta)
-    if delta < 0:
-        raise ValueError(f"dephasing strength must be >= 0, got {delta}")
-    off = np.exp(-1j * (phi + xi) - delta * delta) / 2.0
-    return np.array([[0.5, off], [off.conjugate(), 0.5]], dtype=complex)
+    _check_dephasing(xi, phi, delta)
+    return dephasing_with_derivatives(phi + xi, delta)[0]
 
 
 @dataclass(frozen=True)
@@ -169,11 +196,8 @@ class StateWithDerivatives:
 
 
 def _dephasing_single(xi: float, phi: float, delta: float):
-    rho = dephased_phase_state(xi, phi, delta)
-    off = rho[0, 1]
-    d_phi = np.array([[0.0, -1j * off], [(-1j * off).conjugate(), 0.0]], dtype=complex)
-    d_del = np.array([[0.0, -2.0 * delta * off],
-                      [(-2.0 * delta * off).conjugate(), 0.0]], dtype=complex)
+    _check_dephasing(xi, phi, delta)
+    rho, d_phi, d_del = dephasing_with_derivatives(phi + xi, delta)
     return rho, [d_phi, d_del]
 
 

@@ -65,6 +65,11 @@ class CountsTable:
     exposure: float
 
     def __post_init__(self):
+        unknown = sorted({lbl for pair in self.input_labels for lbl in pair}
+                         - set(SINGLE_QUBIT_LABELS))
+        if unknown:
+            raise ValueError(f"unknown input labels {unknown}; inputs are "
+                             f"pairs of {SINGLE_QUBIT_LABELS}")
         c = np.ascontiguousarray(np.asarray(self.counts, dtype=float))
         if c.shape != (len(self.input_labels), len(self.outcome_labels)):
             raise ValueError(f"counts shape {c.shape} does not match labels")
@@ -144,17 +149,17 @@ def mle_reconstruct(counts: CountsTable, refs: ReferenceSet,
     """Maximum-likelihood POVM reconstruction from a complete counts table.
 
     Maximizes ``sum_jk n_jk log Tr[rho_j P_k]`` subject to positivity and
-    completeness (both enforced by construction of the update). Raises on a
-    rank-deficient reference set or an all-zero input row (no information).
+    completeness (both enforced by construction of the update). The table's
+    rows may come in any order; each reference input must appear exactly
+    once. Raises on a rank-deficient reference set or an all-zero input row
+    (no information).
     """
-    if counts.input_labels != refs.labels:
-        raise ValueError("counts table inputs do not match the reference set")
+    data = counts.counts[_reference_rows(counts.input_labels, refs)]
     if reference_gram_rank(refs) < refs.dim ** 2:
         raise ValueError("reference set is rank deficient; reconstruction "
                          "is not informationally complete")
-    data = counts.counts
     if (data.sum(axis=1) == 0).any():
-        dead = [lbl for lbl, row in zip(counts.input_labels, data)
+        dead = [lbl for lbl, row in zip(refs.labels, data)
                 if row.sum() == 0]
         raise ValueError(f"no counts recorded for inputs {dead}; rows carry "
                          "no information")
@@ -178,6 +183,24 @@ def mle_reconstruct(counts: CountsTable, refs: ReferenceSet,
         ll_trace=np.asarray(ll_trace, dtype=float),
         floored_events=int(floored),
     )
+
+
+def _reference_rows(input_labels, refs: ReferenceSet) -> list[int]:
+    """Index of each reference input's row in a counts table."""
+    rows: dict[tuple[str, str], int] = {}
+    repeated = []
+    for i, pair in enumerate(input_labels):
+        if pair in rows:
+            repeated.append(pair)
+        rows[pair] = i
+    known = set(refs.labels)
+    missing = [pair for pair in refs.labels if pair not in rows]
+    extra = [pair for pair in rows if pair not in known]
+    if repeated or missing or extra:
+        raise ValueError(
+            "counts table inputs do not match the reference set: "
+            f"repeated {repeated}, missing {missing}, unexpected {extra}")
+    return [rows[pair] for pair in refs.labels]
 
 
 def povm_fidelity(candidate: np.ndarray, ideal: np.ndarray) -> float:

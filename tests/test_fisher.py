@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmetro import (ProbeFamily, bell_povm, classical_fi, kappa,
+from qmetro import (Povm, ProbeFamily, Scenario, bell_povm, classical_fi,
+                    evaluate_kappa, haar_random_basis, kappa,
                     measurement_probabilities, probe_with_derivatives,
                     product_projective_povm, qfi_matrix, sld_operators,
                     sld_residual, weak_commutativity, weak_commutativity_root)
@@ -304,3 +307,51 @@ class TestQcrDominance:
             h = qfi_matrix(single)
             gap = 2.0 * h - report.classical_fi
             assert np.linalg.eigvalsh(gap).min() > -1e-7
+
+
+ANGLES = st.floats(-math.pi, math.pi)
+
+
+class TestGillMassarBound:
+    """Single-copy kappa <= 1 for every single-qubit measurement (Gill and
+    Massar, PRA 61, 042312, 2000): the bound behind acceptance 3."""
+
+    @staticmethod
+    def random_qubit_povm(seed, projective_parts):
+        # a mixture of projective measurements reaches kappa = 1; a whitened
+        # random POVM (projective_parts = 0) covers the non-extremal ones
+        rng = np.random.default_rng(seed)
+        if projective_parts == 0:
+            g = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+            raw = np.array([m @ m.conj().T for m in g])
+            w, v = np.linalg.eigh(raw.sum(axis=0))
+            whiten = (v * w ** -0.5) @ v.conj().T
+            elements = np.array([whiten @ m @ whiten for m in raw])
+        else:
+            weights = rng.dirichlet(np.ones(projective_parts))
+            elements = []
+            for weight in weights:
+                basis = haar_random_basis(rng, 2)
+                elements += [weight * np.outer(basis[:, k], basis[:, k].conj())
+                             for k in range(2)]
+        return Povm(tuple(f"k{i}" for i in range(len(elements))),
+                    np.array(elements))
+
+    @given(seed=st.integers(0, 2**32 - 1), parts=st.integers(0, 3),
+           two_phase=st.booleans(), a=ANGLES, b=ANGLES, xi=ANGLES,
+           delta=st.floats(0.0, 3.0))
+    @settings(deadline=None, max_examples=200)
+    def test_single_copy_kappa_at_most_one(self, seed, parts, two_phase, a, b,
+                                           xi, delta):
+        povm = self.random_qubit_povm(seed, parts)
+        if two_phase:
+            scenario = Scenario(family=ProbeFamily.two_phase(), measurement=povm,
+                                fixed_inputs={"phi_y": a, "phi_z": b, "xi": xi},
+                                sweep="phi_z")
+        else:
+            scenario = Scenario(family=ProbeFamily.phase_dephasing(),
+                                measurement=povm,
+                                fixed_inputs={"phi": a, "delta": delta,
+                                              "xi_1": xi},
+                                sweep="delta")
+        assert evaluate_kappa(scenario, {}).kappa <= 1.0 + 1e-9

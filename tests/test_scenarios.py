@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from qmetro import (GateModel, ProbeFamily, Scenario, bell_povm, cs_gate_povm,
+from qmetro import (GateModel, Povm, ProbeFamily, Scenario, bell_povm, cs_gate_povm,
                     evaluate_kappa, haar_random_basis, kappa_scan,
                     optimize_kappa, product_projective_povm,
                     random_collective_search)
-from qmetro.scenarios import ProductProjectiveGenerator, default_delta_grid
+from qmetro import kernels
+from qmetro.scenarios import (ProductProjectiveGenerator, _maximize, _Objective,
+                              default_delta_grid)
 
 
 def ideal_bell_scenario(**overrides):
@@ -250,3 +252,76 @@ class TestEvaluateKappa:
         a = evaluate_kappa(shared, {"delta": 0.5})
         b = evaluate_kappa(split, {"delta": 0.5})
         assert abs(a.kappa - b.kappa) < 1e-12
+
+
+class TestMaximizeGrid:
+    @staticmethod
+    def scalar_loop_winner(objective, axes):
+        best_x, best_v = None, -np.inf
+        for idx in np.ndindex(*(len(a) for a in axes)):
+            x = np.array([a[i] for a, i in zip(axes, idx)])
+            v = objective(x)
+            if v > best_v:
+                best_x, best_v = x, v
+        return best_x, best_v
+
+    @pytest.mark.parametrize("family,names,fixed,budget,per_dim", [
+        (ProbeFamily.phase_dephasing(copies=2), ["xi_1", "xi_2"],
+         {"phi": 0.2, "delta": 0.4}, 12, 3),
+        (ProbeFamily.two_phase(copies=2), ["xi"],
+         {"phi_y": 0.4, "phi_z": 0.3}, 8, 6),
+    ], ids=["dephasing", "two-phase"])
+    def test_batched_grid_picks_the_scalar_loop_winner(self, family, names,
+                                                       fixed, budget, per_dim):
+        # a budget this small leaves no room for the simplex refinement
+        basis = haar_random_basis(np.random.default_rng(5), 4)
+        povm = Povm(tuple("abcd"), np.stack(
+            [np.outer(basis[:, k], basis[:, k].conj()) for k in range(4)]))
+        sweep = list(fixed)[-1]
+        scenario = Scenario(family=family, measurement=povm,
+                            free_inputs=tuple(names),
+                            fixed_inputs={k: v for k, v in fixed.items()
+                                          if k != sweep},
+                            sweep=sweep)
+        objective = _Objective(scenario, dict(fixed), names)
+        best_x, best_v = _maximize(objective, names, budget)
+        assert objective.evaluations == per_dim ** len(names)
+        axes = [np.linspace(0.0, 2 * math.pi, per_dim, endpoint=False)] * len(names)
+        grid_values = objective.batch(
+            np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(names)))
+        top, runner_up = np.sort(grid_values)[::-1][:2]
+        assert top > 0 and top - runner_up > 1e-9
+        loop_x, loop_v = self.scalar_loop_winner(
+            _Objective(scenario, dict(fixed), names), axes)
+        assert np.array_equal(best_x, loop_x)
+        assert abs(best_v - loop_v) < 1e-12
+
+    def test_nan_row_never_wins(self):
+        class Fake:
+            evaluations = 0
+
+            def batch(self, X):
+                self.evaluations += len(X)
+                values = -np.abs(X[:, 0] - 2.0)
+                values[0] = values[4] = np.nan
+                return values
+
+        best_x, best_v = _maximize(Fake(), ["xi"], 8)
+        assert not np.isnan(best_v)
+        assert best_x[0] == 2 * math.pi / 3
+
+    def test_evaluations_count_grid_and_refinement(self, monkeypatch):
+        calls = []
+        scalar = kernels.kappa_phase_dephasing
+
+        def counted(*args):
+            calls.append(args)
+            return scalar(*args)
+
+        monkeypatch.setattr(kernels, "kappa_phase_dephasing", counted)
+        names = ["phi", "xi_1", "xi_2"]
+        objective = _Objective(ideal_bell_scenario(), {"delta": 0.3}, names)
+        _maximize(objective, names, 400)
+        per_dim = int((0.75 * 400) ** (1 / 3))
+        assert calls
+        assert objective.evaluations == per_dim ** 3 + len(calls)

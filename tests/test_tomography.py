@@ -130,11 +130,29 @@ class TestMleReconstruct:
     def test_mismatched_inputs_rejected(self):
         refs = reference_states()
         counts = simulate_counts(bell_povm(), refs, 1e4, seed=6)
-        shuffled = CountsTable(tuple(reversed(counts.input_labels)),
-                               counts.outcome_labels, counts.counts,
-                               counts.exposure)
-        with pytest.raises(ValueError):
-            mle_reconstruct(shuffled, refs)
+        labels = counts.input_labels[:-1] + (("H", "H"),)
+        mismatched = CountsTable(labels, counts.outcome_labels,
+                                 counts.counts, counts.exposure)
+        with pytest.raises(ValueError, match=r"repeated \[\('H', 'H'\)\], "
+                           r"missing \[\('L', 'L'\)\]"):
+            mle_reconstruct(mismatched, refs)
+
+    def test_shuffled_csv_rows_reconstruct_the_same_povm(self):
+        refs = reference_states()
+        counts = simulate_counts(bell_povm(), refs, 1e4, seed=6)
+        header, *rows = counts_to_csv(counts).splitlines()
+        order = np.random.default_rng(3).permutation(len(rows))
+        shuffled = counts_from_csv(
+            "\n".join([header] + [rows[i] for i in order]) + "\n",
+            exposure=counts.exposure)
+        assert shuffled.input_labels != counts.input_labels
+        expected = mle_reconstruct(counts, refs)
+        result = mle_reconstruct(shuffled, refs)
+        # outcomes keep the CSV's first-seen order, which shuffling changes
+        reordered = [result.povm.labels.index(k) for k in expected.povm.labels]
+        assert sorted(reordered) == list(range(len(reordered)))
+        assert np.abs(result.povm.elements[reordered]
+                      - expected.povm.elements).max() < 1e-12
 
 
 class TestPovmFidelity:
@@ -230,6 +248,12 @@ class TestCountsCsv:
         text = ("input1,input2,outcome,counts\n"
                 "H,H,DD,5\nH,H,DA,6\nH,V,DD,2\n")
         with pytest.raises(ValueError):
+            counts_from_csv(text)
+
+    def test_unknown_input_label_rejected(self):
+        text = ("input1,input2,outcome,counts\n"
+                "H,X,DD,5\nQ,H,DD,6\n")
+        with pytest.raises(ValueError, match=r"unknown input labels \['Q', 'X'\]"):
             counts_from_csv(text)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-1"])
