@@ -322,7 +322,14 @@ def _cmd_kappa_scan(cfg, out):
     for row in rows:
         lines.append(",".join(
             "nan" if v != v else serialize.format_float(v) for v in row))
-    return {"kappa_scan.csv": "\n".join(lines) + "\n"}
+    report = {
+        "points": int(curve.grid.size),
+        "failed": [{curve.sweep: float(x), "reason": reason}
+                   for x, reason in zip(curve.grid, curve.failed)
+                   if reason is not None],
+    }
+    return {"kappa_scan.csv": "\n".join(lines) + "\n",
+            "kappa_scan_report.json": serialize.dumps_json(report)}
 
 
 def _cmd_optimize(cfg, out):

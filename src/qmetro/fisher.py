@@ -67,16 +67,26 @@ class FisherReport:
 
 @dataclass(frozen=True)
 class KappaResult:
-    """Figure-of-merit breakdown: kappa = sum of per-parameter terms."""
+    """Figure-of-merit breakdown: kappa = sum of per-parameter terms.
+
+    ``singular`` is copied from the ``FisherReport`` the terms came from.
+    """
 
     kappa: float
     per_parameter: np.ndarray     # (n,) float
     m: int
     excluded: tuple[int, ...] = ()
+    singular: bool = False
 
     @property
     def partial(self) -> bool:
         return bool(self.excluded)
+
+    @property
+    def status(self) -> int:
+        """The kernels' status code: 0 ok, 1 singular Fisher matrix, 2 a
+        parameter excluded by ``H_FLOOR``."""
+        return 1 if self.singular else 2 if self.excluded else 0
 
 
 def sld_operators(swd: StateWithDerivatives, support_tolerance: float | None = None) -> SldSet:
@@ -261,4 +271,4 @@ def kappa(report: FisherReport, single_copy_qfi_diagonal, m: int) -> KappaResult
             continue
         per[j] = (report.effective_fi[j] / m) / h[j]
     return KappaResult(kappa=float(per.sum()), per_parameter=per, m=int(m),
-                       excluded=tuple(excluded))
+                       excluded=tuple(excluded), singular=report.singular)

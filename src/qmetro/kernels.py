@@ -4,14 +4,15 @@ Kernel contracts:
 
 * ``fisher_matrix(p, dp, cutoff)`` -> classical Fisher matrix, skipping
   outcomes with probability below ``cutoff``
-* ``kappa_two_copy_batch(...)`` and its front ends
+* ``kappa_batch(...)`` and its front ends
   ``kappa_phase_dephasing_batch(...)`` / ``kappa_two_phase_batch(...)`` ->
-  fused two-copy figure-of-merit evaluation of N points at once: arrays
+  fused figure-of-merit evaluation of N points at once on one or two
+  copies: arrays
   (kappa, per-parameter terms, status) with status 0 = ok, 1 = singular
   Fisher matrix (terms follow ``fisher.FisherReport``'s rule), 2 = a
   quantum-information denominator at or below ``fisher.H_FLOOR`` (term
   excluded); ``kappa_phase_dephasing(...)`` / ``kappa_two_phase(...)``
-  evaluate one point and return Python scalars
+  evaluate one two-copy point and return Python scalars
 * ``mle_iterate(...)`` -> multiplicative maximum-likelihood update loop for
   detector reconstruction with a monotone-likelihood safeguard
 """
@@ -26,9 +27,9 @@ from .states import dephasing_with_derivatives, two_phase_ket_with_derivatives
 __all__ = [
     "BACKEND",
     "fisher_matrix",
+    "kappa_batch",
     "kappa_phase_dephasing",
     "kappa_phase_dephasing_batch",
-    "kappa_two_copy_batch",
     "kappa_two_phase",
     "kappa_two_phase_batch",
     "mle_iterate",
@@ -65,13 +66,17 @@ def singular_effective_information(F):
     return np.where(keep, 1.0 / np.where(keep, pinv, 1.0), 0.0)
 
 
-def kappa_two_copy_batch(povm, states, dstates, h1, h2, cutoff):
-    """kappa of N two-copy states from their Fisher matrices.
+def kappa_batch(povm, states, dstates, h1, h2, m, cutoff):
+    """kappa of N m-copy states from their Fisher matrices.
 
-    ``states`` is (N, 4, 4), ``dstates`` is (N, 2, 4, 4) and ``h1``, ``h2``
-    are the single-copy quantum-information diagonals, scalars or length N.
-    Returns arrays ``(kappa, k1, k2, status)`` of length N.
+    ``states`` is (N, d, d) and ``dstates`` is (N, 2, d, d) with d = 2^m,
+    and ``h1``, ``h2`` are the single-copy quantum-information diagonals,
+    scalars or length N. Returns arrays ``(kappa, k1, k2, status)`` of
+    length N.
     """
+    if povm.shape[-1] != states.shape[-1]:
+        raise ValueError(f"dimension mismatch: state {states.shape[-1]}, "
+                         f"povm {povm.shape[-1]}")
     p = np.einsum("kij,nji->nk", povm, states).real
     dp = np.einsum("kij,npji->npk", povm, dstates).real
     keep = (p >= cutoff)[:, None, :]
@@ -89,8 +94,8 @@ def kappa_two_copy_batch(povm, states, dstates, h1, h2, cutoff):
     h = np.empty_like(eff)
     h[:, 0], h[:, 1] = h1, h2
     counted = h > fisher.H_FLOOR
-    # (two-copy effective information / m) / H_jj with m = 2
-    terms = np.where(counted, eff / (2.0 * np.where(counted, h, 1.0)), 0.0)
+    # (m-copy effective information / m) / H_jj
+    terms = np.where(counted, eff / (m * np.where(counted, h, 1.0)), 0.0)
     status = np.where(singular, 1, np.where(counted.all(axis=-1), 0, 2))
     return terms.sum(axis=-1), terms[:, 0], terms[:, 1], status
 
@@ -112,17 +117,27 @@ def _two_copy(first, second):
     return left[0], (left[1:] + _kron(first[0], second[1:])).swapaxes(0, 1)
 
 
-def kappa_phase_dephasing_batch(alpha1, alpha2, delta, povm, h_phi, h_delta,
-                                cutoff):
-    """Two-copy kappa of the dephased probe at N pairs of total phases."""
-    first, second = dephasing_with_derivatives(np.stack((alpha1, alpha2)),
-                                               delta).swapaxes(0, 1)
-    return kappa_two_copy_batch(povm, *_two_copy(first, second), h_phi,
-                                h_delta, cutoff)
+def _copies(singles):
+    """States and derivatives of one or two copies, from the (copies, 3, N,
+    2, 2) stack of each copy's state and its two derivatives."""
+    if len(singles) == 1:
+        return singles[0][0], singles[0][1:].swapaxes(0, 1)
+    if len(singles) == 2:
+        return _two_copy(*singles)
+    raise ValueError(f"the kernels take 1 or 2 copies, got {len(singles)}")
 
 
-def kappa_two_phase_batch(xi, phi_y, phi_z, povm, cutoff):
-    """Two-copy kappa of the two-phase probe at N input phases ``xi``."""
+def kappa_phase_dephasing_batch(alphas, delta, povm, h_phi, h_delta, cutoff):
+    """kappa of the dephased probe at N points; ``alphas`` holds one row of
+    N total phases per copy, shape (copies, N) with copies 1 or 2."""
+    singles = dephasing_with_derivatives(alphas, delta).swapaxes(0, 1)
+    return kappa_batch(povm, *_copies(singles), h_phi, h_delta, len(singles),
+                       cutoff)
+
+
+def kappa_two_phase_batch(xi, phi_y, phi_z, povm, cutoff, copies=2):
+    """kappa of the two-phase probe on ``copies`` (1 or 2) copies at N
+    input phases ``xi``."""
     kets = two_phase_ket_with_derivatives(xi, phi_y, phi_z)
     psi, dpsi = kets[0], kets[1:]
     # pure-state quantum Fisher information diagonal
@@ -131,8 +146,8 @@ def kappa_two_phase_batch(xi, phi_y, phi_z, povm, cutoff):
     # |psi><psi| and |d psi><psi| + |psi><d psi|
     single = kets[..., :, None] * psi.conj()[..., None, :]
     single[1:] += single[1:].conj().swapaxes(-1, -2)
-    return kappa_two_copy_batch(povm, *_two_copy(single, single), h[0], h[1],
-                                cutoff)
+    return kappa_batch(povm, *_copies((single,) * copies), h[0], h[1], copies,
+                       cutoff)
 
 
 def _scalars(batch):
@@ -143,8 +158,8 @@ def _scalars(batch):
 def kappa_phase_dephasing(alpha1, alpha2, delta, povm, h_phi, h_delta, cutoff):
     """One row of ``kappa_phase_dephasing_batch``, as Python scalars."""
     return _scalars(kappa_phase_dephasing_batch(
-        np.array([alpha1], dtype=float), np.array([alpha2], dtype=float),
-        delta, povm, h_phi, h_delta, cutoff))
+        np.array([[alpha1], [alpha2]], dtype=float), delta, povm, h_phi,
+        h_delta, cutoff))
 
 
 def kappa_two_phase(xi, phi_y, phi_z, povm, *args):

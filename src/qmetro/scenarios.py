@@ -174,7 +174,12 @@ def evaluate_kappa(scenario: Scenario, values: dict[str, float]) -> KappaResult:
 
 
 class _Objective:
-    """kappa as a function of the free-input vector; counts evaluations."""
+    """kappa as a function of the free-input vector; counts evaluations.
+
+    A scenario with a fixed POVM on one or two copies is scored by the
+    batched kernels; a measurement generator or more copies fall back to
+    ``evaluate_kappa`` row by row.
+    """
 
     def __init__(self, scenario: Scenario, base: dict[str, float],
                  names: list[str]):
@@ -183,80 +188,80 @@ class _Objective:
         self.names = names
         self.evaluations = 0
         self.any_regular = False
-        self._fast = None
         fam = scenario.family
-        if isinstance(scenario.measurement, Povm) and fam.copies == 2:
-            stack = np.ascontiguousarray(scenario.measurement.elements)
-            if fam.kind == PHASE_DEPHASING and "delta" not in names:
-                delta = float(base["delta"])
-                h = single_copy_qfi_diagonal(fam, (0.0, delta), 0.0)
-                self._fast = ("dephasing", stack, delta, float(h[0]), float(h[1]))
-            elif fam.kind == TWO_PHASE:
-                self._fast = ("two-phase", stack)
-        #: the two-phase batch shares one rotation, so it needs phi_y, phi_z fixed
-        self._batched = self._fast is not None and not (
-            self._fast[0] == "two-phase" and {"phi_y", "phi_z"} & set(names))
+        self._stack = None
+        if isinstance(scenario.measurement, Povm) and fam.copies <= 2:
+            self._stack = np.ascontiguousarray(scenario.measurement.elements)
+        # a kernel call takes one delta or one rotation (phi_y, phi_z); the
+        # dephasing phase phi enters through the total phases of each row
+        per_call = ({"delta"} if fam.kind == PHASE_DEPHASING
+                    else {"phi_y", "phi_z"})
+        self._row_wise = bool(per_call & set(names))
+        #: delta -> single-copy quantum-information diagonal (H_phi, H_delta)
+        self._qfi: dict[float, tuple[float, float]] = {}
 
     def __call__(self, x) -> float:
-        vals = dict(self.base)
-        vals.update(zip(self.names, (float(v) for v in x)))
-        self.evaluations += 1
-        if self._fast is not None and self._fast[0] == "dephasing":
-            _, stack, delta, h1, h2 = self._fast
-            phases = _resolve_phases(self.scenario.family, vals)
-            phi = float(vals["phi"])
-            value, _, _, status = kernels.kappa_phase_dephasing(
-                phi + phases[0], phi + phases[1], delta, stack, h1, h2,
-                DEFAULT_P_CUTOFF)
-        elif self._fast is not None:
-            _, stack = self._fast
-            value, _, _, status = kernels.kappa_two_phase(
-                float(vals["xi"]), float(vals["phi_y"]), float(vals["phi_z"]),
-                stack, DEFAULT_P_CUTOFF)
-        else:
-            result = evaluate_kappa(self.scenario, vals)
-            value = result.kappa
-            status = 1 if (value == 0.0 and not result.per_parameter.any()) else 0
-        if self._fast is not None:
-            value = float(_search_score(value, status))
-        if status == 0:
-            self.any_regular = True
-        return value
+        return float(self.batch(np.asarray(x, dtype=float)[None])[0])
 
     def batch(self, X) -> np.ndarray:
-        """kappa at every row of ``X`` (shape (N, len(names))); one kernel
-        call on the fast paths, one call per row otherwise."""
+        """The search score at every row of ``X`` (shape (N, len(names))):
+        kappa, or 0 where the Fisher matrix is singular."""
         X = np.asarray(X, dtype=float)
-        if not self._batched:
-            return np.array([self(x) for x in X], dtype=float)
+        if self._stack is None:
+            results = [evaluate_kappa(self.scenario, self._values(x))
+                       for x in X]
+            values = np.array([r.kappa for r in results], dtype=float)
+            status = np.array([r.status for r in results], dtype=int)
+        elif self._row_wise:
+            rows = [self._kernel(X[i:i + 1]) for i in range(len(X))]
+            values, status = (np.concatenate(c) for c in zip(*rows))
+        else:
+            values, status = self._kernel(X)
+        self.evaluations += len(X)
+        self.any_regular = self.any_regular or bool((status == 0).any())
+        return _search_score(values, status)
+
+    def _values(self, x) -> dict[str, float]:
+        vals = dict(self.base)
+        vals.update(zip(self.names, (float(v) for v in x)))
+        return vals
+
+    def _kernel(self, X):
+        """(kappa, status) of the rows of ``X`` from one kernel call."""
         cols = {n: X[:, i] for i, n in enumerate(self.names)}
 
         def column(name):
             return cols[name] if name in cols else np.full(
                 len(X), float(self.base[name]))
 
-        if self._fast[0] == "dephasing":
-            _, stack, delta, h1, h2 = self._fast
-            phi = column("phi")
+        def scalar(name):
+            # a free input here has one row (see ``_row_wise``)
+            return float(cols[name][0]) if name in cols else float(
+                self.base[name])
+
+        fam = self.scenario.family
+        if fam.kind == PHASE_DEPHASING:
+            delta = scalar("delta")
+            if delta not in self._qfi:
+                h = single_copy_qfi_diagonal(fam, (0.0, delta), 0.0)
+                self._qfi[delta] = (float(h[0]), float(h[1]))
             shared = "xi" in cols or "xi" in self.base
-            xi_1 = column("xi" if shared else "xi_1")
-            xi_2 = column("xi" if shared else "xi_2")
-            values, _, _, status = kernels.kappa_phase_dephasing_batch(
-                phi + xi_1, phi + xi_2, delta, stack, h1, h2, DEFAULT_P_CUTOFF)
+            phi = column("phi")
+            alphas = np.stack([phi + column("xi" if shared else f"xi_{i + 1}")
+                               for i in range(fam.copies)])
+            kappa_values, _, _, status = kernels.kappa_phase_dephasing_batch(
+                alphas, delta, self._stack, *self._qfi[delta],
+                DEFAULT_P_CUTOFF)
         else:
-            _, stack = self._fast
-            values, _, _, status = kernels.kappa_two_phase_batch(
-                column("xi"), float(self.base["phi_y"]),
-                float(self.base["phi_z"]), stack, DEFAULT_P_CUTOFF)
-        self.evaluations += len(X)
-        if (status == 0).any():
-            self.any_regular = True
-        return _search_score(values, status)
+            kappa_values, _, _, status = kernels.kappa_two_phase_batch(
+                column("xi"), scalar("phi_y"), scalar("phi_z"), self._stack,
+                DEFAULT_P_CUTOFF, copies=fam.copies)
+        return kappa_values, status
 
 
 def _search_score(kappa_values, status):
-    """The fast paths' search score: kappa, but 0 where the Fisher matrix is
-    singular (kernel status 1).
+    """The search score: kappa, but 0 where the Fisher matrix is singular
+    (status 1).
 
     kappa jumps at a singular point: the unaffected parameter keeps its full
     information there (see ``FisherReport``), which no neighbouring point

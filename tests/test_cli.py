@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from qmetro import load_povm, validate_povm
+from qmetro import Povm, load_povm, save_povm, validate_povm
 from qmetro.cli import ConfigError, main, parse_config, read_config_file
 
 
@@ -139,6 +139,26 @@ class TestCliCommands:
         doc = json.loads((out / "conjecture_search.json").read_text())
         assert doc["max_kappa"] <= 1.0 + 1e-6
 
+    def test_kappa_scan_reports_failed_points(self, tmp_path, capsys):
+        # two outcomes cannot resolve two parameters: singular everywhere
+        path = tmp_path / "z.json"
+        save_povm(path, Povm(("up", "down"), np.array([[[1, 0], [0, 0]],
+                                                       [[0, 0], [0, 1]]],
+                                                      dtype=complex)))
+        out = tmp_path / "s"
+        code, _ = run_cli(capsys, "kappa-scan", "--copies", "1",
+                          "--measurement", "file", "--povm", str(path),
+                          "--sweep-points", "3", "--budget", "40",
+                          "--out", str(out))
+        assert code == 0
+        report = json.loads((out / "kappa_scan_report.json").read_text())
+        grid = np.geomspace(0.02, 3.0, 3)
+        assert report["points"] == 3
+        assert [p["delta"] for p in report["failed"]] == grid.tolist()
+        assert all("singular" in p["reason"] for p in report["failed"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "kappa_scan_report.json" in manifest["artifacts"]
+
     def test_optimize_smoke(self, tmp_path, capsys):
         out = tmp_path / "o"
         code, _ = run_cli(capsys, "optimize", "--delta", "0.3",
@@ -158,7 +178,8 @@ class TestDeterminism:
 
         scan(tmp_path / "a")
         scan(tmp_path / "b")
-        for name in ("kappa_scan.csv", "manifest.json"):
+        for name in ("kappa_scan.csv", "kappa_scan_report.json",
+                     "manifest.json"):
             first = (tmp_path / "a" / name).read_bytes()
             second = (tmp_path / "b" / name).read_bytes()
             # the config echo holds the out dir; normalize it before comparing

@@ -10,7 +10,9 @@ from qmetro import (Povm, ProbeFamily, Scenario, bell_povm, classical_fi,
                     measurement_probabilities, probe_with_derivatives,
                     product_projective_povm, qfi_matrix, sld_operators,
                     sld_residual, weak_commutativity, weak_commutativity_root)
+from qmetro import kernels
 from qmetro.linalg import PAULI_Z, bloch_vector
+from qmetro.scenarios import single_copy_qfi_diagonal
 from qmetro.states import StateWithDerivatives, rotation_unitary, make_equatorial_ket
 
 
@@ -343,15 +345,23 @@ class TestGillMassarBound:
     @settings(deadline=None, max_examples=200)
     def test_single_copy_kappa_at_most_one(self, seed, parts, two_phase, a, b,
                                            xi, delta):
+        # on the reference path and on the batched kernel
         povm = self.random_qubit_povm(seed, parts)
+        stack = np.ascontiguousarray(povm.elements)
         if two_phase:
             scenario = Scenario(family=ProbeFamily.two_phase(), measurement=povm,
                                 fixed_inputs={"phi_y": a, "phi_z": b, "xi": xi},
                                 sweep="phi_z")
+            batch = kernels.kappa_two_phase_batch(np.array([xi]), a, b, stack,
+                                                  1e-12, copies=1)
         else:
-            scenario = Scenario(family=ProbeFamily.phase_dephasing(),
-                                measurement=povm,
+            family = ProbeFamily.phase_dephasing()
+            scenario = Scenario(family=family, measurement=povm,
                                 fixed_inputs={"phi": a, "delta": delta,
                                               "xi_1": xi},
                                 sweep="delta")
+            h = single_copy_qfi_diagonal(family, (a, delta), xi)
+            batch = kernels.kappa_phase_dephasing_batch(
+                np.array([[a + xi]]), delta, stack, h[0], h[1], 1e-12)
         assert evaluate_kappa(scenario, {}).kappa <= 1.0 + 1e-9
+        assert batch[0][0] <= 1.0 + 1e-9

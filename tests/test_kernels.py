@@ -98,14 +98,26 @@ def test_singular_point_follows_the_reference_policy():
     assert abs(k2 - reference.per_parameter[1]) < 1e-12
 
 
-def _random_two_copy_povm(seed, haar):
+def _random_povm(seed, dim, kind):
+    """A random POVM on ``dim`` = 2 or 4: a Haar-random projective
+    measurement, a product of projective ones (dim 4), or a whitened set of
+    random positive operators with 2 * dim outcomes."""
     rng = np.random.default_rng(seed)
-    if haar:
-        basis = haar_random_basis(rng, 4)
-        return Povm(tuple(f"b{k}" for k in range(4)),
-                    np.stack([np.outer(basis[:, k], basis[:, k].conj())
-                              for k in range(4)]))
-    return product_projective_povm(tuple(rng.uniform(0, 2 * math.pi, 4)))
+    if kind == "projective":
+        basis = haar_random_basis(rng, dim)
+        elements = [np.outer(basis[:, k], basis[:, k].conj())
+                    for k in range(dim)]
+    elif kind == "product":
+        return product_projective_povm(tuple(rng.uniform(0, 2 * math.pi, 4)))
+    else:
+        g = (rng.standard_normal((2 * dim, dim, dim))
+             + 1j * rng.standard_normal((2 * dim, dim, dim)))
+        raw = g @ g.conj().transpose(0, 2, 1)
+        w, v = np.linalg.eigh(raw.sum(axis=0))
+        whiten = (v * w ** -0.5) @ v.conj().T
+        elements = whiten @ raw @ whiten
+    return Povm(tuple(f"b{k}" for k in range(len(elements))),
+                np.array(elements))
 
 
 def _tolerance(family, params, povm):
@@ -128,20 +140,24 @@ def _assert_rows_agree(batch, scalars, references, tolerances):
         assert int(batch[3][row]) == scalar[3]
 
 
-@given(seed=st.integers(0, 2**32 - 1), haar=st.booleans(), phi=ANGLES,
+TWO_COPY_KINDS = st.sampled_from(["projective", "product", "mixed"])
+ONE_COPY_KINDS = st.sampled_from(["projective", "mixed"])
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=TWO_COPY_KINDS, phi=ANGLES,
        delta=st.floats(0.05, 2.5),
        phases=st.lists(st.tuples(ANGLES, ANGLES), min_size=1, max_size=6))
 @settings(deadline=None, max_examples=60)
-def test_dephasing_batch_matches_scalar_and_reference(seed, haar, phi, delta,
+def test_dephasing_batch_matches_scalar_and_reference(seed, kind, phi, delta,
                                                       phases):
-    povm = _random_two_copy_povm(seed, haar)
+    povm = _random_povm(seed, 4, kind)
     stack = np.ascontiguousarray(povm.elements)
     family = ProbeFamily.phase_dephasing(copies=2)
     h = single_copy_qfi_diagonal(family, (phi, delta), 0.0)
     alpha1 = np.array([phi + x1 for x1, _ in phases])
     alpha2 = np.array([phi + x2 for _, x2 in phases])
-    batch = kernels.kappa_phase_dephasing_batch(alpha1, alpha2, delta, stack,
-                                                h[0], h[1], 1e-12)
+    batch = kernels.kappa_phase_dephasing_batch(np.stack((alpha1, alpha2)),
+                                                delta, stack, h[0], h[1], 1e-12)
     scalars = [kernels.kappa_phase_dephasing(a1, a2, delta, stack, h[0], h[1],
                                              1e-12)
                for a1, a2 in zip(alpha1, alpha2)]
@@ -154,12 +170,12 @@ def test_dephasing_batch_matches_scalar_and_reference(seed, haar, phi, delta,
     _assert_rows_agree(batch, scalars, references, tolerances)
 
 
-@given(seed=st.integers(0, 2**32 - 1), haar=st.booleans(), phi_y=ANGLES,
+@given(seed=st.integers(0, 2**32 - 1), kind=TWO_COPY_KINDS, phi_y=ANGLES,
        phi_z=ANGLES, xis=st.lists(ANGLES, min_size=1, max_size=6))
 @settings(deadline=None, max_examples=60)
-def test_two_phase_batch_matches_scalar_and_reference(seed, haar, phi_y, phi_z,
+def test_two_phase_batch_matches_scalar_and_reference(seed, kind, phi_y, phi_z,
                                                       xis):
-    povm = _random_two_copy_povm(seed, haar)
+    povm = _random_povm(seed, 4, kind)
     stack = np.ascontiguousarray(povm.elements)
     batch = kernels.kappa_two_phase_batch(np.array(xis), phi_y, phi_z, stack,
                                           1e-12)
@@ -172,6 +188,90 @@ def test_two_phase_batch_matches_scalar_and_reference(seed, haar, phi_y, phi_z,
     tolerances = [_tolerance(ProbeFamily.two_phase(copies=2, xi=xi),
                              (phi_y, phi_z), povm) for xi in xis]
     _assert_rows_agree(batch, scalars, references, tolerances)
+
+
+def _rows(batch):
+    """Each row of a batch result as a (kappa, k1, k2, status) tuple."""
+    return [(float(a), float(b), float(c), int(d)) for a, b, c, d in zip(*batch)]
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=ONE_COPY_KINDS, phi=ANGLES,
+       delta=st.floats(0.05, 2.5), xis=st.lists(ANGLES, min_size=1, max_size=6))
+@settings(deadline=None, max_examples=60)
+def test_single_copy_dephasing_batch_matches_reference(seed, kind, phi, delta,
+                                                       xis):
+    povm = _random_povm(seed, 2, kind)
+    stack = np.ascontiguousarray(povm.elements)
+    family = ProbeFamily.phase_dephasing()
+    h = single_copy_qfi_diagonal(family, (phi, delta), 0.0)
+    alphas = np.array([[phi + xi for xi in xis]])
+    batch = kernels.kappa_phase_dephasing_batch(alphas, delta, stack, h[0],
+                                                h[1], 1e-12)
+    ones = [_rows(kernels.kappa_phase_dephasing_batch(
+        alphas[:, i:i + 1], delta, stack, h[0], h[1], 1e-12))[0]
+        for i in range(len(xis))]
+    references = [evaluate_kappa(Scenario(
+        family=family, measurement=povm,
+        fixed_inputs={"phi": phi, "delta": delta, "xi_1": xi},
+        sweep="delta"), {}) for xi in xis]
+    tolerances = [_tolerance(ProbeFamily.phase_dephasing(xi=(xi,)),
+                             (phi, delta), povm) for xi in xis]
+    _assert_rows_agree(batch, ones, references, tolerances)
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=ONE_COPY_KINDS, phi_y=ANGLES,
+       phi_z=ANGLES, xis=st.lists(ANGLES, min_size=1, max_size=6))
+@settings(deadline=None, max_examples=60)
+def test_single_copy_two_phase_batch_matches_reference(seed, kind, phi_y,
+                                                       phi_z, xis):
+    povm = _random_povm(seed, 2, kind)
+    stack = np.ascontiguousarray(povm.elements)
+    batch = kernels.kappa_two_phase_batch(np.array(xis), phi_y, phi_z, stack,
+                                          1e-12, copies=1)
+    ones = [_rows(kernels.kappa_two_phase_batch(
+        np.array([xi]), phi_y, phi_z, stack, 1e-12, copies=1))[0]
+        for xi in xis]
+    references = [evaluate_kappa(Scenario(
+        family=ProbeFamily.two_phase(), measurement=povm,
+        fixed_inputs={"phi_y": phi_y, "phi_z": phi_z, "xi": xi},
+        sweep="phi_z"), {}) for xi in xis]
+    tolerances = [_tolerance(ProbeFamily.two_phase(xi=xi), (phi_y, phi_z),
+                             povm) for xi in xis]
+    _assert_rows_agree(batch, ones, references, tolerances)
+
+
+@given(seed=st.integers(0, 2**32 - 1), copies=st.sampled_from([1, 2]),
+       data=st.data(), two_phase=st.booleans(), a=ANGLES, b=ANGLES,
+       delta=st.floats(0.0, 3.0), xis=st.lists(ANGLES, min_size=1, max_size=12))
+@settings(deadline=None, max_examples=200)
+def test_each_kernel_term_at_most_one(seed, copies, data, two_phase, a, b,
+                                      delta, xis):
+    # Braunstein-Caves: the m-copy Fisher matrix is at most m H, so
+    # 1/(F^-1)_jj / (m H_jj) <= F_jj / (m H_jj) <= 1 for every parameter
+    kind = data.draw(ONE_COPY_KINDS if copies == 1 else TWO_COPY_KINDS)
+    stack = np.ascontiguousarray(_random_povm(seed, 2 ** copies, kind).elements)
+    xis = np.array(xis)
+    if two_phase:
+        batch = kernels.kappa_two_phase_batch(xis, a, b, stack, 1e-12,
+                                              copies=copies)
+    else:
+        h = single_copy_qfi_diagonal(ProbeFamily.phase_dephasing(), (0.0, delta),
+                                     0.0)
+        alphas = a + np.stack((xis, xis[::-1])[:copies])
+        batch = kernels.kappa_phase_dephasing_batch(alphas, delta, stack, h[0],
+                                                    h[1], 1e-12)
+    _, k1, k2, _ = batch
+    assert max(k1.max(), k2.max()) <= 1.0 + 1e-9
+
+
+def test_kernels_take_one_or_two_copies():
+    stack = np.ascontiguousarray(bell_povm().elements)
+    with pytest.raises(ValueError, match="1 or 2 copies"):
+        kernels.kappa_two_phase_batch(np.zeros(2), 0.4, 0.3, stack, 1e-12,
+                                      copies=3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        kernels.kappa_two_phase_batch(np.zeros(2), 0.4, 0.3, stack, 1e-12,
+                                      copies=1)
 
 
 def test_scalar_kernels_return_python_scalars():

@@ -7,7 +7,8 @@ from qmetro import (GateModel, Povm, ProbeFamily, Scenario, bell_povm, cs_gate_p
                     evaluate_kappa, haar_random_basis, kappa_scan,
                     optimize_kappa, product_projective_povm,
                     random_collective_search)
-from qmetro import kernels
+from qmetro import kernels, scenarios
+from qmetro.linalg import PAULI_X, PAULI_Y, PAULI_Z
 from qmetro.scenarios import (ProductProjectiveGenerator, _maximize, _Objective,
                               default_delta_grid)
 
@@ -311,17 +312,109 @@ class TestMaximizeGrid:
         assert best_x[0] == 2 * math.pi / 3
 
     def test_evaluations_count_grid_and_refinement(self, monkeypatch):
-        calls = []
-        scalar = kernels.kappa_phase_dephasing
+        rows = []
+        batched = kernels.kappa_phase_dephasing_batch
 
-        def counted(*args):
-            calls.append(args)
-            return scalar(*args)
+        def counted(alphas, *args):
+            rows.append(alphas.shape[1])
+            return batched(alphas, *args)
 
-        monkeypatch.setattr(kernels, "kappa_phase_dephasing", counted)
+        monkeypatch.setattr(kernels, "kappa_phase_dephasing_batch", counted)
         names = ["phi", "xi_1", "xi_2"]
         objective = _Objective(ideal_bell_scenario(), {"delta": 0.3}, names)
         _maximize(objective, names, 400)
         per_dim = int((0.75 * 400) ** (1 / 3))
-        assert calls
-        assert objective.evaluations == per_dim ** 3 + len(calls)
+        # one call for the grid, then one row per refinement call
+        assert rows[0] == per_dim ** 3
+        assert len(rows) > 1 and set(rows[1:]) == {1}
+        assert objective.evaluations == sum(rows)
+
+
+def pauli_povm():
+    """The three Pauli measurements with weight 1/3 each: one qubit, six
+    outcomes, informationally complete."""
+    elements = [(np.eye(2) + sign * pauli) / 6.0
+                for pauli in (PAULI_X, PAULI_Y, PAULI_Z) for sign in (1, -1)]
+    return Povm(tuple("xXyYzZ"), np.array(elements))
+
+
+class ReferencePathCalled(Exception):
+    pass
+
+
+class TestKernelRouting:
+    """A fixed POVM on one or two copies is searched on the batched kernels;
+    ``evaluate_kappa`` only reports the value at the optimum."""
+
+    @pytest.fixture
+    def reference_calls(self, monkeypatch):
+        evaluate, maximize = scenarios.evaluate_kappa, scenarios._maximize
+        calls, searching = [], []
+
+        def guarded_evaluate(*args):
+            if searching:
+                raise ReferencePathCalled
+            calls.append(args)
+            return evaluate(*args)
+
+        def flagged_maximize(*args):
+            searching.append(True)
+            try:
+                return maximize(*args)
+            finally:
+                searching.clear()
+
+        monkeypatch.setattr(scenarios, "evaluate_kappa", guarded_evaluate)
+        monkeypatch.setattr(scenarios, "_maximize", flagged_maximize)
+        return calls
+
+    @pytest.mark.parametrize("scenario,at", [
+        (ideal_bell_scenario(family=ProbeFamily.phase_dephasing(copies=1),
+                             measurement=pauli_povm(),
+                             free_inputs=("phi", "xi_1")), 0.4),
+        (ideal_bell_scenario(), 0.4),
+        (ideal_bell_scenario(family=ProbeFamily.phase_dephasing(copies=1),
+                             measurement=pauli_povm(),
+                             free_inputs=("phi", "delta"), sweep="xi_1"), 0.3),
+        (Scenario(family=ProbeFamily.two_phase(), measurement=pauli_povm(),
+                  free_inputs=("xi",), fixed_inputs={"phi_y": 0.4},
+                  sweep="phi_z"), 0.3),
+        (Scenario(family=ProbeFamily.two_phase(copies=2),
+                  measurement=bell_povm(), free_inputs=("xi", "phi_y"),
+                  sweep="phi_z"), 0.3),
+    ], ids=["dephasing-1", "dephasing-2", "dephasing-1-free-delta",
+            "two-phase-1", "two-phase-2-free-phi_y"])
+    def test_povm_search_stays_on_the_kernels(self, reference_calls, scenario,
+                                              at):
+        out = optimize_kappa(scenario, at, budget=120)
+        assert len(reference_calls) == 1
+        assert 0.0 < out.result.kappa <= scenario.family.copies + 1e-9
+
+    def test_generator_search_uses_the_reference_path(self, reference_calls):
+        scenario = Scenario(
+            family=ProbeFamily.phase_dephasing(copies=2),
+            measurement=ProductProjectiveGenerator(),
+            free_inputs=("eta_1", "eta_2"),
+            fixed_inputs={"phi": 0.3, "xi_1": 0.0, "xi_2": 0.0,
+                          "theta_1": math.pi / 2, "theta_2": math.pi / 2},
+            sweep="delta")
+        with pytest.raises(ReferencePathCalled):
+            optimize_kappa(scenario, 0.4, budget=30)
+
+    def test_singular_reference_point_is_not_regular(self):
+        # kappa > 0 at this singular point, so a status guessed from
+        # kappa == 0 would count it as regular
+        scenario = Scenario(
+            family=ProbeFamily.two_phase(copies=2),
+            measurement=ProductProjectiveGenerator(),
+            fixed_inputs={"phi_y": 0.0, "phi_z": 0.0, "xi": math.pi / 2,
+                          "theta_1": 0.9, "eta_1": 0.3, "theta_2": 1.4,
+                          "eta_2": 2.0},
+            sweep="phi_z")
+        result = evaluate_kappa(scenario, {})
+        assert result.singular and result.kappa > 0.7
+        objective = _Objective(scenario, dict(scenario.fixed_inputs), [])
+        assert objective(np.zeros(0)) == 0.0
+        assert not objective.any_regular
+        with pytest.raises(RuntimeError, match="singular"):
+            optimize_kappa(scenario, None)
