@@ -12,15 +12,14 @@ from .fisher import (FisherReport, KappaResult, SldSet, classical_fi, kappa,
                      sld_residual, weak_commutativity, weak_commutativity_root)
 from .linalg import (bloch_vector, check_density_matrix, hermiticity_defect,
                      purity, tensor_product, trace_distance)
-from .povm import (GateModel, Povm, PovmValidation, bell_povm,
-                   cs_gate_amplitudes, cs_gate_povm, load_povm, povm_from_json,
-                   povm_to_json, product_projective_povm, save_povm,
-                   validate_povm)
+from .povm import (GateModel, MeasurementGenerator, Povm, PovmValidation,
+                   ProductProjectiveGenerator, bell_povm, cs_gate_amplitudes,
+                   cs_gate_povm, load_povm, povm_from_json, povm_to_json,
+                   product_projective_povm, save_povm, validate_povm)
 from .scenarios import (CollectiveSearchResult, KappaCurve, OptimizeOutcome,
-                        ProductProjectiveGenerator, Scenario,
-                        default_delta_grid, evaluate_kappa, haar_random_basis,
-                        kappa_scan, optimize_kappa, random_collective_search,
-                        single_copy_qfi_diagonal)
+                        Scenario, default_delta_grid, evaluate_kappa,
+                        haar_random_basis, kappa_scan, optimize_kappa,
+                        random_collective_search, single_copy_qfi_diagonal)
 from .states import (ProbeFamily, StateWithDerivatives, dephased_phase_state,
                      make_equatorial_ket, make_equatorial_state,
                      probe_with_derivatives, rotation_unitary,

@@ -82,12 +82,6 @@ class KappaResult:
     def partial(self) -> bool:
         return bool(self.excluded)
 
-    @property
-    def status(self) -> int:
-        """The kernels' status code: 0 ok, 1 singular Fisher matrix, 2 a
-        parameter excluded by ``H_FLOOR``."""
-        return 1 if self.singular else 2 if self.excluded else 0
-
 
 def sld_operators(swd: StateWithDerivatives, support_tolerance: float | None = None) -> SldSet:
     """Solve the SLD defining equation by eigendecomposition of the state.

@@ -6,13 +6,14 @@ Kernel contracts:
   outcomes with probability below ``cutoff``
 * ``kappa_batch(...)`` and its front ends
   ``kappa_phase_dephasing_batch(...)`` / ``kappa_two_phase_batch(...)`` ->
-  fused figure-of-merit evaluation of N points at once on one or two
-  copies: arrays
+  fused figure-of-merit evaluation of N points at once on any number of
+  copies, with one POVM shared by every point or one per point: arrays
   (kappa, per-parameter terms, status) with status 0 = ok, 1 = singular
   Fisher matrix (terms follow ``fisher.FisherReport``'s rule), 2 = a
   quantum-information denominator at or below ``fisher.H_FLOOR`` (term
   excluded); ``kappa_phase_dephasing(...)`` / ``kappa_two_phase(...)``
-  evaluate one two-copy point and return Python scalars
+  evaluate one two-copy point and return Python scalars; the multi-copy
+  states come from ``states.copies_with_derivatives``
 * ``mle_iterate(...)`` -> multiplicative maximum-likelihood update loop for
   detector reconstruction with a monotone-likelihood safeguard
 """
@@ -22,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import fisher
-from .states import dephasing_with_derivatives, two_phase_ket_with_derivatives
+from .states import (copies_with_derivatives, dephasing_with_derivatives,
+                     pure_with_derivatives, two_phase_ket_with_derivatives)
 
 __all__ = [
     "BACKEND",
@@ -71,14 +73,16 @@ def kappa_batch(povm, states, dstates, h1, h2, m, cutoff):
 
     ``states`` is (N, d, d) and ``dstates`` is (N, 2, d, d) with d = 2^m,
     and ``h1``, ``h2`` are the single-copy quantum-information diagonals,
-    scalars or length N. Returns arrays ``(kappa, k1, k2, status)`` of
-    length N.
+    scalars or length N. ``povm`` is one (K, d, d) element stack for every
+    point or an (N, K, d, d) stack of one per point. Returns arrays
+    ``(kappa, k1, k2, status)`` of length N.
     """
     if povm.shape[-1] != states.shape[-1]:
         raise ValueError(f"dimension mismatch: state {states.shape[-1]}, "
                          f"povm {povm.shape[-1]}")
-    p = np.einsum("kij,nji->nk", povm, states).real
-    dp = np.einsum("kij,npji->npk", povm, dstates).real
+    elements = "nkij" if povm.ndim == 4 else "kij"
+    p = np.einsum(f"{elements},nji->nk", povm, states).real
+    dp = np.einsum(f"{elements},npji->npk", povm, dstates).real
     keep = (p >= cutoff)[:, None, :]
     F = np.divide(dp, p[:, None, :], out=np.zeros_like(dp), where=keep) \
         @ dp.transpose(0, 2, 1)
@@ -100,54 +104,31 @@ def kappa_batch(povm, states, dstates, h1, h2, m, cutoff):
     return terms.sum(axis=-1), terms[:, 0], terms[:, 1], status
 
 
-def _kron(a, b):
-    """Kronecker products of two broadcast stacks of 2x2 matrices."""
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (4, 4))
-
-
-def _two_copy(first, second):
-    """Two-copy state and its derivatives by the tensor-product rule.
-
-    ``first`` and ``second`` are (3, N, 2, 2) stacks of each copy's state
-    and its two derivatives. Returns the (N, 4, 4) states and the
-    (N, 2, 4, 4) derivatives.
-    """
-    left = _kron(first, second[0])
-    return left[0], (left[1:] + _kron(first[0], second[1:])).swapaxes(0, 1)
-
-
-def _copies(singles):
-    """States and derivatives of one or two copies, from the (copies, 3, N,
-    2, 2) stack of each copy's state and its two derivatives."""
-    if len(singles) == 1:
-        return singles[0][0], singles[0][1:].swapaxes(0, 1)
-    if len(singles) == 2:
-        return _two_copy(*singles)
-    raise ValueError(f"the kernels take 1 or 2 copies, got {len(singles)}")
+def _kappa_of_copies(povm, singles, h1, h2, cutoff):
+    """``kappa_batch`` of the product of copies whose state-and-derivative
+    stacks are ``singles``, one (3, N, 2, 2) stack per copy."""
+    joint = copies_with_derivatives(singles)
+    return kappa_batch(povm, joint[0], joint[1:].swapaxes(0, 1), h1, h2,
+                       len(singles), cutoff)
 
 
 def kappa_phase_dephasing_batch(alphas, delta, povm, h_phi, h_delta, cutoff):
     """kappa of the dephased probe at N points; ``alphas`` holds one row of
-    N total phases per copy, shape (copies, N) with copies 1 or 2."""
+    N total phases per copy, shape (copies, N)."""
     singles = dephasing_with_derivatives(alphas, delta).swapaxes(0, 1)
-    return kappa_batch(povm, *_copies(singles), h_phi, h_delta, len(singles),
-                       cutoff)
+    return _kappa_of_copies(povm, singles, h_phi, h_delta, cutoff)
 
 
 def kappa_two_phase_batch(xi, phi_y, phi_z, povm, cutoff, copies=2):
-    """kappa of the two-phase probe on ``copies`` (1 or 2) copies at N
-    input phases ``xi``."""
+    """kappa of the two-phase probe on ``copies`` copies at N input phases
+    ``xi``."""
     kets = two_phase_ket_with_derivatives(xi, phi_y, phi_z)
     psi, dpsi = kets[0], kets[1:]
     # pure-state quantum Fisher information diagonal
     overlap = (psi.conj() * dpsi).sum(axis=-1)
     h = 4.0 * ((np.abs(dpsi) ** 2).sum(axis=-1) - np.abs(overlap) ** 2)
-    # |psi><psi| and |d psi><psi| + |psi><d psi|
-    single = kets[..., :, None] * psi.conj()[..., None, :]
-    single[1:] += single[1:].conj().swapaxes(-1, -2)
-    return kappa_batch(povm, *_copies((single,) * copies), h[0], h[1], copies,
-                       cutoff)
+    return _kappa_of_copies(povm, (pure_with_derivatives(kets),) * copies,
+                            h[0], h[1], cutoff)
 
 
 def _scalars(batch):

@@ -108,34 +108,53 @@ def bell_povm() -> Povm:
     return Povm(BELL_LABELS, np.array([projector(k) for k in kets]))
 
 
-def bloch_ket(theta: float, xi: float) -> np.ndarray:
-    """Qubit state with Bloch angles (theta, xi):
-    cos(theta/2)|0> + e^{i xi} sin(theta/2)|1>."""
-    return np.array([np.cos(theta / 2.0),
-                     np.exp(1j * xi) * np.sin(theta / 2.0)], dtype=complex)
+class MeasurementGenerator:
+    """A measurement family with named settings: ``elements`` builds N
+    settings at once, and ``build`` is its batch of one."""
+
+    setting_names: tuple[str, ...] = ()
+    labels: tuple[str, ...] = ()
+
+    def elements(self, settings: dict[str, np.ndarray]) -> np.ndarray:
+        """(N, K, d, d) elements, one set per row of the setting arrays."""
+        raise NotImplementedError
+
+    def build(self, settings: dict[str, float]) -> Povm:
+        one = {k: np.array([float(settings[k])]) for k in self.setting_names}
+        return Povm(self.labels, self.elements(one)[0])
+
+
+class ProductProjectiveGenerator(MeasurementGenerator):
+    """Product of two single-qubit projective bases with free Bloch angles.
+
+    Qubit j is measured in the basis cos(theta_j/2)|0> + e^{i eta_j}
+    sin(theta_j/2)|1> and its orthogonal complement. Outcomes are labeled
+    "00", "01", "10", "11" (first digit: qubit 1 outcome).
+    """
+
+    setting_names = ("theta_1", "eta_1", "theta_2", "eta_2")
+    labels = ("00", "01", "10", "11")
+
+    def elements(self, settings):
+        bases = []  # per qubit: (N, outcome, component)
+        for theta, eta in (("theta_1", "eta_1"), ("theta_2", "eta_2")):
+            t = np.asarray(settings[theta], dtype=float) / 2.0
+            cos, sin = np.cos(t), np.sin(t)
+            phase = np.exp(1j * np.asarray(settings[eta], dtype=float))
+            bases.append(np.stack([np.stack([cos, phase * sin], axis=-1),
+                                   np.stack([sin, -phase * cos], axis=-1)],
+                                  axis=-2))
+        first, second = bases
+        kets = (first[:, :, None, :, None] * second[:, None, :, None, :]
+                ).reshape(len(first), 4, 4)
+        return kets[..., :, None] * kets.conj()[..., None, :]
 
 
 def product_projective_povm(basis_angles) -> Povm:
-    """Product of two single-qubit projective measurements.
-
-    ``basis_angles`` is (theta_1, xi_1, theta_2, xi_2); each pair defines an
-    orthonormal single-qubit basis by its Bloch angles. Outcomes are labeled
-    "00", "01", "10", "11" (first digit: qubit 1 outcome).
-    """
-    t1, x1, t2, x2 = (float(a) for a in basis_angles)
-    bases = []
-    for t, x in ((t1, x1), (t2, x2)):
-        up = bloch_ket(t, x)
-        down = np.array([np.sin(t / 2.0),
-                         -np.exp(1j * x) * np.cos(t / 2.0)], dtype=complex)
-        bases.append((up, down))
-    labels = []
-    elements = []
-    for i, k1 in enumerate(bases[0]):
-        for j, k2 in enumerate(bases[1]):
-            labels.append(f"{i}{j}")
-            elements.append(projector(np.kron(k1, k2)))
-    return Povm(tuple(labels), np.array(elements))
+    """``ProductProjectiveGenerator`` at the settings ``basis_angles`` =
+    (theta_1, eta_1, theta_2, eta_2)."""
+    generator = ProductProjectiveGenerator()
+    return generator.build(dict(zip(generator.setting_names, basis_angles)))
 
 
 def cs_gate_amplitudes(model: GateModel) -> dict[str, float]:

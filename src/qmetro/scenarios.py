@@ -8,6 +8,11 @@ analysis angles ``theta_1``/``eta_1``/``theta_2``/``eta_2`` of a product
 measurement generator. Two-phase scenarios use a single shared input phase
 ``xi`` so that the single-copy quantum information in the kappa denominator
 is unambiguous.
+
+Every search evaluation is scored by the batched kernels
+(``kernels.kappa_batch``), for any number of copies and for a fixed POVM or
+a measurement generator alike; ``evaluate_kappa`` computes the reported
+value at each optimum and is the reference the kernels are tested against.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from scipy.optimize import minimize
 from . import kernels
 from .fisher import (DEFAULT_P_CUTOFF, KappaResult, classical_fi, kappa,
                      measurement_probabilities, qfi_matrix, sld_operators)
-from .povm import Povm, product_projective_povm
+from .povm import MeasurementGenerator, Povm
 from .states import (PHASE_DEPHASING, TWO_PHASE, ProbeFamily,
                      probe_with_derivatives)
 
@@ -35,32 +40,13 @@ _PERIODS = {"theta_1": math.pi, "theta_2": math.pi}
 _DEFAULT_PERIOD = 2.0 * math.pi
 
 
-class MeasurementGenerator:
-    """A measurement family with named settings, built per evaluation."""
-
-    setting_names: tuple[str, ...] = ()
-
-    def build(self, settings: dict[str, float]) -> Povm:
-        raise NotImplementedError
-
-
-class ProductProjectiveGenerator(MeasurementGenerator):
-    """Product of two single-qubit projective bases with free Bloch angles."""
-
-    setting_names = ("theta_1", "eta_1", "theta_2", "eta_2")
-
-    def build(self, settings):
-        return product_projective_povm((settings["theta_1"], settings["eta_1"],
-                                        settings["theta_2"], settings["eta_2"]))
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A probe family plus a measurement and a naming of what is optimized.
 
-    ``free_inputs`` and ``fixed_inputs`` must be disjoint and, together with
-    the swept name, cover the family point, the input phases and any
-    measurement settings.
+    ``free_inputs``, ``fixed_inputs`` and the swept name must be disjoint
+    and together cover the family point, the input phases and any
+    measurement settings; each free input is named once and used.
     """
 
     family: ProbeFamily
@@ -70,21 +56,29 @@ class Scenario:
     sweep: str = "delta"
 
     def __post_init__(self):
-        overlap = set(self.free_inputs) & set(self.fixed_inputs)
-        if overlap:
-            raise ValueError(f"inputs both free and fixed: {sorted(overlap)}")
-        provided = set(self.free_inputs) | set(self.fixed_inputs) | {self.sweep}
-        missing = [name for name in self.required_inputs() if not
-                   (name in provided or (name.startswith("xi") and "xi" in provided))]
-        if missing:
-            raise ValueError(f"scenario does not cover inputs {missing}")
+        free, required = self.free_inputs, self.required_inputs()
+        provided = set(free) | set(self.fixed_inputs) | {self.sweep}
         if self.family.kind == TWO_PHASE and (
                 "xi_1" in provided or "xi_2" in provided):
             raise ValueError("two-phase scenarios take a single shared input "
                              "phase 'xi'")
-        if self.sweep not in self.required_inputs():
-            raise ValueError(f"swept input {self.sweep!r} is not used by this "
-                             "scenario")
+        # a shared input phase 'xi' stands for every per-copy phase xi_j
+        shared = "xi" in provided
+        for problem, names in (
+                ("inputs both free and fixed or swept",
+                 sorted(set(free) & (set(self.fixed_inputs) | {self.sweep}))),
+                ("free inputs repeated",
+                 sorted({n for n in free if free.count(n) > 1})),
+                ("scenario does not cover inputs",
+                 [n for n in required if n not in provided
+                  and not (shared and n.startswith("xi"))]),
+                ("free inputs not used by this scenario",
+                 [n for n in free if n != "xi" and (
+                     n not in required or shared and n.startswith("xi_"))]),
+                ("swept input not used by this scenario",
+                 [] if self.sweep in required else [self.sweep])):
+            if names:
+                raise ValueError(f"{problem}: {names}")
 
     def required_inputs(self) -> tuple[str, ...]:
         names = list(self.family.parameter_names)
@@ -146,9 +140,7 @@ def _resolve_point(family: ProbeFamily, vals: dict[str, float]) -> tuple[float, 
 
 def _resolve_measurement(scenario: Scenario, vals) -> Povm:
     m = scenario.measurement
-    if isinstance(m, Povm):
-        return m
-    return m.build({k: float(vals[k]) for k in m.setting_names})
+    return m if isinstance(m, Povm) else m.build(vals)
 
 
 def single_copy_qfi_diagonal(family: ProbeFamily, params, xi: float) -> np.ndarray:
@@ -176,9 +168,10 @@ def evaluate_kappa(scenario: Scenario, values: dict[str, float]) -> KappaResult:
 class _Objective:
     """kappa as a function of the free-input vector; counts evaluations.
 
-    A scenario with a fixed POVM on one or two copies is scored by the
-    batched kernels; a measurement generator or more copies fall back to
-    ``evaluate_kappa`` row by row.
+    Every row is scored by the batched kernels: a fixed POVM is shared by
+    all rows, and a measurement generator builds one element set per row.
+    A kernel call takes one delta or one rotation (phi_y, phi_z), so a free
+    one is scored one row per call. ``evaluate_kappa`` is not called here.
     """
 
     def __init__(self, scenario: Scenario, base: dict[str, float],
@@ -189,11 +182,7 @@ class _Objective:
         self.evaluations = 0
         self.any_regular = False
         fam = scenario.family
-        self._stack = None
-        if isinstance(scenario.measurement, Povm) and fam.copies <= 2:
-            self._stack = np.ascontiguousarray(scenario.measurement.elements)
-        # a kernel call takes one delta or one rotation (phi_y, phi_z); the
-        # dephasing phase phi enters through the total phases of each row
+        # the dephasing phase phi enters through the total phases of each row
         per_call = ({"delta"} if fam.kind == PHASE_DEPHASING
                     else {"phi_y", "phi_z"})
         self._row_wise = bool(per_call & set(names))
@@ -205,14 +194,10 @@ class _Objective:
 
     def batch(self, X) -> np.ndarray:
         """The search score at every row of ``X`` (shape (N, len(names))):
-        kappa, or 0 where the Fisher matrix is singular."""
+        kappa, 0 where the Fisher matrix is singular, and -inf where delta
+        < 0."""
         X = np.asarray(X, dtype=float)
-        if self._stack is None:
-            results = [evaluate_kappa(self.scenario, self._values(x))
-                       for x in X]
-            values = np.array([r.kappa for r in results], dtype=float)
-            status = np.array([r.status for r in results], dtype=int)
-        elif self._row_wise:
+        if self._row_wise:
             rows = [self._kernel(X[i:i + 1]) for i in range(len(X))]
             values, status = (np.concatenate(c) for c in zip(*rows))
         else:
@@ -220,11 +205,6 @@ class _Objective:
         self.evaluations += len(X)
         self.any_regular = self.any_regular or bool((status == 0).any())
         return _search_score(values, status)
-
-    def _values(self, x) -> dict[str, float]:
-        vals = dict(self.base)
-        vals.update(zip(self.names, (float(v) for v in x)))
-        return vals
 
     def _kernel(self, X):
         """(kappa, status) of the rows of ``X`` from one kernel call."""
@@ -240,8 +220,15 @@ class _Objective:
                 self.base[name])
 
         fam = self.scenario.family
+        measurement = self.scenario.measurement
+        povm = measurement.elements if isinstance(measurement, Povm) else \
+            measurement.elements({n: column(n) for n in measurement.setting_names})
         if fam.kind == PHASE_DEPHASING:
             delta = scalar("delta")
+            if delta < 0:
+                # kappa is even in delta, so the kernel would score the
+                # mirror point; no dephasing strength is negative
+                return np.full(len(X), -np.inf), np.full(len(X), _NEGATIVE_DELTA)
             if delta not in self._qfi:
                 h = single_copy_qfi_diagonal(fam, (0.0, delta), 0.0)
                 self._qfi[delta] = (float(h[0]), float(h[1]))
@@ -250,13 +237,16 @@ class _Objective:
             alphas = np.stack([phi + column("xi" if shared else f"xi_{i + 1}")
                                for i in range(fam.copies)])
             kappa_values, _, _, status = kernels.kappa_phase_dephasing_batch(
-                alphas, delta, self._stack, *self._qfi[delta],
-                DEFAULT_P_CUTOFF)
+                alphas, delta, povm, *self._qfi[delta], DEFAULT_P_CUTOFF)
         else:
             kappa_values, _, _, status = kernels.kappa_two_phase_batch(
-                column("xi"), scalar("phi_y"), scalar("phi_z"), self._stack,
+                column("xi"), scalar("phi_y"), scalar("phi_z"), povm,
                 DEFAULT_P_CUTOFF, copies=fam.copies)
         return kappa_values, status
+
+
+#: status of a row with delta < 0, beside the kernels' codes 0, 1 and 2
+_NEGATIVE_DELTA = 3
 
 
 def _search_score(kappa_values, status):
@@ -322,6 +312,8 @@ def optimize_kappa(scenario: Scenario, at, budget: int = DEFAULT_BUDGET) -> Opti
         base.update({k: float(v) for k, v in at.items()})
     elif at is not None:
         base[scenario.sweep] = float(at)
+    if base.get("delta", 0.0) < 0 and scenario.family.kind == PHASE_DEPHASING:
+        raise ValueError(f"dephasing strength must be >= 0, got {base['delta']}")
     names = list(scenario.free_inputs)
     objective = _Objective(scenario, base, names)
     best_x, _ = _maximize(objective, names, budget)
@@ -414,13 +406,12 @@ def random_collective_search(family: ProbeFamily, trials: int, seed: int,
         raise ValueError("trials must be >= 1")
     phi_y, phi_z = float(at[0]), float(at[1])
     dim = 4
-    best = (-np.inf, -1, 0.0, None)
+    best = (-np.inf, -1, 0.0, None, None)
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         basis = haar_random_basis(rng, dim)
-        stack = np.ascontiguousarray(
-            np.stack([np.outer(basis[:, k], basis[:, k].conj())
-                      for k in range(dim)]))
+        stack = np.stack([np.outer(basis[:, k], basis[:, k].conj())
+                          for k in range(dim)])
 
         scenario = Scenario(
             family=family,
@@ -431,16 +422,8 @@ def random_collective_search(family: ProbeFamily, trials: int, seed: int,
         objective = _Objective(scenario, dict(scenario.fixed_inputs), ["xi"])
         x, value = _maximize(objective, ["xi"], xi_budget)
         if value > best[0]:
-            best = (value, trial, float(x[0]), basis)
-    value, trial, xi, basis = best
-    stack = np.stack([np.outer(basis[:, k], basis[:, k].conj())
-                      for k in range(dim)])
-    scenario = Scenario(
-        family=family,
-        measurement=Povm(tuple(f"b{k}" for k in range(dim)), stack),
-        free_inputs=("xi",),
-        fixed_inputs={"phi_y": phi_y, "phi_z": phi_z},
-        sweep="phi_z")
+            best = (value, trial, float(x[0]), basis, scenario)
+    value, trial, xi, basis, scenario = best
     result = evaluate_kappa(scenario, {"xi": xi})
     return CollectiveSearchResult(
         max_kappa=result.kappa, trial_index=trial, xi=xi, basis=basis,

@@ -9,7 +9,9 @@ Two built-in probe families are provided:
 
 Each family evaluates the output state together with one Hermitian derivative
 matrix per parameter, both in closed form; multi-copy probes are built by the
-tensor-product rule ``d(rho (x) rho) = d(rho) (x) rho + rho (x) d(rho)``.
+tensor-product rule ``d(rho (x) rho) = d(rho) (x) rho + rho (x) d(rho)``,
+implemented once, for stacks of points and any number of copies, in
+``copies_with_derivatives``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ID2, PAULI_Y, PAULI_Z, tensor_product
+from .linalg import ID2, PAULI_Y, PAULI_Z
 
 PHASE_DEPHASING = "phase-dephasing"
 TWO_PHASE = "two-phase"
@@ -195,23 +197,47 @@ class StateWithDerivatives:
         return self.derivatives.shape[0]
 
 
-def _dephasing_single(xi: float, phi: float, delta: float):
-    _check_dephasing(xi, phi, delta)
-    rho, d_phi, d_del = dephasing_with_derivatives(phi + xi, delta)
-    return rho, [d_phi, d_del]
-
-
 def two_phase_state(xi: float, phi_y: float, phi_z: float) -> np.ndarray:
     """Pure output state of the two-phase family."""
     psi = rotation_unitary(phi_y, phi_z) @ make_equatorial_ket(xi)
     return np.outer(psi, psi.conj())
 
 
-def _two_phase_single(xi: float, phi_y: float, phi_z: float):
-    psi, *dpsi = two_phase_ket_with_derivatives(xi, phi_y, phi_z)
-    bra = psi.conj()
-    return np.outer(psi, bra), [np.outer(d, bra) + np.outer(psi, d.conj())
-                                for d in dpsi]
+def pure_with_derivatives(kets: np.ndarray) -> np.ndarray:
+    """From the stack (1 + n, ..., a) of kets psi and their n derivatives,
+    the (1 + n, ..., a, a) stack of |psi><psi| and each |d psi><psi| +
+    |psi><d psi|."""
+    psi = kets[0]
+    out = kets[..., :, None] * psi.conj()[..., None, :]
+    derivatives = out[1:]
+    derivatives += psi[..., :, None] * kets[1:].conj()[..., None, :]
+    return out
+
+
+def _kron(a, b):
+    """Kronecker products of two broadcast stacks of square matrices."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    dim = a.shape[-1] * b.shape[-1]
+    return out.reshape(out.shape[:-4] + (dim, dim))
+
+
+def copies_with_derivatives(singles) -> np.ndarray:
+    """Product state of independent copies and its derivatives, by the
+    tensor-product rule.
+
+    ``singles`` holds one stack (1 + n, ..., a, a) per copy: its state, then
+    its derivatives by n shared parameters; the middle axes broadcast.
+    Returns the (1 + n, ..., d, d) stack of the product state.
+    """
+    joint = singles[0]
+    for i in range(1, len(singles)):
+        left = _kron(joint, singles[i][0])
+        # adds in place through the view; ``left[1:] += ...`` would also
+        # assign the slice back, a copy per call
+        derivatives = left[1:]
+        derivatives += _kron(joint[0], singles[i][1:])
+        joint = left
+    return joint
 
 
 def probe_with_derivatives(family: ProbeFamily, params) -> StateWithDerivatives:
@@ -226,18 +252,15 @@ def probe_with_derivatives(family: ProbeFamily, params) -> StateWithDerivatives:
         raise ValueError(
             f"{family.kind} takes {family.num_parameters} parameters, "
             f"got {len(params)}")
+    a, b = params
     singles = []
     for xi in family.input_phases:
         if family.kind == PHASE_DEPHASING:
-            singles.append(_dephasing_single(xi, params[0], params[1]))
+            _check_dephasing(xi, a, b)
+            singles.append(dephasing_with_derivatives(a + xi, b))
         else:
-            singles.append(_two_phase_single(xi, params[0], params[1]))
-
-    state, derivs = singles[0]
-    derivs = list(derivs)
-    for rho_i, derivs_i in singles[1:]:
-        derivs = [tensor_product(dj, rho_i) + tensor_product(state, dij)
-                  for dj, dij in zip(derivs, derivs_i)]
-        state = tensor_product(state, rho_i)
-    return StateWithDerivatives(state=state, derivatives=np.array(derivs),
+            singles.append(pure_with_derivatives(
+                two_phase_ket_with_derivatives(xi, a, b)))
+    joint = copies_with_derivatives(singles)
+    return StateWithDerivatives(state=joint[0], derivatives=joint[1:],
                                 parameter_names=family.parameter_names)

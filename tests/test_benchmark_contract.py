@@ -1,0 +1,36 @@
+"""The qmetro names the benchmark under ``perfbench/`` relies on.
+
+``perfbench/layers.py`` wraps module attributes by name for its traced run,
+and ``perfbench/test_perfbench.py`` calls the two-phase kernel in its older
+six-argument form; a refactor that renames or drops one of them would break
+the benchmark without failing any other test here.
+"""
+
+import importlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qmetro import bell_povm, kernels
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def layers(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("layers")
+
+
+def test_every_wrapped_attribute_resolves(layers):
+    missing = [(module, attr) for module, attr, _, _ in layers.WRAPPED
+               if not hasattr(importlib.import_module(module), attr)]
+    assert not missing
+
+
+def test_six_argument_two_phase_kernel_call():
+    stack = np.ascontiguousarray(bell_povm().elements)
+    out = kernels.kappa_two_phase(0.3, 0.4, 0.3, stack, 1e-5, 1e-12)
+    assert [type(v) for v in out] == [float, float, float, int]
+    assert out == kernels.kappa_two_phase(0.3, 0.4, 0.3, stack, 1e-12)

@@ -167,6 +167,19 @@ class TestCliCommands:
         doc = json.loads((out / "optimize.json").read_text())
         assert doc["kappa"] > 1.0
 
+    @pytest.mark.parametrize("command,free,named", [
+        ("optimize", "phi,xi_1,xi_2,bogus", "'bogus'"),
+        ("optimize", "phi,phi,xi_1,xi_2", "'phi'"),
+        ("kappa-scan", "phi,xi_1,xi_2,delta", "'delta'"),
+    ], ids=["unused", "repeated", "swept"])
+    def test_bad_free_inputs_fail_by_name(self, tmp_path, capsys, command,
+                                          free, named):
+        code, doc = run_cli(capsys, command, "--free-inputs", free,
+                            "--budget", "50", "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert named in doc["errors"][0]
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
 
 class TestDeterminism:
     def test_kappa_scan_reruns_are_byte_identical(self, tmp_path, capsys):

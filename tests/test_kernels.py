@@ -2,15 +2,16 @@
 reference path, and the quantum-information floor both paths share."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmetro import (Povm, ProbeFamily, Scenario, bell_povm, classical_fi,
-                    evaluate_kappa, haar_random_basis, kappa,
-                    measurement_probabilities, probe_with_derivatives,
+from qmetro import (Povm, ProbeFamily, ProductProjectiveGenerator, Scenario,
+                    bell_povm, classical_fi, evaluate_kappa, haar_random_basis,
+                    kappa, measurement_probabilities, probe_with_derivatives,
                     product_projective_povm)
 from qmetro import kernels
 from qmetro.fisher import H_FLOOR
@@ -99,7 +100,7 @@ def test_singular_point_follows_the_reference_policy():
 
 
 def _random_povm(seed, dim, kind):
-    """A random POVM on ``dim`` = 2 or 4: a Haar-random projective
+    """A random POVM on ``dim`` = 2, 4 or 8: a Haar-random projective
     measurement, a product of projective ones (dim 4), or a whitened set of
     random positive operators with 2 * dim outcomes."""
     rng = np.random.default_rng(seed)
@@ -142,6 +143,8 @@ def _assert_rows_agree(batch, scalars, references, tolerances):
 
 TWO_COPY_KINDS = st.sampled_from(["projective", "product", "mixed"])
 ONE_COPY_KINDS = st.sampled_from(["projective", "mixed"])
+SETTINGS = st.tuples(st.floats(0, math.pi), ANGLES, st.floats(0, math.pi),
+                     ANGLES)
 
 
 @given(seed=st.integers(0, 2**32 - 1), kind=TWO_COPY_KINDS, phi=ANGLES,
@@ -264,14 +267,106 @@ def test_each_kernel_term_at_most_one(seed, copies, data, two_phase, a, b,
     assert max(k1.max(), k2.max()) <= 1.0 + 1e-9
 
 
-def test_kernels_take_one_or_two_copies():
+@given(seed=st.integers(0, 2**32 - 1), kind=ONE_COPY_KINDS, phi=ANGLES,
+       delta=st.floats(0.05, 2.5),
+       phases=st.lists(st.tuples(ANGLES, ANGLES, ANGLES), min_size=1,
+                       max_size=4))
+@settings(deadline=None, max_examples=40)
+def test_three_copy_dephasing_batch_matches_reference(seed, kind, phi, delta,
+                                                      phases):
+    povm = _random_povm(seed, 8, kind)
+    stack = povm.elements
+    family = ProbeFamily.phase_dephasing(copies=3)
+    h = single_copy_qfi_diagonal(family, (phi, delta), 0.0)
+    alphas = phi + np.array(phases).T
+    batch = kernels.kappa_phase_dephasing_batch(alphas, delta, stack, h[0],
+                                                h[1], 1e-12)
+    ones = [_rows(kernels.kappa_phase_dephasing_batch(
+        alphas[:, i:i + 1], delta, stack, h[0], h[1], 1e-12))[0]
+        for i in range(len(phases))]
+    references = [evaluate_kappa(Scenario(
+        family=family, measurement=povm,
+        fixed_inputs={"phi": phi, "delta": delta, "xi_1": x1, "xi_2": x2,
+                      "xi_3": x3},
+        sweep="delta"), {}) for x1, x2, x3 in phases]
+    tolerances = [_tolerance(ProbeFamily.phase_dephasing(copies=3, xi=xis),
+                             (phi, delta), povm) for xis in phases]
+    _assert_rows_agree(batch, ones, references, tolerances)
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=ONE_COPY_KINDS, phi_y=ANGLES,
+       phi_z=ANGLES, xis=st.lists(ANGLES, min_size=1, max_size=4))
+@settings(deadline=None, max_examples=40)
+def test_three_copy_two_phase_batch_matches_reference(seed, kind, phi_y,
+                                                      phi_z, xis):
+    povm = _random_povm(seed, 8, kind)
+    stack = povm.elements
+    batch = kernels.kappa_two_phase_batch(np.array(xis), phi_y, phi_z, stack,
+                                          1e-12, copies=3)
+    ones = [_rows(kernels.kappa_two_phase_batch(
+        np.array([xi]), phi_y, phi_z, stack, 1e-12, copies=3))[0]
+        for xi in xis]
+    references = [evaluate_kappa(Scenario(
+        family=ProbeFamily.two_phase(copies=3), measurement=povm,
+        fixed_inputs={"phi_y": phi_y, "phi_z": phi_z, "xi": xi},
+        sweep="phi_z"), {}) for xi in xis]
+    tolerances = [_tolerance(ProbeFamily.two_phase(copies=3, xi=xi),
+                             (phi_y, phi_z), povm) for xi in xis]
+    _assert_rows_agree(batch, ones, references, tolerances)
+
+
+@given(two_phase=st.booleans(), a=ANGLES, b=ANGLES, delta=st.floats(0.05, 2.5),
+       rows=st.lists(st.tuples(ANGLES, SETTINGS), min_size=1, max_size=6))
+@settings(deadline=None, max_examples=60)
+def test_per_row_generator_povms_match_reference(two_phase, a, b, delta,
+                                                 rows):
+    # one product measurement per row, as a generator scenario's search
+    # scores them
+    generator = ProductProjectiveGenerator()
+    xis = np.array([xi for xi, _ in rows])
+    angles = [dict(zip(generator.setting_names, s)) for _, s in rows]
+    elements = generator.elements(
+        {name: np.array([s[name] for s in angles])
+         for name in generator.setting_names})
+    if two_phase:
+        family = ProbeFamily.two_phase(copies=2)
+        params, fixed = (a, b), {"phi_y": a, "phi_z": b}
+
+        def score(xi, povm):
+            return kernels.kappa_two_phase_batch(xi, a, b, povm, 1e-12)
+    else:
+        family = ProbeFamily.phase_dephasing(copies=2)
+        params, fixed = (a, delta), {"phi": a, "delta": delta}
+        h = single_copy_qfi_diagonal(family, params, 0.0)
+
+        def score(xi, povm):
+            return kernels.kappa_phase_dephasing_batch(
+                a + np.stack((xi, -xi)), delta, povm, h[0], h[1], 1e-12)
+
+    def phases(xi):
+        return {"xi": xi} if two_phase else {"xi_1": xi, "xi_2": -xi}
+
+    batch = score(xis, elements)
+    ones = [_rows(score(xis[i:i + 1], elements[i:i + 1]))[0]
+            for i in range(len(rows))]
+    references = [evaluate_kappa(Scenario(
+        family=family, measurement=generator,
+        fixed_inputs={**fixed, **phases(xi), **s},
+        sweep=family.parameter_names[1]), {}) for xi, s in zip(xis, angles)]
+    tolerances = [_tolerance(replace(family, input_phases=tuple(
+        phases(xi).values()) * (2 if two_phase else 1)), params,
+        generator.build(s)) for xi, s in zip(xis, angles)]
+    _assert_rows_agree(batch, ones, references, tolerances)
+
+
+def test_kernels_check_the_povm_dimension():
     stack = np.ascontiguousarray(bell_povm().elements)
-    with pytest.raises(ValueError, match="1 or 2 copies"):
-        kernels.kappa_two_phase_batch(np.zeros(2), 0.4, 0.3, stack, 1e-12,
-                                      copies=3)
     with pytest.raises(ValueError, match="dimension mismatch"):
         kernels.kappa_two_phase_batch(np.zeros(2), 0.4, 0.3, stack, 1e-12,
                                       copies=1)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        kernels.kappa_two_phase_batch(np.zeros(2), 0.4, 0.3, stack, 1e-12,
+                                      copies=3)
 
 
 def test_scalar_kernels_return_python_scalars():

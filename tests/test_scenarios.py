@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from qmetro import (GateModel, Povm, ProbeFamily, Scenario, bell_povm, cs_gate_povm,
-                    evaluate_kappa, haar_random_basis, kappa_scan,
-                    optimize_kappa, product_projective_povm,
-                    random_collective_search)
+from qmetro import (GateModel, Povm, ProbeFamily, ProductProjectiveGenerator,
+                    Scenario, bell_povm, cs_gate_povm, evaluate_kappa,
+                    haar_random_basis, kappa_scan, optimize_kappa,
+                    product_projective_povm, random_collective_search)
 from qmetro import kernels, scenarios
 from qmetro.linalg import PAULI_X, PAULI_Y, PAULI_Z
-from qmetro.scenarios import (ProductProjectiveGenerator, _maximize, _Objective,
-                              default_delta_grid)
+from qmetro.scenarios import _maximize, _Objective, default_delta_grid
 
 
 def ideal_bell_scenario(**overrides):
@@ -56,6 +55,22 @@ class TestScenarioValidation:
                      free_inputs=("xi",),
                      fixed_inputs={"phi_y": 0.4, "phi_z": 0.3},
                      sweep="delta")
+
+    @pytest.mark.parametrize("free,match", [
+        (("phi", "xi_1", "xi_2", "bogus"), r"not used.*'bogus'"),
+        (("phi", "xi_1", "xi_2", "theta_1"), r"not used.*'theta_1'"),
+        (("phi", "xi", "xi_1"), r"not used.*'xi_1'"),
+        (("phi", "phi", "xi_1", "xi_2"), r"repeated.*'phi'"),
+        (("phi", "xi_1", "xi_2", "delta"), r"free and fixed or swept.*'delta'"),
+    ], ids=["unknown", "setting-of-a-fixed-povm", "per-copy-beside-shared",
+            "repeated", "swept"])
+    def test_free_inputs_validated_by_name(self, free, match):
+        with pytest.raises(ValueError, match=match):
+            ideal_bell_scenario(free_inputs=free)
+
+    def test_shared_phase_shorthand_accepted(self):
+        scenario = ideal_bell_scenario(free_inputs=("phi", "xi"))
+        assert optimize_kappa(scenario, 0.3, budget=200).result.kappa > 1.0
 
 
 class TestOptimizeKappa:
@@ -129,6 +144,35 @@ class TestOptimizeKappa:
     def test_budget_validated(self):
         with pytest.raises(ValueError):
             optimize_kappa(ideal_bell_scenario(), 0.3, budget=0)
+
+
+class TestNegativeDelta:
+    """kappa is even in delta, but a dephasing strength is never negative."""
+
+    @staticmethod
+    def free_delta_scenario():
+        return ideal_bell_scenario(free_inputs=("phi", "delta"),
+                                   fixed_inputs={"xi_2": 0.0}, sweep="xi_1")
+
+    @pytest.mark.parametrize("budget", [60, 120, 400, 2000])
+    @pytest.mark.parametrize("at", [0.0, 0.3, 1.0, 2.0])
+    def test_free_delta_search_stays_nonnegative(self, at, budget):
+        out = optimize_kappa(self.free_delta_scenario(), at, budget=budget)
+        assert out.settings["delta"] >= 0.0
+        assert 0.0 < out.result.kappa <= 2.0
+
+    def test_negative_rows_never_win_nor_count_as_regular(self):
+        scenario = self.free_delta_scenario()
+        objective = _Objective(scenario, {**scenario.fixed_inputs, "xi_1": 0.3},
+                               ["phi", "delta"])
+        assert objective(np.array([0.4, -0.2])) == -np.inf
+        assert not objective.any_regular
+        assert objective(np.array([0.4, 0.2])) > 0.0
+        assert objective.any_regular
+
+    def test_fixed_negative_delta_is_named(self):
+        with pytest.raises(ValueError, match="dephasing strength must be >= 0"):
+            optimize_kappa(ideal_bell_scenario(), -0.1, budget=50)
 
 
 class TestKappaScan:
@@ -338,13 +382,21 @@ def pauli_povm():
     return Povm(tuple("xXyYzZ"), np.array(elements))
 
 
+def haar_povm(dim, seed=3):
+    """The projective measurement on a Haar-random basis of ``dim``."""
+    basis = haar_random_basis(np.random.default_rng(seed), dim)
+    return Povm(tuple(f"b{k}" for k in range(dim)), np.stack(
+        [np.outer(basis[:, k], basis[:, k].conj()) for k in range(dim)]))
+
+
 class ReferencePathCalled(Exception):
     pass
 
 
 class TestKernelRouting:
-    """A fixed POVM on one or two copies is searched on the batched kernels;
-    ``evaluate_kappa`` only reports the value at the optimum."""
+    """Every search is scored on the batched kernels, for a fixed POVM on
+    any number of copies and for a measurement generator; ``evaluate_kappa``
+    only reports the value at the optimum."""
 
     @pytest.fixture
     def reference_calls(self, monkeypatch):
@@ -369,6 +421,13 @@ class TestKernelRouting:
         return calls
 
     @pytest.mark.parametrize("scenario,at", [
+        (ideal_bell_scenario(family=ProbeFamily.phase_dephasing(copies=3),
+                             measurement=haar_povm(8),
+                             free_inputs=("phi", "xi_1", "xi_2", "xi_3")),
+         0.4),
+        (Scenario(family=ProbeFamily.two_phase(copies=3),
+                  measurement=haar_povm(8), free_inputs=("xi",),
+                  fixed_inputs={"phi_y": 0.4}, sweep="phi_z"), 0.3),
         (ideal_bell_scenario(family=ProbeFamily.phase_dephasing(copies=1),
                              measurement=pauli_povm(),
                              free_inputs=("phi", "xi_1")), 0.4),
@@ -382,24 +441,34 @@ class TestKernelRouting:
         (Scenario(family=ProbeFamily.two_phase(copies=2),
                   measurement=bell_povm(), free_inputs=("xi", "phi_y"),
                   sweep="phi_z"), 0.3),
-    ], ids=["dephasing-1", "dephasing-2", "dephasing-1-free-delta",
-            "two-phase-1", "two-phase-2-free-phi_y"])
+    ], ids=["dephasing-3", "two-phase-3", "dephasing-1", "dephasing-2",
+            "dephasing-1-free-delta", "two-phase-1", "two-phase-2-free-phi_y"])
     def test_povm_search_stays_on_the_kernels(self, reference_calls, scenario,
                                               at):
         out = optimize_kappa(scenario, at, budget=120)
         assert len(reference_calls) == 1
         assert 0.0 < out.result.kappa <= scenario.family.copies + 1e-9
 
-    def test_generator_search_uses_the_reference_path(self, reference_calls):
+    @pytest.mark.parametrize("family,free,fixed,sweep,at", [
+        (ProbeFamily.phase_dephasing(copies=2), ("eta_1", "eta_2"),
+         {"phi": 0.3, "xi_1": 0.0, "xi_2": 0.0}, "delta", 0.4),
+        (ProbeFamily.phase_dephasing(copies=2), ("eta_1", "delta"),
+         {"phi": 0.3, "xi_1": 0.0, "xi_2": 0.0, "eta_2": 1.1}, "phi", 0.3),
+        (ProbeFamily.two_phase(copies=2), ("eta_1", "phi_y"),
+         {"xi": 0.7, "eta_2": 1.1}, "phi_z", 0.3),
+    ], ids=["dephasing", "dephasing-free-delta", "two-phase-free-phi_y"])
+    def test_generator_search_stays_on_the_kernels(self, reference_calls,
+                                                    family, free, fixed, sweep,
+                                                    at):
         scenario = Scenario(
-            family=ProbeFamily.phase_dephasing(copies=2),
-            measurement=ProductProjectiveGenerator(),
-            free_inputs=("eta_1", "eta_2"),
-            fixed_inputs={"phi": 0.3, "xi_1": 0.0, "xi_2": 0.0,
-                          "theta_1": math.pi / 2, "theta_2": math.pi / 2},
-            sweep="delta")
-        with pytest.raises(ReferencePathCalled):
-            optimize_kappa(scenario, 0.4, budget=30)
+            family=family, measurement=ProductProjectiveGenerator(),
+            free_inputs=free,
+            fixed_inputs={"theta_1": math.pi / 2, "theta_2": math.pi / 2,
+                          **fixed},
+            sweep=sweep)
+        out = optimize_kappa(scenario, at, budget=120)
+        assert len(reference_calls) == 1
+        assert 0.0 < out.result.kappa <= 1.0 + 1e-9
 
     def test_singular_reference_point_is_not_regular(self):
         # kappa > 0 at this singular point, so a status guessed from

@@ -1,11 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmetro import (CountsTable, GateModel, Povm, bell_povm, counts_from_csv,
                     counts_to_csv, cs_gate_povm, element_trace_distances,
-                    mle_reconstruct, monte_carlo_uncertainty, povm_fidelity,
-                    reference_gram_condition, reference_gram_rank,
-                    reference_states, simulate_counts, validate_povm)
+                    haar_random_basis, mle_reconstruct,
+                    monte_carlo_uncertainty, povm_fidelity,
+                    product_projective_povm, reference_gram_condition,
+                    reference_gram_rank, reference_states, simulate_counts,
+                    validate_povm)
+from qmetro.kernels import _LL_SLACK
 from qmetro.linalg import bloch_vector
 
 
@@ -109,6 +116,30 @@ class TestMleReconstruct:
         result = mle_reconstruct(counts, refs)
         diffs = np.diff(result.ll_trace)
         assert np.all(diffs >= -1e-9 * np.abs(result.ll_trace[:-1]))
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["haar", "product", "whitened"]),
+           log_exposure=st.floats(3.0, 6.0), max_iters=st.integers(1, 400))
+    @settings(deadline=None, max_examples=30)
+    def test_every_iterate_is_a_povm_with_monotone_likelihood(
+            self, seed, kind, log_exposure, max_iters):
+        # the diluted-MLE guarantee (Rehacek et al., PRA 75, 042108, 2007);
+        # stopping after a random number of iterations checks that iterate
+        rng = np.random.default_rng(seed)
+        if kind == "haar":
+            basis = haar_random_basis(rng, 4)
+            povm = Povm(tuple("abcd"), np.stack(
+                [np.outer(basis[:, k], basis[:, k].conj()) for k in range(4)]))
+        elif kind == "product":
+            povm = product_projective_povm(rng.uniform(0, 2 * math.pi, 4))
+        else:
+            povm = random_valid_povm(rng, outcomes=int(rng.integers(4, 9)))
+        refs = reference_states()
+        counts = simulate_counts(povm, refs, 10.0 ** log_exposure, seed)
+        result = mle_reconstruct(counts, refs, max_iters=max_iters)
+        ll = result.ll_trace
+        assert (ll[1:] >= ll[:-1] - _LL_SLACK * np.abs(ll[:-1])).all()
+        assert validate_povm(result.povm).passed
 
     def test_not_converged_flag(self):
         refs = reference_states()
