@@ -17,6 +17,7 @@ import difflib
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -133,6 +134,9 @@ _VALIDATORS = {
     "copies": lambda v: v >= 1 or "copies must be >= 1",
     "budget": lambda v: v >= 1 or "budget must be >= 1",
     "trials": lambda v: v >= 1 or "trials must be >= 1",
+    "xi_budget": lambda v: v >= 1 or "xi_budget must be >= 1",
+    "max_iters": lambda v: v >= 1 or "max_iters must be >= 1",
+    "tol": lambda v: v >= 0 or "tol must be >= 0",
     "exposure": lambda v: v > 0 or "exposure must be positive",
     "sweep_points": lambda v: v >= 1 or "sweep_points must be >= 1",
     "family": lambda v: v in (PHASE_DEPHASING, TWO_PHASE)
@@ -216,15 +220,18 @@ def _family_point(cfg) -> tuple[float, float]:
     return (cfg["phi"], cfg["delta"])
 
 
+def _gate_model_from_config(cfg) -> GateModel:
+    return GateModel(t_h=cfg["t_h"], t_v=cfg["t_v"],
+                     visibility=cfg["visibility"],
+                     compensated=cfg["compensated"])
+
+
 def _measurement_from_config(cfg):
     kind = cfg["measurement"]
     if kind == "bell":
         return bell_povm()
     if kind == "gate":
-        model = GateModel(t_h=cfg["t_h"], t_v=cfg["t_v"],
-                          visibility=cfg["visibility"],
-                          compensated=cfg["compensated"])
-        return cs_gate_povm(model)[0]
+        return cs_gate_povm(_gate_model_from_config(cfg))[0]
     if kind == "product-projective":
         return product_projective_povm((cfg["theta_1"], cfg["eta_1"],
                                         cfg["theta_2"], cfg["eta_2"]))
@@ -363,18 +370,12 @@ def _cmd_tomography(cfg, out):
     refs = reference_states()
     result = mle_reconstruct(counts, refs, max_iters=cfg["max_iters"],
                              tol=cfg["tol"])
-    validation = validate_povm(result.povm)
     doc = {
         "converged": result.converged,
         "iterations": result.iterations,
         "log_likelihood": float(result.log_likelihood),
         "floored_events": result.floored_events,
-        "validation": {
-            "hermiticity_defect": validation.hermiticity_defect,
-            "min_eigenvalue": validation.min_eigenvalue,
-            "completeness_residual": validation.completeness_residual,
-            "passed": validation.passed,
-        },
+        "validation": asdict(validate_povm(result.povm)),
     }
     if cfg.get("compare_to"):
         ideal = load_povm(cfg["compare_to"])
@@ -407,11 +408,8 @@ def _cmd_conjecture_search(cfg, out):
 
 
 def _cmd_gate_model(cfg, out):
-    model = GateModel(t_h=cfg["t_h"], t_v=cfg["t_v"],
-                      visibility=cfg["visibility"],
-                      compensated=cfg["compensated"])
+    model = _gate_model_from_config(cfg)
     povm, success = cs_gate_povm(model)
-    validation = validate_povm(povm)
     ideal = bell_povm()
     doc = {
         "t_h": model.t_h,
@@ -422,12 +420,7 @@ def _cmd_gate_model(cfg, out):
         "success_probabilities": {k: float(v) for k, v in success.items()},
         "max_abs_difference_vs_bell": float(
             np.abs(povm.elements - ideal.elements).max()),
-        "validation": {
-            "hermiticity_defect": validation.hermiticity_defect,
-            "min_eigenvalue": validation.min_eigenvalue,
-            "completeness_residual": validation.completeness_residual,
-            "passed": validation.passed,
-        },
+        "validation": asdict(validate_povm(povm)),
     }
     return {"gate_povm.json": povm_to_json(povm),
             "gate_report.json": serialize.dumps_json(doc)}

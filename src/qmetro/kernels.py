@@ -11,9 +11,11 @@ Kernel contracts:
   (kappa, per-parameter terms, status) with status 0 = ok, 1 = singular
   Fisher matrix (terms follow ``fisher.FisherReport``'s rule), 2 = a
   quantum-information denominator at or below ``fisher.H_FLOOR`` (term
-  excluded); ``kappa_phase_dephasing(...)`` / ``kappa_two_phase(...)``
-  evaluate one two-copy point and return Python scalars; the multi-copy
-  states come from ``states.copies_with_derivatives``
+  excluded). A front end takes delta or the rotation (phi_y, phi_z) as one
+  value or N, and computes the single-copy quantum information in closed
+  form; ``kappa_phase_dephasing(...)`` / ``kappa_two_phase(...)`` evaluate
+  one two-copy point and return Python scalars; the multi-copy states come
+  from ``states.copies_with_derivatives``
 * ``mle_iterate(...)`` -> multiplicative maximum-likelihood update loop for
   detector reconstruction with a monotone-likelihood safeguard
 """
@@ -23,8 +25,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import fisher
-from .states import (copies_with_derivatives, dephasing_with_derivatives,
-                     pure_with_derivatives, two_phase_ket_with_derivatives)
+from .states import (copies_with_derivatives, dephasing_qfi,
+                     dephasing_with_derivatives, pure_with_derivatives,
+                     two_phase_ket_with_derivatives)
 
 __all__ = [
     "BACKEND",
@@ -81,7 +84,10 @@ def kappa_batch(povm, states, dstates, h1, h2, m, cutoff):
         raise ValueError(f"dimension mismatch: state {states.shape[-1]}, "
                          f"povm {povm.shape[-1]}")
     elements = "nkij" if povm.ndim == 4 else "kij"
-    p = np.einsum(f"{elements},nji->nk", povm, states).real
+    # with both operands' (i, j) axes contiguous the contraction order does
+    # not depend on N, so a row's kappa is the same bits alone or in a batch
+    p = np.einsum(f"{elements},nij->nk", povm,
+                  np.ascontiguousarray(states.transpose(0, 2, 1))).real
     dp = np.einsum(f"{elements},npji->npk", povm, dstates).real
     keep = (p >= cutoff)[:, None, :]
     F = np.divide(dp, p[:, None, :], out=np.zeros_like(dp), where=keep) \
@@ -112,16 +118,17 @@ def _kappa_of_copies(povm, singles, h1, h2, cutoff):
                        len(singles), cutoff)
 
 
-def kappa_phase_dephasing_batch(alphas, delta, povm, h_phi, h_delta, cutoff):
+def kappa_phase_dephasing_batch(alphas, delta, povm, cutoff):
     """kappa of the dephased probe at N points; ``alphas`` holds one row of
-    N total phases per copy, shape (copies, N)."""
+    N total phases per copy, shape (copies, N), and ``delta`` is one value
+    or N values."""
     singles = dephasing_with_derivatives(alphas, delta).swapaxes(0, 1)
-    return _kappa_of_copies(povm, singles, h_phi, h_delta, cutoff)
+    return _kappa_of_copies(povm, singles, *dephasing_qfi(delta), cutoff)
 
 
 def kappa_two_phase_batch(xi, phi_y, phi_z, povm, cutoff, copies=2):
     """kappa of the two-phase probe on ``copies`` copies at N input phases
-    ``xi``."""
+    ``xi``; ``phi_y`` and ``phi_z`` are one value or N values each."""
     kets = two_phase_ket_with_derivatives(xi, phi_y, phi_z)
     psi, dpsi = kets[0], kets[1:]
     # pure-state quantum Fisher information diagonal
@@ -136,11 +143,10 @@ def _scalars(batch):
     return float(kappa[0]), float(k1[0]), float(k2[0]), int(status[0])
 
 
-def kappa_phase_dephasing(alpha1, alpha2, delta, povm, h_phi, h_delta, cutoff):
+def kappa_phase_dephasing(alpha1, alpha2, delta, povm, cutoff):
     """One row of ``kappa_phase_dephasing_batch``, as Python scalars."""
     return _scalars(kappa_phase_dephasing_batch(
-        np.array([[alpha1], [alpha2]], dtype=float), delta, povm, h_phi,
-        h_delta, cutoff))
+        np.array([[alpha1], [alpha2]], dtype=float), delta, povm, cutoff))
 
 
 def kappa_two_phase(xi, phi_y, phi_z, povm, *args):

@@ -56,10 +56,6 @@ class Povm:
         return self.elements.shape[1]
 
     @property
-    def num_outcomes(self) -> int:
-        return self.elements.shape[0]
-
-    @property
     def outcomes(self) -> list[tuple[str, np.ndarray]]:
         return list(zip(self.labels, self.elements))
 

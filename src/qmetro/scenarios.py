@@ -168,10 +168,11 @@ def evaluate_kappa(scenario: Scenario, values: dict[str, float]) -> KappaResult:
 class _Objective:
     """kappa as a function of the free-input vector; counts evaluations.
 
-    Every row is scored by the batched kernels: a fixed POVM is shared by
-    all rows, and a measurement generator builds one element set per row.
-    A kernel call takes one delta or one rotation (phi_y, phi_z), so a free
-    one is scored one row per call. ``evaluate_kappa`` is not called here.
+    Every call scores its N rows with one kernel call, whichever inputs are
+    free: a free input is a column of the rows, and a fixed delta or
+    rotation (phi_y, phi_z) one value that the kernel shares across them. A
+    fixed POVM is shared by all rows, and a measurement generator builds one
+    element set per row. ``evaluate_kappa`` is not called here.
     """
 
     def __init__(self, scenario: Scenario, base: dict[str, float],
@@ -181,13 +182,6 @@ class _Objective:
         self.names = names
         self.evaluations = 0
         self.any_regular = False
-        fam = scenario.family
-        # the dephasing phase phi enters through the total phases of each row
-        per_call = ({"delta"} if fam.kind == PHASE_DEPHASING
-                    else {"phi_y", "phi_z"})
-        self._row_wise = bool(per_call & set(names))
-        #: delta -> single-copy quantum-information diagonal (H_phi, H_delta)
-        self._qfi: dict[float, tuple[float, float]] = {}
 
     def __call__(self, x) -> float:
         return float(self.batch(np.asarray(x, dtype=float)[None])[0])
@@ -197,52 +191,40 @@ class _Objective:
         kappa, 0 where the Fisher matrix is singular, and -inf where delta
         < 0."""
         X = np.asarray(X, dtype=float)
-        if self._row_wise:
-            rows = [self._kernel(X[i:i + 1]) for i in range(len(X))]
-            values, status = (np.concatenate(c) for c in zip(*rows))
-        else:
-            values, status = self._kernel(X)
-        self.evaluations += len(X)
-        self.any_regular = self.any_regular or bool((status == 0).any())
-        return _search_score(values, status)
-
-    def _kernel(self, X):
-        """(kappa, status) of the rows of ``X`` from one kernel call."""
         cols = {n: X[:, i] for i, n in enumerate(self.names)}
+
+        def value(name):
+            return cols[name] if name in cols else float(self.base[name])
 
         def column(name):
             return cols[name] if name in cols else np.full(
                 len(X), float(self.base[name]))
-
-        def scalar(name):
-            # a free input here has one row (see ``_row_wise``)
-            return float(cols[name][0]) if name in cols else float(
-                self.base[name])
 
         fam = self.scenario.family
         measurement = self.scenario.measurement
         povm = measurement.elements if isinstance(measurement, Povm) else \
             measurement.elements({n: column(n) for n in measurement.setting_names})
         if fam.kind == PHASE_DEPHASING:
-            delta = scalar("delta")
-            if delta < 0:
-                # kappa is even in delta, so the kernel would score the
-                # mirror point; no dephasing strength is negative
-                return np.full(len(X), -np.inf), np.full(len(X), _NEGATIVE_DELTA)
-            if delta not in self._qfi:
-                h = single_copy_qfi_diagonal(fam, (0.0, delta), 0.0)
-                self._qfi[delta] = (float(h[0]), float(h[1]))
+            delta = value("delta")
             shared = "xi" in cols or "xi" in self.base
             phi = column("phi")
             alphas = np.stack([phi + column("xi" if shared else f"xi_{i + 1}")
                                for i in range(fam.copies)])
             kappa_values, _, _, status = kernels.kappa_phase_dephasing_batch(
-                alphas, delta, povm, *self._qfi[delta], DEFAULT_P_CUTOFF)
+                alphas, delta, povm, DEFAULT_P_CUTOFF)
+            negative = delta < 0
+            if "delta" in cols or negative:
+                # kappa is even in delta, so the kernel scored the mirror
+                # point; no dephasing strength is negative
+                kappa_values = np.where(negative, -np.inf, kappa_values)
+                status = np.where(negative, _NEGATIVE_DELTA, status)
         else:
             kappa_values, _, _, status = kernels.kappa_two_phase_batch(
-                column("xi"), scalar("phi_y"), scalar("phi_z"), povm,
+                column("xi"), value("phi_y"), value("phi_z"), povm,
                 DEFAULT_P_CUTOFF, copies=fam.copies)
-        return kappa_values, status
+        self.evaluations += len(X)
+        self.any_regular = self.any_regular or bool((status == 0).any())
+        return _search_score(kappa_values, status)
 
 
 #: status of a row with delta < 0, beside the kernels' codes 0, 1 and 2
@@ -404,6 +386,8 @@ def random_collective_search(family: ProbeFamily, trials: int, seed: int,
                          "family on 2 copies")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if xi_budget < 1:
+        raise ValueError("xi_budget must be >= 1")
     phi_y, phi_z = float(at[0]), float(at[1])
     dim = 4
     best = (-np.inf, -1, 0.0, None, None)

@@ -92,21 +92,26 @@ def rotation_unitary(phi_y: float, phi_z: float) -> np.ndarray:
     return _rotation_with_derivatives(phi_y, phi_z)[0]
 
 
-def two_phase_ket_with_derivatives(xi, phi_y: float,
-                                   phi_z: float) -> np.ndarray:
+def two_phase_ket_with_derivatives(xi, phi_y, phi_z) -> np.ndarray:
     """Two-phase output ket U(phi_y, phi_z)|xi> and its exact derivatives.
 
     Returns a (3, 2) array: the ket, then its derivatives with respect to
-    phi_y and phi_z. N input phases ``xi`` give shape (3, N, 2).
+    phi_y and phi_z. N input phases ``xi`` give shape (3, N, 2); ``phi_y``
+    and ``phi_z`` are then one value or N values, one rotation per row.
     """
+    if isinstance(phi_y, np.ndarray) or isinstance(phi_z, np.ndarray):
+        rows = zip(*np.broadcast_arrays(xi, phi_y, phi_z))
+        return np.concatenate([two_phase_ket_with_derivatives(
+            [x], float(a), float(b)) for x, a, b in rows], axis=1)
     rotation = _rotation_with_derivatives(phi_y, phi_z)
     return make_equatorial_ket(xi) @ rotation.transpose(0, 2, 1)
 
 
-def dephasing_with_derivatives(alpha, delta: float) -> np.ndarray:
+def dephasing_with_derivatives(alpha, delta) -> np.ndarray:
     """Dephased equatorial states and their (phi, delta) derivatives.
 
-    ``alpha`` is the total phase phi + xi, a scalar or an array of them. The
+    ``alpha`` is the total phase phi + xi, a scalar or an array of them, and
+    ``delta`` one value or an array that broadcasts against it. The
     (0,1) entry of the state is exp(-i*alpha - delta^2)/2 and its diagonal is
     1/2. Returns shape (3,) + alpha.shape + (2, 2): the state, d/dphi and
     d/ddelta. Inputs are not validated; see ``dephased_phase_state``.
@@ -119,6 +124,17 @@ def dephasing_with_derivatives(alpha, delta: float) -> np.ndarray:
     out[2, ..., 0, 1] = -2.0 * delta * off
     out[..., 1, 0] = out[..., 0, 1].conjugate()
     return out
+
+
+def dephasing_qfi(delta):
+    """Closed-form single-copy quantum information (H_phi, H_delta) of the
+    dephased probe at one delta or an array of them: with c^2 = exp(-2
+    delta^2), H_phi = c^2 and H_delta = 4 delta^2 c^2 / (1 - c^2). H_delta
+    is 0 at delta = 0, where the state does not move with delta."""
+    x = 2.0 * delta * delta
+    c2 = np.exp(-x)
+    # the numerator is 0 where x is; adding (x == 0) keeps 0/0 out there
+    return c2, 2.0 * x * c2 / (-np.expm1(-x) + (x == 0.0))
 
 
 def _check_dephasing(xi: float, phi: float, delta: float) -> None:

@@ -154,6 +154,10 @@ def mle_reconstruct(counts: CountsTable, refs: ReferenceSet,
     once. Raises on a rank-deficient reference set or an all-zero input row
     (no information).
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    if not tol >= 0:
+        raise ValueError("tol must be >= 0")
     data = counts.counts[_reference_rows(counts.input_labels, refs)]
     if reference_gram_rank(refs) < refs.dim ** 2:
         raise ValueError("reference set is rank deficient; reconstruction "

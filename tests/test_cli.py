@@ -115,6 +115,22 @@ class TestCliCommands:
         assert doc["status"] == "error"
         assert any("visibility" in e for e in doc["errors"])
 
+    @pytest.mark.parametrize("argv,key", [
+        (("conjecture-search", "--xi-budget", "-5"), "xi_budget"),
+        (("conjecture-search", "--xi-budget", "0"), "xi_budget"),
+        (("tomography", "--counts", "c.csv", "--max-iters", "-3"),
+         "max_iters"),
+        (("tomography", "--counts", "c.csv", "--max-iters", "0"), "max_iters"),
+        (("tomography", "--counts", "c.csv", "--tol", "-1"), "tol"),
+        (("tomography", "--counts", "c.csv", "--tol", "nan"), "tol"),
+    ])
+    def test_nonsensical_iteration_settings_are_named(self, tmp_path, capsys,
+                                                      argv, key):
+        code, doc = run_cli(capsys, *argv, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert doc["errors"] == [f"{key} must be >= {0 if key == 'tol' else 1}"]
+        assert not (tmp_path / "o").exists()
+
     def test_counts_then_tomography_round_trip(self, tmp_path, capsys):
         counts_dir = tmp_path / "counts"
         code, _ = run_cli(capsys, "simulate-counts", "--exposure", "20000",

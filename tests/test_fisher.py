@@ -12,7 +12,6 @@ from qmetro import (Povm, ProbeFamily, Scenario, bell_povm, classical_fi,
                     sld_residual, weak_commutativity, weak_commutativity_root)
 from qmetro import kernels
 from qmetro.linalg import PAULI_Z, bloch_vector
-from qmetro.scenarios import single_copy_qfi_diagonal
 from qmetro.states import StateWithDerivatives, rotation_unitary, make_equatorial_ket
 
 
@@ -360,8 +359,7 @@ class TestGillMassarBound:
                                 fixed_inputs={"phi": a, "delta": delta,
                                               "xi_1": xi},
                                 sweep="delta")
-            h = single_copy_qfi_diagonal(family, (a, delta), xi)
             batch = kernels.kappa_phase_dephasing_batch(
-                np.array([[a + xi]]), delta, stack, h[0], h[1], 1e-12)
+                np.array([[a + xi]]), delta, stack, 1e-12)
         assert evaluate_kappa(scenario, {}).kappa <= 1.0 + 1e-9
         assert batch[0][0] <= 1.0 + 1e-9

@@ -28,10 +28,9 @@ def test_dephasing_kernel_matches_reference_path():
                                       "xi_1": 0.2, "xi_2": 1.1},
                         sweep="delta")
     reference = evaluate_kappa(scenario, {})
-    h = single_copy_qfi_diagonal(family, (0.5, 0.45), 0.2)
     povm = np.ascontiguousarray(bell_povm().elements)
     value, k1, k2, status = kernels.kappa_phase_dephasing(
-        0.5 + 0.2, 0.5 + 1.1, 0.45, povm, h[0], h[1], 1e-12)
+        0.5 + 0.2, 0.5 + 1.1, 0.45, povm, 1e-12)
     assert status == 0
     assert abs(value - reference.kappa) < 1e-9
     assert abs(k1 - reference.per_parameter[0]) < 1e-9
@@ -74,9 +73,11 @@ def test_quantum_information_floor_boundary_on_both_paths():
     assert reference.excluded == (0,)
     assert reference.per_parameter[0] == 0.0 and reference.per_parameter[1] > 0
 
-    povm = np.ascontiguousarray(bell_povm().elements)
-    value, k1, k2, status = kernels.kappa_phase_dephasing(
-        0.7, 1.9, 0.45, povm, h[0], h[1], 1e-12)
+    swd = probe_with_derivatives(
+        ProbeFamily.phase_dephasing(copies=2, xi=(0.0, 1.2)), (0.7, 0.45))
+    value, k1, k2, status = (column[0] for column in kernels.kappa_batch(
+        np.ascontiguousarray(bell_povm().elements), swd.state[None],
+        swd.derivatives[None], h[0], h[1], 2, 1e-12))
     assert status == 2
     assert k1 == 0.0 and k2 > 0 and value == k2
 
@@ -148,48 +149,51 @@ SETTINGS = st.tuples(st.floats(0, math.pi), ANGLES, st.floats(0, math.pi),
 
 
 @given(seed=st.integers(0, 2**32 - 1), kind=TWO_COPY_KINDS, phi=ANGLES,
-       delta=st.floats(0.05, 2.5),
-       phases=st.lists(st.tuples(ANGLES, ANGLES), min_size=1, max_size=6))
+       rows=st.lists(st.tuples(ANGLES, ANGLES, st.floats(0.05, 2.5)),
+                     min_size=1, max_size=6))
 @settings(deadline=None, max_examples=60)
-def test_dephasing_batch_matches_scalar_and_reference(seed, kind, phi, delta,
-                                                      phases):
+def test_dephasing_batch_matches_scalar_and_reference(seed, kind, phi, rows):
+    # every row has its own phases and delta
     povm = _random_povm(seed, 4, kind)
     stack = np.ascontiguousarray(povm.elements)
     family = ProbeFamily.phase_dephasing(copies=2)
-    h = single_copy_qfi_diagonal(family, (phi, delta), 0.0)
-    alpha1 = np.array([phi + x1 for x1, _ in phases])
-    alpha2 = np.array([phi + x2 for _, x2 in phases])
-    batch = kernels.kappa_phase_dephasing_batch(np.stack((alpha1, alpha2)),
-                                                delta, stack, h[0], h[1], 1e-12)
-    scalars = [kernels.kappa_phase_dephasing(a1, a2, delta, stack, h[0], h[1],
-                                             1e-12)
-               for a1, a2 in zip(alpha1, alpha2)]
+    xi1, xi2, deltas = (np.array(column) for column in zip(*rows))
+    batch = kernels.kappa_phase_dephasing_batch(phi + np.stack((xi1, xi2)),
+                                                deltas, stack, 1e-12)
+    scalars = [kernels.kappa_phase_dephasing(phi + x1, phi + x2, delta, stack,
+                                             1e-12) for x1, x2, delta in rows]
     references = [evaluate_kappa(Scenario(
         family=family, measurement=povm, free_inputs=(),
         fixed_inputs={"phi": phi, "delta": delta, "xi_1": x1, "xi_2": x2},
-        sweep="delta"), {}) for x1, x2 in phases]
+        sweep="delta"), {}) for x1, x2, delta in rows]
     tolerances = [_tolerance(ProbeFamily.phase_dephasing(copies=2, xi=(x1, x2)),
-                             (phi, delta), povm) for x1, x2 in phases]
+                             (phi, delta), povm) for x1, x2, delta in rows]
     _assert_rows_agree(batch, scalars, references, tolerances)
 
 
-@given(seed=st.integers(0, 2**32 - 1), kind=TWO_COPY_KINDS, phi_y=ANGLES,
-       phi_z=ANGLES, xis=st.lists(ANGLES, min_size=1, max_size=6))
+#: (xi, phi_y, phi_z) rows on the series branch of the closed-form rotation
+SERIES_ROWS = [(0.3, 1e-9, 2e-9), (1.2, 0.007, 0.006)]
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=TWO_COPY_KINDS,
+       rows=st.lists(st.tuples(ANGLES, ANGLES, ANGLES), min_size=1,
+                     max_size=6))
 @settings(deadline=None, max_examples=60)
-def test_two_phase_batch_matches_scalar_and_reference(seed, kind, phi_y, phi_z,
-                                                      xis):
+def test_two_phase_batch_matches_scalar_and_reference(seed, kind, rows):
+    # every row has its own input phase and rotation
+    rows = rows + SERIES_ROWS
     povm = _random_povm(seed, 4, kind)
     stack = np.ascontiguousarray(povm.elements)
-    batch = kernels.kappa_two_phase_batch(np.array(xis), phi_y, phi_z, stack,
-                                          1e-12)
-    scalars = [kernels.kappa_two_phase(xi, phi_y, phi_z, stack, 1e-12)
-               for xi in xis]
+    xis, phi_ys, phi_zs = (np.array(column) for column in zip(*rows))
+    batch = kernels.kappa_two_phase_batch(xis, phi_ys, phi_zs, stack, 1e-12)
+    scalars = [kernels.kappa_two_phase(*row, stack, 1e-12) for row in rows]
+    assert _rows(batch) == scalars
     references = [evaluate_kappa(Scenario(
         family=ProbeFamily.two_phase(copies=2), measurement=povm,
         free_inputs=(), fixed_inputs={"phi_y": phi_y, "phi_z": phi_z, "xi": xi},
-        sweep="phi_z"), {}) for xi in xis]
+        sweep="phi_z"), {}) for xi, phi_y, phi_z in rows]
     tolerances = [_tolerance(ProbeFamily.two_phase(copies=2, xi=xi),
-                             (phi_y, phi_z), povm) for xi in xis]
+                             (phi_y, phi_z), povm) for xi, phi_y, phi_z in rows]
     _assert_rows_agree(batch, scalars, references, tolerances)
 
 
@@ -206,12 +210,10 @@ def test_single_copy_dephasing_batch_matches_reference(seed, kind, phi, delta,
     povm = _random_povm(seed, 2, kind)
     stack = np.ascontiguousarray(povm.elements)
     family = ProbeFamily.phase_dephasing()
-    h = single_copy_qfi_diagonal(family, (phi, delta), 0.0)
     alphas = np.array([[phi + xi for xi in xis]])
-    batch = kernels.kappa_phase_dephasing_batch(alphas, delta, stack, h[0],
-                                                h[1], 1e-12)
+    batch = kernels.kappa_phase_dephasing_batch(alphas, delta, stack, 1e-12)
     ones = [_rows(kernels.kappa_phase_dephasing_batch(
-        alphas[:, i:i + 1], delta, stack, h[0], h[1], 1e-12))[0]
+        alphas[:, i:i + 1], delta, stack, 1e-12))[0]
         for i in range(len(xis))]
     references = [evaluate_kappa(Scenario(
         family=family, measurement=povm,
@@ -258,11 +260,9 @@ def test_each_kernel_term_at_most_one(seed, copies, data, two_phase, a, b,
         batch = kernels.kappa_two_phase_batch(xis, a, b, stack, 1e-12,
                                               copies=copies)
     else:
-        h = single_copy_qfi_diagonal(ProbeFamily.phase_dephasing(), (0.0, delta),
-                                     0.0)
         alphas = a + np.stack((xis, xis[::-1])[:copies])
-        batch = kernels.kappa_phase_dephasing_batch(alphas, delta, stack, h[0],
-                                                    h[1], 1e-12)
+        batch = kernels.kappa_phase_dephasing_batch(alphas, delta, stack,
+                                                    1e-12)
     _, k1, k2, _ = batch
     assert max(k1.max(), k2.max()) <= 1.0 + 1e-9
 
@@ -277,12 +277,10 @@ def test_three_copy_dephasing_batch_matches_reference(seed, kind, phi, delta,
     povm = _random_povm(seed, 8, kind)
     stack = povm.elements
     family = ProbeFamily.phase_dephasing(copies=3)
-    h = single_copy_qfi_diagonal(family, (phi, delta), 0.0)
     alphas = phi + np.array(phases).T
-    batch = kernels.kappa_phase_dephasing_batch(alphas, delta, stack, h[0],
-                                                h[1], 1e-12)
+    batch = kernels.kappa_phase_dephasing_batch(alphas, delta, stack, 1e-12)
     ones = [_rows(kernels.kappa_phase_dephasing_batch(
-        alphas[:, i:i + 1], delta, stack, h[0], h[1], 1e-12))[0]
+        alphas[:, i:i + 1], delta, stack, 1e-12))[0]
         for i in range(len(phases))]
     references = [evaluate_kappa(Scenario(
         family=family, measurement=povm,
@@ -337,11 +335,10 @@ def test_per_row_generator_povms_match_reference(two_phase, a, b, delta,
     else:
         family = ProbeFamily.phase_dephasing(copies=2)
         params, fixed = (a, delta), {"phi": a, "delta": delta}
-        h = single_copy_qfi_diagonal(family, params, 0.0)
 
         def score(xi, povm):
             return kernels.kappa_phase_dephasing_batch(
-                a + np.stack((xi, -xi)), delta, povm, h[0], h[1], 1e-12)
+                a + np.stack((xi, -xi)), delta, povm, 1e-12)
 
     def phases(xi):
         return {"xi": xi} if two_phase else {"xi_1": xi, "xi_2": -xi}
@@ -372,6 +369,5 @@ def test_kernels_check_the_povm_dimension():
 def test_scalar_kernels_return_python_scalars():
     stack = np.ascontiguousarray(bell_povm().elements)
     for out in (kernels.kappa_two_phase(0.3, 0.4, 0.3, stack, 1e-12),
-                kernels.kappa_phase_dephasing(0.7, 1.9, 0.45, stack, 0.6, 0.9,
-                                              1e-12)):
+                kernels.kappa_phase_dephasing(0.7, 1.9, 0.45, stack, 1e-12)):
         assert [type(v) for v in out] == [float, float, float, int]

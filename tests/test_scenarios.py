@@ -267,6 +267,12 @@ class TestCollectiveSearch:
             random_collective_search(ProbeFamily.phase_dephasing(copies=2),
                                      trials=1, seed=0)
 
+    @pytest.mark.parametrize("xi_budget", [0, -5])
+    def test_xi_budget_validated(self, xi_budget):
+        with pytest.raises(ValueError, match="xi_budget must be >= 1"):
+            random_collective_search(ProbeFamily.two_phase(copies=2),
+                                     trials=1, seed=0, xi_budget=xi_budget)
+
     def test_haar_basis_is_orthonormal(self):
         rng = np.random.default_rng(0)
         basis = haar_random_basis(rng, 4)
@@ -469,6 +475,46 @@ class TestKernelRouting:
         out = optimize_kappa(scenario, at, budget=120)
         assert len(reference_calls) == 1
         assert 0.0 < out.result.kappa <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("scenario,kernel", [
+        (TestNegativeDelta.free_delta_scenario(),
+         "kappa_phase_dephasing_batch"),
+        (Scenario(family=ProbeFamily.two_phase(copies=2),
+                  measurement=bell_povm(), free_inputs=("phi_y", "phi_z"),
+                  sweep="xi"), "kappa_two_phase_batch"),
+    ], ids=["free-delta", "free-phi_y-phi_z"])
+    def test_one_kernel_call_per_batch_and_one_sld_solve(
+            self, monkeypatch, scenario, kernel):
+        kernel_calls, sld_calls = [], []
+        batched = getattr(kernels, kernel)
+        solve = scenarios.single_copy_qfi_diagonal
+
+        def counted_kernel(*args, **kwargs):
+            kernel_calls.append(args)
+            return batched(*args, **kwargs)
+
+        def counted_solve(*args):
+            sld_calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(kernels, kernel, counted_kernel)
+        monkeypatch.setattr(scenarios, "single_copy_qfi_diagonal",
+                            counted_solve)
+        names = list(scenario.free_inputs)
+        objective = _Objective(scenario, {**scenario.fixed_inputs,
+                                          scenario.sweep: 0.3}, names)
+        # every row has its own delta or rotation; some deltas are negative
+        grid = np.random.default_rng(4).uniform(-0.5, 2.0, (40, len(names)))
+        values = objective.batch(grid)
+        assert len(kernel_calls) == 1 and values.shape == (40,)
+        if "delta" in names:
+            negative = grid[:, names.index("delta")] < 0
+            assert negative.any() and (values[negative] == -np.inf).all()
+            assert (values[~negative] > -np.inf).all()
+        assert not sld_calls
+        optimize_kappa(scenario, 0.3, budget=120)
+        # the reported value at the optimum
+        assert len(sld_calls) == 1
 
     def test_singular_reference_point_is_not_regular(self):
         # kappa > 0 at this singular point, so a status guessed from

@@ -12,6 +12,8 @@ from qmetro import (ProbeFamily, check_density_matrix, dephased_phase_state,
                     tensor_product, two_phase_ket_with_derivatives,
                     two_phase_state)
 from qmetro.linalg import PAULI_Y, PAULI_Z, hermiticity_defect
+from qmetro.scenarios import single_copy_qfi_diagonal
+from qmetro.states import dephasing_qfi
 
 ANGLES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -100,6 +102,35 @@ class TestDephasedPhaseState:
         check_density_matrix(rho)
         expected = (1.0 + math.exp(-2.0 * delta * delta)) / 2.0
         assert abs(purity(rho) - expected) < 1e-10
+
+
+class TestDephasingQfi:
+    """The closed-form single-copy quantum information of the dephased probe
+    against the SLD solution of the reference path."""
+
+    @given(delta=st.floats(1e-3, 3.0))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_the_sld_solution(self, delta):
+        # the quantum information does not depend on the phase; phase 0 is
+        # where the SLD solution is most accurate for a nearly pure state
+        sld = single_copy_qfi_diagonal(ProbeFamily.phase_dephasing(),
+                                       (0.0, delta), 0.0)
+        closed = np.array(dephasing_qfi(delta))
+        assert np.all(np.abs(closed - sld) <= 1e-9 * np.abs(sld))
+
+    def test_delta_information_vanishes_at_zero_on_both_paths(self):
+        sld = single_copy_qfi_diagonal(ProbeFamily.phase_dephasing(),
+                                       (0.4, 0.0), 0.3)
+        assert tuple(dephasing_qfi(0.0)) == (1.0, 0.0)
+        assert sld[1] == 0.0
+
+    def test_array_rows_match_single_values(self):
+        deltas = np.array([0.0, 1e-3, 0.3, 2.0, -0.5])
+        h_phi, h_delta = dephasing_qfi(deltas)
+        for i, delta in enumerate(deltas):
+            assert (h_phi[i], h_delta[i]) == tuple(dephasing_qfi(float(delta)))
+        # even in delta
+        assert h_delta[-1] == dephasing_qfi(0.5)[1]
 
 
 class TestProbeWithDerivatives:

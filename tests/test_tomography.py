@@ -148,6 +148,18 @@ class TestMleReconstruct:
         assert not result.converged
         assert result.iterations == 3
 
+    @pytest.mark.parametrize("options,message", [
+        ({"max_iters": 0}, "max_iters must be >= 1"),
+        ({"max_iters": -3}, "max_iters must be >= 1"),
+        ({"tol": -1.0}, "tol must be >= 0"),
+        ({"tol": float("nan")}, "tol must be >= 0"),
+    ])
+    def test_nonsensical_iteration_settings_rejected(self, options, message):
+        refs = reference_states()
+        counts = simulate_counts(bell_povm(), refs, 1e4, seed=6)
+        with pytest.raises(ValueError, match=message):
+            mle_reconstruct(counts, refs, **options)
+
     def test_all_zero_row_rejected(self):
         refs = reference_states()
         counts = simulate_counts(bell_povm(), refs, 1e4, seed=6)
