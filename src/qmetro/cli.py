@@ -6,7 +6,10 @@ conjecture-search, gate-model. Settings come from an INI-style config file
 overridden by command-line flags of the same name. Every run writes its
 artifacts atomically into the output directory along with a deterministic
 manifest.json; wall time goes to run.log so that reruns with the same config
-and seed are byte-identical.
+and seed are byte-identical. The searches (kappa-scan, optimize,
+conjecture-search) add their work to run.log as key=value lines:
+``evaluations`` (κ rows scored), ``kernel_calls`` and ``refine_iterations``
+(Nelder-Mead iterations summed over the refined points or trials).
 """
 
 from __future__ import annotations
@@ -247,7 +250,7 @@ def _matrix_doc(m: np.ndarray) -> dict:
             "im": [[float(x) for x in row] for row in np.asarray(m).imag]}
 
 
-def _cmd_qfi(cfg, out):
+def _cmd_qfi(cfg, log):
     family = _family_from_config(cfg)
     params = _family_point(cfg)
     swd = probe_with_derivatives(family, params)
@@ -265,7 +268,7 @@ def _cmd_qfi(cfg, out):
     return {"qfi.json": serialize.dumps_json(doc)}
 
 
-def _cmd_weak_comm(cfg, out):
+def _cmd_weak_comm(cfg, log):
     family = _family_from_config(cfg)
     params = _family_point(cfg)
     swd = probe_with_derivatives(family, params)
@@ -289,26 +292,33 @@ def _cmd_weak_comm(cfg, out):
     return {"weak_comm.json": serialize.dumps_json(doc)}
 
 
-def _scenario_from_config(cfg) -> Scenario:
+def _point_input(cfg) -> str:
+    """The family's second parameter: the default swept input."""
+    return "phi_z" if cfg["family"] == TWO_PHASE else "delta"
+
+
+def _free_inputs(cfg) -> tuple[str, ...]:
+    if cfg["family"] == TWO_PHASE:
+        default = "xi"
+    else:
+        default = "phi,xi_1,xi_2" if cfg["copies"] == 2 else "phi,xi_1"
+    text = cfg.get("free_inputs") or default
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+def _scenario_from_config(cfg, sweep: str | None) -> Scenario:
     family = _family_from_config(cfg)
     measurement = _measurement_from_config(cfg)
     if cfg["family"] == TWO_PHASE:
-        default_free = "xi"
-        default_sweep = "phi_z"
         fixed = {"phi_y": cfg["phi_y"], "phi_z": cfg["phi_z"], "xi": cfg["xi"]}
     else:
-        default_free = "phi,xi_1,xi_2" if cfg["copies"] == 2 else "phi,xi_1"
-        default_sweep = "delta"
         fixed = {"phi": cfg["phi"], "delta": cfg["delta"]}
         for i in range(cfg["copies"]):
             name = f"xi_{i + 1}"
             fixed[name] = cfg["xi"] if cfg.get(name) is None else cfg[name]
-    free_text = cfg.get("free_inputs") or default_free
-    free = tuple(s.strip() for s in free_text.split(",") if s.strip())
-    sweep = cfg.get("sweep") or default_sweep
-    for name in free:
+    free = _free_inputs(cfg)
+    for name in free + (sweep,):
         fixed.pop(name, None)
-    fixed.pop(sweep, None)
     return Scenario(family=family, measurement=measurement, free_inputs=free,
                     fixed_inputs=fixed, sweep=sweep)
 
@@ -321,9 +331,10 @@ def _sweep_grid(cfg):
     return np.linspace(cfg["sweep_min"], cfg["sweep_max"], cfg["sweep_points"])
 
 
-def _cmd_kappa_scan(cfg, out):
-    scenario = _scenario_from_config(cfg)
+def _cmd_kappa_scan(cfg, log):
+    scenario = _scenario_from_config(cfg, cfg.get("sweep") or _point_input(cfg))
     curve = kappa_scan(scenario, _sweep_grid(cfg), budget=cfg["budget"])
+    log.update(asdict(curve.work))
     header, rows = curve.rows()
     lines = [",".join(header)]
     for row in rows:
@@ -339,14 +350,19 @@ def _cmd_kappa_scan(cfg, out):
             "kappa_scan_report.json": serialize.dumps_json(report)}
 
 
-def _cmd_optimize(cfg, out):
-    scenario = _scenario_from_config(cfg)
-    at = cfg["delta"] if cfg["family"] == PHASE_DEPHASING else cfg["phi_z"]
+def _cmd_optimize(cfg, log):
+    # the family's second parameter is the point optimized at, unless free
+    sweep = _point_input(cfg)
+    if sweep in _free_inputs(cfg):
+        sweep = None
+    at = None if sweep is None else cfg[sweep]
+    scenario = _scenario_from_config(cfg, sweep)
     outcome = optimize_kappa(scenario, at, budget=cfg["budget"])
+    log.update(asdict(outcome.work))
     doc = {
         "family": cfg["family"],
-        "sweep": scenario.sweep,
-        "at": float(at),
+        "sweep": sweep,
+        "at": at,
         "kappa": float(outcome.result.kappa),
         "per_parameter": {
             name: float(v) for name, v in
@@ -358,14 +374,14 @@ def _cmd_optimize(cfg, out):
     return {"optimize.json": serialize.dumps_json(doc)}
 
 
-def _cmd_simulate_counts(cfg, out):
+def _cmd_simulate_counts(cfg, log):
     povm = _measurement_from_config(cfg)
     refs = reference_states()
     counts = simulate_counts(povm, refs, cfg["exposure"], cfg["seed"])
     return {"counts.csv": counts_to_csv(counts)}
 
 
-def _cmd_tomography(cfg, out):
+def _cmd_tomography(cfg, log):
     counts = load_counts(cfg["counts"])
     refs = reference_states()
     result = mle_reconstruct(counts, refs, max_iters=cfg["max_iters"],
@@ -387,11 +403,12 @@ def _cmd_tomography(cfg, out):
             "tomography_report.json": serialize.dumps_json(doc)}
 
 
-def _cmd_conjecture_search(cfg, out):
+def _cmd_conjecture_search(cfg, log):
     family = ProbeFamily.two_phase(copies=2)
     result = random_collective_search(family, cfg["trials"], cfg["seed"],
                                       at=(cfg["phi_y"], cfg["phi_z"]),
                                       xi_budget=cfg["xi_budget"])
+    log.update(asdict(result.work))
     doc = {
         "trials": result.trials,
         "seed": result.seed,
@@ -407,7 +424,7 @@ def _cmd_conjecture_search(cfg, out):
     return {"conjecture_search.json": serialize.dumps_json(doc)}
 
 
-def _cmd_gate_model(cfg, out):
+def _cmd_gate_model(cfg, log):
     model = _gate_model_from_config(cfg)
     povm, success = cs_gate_povm(model)
     ideal = bell_povm()
@@ -445,7 +462,8 @@ def run(command: str, cfg: dict) -> list[str]:
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
     start = time.perf_counter()
-    artifacts = _RUNNERS[command](cfg, out_dir)
+    log: dict[str, int] = {}
+    artifacts = _RUNNERS[command](cfg, log)
     inputs = {os.path.abspath(cfg[k]) for k in _INPUT_PATH_KEYS
               if cfg.get(k)}
     manifest = {
@@ -469,8 +487,10 @@ def run(command: str, cfg: dict) -> list[str]:
     serialize.atomic_write_text(manifest_path, serialize.dumps_json(manifest))
     written.append(manifest_path)
     elapsed = time.perf_counter() - start
-    serialize.atomic_write_text(os.path.join(out_dir, "run.log"),
-                                f"wall_time_s={elapsed:.3f}\n")
+    serialize.atomic_write_text(
+        os.path.join(out_dir, "run.log"),
+        "".join(f"{k}={v}\n" for k, v in
+                {"wall_time_s": f"{elapsed:.3f}", **log}.items()))
     return written
 
 

@@ -13,19 +13,22 @@ Every search evaluation is scored by the batched kernels
 (``kernels.kappa_batch``), for any number of copies and for a fixed POVM or
 a measurement generator alike; ``evaluate_kappa`` computes the reported
 value at each optimum and is the reference the kernels are tested against.
+A scan optimizes all its points, and the collective search a chunk of
+trials, in one lockstep run of ``_maximize``: each simplex step of every
+point's refinement shares one kernel call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import kernels
 from .fisher import (DEFAULT_P_CUTOFF, KappaResult, classical_fi, kappa,
                      measurement_probabilities, qfi_matrix, sld_operators)
+from .neldermead import minimize
 from .povm import MeasurementGenerator, Povm
 from .states import (PHASE_DEPHASING, TWO_PHASE, ProbeFamily,
                      probe_with_derivatives)
@@ -46,18 +49,21 @@ class Scenario:
 
     ``free_inputs``, ``fixed_inputs`` and the swept name must be disjoint
     and together cover the family point, the input phases and any
-    measurement settings; each free input is named once and used.
+    measurement settings; each free input is named once and used. A
+    scenario optimized at one point only may have no swept input
+    (``sweep=None``).
     """
 
     family: ProbeFamily
     measurement: Povm | MeasurementGenerator
     free_inputs: tuple[str, ...] = ()
     fixed_inputs: dict[str, float] = field(default_factory=dict)
-    sweep: str = "delta"
+    sweep: str | None = "delta"
 
     def __post_init__(self):
         free, required = self.free_inputs, self.required_inputs()
-        provided = set(free) | set(self.fixed_inputs) | {self.sweep}
+        swept = set() if self.sweep is None else {self.sweep}
+        provided = set(free) | set(self.fixed_inputs) | swept
         if self.family.kind == TWO_PHASE and (
                 "xi_1" in provided or "xi_2" in provided):
             raise ValueError("two-phase scenarios take a single shared input "
@@ -66,7 +72,7 @@ class Scenario:
         shared = "xi" in provided
         for problem, names in (
                 ("inputs both free and fixed or swept",
-                 sorted(set(free) & (set(self.fixed_inputs) | {self.sweep}))),
+                 sorted(set(free) & (set(self.fixed_inputs) | swept))),
                 ("free inputs repeated",
                  sorted({n for n in free if free.count(n) > 1})),
                 ("scenario does not cover inputs",
@@ -76,7 +82,7 @@ class Scenario:
                  [n for n in free if n != "xi" and (
                      n not in required or shared and n.startswith("xi_"))]),
                 ("swept input not used by this scenario",
-                 [] if self.sweep in required else [self.sweep])):
+                 sorted(swept - set(required)))):
             if names:
                 raise ValueError(f"{problem}: {names}")
 
@@ -92,10 +98,29 @@ class Scenario:
 
 
 @dataclass(frozen=True)
+class SearchWork:
+    """What a search did: objective rows scored, kernel calls made, and
+    Nelder-Mead iterations summed over the refined problems (counted as
+    scipy counts them, from 1 per problem)."""
+
+    evaluations: int = 0
+    kernel_calls: int = 0
+    refine_iterations: int = 0
+
+    def __add__(self, other: SearchWork) -> SearchWork:
+        return SearchWork(*(a + b for a, b in zip(astuple(self),
+                                                  astuple(other))))
+
+
+@dataclass(frozen=True)
 class OptimizeOutcome:
     result: KappaResult
     settings: dict[str, float]
-    evaluations: int
+    work: SearchWork
+
+    @property
+    def evaluations(self) -> int:
+        return self.work.evaluations
 
 
 @dataclass(frozen=True)
@@ -109,6 +134,7 @@ class KappaCurve:
     parameter_names: tuple[str, ...]
     optimizer_args: tuple[dict[str, float], ...]
     failed: tuple[str | None, ...]        # per-point error message or None
+    work: SearchWork = SearchWork()
 
     def rows(self):
         """CSV rows: sweep value, kappa, contributions, best settings."""
@@ -166,39 +192,55 @@ def evaluate_kappa(scenario: Scenario, values: dict[str, float]) -> KappaResult:
 
 
 class _Objective:
-    """kappa as a function of the free-input vector; counts evaluations.
+    """kappa as a function of the free-input vector, for P independent
+    problems at once (P = 1 by default); counts rows and kernel calls.
 
     Every call scores its N rows with one kernel call, whichever inputs are
-    free: a free input is a column of the rows, and a fixed delta or
-    rotation (phi_y, phi_z) one value that the kernel shares across them. A
-    fixed POVM is shared by all rows, and a measurement generator builds one
-    element set per row. ``evaluate_kappa`` is not called here.
+    free: a free input is a column of the rows. A fixed input is one value
+    in ``base``, or an array of P values from which each row takes its own
+    problem's; a fixed delta or rotation (phi_y, phi_z) that is one value is
+    passed to the kernel as one value. A fixed POVM is shared by all rows,
+    and a measurement generator builds one element set per row.
+    ``evaluate_kappa`` is not called here.
     """
 
-    def __init__(self, scenario: Scenario, base: dict[str, float],
-                 names: list[str]):
+    def __init__(self, scenario: Scenario, base: dict, names: list[str]):
         self.scenario = scenario
         self.base = base
         self.names = names
+        self.problems = max((len(v) for v in base.values() if np.ndim(v)),
+                            default=1)
         self.evaluations = 0
-        self.any_regular = False
+        self.kernel_calls = 0
+        self.refine_iterations = 0
+        #: per problem: whether any of its rows had a regular Fisher matrix
+        self.any_regular = np.zeros(self.problems, dtype=bool)
 
     def __call__(self, x) -> float:
         return float(self.batch(np.asarray(x, dtype=float)[None])[0])
 
-    def batch(self, X) -> np.ndarray:
-        """The search score at every row of ``X`` (shape (N, len(names))):
-        kappa, 0 where the Fisher matrix is singular, and -inf where delta
-        < 0."""
+    def work(self) -> SearchWork:
+        return SearchWork(self.evaluations, self.kernel_calls,
+                          self.refine_iterations)
+
+    def batch(self, X, problems=None) -> np.ndarray:
+        """The search score at every row of ``X`` (shape (N, len(names))),
+        where row i belongs to problem ``problems[i]`` (problem 0 when
+        ``problems`` is None): kappa, 0 where the Fisher matrix is singular,
+        and -inf where delta < 0."""
         X = np.asarray(X, dtype=float)
+        rows = np.zeros(len(X), dtype=int) if problems is None else problems
         cols = {n: X[:, i] for i, n in enumerate(self.names)}
 
         def value(name):
-            return cols[name] if name in cols else float(self.base[name])
+            if name in cols:
+                return cols[name]
+            fixed = self.base[name]
+            return fixed[rows] if np.ndim(fixed) else float(fixed)
 
         def column(name):
-            return cols[name] if name in cols else np.full(
-                len(X), float(self.base[name]))
+            v = value(name)
+            return v if np.ndim(v) else np.full(len(X), v)
 
         fam = self.scenario.family
         measurement = self.scenario.measurement
@@ -212,8 +254,8 @@ class _Objective:
                                for i in range(fam.copies)])
             kappa_values, _, _, status = kernels.kappa_phase_dephasing_batch(
                 alphas, delta, povm, DEFAULT_P_CUTOFF)
-            negative = delta < 0
-            if "delta" in cols or negative:
+            negative = np.less(delta, 0)
+            if negative.any():
                 # kappa is even in delta, so the kernel scored the mirror
                 # point; no dephasing strength is negative
                 kappa_values = np.where(negative, -np.inf, kappa_values)
@@ -223,7 +265,8 @@ class _Objective:
                 column("xi"), value("phi_y"), value("phi_z"), povm,
                 DEFAULT_P_CUTOFF, copies=fam.copies)
         self.evaluations += len(X)
-        self.any_regular = self.any_regular or bool((status == 0).any())
+        self.kernel_calls += 1
+        self.any_regular[rows[status == 0]] = True
         return _search_score(kappa_values, status)
 
 
@@ -242,50 +285,105 @@ def _search_score(kappa_values, status):
     return np.where(status == 1, 0.0, kappa_values)
 
 
-def _maximize(objective, names: list[str], budget: int):
-    """Deterministic coarse grid plus Nelder-Mead refinement.
+#: the most rows of several problems that share a kernel call, which
+#: bounds its memory: grids are grouped up to it (a larger grid takes one
+#: call per problem), and the collective search refines this many trials
+#: together, one row each per simplex step
+_CALL_ROWS = 340
 
-    The grid is scored by one ``objective.batch`` call, the refinement by
-    calls of ``objective``; both add to ``objective.evaluations``.
+
+def _maximize(objective, names: list[str], budget: int):
+    """Deterministic coarse grid plus Nelder-Mead refinement for each of the
+    objective's P problems; returns the best inputs (P, len(names)) and
+    their scores (P,).
+
+    Every problem is scored at the same grid points, several problems per
+    ``objective.batch`` call up to ``_CALL_ROWS`` rows. Each problem's
+    best grid point seeds its simplex, and ``minimize`` refines all problems
+    in lockstep: one call per simplex phase scores every problem in it, so
+    a run makes at most 1 + 3 * max(iterations) refinement calls whatever P
+    is, and each problem takes the path scipy's Nelder-Mead takes for it
+    alone wherever the kernel gives a row the same bits in any batch. Rows,
+    calls and iterations add up on ``objective``.
     """
+    everyone = np.arange(objective.problems)
     ndim = len(names)
     if ndim == 0:
-        return np.zeros(0), objective(np.zeros(0))
+        return np.zeros((everyone.size, 0)), objective.batch(
+            np.zeros((everyone.size, 0)), everyone)
     per_dim = min(GRID_POINTS_PER_DIM,
                   max(3, int((_GRID_FRACTION * budget) ** (1.0 / ndim))))
     axes = [np.linspace(0.0, _PERIODS.get(n, _DEFAULT_PERIOD), per_dim,
                         endpoint=False) for n in names]
     # rows in np.ndindex order: the last input varies fastest
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, ndim)
-    values = objective.batch(grid)
-    # the first strict maximum wins and NaN never does, as a running
-    # ``v > best`` comparison from -inf would choose
-    ranked = np.where(np.isnan(values), -np.inf, values)
-    best = int(np.argmax(ranked))
-    best_x, best_v = grid[best], ranked[best]
-    remaining = budget - objective.evaluations
+    group = max(1, _CALL_ROWS // len(grid))
+    values = np.concatenate([
+        objective.batch(np.tile(grid, (len(part), 1)),
+                        np.repeat(part, len(grid)))
+        for part in np.split(everyone, range(group, everyone.size, group))])
+    # per problem the first strict maximum wins and NaN never does, as a
+    # running ``v > best`` comparison from -inf would choose
+    ranked = np.where(np.isnan(values), -np.inf, values).reshape(everyone.size, -1)
+    best = np.argmax(ranked, axis=1)
+    best_x, best_v = grid[best], ranked[everyone, best]
+    remaining = budget - len(grid)
     if remaining >= ndim + 2:
         steps = [0.5 * (_PERIODS.get(n, _DEFAULT_PERIOD) / per_dim) for n in names]
-        simplex = [np.array(best_x, dtype=float)]
+        simplex = np.repeat(best_x[:, None, :], ndim + 1, axis=1)
         for d in range(ndim):
-            vertex = np.array(best_x, dtype=float)
-            vertex[d] += steps[d]
-            simplex.append(vertex)
-        res = minimize(lambda x: -objective(x), best_x, method="Nelder-Mead",
-                       options={"maxfev": remaining, "xatol": 1e-7,
-                                "fatol": 1e-12, "initial_simplex": np.array(simplex)})
-        if -res.fun > best_v:
-            best_v, best_x = -res.fun, np.asarray(res.x, dtype=float)
+            simplex[:, d + 1, d] += steps[d]
+        res = minimize(lambda X, rows: -objective.batch(X, rows), simplex,
+                       remaining, xatol=1e-7, fatol=1e-12)
+        objective.refine_iterations += int(res.nit.sum())
+        better = -res.fun > best_v
+        best_x = np.where(better[:, None], res.x, best_x)
+        best_v = np.where(better, -res.fun, best_v)
     return best_x, best_v
+
+
+def _negative_delta(scenario: Scenario, vals) -> ValueError | None:
+    """The error of a point whose fixed dephasing strength is negative."""
+    if scenario.family.kind == PHASE_DEPHASING and vals.get("delta", 0.0) < 0:
+        return ValueError(f"dephasing strength must be >= 0, got {vals['delta']}")
+    return None
+
+
+def _optimize(scenario: Scenario, base: dict, budget: int):
+    """Maximize kappa for every problem of ``base`` in one lockstep run.
+
+    Returns per problem ``(settings, KappaResult)`` or the error it failed
+    with, and the run's ``SearchWork``.
+    """
+    names = list(scenario.free_inputs)
+    objective = _Objective(scenario, base, names)
+    best_x, _ = _maximize(objective, names, budget)
+    found = []
+    for p, x in enumerate(best_x):
+        vals = {k: float(v[p]) if np.ndim(v) else v for k, v in base.items()}
+        if not objective.any_regular[p]:
+            found.append(RuntimeError(
+                "kappa evaluation failed at every grid point (singular Fisher "
+                f"matrix); scenario sweep {scenario.sweep} at "
+                f"{vals.get(scenario.sweep)}"))
+            continue
+        settings = {n: float(v) for n, v in zip(names, x)}
+        try:
+            found.append((settings, evaluate_kappa(scenario,
+                                                   {**vals, **settings})))
+        except (RuntimeError, ValueError) as exc:
+            found.append(exc)
+    return found, objective.work()
 
 
 def optimize_kappa(scenario: Scenario, at, budget: int = DEFAULT_BUDGET) -> OptimizeOutcome:
     """Maximize kappa over the scenario's free inputs at a fixed sweep value.
 
-    ``at`` is the swept input's value (or a mapping of extra fixed values).
-    The search is a coarse grid over each free input's period followed by a
-    simplex refinement from the best grid point; deterministic for a fixed
-    budget.
+    ``at`` is the swept input's value (or a mapping of extra fixed values,
+    or None when every input is free or fixed). The search is a coarse grid
+    over each free input's period followed by a simplex refinement from the
+    best grid point, a lockstep run of one problem; deterministic for a
+    fixed budget.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -294,50 +392,66 @@ def optimize_kappa(scenario: Scenario, at, budget: int = DEFAULT_BUDGET) -> Opti
         base.update({k: float(v) for k, v in at.items()})
     elif at is not None:
         base[scenario.sweep] = float(at)
-    if base.get("delta", 0.0) < 0 and scenario.family.kind == PHASE_DEPHASING:
-        raise ValueError(f"dephasing strength must be >= 0, got {base['delta']}")
-    names = list(scenario.free_inputs)
-    objective = _Objective(scenario, base, names)
-    best_x, _ = _maximize(objective, names, budget)
-    if not objective.any_regular:
-        raise RuntimeError(
-            "kappa evaluation failed at every grid point (singular Fisher "
-            f"matrix); scenario sweep {scenario.sweep} at {base.get(scenario.sweep)}")
-    settings = {n: float(v) for n, v in zip(names, best_x)}
-    vals = dict(base)
-    vals.update(settings)
-    result = evaluate_kappa(scenario, vals)
-    return OptimizeOutcome(result=result, settings=settings,
-                           evaluations=objective.evaluations)
+    error = _negative_delta(scenario, base)
+    if error:
+        raise error
+    [outcome], work = _optimize(scenario, base, budget)
+    if isinstance(outcome, Exception):
+        raise outcome
+    settings, result = outcome
+    return OptimizeOutcome(result=result, settings=settings, work=work)
 
 
 def kappa_scan(scenario: Scenario, grid, budget: int = DEFAULT_BUDGET) -> KappaCurve:
-    """Optimize kappa independently at every grid value of the swept input."""
+    """Optimize kappa independently at every grid value of the swept input.
+
+    All points with a valid dephasing strength are optimized in one
+    lockstep run, each as ``optimize_kappa`` would optimize it alone; a
+    point that fails keeps its own error message and leaves the others
+    untouched.
+    """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    if scenario.sweep is None:
+        raise ValueError("a scan needs a scenario with a swept input")
     grid = np.asarray(list(grid), dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid must be finite")
     if not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be strictly increasing")
+    outcomes = [_negative_delta(scenario, {**scenario.fixed_inputs,
+                                           scenario.sweep: float(x)})
+                for x in grid]
+    valid = [i for i, error in enumerate(outcomes) if error is None]
+    work = SearchWork()
+    if valid:
+        found, work = _optimize(
+            scenario, {**scenario.fixed_inputs, scenario.sweep: grid[valid]},
+            budget)
+        for i, outcome in zip(valid, found):
+            outcomes[i] = outcome
     n = scenario.family.num_parameters
     kappas = np.full(grid.size, np.nan)
     per = np.full((grid.size, n), np.nan)
     args: list[dict[str, float]] = []
     failed: list[str | None] = []
-    for i, value in enumerate(grid):
-        try:
-            out = optimize_kappa(scenario, float(value), budget)
-        except (RuntimeError, ValueError) as exc:
+    for i, outcome in enumerate(outcomes):
+        if isinstance(outcome, Exception):
             args.append({name: float("nan") for name in scenario.free_inputs})
-            failed.append(str(exc))
+            failed.append(str(outcome))
             continue
-        kappas[i] = out.result.kappa
-        per[i] = out.result.per_parameter
-        args.append(out.settings)
+        settings, result = outcome
+        kappas[i] = result.kappa
+        per[i] = result.per_parameter
+        args.append(settings)
         failed.append(None)
     return KappaCurve(sweep=scenario.sweep, grid=grid, kappa_values=kappas,
                       per_parameter=per,
                       parameter_names=scenario.family.parameter_names,
-                      optimizer_args=tuple(args), failed=tuple(failed))
+                      optimizer_args=tuple(args), failed=tuple(failed),
+                      work=work)
 
 
 def default_delta_grid(lo: float = 0.02, hi: float = 3.0, points: int = 40) -> np.ndarray:
@@ -350,14 +464,46 @@ def default_delta_grid(lo: float = 0.02, hi: float = 3.0, points: int = 40) -> n
 # random collective-measurement search
 # ---------------------------------------------------------------------------
 
+def _complex_gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def _haar_bases(gaussians: np.ndarray) -> np.ndarray:
+    """Haar-random orthonormal bases (columns) from a stack of complex
+    Gaussian matrices: their QR decompositions, each with the R diagonal
+    phase fixed. One batched QR gives each matrix's own bits."""
+    q, r = np.linalg.qr(gaussians)
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    phases /= np.abs(phases)
+    return q * phases[..., None, :]
+
+
 def haar_random_basis(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Columns form a Haar-random orthonormal basis (QR of a complex
     Gaussian matrix with the R diagonal phase fixed)."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases[None, :]
+    return _haar_bases(_complex_gaussian(rng, dim))
+
+
+def _basis_projectors(bases: np.ndarray) -> np.ndarray:
+    """The projectors onto the columns of each basis, (T, dim, dim, dim)
+    from (T, dim, dim); element k of basis b is bit for bit
+    ``np.outer(b[:, k], b[:, k].conj())``."""
+    kets = bases.transpose(0, 2, 1)
+    return kets[:, :, :, None] * kets.conj()[:, :, None, :]
+
+
+class _TrialBases(MeasurementGenerator):
+    """The projective measurements on a stack of bases; the setting
+    ``trial`` picks the basis of each row."""
+
+    setting_names = ("trial",)
+
+    def __init__(self, bases: np.ndarray):
+        self.projectors = _basis_projectors(bases)
+        self.labels = tuple(f"b{k}" for k in range(bases.shape[-1]))
+
+    def elements(self, settings):
+        return self.projectors[np.asarray(settings["trial"], dtype=int)]
 
 
 @dataclass(frozen=True)
@@ -370,6 +516,11 @@ class CollectiveSearchResult:
     trials: int
     seed: int
     at: tuple[float, float]
+    work: SearchWork = SearchWork()
+
+
+#: trials drawn and optimized in one lockstep run
+_SEARCH_CHUNK = _CALL_ROWS
 
 
 def random_collective_search(family: ProbeFamily, trials: int, seed: int,
@@ -379,7 +530,10 @@ def random_collective_search(family: ProbeFamily, trials: int, seed: int,
 
     Every trial draws a Haar-random orthonormal basis of the two-copy space
     (child generator seeded from ``(seed, trial)``), optimizes the shared
-    input phase, and keeps the best kappa found. Deterministic given seed.
+    input phase, and keeps the best kappa found; the first trial wins a
+    tie. Trials are optimized in chunks of ``_SEARCH_CHUNK``, each chunk in
+    one lockstep run with one POVM per row, and every trial's optimum is
+    the one it has alone. Deterministic given seed.
     """
     if family.kind != TWO_PHASE or family.copies != 2:
         raise ValueError("the collective search is defined for the two-phase "
@@ -389,27 +543,33 @@ def random_collective_search(family: ProbeFamily, trials: int, seed: int,
     if xi_budget < 1:
         raise ValueError("xi_budget must be >= 1")
     phi_y, phi_z = float(at[0]), float(at[1])
+    fixed = {"phi_y": phi_y, "phi_z": phi_z}
     dim = 4
-    best = (-np.inf, -1, 0.0, None, None)
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        basis = haar_random_basis(rng, dim)
-        stack = np.stack([np.outer(basis[:, k], basis[:, k].conj())
-                          for k in range(dim)])
-
-        scenario = Scenario(
-            family=family,
-            measurement=Povm(tuple(f"b{k}" for k in range(dim)), stack),
-            free_inputs=("xi",),
-            fixed_inputs={"phi_y": phi_y, "phi_z": phi_z},
-            sweep="phi_z")
-        objective = _Objective(scenario, dict(scenario.fixed_inputs), ["xi"])
-        x, value = _maximize(objective, ["xi"], xi_budget)
-        if value > best[0]:
-            best = (value, trial, float(x[0]), basis, scenario)
-    value, trial, xi, basis, scenario = best
+    best = (-np.inf, -1, 0.0, None)
+    work = SearchWork()
+    for start in range(0, trials, _SEARCH_CHUNK):
+        chunk = range(start, min(start + _SEARCH_CHUNK, trials))
+        bases = _haar_bases(np.stack([
+            _complex_gaussian(np.random.default_rng([seed, t]), dim)
+            for t in chunk]))
+        scenario = Scenario(family=family, measurement=_TrialBases(bases),
+                            free_inputs=("xi",), fixed_inputs=fixed,
+                            sweep="trial")
+        objective = _Objective(scenario, {**fixed, "trial": np.arange(len(chunk))},
+                               ["xi"])
+        x, values = _maximize(objective, ["xi"], xi_budget)
+        work += objective.work()
+        for i, trial in enumerate(chunk):
+            if values[i] > best[0]:
+                best = (values[i], trial, float(x[i, 0]), bases[i])
+    value, trial, xi, basis = best
+    scenario = Scenario(
+        family=family,
+        measurement=Povm(tuple(f"b{k}" for k in range(dim)),
+                         _basis_projectors(basis[None])[0]),
+        free_inputs=("xi",), fixed_inputs=fixed, sweep=None)
     result = evaluate_kappa(scenario, {"xi": xi})
     return CollectiveSearchResult(
         max_kappa=result.kappa, trial_index=trial, xi=xi, basis=basis,
         per_parameter=result.per_parameter, trials=trials, seed=seed,
-        at=(phi_y, phi_z))
+        at=(phi_y, phi_z), work=work)

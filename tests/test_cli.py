@@ -183,6 +183,50 @@ class TestCliCommands:
         doc = json.loads((out / "optimize.json").read_text())
         assert doc["kappa"] > 1.0
 
+    def test_optimize_output_pinned(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code, _ = run_cli(capsys, "optimize", "--delta", "0.3",
+                          "--out", str(out))
+        assert code == 0
+        doc = json.loads((out / "optimize.json").read_text())
+        assert (doc["sweep"], doc["at"]) == ("delta", 0.3)
+        assert doc["evaluations"] == 1500
+        assert doc["kappa"] == 1.2903913190376892
+        assert doc["settings"] == {"phi": 0.93181171967163146,
+                                   "xi_1": 2.9951790994030429,
+                                   "xi_2": 2.9951790945971726}
+
+    @pytest.mark.parametrize("argv,free", [
+        (["--free-inputs", "phi,delta,xi_1,xi_2"], "delta"),
+        (["--family", "two-phase", "--free-inputs", "xi,phi_z"], "phi_z"),
+    ], ids=["delta", "phi_z"])
+    def test_optimize_frees_the_family_parameter(self, tmp_path, capsys, argv,
+                                                 free):
+        out = tmp_path / "o"
+        code, _ = run_cli(capsys, "optimize", *argv, "--budget", "300",
+                          "--out", str(out))
+        assert code == 0
+        doc = json.loads((out / "optimize.json").read_text())
+        assert doc["sweep"] is None and doc["at"] is None
+        assert free in doc["settings"]
+        assert doc["evaluations"] <= 300
+        assert 0.0 < doc["kappa"] <= 1.5 + 1e-6
+
+    @pytest.mark.parametrize("argv", [
+        ["kappa-scan", "--sweep-points", "3", "--budget", "100"],
+        ["optimize", "--budget", "100"],
+        ["conjecture-search", "--trials", "5"],
+    ], ids=["kappa-scan", "optimize", "conjecture-search"])
+    def test_run_log_reports_search_work(self, tmp_path, capsys, argv):
+        code, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
+        assert code == 0
+        lines = (tmp_path / "run.log").read_text().splitlines()
+        log = dict(line.split("=") for line in lines)
+        assert list(log) == ["wall_time_s", "evaluations", "kernel_calls",
+                             "refine_iterations"]
+        assert int(log["evaluations"]) > int(log["kernel_calls"]) > 0
+        assert int(log["refine_iterations"]) > 0
+
     @pytest.mark.parametrize("command,free,named", [
         ("optimize", "phi,xi_1,xi_2,bogus", "'bogus'"),
         ("optimize", "phi,phi,xi_1,xi_2", "'phi'"),

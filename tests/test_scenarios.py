@@ -208,6 +208,49 @@ class TestKappaScan:
             kappa_scan(ideal_bell_scenario(), [], budget=100)
         with pytest.raises(ValueError):
             kappa_scan(ideal_bell_scenario(), [0.5, 0.2], budget=100)
+        with pytest.raises(ValueError, match="finite"):
+            kappa_scan(ideal_bell_scenario(), [0.5, np.inf], budget=100)
+        with pytest.raises(ValueError, match="budget"):
+            kappa_scan(ideal_bell_scenario(), [0.5], budget=0)
+        with pytest.raises(ValueError, match="swept input"):
+            kappa_scan(ideal_bell_scenario(sweep=None,
+                                           fixed_inputs={"delta": 0.3}),
+                       [0.5], budget=100)
+
+    @pytest.mark.parametrize("scenario,grid", [
+        (ideal_bell_scenario(), [-0.5, -0.25, 0.0, 0.3, 0.7]),
+        (TestNegativeDelta.free_delta_scenario(), [0.0, 0.3, 1.0]),
+        (Scenario(family=ProbeFamily.two_phase(copies=2),
+                  measurement=bell_povm(), free_inputs=("xi", "phi_y"),
+                  sweep="phi_z"), [0.1, 0.3, 0.8]),
+    ], ids=["bell-with-failures", "free-delta", "two-phase"])
+    def test_each_point_as_optimized_alone(self, scenario, grid):
+        # one lockstep run for the scan, one run per point here
+        curve = kappa_scan(scenario, grid, budget=150)
+        for i, x in enumerate(grid):
+            try:
+                alone = optimize_kappa(scenario, x, budget=150)
+            except (RuntimeError, ValueError) as exc:
+                assert curve.failed[i] == str(exc)
+                assert np.isnan(curve.kappa_values[i])
+                continue
+            assert curve.failed[i] is None
+            assert curve.optimizer_args[i] == alone.settings
+            assert curve.kappa_values[i] == alone.result.kappa
+
+    def test_failed_points_keep_their_own_reasons(self):
+        curve = kappa_scan(ideal_bell_scenario(), [-0.5, -0.25, 0.0, 0.3],
+                           budget=150)
+        assert curve.failed[:2] == (
+            "dephasing strength must be >= 0, got -0.5",
+            "dephasing strength must be >= 0, got -0.25")
+        # the ideal Bell statistics are singular at delta = 0
+        assert curve.failed[2] == (
+            "kappa evaluation failed at every grid point (singular Fisher "
+            "matrix); scenario sweep delta at 0.0")
+        assert curve.failed[3] is None and curve.kappa_values[3] > 1.0
+        # the negative points are never scored
+        assert curve.work.evaluations <= 2 * 150
 
     def test_default_grid(self):
         grid = default_delta_grid()
@@ -273,6 +316,40 @@ class TestCollectiveSearch:
             random_collective_search(ProbeFamily.two_phase(copies=2),
                                      trials=1, seed=0, xi_budget=xi_budget)
 
+    def test_pinned_seed_77_winner(self):
+        result = random_collective_search(ProbeFamily.two_phase(copies=2),
+                                          trials=200, seed=77)
+        assert result.trial_index == 172
+        assert repr(result.xi) == "0.39124405580433264"
+        assert repr(result.max_kappa) == "0.9999999883734466"
+        assert result.work.evaluations == 200 * 48
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_size_changes_nothing(self, monkeypatch, chunk):
+        family = ProbeFamily.two_phase(copies=2)
+        default = random_collective_search(family, trials=30, seed=8)
+        monkeypatch.setattr(scenarios, "_SEARCH_CHUNK", chunk)
+        chunked = random_collective_search(family, trials=30, seed=8)
+        assert (chunked.trial_index, chunked.xi, chunked.max_kappa) == (
+            default.trial_index, default.xi, default.max_kappa)
+        assert np.array_equal(chunked.per_parameter, default.per_parameter)
+        assert chunked.work.evaluations == default.work.evaluations
+        assert chunked.work.refine_iterations == \
+            default.work.refine_iterations
+
+    def test_projectors_are_outer_products_bit_for_bit(self):
+        result = random_collective_search(ProbeFamily.two_phase(copies=2),
+                                          trials=20, seed=3)
+        bases = np.stack([result.basis] + [
+            haar_random_basis(np.random.default_rng([3, t]), 4)
+            for t in range(20)])
+        assert np.array_equal(bases[1 + result.trial_index], result.basis)
+        projectors = scenarios._basis_projectors(bases)
+        for basis, elements in zip(bases, projectors):
+            outer = [np.outer(basis[:, k], basis[:, k].conj())
+                     for k in range(4)]
+            assert np.array_equal(elements, outer)
+
     def test_haar_basis_is_orthonormal(self):
         rng = np.random.default_rng(0)
         basis = haar_random_basis(rng, 4)
@@ -335,7 +412,7 @@ class TestMaximizeGrid:
                                           if k != sweep},
                             sweep=sweep)
         objective = _Objective(scenario, dict(fixed), names)
-        best_x, best_v = _maximize(objective, names, budget)
+        [best_x], [best_v] = _maximize(objective, names, budget)
         assert objective.evaluations == per_dim ** len(names)
         axes = [np.linspace(0.0, 2 * math.pi, per_dim, endpoint=False)] * len(names)
         grid_values = objective.batch(
@@ -350,34 +427,56 @@ class TestMaximizeGrid:
     def test_nan_row_never_wins(self):
         class Fake:
             evaluations = 0
+            problems = 1
 
-            def batch(self, X):
+            def batch(self, X, problems):
                 self.evaluations += len(X)
                 values = -np.abs(X[:, 0] - 2.0)
                 values[0] = values[4] = np.nan
                 return values
 
-        best_x, best_v = _maximize(Fake(), ["xi"], 8)
+        [best_x], [best_v] = _maximize(Fake(), ["xi"], 8)
         assert not np.isnan(best_v)
         assert best_x[0] == 2 * math.pi / 3
 
     def test_evaluations_count_grid_and_refinement(self, monkeypatch):
-        rows = []
+        # a lockstep run of P problems grids each one, then refines all of
+        # them together in at most 1 + 3 * max(iterations) kernel calls,
+        # whatever P is; every scored row counts as one evaluation
+        rows, runs = [], []
         batched = kernels.kappa_phase_dephasing_batch
+        refine = scenarios.minimize
 
         def counted(alphas, *args):
             rows.append(alphas.shape[1])
             return batched(alphas, *args)
 
+        def recorded(*args, **kwargs):
+            runs.append(refine(*args, **kwargs))
+            return runs[-1]
+
         monkeypatch.setattr(kernels, "kappa_phase_dephasing_batch", counted)
+        monkeypatch.setattr(scenarios, "minimize", recorded)
         names = ["phi", "xi_1", "xi_2"]
-        objective = _Objective(ideal_bell_scenario(), {"delta": 0.3}, names)
-        _maximize(objective, names, 400)
         per_dim = int((0.75 * 400) ** (1 / 3))
-        # one call for the grid, then one row per refinement call
-        assert rows[0] == per_dim ** 3
-        assert len(rows) > 1 and set(rows[1:]) == {1}
-        assert objective.evaluations == sum(rows)
+        for delta, problems in ((0.3, 1), (default_delta_grid(), 40)):
+            rows.clear()
+            runs.clear()
+            objective = _Objective(ideal_bell_scenario(), {"delta": delta},
+                                   names)
+            _maximize(objective, names, 400)
+            assert objective.problems == problems
+            # a grid too large to share a call: one grid call per problem
+            assert rows[:problems] == [per_dim ** 3] * problems
+            [run] = runs
+            refinement = rows[problems:]
+            assert 0 < len(refinement) <= 1 + 3 * run.nit.max()
+            assert sum(refinement) == run.nfev.sum()
+            assert objective.evaluations == sum(rows)
+            assert objective.kernel_calls == len(rows)
+            assert objective.refine_iterations == run.nit.sum()
+        # lockstep: far fewer calls than refined rows
+        assert len(refinement) < sum(refinement) / 10
 
 
 def pauli_povm():
