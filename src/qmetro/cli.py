@@ -9,7 +9,10 @@ manifest.json; wall time goes to run.log so that reruns with the same config
 and seed are byte-identical. The searches (kappa-scan, optimize,
 conjecture-search) add their work to run.log as key=value lines:
 ``evaluations`` (κ rows scored), ``kernel_calls`` and ``refine_iterations``
-(Nelder-Mead iterations summed over the refined points or trials).
+(Nelder-Mead iterations summed over the refined points or trials);
+tomography adds ``iterations`` (MLE iterations) and ``mle_s`` (seconds in the
+reconstruction), and writes the log-likelihood at the start and after each
+iteration to ll_trace.csv.
 """
 
 from __future__ import annotations
@@ -384,8 +387,11 @@ def _cmd_simulate_counts(cfg, log):
 def _cmd_tomography(cfg, log):
     counts = load_counts(cfg["counts"])
     refs = reference_states()
+    start = time.perf_counter()
     result = mle_reconstruct(counts, refs, max_iters=cfg["max_iters"],
                              tol=cfg["tol"])
+    log["iterations"] = result.iterations
+    log["mle_s"] = f"{time.perf_counter() - start:.3f}"
     doc = {
         "converged": result.converged,
         "iterations": result.iterations,
@@ -399,8 +405,11 @@ def _cmd_tomography(cfg, log):
             label: float(povm_fidelity(cand, ref))
             for label, cand, ref in zip(result.povm.labels,
                                         result.povm.elements, ideal.elements)}
+    trace = "".join(f"{i},{serialize.format_float(v)}\n"
+                    for i, v in enumerate(result.ll_trace))
     return {"reconstructed_povm.json": povm_to_json(result.povm),
-            "tomography_report.json": serialize.dumps_json(doc)}
+            "tomography_report.json": serialize.dumps_json(doc),
+            "ll_trace.csv": "iteration,log_likelihood\n" + trace}
 
 
 def _cmd_conjecture_search(cfg, log):
@@ -462,7 +471,7 @@ def run(command: str, cfg: dict) -> list[str]:
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
     start = time.perf_counter()
-    log: dict[str, int] = {}
+    log: dict[str, object] = {}
     artifacts = _RUNNERS[command](cfg, log)
     inputs = {os.path.abspath(cfg[k]) for k in _INPUT_PATH_KEYS
               if cfg.get(k)}

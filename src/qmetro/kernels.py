@@ -17,7 +17,10 @@ Kernel contracts:
   one two-copy point and return Python scalars; the multi-copy states come
   from ``states.copies_with_derivatives``
 * ``mle_iterate(...)`` -> multiplicative maximum-likelihood update loop for
-  detector reconstruction with a monotone-likelihood safeguard
+  detector reconstruction (Rehacek et al., PRA 75, 042108, 2007) with a
+  monotone-likelihood line search, on matrix products: the reference states
+  are flattened once, so the probabilities and all R_k are one product each,
+  and the full step is the first trial of the line search
 """
 
 from __future__ import annotations
@@ -165,37 +168,43 @@ def kappa_two_phase(xi, phi_y, phi_z, povm, *args):
 def mle_iterate(counts, rhos, init, max_iters, tol, p_floor):
     povm = init.copy()
     pos = counts > 0
+    observed = counts[pos]
+    # with the states flattened once, the probabilities Tr[P_k rho_j] and
+    # all R_k are one matrix product each
+    vec = rhos.reshape(len(rhos), -1)
+    vec_t = rhos.transpose(0, 2, 1).reshape(len(rhos), -1)
 
-    def probs(stack):
-        return np.einsum("kab,jba->jk", stack, rhos).real
-
-    def floor_and_ll(p):
-        low = pos & (p < p_floor)
+    def floor_and_ll(stack):
+        """Floored probabilities of the observed cells, the number floored
+        and the log-likelihood."""
+        p = (vec_t @ stack.reshape(len(stack), -1).T).real[pos]
+        low = p < p_floor
         p = np.where(low, p_floor, p)
-        return p, int(low.sum()), float(np.sum(counts[pos] * np.log(p[pos])))
+        ll = float(np.sum(observed * np.log(p)))
+        return p, int(np.count_nonzero(low)), ll
 
-    p, floored, ll = floor_and_ll(probs(povm))
+    p, floored, ll = floor_and_ll(povm)
     ll_trace = [ll]
     converged = False
     iters = 0
+    ratio = np.zeros_like(counts)
     for iters in range(1, max_iters + 1):
-        ratio = np.where(pos, counts / p, 0.0)
-        R = np.einsum("jk,jab->kab", ratio, rhos)
-        S = np.einsum("kab,kbc,kcd->ad", R, povm, R)
-        w, v = np.linalg.eigh(S)
+        ratio[pos] = observed / p
+        R = (ratio.T @ vec).reshape(povm.shape)
+        RPR = R @ povm @ R
+        w, v = np.linalg.eigh(RPR.sum(axis=0))
         w = np.maximum(w, 1e-30)
         s_inv = (v * (w ** -0.5)) @ v.conj().T
-        full = np.einsum("ab,kbc,kcd,kde,ef->kaf", s_inv, R, povm, R, s_inv)
+        full = s_inv @ RPR @ s_inv
         lam = 1.0
-        accepted = False
         for _ in range(40):
-            trial = lam * full + (1.0 - lam) * povm
-            pt, nfl, llt = floor_and_ll(probs(trial))
+            # the full step is the lam = 1 trial; mix only when damped
+            trial = full if lam == 1.0 else lam * full + (1.0 - lam) * povm
+            pt, nfl, llt = floor_and_ll(trial)
             if llt >= ll - _LL_SLACK * abs(ll):
-                accepted = True
                 break
             lam *= 0.5
-        if not accepted:
+        else:
             converged = True
             iters -= 1
             break

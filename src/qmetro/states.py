@@ -103,8 +103,13 @@ def two_phase_ket_with_derivatives(xi, phi_y, phi_z) -> np.ndarray:
         rows = zip(*np.broadcast_arrays(xi, phi_y, phi_z))
         return np.concatenate([two_phase_ket_with_derivatives(
             [x], float(a), float(b)) for x, a, b in rows], axis=1)
-    rotation = _rotation_with_derivatives(phi_y, phi_z)
-    return make_equatorial_ket(xi) @ rotation.transpose(0, 2, 1)
+    ket = make_equatorial_ket(xi)
+    # (U @ ket) as a two-term broadcast product: unlike matmul, whose BLAS
+    # path for one row differs from that for several, it gives each row the
+    # same bits in any batch size
+    rotation = _rotation_with_derivatives(phi_y, phi_z).reshape(
+        (3,) + (1,) * (ket.ndim - 1) + (2, 2))
+    return ket[..., :1] * rotation[..., 0] + ket[..., 1:] * rotation[..., 1]
 
 
 def dephasing_with_derivatives(alpha, delta) -> np.ndarray:

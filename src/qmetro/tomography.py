@@ -16,6 +16,7 @@ import csv
 import io
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,11 +49,22 @@ class ReferenceSet:
     """The 36 labeled product reference states used to probe a detector."""
 
     labels: tuple[tuple[str, str], ...]
-    states: np.ndarray            # (36, 4, 4) complex
+    states: np.ndarray            # (36, 4, 4) complex, read-only copy
+
+    def __post_init__(self):
+        states = np.array(self.states, dtype=complex, order="C")
+        states.setflags(write=False)
+        object.__setattr__(self, "states", states)
 
     @property
     def dim(self) -> int:
         return self.states.shape[1]
+
+    @cached_property
+    def gram_rank(self) -> int:
+        """``reference_gram_rank`` at its default cutoff, computed once: the
+        states cannot change."""
+        return reference_gram_rank(self)
 
 
 @dataclass(frozen=True)
@@ -111,7 +123,7 @@ def reference_states() -> ReferenceSet:
             labels.append((a, b))
             states.append(np.outer(k, k.conj()))
     refs = ReferenceSet(tuple(labels), np.ascontiguousarray(states))
-    if reference_gram_rank(refs) != 16:
+    if refs.gram_rank != 16:
         raise AssertionError("reference set lost informational completeness")
     return refs
 
@@ -159,7 +171,7 @@ def mle_reconstruct(counts: CountsTable, refs: ReferenceSet,
     if not tol >= 0:
         raise ValueError("tol must be >= 0")
     data = counts.counts[_reference_rows(counts.input_labels, refs)]
-    if reference_gram_rank(refs) < refs.dim ** 2:
+    if refs.gram_rank < refs.dim ** 2:
         raise ValueError("reference set is rank deficient; reconstruction "
                          "is not informationally complete")
     if (data.sum(axis=1) == 0).any():

@@ -268,3 +268,27 @@ class TestDeterminism:
             assert code == 0
         assert ((tmp_path / "a" / "counts.csv").read_bytes()
                 == (tmp_path / "b" / "counts.csv").read_bytes())
+
+    def test_tomography_explains_its_run(self, tmp_path, capsys):
+        code, _ = run_cli(capsys, "simulate-counts", "--exposure", "5000",
+                          "--seed", "12", "--out", str(tmp_path / "counts"))
+        assert code == 0
+        for sub in ("a", "b"):
+            code, _ = run_cli(capsys, "tomography", "--counts",
+                              str(tmp_path / "counts" / "counts.csv"),
+                              "--out", str(tmp_path / sub))
+            assert code == 0
+        trace = (tmp_path / "a" / "ll_trace.csv").read_text()
+        assert trace == (tmp_path / "b" / "ll_trace.csv").read_text()
+        header, *rows = trace.splitlines()
+        assert header == "iteration,log_likelihood"
+        report = json.loads((tmp_path / "a" / "tomography_report.json")
+                            .read_text())
+        assert [int(r.split(",")[0]) for r in rows] == list(
+            range(report["iterations"] + 1))
+        assert float(rows[-1].split(",")[1]) == report["log_likelihood"]
+        log = dict(line.split("=") for line in
+                   (tmp_path / "a" / "run.log").read_text().splitlines())
+        assert list(log) == ["wall_time_s", "iterations", "mle_s"]
+        assert int(log["iterations"]) == report["iterations"]
+        assert float(log["mle_s"]) <= float(log["wall_time_s"])

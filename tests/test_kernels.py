@@ -1,8 +1,10 @@
 """Cross-checks between the fused kernels and the unaccelerated module-level
 reference path, and the quantum-information floor both paths share."""
 
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from qmetro import (Povm, ProbeFamily, ProductProjectiveGenerator, Scenario,
                     bell_povm, classical_fi, evaluate_kappa, haar_random_basis,
                     kappa, measurement_probabilities, probe_with_derivatives,
                     product_projective_povm)
+import qmetro
 from qmetro import kernels
 from qmetro.fisher import H_FLOOR
 from qmetro.scenarios import single_copy_qfi_diagonal
@@ -371,3 +374,56 @@ def test_scalar_kernels_return_python_scalars():
     for out in (kernels.kappa_two_phase(0.3, 0.4, 0.3, stack, 1e-12),
                 kernels.kappa_phase_dephasing(0.7, 1.9, 0.45, stack, 1e-12)):
         assert [type(v) for v in out] == [float, float, float, int]
+
+
+@pytest.mark.parametrize("rotation", ["shared", "per-row"])
+def test_two_phase_rows_are_the_same_bits_in_any_batch_size(rotation):
+    rng = np.random.default_rng(18)
+    xis = rng.uniform(-math.pi, math.pi, 200)
+    phi_y, phi_z = 0.4, 0.3
+    if rotation == "per-row":
+        phi_y, phi_z = rng.uniform(-1, 1, 200), rng.uniform(-1, 1, 200)
+    stack = np.ascontiguousarray(product_projective_povm(
+        (0.9, 0.3, 1.4, 2.0)).elements)
+
+    def scored(size):
+        chunks = [kernels.kappa_two_phase_batch(
+            xis[i:i + size],
+            *(np.asarray(v)[i:i + size] if np.ndim(v) else v
+              for v in (phi_y, phi_z)), stack, 1e-12)
+            for i in range(0, len(xis), size)]
+        return [np.concatenate(column) for column in zip(*chunks)]
+
+    whole = scored(200)
+    for size in (1, 2):
+        for a, b in zip(scored(size), whole):
+            assert np.array_equal(a, b)
+
+
+def _einsum_operand_counts(source):
+    """Operand count of every ``einsum`` call in a module's source."""
+    counts = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and (
+                getattr(node.func, "attr", None) == "einsum"
+                or getattr(node.func, "id", None) == "einsum"):
+            counts.append(len(node.args) - 1)
+    return counts
+
+
+def test_einsum_guard_sees_multi_operand_calls():
+    source = ('np.einsum("ab,bc,cd->ad", a, b, c)\n'
+              'einsum(f"{s},ij->i", x, y)\n')
+    assert _einsum_operand_counts(source) == [3, 2]
+
+
+def test_no_einsum_in_src_has_three_or_more_operands():
+    # numpy's einsum defaults to optimize=False: three or more operands run
+    # as one nested loop over every index, 20x slower than matrix products
+    # on the 4x4 matrices here
+    offenders = {}
+    for path in sorted(Path(qmetro.__file__).parent.glob("*.py")):
+        counts = _einsum_operand_counts(path.read_text(encoding="utf-8"))
+        if any(n >= 3 for n in counts):
+            offenders[path.name] = counts
+    assert offenders == {}

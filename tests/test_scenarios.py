@@ -321,7 +321,7 @@ class TestCollectiveSearch:
                                           trials=200, seed=77)
         assert result.trial_index == 172
         assert repr(result.xi) == "0.39124405580433264"
-        assert repr(result.max_kappa) == "0.9999999883734466"
+        assert repr(result.max_kappa) == "0.9999999883734467"
         assert result.work.evaluations == 200 * 48
 
     @pytest.mark.parametrize("chunk", [1, 7])

@@ -12,8 +12,10 @@ from qmetro import (CountsTable, GateModel, Povm, bell_povm, counts_from_csv,
                     product_projective_povm, reference_gram_condition,
                     reference_gram_rank, reference_states, simulate_counts,
                     validate_povm)
-from qmetro.kernels import _LL_SLACK
+from qmetro import tomography
+from qmetro.kernels import _LL_SLACK, mle_iterate
 from qmetro.linalg import bloch_vector
+from qmetro.tomography import P_FLOOR, ReferenceSet
 
 
 def random_valid_povm(rng, dim=4, outcomes=4):
@@ -25,6 +27,17 @@ def random_valid_povm(rng, dim=4, outcomes=4):
     whiten = (v * (w ** -0.5)) @ v.conj().T
     elements = np.array([whiten @ m @ whiten for m in raw])
     return Povm(tuple(f"k{i}" for i in range(outcomes)), elements)
+
+
+def random_povm(rng, kind):
+    """A Haar-random basis, a product basis or a whitened 4-8 outcome POVM."""
+    if kind == "haar":
+        basis = haar_random_basis(rng, 4)
+        return Povm(tuple("abcd"), np.stack(
+            [np.outer(basis[:, k], basis[:, k].conj()) for k in range(4)]))
+    if kind == "product":
+        return product_projective_povm(rng.uniform(0, 2 * math.pi, 4))
+    return random_valid_povm(rng, outcomes=int(rng.integers(4, 9)))
 
 
 def exact_counts(povm, refs, exposure=1e6):
@@ -55,6 +68,26 @@ class TestReferenceStates:
         refs = reference_states()
         assert reference_gram_rank(refs) == 16
         assert reference_gram_condition(refs) < 100.0
+
+    def test_states_are_a_read_only_copy(self):
+        states = np.array(reference_states().states)
+        refs = ReferenceSet(reference_states().labels, states)
+        assert refs.states is not states
+        assert not refs.states.flags.writeable
+        with pytest.raises(ValueError):
+            refs.states[0, 0, 0] = 0.0
+
+    def test_rank_is_checked_once_per_set(self, monkeypatch):
+        refs = reference_states()
+        counts = simulate_counts(bell_povm(), refs, 1e4, seed=6)
+
+        def recomputed(*args, **kwargs):
+            raise AssertionError("reference rank recomputed")
+
+        monkeypatch.setattr(tomography, "reference_gram_rank", recomputed)
+        assert refs.gram_rank == 16
+        mle_reconstruct(counts, refs, max_iters=5)
+        mle_reconstruct(counts, refs, max_iters=5)
 
 
 class TestSimulateCounts:
@@ -125,15 +158,7 @@ class TestMleReconstruct:
             self, seed, kind, log_exposure, max_iters):
         # the diluted-MLE guarantee (Rehacek et al., PRA 75, 042108, 2007);
         # stopping after a random number of iterations checks that iterate
-        rng = np.random.default_rng(seed)
-        if kind == "haar":
-            basis = haar_random_basis(rng, 4)
-            povm = Povm(tuple("abcd"), np.stack(
-                [np.outer(basis[:, k], basis[:, k].conj()) for k in range(4)]))
-        elif kind == "product":
-            povm = product_projective_povm(rng.uniform(0, 2 * math.pi, 4))
-        else:
-            povm = random_valid_povm(rng, outcomes=int(rng.integers(4, 9)))
+        povm = random_povm(np.random.default_rng(seed), kind)
         refs = reference_states()
         counts = simulate_counts(povm, refs, 10.0 ** log_exposure, seed)
         result = mle_reconstruct(counts, refs, max_iters=max_iters)
@@ -170,6 +195,16 @@ class TestMleReconstruct:
         with pytest.raises(ValueError):
             mle_reconstruct(broken, refs)
 
+    def test_rank_deficient_reference_set_rejected(self):
+        refs = reference_states()
+        counts = simulate_counts(bell_povm(), refs, 1e4, seed=6)
+        # dephased references span only the 4 diagonal directions
+        diagonal = refs.states * np.eye(4)
+        deficient = ReferenceSet(refs.labels, diagonal)
+        assert deficient.gram_rank == 4
+        with pytest.raises(ValueError, match="rank deficient"):
+            mle_reconstruct(counts, deficient)
+
     def test_mismatched_inputs_rejected(self):
         refs = reference_states()
         counts = simulate_counts(bell_povm(), refs, 1e4, seed=6)
@@ -196,6 +231,106 @@ class TestMleReconstruct:
         assert sorted(reordered) == list(range(len(reordered)))
         assert np.abs(result.povm.elements[reordered]
                       - expected.povm.elements).max() < 1e-12
+
+
+def einsum_mle_iterate(counts, rhos, init, max_iters, tol, p_floor):
+    """The detector update written index by index with ``np.einsum``, as
+    ``kernels.mle_iterate`` once computed it: the oracle for the matrix-
+    product kernel. Returns the kernel's tuple plus the number of halvings
+    of the line search."""
+    povm = init.copy()
+    pos = counts > 0
+    halvings = 0
+
+    def probs(stack):
+        return np.einsum("kab,jba->jk", stack, rhos).real
+
+    def floor_and_ll(p):
+        low = pos & (p < p_floor)
+        p = np.where(low, p_floor, p)
+        return p, int(low.sum()), float(np.sum(counts[pos] * np.log(p[pos])))
+
+    p, floored, ll = floor_and_ll(probs(povm))
+    ll_trace = [ll]
+    converged = False
+    iters = 0
+    for iters in range(1, max_iters + 1):
+        ratio = np.where(pos, counts / np.where(pos, p, 1.0), 0.0)
+        R = np.einsum("jk,jab->kab", ratio, rhos)
+        S = np.einsum("kab,kbc,kcd->ad", R, povm, R)
+        w, v = np.linalg.eigh(S)
+        w = np.maximum(w, 1e-30)
+        s_inv = (v * (w ** -0.5)) @ v.conj().T
+        full = np.einsum("ab,kbc,kcd,kde,ef->kaf", s_inv, R, povm, R, s_inv)
+        lam = 1.0
+        accepted = False
+        for _ in range(40):
+            trial = lam * full + (1.0 - lam) * povm
+            pt, nfl, llt = floor_and_ll(probs(trial))
+            if llt >= ll - _LL_SLACK * abs(ll):
+                accepted = True
+                break
+            lam *= 0.5
+            halvings += 1
+        if not accepted:
+            converged = True
+            iters -= 1
+            break
+        povm, p = trial, pt
+        floored += nfl
+        ll_trace.append(llt)
+        if abs(llt - ll) <= tol * abs(llt):
+            ll = llt
+            converged = True
+            break
+        ll = llt
+    return povm, np.array(ll_trace), iters, converged, floored, halvings
+
+
+def _agree_with_oracle(counts, max_iters, p_floor=P_FLOOR):
+    """Run the kernel and the einsum oracle from the I/K start and require
+    the same path; returns the oracle's result."""
+    refs = reference_states()
+    k_out = counts.shape[1]
+    init = np.stack([np.eye(4, dtype=complex) / k_out] * k_out)
+    args = (counts, refs.states, init, max_iters, 1e-10, p_floor)
+    povm, ll_trace, iters, converged, floored = mle_iterate(*args)
+    oracle = einsum_mle_iterate(*args)
+    assert (iters, converged, floored) == oracle[2:5]
+    assert ll_trace.shape == oracle[1].shape
+    assert (np.abs(ll_trace - oracle[1]) <= 1e-12 * np.abs(oracle[1])).all()
+    assert np.abs(povm - oracle[0]).max() <= 1e-12
+    return oracle
+
+
+class TestMleOracle:
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["haar", "product", "whitened"]),
+           log_exposure=st.floats(3.0, 6.0), max_iters=st.integers(1, 400))
+    @settings(deadline=None, max_examples=25)
+    def test_kernel_follows_the_einsum_update(self, seed, kind, log_exposure,
+                                              max_iters):
+        povm = random_povm(np.random.default_rng(seed), kind)
+        counts = simulate_counts(povm, reference_states(),
+                                 10.0 ** log_exposure, seed)
+        _agree_with_oracle(counts.counts, max_iters)
+
+    def test_damped_step(self):
+        # a whitened 5-outcome POVM at exposure 1365: the line search halves
+        # the step twice on the way to convergence at iteration 178
+        rng = np.random.default_rng(203)
+        povm = random_povm(rng, "whitened")
+        counts = simulate_counts(povm, reference_states(),
+                                 10.0 ** rng.uniform(3.0, 6.0), 203)
+        oracle = _agree_with_oracle(counts.counts, 400)
+        assert oracle[5] > 0
+
+    def test_floored_probabilities(self):
+        # a floor of 0.03 lies above some of the gate's small probabilities
+        truth, _ = cs_gate_povm(GateModel(visibility=0.9))
+        counts = simulate_counts(truth, reference_states(), 1e4, seed=4)
+        oracle = _agree_with_oracle(counts.counts, 400, p_floor=0.03)
+        assert oracle[4] > 0
 
 
 class TestPovmFidelity:
