@@ -33,12 +33,13 @@ from .fisher import (qfi_matrix, sld_operators, weak_commutativity,
 from .povm import (BALANCED_T_V, GateModel, bell_povm, cs_gate_amplitudes,
                    cs_gate_povm, load_povm, povm_to_json,
                    product_projective_povm, validate_povm)
-from .scenarios import (Scenario, kappa_scan, optimize_kappa,
+from .scenarios import (DEFAULT_BUDGET, Scenario, kappa_scan, optimize_kappa,
                         random_collective_search)
 from .states import (PHASE_DEPHASING, TWO_PHASE, ProbeFamily,
                      probe_with_derivatives)
-from .tomography import (counts_to_csv, load_counts, mle_reconstruct,
-                         povm_fidelity, reference_states, simulate_counts)
+from .tomography import (DEFAULT_MAX_ITERS, DEFAULT_TOL, counts_to_csv,
+                         load_counts, mle_reconstruct, povm_fidelity,
+                         reference_states, simulate_counts)
 
 COMMANDS = ("qfi", "weak-comm", "kappa-scan", "optimize", "tomography",
             "simulate-counts", "conjecture-search", "gate-model")
@@ -100,7 +101,7 @@ SCHEMAS: dict[str, dict] = {
     "kappa-scan": {
         **_COMMON, **_FAMILY_KEYS, "copies": (int, 2), **_MEASUREMENT_KEYS,
         "free_inputs": (str, None),
-        "budget": (int, 2000),
+        "budget": (int, DEFAULT_BUDGET),
         "sweep": (str, None),
         "sweep_min": (float, 0.02),
         "sweep_max": (float, 3.0),
@@ -110,13 +111,13 @@ SCHEMAS: dict[str, dict] = {
     "optimize": {
         **_COMMON, **_FAMILY_KEYS, "copies": (int, 2), **_MEASUREMENT_KEYS,
         "free_inputs": (str, None),
-        "budget": (int, 2000),
+        "budget": (int, DEFAULT_BUDGET),
     },
     "tomography": {
         **_COMMON,
         "counts": (str, REQUIRED),
-        "max_iters": (int, 5000),
-        "tol": (float, 1e-10),
+        "max_iters": (int, DEFAULT_MAX_ITERS),
+        "tol": (float, DEFAULT_TOL),
         "compare_to": (str, None),
     },
     "simulate-counts": {
@@ -304,7 +305,9 @@ def _free_inputs(cfg) -> tuple[str, ...]:
     if cfg["family"] == TWO_PHASE:
         default = "xi"
     else:
-        default = "phi,xi_1,xi_2" if cfg["copies"] == 2 else "phi,xi_1"
+        # phi and every copy's input phase
+        default = ",".join(["phi"] + [f"xi_{i + 1}"
+                                      for i in range(cfg["copies"])])
     text = cfg.get("free_inputs") or default
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
@@ -413,8 +416,7 @@ def _cmd_tomography(cfg, log):
 
 
 def _cmd_conjecture_search(cfg, log):
-    family = ProbeFamily.two_phase(copies=2)
-    result = random_collective_search(family, cfg["trials"], cfg["seed"],
+    result = random_collective_search(cfg["trials"], cfg["seed"],
                                       at=(cfg["phi_y"], cfg["phi_z"]),
                                       xi_budget=cfg["xi_budget"])
     log.update(asdict(result.work))

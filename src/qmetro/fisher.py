@@ -22,21 +22,27 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+# the kappa policy constants live in ``kernels``; ``kernels.fisher_matrix``
+# is looked up through the module at call time, so that a wrapper set on the
+# module attribute sees every call
 from . import kernels
+from .kernels import DEFAULT_P_CUTOFF, H_FLOOR, SINGULAR_CUTOFF
 from .linalg import hermiticity_defect
 from .povm import Povm
 from .states import ProbeFamily, StateWithDerivatives, probe_with_derivatives
 
-DEFAULT_P_CUTOFF = 1e-12
-#: single-copy quantum-information denominators at or below this are excluded
-#: from kappa: they are zero up to round-off, and dividing by them would turn
-#: noise into a figure of merit
-H_FLOOR = 1e-9
 #: outcomes dropped for small probability are flagged as "boundary" when the
 #: corresponding derivative is not negligible (diverging information)
 BOUNDARY_DERIV_ATOL = 1e-6
 
 _HERM_ATOL = 1e-9
+#: SLD matrix elements across eigenvalue pairs summing below this times the
+#: largest eigenvalue are set to zero
+_SUPPORT_RTOL = 1e-12
+#: the weak-commutativity root is bracketed on this many steps of one period
+#: of the input phase and refined to this tolerance
+_ROOT_SCAN_POINTS = 64
+_ROOT_XTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -83,19 +89,18 @@ class KappaResult:
         return bool(self.excluded)
 
 
-def sld_operators(swd: StateWithDerivatives, support_tolerance: float | None = None) -> SldSet:
+def sld_operators(swd: StateWithDerivatives) -> SldSet:
     """Solve the SLD defining equation by eigendecomposition of the state.
 
-    ``support_tolerance`` defaults to ``1e-12 * max eigenvalue``; eigenvalue
-    pairs summing below it are treated as the kernel and the corresponding
-    SLD matrix elements are set to zero.
+    The support tolerance is ``1e-12 * max eigenvalue``; eigenvalue pairs
+    summing below it are treated as the kernel and the corresponding SLD
+    matrix elements are set to zero.
     """
     rho = swd.state
     if hermiticity_defect(rho) > _HERM_ATOL:
         raise ValueError("state is not Hermitian")
     w, v = np.linalg.eigh(rho)
-    if support_tolerance is None:
-        support_tolerance = 1e-12 * float(w.max())
+    support_tolerance = _SUPPORT_RTOL * float(w.max())
     pair_sums = w[:, None] + w[None, :]
     safe = pair_sums > support_tolerance
     ops = []
@@ -154,27 +159,27 @@ def weak_commutativity(swd: StateWithDerivatives, slds: SldSet | None = None,
     return float(np.imag(t_ij - t_ji))
 
 
-def weak_commutativity_root(phi_y: float, phi_z: float, *, copies: int = 1,
-                            scan_points: int = 64, xtol: float = 1e-12) -> float:
+def weak_commutativity_root(phi_y: float, phi_z: float) -> float:
     """Input phase at which the two-phase SLD commutator expectation vanishes.
 
     Scans the input phase over one period for a sign change and refines by
-    bisection. Raises ValueError when no sign change is found (degenerate
-    rotation settings).
+    bisection. The probe is one copy: the m-copy commutator is m times the
+    single-copy one and has the same root. Raises ValueError when no sign
+    change is found (degenerate rotation settings).
     """
 
     def value(xi: float) -> float:
-        family = ProbeFamily.two_phase(copies=copies, xi=xi)
+        family = ProbeFamily.two_phase(xi=xi)
         swd = probe_with_derivatives(family, (phi_y, phi_z))
         return weak_commutativity(swd)
 
-    grid = np.linspace(0.0, 2.0 * np.pi, scan_points + 1)
+    grid = np.linspace(0.0, 2.0 * np.pi, _ROOT_SCAN_POINTS + 1)
     vals = [value(x) for x in grid]
-    for k in range(scan_points):
+    for k in range(_ROOT_SCAN_POINTS):
         if vals[k] == 0.0:
             return float(grid[k])
         if vals[k] * vals[k + 1] < 0.0:
-            return float(brentq(value, grid[k], grid[k + 1], xtol=xtol))
+            return float(brentq(value, grid[k], grid[k + 1], xtol=_ROOT_XTOL))
     raise ValueError(
         f"no sign change of the SLD commutator over one period at "
         f"(phi_y, phi_z) = ({phi_y}, {phi_z})")
@@ -198,15 +203,14 @@ def measurement_probabilities(swd: StateWithDerivatives, povm: Povm):
 
 
 def classical_fi(probabilities, derivative_probabilities,
-                 p_cutoff: float = DEFAULT_P_CUTOFF,
                  labels: tuple[str, ...] | None = None) -> FisherReport:
     """Classical Fisher information matrix of an outcome distribution.
 
-    Outcomes with probability below ``p_cutoff`` are skipped and reported in
-    ``dropped_outcomes`` rather than silently ignored; a dropped outcome with
-    non-negligible derivative marks the report as ``boundary`` (the exact
-    information there diverges). The effective information per parameter is
-    ``1/(F^-1)_jj``; see FisherReport for the singular policy.
+    Outcomes with probability below ``DEFAULT_P_CUTOFF`` are skipped and
+    reported in ``dropped_outcomes`` rather than silently ignored; a dropped
+    outcome with non-negligible derivative marks the report as ``boundary``
+    (the exact information there diverges). The effective information per
+    parameter is ``1/(F^-1)_jj``; see FisherReport for the singular policy.
     """
     p = np.asarray(probabilities, dtype=float)
     dp = np.atleast_2d(np.asarray(derivative_probabilities, dtype=float))
@@ -223,17 +227,17 @@ def classical_fi(probabilities, derivative_probabilities,
     if labels is None:
         labels = tuple(str(k) for k in range(p.shape[0]))
 
-    keep = p >= p_cutoff
+    keep = p >= DEFAULT_P_CUTOFF
     dropped = tuple(lbl for lbl, k in zip(labels, keep) if not k)
     boundary = bool((~keep).any()
                     and float(np.abs(dp[:, ~keep]).max(initial=0.0)) > BOUNDARY_DERIV_ATOL)
-    F = kernels.fisher_matrix(p, np.ascontiguousarray(dp), p_cutoff)
+    F = kernels.fisher_matrix(p, np.ascontiguousarray(dp), DEFAULT_P_CUTOFF)
     F = 0.5 * (F + F.T)
 
-    n = F.shape[0]
+    # relative to the largest diagonal entry, as in ``kernels.kappa_batch``
     top = float(F.diagonal().max(initial=0.0))
-    det = float(np.linalg.det(F))
-    singular = top <= 0.0 or abs(det) < 1e-12 * top ** n
+    singular = top <= 0.0 or (abs(float(np.linalg.det(F / top)))
+                              < SINGULAR_CUTOFF)
     if singular:
         eff = kernels.singular_effective_information(F[None])[0]
     else:

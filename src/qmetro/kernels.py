@@ -10,7 +10,7 @@ Kernel contracts:
   copies, with one POVM shared by every point or one per point: arrays
   (kappa, per-parameter terms, status) with status 0 = ok, 1 = singular
   Fisher matrix (terms follow ``fisher.FisherReport``'s rule), 2 = a
-  quantum-information denominator at or below ``fisher.H_FLOOR`` (term
+  quantum-information denominator at or below ``H_FLOOR`` (term
   excluded). A front end takes delta or the rotation (phi_y, phi_z) as one
   value or N, and computes the single-copy quantum information in closed
   form; ``kappa_phase_dephasing(...)`` / ``kappa_two_phase(...)`` evaluate
@@ -27,13 +27,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import fisher
 from .states import (copies_with_derivatives, dephasing_qfi,
                      dephasing_with_derivatives, pure_with_derivatives,
                      two_phase_ket_with_derivatives)
 
 __all__ = [
     "BACKEND",
+    "DEFAULT_P_CUTOFF",
+    "H_FLOOR",
+    "SINGULAR_CUTOFF",
     "fisher_matrix",
     "kappa_batch",
     "kappa_phase_dephasing",
@@ -47,8 +49,19 @@ __all__ = [
 #: The kernels are vectorized numpy; the name is recorded by benchmark runs.
 BACKEND = "numpy"
 
-_DET_CUTOFF = 1e-12   # relative determinant and eigenvalue cutoff: singular Fisher
+# The kappa policy, shared with the reference path in ``fisher``:
+#: outcomes with probability below this are left out of the Fisher matrix
+DEFAULT_P_CUTOFF = 1e-12
+#: single-copy quantum-information denominators at or below this are excluded
+#: from kappa: they are zero up to round-off, and dividing by them would turn
+#: noise into a figure of merit
+H_FLOOR = 1e-9
+#: a Fisher matrix is singular when, divided by its largest diagonal entry,
+#: its determinant is below this; its eigenvalues below it span the null space
+SINGULAR_CUTOFF = 1e-12
+
 _LL_SLACK = 1e-12     # relative slack when enforcing likelihood monotonicity
+_SMALLEST = np.finfo(float).smallest_subnormal
 
 
 def fisher_matrix(p, dp, cutoff):
@@ -66,12 +79,15 @@ def singular_effective_information(F):
     """
     F = np.asarray(F, dtype=float)
     top = F.diagonal(axis1=-2, axis2=-1).max(axis=-1)
-    w, v = np.linalg.eigh(F)
-    null = w < _DET_CUTOFF * top[:, None]
+    unit = F / np.where(top > 0.0, top, 1.0)[:, None, None]
+    w, v = np.linalg.eigh(unit)
+    null = w < SINGULAR_CUTOFF
     affected = (np.abs(v) ** 2 * null[:, None, :]).sum(axis=-1) > 1e-8
-    pinv = np.linalg.pinv(F, rcond=_DET_CUTOFF).diagonal(axis1=-2, axis2=-1)
+    pinv = np.linalg.pinv(unit, rcond=SINGULAR_CUTOFF)
+    pinv = pinv.diagonal(axis1=-2, axis2=-1)
     keep = (top[:, None] > 0.0) & ~affected & (pinv > 0.0)
-    return np.where(keep, 1.0 / np.where(keep, pinv, 1.0), 0.0)
+    # 1/pinv(F)_jj = top / pinv(F / top)_jj
+    return np.where(keep, top[:, None] / np.where(keep, pinv, 1.0), 0.0)
 
 
 def kappa_batch(povm, states, dstates, h1, h2, m, cutoff):
@@ -97,8 +113,13 @@ def kappa_batch(povm, states, dstates, h1, h2, m, cutoff):
         @ dp.transpose(0, 2, 1)
     f00, f01, f11 = F[:, 0, 0], F[:, 0, 1], F[:, 1, 1]
     det = f00 * f11 - f01 * f01
-    top = np.maximum(f00, f11)
-    singular = (top <= 0.0) | (np.abs(det) < _DET_CUTOFF * top * top)
+    # det(F) / top^2 with top = max(f00, f11) is min(f00, f11) / top -
+    # (f01 / top)^2, which does not underflow as top * top does below about
+    # 1e-154; the smallest subnormal stands in for top = 0, which gives 0
+    top = np.maximum(np.maximum(f00, f11), _SMALLEST)
+    ratio = f01 / top
+    singular = (np.abs(np.minimum(f00, f11) / top - ratio * ratio)
+                < SINGULAR_CUTOFF)
     # 1/(F^-1)_jj of an invertible 2x2 matrix is det(F) / F_kk with k != j
     other = F.diagonal(axis1=1, axis2=2)[:, ::-1]
     eff = det[:, None] / np.where(singular[:, None], 1.0, other)
@@ -106,7 +127,7 @@ def kappa_batch(povm, states, dstates, h1, h2, m, cutoff):
         eff[singular] = singular_effective_information(F[singular])
     h = np.empty_like(eff)
     h[:, 0], h[:, 1] = h1, h2
-    counted = h > fisher.H_FLOOR
+    counted = h > H_FLOOR
     # (m-copy effective information / m) / H_jj
     terms = np.where(counted, eff / (m * np.where(counted, h, 1.0)), 0.0)
     status = np.where(singular, 1, np.where(counted.all(axis=-1), 0, 2))

@@ -42,9 +42,7 @@ def purity(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
 
-def check_density_matrix(rho: np.ndarray, *, herm_atol: float = HERMITICITY_ATOL,
-                         trace_atol: float = TRACE_ATOL,
-                         eig_floor: float = EIGENVALUE_FLOOR) -> None:
+def check_density_matrix(rho: np.ndarray) -> None:
     """Raise ValueError unless rho is Hermitian, unit trace and PSD.
 
     Tolerances: hermiticity and trace 1e-10 entrywise, eigenvalues >= -1e-10.
@@ -53,13 +51,13 @@ def check_density_matrix(rho: np.ndarray, *, herm_atol: float = HERMITICITY_ATOL
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     h = hermiticity_defect(rho)
-    if h > herm_atol:
+    if h > HERMITICITY_ATOL:
         raise ValueError(f"not Hermitian: max |A - A^dagger| = {h:.3e}")
     t = np.trace(rho)
-    if abs(t - 1.0) > trace_atol:
-        raise ValueError(f"trace {t} differs from 1 beyond {trace_atol}")
+    if abs(t - 1.0) > TRACE_ATOL:
+        raise ValueError(f"trace {t} differs from 1 beyond {TRACE_ATOL}")
     w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if w.min() < eig_floor:
+    if w.min() < EIGENVALUE_FLOOR:
         raise ValueError(f"negative eigenvalue {w.min():.3e}")
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .linalg import ID2, dagger, hermiticity_defect, projector, tensor_product
+from .linalg import (EIGENVALUE_FLOOR, HERMITICITY_ATOL, ID2, dagger,
+                     hermiticity_defect, projector, tensor_product)
 
 BELL_LABELS = ("DD", "DA", "AD", "AA")
 
@@ -24,8 +25,6 @@ BALANCED_T_V = float(1.0 / np.sqrt(3.0))
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
-HERMITICITY_ATOL = 1e-10
-EIGENVALUE_FLOOR = -1e-10
 COMPLETENESS_ATOL = 1e-9
 
 
@@ -218,16 +217,14 @@ def cs_gate_povm(model: GateModel) -> tuple[Povm, dict[str, float]]:
     return Povm(BELL_LABELS, conditioned), success
 
 
-def validate_povm(p: Povm, *, herm_atol: float = HERMITICITY_ATOL,
-                  eig_floor: float = EIGENVALUE_FLOOR,
-                  completeness_atol: float = COMPLETENESS_ATOL) -> PovmValidation:
+def validate_povm(p: Povm) -> PovmValidation:
     """Check Hermiticity, positivity and completeness; report, never raise."""
     herm = max(hermiticity_defect(e) for e in p.elements)
     min_eig = min(float(np.linalg.eigvalsh(0.5 * (e + dagger(e))).min())
                   for e in p.elements)
     residual = float(np.abs(p.elements.sum(axis=0) - np.eye(p.dim)).max())
-    passed = bool(herm <= herm_atol and min_eig >= eig_floor
-                  and residual <= completeness_atol)
+    passed = bool(herm <= HERMITICITY_ATOL and min_eig >= EIGENVALUE_FLOOR
+                  and residual <= COMPLETENESS_ATOL)
     return PovmValidation(herm, min_eig, residual, passed)
 
 
@@ -259,16 +256,32 @@ def povm_to_json(p: Povm) -> str:
     return serialize.dumps_json(doc)
 
 
+def _field(doc, key: str, where: str):
+    """``doc[key]``, or a ValueError that names the key and ``where`` the
+    object sits in the POVM file."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"POVM file: {where} must be a JSON object")
+    if key not in doc:
+        raise ValueError(f"POVM file: {where} has no key {key!r}")
+    return doc[key]
+
+
 def povm_from_json(text: str) -> Povm:
     doc = json.loads(text)
-    dim = int(doc["dim"])
+    dim = int(_field(doc, "dim", "the document"))
+    outcomes = _field(doc, "outcomes", "the document")
+    if not isinstance(outcomes, list):
+        raise ValueError("POVM file: 'outcomes' must be a list")
     labels = []
     elements = []
-    for out in doc["outcomes"]:
-        labels.append(out["label"])
-        m = np.array(out["re"], dtype=float) + 1j * np.array(out["im"], dtype=float)
+    for k, out in enumerate(outcomes):
+        label = _field(out, "label", f"outcome {k}")
+        where = f"outcome {label!r}"
+        labels.append(label)
+        m = (np.array(_field(out, "re", where), dtype=float)
+             + 1j * np.array(_field(out, "im", where), dtype=float))
         if m.shape != (dim, dim):
-            raise ValueError(f"outcome {out['label']!r} has shape {m.shape}, "
+            raise ValueError(f"{where} has shape {m.shape}, "
                              f"expected ({dim}, {dim})")
         elements.append(m)
     return Povm(tuple(labels), np.array(elements))

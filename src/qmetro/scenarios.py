@@ -26,7 +26,7 @@ from dataclasses import astuple, dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .fisher import (DEFAULT_P_CUTOFF, KappaResult, classical_fi, kappa,
+from .fisher import (KappaResult, classical_fi, kappa,
                      measurement_probabilities, qfi_matrix, sld_operators)
 from .neldermead import minimize
 from .povm import MeasurementGenerator, Povm
@@ -253,7 +253,7 @@ class _Objective:
             alphas = np.stack([phi + column("xi" if shared else f"xi_{i + 1}")
                                for i in range(fam.copies)])
             kappa_values, _, _, status = kernels.kappa_phase_dephasing_batch(
-                alphas, delta, povm, DEFAULT_P_CUTOFF)
+                alphas, delta, povm, kernels.DEFAULT_P_CUTOFF)
             negative = np.less(delta, 0)
             if negative.any():
                 # kappa is even in delta, so the kernel scored the mirror
@@ -263,7 +263,7 @@ class _Objective:
         else:
             kappa_values, _, _, status = kernels.kappa_two_phase_batch(
                 column("xi"), value("phi_y"), value("phi_z"), povm,
-                DEFAULT_P_CUTOFF, copies=fam.copies)
+                kernels.DEFAULT_P_CUTOFF, copies=fam.copies)
         self.evaluations += len(X)
         self.kernel_calls += 1
         self.any_regular[rows[status == 0]] = True
@@ -379,18 +379,15 @@ def _optimize(scenario: Scenario, base: dict, budget: int):
 def optimize_kappa(scenario: Scenario, at, budget: int = DEFAULT_BUDGET) -> OptimizeOutcome:
     """Maximize kappa over the scenario's free inputs at a fixed sweep value.
 
-    ``at`` is the swept input's value (or a mapping of extra fixed values,
-    or None when every input is free or fixed). The search is a coarse grid
-    over each free input's period followed by a simplex refinement from the
-    best grid point, a lockstep run of one problem; deterministic for a
-    fixed budget.
+    ``at`` is the swept input's value, or None when every input is free or
+    fixed. The search is a coarse grid over each free input's period
+    followed by a simplex refinement from the best grid point, a lockstep
+    run of one problem; deterministic for a fixed budget.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     base = dict(scenario.fixed_inputs)
-    if isinstance(at, dict):
-        base.update({k: float(v) for k, v in at.items()})
-    elif at is not None:
+    if at is not None:
         base[scenario.sweep] = float(at)
     error = _negative_delta(scenario, base)
     if error:
@@ -454,10 +451,10 @@ def kappa_scan(scenario: Scenario, grid, budget: int = DEFAULT_BUDGET) -> KappaC
                       work=work)
 
 
-def default_delta_grid(lo: float = 0.02, hi: float = 3.0, points: int = 40) -> np.ndarray:
-    """Log-spaced dephasing grid resolving both the small-delta drop region
-    and the decoherence tail."""
-    return np.geomspace(lo, hi, points)
+def default_delta_grid() -> np.ndarray:
+    """40 log-spaced dephasing strengths from 0.02 to 3, resolving both the
+    small-delta drop region and the decoherence tail."""
+    return np.geomspace(0.02, 3.0, 40)
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +520,11 @@ class CollectiveSearchResult:
 _SEARCH_CHUNK = _CALL_ROWS
 
 
-def random_collective_search(family: ProbeFamily, trials: int, seed: int,
+def random_collective_search(trials: int, seed: int,
                              at: tuple[float, float] = (0.4, 0.3),
                              xi_budget: int = 48) -> CollectiveSearchResult:
-    """Max kappa over Haar-random rank-1 projective measurements on 2 copies.
+    """Max kappa over Haar-random rank-1 projective measurements on two
+    copies of the two-phase probe at the rotation ``at`` = (phi_y, phi_z).
 
     Every trial draws a Haar-random orthonormal basis of the two-copy space
     (child generator seeded from ``(seed, trial)``), optimizes the shared
@@ -535,13 +533,11 @@ def random_collective_search(family: ProbeFamily, trials: int, seed: int,
     one lockstep run with one POVM per row, and every trial's optimum is
     the one it has alone. Deterministic given seed.
     """
-    if family.kind != TWO_PHASE or family.copies != 2:
-        raise ValueError("the collective search is defined for the two-phase "
-                         "family on 2 copies")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if xi_budget < 1:
         raise ValueError("xi_budget must be >= 1")
+    family = ProbeFamily.two_phase(copies=2)
     phi_y, phi_z = float(at[0]), float(at[1])
     fixed = {"phi_y": phi_y, "phi_z": phi_z}
     dim = 4

@@ -39,6 +39,9 @@ _KETS = {
 
 DEFAULT_MAX_ITERS = 5000
 DEFAULT_TOL = 1e-10
+#: singular values of the reference Gram matrix below this times its norm
+#: do not count toward its rank
+_GRAM_RCOND = 1e-10
 #: probabilities are floored here when a nonzero count meets a vanishing
 #: model probability (impossible event observed due to noise)
 P_FLOOR = 1e-12
@@ -62,8 +65,8 @@ class ReferenceSet:
 
     @cached_property
     def gram_rank(self) -> int:
-        """``reference_gram_rank`` at its default cutoff, computed once: the
-        states cannot change."""
+        """``reference_gram_rank``, computed once: the states cannot
+        change."""
         return reference_gram_rank(self)
 
 
@@ -128,11 +131,12 @@ def reference_states() -> ReferenceSet:
     return refs
 
 
-def reference_gram_rank(refs: ReferenceSet, rcond: float = 1e-10) -> int:
+def reference_gram_rank(refs: ReferenceSet) -> int:
     """Rank of the Gram matrix Tr[rho_i rho_j] over the reference states."""
     vec = refs.states.reshape(len(refs.labels), -1)
     gram = np.real(vec @ vec.conj().T)
-    return int(np.linalg.matrix_rank(gram, tol=rcond * np.linalg.norm(gram)))
+    return int(np.linalg.matrix_rank(
+        gram, tol=_GRAM_RCOND * np.linalg.norm(gram)))
 
 
 def reference_gram_condition(refs: ReferenceSet) -> float:
@@ -306,7 +310,13 @@ def counts_from_csv(text: str, exposure: float = 0.0) -> CountsTable:
         key = (row["input1"], row["input2"], row["outcome"])
         if key in cells:
             raise ValueError(f"duplicate row for {key}")
-        cells[key] = float(row["counts"])
+        try:
+            cells[key] = float(row["counts"])
+        except (TypeError, ValueError):
+            # TypeError: a short row leaves the counts cell None
+            raise ValueError(
+                f"counts for input {key[:2]} and outcome {key[2]!r} must be "
+                f"a number, got {row['counts']!r}") from None
         pair = (row["input1"], row["input2"])
         if pair not in inputs:
             inputs.append(pair)

@@ -132,8 +132,7 @@ def test_04_two_copy_bell_advantage():
 
 def test_05_two_phase_conjecture():
     start = time.perf_counter()
-    result = random_collective_search(ProbeFamily.two_phase(copies=2),
-                                      trials=10_000, seed=77)
+    result = random_collective_search(trials=10_000, seed=77)
     elapsed = time.perf_counter() - start
     ok = result.max_kappa <= 1.0 + 1e-6 and elapsed < 600.0
     _report("5 two-phase-conjecture", ok,

@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from qmetro import Povm, load_povm, save_povm, validate_povm
+from qmetro import (Povm, bell_povm, counts_to_csv, haar_random_basis,
+                    load_povm, povm_to_json, reference_states, save_povm,
+                    simulate_counts, validate_povm)
 from qmetro.cli import ConfigError, main, parse_config, read_config_file
 
 
@@ -239,6 +241,62 @@ class TestCliCommands:
         assert code == 1
         assert named in doc["errors"][0]
         assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_optimize_frees_every_copy_phase_by_default(self, tmp_path,
+                                                        capsys):
+        basis = haar_random_basis(np.random.default_rng(5), 8)
+        path = tmp_path / "haar8.json"
+        save_povm(path, Povm(tuple(f"b{k}" for k in range(8)), np.array(
+            [np.outer(basis[:, k], basis[:, k].conj()) for k in range(8)])))
+        docs = []
+        for sub, extra in (("default", []),
+                           ("named", ["--free-inputs", "phi,xi_1,xi_2,xi_3"])):
+            code, _ = run_cli(capsys, "optimize", "--copies", "3",
+                              "--measurement", "file", "--povm", str(path),
+                              "--delta", "0.3", "--budget", "150", *extra,
+                              "--out", str(tmp_path / sub))
+            assert code == 0
+            docs.append(json.loads(
+                (tmp_path / sub / "optimize.json").read_text()))
+        assert sorted(docs[0]["settings"]) == ["phi", "xi_1", "xi_2", "xi_3"]
+        assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("drop,named", [
+        ((), ["'dim'"]),
+        ((1, "label"), ["outcome 1", "'label'"]),
+        ((2, "im"), ["outcome 'AD'", "'im'"]),
+    ], ids=["dim", "label", "im"])
+    def test_povm_file_without_a_key_is_an_error(self, tmp_path, capsys,
+                                                 drop, named):
+        doc = json.loads(povm_to_json(bell_povm()))
+        if drop:
+            del doc["outcomes"][drop[0]][drop[1]]
+        else:
+            del doc["dim"]
+        path = tmp_path / "povm.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = run_cli(capsys, "optimize", "--measurement", "file",
+                            "--povm", str(path), "--budget", "50",
+                            "--out", str(tmp_path / "o"))
+        assert code == 1 and out["status"] == "error"
+        assert all(word in out["errors"][0] for word in named)
+
+    @pytest.mark.parametrize("cell", ["abc", ""])
+    def test_counts_cell_that_is_not_a_number_is_named(self, tmp_path, capsys,
+                                                       cell):
+        text = counts_to_csv(simulate_counts(bell_povm(), reference_states(),
+                                             100.0, seed=1))
+        lines = text.splitlines()
+        a, b, outcome, _ = lines[8].split(",")
+        lines[8] = f"{a},{b},{outcome},{cell}"
+        path = tmp_path / "counts.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out = run_cli(capsys, "tomography", "--counts", str(path),
+                            "--out", str(tmp_path / "o"))
+        assert code == 1 and out["status"] == "error"
+        assert out["errors"] == [
+            f"counts for input ('{a}', '{b}') and outcome '{outcome}' must "
+            f"be a number, got '{cell}'"]
 
 
 class TestDeterminism:

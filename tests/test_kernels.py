@@ -3,12 +3,13 @@ reference path, and the quantum-information floor both paths share."""
 
 import ast
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmetro import (Povm, ProbeFamily, ProductProjectiveGenerator, Scenario,
@@ -319,6 +320,16 @@ def test_three_copy_two_phase_batch_matches_reference(seed, kind, phi_y,
 @given(two_phase=st.booleans(), a=ANGLES, b=ANGLES, delta=st.floats(0.05, 2.5),
        rows=st.lists(st.tuples(ANGLES, SETTINGS), min_size=1, max_size=6))
 @settings(deadline=None, max_examples=60)
+# Fisher matrices whose largest entry is below 1e-154, where a singular test
+# against top * top would underflow and pass them as regular
+@example(two_phase=False, a=0.0, b=0.0, delta=1.0,
+         rows=[(0.0, (6.47e-161, 0.0, 0.0, 0.0))])
+@example(two_phase=False, a=0.0, b=0.0, delta=1.0,
+         rows=[(0.0, (0.0, 0.0, 0.0, 0.0)),
+               (0.0, (0.0, 0.0, 2.4529205259826848e-92, 0.0))])
+@example(two_phase=False, a=2.4529205259826848e-92, b=0.0, delta=1.0,
+         rows=[(0.0, (0.0, 0.0, 0.0, 0.0)),
+               (0.0, (0.0, 0.0, 2.4529205259826848e-92, 0.0))])
 def test_per_row_generator_povms_match_reference(two_phase, a, b, delta,
                                                  rows):
     # one product measurement per row, as a generator scenario's search
@@ -357,6 +368,50 @@ def test_per_row_generator_povms_match_reference(two_phase, a, b, delta,
         phases(xi).values()) * (2 if two_phase else 1)), params,
         generator.build(s)) for xi, s in zip(xis, angles)]
     _assert_rows_agree(batch, ones, references, tolerances)
+
+
+@pytest.mark.parametrize("theta_1", [1e-60, 1e-80, 1e-161])
+def test_singular_test_holds_at_any_fisher_scale(theta_1):
+    # two dephased copies at delta = 1, phi = xi = 0, measured in a product
+    # basis tilted by theta_1 from the computational one: the Fisher matrix
+    # is singular and scales as theta_1 ** 2
+    generator = ProductProjectiveGenerator()
+    angles = {"theta_1": theta_1, "eta_1": 0.0, "theta_2": 0.0, "eta_2": 0.0}
+    elements = generator.elements({k: np.array([v])
+                                   for k, v in angles.items()})
+    value, _, _, status = _rows(kernels.kappa_phase_dephasing_batch(
+        np.zeros((2, 1)), 1.0, elements, 1e-12))[0]
+    reference = evaluate_kappa(Scenario(
+        family=ProbeFamily.phase_dephasing(copies=2), measurement=generator,
+        fixed_inputs={"phi": 0.0, "delta": 1.0, "xi_1": 0.0, "xi_2": 0.0,
+                      **angles}), {})
+    assert status == 1 and reference.singular
+    assert math.isclose(value, reference.kappa, rel_tol=1e-12)
+
+
+#: a polar angle in [0, pi] times 10^-e, e in [0, 320]: near 0 the Fisher
+#: matrix of a basis tilted by these angles takes every scale down to 0
+SCALED_ANGLES = st.builds(lambda x, e: x * 10.0 ** -e, st.floats(0, math.pi),
+                          st.integers(0, 320))
+
+
+@given(two_phase=st.booleans(), a=ANGLES, b=ANGLES, delta=st.floats(0.0, 3.0),
+       rows=st.lists(st.tuples(ANGLES, st.tuples(SCALED_ANGLES, ANGLES,
+                                                 SCALED_ANGLES, ANGLES)),
+                     min_size=1, max_size=6))
+@settings(deadline=None, max_examples=100)
+def test_regular_rows_have_finite_kappa(two_phase, a, b, delta, rows):
+    generator = ProductProjectiveGenerator()
+    elements = generator.elements(dict(zip(
+        generator.setting_names, np.array([s for _, s in rows]).T)))
+    xis = np.array([xi for xi, _ in rows])
+    if two_phase:
+        batch = kernels.kappa_two_phase_batch(xis, a, b, elements, 1e-12)
+    else:
+        batch = kernels.kappa_phase_dephasing_batch(
+            a + np.stack((xis, -xis)), delta, elements, 1e-12)
+    kappa_values, _, _, status = batch
+    assert np.isfinite(kappa_values[status == 0]).all()
 
 
 def test_kernels_check_the_povm_dimension():
@@ -427,3 +482,78 @@ def test_no_einsum_in_src_has_three_or_more_operands():
         if any(n >= 3 for n in counts):
             offenders[path.name] = counts
     assert offenders == {}
+
+
+def _imported_qmetro_modules(source):
+    """The qmetro modules a module's source imports, by short name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "qmetro":
+                    continue
+                module = module.removeprefix("qmetro").lstrip(".")
+            if module:
+                names.add(module.split(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("qmetro."))
+    return names
+
+
+def _policy_definitions(source):
+    """Names assigned in a module's source that define the kappa policy:
+    the outcome cutoff, the quantum-information floor or a singular
+    cutoff."""
+    policy = re.compile(r"_?(H_FLOOR|DEFAULT_P_CUTOFF|\w*(SINGULAR|DET)\w*"
+                        r"CUTOFF\w*)")
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        found += [n.id for t in targets for n in ast.walk(t)
+                  if isinstance(n, ast.Name) and policy.fullmatch(n.id)]
+    return found
+
+
+def test_structure_guards_see_their_targets():
+    source = ("from . import fisher\n"
+              "from .scenarios import x\n"
+              "import qmetro.povm\n"
+              "from qmetro import states\n"
+              "from qmetro.linalg import y\n"
+              "import numpy\n"
+              "H_FLOOR = 1e-9\n"
+              "_DET_CUTOFF: float = 1e-12\n"
+              "SINGULAR_CUTOFF = 1e-12\n"
+              "P_FLOOR = 1e-12\n")
+    assert _imported_qmetro_modules(source) == {
+        "fisher", "scenarios", "povm", "states", "linalg"}
+    assert _policy_definitions(source) == [
+        "H_FLOOR", "_DET_CUTOFF", "SINGULAR_CUTOFF"]
+
+
+def _sources():
+    return {path.stem: path.read_text(encoding="utf-8")
+            for path in sorted(Path(qmetro.__file__).parent.glob("*.py"))}
+
+
+def test_kernels_import_neither_fisher_nor_scenarios():
+    # fisher and scenarios build on the kernels; the reverse would be a cycle
+    assert not {"fisher", "scenarios"} & _imported_qmetro_modules(
+        _sources()["kernels"])
+
+
+def test_kappa_policy_is_defined_once_in_kernels():
+    definitions = {name: _policy_definitions(source)
+                   for name, source in _sources().items()}
+    assert sorted(definitions.pop("kernels")) == [
+        "DEFAULT_P_CUTOFF", "H_FLOOR", "SINGULAR_CUTOFF"]
+    assert not any(definitions.values())

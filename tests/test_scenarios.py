@@ -289,36 +289,24 @@ class TestDecoherenceTail:
 
 class TestCollectiveSearch:
     def test_deterministic(self):
-        family = ProbeFamily.two_phase(copies=2)
-        a = random_collective_search(family, trials=20, seed=5)
-        b = random_collective_search(family, trials=20, seed=5)
+        a = random_collective_search(trials=20, seed=5)
+        b = random_collective_search(trials=20, seed=5)
         assert a.max_kappa == b.max_kappa
         assert a.trial_index == b.trial_index
         assert a.xi == b.xi
         assert np.array_equal(a.basis, b.basis)
 
     def test_single_trial_is_bounded(self):
-        family = ProbeFamily.two_phase(copies=2)
-        result = random_collective_search(family, trials=1, seed=11)
+        result = random_collective_search(trials=1, seed=11)
         assert 0.0 <= result.max_kappa <= 1.0 + 1e-6
-
-    def test_requires_two_copy_two_phase(self):
-        with pytest.raises(ValueError):
-            random_collective_search(ProbeFamily.two_phase(copies=1),
-                                     trials=1, seed=0)
-        with pytest.raises(ValueError):
-            random_collective_search(ProbeFamily.phase_dephasing(copies=2),
-                                     trials=1, seed=0)
 
     @pytest.mark.parametrize("xi_budget", [0, -5])
     def test_xi_budget_validated(self, xi_budget):
         with pytest.raises(ValueError, match="xi_budget must be >= 1"):
-            random_collective_search(ProbeFamily.two_phase(copies=2),
-                                     trials=1, seed=0, xi_budget=xi_budget)
+            random_collective_search(trials=1, seed=0, xi_budget=xi_budget)
 
     def test_pinned_seed_77_winner(self):
-        result = random_collective_search(ProbeFamily.two_phase(copies=2),
-                                          trials=200, seed=77)
+        result = random_collective_search(trials=200, seed=77)
         assert result.trial_index == 172
         assert repr(result.xi) == "0.39124405580433264"
         assert repr(result.max_kappa) == "0.9999999883734467"
@@ -326,10 +314,9 @@ class TestCollectiveSearch:
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_chunk_size_changes_nothing(self, monkeypatch, chunk):
-        family = ProbeFamily.two_phase(copies=2)
-        default = random_collective_search(family, trials=30, seed=8)
+        default = random_collective_search(trials=30, seed=8)
         monkeypatch.setattr(scenarios, "_SEARCH_CHUNK", chunk)
-        chunked = random_collective_search(family, trials=30, seed=8)
+        chunked = random_collective_search(trials=30, seed=8)
         assert (chunked.trial_index, chunked.xi, chunked.max_kappa) == (
             default.trial_index, default.xi, default.max_kappa)
         assert np.array_equal(chunked.per_parameter, default.per_parameter)
@@ -338,8 +325,7 @@ class TestCollectiveSearch:
             default.work.refine_iterations
 
     def test_projectors_are_outer_products_bit_for_bit(self):
-        result = random_collective_search(ProbeFamily.two_phase(copies=2),
-                                          trials=20, seed=3)
+        result = random_collective_search(trials=20, seed=3)
         bases = np.stack([result.basis] + [
             haar_random_basis(np.random.default_rng([3, t]), 4)
             for t in range(20)])
