@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import difflib
+import math
 import os
 import sys
 import time
@@ -33,7 +34,8 @@ from .fisher import (qfi_matrix, sld_operators, weak_commutativity,
 from .povm import (BALANCED_T_V, GateModel, bell_povm, cs_gate_amplitudes,
                    cs_gate_povm, load_povm, povm_to_json,
                    product_projective_povm, validate_povm)
-from .scenarios import (DEFAULT_BUDGET, Scenario, kappa_scan, optimize_kappa,
+from .scenarios import (DEFAULT_BUDGET, DEFAULT_SEARCH_AT, DEFAULT_XI_BUDGET,
+                        Scenario, kappa_scan, optimize_kappa,
                         random_collective_search)
 from .states import (PHASE_DEPHASING, TWO_PHASE, ProbeFamily,
                      probe_with_derivatives)
@@ -127,9 +129,9 @@ SCHEMAS: dict[str, dict] = {
     "conjecture-search": {
         **_COMMON,
         "trials": (int, 1000),
-        "phi_y": (float, 0.4),
-        "phi_z": (float, 0.3),
-        "xi_budget": (int, 48),
+        "phi_y": (float, DEFAULT_SEARCH_AT[0]),
+        "phi_z": (float, DEFAULT_SEARCH_AT[1]),
+        "xi_budget": (int, DEFAULT_XI_BUDGET),
     },
     "gate-model": {**_COMMON, **_MEASUREMENT_KEYS},
 }
@@ -159,7 +161,8 @@ def parse_config(command: str, raw: dict[str, str]) -> dict:
     """Validate raw string settings against the command schema.
 
     Reports every problem at once: unknown keys (with the nearest valid key),
-    type errors, missing required keys and range violations.
+    type errors, non-finite numbers, missing required keys and range
+    violations.
     """
     if command not in SCHEMAS:
         raise ConfigError([f"unknown command {command!r}; valid: {', '.join(COMMANDS)}"])
@@ -184,11 +187,15 @@ def parse_config(command: str, raw: dict[str, str]) -> dict:
             errors.append(f"command {command!r} requires key {key!r}")
         else:
             config[key] = default
-    for key, check in _VALIDATORS.items():
-        if key in config and config[key] is not None:
-            verdict = check(config[key])
-            if isinstance(verdict, str):
-                errors.append(verdict)
+    for key, value in config.items():
+        check = _VALIDATORS.get(key)
+        verdict = True if value is None or check is None else check(value)
+        # float() accepts nan and inf; a key gets one message
+        if verdict is True and isinstance(value, float) \
+                and not math.isfinite(value):
+            verdict = f"{key} must be finite, got {value!r}"
+        if isinstance(verdict, str):
+            errors.append(verdict)
     if errors:
         raise ConfigError(errors)
     return config

@@ -84,10 +84,6 @@ class KappaResult:
     excluded: tuple[int, ...] = ()
     singular: bool = False
 
-    @property
-    def partial(self) -> bool:
-        return bool(self.excluded)
-
 
 def sld_operators(swd: StateWithDerivatives) -> SldSet:
     """Solve the SLD defining equation by eigendecomposition of the state.
@@ -111,19 +107,6 @@ def sld_operators(swd: StateWithDerivatives) -> SldSet:
         coeff = np.where(safe, 2.0 / np.where(safe, pair_sums, 1.0), 0.0)
         ops.append(v @ (coeff * mid) @ v.conj().T)
     return SldSet(np.array(ops), float(support_tolerance))
-
-
-def sld_residual(swd: StateWithDerivatives, slds: SldSet) -> float:
-    """Max entrywise residual of ``2 d_rho - L rho - rho L`` on the support."""
-    rho = swd.state
-    w, v = np.linalg.eigh(rho)
-    support = w > slds.support_tolerance
-    proj = (v[:, support]) @ (v[:, support].conj().T)
-    worst = 0.0
-    for drho, L in zip(swd.derivatives, slds.operators):
-        res = 2.0 * drho - L @ rho - rho @ L
-        worst = max(worst, float(np.abs(proj @ res @ proj).max()))
-    return worst
 
 
 def qfi_matrix(swd: StateWithDerivatives, slds: SldSet | None = None) -> np.ndarray:

@@ -33,8 +33,9 @@ class Povm:
     """An ordered set of labeled POVM elements.
 
     ``elements`` is a (K, d, d) complex array; elements are Hermitian PSD and
-    sum to the identity. Arrays are frozen after construction so values can
-    be shared freely.
+    sum to the identity. A non-finite entry is rejected with its element's
+    label. Arrays are frozen after construction so values can be shared
+    freely.
     """
 
     labels: tuple[str, ...]
@@ -46,6 +47,10 @@ class Povm:
             raise ValueError(f"elements must be (K, d, d), got {el.shape}")
         if len(self.labels) != el.shape[0]:
             raise ValueError("one label per element required")
+        bad = np.flatnonzero(~np.isfinite(el).all(axis=(1, 2)))
+        if bad.size:
+            raise ValueError(f"POVM element {self.labels[bad[0]]!r} has a "
+                             "non-finite entry")
         el.setflags(write=False)
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         object.__setattr__(self, "elements", el)
@@ -285,10 +290,6 @@ def povm_from_json(text: str) -> Povm:
                              f"expected ({dim}, {dim})")
         elements.append(m)
     return Povm(tuple(labels), np.array(elements))
-
-
-def save_povm(path, p: Povm) -> None:
-    serialize.atomic_write_text(path, povm_to_json(p))
 
 
 def load_povm(path) -> Povm:

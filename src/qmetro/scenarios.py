@@ -34,6 +34,10 @@ from .states import (PHASE_DEPHASING, TWO_PHASE, ProbeFamily,
                      probe_with_derivatives)
 
 DEFAULT_BUDGET = 2000
+#: the rotation (phi_y, phi_z) the collective search probes, and its
+#: evaluation budget per trial
+DEFAULT_SEARCH_AT = (0.4, 0.3)
+DEFAULT_XI_BUDGET = 48
 GRID_POINTS_PER_DIM = 17
 #: fraction of the evaluation budget spent on the coarse grid; the remainder
 #: goes to the simplex refinement
@@ -215,9 +219,6 @@ class _Objective:
         self.refine_iterations = 0
         #: per problem: whether any of its rows had a regular Fisher matrix
         self.any_regular = np.zeros(self.problems, dtype=bool)
-
-    def __call__(self, x) -> float:
-        return float(self.batch(np.asarray(x, dtype=float)[None])[0])
 
     def work(self) -> SearchWork:
         return SearchWork(self.evaluations, self.kernel_calls,
@@ -451,12 +452,6 @@ def kappa_scan(scenario: Scenario, grid, budget: int = DEFAULT_BUDGET) -> KappaC
                       work=work)
 
 
-def default_delta_grid() -> np.ndarray:
-    """40 log-spaced dephasing strengths from 0.02 to 3, resolving both the
-    small-delta drop region and the decoherence tail."""
-    return np.geomspace(0.02, 3.0, 40)
-
-
 # ---------------------------------------------------------------------------
 # random collective-measurement search
 # ---------------------------------------------------------------------------
@@ -473,12 +468,6 @@ def _haar_bases(gaussians: np.ndarray) -> np.ndarray:
     phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
     return q * phases[..., None, :]
-
-
-def haar_random_basis(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Columns form a Haar-random orthonormal basis (QR of a complex
-    Gaussian matrix with the R diagonal phase fixed)."""
-    return _haar_bases(_complex_gaussian(rng, dim))
 
 
 def _basis_projectors(bases: np.ndarray) -> np.ndarray:
@@ -521,8 +510,9 @@ _SEARCH_CHUNK = _CALL_ROWS
 
 
 def random_collective_search(trials: int, seed: int,
-                             at: tuple[float, float] = (0.4, 0.3),
-                             xi_budget: int = 48) -> CollectiveSearchResult:
+                             at: tuple[float, float] = DEFAULT_SEARCH_AT,
+                             xi_budget: int = DEFAULT_XI_BUDGET
+                             ) -> CollectiveSearchResult:
     """Max kappa over Haar-random rank-1 projective measurements on two
     copies of the two-phase probe at the rotation ``at`` = (phi_y, phi_z).
 

@@ -49,12 +49,6 @@ def make_equatorial_ket(xi) -> np.ndarray:
     return ket / np.sqrt(2.0)
 
 
-def make_equatorial_state(xi: float) -> np.ndarray:
-    """Rank-1 density matrix of the equatorial state with relative phase xi."""
-    k = make_equatorial_ket(xi)
-    return np.outer(k, k.conj())
-
-
 def _rotation_with_derivatives(phi_y: float, phi_z: float) -> np.ndarray:
     """U = exp(i*(phi_y*sigma_y + phi_z*sigma_z)) and its two derivatives.
 
@@ -81,15 +75,6 @@ def _rotation_with_derivatives(phi_y: float, phi_z: float) -> np.ndarray:
     return np.array([math.cos(theta) * ID2 + s * ig,
                      phi_y * (c * ig - s * ID2) + 1j * s * PAULI_Y,
                      phi_z * (c * ig - s * ID2) + 1j * s * PAULI_Z])
-
-
-def rotation_unitary(phi_y: float, phi_z: float) -> np.ndarray:
-    """exp(i*(phi_y*sigma_y + phi_z*sigma_z)) in closed form.
-
-    With theta = sqrt(phi_y^2 + phi_z^2) this equals
-    cos(theta)*I + i*(sin(theta)/theta)*(phi_y*sigma_y + phi_z*sigma_z).
-    """
-    return _rotation_with_derivatives(phi_y, phi_z)[0]
 
 
 def two_phase_ket_with_derivatives(xi, phi_y, phi_z) -> np.ndarray:
@@ -119,7 +104,8 @@ def dephasing_with_derivatives(alpha, delta) -> np.ndarray:
     ``delta`` one value or an array that broadcasts against it. The
     (0,1) entry of the state is exp(-i*alpha - delta^2)/2 and its diagonal is
     1/2. Returns shape (3,) + alpha.shape + (2, 2): the state, d/dphi and
-    d/ddelta. Inputs are not validated; see ``dephased_phase_state``.
+    d/ddelta. Inputs are not validated; ``probe_with_derivatives``
+    checks them.
     """
     off = np.exp(-1j * np.asarray(alpha) - delta * delta) / 2.0
     out = np.zeros((3,) + off.shape + (2, 2), dtype=complex)
@@ -146,16 +132,6 @@ def _check_dephasing(xi: float, phi: float, delta: float) -> None:
     _require_finite(xi=xi, phi=phi, delta=delta)
     if delta < 0:
         raise ValueError(f"dephasing strength must be >= 0, got {delta}")
-
-
-def dephased_phase_state(xi: float, phi: float, delta: float) -> np.ndarray:
-    """Equatorial state after phase shift phi and dephasing delta.
-
-    Diagonal entries are 1/2; the (0,1) entry is exp(-i*(phi+xi) - delta^2)/2,
-    so the Bloch vector has length exp(-delta^2).
-    """
-    _check_dephasing(xi, phi, delta)
-    return dephasing_with_derivatives(phi + xi, delta)[0]
 
 
 @dataclass(frozen=True)
@@ -207,21 +183,10 @@ class StateWithDerivatives:
 
     state: np.ndarray                 # (d, d) complex
     derivatives: np.ndarray           # (n, d, d) complex, Hermitian each
-    parameter_names: tuple[str, ...]
 
     @property
     def dim(self) -> int:
         return self.state.shape[0]
-
-    @property
-    def num_parameters(self) -> int:
-        return self.derivatives.shape[0]
-
-
-def two_phase_state(xi: float, phi_y: float, phi_z: float) -> np.ndarray:
-    """Pure output state of the two-phase family."""
-    psi = rotation_unitary(phi_y, phi_z) @ make_equatorial_ket(xi)
-    return np.outer(psi, psi.conj())
 
 
 def pure_with_derivatives(kets: np.ndarray) -> np.ndarray:
@@ -283,5 +248,4 @@ def probe_with_derivatives(family: ProbeFamily, params) -> StateWithDerivatives:
             singles.append(pure_with_derivatives(
                 two_phase_ket_with_derivatives(xi, a, b)))
     joint = copies_with_derivatives(singles)
-    return StateWithDerivatives(state=joint[0], derivatives=joint[1:],
-                                parameter_names=family.parameter_names)
+    return StateWithDerivatives(state=joint[0], derivatives=joint[1:])

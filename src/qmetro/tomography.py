@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels, serialize
-from .linalg import psd_sqrt, trace_distance
+from .linalg import psd_sqrt
 from .povm import Povm
 
 logger = logging.getLogger(__name__)
@@ -77,7 +77,6 @@ class CountsTable:
     input_labels: tuple[tuple[str, str], ...]
     outcome_labels: tuple[str, ...]
     counts: np.ndarray            # (J, K) float64, nonnegative
-    exposure: float
 
     def __post_init__(self):
         unknown = sorted({lbl for pair in self.input_labels for lbl in pair}
@@ -139,14 +138,6 @@ def reference_gram_rank(refs: ReferenceSet) -> int:
         gram, tol=_GRAM_RCOND * np.linalg.norm(gram)))
 
 
-def reference_gram_condition(refs: ReferenceSet) -> float:
-    vec = refs.states.reshape(len(refs.labels), -1)
-    gram = np.real(vec @ vec.conj().T)
-    sv = np.linalg.svd(gram, compute_uv=False)
-    positive = sv[sv > 1e-14 * sv[0]]
-    return float(sv[0] / positive[-1])
-
-
 def simulate_counts(povm: Povm, refs: ReferenceSet, exposure: float,
                     seed: int) -> CountsTable:
     """Poisson coincidence counts with mean ``exposure * p(k | input)``."""
@@ -156,7 +147,7 @@ def simulate_counts(povm: Povm, refs: ReferenceSet, exposure: float,
     p = np.clip(p, 0.0, None)
     rng = np.random.default_rng(seed)
     counts = rng.poisson(exposure * p).astype(float)
-    return CountsTable(refs.labels, povm.labels, counts, float(exposure))
+    return CountsTable(refs.labels, povm.labels, counts)
 
 
 def mle_reconstruct(counts: CountsTable, refs: ReferenceSet,
@@ -242,14 +233,6 @@ def povm_fidelity(candidate: np.ndarray, ideal: np.ndarray) -> float:
     return float(min(max(val, 0.0), 1.0))
 
 
-def element_trace_distances(a: Povm, b: Povm) -> np.ndarray:
-    """Per-element trace distances between two POVMs with matching labels."""
-    if a.labels != b.labels:
-        raise ValueError("POVM labels differ")
-    return np.array([trace_distance(x, y)
-                     for x, y in zip(a.elements, b.elements)])
-
-
 def monte_carlo_uncertainty(counts: CountsTable, derived_quantity,
                             runs: int, seed: int) -> tuple[float, float]:
     """Poisson-resample the table and propagate through ``derived_quantity``.
@@ -267,7 +250,7 @@ def monte_carlo_uncertainty(counts: CountsTable, derived_quantity,
         rng = np.random.default_rng([seed, run])
         resampled = CountsTable(
             counts.input_labels, counts.outcome_labels,
-            rng.poisson(counts.counts).astype(float), counts.exposure)
+            rng.poisson(counts.counts).astype(float))
         try:
             values.append(float(derived_quantity(resampled)))
         except Exception as exc:  # noqa: BLE001 - diagnostics by contract
@@ -296,7 +279,7 @@ def counts_to_csv(counts: CountsTable) -> str:
     return buf.getvalue()
 
 
-def counts_from_csv(text: str, exposure: float = 0.0) -> CountsTable:
+def counts_from_csv(text: str) -> CountsTable:
     """Parse a counts CSV; the table must be complete and duplicate-free."""
     reader = csv.DictReader(io.StringIO(text))
     required = {"input1", "input2", "outcome", "counts"}
@@ -328,13 +311,9 @@ def counts_from_csv(text: str, exposure: float = 0.0) -> CountsTable:
     if len(cells) != len(inputs) * len(outcomes):
         raise ValueError("counts CSV is incomplete: every input/outcome pair "
                          "must appear exactly once (zeros allowed)")
-    return CountsTable(tuple(inputs), tuple(outcomes), table, exposure)
+    return CountsTable(tuple(inputs), tuple(outcomes), table)
 
 
-def save_counts(path, counts: CountsTable) -> None:
-    serialize.atomic_write_text(path, counts_to_csv(counts))
-
-
-def load_counts(path, exposure: float = 0.0) -> CountsTable:
+def load_counts(path) -> CountsTable:
     with open(path, encoding="utf-8") as fh:
-        return counts_from_csv(fh.read(), exposure)
+        return counts_from_csv(fh.read())

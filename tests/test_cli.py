@@ -4,9 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from qmetro import (Povm, bell_povm, counts_to_csv, haar_random_basis,
-                    load_povm, povm_to_json, reference_states, save_povm,
-                    simulate_counts, validate_povm)
+from qmetro import (Povm, bell_povm, counts_to_csv, load_povm, povm_to_json,
+                    reference_states, scenarios, simulate_counts,
+                    validate_povm)
 from qmetro.cli import ConfigError, main, parse_config, read_config_file
 
 
@@ -160,9 +160,9 @@ class TestCliCommands:
     def test_kappa_scan_reports_failed_points(self, tmp_path, capsys):
         # two outcomes cannot resolve two parameters: singular everywhere
         path = tmp_path / "z.json"
-        save_povm(path, Povm(("up", "down"), np.array([[[1, 0], [0, 0]],
-                                                       [[0, 0], [0, 1]]],
-                                                      dtype=complex)))
+        path.write_text(povm_to_json(Povm(("up", "down"), np.array(
+            [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], dtype=complex))),
+            encoding="utf-8")
         out = tmp_path / "s"
         code, _ = run_cli(capsys, "kappa-scan", "--copies", "1",
                           "--measurement", "file", "--povm", str(path),
@@ -244,10 +244,13 @@ class TestCliCommands:
 
     def test_optimize_frees_every_copy_phase_by_default(self, tmp_path,
                                                         capsys):
-        basis = haar_random_basis(np.random.default_rng(5), 8)
+        basis = scenarios._haar_bases(scenarios._complex_gaussian(
+            np.random.default_rng(5), 8))
         path = tmp_path / "haar8.json"
-        save_povm(path, Povm(tuple(f"b{k}" for k in range(8)), np.array(
-            [np.outer(basis[:, k], basis[:, k].conj()) for k in range(8)])))
+        path.write_text(povm_to_json(Povm(
+            tuple(f"b{k}" for k in range(8)), np.array(
+                [np.outer(basis[:, k], basis[:, k].conj())
+                 for k in range(8)]))), encoding="utf-8")
         docs = []
         for sub, extra in (("default", []),
                            ("named", ["--free-inputs", "phi,xi_1,xi_2,xi_3"])):
@@ -280,6 +283,31 @@ class TestCliCommands:
                             "--out", str(tmp_path / "o"))
         assert code == 1 and out["status"] == "error"
         assert all(word in out["errors"][0] for word in named)
+
+    @pytest.mark.parametrize("entry", [None, float("nan"), float("inf")],
+                             ids=["null", "nan", "inf"])
+    def test_povm_file_with_a_non_finite_entry_is_an_error(self, tmp_path,
+                                                            capsys, entry):
+        doc = json.loads(povm_to_json(bell_povm()))
+        doc["outcomes"][0]["re"][0][0] = entry
+        path = tmp_path / "povm.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = run_cli(capsys, "optimize", "--measurement", "file",
+                            "--povm", str(path), "--budget", "50",
+                            "--out", str(tmp_path / "o"))
+        assert code == 1 and out["status"] == "error"
+        assert out["errors"] == ["POVM element 'DD' has a non-finite entry"]
+
+    @pytest.mark.parametrize("argv,key", [
+        (("optimize", "--delta", "nan"), "delta"),
+        (("optimize", "--xi-1", "nan", "--free-inputs", "phi,xi_2"), "xi_1"),
+        (("kappa-scan", "--phi", "nan", "--free-inputs", "xi_1,xi_2"), "phi"),
+    ], ids=["delta", "fixed-phase", "scan"])
+    def test_non_finite_setting_is_named(self, tmp_path, capsys, argv, key):
+        code, doc = run_cli(capsys, *argv, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert doc["errors"] == [f"{key} must be finite, got nan"]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("cell", ["abc", ""])
     def test_counts_cell_that_is_not_a_number_is_named(self, tmp_path, capsys,

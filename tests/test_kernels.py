@@ -13,11 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmetro import (Povm, ProbeFamily, ProductProjectiveGenerator, Scenario,
-                    bell_povm, classical_fi, evaluate_kappa, haar_random_basis,
-                    kappa, measurement_probabilities, probe_with_derivatives,
+                    bell_povm, classical_fi, evaluate_kappa, kappa,
+                    measurement_probabilities, probe_with_derivatives,
                     product_projective_povm)
 import qmetro
-from qmetro import kernels
+from qmetro import kernels, scenarios
 from qmetro.fisher import H_FLOOR
 from qmetro.scenarios import single_copy_qfi_diagonal
 
@@ -110,7 +110,7 @@ def _random_povm(seed, dim, kind):
     random positive operators with 2 * dim outcomes."""
     rng = np.random.default_rng(seed)
     if kind == "projective":
-        basis = haar_random_basis(rng, dim)
+        basis = scenarios._haar_bases(scenarios._complex_gaussian(rng, dim))
         elements = [np.outer(basis[:, k], basis[:, k].conj())
                     for k in range(dim)]
     elif kind == "product":
@@ -557,3 +557,81 @@ def test_kappa_policy_is_defined_once_in_kernels():
     assert sorted(definitions.pop("kernels")) == [
         "DEFAULT_P_CUTOFF", "H_FLOOR", "SINGULAR_CUTOFF"]
     assert not any(definitions.values())
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _assigns(node, name):
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == name for t in node.targets)
+
+
+def _referenced_names(node):
+    """The names a syntax tree refers to as names, attributes or imports;
+    docstrings are string constants and do not count."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name.rsplit(".", 1)[-1])
+    return names
+
+
+def _unreached(sources, perfbench):
+    """``module.name`` of each public top-level function or class in
+    ``sources`` that no other module, no other statement of its own module
+    and no perfbench file refers to. perfbench's ``WRAPPED`` table names
+    the attributes it wraps as strings, and these count too; ``__all__``
+    does not."""
+    reached = set()
+    for source in perfbench:
+        tree = ast.parse(source)
+        reached |= _referenced_names(tree)
+        reached |= {c.value for node in tree.body if _assigns(node, "WRAPPED")
+                    for c in ast.walk(node.value)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    statements = [(module, node) for module, source in sources.items()
+                  for node in ast.parse(source).body
+                  if not _assigns(node, "__all__")]
+    names = {id(node): _referenced_names(node) for _, node in statements}
+    return [f"{module}.{node.name}" for module, node in statements
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in reached
+            and not any(node.name in names[id(other)]
+                        for _, other in statements if other is not node)]
+
+
+def test_reach_guard_sees_its_targets():
+    sources = {
+        "a": ('def used():\n'
+              '    """unused() named in a docstring does not count"""\n'
+              'def unused():\n'
+              '    return unused()\n'
+              'def _private():\n'
+              '    pass\n'
+              'class Wrapped:\n'
+              '    pass\n'
+              'def by_attribute():\n'
+              '    pass\n'
+              '__all__ = ["unused"]\n'),
+        "b": "from .a import used\n",
+    }
+    perfbench = ['WRAPPED = (("qmetro.a", "Wrapped", "a.wrapped", None),)\n',
+                 'import qmetro.a\nqmetro.a.by_attribute()\n']
+    assert _unreached(sources, perfbench) == ["a.unused"]
+
+
+def test_every_public_definition_is_reached():
+    # a public function or class that neither the package nor the benchmark
+    # reaches is code that only tests run
+    sources = _sources()
+    del sources["__init__"]
+    perfbench = [path.read_text(encoding="utf-8")
+                 for path in sorted(PERFBENCH.glob("*.py"))]
+    assert perfbench
+    assert _unreached(sources, perfbench) == []

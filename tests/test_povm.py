@@ -6,11 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmetro import (GateModel, Povm, bell_povm, cs_gate_amplitudes,
-                    cs_gate_povm, make_equatorial_state, povm_from_json,
+                    cs_gate_povm, make_equatorial_ket, povm_from_json,
                     povm_to_json, product_projective_povm, tensor_product,
                     validate_povm)
 
 ANGLES = st.floats(0.0, 2.0 * math.pi)
+
+
+def equatorial_state(xi):
+    ket = make_equatorial_ket(xi)
+    return np.outer(ket, ket.conj())
+
 
 BELL_KETS = {
     "DD": np.array([1, 0, 0, 1]) / np.sqrt(2),
@@ -64,7 +70,7 @@ class TestProductProjectivePovm:
 
     def test_plus_minus_basis(self):
         p = product_projective_povm((math.pi / 2, 0.0, math.pi / 2, 0.0))
-        plus = make_equatorial_state(0.0)
+        plus = equatorial_state(0.0)
         prob = np.real(np.trace(tensor_product(plus, plus) @ p.elements[0]))
         assert abs(prob - 1.0) < 1e-14
 
@@ -120,7 +126,7 @@ class TestGateModel:
     @settings(deadline=None, max_examples=40)
     def test_probabilities_normalized_on_product_states(self, v, xi1, xi2):
         povm, _ = cs_gate_povm(GateModel(visibility=v))
-        rho = tensor_product(make_equatorial_state(xi1), make_equatorial_state(xi2))
+        rho = tensor_product(equatorial_state(xi1), equatorial_state(xi2))
         probs = np.einsum("kij,ji->k", povm.elements, rho)
         assert np.abs(probs.imag).max() < 1e-12
         assert probs.real.min() > -1e-12

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm_frechet
+from scipy.linalg import expm, expm_frechet
 
-from qmetro import (ProbeFamily, check_density_matrix, dephased_phase_state,
-                    make_equatorial_ket, make_equatorial_state,
-                    probe_with_derivatives, purity, rotation_unitary,
-                    tensor_product, two_phase_ket_with_derivatives,
-                    two_phase_state)
+from qmetro import (ProbeFamily, make_equatorial_ket, probe_with_derivatives,
+                    tensor_product, two_phase_ket_with_derivatives)
 from qmetro.linalg import PAULI_Y, PAULI_Z, hermiticity_defect
 from qmetro.scenarios import single_copy_qfi_diagonal
 from qmetro.states import dephasing_qfi
@@ -18,23 +15,47 @@ from qmetro.states import dephasing_qfi
 ANGLES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 
+def dephased(xi, phi, delta):
+    """The single-copy phase-dephasing probe state."""
+    return probe_with_derivatives(ProbeFamily.phase_dephasing(xi=xi),
+                                  (phi, delta)).state
+
+
+def check_density_matrix(rho):
+    """Hermitian, unit trace and PSD, each to 1e-10."""
+    assert np.abs(rho - rho.conj().T).max() <= 1e-10
+    assert abs(np.trace(rho) - 1.0) <= 1e-10
+    assert np.linalg.eigvalsh(rho).min() >= -1e-10
+
+
+def purity(rho):
+    return float(np.real(np.trace(rho @ rho)))
+
+
+def rotation(phi_y, phi_z):
+    """exp(i*(phi_y*sigma_y + phi_z*sigma_z)) by scipy, as an oracle."""
+    return expm(1j * (phi_y * PAULI_Y + phi_z * PAULI_Z))
+
+
 class TestEquatorialState:
+    """The input state: the dephasing probe with no phase and no dephasing."""
+
     def test_xi_zero_is_plus(self):
-        rho = make_equatorial_state(0.0)
+        rho = dephased(0.0, 0.0, 0.0)
         assert np.allclose(rho, np.full((2, 2), 0.5), atol=1e-15)
 
     def test_xi_pi_is_minus(self):
-        rho = make_equatorial_state(math.pi)
+        rho = dephased(math.pi, 0.0, 0.0)
         expected = np.array([[0.5, -0.5], [-0.5, 0.5]])
         assert np.allclose(rho, expected, atol=1e-15)
 
     def test_xi_half_pi(self):
-        rho = make_equatorial_state(math.pi / 2)
+        rho = dephased(math.pi / 2, 0.0, 0.0)
         expected = np.array([[0.5, -0.5j], [0.5j, 0.5]])
         assert np.allclose(rho, expected, atol=1e-15)
 
     def test_rank_one_trace_one(self):
-        rho = make_equatorial_state(1.3)
+        rho = dephased(1.3, 0.0, 0.0)
         check_density_matrix(rho)
         assert abs(purity(rho) - 1.0) < 1e-12
 
@@ -44,17 +65,31 @@ class TestEquatorialState:
 
 
 class TestRotationUnitary:
+    """The two-phase rotation U, read off the output kets U|+> and U|->
+    of the inputs xi = 0 and pi: its columns are U|0> = (U|+> + U|->)/sqrt(2)
+    and U|1> = (U|+> - U|->)/sqrt(2)."""
+
+    @staticmethod
+    def rotation_unitary(phi_y, phi_z):
+        kets = [two_phase_ket_with_derivatives(xi, phi_y, phi_z)[0]
+                for xi in (0.0, math.pi)]
+        return np.stack([kets[0] + kets[1], kets[0] - kets[1]],
+                        axis=1) / np.sqrt(2.0)
+
     def test_zero_angles_identity(self):
-        assert np.allclose(rotation_unitary(0.0, 0.0), np.eye(2), atol=1e-15)
+        assert np.allclose(self.rotation_unitary(0.0, 0.0), np.eye(2),
+                           atol=1e-15)
 
     def test_z_generator_quarter_turn(self):
         # closed-form exponential of sigma_z alone
         expected = np.diag([np.exp(1j * math.pi / 2), np.exp(-1j * math.pi / 2)])
-        assert np.allclose(rotation_unitary(0.0, math.pi / 2), expected, atol=1e-14)
+        assert np.allclose(self.rotation_unitary(0.0, math.pi / 2), expected,
+                           atol=1e-14)
 
     def test_y_generator_quarter_turn(self):
         expected = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        assert np.allclose(rotation_unitary(math.pi / 2, 0.0), expected, atol=1e-14)
+        assert np.allclose(self.rotation_unitary(math.pi / 2, 0.0), expected,
+                           atol=1e-14)
 
     @pytest.mark.parametrize("phi_y,phi_z", [
         (0.3, 0.4), (0.9, -0.1), (-0.5, 0.5), (1e-9, 1e-9), (0.6, 0.7),
@@ -67,38 +102,45 @@ class TestRotationUnitary:
         for k in range(1, 13):
             term = term @ a / k
             series = series + term
-        assert np.abs(rotation_unitary(phi_y, phi_z) - series).max() < 1e-10
+        assert np.abs(self.rotation_unitary(phi_y, phi_z) - series).max() < 1e-10
+
+    @given(phi_y=ANGLES, phi_z=ANGLES, xi=ANGLES)
+    @settings(deadline=None, max_examples=60)
+    def test_matches_scipy_expm(self, phi_y, phi_z, xi):
+        ket = two_phase_ket_with_derivatives(xi, phi_y, phi_z)[0]
+        expected = rotation(phi_y, phi_z) @ make_equatorial_ket(xi)
+        assert np.abs(ket - expected).max() < 1e-12
 
     @given(phi_y=ANGLES, phi_z=ANGLES)
     @settings(deadline=None, max_examples=60)
     def test_unitarity(self, phi_y, phi_z):
-        u = rotation_unitary(phi_y, phi_z)
+        u = self.rotation_unitary(phi_y, phi_z)
         assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-12
 
 
 class TestDephasedPhaseState:
     def test_identity_inputs_give_plus(self):
-        assert np.allclose(dephased_phase_state(0.0, 0.0, 0.0),
+        assert np.allclose(dephased(0.0, 0.0, 0.0),
                            np.full((2, 2), 0.5), atol=1e-15)
 
     def test_strong_dephasing_maximally_mixed(self):
-        rho = dephased_phase_state(0.2, 1.1, 6.0)
+        rho = dephased(0.2, 1.1, 6.0)
         assert abs(rho[0, 1]) < 1e-15
         assert np.allclose(np.diag(rho).real, [0.5, 0.5])
 
     def test_off_diagonal_value(self):
-        rho = dephased_phase_state(0.0, math.pi / 2, 1.0)
+        rho = dephased(0.0, math.pi / 2, 1.0)
         assert abs(abs(rho[0, 1]) - math.exp(-1.0) / 2) < 1e-14
         assert abs(np.angle(rho[0, 1]) + math.pi / 2) < 1e-14
 
     def test_rejects_negative_delta(self):
         with pytest.raises(ValueError):
-            dephased_phase_state(0.0, 0.0, -0.1)
+            dephased(0.0, 0.0, -0.1)
 
     @given(xi=ANGLES, phi=ANGLES, delta=st.floats(0.0, 4.0))
     @settings(deadline=None, max_examples=60)
     def test_valid_state_with_known_purity(self, xi, phi, delta):
-        rho = dephased_phase_state(xi, phi, delta)
+        rho = dephased(xi, phi, delta)
         check_density_matrix(rho)
         expected = (1.0 + math.exp(-2.0 * delta * delta)) / 2.0
         assert abs(purity(rho) - expected) < 1e-10
@@ -201,10 +243,11 @@ class TestProbeWithDerivatives:
             assert np.abs(swd.derivatives[j] - expected).max() < 1e-14
 
     def test_two_phase_state_is_rotated_input(self):
-        rho = two_phase_state(0.3, 0.5, 0.2)
-        u = rotation_unitary(0.5, 0.2)
-        expected = u @ make_equatorial_state(0.3) @ u.conj().T
-        assert np.abs(rho - expected).max() < 1e-14
+        rho = probe_with_derivatives(ProbeFamily.two_phase(xi=0.3),
+                                     (0.5, 0.2)).state
+        u = rotation(0.5, 0.2)
+        plus = dephased(0.3, 0.0, 0.0)
+        assert np.abs(rho - u @ plus @ u.conj().T).max() < 1e-14
 
     def test_parameter_count_checked(self):
         with pytest.raises(ValueError):
