@@ -16,8 +16,9 @@ from .povm import (GateModel, MeasurementGenerator, Povm, PovmValidation,
                    cs_gate_povm, load_povm, povm_from_json, povm_to_json,
                    product_projective_povm, validate_povm)
 from .scenarios import (CollectiveSearchResult, KappaCurve, OptimizeOutcome,
-                        Scenario, evaluate_kappa, kappa_scan, optimize_kappa,
-                        random_collective_search, single_copy_qfi_diagonal)
+                        Scenario, evaluate_kappa, kappa_scan, optimize_each,
+                        optimize_kappa, random_collective_search,
+                        single_copy_qfi_diagonal)
 from .states import (ProbeFamily, StateWithDerivatives, make_equatorial_ket,
                      probe_with_derivatives, two_phase_ket_with_derivatives)
 from .tomography import (CountsTable, MleResult, ReferenceSet, counts_from_csv,

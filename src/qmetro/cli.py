@@ -381,7 +381,7 @@ def _cmd_optimize(cfg, log):
             name: float(v) for name, v in
             zip(scenario.family.parameter_names, outcome.result.per_parameter)},
         "settings": {k: float(v) for k, v in sorted(outcome.settings.items())},
-        "evaluations": outcome.evaluations,
+        "evaluations": outcome.work.evaluations,
         "excluded_parameters": list(outcome.result.excluded),
     }
     return {"optimize.json": serialize.dumps_json(doc)}
@@ -404,6 +404,7 @@ def _cmd_tomography(cfg, log):
     log["mle_s"] = f"{time.perf_counter() - start:.3f}"
     doc = {
         "converged": result.converged,
+        "stop": result.stop,
         "iterations": result.iterations,
         "log_likelihood": float(result.log_likelihood),
         "floored_events": result.floored_events,

@@ -17,10 +17,10 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 # the kappa policy constants live in ``kernels``; ``kernels.fisher_matrix``
 # is looked up through the module at call time, so that a wrapper set on the
@@ -39,10 +39,10 @@ _HERM_ATOL = 1e-9
 #: SLD matrix elements across eigenvalue pairs summing below this times the
 #: largest eigenvalue are set to zero
 _SUPPORT_RTOL = 1e-12
-#: the weak-commutativity root is bracketed on this many steps of one period
-#: of the input phase and refined to this tolerance
-_ROOT_SCAN_POINTS = 64
-_ROOT_XTOL = 1e-12
+#: a commutator expectation whose amplitude over the input phase is at or
+#: below this is zero up to round-off (it is of order 1 at generic
+#: rotations), and every input phase is a root
+_ROOT_AMPLITUDE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -143,12 +143,15 @@ def weak_commutativity(swd: StateWithDerivatives, slds: SldSet | None = None,
 
 
 def weak_commutativity_root(phi_y: float, phi_z: float) -> float:
-    """Input phase at which the two-phase SLD commutator expectation vanishes.
+    """First input phase in [0, pi) at which the two-phase SLD commutator
+    expectation vanishes, in closed form.
 
-    Scans the input phase over one period for a sign change and refines by
-    bisection. The probe is one copy: the m-copy commutator is m times the
-    single-copy one and has the same root. Raises ValueError when no sign
-    change is found (degenerate rotation settings).
+    Any expectation in the probe ket (|0> + e^{i xi}|1>)/sqrt(2) is
+    a + b cos xi + c sin xi, and the commutator's has a = 0, so its roots
+    are atan2(-b, c) mod pi and that plus pi. The probe is one copy: the
+    m-copy commutator is m times the single-copy one and has the same
+    roots. Where the expectation vanishes for every input phase (up to
+    round-off, as at (phi_y, phi_z) = (pi/2, 0)), returns 0.0.
     """
 
     def value(xi: float) -> float:
@@ -156,16 +159,10 @@ def weak_commutativity_root(phi_y: float, phi_z: float) -> float:
         swd = probe_with_derivatives(family, (phi_y, phi_z))
         return weak_commutativity(swd)
 
-    grid = np.linspace(0.0, 2.0 * np.pi, _ROOT_SCAN_POINTS + 1)
-    vals = [value(x) for x in grid]
-    for k in range(_ROOT_SCAN_POINTS):
-        if vals[k] == 0.0:
-            return float(grid[k])
-        if vals[k] * vals[k + 1] < 0.0:
-            return float(brentq(value, grid[k], grid[k + 1], xtol=_ROOT_XTOL))
-    raise ValueError(
-        f"no sign change of the SLD commutator over one period at "
-        f"(phi_y, phi_z) = ({phi_y}, {phi_z})")
+    b, c = value(0.0), value(math.pi / 2)
+    if math.hypot(b, c) <= _ROOT_AMPLITUDE_FLOOR:
+        return 0.0
+    return math.atan2(-b, c) % math.pi
 
 
 def measurement_probabilities(swd: StateWithDerivatives, povm: Povm):

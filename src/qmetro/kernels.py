@@ -20,7 +20,10 @@ Kernel contracts:
   detector reconstruction (Rehacek et al., PRA 75, 042108, 2007) with a
   monotone-likelihood line search, on matrix products: the reference states
   are flattened once, so the probabilities and all R_k are one product each,
-  and the full step is the first trial of the line search
+  and the full step is the first trial of the line search; it returns why
+  it stopped: ``"tolerance"`` (the relative log-likelihood change fell to
+  tol), ``"stalled"`` (no damped step kept the log-likelihood) or
+  ``"max_iters"``
 """
 
 from __future__ import annotations
@@ -206,7 +209,7 @@ def mle_iterate(counts, rhos, init, max_iters, tol, p_floor):
 
     p, floored, ll = floor_and_ll(povm)
     ll_trace = [ll]
-    converged = False
+    stop = "max_iters"
     iters = 0
     ratio = np.zeros_like(counts)
     for iters in range(1, max_iters + 1):
@@ -226,15 +229,14 @@ def mle_iterate(counts, rhos, init, max_iters, tol, p_floor):
                 break
             lam *= 0.5
         else:
-            converged = True
+            stop = "stalled"
             iters -= 1
             break
         povm, p = trial, pt
         floored += nfl
         ll_trace.append(llt)
         if abs(llt - ll) <= tol * abs(llt):
-            ll = llt
-            converged = True
+            stop = "tolerance"
             break
         ll = llt
-    return povm, np.array(ll_trace), iters, converged, floored
+    return povm, np.array(ll_trace), iters, stop, floored

@@ -10,12 +10,13 @@ measurement generator. Two-phase scenarios use a single shared input phase
 is unambiguous.
 
 Every search evaluation is scored by the batched kernels
-(``kernels.kappa_batch``), for any number of copies and for a fixed POVM or
-a measurement generator alike; ``evaluate_kappa`` computes the reported
-value at each optimum and is the reference the kernels are tested against.
-A scan optimizes all its points, and the collective search a chunk of
-trials, in one lockstep run of ``_maximize``: each simplex step of every
-point's refinement shares one kernel call.
+(``kernels.kappa_batch``), for any number of copies and for a fixed POVM, a
+stack of POVMs or a measurement generator alike; ``evaluate_kappa`` computes
+the reported value at each optimum and is the reference the kernels are
+tested against. A scan optimizes all its points, ``optimize_each`` every
+POVM of a stack, and the collective search a chunk of trials (a stack of
+one POVM per trial), in one lockstep run of ``_maximize``: each simplex step
+of every problem's refinement shares one kernel call.
 """
 
 from __future__ import annotations
@@ -56,15 +57,24 @@ class Scenario:
     measurement settings; each free input is named once and used. A
     scenario optimized at one point only may have no swept input
     (``sweep=None``).
+
+    ``measurement`` may also be a stack: a nonempty tuple of ``Povm``s of
+    one element shape, one per problem, which ``optimize_each`` optimizes
+    in one run.
     """
 
     family: ProbeFamily
-    measurement: Povm | MeasurementGenerator
+    measurement: Povm | MeasurementGenerator | tuple[Povm, ...]
     free_inputs: tuple[str, ...] = ()
     fixed_inputs: dict[str, float] = field(default_factory=dict)
     sweep: str | None = "delta"
 
     def __post_init__(self):
+        if isinstance(self.measurement, tuple):
+            shapes = sorted({m.elements.shape for m in self.measurement})
+            if len(shapes) != 1:
+                raise ValueError("a measurement stack needs POVMs of one "
+                                 f"element shape, got shapes {shapes}")
         free, required = self.free_inputs, self.required_inputs()
         swept = set() if self.sweep is None else {self.sweep}
         provided = set(free) | set(self.fixed_inputs) | swept
@@ -118,13 +128,12 @@ class SearchWork:
 
 @dataclass(frozen=True)
 class OptimizeOutcome:
+    """One problem's optimum; ``work`` is its run's, which
+    ``optimize_each`` returns once beside the outcomes instead."""
+
     result: KappaResult
     settings: dict[str, float]
-    work: SearchWork
-
-    @property
-    def evaluations(self) -> int:
-        return self.work.evaluations
+    work: SearchWork = SearchWork()
 
 
 @dataclass(frozen=True)
@@ -156,21 +165,9 @@ class KappaCurve:
 
 
 def _resolve_phases(family: ProbeFamily, vals: dict[str, float]) -> tuple[float, ...]:
-    if family.kind == TWO_PHASE:
-        return (float(vals["xi"]),) * family.copies
-    if "xi" in vals:
+    if family.kind == TWO_PHASE or "xi" in vals:
         return (float(vals["xi"]),) * family.copies
     return tuple(float(vals[f"xi_{i + 1}"]) for i in range(family.copies))
-
-
-def _resolve_point(family: ProbeFamily, vals: dict[str, float]) -> tuple[float, float]:
-    names = family.parameter_names
-    return float(vals[names[0]]), float(vals[names[1]])
-
-
-def _resolve_measurement(scenario: Scenario, vals) -> Povm:
-    m = scenario.measurement
-    return m if isinstance(m, Povm) else m.build(vals)
 
 
 def single_copy_qfi_diagonal(family: ProbeFamily, params, xi: float) -> np.ndarray:
@@ -180,13 +177,22 @@ def single_copy_qfi_diagonal(family: ProbeFamily, params, xi: float) -> np.ndarr
     return np.diag(qfi_matrix(swd, sld_operators(swd))).copy()
 
 
+def _refuse_stack(scenario: Scenario, what: str) -> None:
+    if isinstance(scenario.measurement, tuple):
+        raise ValueError(f"{what} takes one measurement, not a stack of "
+                         f"{len(scenario.measurement)} POVMs; optimize a "
+                         "stack with optimize_each")
+
+
 def evaluate_kappa(scenario: Scenario, values: dict[str, float]) -> KappaResult:
     """Reference (unaccelerated) evaluation of kappa for explicit inputs."""
+    _refuse_stack(scenario, "evaluate_kappa")
     vals = dict(scenario.fixed_inputs)
     vals.update(values)
-    params = _resolve_point(scenario.family, vals)
+    params = tuple(float(vals[n]) for n in scenario.family.parameter_names)
     phases = _resolve_phases(scenario.family, vals)
-    povm = _resolve_measurement(scenario, vals)
+    m = scenario.measurement
+    povm = m if isinstance(m, Povm) else m.build(vals)
     family = replace(scenario.family, input_phases=phases)
     swd = probe_with_derivatives(family, params)
     p, dp = measurement_probabilities(swd, povm)
@@ -203,8 +209,9 @@ class _Objective:
     free: a free input is a column of the rows. A fixed input is one value
     in ``base``, or an array of P values from which each row takes its own
     problem's; a fixed delta or rotation (phi_y, phi_z) that is one value is
-    passed to the kernel as one value. A fixed POVM is shared by all rows,
-    and a measurement generator builds one element set per row.
+    passed to the kernel as one value. A fixed POVM is shared by all rows, a
+    stack of P POVMs is stacked once and each row takes its own problem's
+    elements, and a measurement generator builds one element set per row.
     ``evaluate_kappa`` is not called here.
     """
 
@@ -212,8 +219,14 @@ class _Objective:
         self.scenario = scenario
         self.base = base
         self.names = names
-        self.problems = max((len(v) for v in base.values() if np.ndim(v)),
-                            default=1)
+        m = scenario.measurement
+        if isinstance(m, tuple):
+            self.elements = np.stack([povm.elements for povm in m])
+            self.problems = len(m)
+        else:
+            self.elements = m.elements if isinstance(m, Povm) else None
+            self.problems = max((len(v) for v in base.values()
+                                 if np.ndim(v)), default=1)
         self.evaluations = 0
         self.kernel_calls = 0
         self.refine_iterations = 0
@@ -244,9 +257,13 @@ class _Objective:
             return v if np.ndim(v) else np.full(len(X), v)
 
         fam = self.scenario.family
-        measurement = self.scenario.measurement
-        povm = measurement.elements if isinstance(measurement, Povm) else \
-            measurement.elements({n: column(n) for n in measurement.setting_names})
+        if self.elements is None:
+            generator = self.scenario.measurement
+            povm = generator.elements({n: column(n)
+                                       for n in generator.setting_names})
+        else:
+            povm = self.elements[rows] if self.elements.ndim == 4 \
+                else self.elements
         if fam.kind == PHASE_DEPHASING:
             delta = value("delta")
             shared = "xi" in cols or "xi" in self.base
@@ -268,22 +285,14 @@ class _Objective:
         self.evaluations += len(X)
         self.kernel_calls += 1
         self.any_regular[rows[status == 0]] = True
-        return _search_score(kappa_values, status)
+        # a singular point (status 1) scores 0: kappa jumps there, as the
+        # unaffected parameter keeps its full information (``FisherReport``),
+        # and a search started on it would stall
+        return np.where(status == 1, 0.0, kappa_values)
 
 
 #: status of a row with delta < 0, beside the kernels' codes 0, 1 and 2
 _NEGATIVE_DELTA = 3
-
-
-def _search_score(kappa_values, status):
-    """The search score: kappa, but 0 where the Fisher matrix is singular
-    (status 1).
-
-    kappa jumps at a singular point: the unaffected parameter keeps its full
-    information there (see ``FisherReport``), which no neighbouring point
-    attains, so a search started from such a point would stall on it.
-    """
-    return np.where(status == 1, 0.0, kappa_values)
 
 
 #: the most rows of several problems that share a kernel call, which
@@ -351,14 +360,14 @@ def _negative_delta(scenario: Scenario, vals) -> ValueError | None:
 
 
 def _optimize(scenario: Scenario, base: dict, budget: int):
-    """Maximize kappa for every problem of ``base`` in one lockstep run.
-
-    Returns per problem ``(settings, KappaResult)`` or the error it failed
-    with, and the run's ``SearchWork``.
+    """Maximize kappa for every problem of ``base`` or of a measurement
+    stack in one lockstep run; returns per problem its ``OptimizeOutcome``,
+    reported with its own POVM, or its error, and the run's ``SearchWork``.
     """
     names = list(scenario.free_inputs)
     objective = _Objective(scenario, base, names)
     best_x, _ = _maximize(objective, names, budget)
+    stack = isinstance(scenario.measurement, tuple)
     found = []
     for p, x in enumerate(best_x):
         vals = {k: float(v[p]) if np.ndim(v) else v for k, v in base.items()}
@@ -369,21 +378,27 @@ def _optimize(scenario: Scenario, base: dict, budget: int):
                 f"{vals.get(scenario.sweep)}"))
             continue
         settings = {n: float(v) for n, v in zip(names, x)}
+        problem = replace(scenario, measurement=scenario.measurement[p]) \
+            if stack else scenario
         try:
-            found.append((settings, evaluate_kappa(scenario,
-                                                   {**vals, **settings})))
+            found.append(OptimizeOutcome(
+                evaluate_kappa(problem, {**vals, **settings}), settings))
         except (RuntimeError, ValueError) as exc:
             found.append(exc)
     return found, objective.work()
 
 
-def optimize_kappa(scenario: Scenario, at, budget: int = DEFAULT_BUDGET) -> OptimizeOutcome:
-    """Maximize kappa over the scenario's free inputs at a fixed sweep value.
+def optimize_each(scenario: Scenario, at, budget: int = DEFAULT_BUDGET
+                  ) -> tuple[list[OptimizeOutcome | Exception], SearchWork]:
+    """Maximize kappa over the scenario's free inputs at a fixed sweep value,
+    for each POVM of a measurement stack (or for the one measurement).
 
     ``at`` is the swept input's value, or None when every input is free or
-    fixed. The search is a coarse grid over each free input's period
-    followed by a simplex refinement from the best grid point, a lockstep
-    run of one problem; deterministic for a fixed budget.
+    fixed. Every problem gets a coarse grid over each free input's period
+    followed by a simplex refinement from its best grid point, and all
+    problems run in lockstep, each as it would run alone; deterministic for
+    a fixed budget. Returns per problem its ``OptimizeOutcome`` or the error
+    it failed with, and the run's ``SearchWork`` once.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -393,11 +408,17 @@ def optimize_kappa(scenario: Scenario, at, budget: int = DEFAULT_BUDGET) -> Opti
     error = _negative_delta(scenario, base)
     if error:
         raise error
-    [outcome], work = _optimize(scenario, base, budget)
+    return _optimize(scenario, base, budget)
+
+
+def optimize_kappa(scenario: Scenario, at, budget: int = DEFAULT_BUDGET) -> OptimizeOutcome:
+    """``optimize_each`` of a scenario with one measurement: its outcome,
+    with the run's work, or the error it failed with, raised."""
+    _refuse_stack(scenario, "optimize_kappa")
+    [outcome], work = optimize_each(scenario, at, budget)
     if isinstance(outcome, Exception):
         raise outcome
-    settings, result = outcome
-    return OptimizeOutcome(result=result, settings=settings, work=work)
+    return replace(outcome, work=work)
 
 
 def kappa_scan(scenario: Scenario, grid, budget: int = DEFAULT_BUDGET) -> KappaCurve:
@@ -410,6 +431,7 @@ def kappa_scan(scenario: Scenario, grid, budget: int = DEFAULT_BUDGET) -> KappaC
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    _refuse_stack(scenario, "kappa_scan")
     if scenario.sweep is None:
         raise ValueError("a scan needs a scenario with a swept input")
     grid = np.asarray(list(grid), dtype=float)
@@ -430,21 +452,17 @@ def kappa_scan(scenario: Scenario, grid, budget: int = DEFAULT_BUDGET) -> KappaC
             budget)
         for i, outcome in zip(valid, found):
             outcomes[i] = outcome
-    n = scenario.family.num_parameters
+    # a failed point reads nan
     kappas = np.full(grid.size, np.nan)
-    per = np.full((grid.size, n), np.nan)
-    args: list[dict[str, float]] = []
-    failed: list[str | None] = []
+    per = np.full((grid.size, scenario.family.num_parameters), np.nan)
+    args = [{name: float("nan") for name in scenario.free_inputs}
+            for _ in grid]
+    failed = [str(o) if isinstance(o, Exception) else None for o in outcomes]
     for i, outcome in enumerate(outcomes):
-        if isinstance(outcome, Exception):
-            args.append({name: float("nan") for name in scenario.free_inputs})
-            failed.append(str(outcome))
-            continue
-        settings, result = outcome
-        kappas[i] = result.kappa
-        per[i] = result.per_parameter
-        args.append(settings)
-        failed.append(None)
+        if failed[i] is None:
+            kappas[i] = outcome.result.kappa
+            per[i] = outcome.result.per_parameter
+            args[i] = outcome.settings
     return KappaCurve(sweep=scenario.sweep, grid=grid, kappa_values=kappas,
                       per_parameter=per,
                       parameter_names=scenario.family.parameter_names,
@@ -478,20 +496,6 @@ def _basis_projectors(bases: np.ndarray) -> np.ndarray:
     return kets[:, :, :, None] * kets.conj()[:, :, None, :]
 
 
-class _TrialBases(MeasurementGenerator):
-    """The projective measurements on a stack of bases; the setting
-    ``trial`` picks the basis of each row."""
-
-    setting_names = ("trial",)
-
-    def __init__(self, bases: np.ndarray):
-        self.projectors = _basis_projectors(bases)
-        self.labels = tuple(f"b{k}" for k in range(bases.shape[-1]))
-
-    def elements(self, settings):
-        return self.projectors[np.asarray(settings["trial"], dtype=int)]
-
-
 @dataclass(frozen=True)
 class CollectiveSearchResult:
     max_kappa: float
@@ -519,9 +523,10 @@ def random_collective_search(trials: int, seed: int,
     Every trial draws a Haar-random orthonormal basis of the two-copy space
     (child generator seeded from ``(seed, trial)``), optimizes the shared
     input phase, and keeps the best kappa found; the first trial wins a
-    tie. Trials are optimized in chunks of ``_SEARCH_CHUNK``, each chunk in
-    one lockstep run with one POVM per row, and every trial's optimum is
-    the one it has alone. Deterministic given seed.
+    tie. Trials are optimized in chunks of ``_SEARCH_CHUNK``, each chunk a
+    scenario with a stack of one POVM per trial scored in one lockstep run,
+    and every trial's optimum is the one it has alone. Only the winner is
+    reported by ``evaluate_kappa``. Deterministic given seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -531,30 +536,27 @@ def random_collective_search(trials: int, seed: int,
     phi_y, phi_z = float(at[0]), float(at[1])
     fixed = {"phi_y": phi_y, "phi_z": phi_z}
     dim = 4
-    best = (-np.inf, -1, 0.0, None)
+    labels = tuple(f"b{k}" for k in range(dim))
+    best = (-np.inf, -1, 0.0, None, None)
     work = SearchWork()
     for start in range(0, trials, _SEARCH_CHUNK):
         chunk = range(start, min(start + _SEARCH_CHUNK, trials))
         bases = _haar_bases(np.stack([
             _complex_gaussian(np.random.default_rng([seed, t]), dim)
             for t in chunk]))
-        scenario = Scenario(family=family, measurement=_TrialBases(bases),
-                            free_inputs=("xi",), fixed_inputs=fixed,
-                            sweep="trial")
-        objective = _Objective(scenario, {**fixed, "trial": np.arange(len(chunk))},
-                               ["xi"])
+        stack = tuple(Povm(labels, elements)
+                      for elements in _basis_projectors(bases))
+        scenario = Scenario(family=family, measurement=stack,
+                            free_inputs=("xi",), fixed_inputs=fixed, sweep=None)
+        objective = _Objective(scenario, fixed, ["xi"])
         x, values = _maximize(objective, ["xi"], xi_budget)
         work += objective.work()
         for i, trial in enumerate(chunk):
             if values[i] > best[0]:
-                best = (values[i], trial, float(x[i, 0]), bases[i])
-    value, trial, xi, basis = best
-    scenario = Scenario(
-        family=family,
-        measurement=Povm(tuple(f"b{k}" for k in range(dim)),
-                         _basis_projectors(basis[None])[0]),
-        free_inputs=("xi",), fixed_inputs=fixed, sweep=None)
-    result = evaluate_kappa(scenario, {"xi": xi})
+                best = (values[i], trial, float(x[i, 0]), bases[i],
+                        replace(scenario, measurement=stack[i]))
+    _, trial, xi, basis, winner = best
+    result = evaluate_kappa(winner, {"xi": xi})
     return CollectiveSearchResult(
         max_kappa=result.kappa, trial_index=trial, xi=xi, basis=basis,
         per_parameter=result.per_parameter, trials=trials, seed=seed,

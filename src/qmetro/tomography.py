@@ -100,11 +100,15 @@ class CountsTable:
 
 @dataclass(frozen=True)
 class MleResult:
-    """Reconstruction output; ``converged`` is False when the iteration hit
-    its budget before the relative log-likelihood change fell below tol."""
+    """Reconstruction output. ``stop`` says why the iteration ended:
+    ``"tolerance"`` when the relative log-likelihood change fell below tol,
+    ``"stalled"`` when no damped step kept the log-likelihood, and
+    ``"max_iters"`` when it hit its budget; ``converged`` is True on
+    ``"tolerance"`` only."""
 
     povm: Povm
     converged: bool
+    stop: str
     iterations: int
     log_likelihood: float
     ll_trace: np.ndarray
@@ -177,18 +181,23 @@ def mle_reconstruct(counts: CountsTable, refs: ReferenceSet,
     k_out = len(counts.outcome_labels)
     init = np.ascontiguousarray(
         np.stack([np.eye(refs.dim, dtype=complex) / k_out] * k_out))
-    stack, ll_trace, iterations, converged, floored = kernels.mle_iterate(
+    stack, ll_trace, iterations, stop, floored = kernels.mle_iterate(
         np.ascontiguousarray(data), refs.states, init,
         int(max_iters), float(tol), P_FLOOR)
     if floored:
         logger.warning("MLE floored %d vanishing probabilities with observed "
                        "counts", floored)
-    if not converged:
+    if stop == "max_iters":
         logger.warning("MLE stopped at max_iters=%d without reaching tol=%g",
                        max_iters, tol)
+    elif stop == "stalled":
+        logger.warning("MLE stalled after %d iterations: no damped step kept "
+                       "the log-likelihood, tol=%g not reached", iterations,
+                       tol)
     return MleResult(
         povm=Povm(counts.outcome_labels, stack),
-        converged=bool(converged),
+        converged=stop == "tolerance",
+        stop=stop,
         iterations=int(iterations),
         log_likelihood=float(ll_trace[-1]),
         ll_trace=np.asarray(ll_trace, dtype=float),

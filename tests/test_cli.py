@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy is a test dependency only; importing it costs most of the
+    # start-up of every command
+    code = ("import sys, qmetro.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.stdout.strip() == "[]"
 
 
 class TestParseConfig:
@@ -370,6 +387,7 @@ class TestDeterminism:
         assert header == "iteration,log_likelihood"
         report = json.loads((tmp_path / "a" / "tomography_report.json")
                             .read_text())
+        assert (report["converged"], report["stop"]) == (True, "tolerance")
         assert [int(r.split(",")[0]) for r in rows] == list(
             range(report["iterations"] + 1))
         assert float(rows[-1].split(",")[1]) == report["log_likelihood"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from qmetro import (Povm, ProbeFamily, Scenario, bell_povm, classical_fi,
                     evaluate_kappa, kappa, measurement_probabilities,
@@ -145,6 +146,35 @@ class TestWeakCommutativity:
         # d_y psi = i*sigma_y psi, d_z psi = i*sigma_z psi, so
         # 8*Im<d_y psi|d_z psi> = 8*Im<psi|i sigma_x|psi> = 8*cos(xi)
         assert abs(weak_commutativity_root(0.0, 0.0) - math.pi / 2) < 1e-9
+
+    def test_root_matches_a_bracketed_search(self):
+        # the closed form against a sign-change scan over one period refined
+        # by brentq, both on the SLD path; the roots repeat with period pi
+        rng = np.random.default_rng(11)
+        for phi_y, phi_z in rng.uniform(-3.0, 3.0, (100, 2)):
+            def value(xi):
+                swd = probe_with_derivatives(ProbeFamily.two_phase(xi=xi),
+                                             (phi_y, phi_z))
+                return weak_commutativity(swd)
+
+            grid = np.linspace(0.0, 2.0 * math.pi, 65)
+            vals = [value(x) for x in grid]
+            k = next(k for k in range(64) if vals[k] * vals[k + 1] < 0.0)
+            expected = brentq(value, grid[k], grid[k + 1], xtol=1e-14)
+            root = weak_commutativity_root(phi_y, phi_z)
+            assert 0.0 <= root < math.pi
+            gap = (root - expected + math.pi / 2) % math.pi - math.pi / 2
+            assert abs(gap) < 1e-12
+
+    @pytest.mark.parametrize("phi_y", [math.pi / 2, -math.pi / 2])
+    def test_root_where_every_phase_is_a_root(self, phi_y):
+        # the commutator expectation vanishes at every input phase up to
+        # round-off, and the root reads 0.0
+        for xi in (0.0, math.pi / 2, 1.3):
+            swd = probe_with_derivatives(ProbeFamily.two_phase(xi=xi),
+                                         (phi_y, 0.0))
+            assert abs(weak_commutativity(swd)) < 1e-14
+        assert weak_commutativity_root(phi_y, 0.0) == 0.0
 
 
 class TestMeasurementProbabilities:

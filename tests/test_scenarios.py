@@ -5,8 +5,8 @@ import pytest
 
 from qmetro import (GateModel, Povm, ProbeFamily, ProductProjectiveGenerator,
                     Scenario, bell_povm, cs_gate_povm, evaluate_kappa,
-                    kappa_scan, optimize_kappa, product_projective_povm,
-                    random_collective_search)
+                    kappa_scan, optimize_each, optimize_kappa,
+                    product_projective_povm, random_collective_search)
 from qmetro import cli, kernels, scenarios
 from qmetro.linalg import PAULI_Y, PAULI_Z
 from qmetro.scenarios import _maximize, _Objective
@@ -85,6 +85,25 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=match):
             ideal_bell_scenario(free_inputs=free)
 
+    @pytest.mark.parametrize("stack", [
+        (),
+        (bell_povm(), Povm(("a", "b"), np.stack([np.eye(4) / 2] * 2))),
+    ], ids=["empty", "mismatched-shapes"])
+    def test_measurement_stack_validated(self, stack):
+        with pytest.raises(ValueError, match="POVMs of one element shape"):
+            ideal_bell_scenario(measurement=stack)
+
+    @pytest.mark.parametrize("call", [
+        lambda s: evaluate_kappa(s, {"delta": 0.3, "phi": 0.0, "xi_1": 0.0,
+                                     "xi_2": 0.0}),
+        lambda s: kappa_scan(s, [0.3]),
+        lambda s: optimize_kappa(s, 0.3),
+    ], ids=["evaluate_kappa", "kappa_scan", "optimize_kappa"])
+    def test_stack_refused_where_one_measurement_is_needed(self, call):
+        scenario = ideal_bell_scenario(measurement=(bell_povm(), bell_povm()))
+        with pytest.raises(ValueError, match="not a stack of 2 POVMs"):
+            call(scenario)
+
     def test_shared_phase_shorthand_accepted(self):
         scenario = ideal_bell_scenario(free_inputs=("phi", "xi"))
         assert optimize_kappa(scenario, 0.3, budget=200).result.kappa > 1.0
@@ -161,6 +180,55 @@ class TestOptimizeKappa:
     def test_budget_validated(self):
         with pytest.raises(ValueError):
             optimize_kappa(ideal_bell_scenario(), 0.3, budget=0)
+
+
+def random_product_povms(count):
+    """Product projective POVMs drawn as acceptance 3 draws them."""
+    rng = np.random.default_rng(2024)
+    return tuple(product_projective_povm(
+        (rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi),
+         rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)))
+        for _ in range(count))
+
+
+#: a POVM whose outcomes carry no information: singular everywhere
+BLIND = Povm(("a", "b", "c", "d"), np.stack([np.eye(4) / 4] * 4))
+
+
+class TestOptimizeEach:
+    @pytest.mark.parametrize("stack", [
+        random_product_povms(1), random_product_povms(8) + (BLIND,),
+    ], ids=["one", "eight-and-blind"])
+    @pytest.mark.parametrize("family,free,fixed,sweep,at,budget", [
+        (ProbeFamily.phase_dephasing(copies=2), ("xi_1", "xi_2"),
+         {"phi": 0.0}, "delta", 0.4, 160),
+        (ProbeFamily.two_phase(copies=2), ("xi",), {"phi_y": 0.4}, "phi_z",
+         0.3, 60),
+    ], ids=["dephasing", "two-phase"])
+    def test_each_problem_as_optimized_alone(self, family, free, fixed, sweep,
+                                             at, budget, stack):
+        # one lockstep run for the stack, one run per POVM here; a stack of
+        # one is the shared POVM, work included
+        def scenario(measurement):
+            return Scenario(family=family, measurement=measurement,
+                            free_inputs=free, fixed_inputs=fixed, sweep=sweep)
+
+        outcomes, work = optimize_each(scenario(stack), at, budget)
+        assert len(outcomes) == len(stack)
+        for povm, outcome in zip(stack, outcomes):
+            if povm is BLIND:
+                with pytest.raises(RuntimeError, match="singular") as alone:
+                    optimize_kappa(scenario(povm), at, budget)
+                assert isinstance(outcome, RuntimeError)
+                assert str(outcome) == str(alone.value)
+                continue
+            alone = optimize_kappa(scenario(povm), at, budget)
+            assert outcome.settings == alone.settings
+            assert outcome.result.kappa == alone.result.kappa
+            assert np.array_equal(outcome.result.per_parameter,
+                                  alone.result.per_parameter)
+        if len(stack) == 1:
+            assert work == alone.work
 
 
 class TestNegativeDelta:

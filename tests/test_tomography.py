@@ -141,7 +141,7 @@ class TestMleReconstruct:
     def test_exact_data_recovers_bell(self):
         refs = reference_states()
         result = mle_reconstruct(exact_counts(bell_povm(), refs), refs)
-        assert result.converged
+        assert result.converged and result.stop == "tolerance"
         assert element_trace_distances(result.povm, bell_povm()).max() < 1e-3
 
     def test_exact_data_recovers_random_povm(self):
@@ -188,7 +188,26 @@ class TestMleReconstruct:
         counts = simulate_counts(bell_povm(), refs, 1e5, seed=4)
         result = mle_reconstruct(counts, refs, max_iters=3)
         assert not result.converged
+        assert result.stop == "max_iters"
         assert result.iterations == 3
+
+    def test_stalled_run_says_so(self, monkeypatch, caplog):
+        # an overcomplete start (probabilities summing to 3) is no POVM:
+        # every damped step toward the complete full step lowers the
+        # log-likelihood beyond the slack, so the line search fails at once
+        refs = reference_states()
+        truth, _ = cs_gate_povm(GateModel(visibility=0.9))
+        counts = simulate_counts(truth, refs, 1e3, seed=1)
+        kernel = tomography.kernels.mle_iterate
+        monkeypatch.setattr(
+            tomography.kernels, "mle_iterate",
+            lambda counts, rhos, init, *rest: kernel(counts, rhos, 3.0 * init,
+                                                     *rest))
+        with caplog.at_level("WARNING", logger="qmetro.tomography"):
+            result = mle_reconstruct(counts, refs)
+        assert (result.stop, result.converged, result.iterations) == (
+            "stalled", False, 0)
+        assert "stalled" in caplog.text
 
     @pytest.mark.parametrize("options,message", [
         ({"max_iters": 0}, "max_iters must be >= 1"),
@@ -268,7 +287,7 @@ def einsum_mle_iterate(counts, rhos, init, max_iters, tol, p_floor):
 
     p, floored, ll = floor_and_ll(probs(povm))
     ll_trace = [ll]
-    converged = False
+    stop = "max_iters"
     iters = 0
     for iters in range(1, max_iters + 1):
         ratio = np.where(pos, counts / np.where(pos, p, 1.0), 0.0)
@@ -289,18 +308,17 @@ def einsum_mle_iterate(counts, rhos, init, max_iters, tol, p_floor):
             lam *= 0.5
             halvings += 1
         if not accepted:
-            converged = True
+            stop = "stalled"
             iters -= 1
             break
         povm, p = trial, pt
         floored += nfl
         ll_trace.append(llt)
         if abs(llt - ll) <= tol * abs(llt):
-            ll = llt
-            converged = True
+            stop = "tolerance"
             break
         ll = llt
-    return povm, np.array(ll_trace), iters, converged, floored, halvings
+    return povm, np.array(ll_trace), iters, stop, floored, halvings
 
 
 def _agree_with_oracle(counts, max_iters, p_floor=P_FLOOR):
@@ -310,9 +328,9 @@ def _agree_with_oracle(counts, max_iters, p_floor=P_FLOOR):
     k_out = counts.shape[1]
     init = np.stack([np.eye(4, dtype=complex) / k_out] * k_out)
     args = (counts, refs.states, init, max_iters, 1e-10, p_floor)
-    povm, ll_trace, iters, converged, floored = mle_iterate(*args)
+    povm, ll_trace, iters, stop, floored = mle_iterate(*args)
     oracle = einsum_mle_iterate(*args)
-    assert (iters, converged, floored) == oracle[2:5]
+    assert (iters, stop, floored) == oracle[2:5]
     assert ll_trace.shape == oracle[1].shape
     assert (np.abs(ll_trace - oracle[1]) <= 1e-12 * np.abs(oracle[1])).all()
     assert np.abs(povm - oracle[0]).max() <= 1e-12
