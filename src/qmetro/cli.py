@@ -157,12 +157,34 @@ _VALIDATORS = {
 }
 
 
+#: the probe-family keys that each family never reads
+_UNREAD = {TWO_PHASE: ("phi", "delta", "xi_1", "xi_2"),
+           PHASE_DEPHASING: ("phi_y", "phi_z")}
+
+
+def _unread_family_keys(schema, raw, given) -> list[str]:
+    """An error for each family key in ``raw`` that the chosen probe family
+    does not read: the other family's point, and an ``xi_j`` beyond the
+    copies. ``given`` holds the keys of ``raw`` that parsed."""
+    if "family" not in schema:
+        return []
+    family = given.get("family", schema["family"][1])
+    # a copies that did not parse has its own error; then no xi_j gets one
+    copies = given.get("copies",
+                       math.inf if "copies" in raw else schema["copies"][1])
+    why = dict.fromkeys(_UNREAD.get(family, ()), f"by the {family} family")
+    if family == PHASE_DEPHASING:
+        why.update((f"xi_{j}", f"with copies = {copies}") for j in (1, 2)
+                   if j > copies)
+    return [f"key {key!r} is not read {why[key]}" for key in raw if key in why]
+
+
 def parse_config(command: str, raw: dict[str, str]) -> dict:
     """Validate raw string settings against the command schema.
 
     Reports every problem at once: unknown keys (with the nearest valid key),
-    type errors, non-finite numbers, missing required keys and range
-    violations.
+    type errors, family keys set that the probe family does not read,
+    non-finite numbers, missing required keys and range violations.
     """
     if command not in SCHEMAS:
         raise ConfigError([f"unknown command {command!r}; valid: {', '.join(COMMANDS)}"])
@@ -180,6 +202,7 @@ def parse_config(command: str, raw: dict[str, str]) -> dict:
             config[key] = typ(text)
         except (TypeError, ValueError):
             errors.append(f"key {key!r}: cannot parse {text!r} as {typ.__name__}")
+    errors += _unread_family_keys(schema, raw, config)
     for key, (typ, default) in schema.items():
         if key in config:
             continue
@@ -217,15 +240,11 @@ def read_config_file(path: str, command: str) -> dict[str, str]:
 # command implementations
 # ---------------------------------------------------------------------------
 
-def _family_from_config(cfg) -> ProbeFamily:
-    copies = int(cfg["copies"])
-    if cfg["family"] == TWO_PHASE:
-        return ProbeFamily.two_phase(copies=copies, xi=cfg["xi"])
-    phases = []
-    for i in range(copies):
-        specific = cfg.get(f"xi_{i + 1}")
-        phases.append(cfg["xi"] if specific is None else specific)
-    return ProbeFamily.phase_dephasing(copies=copies, xi=tuple(phases))
+def _input_phases(cfg) -> tuple[float, ...]:
+    """Each copy's input phase: its ``xi_j``, or ``xi`` where that is unset
+    (always, for the two-phase family, which reads no ``xi_j``)."""
+    return tuple(cfg["xi"] if cfg.get(f"xi_{j}") is None else cfg[f"xi_{j}"]
+                 for j in range(1, cfg["copies"] + 1))
 
 
 def _family_point(cfg) -> tuple[float, float]:
@@ -256,48 +275,39 @@ def _measurement_from_config(cfg):
     raise ConfigError([f"unknown measurement {kind!r}"])
 
 
-def _matrix_doc(m: np.ndarray) -> dict:
-    return {"re": [[float(x) for x in row] for row in np.asarray(m).real],
-            "im": [[float(x) for x in row] for row in np.asarray(m).imag]}
-
-
-def _cmd_qfi(cfg, log):
-    family = _family_from_config(cfg)
+def _probe_point(cfg):
+    """The probe that ``qfi`` and ``weak-comm`` evaluate: its JSON header
+    and its state with derivatives."""
+    family = ProbeFamily(cfg["family"], cfg["copies"])
     params = _family_point(cfg)
-    swd = probe_with_derivatives(family, params)
-    slds = sld_operators(swd)
-    H = qfi_matrix(swd, slds)
+    phases = _input_phases(cfg)
     doc = {
         "family": cfg["family"],
         "copies": cfg["copies"],
         "parameter_names": list(family.parameter_names),
         "params": [float(p) for p in params],
-        "input_phases": [float(x) for x in family.input_phases],
-        "qfi_matrix": [[float(x) for x in row] for row in H],
-        "det": float(np.linalg.det(H)),
+        "input_phases": [float(x) for x in phases],
     }
+    return doc, probe_with_derivatives(family, params, phases)
+
+
+def _cmd_qfi(cfg, log):
+    doc, swd = _probe_point(cfg)
+    H = qfi_matrix(swd, sld_operators(swd))
+    doc["qfi_matrix"] = [[float(x) for x in row] for row in H]
+    doc["det"] = float(np.linalg.det(H))
     return {"qfi.json": serialize.dumps_json(doc)}
 
 
 def _cmd_weak_comm(cfg, log):
-    family = _family_from_config(cfg)
-    params = _family_point(cfg)
-    swd = probe_with_derivatives(family, params)
-    value = weak_commutativity(swd)
-    doc = {
-        "family": cfg["family"],
-        "copies": cfg["copies"],
-        "parameter_names": list(family.parameter_names),
-        "params": [float(p) for p in params],
-        "input_phases": [float(x) for x in family.input_phases],
-        "value": float(value),
-    }
+    doc, swd = _probe_point(cfg)
+    doc["value"] = float(weak_commutativity(swd))
     if cfg["find_root"]:
         if cfg["family"] != TWO_PHASE:
             raise ConfigError(["find_root applies to the two-phase family only"])
         xi_bar = weak_commutativity_root(cfg["phi_y"], cfg["phi_z"])
-        root_family = ProbeFamily.two_phase(copies=1, xi=xi_bar)
-        root_swd = probe_with_derivatives(root_family, params)
+        root_swd = probe_with_derivatives(
+            ProbeFamily.two_phase(), _family_point(cfg), (xi_bar,))
         doc["xi_bar"] = float(xi_bar)
         doc["qfi_det_at_root"] = float(np.linalg.det(qfi_matrix(root_swd)))
     return {"weak_comm.json": serialize.dumps_json(doc)}
@@ -320,19 +330,21 @@ def _free_inputs(cfg) -> tuple[str, ...]:
 
 
 def _scenario_from_config(cfg, sweep: str | None) -> Scenario:
-    family = _family_from_config(cfg)
     measurement = _measurement_from_config(cfg)
+    free = _free_inputs(cfg)
+    phases = _input_phases(cfg)
     if cfg["family"] == TWO_PHASE:
-        fixed = {"phi_y": cfg["phi_y"], "phi_z": cfg["phi_z"], "xi": cfg["xi"]}
+        fixed = {"phi_y": cfg["phi_y"], "phi_z": cfg["phi_z"], "xi": phases[0]}
     else:
         fixed = {"phi": cfg["phi"], "delta": cfg["delta"]}
-        for i in range(cfg["copies"]):
-            name = f"xi_{i + 1}"
-            fixed[name] = cfg["xi"] if cfg.get(name) is None else cfg[name]
-    free = _free_inputs(cfg)
+        # beside a free or swept 'xi' only a user-set xi_j, to be refused
+        shared = "xi" in free + (sweep,)
+        fixed.update((f"xi_{j}", xi) for j, xi in enumerate(phases, 1)
+                     if not shared or cfg.get(f"xi_{j}") is not None)
     for name in free + (sweep,):
         fixed.pop(name, None)
-    return Scenario(family=family, measurement=measurement, free_inputs=free,
+    return Scenario(family=ProbeFamily(cfg["family"], cfg["copies"]),
+                    measurement=measurement, free_inputs=free,
                     fixed_inputs=fixed, sweep=sweep)
 
 
@@ -437,7 +449,7 @@ def _cmd_conjecture_search(cfg, log):
             "trial_index": result.trial_index,
             "xi": float(result.xi),
             "per_parameter": [float(v) for v in result.per_parameter],
-            "basis": _matrix_doc(result.basis),
+            "basis": serialize.complex_matrix_doc(result.basis),
         },
     }
     return {"conjecture_search.json": serialize.dumps_json(doc)}

@@ -155,8 +155,8 @@ def weak_commutativity_root(phi_y: float, phi_z: float) -> float:
     """
 
     def value(xi: float) -> float:
-        family = ProbeFamily.two_phase(xi=xi)
-        swd = probe_with_derivatives(family, (phi_y, phi_z))
+        swd = probe_with_derivatives(ProbeFamily.two_phase(), (phi_y, phi_z),
+                                     (xi,))
         return weak_commutativity(swd)
 
     b, c = value(0.0), value(math.pi / 2)

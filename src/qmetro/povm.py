@@ -250,11 +250,7 @@ def povm_to_json(p: Povm) -> str:
         "dim": p.dim,
         "basis": _basis_string(p.dim),
         "outcomes": [
-            {
-                "label": label,
-                "re": [[float(x) for x in row] for row in element.real],
-                "im": [[float(x) for x in row] for row in element.imag],
-            }
+            {"label": label, **serialize.complex_matrix_doc(element)}
             for label, element in p.outcomes
         ],
     }

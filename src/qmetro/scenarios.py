@@ -48,15 +48,24 @@ _PERIODS = {"theta_1": math.pi, "theta_2": math.pi}
 _DEFAULT_PERIOD = 2.0 * math.pi
 
 
+def _phase_names(family: ProbeFamily, names) -> tuple[str, ...]:
+    """The input that sets each copy's phase: the shared 'xi' of the
+    two-phase family, or of the dephasing family when ``names`` holds it,
+    and otherwise each copy's own ``xi_j``."""
+    if family.kind == TWO_PHASE or "xi" in names:
+        return ("xi",) * family.copies
+    return tuple(f"xi_{j}" for j in range(1, family.copies + 1))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A probe family plus a measurement and a naming of what is optimized.
 
     ``free_inputs``, ``fixed_inputs`` and the swept name must be disjoint
     and together cover the family point, the input phases and any
-    measurement settings; each free input is named once and used. A
-    scenario optimized at one point only may have no swept input
-    (``sweep=None``).
+    measurement settings; each free input is named once, and every name
+    given is one the scenario reads. A scenario optimized at one point only
+    may have no swept input (``sweep=None``).
 
     ``measurement`` may also be a stack: a nonempty tuple of ``Povm``s of
     one element shape, one per problem, which ``optimize_each`` optimizes
@@ -75,40 +84,23 @@ class Scenario:
             if len(shapes) != 1:
                 raise ValueError("a measurement stack needs POVMs of one "
                                  f"element shape, got shapes {shapes}")
-        free, required = self.free_inputs, self.required_inputs()
+        free = self.free_inputs
         swept = set() if self.sweep is None else {self.sweep}
         provided = set(free) | set(self.fixed_inputs) | swept
-        if self.family.kind == TWO_PHASE and (
-                "xi_1" in provided or "xi_2" in provided):
-            raise ValueError("two-phase scenarios take a single shared input "
-                             "phase 'xi'")
-        # a shared input phase 'xi' stands for every per-copy phase xi_j
-        shared = "xi" in provided
+        m = self.measurement
+        used = {*self.family.parameter_names,
+                *_phase_names(self.family, provided),
+                *(m.setting_names if isinstance(m, MeasurementGenerator)
+                  else ())}
         for problem, names in (
                 ("inputs both free and fixed or swept",
                  sorted(set(free) & (set(self.fixed_inputs) | swept))),
                 ("free inputs repeated",
                  sorted({n for n in free if free.count(n) > 1})),
-                ("scenario does not cover inputs",
-                 [n for n in required if n not in provided
-                  and not (shared and n.startswith("xi"))]),
-                ("free inputs not used by this scenario",
-                 [n for n in free if n != "xi" and (
-                     n not in required or shared and n.startswith("xi_"))]),
-                ("swept input not used by this scenario",
-                 sorted(swept - set(required)))):
+                ("inputs not used by this scenario", sorted(provided - used)),
+                ("scenario does not cover inputs", sorted(used - provided))):
             if names:
                 raise ValueError(f"{problem}: {names}")
-
-    def required_inputs(self) -> tuple[str, ...]:
-        names = list(self.family.parameter_names)
-        if self.family.kind == PHASE_DEPHASING:
-            names += [f"xi_{i + 1}" for i in range(self.family.copies)]
-        else:
-            names += ["xi"]
-        if isinstance(self.measurement, MeasurementGenerator):
-            names += list(self.measurement.setting_names)
-        return tuple(names)
 
 
 @dataclass(frozen=True)
@@ -164,16 +156,9 @@ class KappaCurve:
         return header, rows
 
 
-def _resolve_phases(family: ProbeFamily, vals: dict[str, float]) -> tuple[float, ...]:
-    if family.kind == TWO_PHASE or "xi" in vals:
-        return (float(vals["xi"]),) * family.copies
-    return tuple(float(vals[f"xi_{i + 1}"]) for i in range(family.copies))
-
-
 def single_copy_qfi_diagonal(family: ProbeFamily, params, xi: float) -> np.ndarray:
     """Quantum Fisher information diagonal of one probe copy."""
-    one = replace(family, copies=1, input_phases=(xi,))
-    swd = probe_with_derivatives(one, params)
+    swd = probe_with_derivatives(ProbeFamily(family.kind), params, (xi,))
     return np.diag(qfi_matrix(swd, sld_operators(swd))).copy()
 
 
@@ -190,11 +175,10 @@ def evaluate_kappa(scenario: Scenario, values: dict[str, float]) -> KappaResult:
     vals = dict(scenario.fixed_inputs)
     vals.update(values)
     params = tuple(float(vals[n]) for n in scenario.family.parameter_names)
-    phases = _resolve_phases(scenario.family, vals)
+    phases = tuple(float(vals[n]) for n in _phase_names(scenario.family, vals))
     m = scenario.measurement
     povm = m if isinstance(m, Povm) else m.build(vals)
-    family = replace(scenario.family, input_phases=phases)
-    swd = probe_with_derivatives(family, params)
+    swd = probe_with_derivatives(scenario.family, params, phases)
     p, dp = measurement_probabilities(swd, povm)
     report = classical_fi(p, dp, labels=povm.labels)
     hdiag = single_copy_qfi_diagonal(scenario.family, params, phases[0])
@@ -219,6 +203,7 @@ class _Objective:
         self.scenario = scenario
         self.base = base
         self.names = names
+        self.phase_names = _phase_names(scenario.family, {*names, *base})
         m = scenario.measurement
         if isinstance(m, tuple):
             self.elements = np.stack([povm.elements for povm in m])
@@ -266,10 +251,8 @@ class _Objective:
                 else self.elements
         if fam.kind == PHASE_DEPHASING:
             delta = value("delta")
-            shared = "xi" in cols or "xi" in self.base
             phi = column("phi")
-            alphas = np.stack([phi + column("xi" if shared else f"xi_{i + 1}")
-                               for i in range(fam.copies)])
+            alphas = np.stack([phi + column(n) for n in self.phase_names])
             kappa_values, _, _, status = kernels.kappa_phase_dephasing_batch(
                 alphas, delta, povm, kernels.DEFAULT_P_CUTOFF)
             negative = np.less(delta, 0)

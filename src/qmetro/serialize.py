@@ -70,6 +70,12 @@ def dumps_json(obj) -> str:
     return "".join(parts)
 
 
+def complex_matrix_doc(m) -> dict:
+    """A complex matrix (a numpy array) as ``{"re": rows, "im": rows}``."""
+    return {"re": [[float(x) for x in row] for row in m.real],
+            "im": [[float(x) for x in row] for row in m.imag]}
+
+
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     """Write via a temp file in the target directory plus rename."""
     path = os.fspath(path)

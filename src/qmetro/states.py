@@ -136,26 +136,21 @@ def _check_dephasing(xi: float, phi: float, delta: float) -> None:
 
 @dataclass(frozen=True)
 class ProbeFamily:
-    """A parametrized family of qubit probe states.
+    """A parametrized family of qubit probe states on ``copies`` copies.
 
-    ``input_phases`` holds the (fixed) equatorial input phase of each copy;
-    its length must equal ``copies``. The estimated parameters are
-    ``(phi, delta)`` for phase-dephasing and ``(phi_y, phi_z)`` for two-phase.
+    The estimated parameters are ``(phi, delta)`` for phase-dephasing and
+    ``(phi_y, phi_z)`` for two-phase. Each copy's equatorial input phase is
+    an input of ``probe_with_derivatives``, not part of the family.
     """
 
     kind: str
     copies: int = 1
-    input_phases: tuple[float, ...] = (0.0,)
 
     def __post_init__(self):
         if self.kind not in (PHASE_DEPHASING, TWO_PHASE):
             raise ValueError(f"unknown probe family kind {self.kind!r}")
         if self.copies < 1:
             raise ValueError("copies must be >= 1")
-        if len(self.input_phases) != self.copies:
-            raise ValueError(
-                f"need one input phase per copy: got {len(self.input_phases)} "
-                f"phases for {self.copies} copies")
 
     @property
     def parameter_names(self) -> tuple[str, str]:
@@ -168,13 +163,12 @@ class ProbeFamily:
         return 2
 
     @classmethod
-    def phase_dephasing(cls, copies: int = 1, xi: float | tuple[float, ...] = 0.0):
-        phases = tuple(xi) if isinstance(xi, (tuple, list)) else (xi,) * copies
-        return cls(PHASE_DEPHASING, copies=copies, input_phases=phases)
+    def phase_dephasing(cls, copies: int = 1):
+        return cls(PHASE_DEPHASING, copies=copies)
 
     @classmethod
-    def two_phase(cls, copies: int = 1, xi: float = 0.0):
-        return cls(TWO_PHASE, copies=copies, input_phases=(xi,) * copies)
+    def two_phase(cls, copies: int = 1):
+        return cls(TWO_PHASE, copies=copies)
 
 
 @dataclass(frozen=True)
@@ -226,21 +220,27 @@ def copies_with_derivatives(singles) -> np.ndarray:
     return joint
 
 
-def probe_with_derivatives(family: ProbeFamily, params) -> StateWithDerivatives:
+def probe_with_derivatives(family: ProbeFamily, params,
+                           phases) -> StateWithDerivatives:
     """Evaluate the multi-copy probe state and its parameter derivatives.
 
     ``params`` are the estimated-parameter values, ``(phi, delta)`` or
-    ``(phi_y, phi_z)`` depending on the family. Derivatives of the m-copy
-    state follow the tensor-product rule and are traceless by construction.
+    ``(phi_y, phi_z)`` depending on the family, and ``phases`` the input
+    phase of each copy. Derivatives of the m-copy state follow the
+    tensor-product rule and are traceless by construction.
     """
     params = tuple(float(p) for p in params)
     if len(params) != family.num_parameters:
         raise ValueError(
             f"{family.kind} takes {family.num_parameters} parameters, "
             f"got {len(params)}")
+    phases = tuple(float(xi) for xi in phases)
+    if len(phases) != family.copies:
+        raise ValueError(f"{family.copies} copies take one input phase each, "
+                         f"got {len(phases)}")
     a, b = params
     singles = []
-    for xi in family.input_phases:
+    for xi in phases:
         if family.kind == PHASE_DEPHASING:
             _check_dephasing(xi, a, b)
             singles.append(dephasing_with_derivatives(a + xi, b))

@@ -30,7 +30,7 @@ def _report(label: str, ok: bool, detail: str = "") -> None:
 
 def dephasing_swd(phi, delta, xi=0.0):
     return probe_with_derivatives(
-        ProbeFamily.phase_dephasing(copies=1, xi=(xi,)), (phi, delta))
+        ProbeFamily.phase_dephasing(copies=1), (phi, delta), (xi,))
 
 
 def test_01_qfi_closed_forms():
@@ -56,8 +56,8 @@ def test_02_weak_commutativity():
         for delta in np.linspace(0.1, 2.5, 10):
             for xi in np.linspace(0.0, 2.0 * math.pi, 10):
                 swd = probe_with_derivatives(
-                    ProbeFamily.phase_dephasing(copies=1, xi=(xi,)),
-                    (phi, delta))
+                    ProbeFamily.phase_dephasing(copies=1), (phi, delta),
+                    (xi,))
                 worst_dephasing = max(worst_dephasing,
                                       abs(weak_commutativity(swd)))
 
@@ -66,12 +66,12 @@ def test_02_weak_commutativity():
     for _ in range(100):
         phi_y, phi_z = rng.uniform(0.2, 1.2, 2)
         xi = rng.uniform(0.0, 2.0 * math.pi)
-        swd = probe_with_derivatives(ProbeFamily.two_phase(xi=xi),
-                                     (phi_y, phi_z))
+        swd = probe_with_derivatives(ProbeFamily.two_phase(),
+                                     (phi_y, phi_z), (xi,))
         smallest_generic = min(smallest_generic, abs(weak_commutativity(swd)))
 
     xi_bar = weak_commutativity_root(0.4, 0.3)
-    swd = probe_with_derivatives(ProbeFamily.two_phase(xi=xi_bar), (0.4, 0.3))
+    swd = probe_with_derivatives(ProbeFamily.two_phase(), (0.4, 0.3), (xi_bar,))
     det_at_root = abs(np.linalg.det(qfi_matrix(swd)))
     elapsed = time.perf_counter() - start
     ok = (worst_dephasing < 1e-8 and smallest_generic > 1e-3

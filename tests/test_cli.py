@@ -1,5 +1,7 @@
+import configparser
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,8 @@ import pytest
 from qmetro import (Povm, bell_povm, counts_to_csv, load_povm, povm_to_json,
                     reference_states, scenarios, simulate_counts,
                     validate_povm)
-from qmetro.cli import ConfigError, main, parse_config, read_config_file
+from qmetro.cli import (COMMANDS, SCHEMAS, ConfigError, _build_parser, main,
+                        parse_config, read_config_file)
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +96,43 @@ class TestConfigFile:
         assert code == 0
         report = json.loads((out / "gate_report.json").read_text())
         assert report["visibility"] == 0.5
+
+
+def readme_examples():
+    """The ``qmetro`` commands of the README's bash blocks, each as an argv
+    without the program name, and its example INI config."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    bash = "".join(block.split("```")[0]
+                   for block in text.split("```bash\n")[1:])
+    commands = [shlex.split(line)[1:] for line in
+                bash.replace("\\\n", " ").splitlines()
+                if line.startswith("qmetro ")]
+    ini = text.split("```ini\n")[1].split("```")[0]
+    return commands, ini
+
+
+class TestReadmeExamples:
+    """The documented commands and config stay valid; none is run."""
+
+    @pytest.mark.parametrize("argv", readme_examples()[0],
+                             ids=lambda argv: argv[0])
+    def test_command_parses(self, argv):
+        args = _build_parser().parse_args(argv)
+        raw = {key: getattr(args, key) for key in SCHEMAS[args.command]
+               if getattr(args, key) is not None}
+        parse_config(args.command, raw)
+
+    def test_every_command_is_shown(self):
+        assert {argv[0] for argv in readme_examples()[0]} == set(COMMANDS)
+
+    def test_config_file_parses(self, tmp_path):
+        path = tmp_path / "example.ini"
+        path.write_text(readme_examples()[1], encoding="utf-8")
+        parser = configparser.ConfigParser()
+        parser.read(path, encoding="utf-8")
+        command = parser["run"]["command"]
+        parse_config(command, read_config_file(str(path), command))
 
 
 class TestCliCommands:
@@ -325,6 +365,43 @@ class TestCliCommands:
         assert code == 2
         assert doc["errors"] == [f"{key} must be finite, got nan"]
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv,error", [
+        (("qfi", "--family", "two-phase", "--xi-1", "0.5"),
+         "key 'xi_1' is not read by the two-phase family"),
+        (("qfi", "--family", "two-phase", "--phi", "0.9"),
+         "key 'phi' is not read by the two-phase family"),
+        (("weak-comm", "--family", "two-phase", "--delta", "2"),
+         "key 'delta' is not read by the two-phase family"),
+        (("qfi", "--family", "phase-dephasing", "--phi-y", "3"),
+         "key 'phi_y' is not read by the phase-dephasing family"),
+        (("optimize", "--phi-z", "0.1"),
+         "key 'phi_z' is not read by the phase-dephasing family"),
+        (("kappa-scan", "--copies", "1", "--xi-2", "0.3"),
+         "key 'xi_2' is not read with copies = 1"),
+        (("qfi", "--copies", "two", "--xi-2", "0.3"),
+         "key 'copies': cannot parse 'two' as int"),
+    ], ids=["two-phase-xi_1", "two-phase-phi", "two-phase-delta",
+            "dephasing-phi_y", "dephasing-phi_z", "beyond-the-copies",
+            "copies-unparsed"])
+    def test_family_keys_that_nothing_reads_are_refused(self, tmp_path, capsys,
+                                                        argv, error):
+        code, doc = run_cli(capsys, *argv, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert doc["errors"] == [error]
+        assert not (tmp_path / "o").exists()
+
+    def test_per_copy_phase_beside_a_free_shared_phase_is_named(self, tmp_path,
+                                                               capsys):
+        argv = ("optimize", "--free-inputs", "phi,xi", "--budget", "50")
+        code, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "ok"))
+        assert code == 0
+        code, doc = run_cli(capsys, *argv, "--xi-1", "0.3",
+                            "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert doc["errors"] == [
+            "inputs not used by this scenario: ['xi_1']"]
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
     @pytest.mark.parametrize("cell", ["abc", ""])
     def test_counts_cell_that_is_not_a_number_is_named(self, tmp_path, capsys,

@@ -17,8 +17,8 @@ from qmetro.states import StateWithDerivatives
 
 
 def dephasing_swd(phi=0.4, delta=0.5, xi=0.0, copies=1):
-    family = ProbeFamily.phase_dephasing(copies=copies, xi=xi)
-    return probe_with_derivatives(family, (phi, delta))
+    return probe_with_derivatives(ProbeFamily.phase_dephasing(copies=copies),
+                                  (phi, delta), (xi,) * copies)
 
 
 def sld_residual(swd, slds):
@@ -55,8 +55,7 @@ class TestSldOperators:
 
     def test_pure_state_identity(self):
         # for rank-1 rho the operator 2*drho solves the defining equation
-        family = ProbeFamily.two_phase(xi=0.3)
-        swd = probe_with_derivatives(family, (0.5, 0.2))
+        swd = probe_with_derivatives(ProbeFamily.two_phase(), (0.5, 0.2), (0.3,))
         slds = sld_operators(swd)
         assert sld_residual(swd, slds) < 1e-7
         rho = swd.state
@@ -95,8 +94,8 @@ class TestQfiMatrix:
 
     def test_singular_at_commutativity_root(self):
         xi_bar = weak_commutativity_root(0.4, 0.3)
-        family = ProbeFamily.two_phase(xi=xi_bar)
-        swd = probe_with_derivatives(family, (0.4, 0.3))
+        swd = probe_with_derivatives(ProbeFamily.two_phase(), (0.4, 0.3),
+                                     (xi_bar,))
         assert abs(np.linalg.det(qfi_matrix(swd))) < 1e-8
 
 
@@ -108,8 +107,7 @@ class TestWeakCommutativity:
                 assert abs(weak_commutativity(swd)) < 1e-8
 
     def test_generic_two_phase_nonzero(self):
-        family = ProbeFamily.two_phase(xi=1.0)
-        swd = probe_with_derivatives(family, (0.5, 0.7))
+        swd = probe_with_derivatives(ProbeFamily.two_phase(), (0.5, 0.7), (1.0,))
         assert abs(weak_commutativity(swd)) > 1e-3
 
     def test_same_index_is_zero(self):
@@ -117,8 +115,7 @@ class TestWeakCommutativity:
         assert weak_commutativity(swd, i=1, j=1) == 0.0
 
     def test_antisymmetry(self):
-        family = ProbeFamily.two_phase(xi=0.8)
-        swd = probe_with_derivatives(family, (0.6, 0.2))
+        swd = probe_with_derivatives(ProbeFamily.two_phase(), (0.6, 0.2), (0.8,))
         slds = sld_operators(swd)
         forward = weak_commutativity(swd, slds, 0, 1)
         backward = weak_commutativity(swd, slds, 1, 0)
@@ -131,8 +128,7 @@ class TestWeakCommutativity:
         dy = (ket(py + h, pz) - ket(py - h, pz)) / (2 * h)
         dz = (ket(py, pz + h) - ket(py, pz - h)) / (2 * h)
         expected = 8.0 * np.imag(np.vdot(dy, dz))
-        family = ProbeFamily.two_phase(xi=xi)
-        swd = probe_with_derivatives(family, (py, pz))
+        swd = probe_with_derivatives(ProbeFamily.two_phase(), (py, pz), (xi,))
         assert abs(weak_commutativity(swd) - expected) < 1e-6
 
     def test_root_output_state_is_equatorial(self):
@@ -153,8 +149,8 @@ class TestWeakCommutativity:
         rng = np.random.default_rng(11)
         for phi_y, phi_z in rng.uniform(-3.0, 3.0, (100, 2)):
             def value(xi):
-                swd = probe_with_derivatives(ProbeFamily.two_phase(xi=xi),
-                                             (phi_y, phi_z))
+                swd = probe_with_derivatives(ProbeFamily.two_phase(),
+                                             (phi_y, phi_z), (xi,))
                 return weak_commutativity(swd)
 
             grid = np.linspace(0.0, 2.0 * math.pi, 65)
@@ -171,8 +167,8 @@ class TestWeakCommutativity:
         # the commutator expectation vanishes at every input phase up to
         # round-off, and the root reads 0.0
         for xi in (0.0, math.pi / 2, 1.3):
-            swd = probe_with_derivatives(ProbeFamily.two_phase(xi=xi),
-                                         (phi_y, 0.0))
+            swd = probe_with_derivatives(ProbeFamily.two_phase(),
+                                         (phi_y, 0.0), (xi,))
             assert abs(weak_commutativity(swd)) < 1e-14
         assert weak_commutativity_root(phi_y, 0.0) == 0.0
 
@@ -204,13 +200,15 @@ class TestMeasurementProbabilities:
 
     def test_matches_finite_differences(self):
         h = 1e-6
-        family = ProbeFamily.phase_dephasing(copies=2, xi=(0.1, 0.5))
+        family, phases = ProbeFamily.phase_dephasing(copies=2), (0.1, 0.5)
         povm = bell_povm()
-        swd = probe_with_derivatives(family, (0.4, 0.6))
+        swd = probe_with_derivatives(family, (0.4, 0.6), phases)
         p0, dp = measurement_probabilities(swd, povm)
         for j, shift in enumerate(((h, 0.0), (0.0, h))):
-            up = probe_with_derivatives(family, (0.4 + shift[0], 0.6 + shift[1]))
-            down = probe_with_derivatives(family, (0.4 - shift[0], 0.6 - shift[1]))
+            up = probe_with_derivatives(
+                family, (0.4 + shift[0], 0.6 + shift[1]), phases)
+            down = probe_with_derivatives(
+                family, (0.4 - shift[0], 0.6 - shift[1]), phases)
             pu, _ = measurement_probabilities(up, povm)
             pd, _ = measurement_probabilities(down, povm)
             fd = (pu - pd) / (2 * h)
@@ -319,7 +317,7 @@ class TestKappa:
         assert result.per_parameter[0] == 0.0
 
     def test_kappa_is_sum_of_contributions(self):
-        swd = dephasing_swd(copies=2, xi=(0.0, 0.0))
+        swd = dephasing_swd(copies=2)
         p, dp = measurement_probabilities(swd, bell_povm())
         report = classical_fi(p, dp)
         result = kappa(report, np.array(analytic_qfi_diag(0.5)), m=2)
@@ -333,15 +331,14 @@ class TestQcrDominance:
         rng = np.random.default_rng(seed)
         angles = rng.uniform(0, math.pi, 4)
         povm = product_projective_povm(tuple(angles))
-        for family, params in (
-                (ProbeFamily.phase_dephasing(copies=2, xi=(0.1, 0.9)), (0.4, 0.5)),
-                (ProbeFamily.two_phase(copies=2, xi=0.3), (0.5, 0.2))):
-            swd = probe_with_derivatives(family, params)
+        for family, params, phases in (
+                (ProbeFamily.phase_dephasing(copies=2), (0.4, 0.5), (0.1, 0.9)),
+                (ProbeFamily.two_phase(copies=2), (0.5, 0.2), (0.3, 0.3))):
+            swd = probe_with_derivatives(family, params, phases)
             p, dp = measurement_probabilities(swd, povm)
             report = classical_fi(p, dp)
             single = probe_with_derivatives(
-                type(family)(family.kind, 1, family.input_phases[:1]),
-                params)
+                type(family)(family.kind, 1), params, phases[:1])
             h = qfi_matrix(single)
             gap = 2.0 * h - report.classical_fi
             assert np.linalg.eigvalsh(gap).min() > -1e-7

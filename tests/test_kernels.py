@@ -4,7 +4,6 @@ reference path, and the quantum-information floor both paths share."""
 import ast
 import math
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +24,8 @@ ANGLES = st.floats(-math.pi, math.pi)
 
 
 def test_dephasing_kernel_matches_reference_path():
-    family = ProbeFamily.phase_dephasing(copies=2, xi=(0.2, 1.1))
-    scenario = Scenario(family=family, measurement=bell_povm(),
+    scenario = Scenario(family=ProbeFamily.phase_dephasing(copies=2),
+                        measurement=bell_povm(),
                         free_inputs=(),
                         fixed_inputs={"phi": 0.5, "delta": 0.45,
                                       "xi_1": 0.2, "xi_2": 1.1},
@@ -45,9 +44,9 @@ def test_dephasing_kernel_matches_reference_path():
     (0.7, 0.4, 0.3), (2.1, -0.9, 0.05), (0.3, 1e-9, 2e-9), (1.2, 0.007, 0.006),
 ])
 def test_two_phase_kernel_matches_reference_path(xi, phi_y, phi_z):
-    family = ProbeFamily.two_phase(copies=2, xi=xi)
     povm = product_projective_povm((0.9, 0.3, 1.4, 2.0))
-    scenario = Scenario(family=family, measurement=povm, free_inputs=(),
+    scenario = Scenario(family=ProbeFamily.two_phase(copies=2),
+                        measurement=povm, free_inputs=(),
                         fixed_inputs={"phi_y": phi_y, "phi_z": phi_z,
                                       "xi": xi},
                         sweep="phi_z")
@@ -78,7 +77,7 @@ def test_quantum_information_floor_boundary_on_both_paths():
     assert reference.per_parameter[0] == 0.0 and reference.per_parameter[1] > 0
 
     swd = probe_with_derivatives(
-        ProbeFamily.phase_dephasing(copies=2, xi=(0.0, 1.2)), (0.7, 0.45))
+        ProbeFamily.phase_dephasing(copies=2), (0.7, 0.45), (0.0, 1.2))
     value, k1, k2, status = (column[0] for column in kernels.kappa_batch(
         np.ascontiguousarray(bell_povm().elements), swd.state[None],
         swd.derivatives[None], h[0], h[1], 2, 1e-12))
@@ -126,13 +125,13 @@ def _random_povm(seed, dim, kind):
                 np.array(elements))
 
 
-def _tolerance(family, params, povm):
+def _tolerance(family, params, phases, povm):
     """1e-12, widened where kappa is ill-conditioned: two ways of computing
     it differ by about eps * cond(F) from inverting the Fisher matrix F, and
     by about eps / H_jj from dividing by a small quantum information H_jj."""
-    swd = probe_with_derivatives(family, params)
+    swd = probe_with_derivatives(family, params, phases)
     fisher_matrix = classical_fi(*measurement_probabilities(swd, povm)).classical_fi
-    h = single_copy_qfi_diagonal(family, params, family.input_phases[0])
+    h = single_copy_qfi_diagonal(family, params, phases[0])
     return 1e-12 + 1e-14 * (np.linalg.cond(fisher_matrix) + (1.0 / h).max())
 
 
@@ -170,8 +169,8 @@ def test_dephasing_batch_matches_scalar_and_reference(seed, kind, phi, rows):
         family=family, measurement=povm, free_inputs=(),
         fixed_inputs={"phi": phi, "delta": delta, "xi_1": x1, "xi_2": x2},
         sweep="delta"), {}) for x1, x2, delta in rows]
-    tolerances = [_tolerance(ProbeFamily.phase_dephasing(copies=2, xi=(x1, x2)),
-                             (phi, delta), povm) for x1, x2, delta in rows]
+    tolerances = [_tolerance(family, (phi, delta), (x1, x2), povm)
+                  for x1, x2, delta in rows]
     _assert_rows_agree(batch, scalars, references, tolerances)
 
 
@@ -196,8 +195,8 @@ def test_two_phase_batch_matches_scalar_and_reference(seed, kind, rows):
         family=ProbeFamily.two_phase(copies=2), measurement=povm,
         free_inputs=(), fixed_inputs={"phi_y": phi_y, "phi_z": phi_z, "xi": xi},
         sweep="phi_z"), {}) for xi, phi_y, phi_z in rows]
-    tolerances = [_tolerance(ProbeFamily.two_phase(copies=2, xi=xi),
-                             (phi_y, phi_z), povm) for xi, phi_y, phi_z in rows]
+    tolerances = [_tolerance(ProbeFamily.two_phase(copies=2), (phi_y, phi_z),
+                             (xi, xi), povm) for xi, phi_y, phi_z in rows]
     _assert_rows_agree(batch, scalars, references, tolerances)
 
 
@@ -223,8 +222,7 @@ def test_single_copy_dephasing_batch_matches_reference(seed, kind, phi, delta,
         family=family, measurement=povm,
         fixed_inputs={"phi": phi, "delta": delta, "xi_1": xi},
         sweep="delta"), {}) for xi in xis]
-    tolerances = [_tolerance(ProbeFamily.phase_dephasing(xi=(xi,)),
-                             (phi, delta), povm) for xi in xis]
+    tolerances = [_tolerance(family, (phi, delta), (xi,), povm) for xi in xis]
     _assert_rows_agree(batch, ones, references, tolerances)
 
 
@@ -244,7 +242,7 @@ def test_single_copy_two_phase_batch_matches_reference(seed, kind, phi_y,
         family=ProbeFamily.two_phase(), measurement=povm,
         fixed_inputs={"phi_y": phi_y, "phi_z": phi_z, "xi": xi},
         sweep="phi_z"), {}) for xi in xis]
-    tolerances = [_tolerance(ProbeFamily.two_phase(xi=xi), (phi_y, phi_z),
+    tolerances = [_tolerance(ProbeFamily.two_phase(), (phi_y, phi_z), (xi,),
                              povm) for xi in xis]
     _assert_rows_agree(batch, ones, references, tolerances)
 
@@ -291,8 +289,8 @@ def test_three_copy_dephasing_batch_matches_reference(seed, kind, phi, delta,
         fixed_inputs={"phi": phi, "delta": delta, "xi_1": x1, "xi_2": x2,
                       "xi_3": x3},
         sweep="delta"), {}) for x1, x2, x3 in phases]
-    tolerances = [_tolerance(ProbeFamily.phase_dephasing(copies=3, xi=xis),
-                             (phi, delta), povm) for xis in phases]
+    tolerances = [_tolerance(family, (phi, delta), xis, povm)
+                  for xis in phases]
     _assert_rows_agree(batch, ones, references, tolerances)
 
 
@@ -312,8 +310,8 @@ def test_three_copy_two_phase_batch_matches_reference(seed, kind, phi_y,
         family=ProbeFamily.two_phase(copies=3), measurement=povm,
         fixed_inputs={"phi_y": phi_y, "phi_z": phi_z, "xi": xi},
         sweep="phi_z"), {}) for xi in xis]
-    tolerances = [_tolerance(ProbeFamily.two_phase(copies=3, xi=xi),
-                             (phi_y, phi_z), povm) for xi in xis]
+    tolerances = [_tolerance(ProbeFamily.two_phase(copies=3), (phi_y, phi_z),
+                             (xi,) * 3, povm) for xi in xis]
     _assert_rows_agree(batch, ones, references, tolerances)
 
 
@@ -364,9 +362,9 @@ def test_per_row_generator_povms_match_reference(two_phase, a, b, delta,
         family=family, measurement=generator,
         fixed_inputs={**fixed, **phases(xi), **s},
         sweep=family.parameter_names[1]), {}) for xi, s in zip(xis, angles)]
-    tolerances = [_tolerance(replace(family, input_phases=tuple(
-        phases(xi).values()) * (2 if two_phase else 1)), params,
-        generator.build(s)) for xi, s in zip(xis, angles)]
+    tolerances = [_tolerance(family, params, tuple(phases(xi).values())
+                             * (2 if two_phase else 1), generator.build(s))
+                  for xi, s in zip(xis, angles)]
     _assert_rows_agree(batch, ones, references, tolerances)
 
 

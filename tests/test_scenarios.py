@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,25 @@ class TestScenarioValidation:
     def test_free_inputs_validated_by_name(self, free, match):
         with pytest.raises(ValueError, match=match):
             ideal_bell_scenario(free_inputs=free)
+
+    @pytest.mark.parametrize("family,free,fixed,sweep,named", [
+        (ProbeFamily.two_phase(copies=2), ("xi",),
+         {"phi_y": 0.4, "phi_z": 0.3, "delta": 7.0, "bogus": 1.0}, "phi_z",
+         "['bogus', 'delta']"),
+        (ProbeFamily.two_phase(copies=2), ("xi_1", "xi_2"),
+         {"phi_y": 0.4, "phi_z": 0.3}, "phi_z", "['xi_1', 'xi_2']"),
+        (ProbeFamily.phase_dephasing(copies=2), ("phi", "xi"),
+         {"xi_1": 0.3}, "delta", "['xi_1']"),
+        (ProbeFamily.phase_dephasing(copies=1), ("phi", "xi_1"),
+         {"xi_2": 0.3}, "delta", "['xi_2']"),
+    ], ids=["fixed-of-the-other-family", "per-copy-two-phase",
+            "per-copy-beside-shared", "beyond-the-copies"])
+    def test_unused_inputs_refused_by_name(self, family, free, fixed, sweep,
+                                           named):
+        with pytest.raises(ValueError, match="inputs not used by this "
+                                             f"scenario: {re.escape(named)}"):
+            Scenario(family=family, measurement=bell_povm(), free_inputs=free,
+                     fixed_inputs=fixed, sweep=sweep)
 
     @pytest.mark.parametrize("stack", [
         (),
@@ -428,11 +448,13 @@ class TestCollectiveSearch:
 
     def test_haar_average_projector_is_uniform(self):
         rng = np.random.default_rng(123)
-        total = np.zeros((4, 4), dtype=complex)
         samples = 100_000
-        for _ in range(samples):
-            basis = haar_random_basis(rng, 4)
-            total += np.outer(basis[:, 0], basis[:, 0].conj())
+        # per sample the real, then the imaginary part, in the rng order of
+        # ``_complex_gaussian``, and all samples QR'd as one stack
+        parts = rng.standard_normal((samples, 2, 4, 4))
+        bases = scenarios._haar_bases(parts[:, 0] + 1j * parts[:, 1])
+        first = bases[:, :, 0]
+        total = first.T @ first.conj()
         assert np.abs(total / samples - np.eye(4) / 4.0).max() < 5e-3
 
 

@@ -17,8 +17,8 @@ ANGLES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 def dephased(xi, phi, delta):
     """The single-copy phase-dephasing probe state."""
-    return probe_with_derivatives(ProbeFamily.phase_dephasing(xi=xi),
-                                  (phi, delta)).state
+    return probe_with_derivatives(ProbeFamily.phase_dephasing(),
+                                  (phi, delta), (xi,)).state
 
 
 def check_density_matrix(rho):
@@ -179,26 +179,25 @@ class TestProbeWithDerivatives:
     def test_dephasing_analytic_delta_derivative(self):
         phi, delta = 0.3, 0.5
         family = ProbeFamily.phase_dephasing()
-        swd = probe_with_derivatives(family, (phi, delta))
+        swd = probe_with_derivatives(family, (phi, delta), (0.0,))
         expected = -2.0 * delta * np.exp(-1j * phi - delta ** 2) / 2.0
         assert abs(swd.derivatives[1][0, 1] - expected) < 1e-14
 
-    @pytest.mark.parametrize("family", [
-        ProbeFamily.phase_dephasing(),
-        ProbeFamily.phase_dephasing(copies=2, xi=(0.1, 0.7)),
-        ProbeFamily.two_phase(),
-        ProbeFamily.two_phase(copies=2, xi=0.4),
-    ])
-    def test_derivatives_traceless_and_hermitian(self, family):
+    @pytest.mark.parametrize("family,phases", [
+        (ProbeFamily.phase_dephasing(), (0.0,)),
+        (ProbeFamily.phase_dephasing(copies=2), (0.1, 0.7)),
+        (ProbeFamily.two_phase(), (0.0,)),
+        (ProbeFamily.two_phase(copies=2), (0.4, 0.4)),
+    ], ids=["family0", "family1", "family2", "family3"])
+    def test_derivatives_traceless_and_hermitian(self, family, phases):
         params = (0.5, 0.4)
-        swd = probe_with_derivatives(family, params)
+        swd = probe_with_derivatives(family, params, phases)
         for d in swd.derivatives:
             assert abs(np.trace(d)) < 1e-9
             assert hermiticity_defect(d) < 1e-10
 
     def test_two_phase_commutator_at_origin(self):
-        family = ProbeFamily.two_phase(xi=0.3)
-        swd = probe_with_derivatives(family, (0.0, 0.0))
+        swd = probe_with_derivatives(ProbeFamily.two_phase(), (0.0, 0.0), (0.3,))
         rho = swd.state
         for pauli, deriv in ((PAULI_Y, swd.derivatives[0]),
                              (PAULI_Z, swd.derivatives[1])):
@@ -230,10 +229,10 @@ class TestProbeWithDerivatives:
                 assert np.abs(d - fd_j).max() < 1e-9
 
     def test_two_copy_product_rule(self):
-        family = ProbeFamily.phase_dephasing(copies=2, xi=(0.0, 0.2))
-        swd = probe_with_derivatives(family, (0.4, 0.6))
+        swd = probe_with_derivatives(ProbeFamily.phase_dephasing(copies=2),
+                                     (0.4, 0.6), (0.0, 0.2))
         ones = [probe_with_derivatives(
-            ProbeFamily.phase_dephasing(copies=1, xi=(x,)), (0.4, 0.6))
+            ProbeFamily.phase_dephasing(copies=1), (0.4, 0.6), (x,))
             for x in (0.0, 0.2)]
         assert np.allclose(swd.state,
                            np.kron(ones[0].state, ones[1].state), atol=1e-14)
@@ -243,21 +242,29 @@ class TestProbeWithDerivatives:
             assert np.abs(swd.derivatives[j] - expected).max() < 1e-14
 
     def test_two_phase_state_is_rotated_input(self):
-        rho = probe_with_derivatives(ProbeFamily.two_phase(xi=0.3),
-                                     (0.5, 0.2)).state
+        rho = probe_with_derivatives(ProbeFamily.two_phase(), (0.5, 0.2),
+                                     (0.3,)).state
         u = rotation(0.5, 0.2)
         plus = dephased(0.3, 0.0, 0.0)
         assert np.abs(rho - u @ plus @ u.conj().T).max() < 1e-14
 
     def test_parameter_count_checked(self):
         with pytest.raises(ValueError):
-            probe_with_derivatives(ProbeFamily.phase_dephasing(), (0.1,))
+            probe_with_derivatives(ProbeFamily.phase_dephasing(), (0.1,),
+                                   (0.0,))
+
+    @pytest.mark.parametrize("phases", [(0.1,), (0.1, 0.2, 0.3)])
+    def test_phase_count_checked(self, phases):
+        with pytest.raises(ValueError, match="2 copies take one input phase "
+                                             f"each, got {len(phases)}"):
+            probe_with_derivatives(ProbeFamily.phase_dephasing(copies=2),
+                                   (0.4, 0.6), phases)
 
     def test_family_validation(self):
         with pytest.raises(ValueError):
             ProbeFamily("bogus")
         with pytest.raises(ValueError):
-            ProbeFamily.phase_dephasing(copies=2, xi=(0.1,))
+            ProbeFamily.phase_dephasing(copies=0)
 
 
 class TestTensorProduct:
