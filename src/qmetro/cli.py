@@ -8,9 +8,11 @@ artifacts atomically into the output directory along with a deterministic
 manifest.json; wall time goes to run.log so that reruns with the same config
 and seed are byte-identical. The searches (kappa-scan, optimize,
 conjecture-search) add their work to run.log as key=value lines:
-``evaluations`` (κ rows scored), ``kernel_calls`` and ``refine_iterations``
-(Nelder-Mead iterations summed over the refined points or trials);
-tomography adds ``iterations`` (MLE iterations) and ``mle_s`` (seconds in the
+``evaluations`` (κ rows the search asked for), ``kernel_rows`` (the rows the
+kernel scored: a dephasing grid row that repeats another's kernel inputs is
+scored once), ``kernel_calls`` and ``refine_iterations`` (Nelder-Mead
+iterations summed over the refined points or trials); tomography adds
+``iterations`` (MLE iterations) and ``mle_s`` (seconds in the
 reconstruction), and writes the log-likelihood at the start and after each
 iteration to ll_trace.csv.
 """
@@ -179,12 +181,32 @@ def _unread_family_keys(schema, raw, given) -> list[str]:
     return [f"key {key!r} is not read {why[key]}" for key in raw if key in why]
 
 
+def _free_keys_set(raw, config) -> list[str]:
+    """An error for each key in ``raw`` that fixes an input the search
+    frees, so that nothing would read it: an input named free, and the
+    dephasing ``xi`` when each copy's phase is free or set by its own
+    ``xi_j``. ``config`` holds every key, with the defaults filled in."""
+    if "free_inputs" not in config:
+        return []
+    free = set(_free_inputs(config))
+    errors = [f"key {key!r} is set, but {key} is a free input, which the "
+              "search chooses" for key in raw if key in free]
+    if "xi" in raw and "xi" not in free \
+            and config["family"] == PHASE_DEPHASING \
+            and all(f"xi_{j}" in free or f"xi_{j}" in raw
+                    for j in range(1, config["copies"] + 1)):
+        errors.append("key 'xi' is set, but each copy's input phase is "
+                      "free or set by its own xi_j")
+    return errors
+
+
 def parse_config(command: str, raw: dict[str, str]) -> dict:
     """Validate raw string settings against the command schema.
 
     Reports every problem at once: unknown keys (with the nearest valid key),
     type errors, family keys set that the probe family does not read,
-    non-finite numbers, missing required keys and range violations.
+    missing required keys, keys set for an input that the search frees,
+    non-finite numbers and range violations.
     """
     if command not in SCHEMAS:
         raise ConfigError([f"unknown command {command!r}; valid: {', '.join(COMMANDS)}"])
@@ -203,6 +225,8 @@ def parse_config(command: str, raw: dict[str, str]) -> dict:
         except (TypeError, ValueError):
             errors.append(f"key {key!r}: cannot parse {text!r} as {typ.__name__}")
     errors += _unread_family_keys(schema, raw, config)
+    # a copies that did not parse has its own error
+    copies_known = "copies" in config or "copies" not in raw
     for key, (typ, default) in schema.items():
         if key in config:
             continue
@@ -210,6 +234,8 @@ def parse_config(command: str, raw: dict[str, str]) -> dict:
             errors.append(f"command {command!r} requires key {key!r}")
         else:
             config[key] = default
+    if copies_known:
+        errors += _free_keys_set(raw, config)
     for key, value in config.items():
         check = _VALIDATORS.get(key)
         verdict = True if value is None or check is None else check(value)

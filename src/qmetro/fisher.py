@@ -214,10 +214,10 @@ def classical_fi(probabilities, derivative_probabilities,
     F = kernels.fisher_matrix(p, np.ascontiguousarray(dp), DEFAULT_P_CUTOFF)
     F = 0.5 * (F + F.T)
 
-    # relative to the largest diagonal entry, as in ``kernels.kappa_batch``
+    # relative to the largest diagonal entry, as in ``kernels.kappa_batch``;
+    # F is positive semidefinite, so a negative determinant is round-off
     top = float(F.diagonal().max(initial=0.0))
-    singular = top <= 0.0 or (abs(float(np.linalg.det(F / top)))
-                              < SINGULAR_CUTOFF)
+    singular = top <= 0.0 or float(np.linalg.det(F / top)) < SINGULAR_CUTOFF
     if singular:
         eff = kernels.singular_effective_information(F[None])[0]
     else:

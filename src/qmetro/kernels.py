@@ -118,11 +118,12 @@ def kappa_batch(povm, states, dstates, h1, h2, m, cutoff):
     det = f00 * f11 - f01 * f01
     # det(F) / top^2 with top = max(f00, f11) is min(f00, f11) / top -
     # (f01 / top)^2, which does not underflow as top * top does below about
-    # 1e-154; the smallest subnormal stands in for top = 0, which gives 0
+    # 1e-154; the smallest subnormal stands in for top = 0, which gives 0.
+    # F is positive semidefinite, so a negative value is round-off (as in a
+    # subnormal F) and the matrix singular
     top = np.maximum(np.maximum(f00, f11), _SMALLEST)
     ratio = f01 / top
-    singular = (np.abs(np.minimum(f00, f11) / top - ratio * ratio)
-                < SINGULAR_CUTOFF)
+    singular = np.minimum(f00, f11) / top - ratio * ratio < SINGULAR_CUTOFF
     # 1/(F^-1)_jj of an invertible 2x2 matrix is det(F) / F_kk with k != j
     other = F.diagonal(axis1=1, axis2=2)[:, ::-1]
     eff = det[:, None] / np.where(singular[:, None], 1.0, other)

@@ -281,9 +281,10 @@ class TestCliCommands:
         assert code == 0
         lines = (tmp_path / "run.log").read_text().splitlines()
         log = dict(line.split("=") for line in lines)
-        assert list(log) == ["wall_time_s", "evaluations", "kernel_calls",
-                             "refine_iterations"]
-        assert int(log["evaluations"]) > int(log["kernel_calls"]) > 0
+        assert list(log) == ["wall_time_s", "evaluations", "kernel_rows",
+                             "kernel_calls", "refine_iterations"]
+        assert int(log["evaluations"]) >= int(log["kernel_rows"]) \
+            > int(log["kernel_calls"]) > 0
         assert int(log["refine_iterations"]) > 0
 
     @pytest.mark.parametrize("command,free,named", [
@@ -390,6 +391,42 @@ class TestCliCommands:
         assert code == 2
         assert doc["errors"] == [error]
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv,errors", [
+        (("optimize", "--delta", "0.3", "--budget", "300", "--phi", "0.9",
+          "--xi-1", "1.3"),
+         ["key 'phi' is set, but phi is a free input, which the search "
+          "chooses",
+          "key 'xi_1' is set, but xi_1 is a free input, which the search "
+          "chooses"]),
+        (("optimize", "--family", "two-phase", "--xi", "0.5"),
+         ["key 'xi' is set, but xi is a free input, which the search "
+          "chooses"]),
+        (("kappa-scan", "--free-inputs", "phi,xi", "--xi", "0.5"),
+         ["key 'xi' is set, but xi is a free input, which the search "
+          "chooses"]),
+        (("optimize", "--xi", "0.5"),
+         ["key 'xi' is set, but each copy's input phase is free or set by "
+          "its own xi_j"]),
+        (("optimize", "--free-inputs", "phi,xi_2", "--xi", "0.5",
+          "--xi-1", "0.2"),
+         ["key 'xi' is set, but each copy's input phase is free or set by "
+          "its own xi_j"]),
+    ], ids=["phi-and-xi_1", "two-phase-xi", "shared-xi", "xi-of-free-copies",
+            "xi-of-set-copies"])
+    def test_keys_set_for_free_inputs_are_refused(self, tmp_path, capsys,
+                                                  argv, errors):
+        code, doc = run_cli(capsys, *argv, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert doc["errors"] == errors
+        assert not (tmp_path / "o").exists()
+
+    def test_keys_that_fix_an_input_are_kept(self, tmp_path, capsys):
+        # xi sets the phase of copy 2, which is fixed; xi_1 is fixed too
+        code, _ = run_cli(capsys, "optimize", "--free-inputs", "phi",
+                          "--xi", "0.5", "--xi-1", "0.2", "--budget", "50",
+                          "--out", str(tmp_path / "o"))
+        assert code == 0
 
     def test_per_copy_phase_beside_a_free_shared_phase_is_named(self, tmp_path,
                                                                capsys):

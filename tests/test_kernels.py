@@ -4,6 +4,7 @@ reference path, and the quantum-information floor both paths share."""
 import ast
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -410,6 +411,21 @@ def test_regular_rows_have_finite_kappa(two_phase, a, b, delta, rows):
             a + np.stack((xis, -xis)), delta, elements, 1e-12)
     kappa_values, _, _, status = batch
     assert np.isfinite(kappa_values[status == 0]).all()
+
+
+def test_subnormal_fisher_matrix_is_singular():
+    # two dephased copies at total phases 1.75, delta = 1, measured in a
+    # product basis tilted by theta_2 = 2e-161: F has subnormal entries and
+    # a negative determinant from round-off, where kappa once read 0/0
+    generator = ProductProjectiveGenerator()
+    angles = {"theta_1": 0.0, "eta_1": 0.0, "theta_2": 2e-161, "eta_2": 0.0}
+    elements = generator.elements({k: np.array([v])
+                                   for k, v in angles.items()})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, _, _, status = _rows(kernels.kappa_phase_dephasing_batch(
+            np.array([[1.75], [1.75]]), 1.0, elements, 1e-12))[0]
+    assert status == 1 and math.isfinite(value)
 
 
 def test_kernels_check_the_povm_dimension():

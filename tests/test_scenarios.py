@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmetro import (GateModel, Povm, ProbeFamily, ProductProjectiveGenerator,
                     Scenario, bell_povm, cs_gate_povm, evaluate_kappa,
@@ -10,7 +12,7 @@ from qmetro import (GateModel, Povm, ProbeFamily, ProductProjectiveGenerator,
                     product_projective_povm, random_collective_search)
 from qmetro import cli, kernels, scenarios
 from qmetro.linalg import PAULI_Y, PAULI_Z
-from qmetro.scenarios import _maximize, _Objective
+from qmetro.scenarios import _distinct_rows, _maximize, _Objective
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -522,7 +524,7 @@ class TestMaximizeGrid:
             evaluations = 0
             problems = 1
 
-            def batch(self, X, problems):
+            def batch(self, X, problems, distinct=False):
                 self.evaluations += len(X)
                 values = -np.abs(X[:, 0] - 2.0)
                 values[0] = values[4] = np.nan
@@ -535,7 +537,9 @@ class TestMaximizeGrid:
     def test_evaluations_count_grid_and_refinement(self, monkeypatch):
         # a lockstep run of P problems grids each one, then refines all of
         # them together in at most 1 + 3 * max(iterations) kernel calls,
-        # whatever P is; every scored row counts as one evaluation
+        # whatever P is; every requested row counts as one evaluation, and
+        # the kernel scores a grid row only if no earlier row of its call
+        # has the same bits of (alpha_1, alpha_2, delta)
         rows, runs = [], []
         batched = kernels.kappa_phase_dephasing_batch
         refine = scenarios.minimize
@@ -552,6 +556,9 @@ class TestMaximizeGrid:
         monkeypatch.setattr(scenarios, "minimize", recorded)
         names = ["phi", "xi_1", "xi_2"]
         per_dim = int((0.75 * 400) ** (1 / 3))
+        axis = np.linspace(0.0, 2 * math.pi, per_dim, endpoint=False)
+        phi, xi_1, xi_2 = (g.ravel() for g in np.meshgrid(axis, axis, axis,
+                                                          indexing="ij"))
         for delta, problems in ((0.3, 1), (default_delta_grid(), 40)):
             rows.clear()
             runs.clear()
@@ -560,12 +567,18 @@ class TestMaximizeGrid:
             _maximize(objective, names, 400)
             assert objective.problems == problems
             # a grid too large to share a call: one grid call per problem
-            assert rows[:problems] == [per_dim ** 3] * problems
+            distinct = [len({(a.tobytes(), b.tobytes(), d.tobytes())
+                             for a, b in zip(phi + xi_1, phi + xi_2)})
+                        for d in np.atleast_1d(delta)]
+            assert rows[:problems] == distinct
+            assert max(distinct) < per_dim ** 3
             [run] = runs
             refinement = rows[problems:]
             assert 0 < len(refinement) <= 1 + 3 * run.nit.max()
             assert sum(refinement) == run.nfev.sum()
-            assert objective.evaluations == sum(rows)
+            assert objective.evaluations == \
+                problems * per_dim ** 3 + sum(refinement)
+            assert objective.kernel_rows == sum(rows)
             assert objective.kernel_calls == len(rows)
             assert objective.refine_iterations == run.nit.sum()
         # lockstep: far fewer calls than refined rows
@@ -585,6 +598,118 @@ def haar_povm(dim, seed=3):
     basis = haar_random_basis(np.random.default_rng(seed), dim)
     return Povm(tuple(f"b{k}" for k in range(dim)), np.stack(
         [np.outer(basis[:, k], basis[:, k].conj()) for k in range(dim)]))
+
+
+def sic_povm():
+    """The tetrahedral SIC POVM on one qubit."""
+    signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+    return Povm(tuple("abcd"), np.array(
+        [(np.eye(2) + (x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / math.sqrt(3))
+         / 4 for x, y, z in signs]))
+
+
+class _GridRecorder(_Objective):
+    """An objective that keeps the rows, problems and scores of every
+    grid-stage call (the calls that score only distinct kernel rows)."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.grid_calls = []
+
+    def batch(self, X, problems=None, distinct=False):
+        before = self.kernel_rows
+        values = super().batch(X, problems, distinct)
+        if distinct:
+            self.grid_calls.append((X, problems, values,
+                                    self.kernel_rows - before))
+        return values
+
+
+def _grid_cases():
+    """The grid-stage property test's cases: name -> (scenario, budget);
+    the test gives a swept delta its values."""
+    dephasing = ProbeFamily.phase_dephasing
+    generator = ProductProjectiveGenerator()
+    stack = (haar_povm(4, seed=1), haar_povm(4, seed=2), haar_povm(4, seed=1))
+    return {
+        "bell": (Scenario(family=dephasing(copies=2), measurement=bell_povm(),
+                          free_inputs=("phi", "xi_1", "xi_2")), 300),
+        "stack": (Scenario(family=dephasing(copies=2), measurement=stack,
+                           free_inputs=("phi", "xi_1", "xi_2")), 150),
+        "sic": (Scenario(family=dephasing(copies=1), measurement=sic_povm(),
+                         free_inputs=("phi", "xi_1")), 100),
+        "two-phase-stack": (Scenario(family=ProbeFamily.two_phase(copies=2),
+                                     measurement=stack, free_inputs=("xi",),
+                                     fixed_inputs={"phi_y": 0.4,
+                                                   "phi_z": 0.3},
+                                     sweep=None), 48),
+        "three-copies": (Scenario(family=dephasing(copies=3),
+                                  measurement=haar_povm(8),
+                                  free_inputs=("phi", "xi_1", "xi_2", "xi_3")),
+                         150),
+        "generator": (Scenario(family=dephasing(copies=2),
+                               measurement=generator,
+                               free_inputs=("phi", "xi_1", "xi_2", "theta_1"),
+                               fixed_inputs={"eta_1": 0.2, "theta_2": 1.1,
+                                             "eta_2": -0.4}), 200),
+    }
+
+
+#: dephasing strengths with repeats and both zeros, so that problems of
+#: one grid call share kernel rows and -0.0 meets 0.0
+DELTAS = st.lists(st.sampled_from([0.0, -0.0, 0.05, 0.3, 1.2])
+                  | st.floats(0.0, 3.0), min_size=1, max_size=6)
+
+
+class TestDistinctGridRows:
+    """The grid stage scores each bitwise-distinct kernel row once and
+    gives every row the bits that ``_Objective.batch`` gives it."""
+
+    @pytest.mark.parametrize("case", ["bell", "sic", "stack", "three-copies",
+                                      "generator", "two-phase-stack"])
+    @given(deltas=DELTAS)
+    @settings(deadline=None, max_examples=8)
+    def test_grid_scores_are_the_batch_bits(self, case, deltas):
+        scenario, budget = _grid_cases()[case]
+        names = list(scenario.free_inputs)
+        base = dict(scenario.fixed_inputs)
+        if scenario.sweep is not None:
+            # a stack's problems are its POVMs, at one sweep value
+            stack = isinstance(scenario.measurement, tuple)
+            base = {**base, "delta": deltas[0] if stack else np.array(deltas)}
+        objective = _GridRecorder(scenario, base, names)
+        _maximize(objective, names, budget)
+        assert objective.grid_calls
+        for X, problems, values, _ in objective.grid_calls:
+            reference = _Objective(scenario, base, names).batch(X, problems)
+            assert np.array_equal(values.view(np.int64),
+                                  reference.view(np.int64))
+        requested = sum(len(X) for X, _, _, _ in objective.grid_calls)
+        kernel_rows = sum(n for _, _, _, n in objective.grid_calls)
+        # phi + xi_j = xi_j + phi: every dephasing grid repeats rows; the
+        # two-phase kernel scores every row
+        if case == "two-phase-stack":
+            assert kernel_rows == requested
+        else:
+            assert 0 < kernel_rows < requested
+
+    def test_bell_grid_scores_half_its_rows(self):
+        objective = _Objective(ideal_bell_scenario(), {"delta": 0.3},
+                               ["phi", "xi_1", "xi_2"])
+        axis = np.linspace(0.0, 2 * math.pi, 11, endpoint=False)
+        grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                        -1).reshape(-1, 3)
+        objective.batch(grid, distinct=True)
+        assert (objective.evaluations, objective.kernel_rows) == (1331, 590)
+
+    def test_rows_merge_only_on_equal_bits(self):
+        nan = np.float64("nan")
+        other_nan = np.int64(0x7FF8000000000001).view(np.float64)
+        column = np.array([0.0, -0.0, 1.0, nan, 0.0, other_nan, nan, 1.0])
+        problem = np.array([0, 0, 0, 0, 0, 0, 0, 1])
+        first, inverse = _distinct_rows([column, problem])
+        assert sorted(first) == [0, 1, 2, 3, 5, 7]
+        assert np.array_equal(first[inverse], [0, 1, 2, 3, 0, 5, 3, 7])
 
 
 class ReferencePathCalled(Exception):
