@@ -8,13 +8,11 @@ artifacts atomically into the output directory along with a deterministic
 manifest.json; wall time goes to run.log so that reruns with the same config
 and seed are byte-identical. The searches (kappa-scan, optimize,
 conjecture-search) add their work to run.log as key=value lines:
-``evaluations`` (κ rows the search asked for), ``kernel_rows`` (the rows the
-kernel scored: a dephasing grid row that repeats another's kernel inputs is
-scored once), ``kernel_calls`` and ``refine_iterations`` (Nelder-Mead
-iterations summed over the refined points or trials); tomography adds
-``iterations`` (MLE iterations) and ``mle_s`` (seconds in the
-reconstruction), and writes the log-likelihood at the start and after each
-iteration to ll_trace.csv.
+``evaluations`` (κ rows the search scored), ``kernel_calls`` and
+``refine_iterations`` (Nelder-Mead iterations summed over the refined points
+or trials); tomography adds ``iterations`` (MLE iterations) and ``mle_s``
+(seconds in the reconstruction), and writes the log-likelihood at the start
+and after each iteration to ll_trace.csv.
 """
 
 from __future__ import annotations
@@ -181,16 +179,22 @@ def _unread_family_keys(schema, raw, given) -> list[str]:
     return [f"key {key!r} is not read {why[key]}" for key in raw if key in why]
 
 
-def _free_keys_set(raw, config) -> list[str]:
-    """An error for each key in ``raw`` that fixes an input the search
-    frees, so that nothing would read it: an input named free, and the
-    dephasing ``xi`` when each copy's phase is free or set by its own
-    ``xi_j``. ``config`` holds every key, with the defaults filled in."""
+def _chosen_keys_set(raw, config) -> list[str]:
+    """An error for each key in ``raw`` that fixes an input the run chooses
+    itself, so that nothing would read it: an input named free, the input
+    that ``kappa-scan`` sweeps, and the dephasing ``xi`` when each copy's
+    phase is free or set by its own ``xi_j``. ``config`` holds every key,
+    with the defaults filled in."""
     if "free_inputs" not in config:
         return []
     free = set(_free_inputs(config))
     errors = [f"key {key!r} is set, but {key} is a free input, which the "
               "search chooses" for key in raw if key in free]
+    if "sweep" in config:
+        swept = config["sweep"] or _point_input(config)
+        if swept in raw and swept not in free:
+            errors.append(f"key {swept!r} is set, but {swept} is the swept "
+                          "input, which the scan sets")
     if "xi" in raw and "xi" not in free \
             and config["family"] == PHASE_DEPHASING \
             and all(f"xi_{j}" in free or f"xi_{j}" in raw
@@ -205,8 +209,8 @@ def parse_config(command: str, raw: dict[str, str]) -> dict:
 
     Reports every problem at once: unknown keys (with the nearest valid key),
     type errors, family keys set that the probe family does not read,
-    missing required keys, keys set for an input that the search frees,
-    non-finite numbers and range violations.
+    missing required keys, keys set for an input that the search frees or
+    the scan sweeps, non-finite numbers and range violations.
     """
     if command not in SCHEMAS:
         raise ConfigError([f"unknown command {command!r}; valid: {', '.join(COMMANDS)}"])
@@ -235,7 +239,7 @@ def parse_config(command: str, raw: dict[str, str]) -> dict:
         else:
             config[key] = default
     if copies_known:
-        errors += _free_keys_set(raw, config)
+        errors += _chosen_keys_set(raw, config)
     for key, value in config.items():
         check = _VALIDATORS.get(key)
         verdict = True if value is None or check is None else check(value)

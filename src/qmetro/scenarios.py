@@ -105,14 +105,11 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SearchWork:
-    """What a search did: objective rows scored, the rows the kernel
-    scored (a dephasing grid row that repeats another's kernel inputs is
-    scored once), kernel calls made, and Nelder-Mead iterations summed over
-    the refined problems (counted as scipy counts them, from 1 per
-    problem)."""
+    """What a search did: objective rows scored, kernel calls made, and
+    Nelder-Mead iterations summed over the refined problems (counted as
+    scipy counts them, from 1 per problem)."""
 
     evaluations: int = 0
-    kernel_rows: int = 0
     kernel_calls: int = 0
     refine_iterations: int = 0
 
@@ -216,23 +213,26 @@ class _Objective:
             self.problems = max((len(v) for v in base.values()
                                  if np.ndim(v)), default=1)
         self.evaluations = 0
-        self.kernel_rows = 0
         self.kernel_calls = 0
         self.refine_iterations = 0
         #: per problem: whether any of its rows had a regular Fisher matrix
         self.any_regular = np.zeros(self.problems, dtype=bool)
 
     def work(self) -> SearchWork:
-        return SearchWork(self.evaluations, self.kernel_rows,
-                          self.kernel_calls, self.refine_iterations)
+        return SearchWork(self.evaluations, self.kernel_calls,
+                          self.refine_iterations)
 
-    def _kernel_inputs(self, X, rows) -> dict:
-        """The kernel's inputs for the rows of ``X``, by name: a column of
-        one value per row, or one value (delta, phi_y, phi_z) shared by all
-        rows. A dephasing row's inputs are each copy's total phase
-        phi + xi_j and delta, a two-phase row's xi, phi_y and phi_z; beside
-        them stand a generator's settings or, for a stack, each row's
-        problem."""
+    def batch(self, X, problems=None) -> np.ndarray:
+        """The search score at every row of ``X`` (shape (N, len(names))),
+        where row i belongs to problem ``problems[i]`` (problem 0 when
+        ``problems`` is None): kappa, 0 where the Fisher matrix is singular,
+        and -inf where delta < 0.
+
+        A dephasing row's kernel inputs are each copy's total phase
+        phi + xi_j and delta, a two-phase row's xi, phi_y and phi_z.
+        """
+        X = np.asarray(X, dtype=float)
+        rows = np.zeros(len(X), dtype=int) if problems is None else problems
         cols = {n: X[:, i] for i, n in enumerate(self.names)}
 
         def value(name):
@@ -245,103 +245,37 @@ class _Objective:
             v = value(name)
             return v if np.ndim(v) else np.full(len(X), v)
 
-        if self.scenario.family.kind == PHASE_DEPHASING:
-            phi = column("phi")
-            inputs = {f"alpha_{j}": phi + column(n)
-                      for j, n in enumerate(self.phase_names)}
-            inputs["delta"] = value("delta")
-        else:
-            inputs = {"xi": column("xi"), "phi_y": value("phi_y"),
-                      "phi_z": value("phi_z")}
         m = self.scenario.measurement
         if isinstance(m, MeasurementGenerator):
-            inputs.update((n, column(n)) for n in m.setting_names)
+            povm = m.elements({n: column(n) for n in m.setting_names})
         elif isinstance(m, tuple):
-            inputs["problem"] = rows
-        return inputs
-
-    def _kernel(self, inputs: dict):
-        """The kernel's (kappa, status) at the rows of ``inputs``."""
-        m = self.scenario.measurement
-        if isinstance(m, MeasurementGenerator):
-            povm = m.elements({n: inputs[n] for n in m.setting_names})
-        elif isinstance(m, tuple):
-            povm = self.elements[inputs["problem"]]
+            povm = self.elements[rows]
         else:
             povm = self.elements
         fam = self.scenario.family
         if fam.kind == PHASE_DEPHASING:
-            alphas = np.stack([inputs[f"alpha_{j}"]
-                               for j in range(fam.copies)])
+            alphas = np.stack([column("phi") + column(n)
+                               for n in self.phase_names])
+            delta = value("delta")
             kappa_values, _, _, status = kernels.kappa_phase_dephasing_batch(
-                alphas, inputs["delta"], povm, kernels.DEFAULT_P_CUTOFF)
-        else:
-            kappa_values, _, _, status = kernels.kappa_two_phase_batch(
-                inputs["xi"], inputs["phi_y"], inputs["phi_z"], povm,
-                kernels.DEFAULT_P_CUTOFF, copies=fam.copies)
-        self.kernel_rows += len(status)
-        self.kernel_calls += 1
-        return kappa_values, status
-
-    def batch(self, X, problems=None, distinct=False) -> np.ndarray:
-        """The search score at every row of ``X`` (shape (N, len(names))),
-        where row i belongs to problem ``problems[i]`` (problem 0 when
-        ``problems`` is None): kappa, 0 where the Fisher matrix is singular,
-        and -inf where delta < 0.
-
-        With ``distinct`` the dephasing kernel scores only the first of each
-        set of rows whose kernel inputs are the same bits, and the rest take
-        its score: the kernel gives a row the same bits in any batch, so
-        every score is the one that row gets without ``distinct``. A
-        dephasing grid repeats rows, as kappa reads phi and xi_j only
-        through their sum; a simplex step rarely does, so the refinement
-        does not pay for the sort. Nor does the two-phase family, whose
-        kernel inputs are the free inputs and the problem's own: its grid
-        rows repeat only where two problems share every fixed input.
-        """
-        X = np.asarray(X, dtype=float)
-        rows = np.zeros(len(X), dtype=int) if problems is None else problems
-        inputs = self._kernel_inputs(X, rows)
-        if distinct and self.scenario.family.kind == PHASE_DEPHASING:
-            first, inverse = _distinct_rows(
-                [v for v in inputs.values() if np.ndim(v)])
-            kappa_values, status = (a[inverse] for a in self._kernel(
-                {k: v[first] if np.ndim(v) else v
-                 for k, v in inputs.items()}))
-        else:
-            kappa_values, status = self._kernel(inputs)
-        if self.scenario.family.kind == PHASE_DEPHASING:
-            negative = np.less(inputs["delta"], 0)
+                alphas, delta, povm, kernels.DEFAULT_P_CUTOFF)
+            negative = np.less(delta, 0)
             if negative.any():
                 # kappa is even in delta, so the kernel scored the mirror
                 # point; no dephasing strength is negative
                 kappa_values = np.where(negative, -np.inf, kappa_values)
                 status = np.where(negative, _NEGATIVE_DELTA, status)
+        else:
+            kappa_values, _, _, status = kernels.kappa_two_phase_batch(
+                column("xi"), value("phi_y"), value("phi_z"), povm,
+                kernels.DEFAULT_P_CUTOFF, copies=fam.copies)
+        self.kernel_calls += 1
         self.evaluations += len(X)
         self.any_regular[rows[status == 0]] = True
         # a singular point (status 1) scores 0: kappa jumps there, as the
         # unaffected parameter keeps its full information (``FisherReport``),
         # and a search started on it would stall
         return np.where(status == 1, 0.0, kappa_values)
-
-
-def _distinct_rows(columns):
-    """The rows of ``columns`` (arrays of one 8-byte value per row) that
-    are the first with their bits, and the index into them of every row.
-
-    Bits are compared, not values: -0.0 and 0.0 stay apart, and a NaN row
-    joins only a row of the same bits, which the kernel scores alike."""
-    keys = [np.asarray(c).view(np.int64) for c in columns]
-    # a stable sort: each run of equal rows starts with its first row
-    order = np.lexsort(keys)
-    starts = np.zeros(len(order), dtype=bool)
-    starts[:1] = True
-    for key in keys:
-        ordered = key[order]
-        starts[1:] |= ordered[1:] != ordered[:-1]
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(starts) - 1
-    return order[starts], inverse
 
 
 #: status of a row with delta < 0, beside the kernels' codes 0, 1 and 2
@@ -361,9 +295,8 @@ def _maximize(objective, names: list[str], budget: int):
     their scores (P,).
 
     Every problem is scored at the same grid points, several problems per
-    ``objective.batch`` call up to ``_CALL_ROWS`` rows, and the dephasing
-    kernel scores only the bitwise-distinct kernel rows of each call. Each
-    problem's best grid point seeds its simplex, and ``minimize`` refines
+    ``objective.batch`` call up to ``_CALL_ROWS`` rows. Each problem's best
+    grid point seeds its simplex, and ``minimize`` refines
     all problems in lockstep: one call per simplex phase scores every
     problem in it, so a run makes at most 1 + 3 * max(iterations)
     refinement calls whatever P is, and each problem takes the path scipy's
@@ -384,7 +317,7 @@ def _maximize(objective, names: list[str], budget: int):
     group = max(1, _CALL_ROWS // len(grid))
     values = np.concatenate([
         objective.batch(np.tile(grid, (len(part), 1)),
-                        np.repeat(part, len(grid)), distinct=True)
+                        np.repeat(part, len(grid)))
         for part in np.split(everyone, range(group, everyone.size, group))])
     # per problem the first strict maximum wins and NaN never does, as a
     # running ``v > best`` comparison from -inf would choose
@@ -417,8 +350,19 @@ def _optimize(scenario: Scenario, base: dict, budget: int):
     """Maximize kappa for every problem of ``base`` or of a measurement
     stack in one lockstep run; returns per problem its ``OptimizeOutcome``,
     reported with its own POVM, or its error, and the run's ``SearchWork``.
+
+    A dephasing kappa reads phi and the input phases only through each
+    copy's total phase alpha_j = phi + xi_j. Where phi and every copy's
+    input phase are free, the input phases alone reach every alpha_j and
+    phi is a direction along which kappa never changes: phi is held at 0
+    and reported as its setting, an optimum as good as any other phi, so
+    that every grid row is a different point of kappa.
     """
     names = list(scenario.free_inputs)
+    if scenario.family.kind == PHASE_DEPHASING and "phi" in names \
+            and set(_phase_names(scenario.family, names)) <= set(names):
+        base = {**base, "phi": 0.0}
+        names.remove("phi")
     objective = _Objective(scenario, base, names)
     best_x, _ = _maximize(objective, names, budget)
     stack = isinstance(scenario.measurement, tuple)
@@ -431,12 +375,13 @@ def _optimize(scenario: Scenario, base: dict, budget: int):
                 f"matrix); scenario sweep {scenario.sweep} at "
                 f"{vals.get(scenario.sweep)}"))
             continue
-        settings = {n: float(v) for n, v in zip(names, x)}
+        point = {**vals, **{n: float(v) for n, v in zip(names, x)}}
+        settings = {n: point[n] for n in scenario.free_inputs}
         problem = replace(scenario, measurement=scenario.measurement[p]) \
             if stack else scenario
         try:
-            found.append(OptimizeOutcome(
-                evaluate_kappa(problem, {**vals, **settings}), settings))
+            found.append(OptimizeOutcome(evaluate_kappa(problem, point),
+                                         settings))
         except (RuntimeError, ValueError) as exc:
             found.append(exc)
     return found, objective.work()

@@ -3,16 +3,15 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qmetro import (GateModel, Povm, ProbeFamily, ProductProjectiveGenerator,
                     Scenario, bell_povm, cs_gate_povm, evaluate_kappa,
                     kappa_scan, optimize_each, optimize_kappa,
-                    product_projective_povm, random_collective_search)
+                    povm_to_json, product_projective_povm,
+                    random_collective_search)
 from qmetro import cli, kernels, scenarios
 from qmetro.linalg import PAULI_Y, PAULI_Z
-from qmetro.scenarios import _distinct_rows, _maximize, _Objective
+from qmetro.scenarios import _maximize, _Objective
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -524,7 +523,7 @@ class TestMaximizeGrid:
             evaluations = 0
             problems = 1
 
-            def batch(self, X, problems, distinct=False):
+            def batch(self, X, problems):
                 self.evaluations += len(X)
                 values = -np.abs(X[:, 0] - 2.0)
                 values[0] = values[4] = np.nan
@@ -537,9 +536,7 @@ class TestMaximizeGrid:
     def test_evaluations_count_grid_and_refinement(self, monkeypatch):
         # a lockstep run of P problems grids each one, then refines all of
         # them together in at most 1 + 3 * max(iterations) kernel calls,
-        # whatever P is; every requested row counts as one evaluation, and
-        # the kernel scores a grid row only if no earlier row of its call
-        # has the same bits of (alpha_1, alpha_2, delta)
+        # whatever P is; every row the kernel scores is one evaluation
         rows, runs = [], []
         batched = kernels.kappa_phase_dephasing_batch
         refine = scenarios.minimize
@@ -554,31 +551,24 @@ class TestMaximizeGrid:
 
         monkeypatch.setattr(kernels, "kappa_phase_dephasing_batch", counted)
         monkeypatch.setattr(scenarios, "minimize", recorded)
-        names = ["phi", "xi_1", "xi_2"]
-        per_dim = int((0.75 * 400) ** (1 / 3))
-        axis = np.linspace(0.0, 2 * math.pi, per_dim, endpoint=False)
-        phi, xi_1, xi_2 = (g.ravel() for g in np.meshgrid(axis, axis, axis,
-                                                          indexing="ij"))
+        # the coordinates of the default Bell search, phi held at 0
+        names = ["xi_1", "xi_2"]
+        per_dim = int((0.75 * 400) ** (1 / 2))
         for delta, problems in ((0.3, 1), (default_delta_grid(), 40)):
             rows.clear()
             runs.clear()
-            objective = _Objective(ideal_bell_scenario(), {"delta": delta},
-                                   names)
+            objective = _Objective(ideal_bell_scenario(),
+                                   {"phi": 0.0, "delta": delta}, names)
             _maximize(objective, names, 400)
             assert objective.problems == problems
             # a grid too large to share a call: one grid call per problem
-            distinct = [len({(a.tobytes(), b.tobytes(), d.tobytes())
-                             for a, b in zip(phi + xi_1, phi + xi_2)})
-                        for d in np.atleast_1d(delta)]
-            assert rows[:problems] == distinct
-            assert max(distinct) < per_dim ** 3
+            assert rows[:problems] == [per_dim ** 2] * problems
             [run] = runs
             refinement = rows[problems:]
             assert 0 < len(refinement) <= 1 + 3 * run.nit.max()
             assert sum(refinement) == run.nfev.sum()
-            assert objective.evaluations == \
-                problems * per_dim ** 3 + sum(refinement)
-            assert objective.kernel_rows == sum(rows)
+            assert objective.evaluations == sum(rows) == \
+                problems * per_dim ** 2 + sum(refinement)
             assert objective.kernel_calls == len(rows)
             assert objective.refine_iterations == run.nit.sum()
         # lockstep: far fewer calls than refined rows
@@ -608,108 +598,117 @@ def sic_povm():
          / 4 for x, y, z in signs]))
 
 
-class _GridRecorder(_Objective):
-    """An objective that keeps the rows, problems and scores of every
-    grid-stage call (the calls that score only distinct kernel rows)."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.grid_calls = []
-
-    def batch(self, X, problems=None, distinct=False):
-        before = self.kernel_rows
-        values = super().batch(X, problems, distinct)
-        if distinct:
-            self.grid_calls.append((X, problems, values,
-                                    self.kernel_rows - before))
-        return values
+def _write_povm(path, povm):
+    path.write_text(povm_to_json(povm), encoding="utf-8")
+    return str(path)
 
 
-def _grid_cases():
-    """The grid-stage property test's cases: name -> (scenario, budget);
-    the test gives a swept delta its values."""
+def _default_searches(tmp_path):
+    """The searches whose grids must repeat no kernel row: name -> a
+    callable that runs one. The CLI's default dephasing scans, Bell and
+    gate on two copies, a SIC POVM on one and a Haar POVM on three, and
+    the library's two other dephasing measurements, a stack and a
+    generator."""
+    def scan(**raw):
+        return lambda: cli.run("kappa-scan", cli.parse_config(
+            "kappa-scan", {**raw, "out": str(tmp_path / "out")}))
+
     dephasing = ProbeFamily.phase_dephasing
-    generator = ProductProjectiveGenerator()
-    stack = (haar_povm(4, seed=1), haar_povm(4, seed=2), haar_povm(4, seed=1))
+    stack = Scenario(family=dephasing(copies=2),
+                     measurement=tuple(haar_povm(4, seed=s) for s in (1, 2, 3)),
+                     free_inputs=("phi", "xi_1", "xi_2"))
+    generator = Scenario(family=dephasing(copies=2),
+                         measurement=ProductProjectiveGenerator(),
+                         free_inputs=("phi", "xi_1", "xi_2", "theta_1"),
+                         fixed_inputs={"eta_1": 0.2, "theta_2": 1.1,
+                                       "eta_2": -0.4})
     return {
-        "bell": (Scenario(family=dephasing(copies=2), measurement=bell_povm(),
-                          free_inputs=("phi", "xi_1", "xi_2")), 300),
-        "stack": (Scenario(family=dephasing(copies=2), measurement=stack,
-                           free_inputs=("phi", "xi_1", "xi_2")), 150),
-        "sic": (Scenario(family=dephasing(copies=1), measurement=sic_povm(),
-                         free_inputs=("phi", "xi_1")), 100),
-        "two-phase-stack": (Scenario(family=ProbeFamily.two_phase(copies=2),
-                                     measurement=stack, free_inputs=("xi",),
-                                     fixed_inputs={"phi_y": 0.4,
-                                                   "phi_z": 0.3},
-                                     sweep=None), 48),
-        "three-copies": (Scenario(family=dephasing(copies=3),
-                                  measurement=haar_povm(8),
-                                  free_inputs=("phi", "xi_1", "xi_2", "xi_3")),
-                         150),
-        "generator": (Scenario(family=dephasing(copies=2),
-                               measurement=generator,
-                               free_inputs=("phi", "xi_1", "xi_2", "theta_1"),
-                               fixed_inputs={"eta_1": 0.2, "theta_2": 1.1,
-                                             "eta_2": -0.4}), 200),
+        "bell": scan(measurement="bell", copies="2"),
+        "gate": scan(measurement="gate", visibility="0.9"),
+        "sic": scan(copies="1", measurement="file",
+                    povm=_write_povm(tmp_path / "sic.json", sic_povm())),
+        "three-copies": scan(copies="3", measurement="file",
+                             povm=_write_povm(tmp_path / "haar8.json",
+                                              haar_povm(8))),
+        "stack": lambda: optimize_each(stack, 0.3),
+        "generator": lambda: optimize_kappa(generator, 0.3),
     }
 
 
-#: dephasing strengths with repeats and both zeros, so that problems of
-#: one grid call share kernel rows and -0.0 meets 0.0
-DELTAS = st.lists(st.sampled_from([0.0, -0.0, 0.05, 0.3, 1.2])
-                  | st.floats(0.0, 3.0), min_size=1, max_size=6)
-
-
 class TestDistinctGridRows:
-    """The grid stage scores each bitwise-distinct kernel row once and
-    gives every row the bits that ``_Objective.batch`` gives it."""
+    """With phi held at 0, no dephasing search grid scores a kernel row
+    twice: each row of a grid call has its own bits of every kernel input
+    (each alpha_j, delta and the row's POVM)."""
 
-    @pytest.mark.parametrize("case", ["bell", "sic", "stack", "three-copies",
-                                      "generator", "two-phase-stack"])
-    @given(deltas=DELTAS)
-    @settings(deadline=None, max_examples=8)
-    def test_grid_scores_are_the_batch_bits(self, case, deltas):
-        scenario, budget = _grid_cases()[case]
-        names = list(scenario.free_inputs)
-        base = dict(scenario.fixed_inputs)
-        if scenario.sweep is not None:
-            # a stack's problems are its POVMs, at one sweep value
-            stack = isinstance(scenario.measurement, tuple)
-            base = {**base, "delta": deltas[0] if stack else np.array(deltas)}
-        objective = _GridRecorder(scenario, base, names)
-        _maximize(objective, names, budget)
-        assert objective.grid_calls
-        for X, problems, values, _ in objective.grid_calls:
-            reference = _Objective(scenario, base, names).batch(X, problems)
-            assert np.array_equal(values.view(np.int64),
-                                  reference.view(np.int64))
-        requested = sum(len(X) for X, _, _, _ in objective.grid_calls)
-        kernel_rows = sum(n for _, _, _, n in objective.grid_calls)
-        # phi + xi_j = xi_j + phi: every dephasing grid repeats rows; the
-        # two-phase kernel scores every row
-        if case == "two-phase-stack":
-            assert kernel_rows == requested
-        else:
-            assert 0 < kernel_rows < requested
+    @pytest.mark.parametrize("case", ["bell", "gate", "sic", "three-copies",
+                                      "stack", "generator"])
+    def test_grid_repeats_no_kernel_row(self, tmp_path, monkeypatch, case):
+        calls, refining = [], []
+        batched = kernels.kappa_phase_dephasing_batch
+        refine = scenarios.minimize
 
-    def test_bell_grid_scores_half_its_rows(self):
-        objective = _Objective(ideal_bell_scenario(), {"delta": 0.3},
-                               ["phi", "xi_1", "xi_2"])
-        axis = np.linspace(0.0, 2 * math.pi, 11, endpoint=False)
-        grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
-                        -1).reshape(-1, 3)
-        objective.batch(grid, distinct=True)
-        assert (objective.evaluations, objective.kernel_rows) == (1331, 590)
+        def recorded(alphas, delta, povm, *args):
+            if not refining:
+                calls.append((alphas, delta, povm))
+            return batched(alphas, delta, povm, *args)
 
-    def test_rows_merge_only_on_equal_bits(self):
-        nan = np.float64("nan")
-        other_nan = np.int64(0x7FF8000000000001).view(np.float64)
-        column = np.array([0.0, -0.0, 1.0, nan, 0.0, other_nan, nan, 1.0])
-        problem = np.array([0, 0, 0, 0, 0, 0, 0, 1])
-        first, inverse = _distinct_rows([column, problem])
-        assert sorted(first) == [0, 1, 2, 3, 5, 7]
-        assert np.array_equal(first[inverse], [0, 1, 2, 3, 0, 5, 3, 7])
+        def flagged(*args, **kwargs):
+            refining.append(True)
+            return refine(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "kappa_phase_dephasing_batch", recorded)
+        monkeypatch.setattr(scenarios, "minimize", flagged)
+        _default_searches(tmp_path)[case]()
+        assert calls
+        for alphas, delta, povm in calls:
+            n = alphas.shape[1]
+            columns = [*alphas, np.broadcast_to(delta, n)]
+            per_row = np.ndim(povm) == 4
+            keys = {b"".join(c[i].tobytes() for c in columns)
+                    + (povm[i].tobytes() if per_row else b"")
+                    for i in range(n)}
+            assert len(keys) == n
+        if case == "bell":
+            # 40 default delta points, a 17 x 17 grid of (xi_1, xi_2) each
+            assert [alphas.shape for alphas, _, _ in calls] == [(2, 289)] * 40
+
+
+class TestHeldPhi:
+    """Where phi and every copy's input phase are free, the search holds
+    phi at 0 and reaches the optimum that the search over phi and the
+    input phases reached. The reference values are that search's: the
+    same calls made at commit 1159f3e, before phi was held."""
+
+    def test_bell_scan_reaches_the_full_search_optimum(self):
+        curve = kappa_scan(ideal_bell_scenario(), [0.1, 0.3, 0.7, 1.2],
+                           budget=2000)
+        full = [1.4751988399667877, 1.2903913190376892, 0.6482028825102708,
+                0.1092858992321975]
+        assert np.abs(curve.kappa_values - full).max() < 1e-10
+        assert all(args["phi"] == 0.0 for args in curve.optimizer_args)
+
+    @pytest.mark.parametrize("copies,measurement,full", [
+        (1, sic_povm(), 0.5380485798867591),
+        (3, haar_povm(8), 0.9529993338581927),
+    ], ids=["sic", "three-copies"])
+    def test_optimize_reaches_the_full_search_optimum(self, copies,
+                                                      measurement, full):
+        scenario = Scenario(
+            family=ProbeFamily.phase_dephasing(copies=copies),
+            measurement=measurement,
+            free_inputs=("phi", *(f"xi_{j}" for j in range(1, copies + 1))))
+        out = optimize_kappa(scenario, 0.3)
+        assert abs(out.result.kappa - full) < 1e-10
+        assert list(out.settings) == list(scenario.free_inputs)
+        assert out.settings["phi"] == 0.0
+
+    def test_phi_beside_a_fixed_input_phase_is_searched(self):
+        scenario = ideal_bell_scenario(free_inputs=("phi", "xi_1"),
+                                       fixed_inputs={"xi_2": 0.0})
+        out = optimize_kappa(scenario, 0.3)
+        # alpha_2 = phi: only phi reaches it
+        assert out.settings["phi"] != 0.0
+        assert abs(out.result.kappa - ideal_kappa(0.3)) < 1e-5
 
 
 class ReferencePathCalled(Exception):
