@@ -1,14 +1,15 @@
-"""Command-line entry point.
+"""Command-line entry point: ``qmetro COMMAND --key value ...``.
 
 Commands: qfi, weak-comm, kappa-scan, optimize, tomography, simulate-counts,
-conjecture-search, gate-model. Settings come from an INI-style config file
-(section [run], plus an optional section named after the command) and can be
-overridden by command-line flags of the same name. Every run writes its
+conjecture-search, gate-model. Flags are the config keys of ``SCHEMAS``
+(``--key value`` or ``--key=value``, ``-`` read as ``_``) and win over an INI
+``--config`` file (section [run], plus one named after the command);
+``--help`` lists them. ``parse_config`` refuses every config mistake before
+anything is written (a JSON status line, exit 2). Every run writes its
 artifacts atomically into the output directory along with a deterministic
 manifest.json; wall time goes to run.log so that reruns with the same config
-and seed are byte-identical. The searches (kappa-scan, optimize,
-conjecture-search) add their work to run.log as key=value lines:
-``evaluations`` (κ rows the search scored), ``kernel_calls`` and
+and seed are byte-identical. The searches add their work to run.log as
+key=value lines: ``evaluations`` (κ rows scored), ``kernel_calls`` and
 ``refine_iterations`` (Nelder-Mead iterations summed over the refined points
 or trials); tomography adds ``iterations`` (MLE iterations) and ``mle_s``
 (seconds in the reconstruction), and writes the log-likelihood at the start
@@ -17,7 +18,6 @@ and after each iteration to ll_trace.csv.
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import difflib
 import math
@@ -42,9 +42,6 @@ from .states import (PHASE_DEPHASING, TWO_PHASE, ProbeFamily,
 from .tomography import (DEFAULT_MAX_ITERS, DEFAULT_TOL, counts_to_csv,
                          load_counts, mle_reconstruct, povm_fidelity,
                          reference_states, simulate_counts)
-
-COMMANDS = ("qfi", "weak-comm", "kappa-scan", "optimize", "tomography",
-            "simulate-counts", "conjecture-search", "gate-model")
 
 
 class ConfigError(Exception):
@@ -135,6 +132,7 @@ SCHEMAS: dict[str, dict] = {
     },
     "gate-model": {**_COMMON, **_MEASUREMENT_KEYS},
 }
+COMMANDS = tuple(SCHEMAS)
 
 _VALIDATORS = {
     "visibility": lambda v: 0.0 <= v <= 1.0 or "visibility must lie in [0, 1]",
@@ -155,6 +153,25 @@ _VALIDATORS = {
     "sweep_spacing": lambda v: v in ("log", "linear")
         or "sweep_spacing must be log or linear",
 }
+
+#: checks on settings that must agree: the keys each reads, the commands it
+#: applies to, and the check, as in ``_VALIDATORS``
+_AGREEMENTS = (
+    (("sweep_min", "sweep_spacing"), ("kappa-scan",),
+     lambda c: c["sweep_spacing"] != "log" or c["sweep_min"] > 0
+     or "sweep_min must be positive for log spacing"),
+    (("sweep_min", "sweep_max", "sweep_points"), ("kappa-scan",),
+     lambda c: c["sweep_points"] == 1 or c["sweep_min"] < c["sweep_max"]
+     or f"sweep_min ({c['sweep_min']!r}) must be less than sweep_max "
+        f"({c['sweep_max']!r}) when sweep_points > 1"),
+    # gate-model reads the gate keys only
+    (("measurement", "povm"), ("kappa-scan", "optimize", "simulate-counts"),
+     lambda c: c["measurement"] != "file" or bool(c["povm"])
+     or "measurement=file requires key 'povm'"),
+    (("find_root", "family"), ("weak-comm",),
+     lambda c: not c["find_root"] or c["family"] == TWO_PHASE
+     or "find_root applies to the two-phase family only"),
+)
 
 
 #: the probe-family keys that each family never reads
@@ -210,7 +227,8 @@ def parse_config(command: str, raw: dict[str, str]) -> dict:
     Reports every problem at once: unknown keys (with the nearest valid key),
     type errors, family keys set that the probe family does not read,
     missing required keys, keys set for an input that the search frees or
-    the scan sweeps, non-finite numbers and range violations.
+    the scan sweeps, non-finite numbers, range violations and settings that
+    must agree, such as a rising sweep range.
     """
     if command not in SCHEMAS:
         raise ConfigError([f"unknown command {command!r}; valid: {', '.join(COMMANDS)}"])
@@ -229,8 +247,8 @@ def parse_config(command: str, raw: dict[str, str]) -> dict:
         except (TypeError, ValueError):
             errors.append(f"key {key!r}: cannot parse {text!r} as {typ.__name__}")
     errors += _unread_family_keys(schema, raw, config)
-    # a copies that did not parse has its own error
-    copies_known = "copies" in config or "copies" not in raw
+    # the keys that have their own error; first those that did not parse
+    flagged = set(raw) - set(config)
     for key, (typ, default) in schema.items():
         if key in config:
             continue
@@ -238,7 +256,7 @@ def parse_config(command: str, raw: dict[str, str]) -> dict:
             errors.append(f"command {command!r} requires key {key!r}")
         else:
             config[key] = default
-    if copies_known:
+    if "copies" not in flagged:
         errors += _chosen_keys_set(raw, config)
     for key, value in config.items():
         check = _VALIDATORS.get(key)
@@ -248,6 +266,12 @@ def parse_config(command: str, raw: dict[str, str]) -> dict:
                 and not math.isfinite(value):
             verdict = f"{key} must be finite, got {value!r}"
         if isinstance(verdict, str):
+            errors.append(verdict)
+            flagged.add(key)
+    for keys, commands, check in _AGREEMENTS:
+        # a key that has its message gets no second one
+        if command in commands and flagged.isdisjoint(keys) \
+                and isinstance(verdict := check(config), str):
             errors.append(verdict)
     if errors:
         raise ConfigError(errors)
@@ -298,11 +322,7 @@ def _measurement_from_config(cfg):
     if kind == "product-projective":
         return product_projective_povm((cfg["theta_1"], cfg["eta_1"],
                                         cfg["theta_2"], cfg["eta_2"]))
-    if kind == "file":
-        if not cfg.get("povm"):
-            raise ConfigError(["measurement=file requires key 'povm'"])
-        return load_povm(cfg["povm"])
-    raise ConfigError([f"unknown measurement {kind!r}"])
+    return load_povm(cfg["povm"])
 
 
 def _probe_point(cfg):
@@ -333,8 +353,6 @@ def _cmd_weak_comm(cfg, log):
     doc, swd = _probe_point(cfg)
     doc["value"] = float(weak_commutativity(swd))
     if cfg["find_root"]:
-        if cfg["family"] != TWO_PHASE:
-            raise ConfigError(["find_root applies to the two-phase family only"])
         xi_bar = weak_commutativity_root(cfg["phi_y"], cfg["phi_z"])
         root_swd = probe_with_derivatives(
             ProbeFamily.two_phase(), _family_point(cfg), (xi_bar,))
@@ -379,11 +397,8 @@ def _scenario_from_config(cfg, sweep: str | None) -> Scenario:
 
 
 def _sweep_grid(cfg):
-    if cfg["sweep_spacing"] == "log":
-        if cfg["sweep_min"] <= 0:
-            raise ConfigError(["sweep_min must be positive for log spacing"])
-        return np.geomspace(cfg["sweep_min"], cfg["sweep_max"], cfg["sweep_points"])
-    return np.linspace(cfg["sweep_min"], cfg["sweep_max"], cfg["sweep_points"])
+    space = np.geomspace if cfg["sweep_spacing"] == "log" else np.linspace
+    return space(cfg["sweep_min"], cfg["sweep_max"], cfg["sweep_points"])
 
 
 def _cmd_kappa_scan(cfg, log):
@@ -555,48 +570,55 @@ def run(command: str, cfg: dict) -> list[str]:
     return written
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qmetro",
-        description="Multiparameter qubit estimation workbench")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
-        p = sub.add_parser(command)
-        p.add_argument("--config", help="INI config file")
-        for key, (typ, default) in SCHEMAS[command].items():
-            flag = "--" + key.replace("_", "-")
-            p.add_argument(flag, dest=key, default=None,
-                           metavar=key.upper(), type=str)
-    return parser
+def read_command_line(argv: list[str]) -> dict[str, str]:
+    """The raw settings of ``COMMAND --key value ...``, as
+    ``read_config_file`` gives them: ``--key value`` and ``--key=value`` set
+    ``key``, with ``-`` read as ``_``, over the keys of a ``--config`` file."""
+    if not argv or argv[0].startswith("-"):
+        raise ConfigError([f"missing command; valid: {', '.join(COMMANDS)}"])
+    raw, errors = {}, []
+    tokens = argv[1:]
+    while tokens:
+        token = tokens.pop(0)
+        key, eq, value = token.partition("=")
+        if not token.startswith("--"):
+            errors.append(f"unexpected argument {token!r}; settings are "
+                          "written --key value")
+        elif not eq and (not tokens or tokens[0].startswith("--")):
+            errors.append(f"flag {token!r} has no value")
+        else:
+            raw[key[2:].replace("-", "_")] = value if eq else tokens.pop(0)
+    if errors:
+        raise ConfigError(errors)
+    path = raw.pop("config", None)
+    return raw if path is None else {**read_config_file(path, argv[0]), **raw}
+
+
+def _failed(command, exc, code: int) -> int:
+    """Print the JSON error status line of ``exc``; return ``code``."""
+    errors = exc.errors if isinstance(exc, ConfigError) else [str(exc)]
+    print(serialize.dumps_json({"status": "error", "command": command,
+                                "errors": errors}), end="")
+    return code
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    command = args.command
-    raw: dict[str, str] = {}
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and not argv[0].startswith("-") else None
+    if command in SCHEMAS and ("-h" in argv or "--help" in argv):
+        print(f"usage: qmetro {command} [--config FILE] [--key value ...]")
+        for key, (_, default) in SCHEMAS[command].items():
+            print(f"  --{key.replace('_', '-'):<15} "
+                  f"{'required' if default is REQUIRED else default}")
+        return 0
     try:
-        if args.config:
-            raw.update(read_config_file(args.config, command))
-        for key in SCHEMAS[command]:
-            override = getattr(args, key, None)
-            if override is not None:
-                raw[key] = override
-        cfg = parse_config(command, raw)
-    except ConfigError as exc:
-        print(serialize.dumps_json({"status": "error", "command": command,
-                                    "errors": exc.errors}), end="")
-        return 2
-    except OSError as exc:
-        print(serialize.dumps_json({"status": "error", "command": command,
-                                    "errors": [str(exc)]}), end="")
-        return 2
+        cfg = parse_config(command, read_command_line(argv))
+    except (ConfigError, OSError, configparser.Error) as exc:
+        return _failed(command, exc, 2)
     try:
         written = run(command, cfg)
-    except (ConfigError, RuntimeError, ValueError, OSError) as exc:
-        errors = exc.errors if isinstance(exc, ConfigError) else [str(exc)]
-        print(serialize.dumps_json({"status": "error", "command": command,
-                                    "errors": errors}), end="")
-        return 1
+    except (RuntimeError, ValueError, OSError) as exc:
+        return _failed(command, exc, 1)
     print(serialize.dumps_json({"status": "ok", "command": command,
                                 "artifacts": sorted(written)}), end="")
     return 0

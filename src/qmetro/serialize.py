@@ -13,10 +13,12 @@ import tempfile
 
 
 def format_float(x: float) -> str:
-    """Render a float with 17 significant digits (exact double round-trip)."""
+    """Render a float with 17 significant digits (exact double round-trip),
+    with a '.' or an exponent, so that a JSON reader reads a float back."""
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError(f"non-finite value not serializable: {x!r}")
-    return f"{x:.17g}"
+    text = f"{x:.17g}"
+    return text if "." in text or "e" in text else text + ".0"
 
 
 def _emit(obj, parts: list[str], indent: int) -> None:

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from qmetro import (Povm, bell_povm, counts_to_csv, load_povm, povm_to_json,
-                    reference_states, scenarios, simulate_counts,
+                    reference_states, scenarios, serialize, simulate_counts,
                     validate_povm)
-from qmetro.cli import (COMMANDS, SCHEMAS, ConfigError, _build_parser, main,
-                        parse_config, read_config_file)
+from qmetro.cli import (COMMANDS, REQUIRED, SCHEMAS, ConfigError, main,
+                        parse_config, read_command_line, read_config_file)
 
 
 def run_cli(capsys, *argv):
@@ -25,15 +25,23 @@ def run_cli(capsys, *argv):
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_importing_the_cli_leaves_scipy_unloaded():
+def test_importing_the_cli_leaves_scipy_and_argparse_unloaded():
     # scipy is a test dependency only; importing it costs most of the
-    # start-up of every command
-    code = ("import sys, qmetro.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # start-up of every command. The command line is read into the keys of
+    # SCHEMAS, with no second declaration of them in an argparse parser.
+    code = ("import sys, qmetro.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'argparse')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(SRC)})
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 1.0, 0.1, 1e16, 2.0**53, 5e-324])
+def test_floats_are_written_as_json_floats(x):
+    text = serialize.format_float(x)
+    assert np.float64(float(text)).tobytes() == np.float64(x).tobytes()
+    assert type(json.loads(text)) is float
 
 
 class TestParseConfig:
@@ -90,12 +98,16 @@ class TestConfigFile:
     def test_cli_flag_overrides_config(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
         path.write_text("[run]\nvisibility = 0.8\n", encoding="utf-8")
-        out = tmp_path / "artifacts"
-        code, doc = run_cli(capsys, "gate-model", "--config", str(path),
-                            "--visibility", "0.5", "--out", str(out))
-        assert code == 0
-        report = json.loads((out / "gate_report.json").read_text())
-        assert report["visibility"] == 0.5
+        reports = []
+        for sub, flag in (("a", ["--visibility", "0.5"]),
+                          ("b", ["--visibility=0.5"])):
+            out = tmp_path / sub
+            code, doc = run_cli(capsys, "gate-model", "--config", str(path),
+                                *flag, "--out", str(out))
+            assert code == 0
+            reports.append((out / "gate_report.json").read_bytes())
+        assert json.loads(reports[0])["visibility"] == 0.5
+        assert reports[0] == reports[1]
 
 
 def readme_examples():
@@ -118,10 +130,7 @@ class TestReadmeExamples:
     @pytest.mark.parametrize("argv", readme_examples()[0],
                              ids=lambda argv: argv[0])
     def test_command_parses(self, argv):
-        args = _build_parser().parse_args(argv)
-        raw = {key: getattr(args, key) for key in SCHEMAS[args.command]
-               if getattr(args, key) is not None}
-        parse_config(args.command, raw)
+        parse_config(argv[0], read_command_line(argv))
 
     def test_every_command_is_shown(self):
         assert {argv[0] for argv in readme_examples()[0]} == set(COMMANDS)
@@ -167,12 +176,87 @@ class TestCliCommands:
         doc = json.loads((out2 / "weak_comm.json").read_text())
         assert abs(doc["qfi_det_at_root"]) < 1e-8
 
-    def test_error_json_on_bad_config(self, tmp_path, capsys):
-        code, doc = run_cli(capsys, "gate-model", "--visibility", "7",
-                            "--out", str(tmp_path))
+    @pytest.mark.parametrize("argv,error", [
+        (["gate-model", "--visibility", "7"], "visibility must lie in [0, 1]"),
+        (["kappa-scan", "--bogus", "1"],
+         "unknown key 'bogus' for command 'kappa-scan'"),
+        (["kappa-scan", "--budg", "10"], "unknown key 'budg' for command "
+         "'kappa-scan' (did you mean 'budget'?)"),
+        (["kappa-scan", "--budget"], "flag '--budget' has no value"),
+        (["kappa-scan", "--budget", "--sweep-points", "3"],
+         "flag '--budget' has no value"),
+        (["kappa-scan", "stray"],
+         "unexpected argument 'stray'; settings are written --key value"),
+        ([], "missing command; valid: " + ", ".join(COMMANDS)),
+        (["frobnicate"], "unknown command 'frobnicate'; valid: "
+         + ", ".join(COMMANDS)),
+    ], ids=["visibility", "unknown-flag", "prefix", "no-value", "flag-value",
+            "positional", "no-command", "unknown-command"])
+    def test_error_json_on_bad_config(self, tmp_path, capsys, argv, error):
+        code, doc = run_cli(capsys, *argv[:1], "--out", str(tmp_path / "o"),
+                            *argv[1:])
         assert code == 2
         assert doc["status"] == "error"
-        assert any("visibility" in e for e in doc["errors"])
+        assert doc["errors"] == [error]
+        assert not (tmp_path / "o").exists()
+
+    def test_config_file_errors_are_json_errors(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text("seed = 3\n", encoding="utf-8")
+        for config in (path, tmp_path / "missing.ini"):
+            code, doc = run_cli(capsys, "qfi", "--config", str(config),
+                                "--out", str(tmp_path / "o"))
+            assert code == 2 and doc["status"] == "error"
+            assert str(config) in doc["errors"][0]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv,errors", [
+        (("kappa-scan", "--sweep-min", "-1"),
+         ["sweep_min must be positive for log spacing"]),
+        (("kappa-scan", "--sweep-min", "3", "--sweep-max", "0.02",
+          "--sweep-points", "3"),
+         ["sweep_min (3.0) must be less than sweep_max (0.02) when "
+          "sweep_points > 1"]),
+        (("kappa-scan", "--sweep-spacing", "linear", "--sweep-min", "1",
+          "--sweep-max", "1"),
+         ["sweep_min (1.0) must be less than sweep_max (1.0) when "
+          "sweep_points > 1"]),
+        (("kappa-scan", "--measurement", "file"),
+         ["measurement=file requires key 'povm'"]),
+        (("simulate-counts", "--exposure", "10", "--measurement", "file"),
+         ["measurement=file requires key 'povm'"]),
+        (("weak-comm", "--find-root", "true"),
+         ["find_root applies to the two-phase family only"]),
+        # a key that has its own error gets no second one
+        (("kappa-scan", "--sweep-min", "abc", "--sweep-max", "0.01",
+          "--measurement", "file", "--povm", ""),
+         ["key 'sweep_min': cannot parse 'abc' as float",
+          "measurement=file requires key 'povm'"]),
+        (("kappa-scan", "--sweep-min", "-inf", "--sweep-points", "0"),
+         ["sweep_min must be finite, got -inf", "sweep_points must be >= 1"]),
+    ], ids=["log-sweep-min", "falling-sweep", "empty-linear-sweep",
+            "file-without-povm", "counts-file-without-povm", "find-root",
+            "unparsed-sweep-min", "invalid-sweep-min"])
+    def test_settings_that_must_agree_are_named(self, tmp_path, capsys, argv,
+                                                errors):
+        code, doc = run_cli(capsys, *argv, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert doc["errors"] == errors
+        assert not (tmp_path / "o").exists()
+
+    def test_gate_model_reads_no_povm(self, tmp_path, capsys):
+        code, _ = run_cli(capsys, "gate-model", "--measurement", "file",
+                          "--out", str(tmp_path / "o"))
+        assert code == 0
+
+    def test_help_lists_every_key_and_its_default(self, capsys):
+        for command in COMMANDS:
+            assert main([command, "--help"]) == 0
+            lines = capsys.readouterr().out.splitlines()[1:]
+            assert [line.split() for line in lines] == [
+                ["--" + key.replace("_", "-"),
+                 "required" if default is REQUIRED else str(default)]
+                for key, (_, default) in SCHEMAS[command].items()]
 
     @pytest.mark.parametrize("argv,key", [
         (("conjecture-search", "--xi-budget", "-5"), "xi_budget"),
