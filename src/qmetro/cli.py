@@ -5,15 +5,18 @@ conjecture-search, gate-model. Flags are the config keys of ``SCHEMAS``
 (``--key value`` or ``--key=value``, ``-`` read as ``_``) and win over an INI
 ``--config`` file (section [run], plus one named after the command);
 ``--help`` lists them. ``parse_config`` refuses every config mistake before
-anything is written (a JSON status line, exit 2). Every run writes its
-artifacts atomically into the output directory along with a deterministic
-manifest.json; wall time goes to run.log so that reruns with the same config
-and seed are byte-identical. The searches add their work to run.log as
-key=value lines: ``evaluations`` (κ rows scored), ``kernel_calls`` and
-``refine_iterations`` (Nelder-Mead iterations summed over the refined points
-or trials); tomography adds ``iterations`` (MLE iterations) and ``mle_s``
-(seconds in the reconstruction), and writes the log-likelihood at the start
-and after each iteration to ll_trace.csv.
+anything is written (a JSON status line, exit 2); it checks the inputs a
+command names with the scenario's own ``scenarios.input_problems``, where
+copy j's phase is its ``xi_j`` if that is set, free or swept, and ``xi``
+otherwise. Every run writes its artifacts atomically into the output
+directory along with a deterministic manifest.json; wall time goes to
+run.log so that reruns with the same config and seed are byte-identical.
+The searches add their work to run.log as key=value lines: ``evaluations``
+(κ rows scored), ``kernel_calls`` and ``refine_iterations`` (Nelder-Mead
+iterations summed over the refined points or trials); tomography adds
+``iterations`` (MLE iterations) and ``mle_s`` (seconds in the
+reconstruction), and writes the log-likelihood at the start and after each
+iteration to ll_trace.csv.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from .povm import (BALANCED_T_V, GateModel, bell_povm, cs_gate_amplitudes,
                    cs_gate_povm, load_povm, povm_to_json,
                    product_projective_povm, validate_povm)
 from .scenarios import (DEFAULT_BUDGET, DEFAULT_SEARCH_AT, DEFAULT_XI_BUDGET,
-                        Scenario, kappa_scan, optimize_kappa,
-                        random_collective_search)
+                        Scenario, input_problems, kappa_scan, optimize_kappa,
+                        phase_names, random_collective_search)
 from .states import (PHASE_DEPHASING, TWO_PHASE, ProbeFamily,
                      probe_with_derivatives)
 from .tomography import (DEFAULT_MAX_ITERS, DEFAULT_TOL, counts_to_csv,
@@ -81,17 +84,31 @@ _FAMILY_KEYS = {
     "xi_2": (float, None),
 }
 
-_MEASUREMENT_KEYS = {
-    "measurement": (str, "bell"),
+_GATE_KEYS = {
     "visibility": (float, 1.0),
     "compensated": (_bool, True),
     "t_h": (float, 1.0),
     "t_v": (float, BALANCED_T_V),
+}
+
+_MEASUREMENT_KEYS = {
+    "measurement": (str, "bell"),
+    **_GATE_KEYS,
     "theta_1": (float, 0.0),
     "eta_1": (float, 0.0),
     "theta_2": (float, 0.0),
     "eta_2": (float, 0.0),
     "povm": (str, None),
+}
+
+#: each measurement: the keys it reads, in the order its builder takes them
+_MEASUREMENTS = {
+    "bell": ((), bell_povm),
+    "gate": (("t_h", "t_v", "visibility", "compensated"),
+             lambda *model: cs_gate_povm(GateModel(*model))[0]),
+    "product-projective": (("theta_1", "eta_1", "theta_2", "eta_2"),
+                           lambda *angles: product_projective_povm(angles)),
+    "file": (("povm",), load_povm),
 }
 
 SCHEMAS: dict[str, dict] = {
@@ -130,7 +147,7 @@ SCHEMAS: dict[str, dict] = {
         "phi_z": (float, DEFAULT_SEARCH_AT[1]),
         "xi_budget": (int, DEFAULT_XI_BUDGET),
     },
-    "gate-model": {**_COMMON, **_MEASUREMENT_KEYS},
+    "gate-model": {**_COMMON, **_GATE_KEYS},
 }
 COMMANDS = tuple(SCHEMAS)
 
@@ -148,7 +165,7 @@ _VALIDATORS = {
     "sweep_points": lambda v: v >= 1 or "sweep_points must be >= 1",
     "family": lambda v: v in (PHASE_DEPHASING, TWO_PHASE)
         or f"family must be one of {PHASE_DEPHASING!r}, {TWO_PHASE!r}",
-    "measurement": lambda v: v in ("bell", "gate", "product-projective", "file")
+    "measurement": lambda v: v in _MEASUREMENTS
         or "measurement must be bell, gate, product-projective or file",
     "sweep_spacing": lambda v: v in ("log", "linear")
         or "sweep_spacing must be log or linear",
@@ -164,71 +181,31 @@ _AGREEMENTS = (
      lambda c: c["sweep_points"] == 1 or c["sweep_min"] < c["sweep_max"]
      or f"sweep_min ({c['sweep_min']!r}) must be less than sweep_max "
         f"({c['sweep_max']!r}) when sweep_points > 1"),
-    # gate-model reads the gate keys only
     (("measurement", "povm"), ("kappa-scan", "optimize", "simulate-counts"),
      lambda c: c["measurement"] != "file" or bool(c["povm"])
      or "measurement=file requires key 'povm'"),
+    (("copies", "measurement"), ("kappa-scan", "optimize"),
+     lambda c: c["copies"] == 2 or c["measurement"] == "file"
+     or f"measurement={c['measurement']} acts on two qubits, which needs "
+        f"copies = 2, got {c['copies']}"),
     (("find_root", "family"), ("weak-comm",),
      lambda c: not c["find_root"] or c["family"] == TWO_PHASE
      or "find_root applies to the two-phase family only"),
 )
 
 
-#: the probe-family keys that each family never reads
-_UNREAD = {TWO_PHASE: ("phi", "delta", "xi_1", "xi_2"),
-           PHASE_DEPHASING: ("phi_y", "phi_z")}
-
-
-def _unread_family_keys(schema, raw, given) -> list[str]:
-    """An error for each family key in ``raw`` that the chosen probe family
-    does not read: the other family's point, and an ``xi_j`` beyond the
-    copies. ``given`` holds the keys of ``raw`` that parsed."""
-    if "family" not in schema:
-        return []
-    family = given.get("family", schema["family"][1])
-    # a copies that did not parse has its own error; then no xi_j gets one
-    copies = given.get("copies",
-                       math.inf if "copies" in raw else schema["copies"][1])
-    why = dict.fromkeys(_UNREAD.get(family, ()), f"by the {family} family")
-    if family == PHASE_DEPHASING:
-        why.update((f"xi_{j}", f"with copies = {copies}") for j in (1, 2)
-                   if j > copies)
-    return [f"key {key!r} is not read {why[key]}" for key in raw if key in why]
-
-
-def _chosen_keys_set(raw, config) -> list[str]:
-    """An error for each key in ``raw`` that fixes an input the run chooses
-    itself, so that nothing would read it: an input named free, the input
-    that ``kappa-scan`` sweeps, and the dephasing ``xi`` when each copy's
-    phase is free or set by its own ``xi_j``. ``config`` holds every key,
-    with the defaults filled in."""
-    if "free_inputs" not in config:
-        return []
-    free = set(_free_inputs(config))
-    errors = [f"key {key!r} is set, but {key} is a free input, which the "
-              "search chooses" for key in raw if key in free]
-    if "sweep" in config:
-        swept = config["sweep"] or _point_input(config)
-        if swept in raw and swept not in free:
-            errors.append(f"key {swept!r} is set, but {swept} is the swept "
-                          "input, which the scan sets")
-    if "xi" in raw and "xi" not in free \
-            and config["family"] == PHASE_DEPHASING \
-            and all(f"xi_{j}" in free or f"xi_{j}" in raw
-                    for j in range(1, config["copies"] + 1)):
-        errors.append("key 'xi' is set, but each copy's input phase is "
-                      "free or set by its own xi_j")
-    return errors
+#: the keys that set an input of a probe: each family's point and the phases
+_PROBE_KEYS = {key for key in _FAMILY_KEYS if key not in ("family", "copies")}
 
 
 def parse_config(command: str, raw: dict[str, str]) -> dict:
     """Validate raw string settings against the command schema.
 
     Reports every problem at once: unknown keys (with the nearest valid key),
-    type errors, family keys set that the probe family does not read,
-    missing required keys, keys set for an input that the search frees or
-    the scan sweeps, non-finite numbers, range violations and settings that
-    must agree, such as a rising sweep range.
+    type errors, missing required keys, non-finite numbers, range
+    violations, settings that must agree, such as a rising sweep range,
+    measurement keys that the measurement does not read, and the
+    scenario's ``input_problems``, where a probe key set is a fixed input.
     """
     if command not in SCHEMAS:
         raise ConfigError([f"unknown command {command!r}; valid: {', '.join(COMMANDS)}"])
@@ -246,7 +223,6 @@ def parse_config(command: str, raw: dict[str, str]) -> dict:
             config[key] = typ(text)
         except (TypeError, ValueError):
             errors.append(f"key {key!r}: cannot parse {text!r} as {typ.__name__}")
-    errors += _unread_family_keys(schema, raw, config)
     # the keys that have their own error; first those that did not parse
     flagged = set(raw) - set(config)
     for key, (typ, default) in schema.items():
@@ -256,8 +232,6 @@ def parse_config(command: str, raw: dict[str, str]) -> dict:
             errors.append(f"command {command!r} requires key {key!r}")
         else:
             config[key] = default
-    if "copies" not in flagged:
-        errors += _chosen_keys_set(raw, config)
     for key, value in config.items():
         check = _VALIDATORS.get(key)
         verdict = True if value is None or check is None else check(value)
@@ -273,6 +247,17 @@ def parse_config(command: str, raw: dict[str, str]) -> dict:
         if command in commands and flagged.isdisjoint(keys) \
                 and isinstance(verdict := check(config), str):
             errors.append(verdict)
+    kind = config.get("measurement")
+    if kind in _MEASUREMENTS:
+        unread = (_MEASUREMENT_KEYS.keys() - flagged
+                  - {"measurement", *_MEASUREMENTS[kind][0]})
+        errors += [f"key {key!r} is not read by measurement={kind}"
+                   for key in raw if key in unread]
+    if "family" in schema and flagged.isdisjoint(("family", "copies")):
+        sweep = _swept(config)
+        family, free, fixed = _inputs(config, sweep)
+        fixed = {*fixed, *_PROBE_KEYS & set(raw) - flagged}
+        errors += input_problems(family, free, fixed, sweep)
     if errors:
         raise ConfigError(errors)
     return config
@@ -294,43 +279,46 @@ def read_config_file(path: str, command: str) -> dict[str, str]:
 # command implementations
 # ---------------------------------------------------------------------------
 
-def _input_phases(cfg) -> tuple[float, ...]:
-    """Each copy's input phase: its ``xi_j``, or ``xi`` where that is unset
-    (always, for the two-phase family, which reads no ``xi_j``)."""
-    return tuple(cfg["xi"] if cfg.get(f"xi_{j}") is None else cfg[f"xi_{j}"]
-                 for j in range(1, cfg["copies"] + 1))
-
-
-def _family_point(cfg) -> tuple[float, float]:
-    if cfg["family"] == TWO_PHASE:
-        return (cfg["phi_y"], cfg["phi_z"])
-    return (cfg["phi"], cfg["delta"])
-
-
-def _gate_model_from_config(cfg) -> GateModel:
-    return GateModel(t_h=cfg["t_h"], t_v=cfg["t_v"],
-                     visibility=cfg["visibility"],
-                     compensated=cfg["compensated"])
-
-
 def _measurement_from_config(cfg):
-    kind = cfg["measurement"]
-    if kind == "bell":
-        return bell_povm()
-    if kind == "gate":
-        return cs_gate_povm(_gate_model_from_config(cfg))[0]
-    if kind == "product-projective":
-        return product_projective_povm((cfg["theta_1"], cfg["eta_1"],
-                                        cfg["theta_2"], cfg["eta_2"]))
-    return load_povm(cfg["povm"])
+    keys, build = _MEASUREMENTS[cfg["measurement"]]
+    return build(*(cfg[key] for key in keys))
+
+
+def _swept(cfg) -> str | None:
+    """The input that ``kappa-scan`` sweeps: ``sweep``, by default the
+    family's second parameter; None for the other commands."""
+    if "sweep" not in cfg:
+        return None
+    return cfg["sweep"] or ProbeFamily(cfg["family"]).parameter_names[1]
+
+
+def _inputs(cfg, sweep: str | None):
+    """The probe family of ``cfg``, its free inputs and its fixed inputs:
+    each input that the scenario reads and that is neither free nor
+    ``sweep``, from its key. Copy j's phase is ``xi_j`` where that is free,
+    swept or set, and ``xi`` otherwise (``phase_names``). Without
+    ``free_inputs`` a search frees the two-phase ``xi``, or ``phi`` and
+    every copy's ``xi_j``; a command without the key frees nothing."""
+    family = ProbeFamily(cfg["family"], cfg["copies"])
+    free = ()
+    if "free_inputs" in cfg:
+        default = ("xi",) if family.kind == TWO_PHASE else (
+            "phi", *(f"xi_{j}" for j in range(1, family.copies + 1)))
+        text = cfg["free_inputs"] or ",".join(default)
+        free = tuple(s.strip() for s in text.split(",") if s.strip())
+    named = {*free, sweep, *(k for k in _PROBE_KEYS if cfg[k] is not None)}
+    reads = dict.fromkeys((*family.parameter_names,
+                           *phase_names(family, named)))
+    fixed = {n: cfg[n] for n in reads if n not in free and n != sweep}
+    return family, free, fixed
 
 
 def _probe_point(cfg):
     """The probe that ``qfi`` and ``weak-comm`` evaluate: its JSON header
     and its state with derivatives."""
-    family = ProbeFamily(cfg["family"], cfg["copies"])
-    params = _family_point(cfg)
-    phases = _input_phases(cfg)
+    family, _, fixed = _inputs(cfg, None)
+    params = tuple(fixed[n] for n in family.parameter_names)
+    phases = tuple(fixed[n] for n in phase_names(family, fixed))
     doc = {
         "family": cfg["family"],
         "copies": cfg["copies"],
@@ -355,45 +343,24 @@ def _cmd_weak_comm(cfg, log):
     if cfg["find_root"]:
         xi_bar = weak_commutativity_root(cfg["phi_y"], cfg["phi_z"])
         root_swd = probe_with_derivatives(
-            ProbeFamily.two_phase(), _family_point(cfg), (xi_bar,))
+            ProbeFamily.two_phase(), (cfg["phi_y"], cfg["phi_z"]), (xi_bar,))
         doc["xi_bar"] = float(xi_bar)
         doc["qfi_det_at_root"] = float(np.linalg.det(qfi_matrix(root_swd)))
     return {"weak_comm.json": serialize.dumps_json(doc)}
 
 
-def _point_input(cfg) -> str:
-    """The family's second parameter: the default swept input."""
-    return "phi_z" if cfg["family"] == TWO_PHASE else "delta"
-
-
-def _free_inputs(cfg) -> tuple[str, ...]:
-    if cfg["family"] == TWO_PHASE:
-        default = "xi"
-    else:
-        # phi and every copy's input phase
-        default = ",".join(["phi"] + [f"xi_{i + 1}"
-                                      for i in range(cfg["copies"])])
-    text = cfg.get("free_inputs") or default
-    return tuple(s.strip() for s in text.split(",") if s.strip())
-
-
-def _scenario_from_config(cfg, sweep: str | None) -> Scenario:
-    measurement = _measurement_from_config(cfg)
-    free = _free_inputs(cfg)
-    phases = _input_phases(cfg)
-    if cfg["family"] == TWO_PHASE:
-        fixed = {"phi_y": cfg["phi_y"], "phi_z": cfg["phi_z"], "xi": phases[0]}
-    else:
-        fixed = {"phi": cfg["phi"], "delta": cfg["delta"]}
-        # beside a free or swept 'xi' only a user-set xi_j, to be refused
-        shared = "xi" in free + (sweep,)
-        fixed.update((f"xi_{j}", xi) for j, xi in enumerate(phases, 1)
-                     if not shared or cfg.get(f"xi_{j}") is not None)
-    for name in free + (sweep,):
-        fixed.pop(name, None)
-    return Scenario(family=ProbeFamily(cfg["family"], cfg["copies"]),
-                    measurement=measurement, free_inputs=free,
-                    fixed_inputs=fixed, sweep=sweep)
+def _scenario_from_config(cfg) -> Scenario:
+    """The scenario of ``kappa-scan`` or ``optimize``. ``optimize`` sweeps
+    the family's second parameter, the point it optimizes at, unless that
+    is free."""
+    sweep = _swept(cfg)
+    family, free, fixed = _inputs(cfg, sweep)
+    point = family.parameter_names[1]
+    if "sweep" not in cfg and point in fixed:
+        sweep = point
+        del fixed[point]
+    return Scenario(family=family, measurement=_measurement_from_config(cfg),
+                    free_inputs=free, fixed_inputs=fixed, sweep=sweep)
 
 
 def _sweep_grid(cfg):
@@ -402,7 +369,7 @@ def _sweep_grid(cfg):
 
 
 def _cmd_kappa_scan(cfg, log):
-    scenario = _scenario_from_config(cfg, cfg.get("sweep") or _point_input(cfg))
+    scenario = _scenario_from_config(cfg)
     curve = kappa_scan(scenario, _sweep_grid(cfg), budget=cfg["budget"])
     log.update(asdict(curve.work))
     header, rows = curve.rows()
@@ -421,12 +388,9 @@ def _cmd_kappa_scan(cfg, log):
 
 
 def _cmd_optimize(cfg, log):
-    # the family's second parameter is the point optimized at, unless free
-    sweep = _point_input(cfg)
-    if sweep in _free_inputs(cfg):
-        sweep = None
+    scenario = _scenario_from_config(cfg)
+    sweep = scenario.sweep
     at = None if sweep is None else cfg[sweep]
-    scenario = _scenario_from_config(cfg, sweep)
     outcome = optimize_kappa(scenario, at, budget=cfg["budget"])
     log.update(asdict(outcome.work))
     doc = {
@@ -501,7 +465,7 @@ def _cmd_conjecture_search(cfg, log):
 
 
 def _cmd_gate_model(cfg, log):
-    model = _gate_model_from_config(cfg)
+    model = GateModel(*(cfg[key] for key in _MEASUREMENTS["gate"][0]))
     povm, success = cs_gate_povm(model)
     ideal = bell_povm()
     doc = {

@@ -2,12 +2,12 @@
 probe phases and measurement settings, scan it along a parameter grid, and
 run the random collective-measurement search on two copies.
 
-Free input names: ``phi``/``delta`` (phase-dephasing point), ``phi_y``/
-``phi_z`` (two-phase point), ``xi``/``xi_1``/``xi_2`` (input phases), and the
-analysis angles ``theta_1``/``eta_1``/``theta_2``/``eta_2`` of a product
-measurement generator. Two-phase scenarios use a single shared input phase
-``xi`` so that the single-copy quantum information in the kappa denominator
-is unambiguous.
+Input names: ``phi``/``delta`` (phase-dephasing point), ``phi_y``/
+``phi_z`` (two-phase point), ``xi_j``/``xi`` (copy j's input phase, or the
+one shared by the other copies: ``phase_names``), and the analysis angles
+``theta_1``/``eta_1``/``theta_2``/``eta_2`` of a product measurement
+generator. Two-phase scenarios use the shared ``xi`` alone so that the
+single-copy quantum information in the kappa denominator is unambiguous.
 
 Every search evaluation is scored by the batched kernels
 (``kernels.kappa_batch``), for any number of copies and for a fixed POVM, a
@@ -48,24 +48,45 @@ _PERIODS = {"theta_1": math.pi, "theta_2": math.pi}
 _DEFAULT_PERIOD = 2.0 * math.pi
 
 
-def _phase_names(family: ProbeFamily, names) -> tuple[str, ...]:
-    """The input that sets each copy's phase: the shared 'xi' of the
-    two-phase family, or of the dephasing family when ``names`` holds it,
-    and otherwise each copy's own ``xi_j``."""
-    if family.kind == TWO_PHASE or "xi" in names:
+def phase_names(family: ProbeFamily, names) -> tuple[str, ...]:
+    """The input that sets each copy's phase: its own ``xi_j`` where
+    ``names`` holds it, and the shared ``xi`` otherwise; the two-phase
+    family always reads ``xi``."""
+    if family.kind == TWO_PHASE:
         return ("xi",) * family.copies
-    return tuple(f"xi_{j}" for j in range(1, family.copies + 1))
+    return tuple(f"xi_{j}" if f"xi_{j}" in names else "xi"
+                 for j in range(1, family.copies + 1))
+
+
+def input_problems(family: ProbeFamily, free, fixed, sweep: str | None,
+                   setting_names=()) -> list[str]:
+    """One message per problem of a naming of the inputs of ``family``,
+    each naming every input at fault: the free inputs, the ``fixed`` names
+    and ``sweep`` must be disjoint, name each free input once, and name
+    exactly the family point, ``phase_names`` and ``setting_names``."""
+    free, fixed = tuple(free), set(fixed)
+    swept = set() if sweep is None else {sweep}
+    provided = {*free, *fixed, *swept}
+    used = {*family.parameter_names, *phase_names(family, provided),
+            *setting_names}
+    return [f"{problem}: {sorted(names)}" for problem, names in (
+        ("inputs both free and fixed or swept", set(free) & (fixed | swept)),
+        ("inputs both fixed and swept", fixed & swept),
+        ("free inputs repeated", {n for n in free if free.count(n) > 1}),
+        ("inputs not used by this scenario", provided - used),
+        ("scenario does not cover inputs", used - provided)) if names]
 
 
 @dataclass(frozen=True)
 class Scenario:
     """A probe family plus a measurement and a naming of what is optimized.
 
-    ``free_inputs``, ``fixed_inputs`` and the swept name must be disjoint
-    and together cover the family point, the input phases and any
-    measurement settings; each free input is named once, and every name
-    given is one the scenario reads. A scenario optimized at one point only
-    may have no swept input (``sweep=None``).
+    ``free_inputs``, ``fixed_inputs`` and the swept name must be disjoint,
+    name each free input once, and together name exactly the inputs the
+    scenario reads (``input_problems``): the family point, each copy's
+    phase, its ``xi_j`` where named and else ``xi``, and any measurement
+    settings. A scenario evaluated or optimized at one point only has no
+    swept input (``sweep=None``).
 
     ``measurement`` may also be a stack: a nonempty tuple of ``Povm``s of
     one element shape, one per problem, which ``optimize_each`` optimizes
@@ -79,28 +100,17 @@ class Scenario:
     sweep: str | None = "delta"
 
     def __post_init__(self):
-        if isinstance(self.measurement, tuple):
-            shapes = sorted({m.elements.shape for m in self.measurement})
+        m = self.measurement
+        if isinstance(m, tuple):
+            shapes = sorted({povm.elements.shape for povm in m})
             if len(shapes) != 1:
                 raise ValueError("a measurement stack needs POVMs of one "
                                  f"element shape, got shapes {shapes}")
-        free = self.free_inputs
-        swept = set() if self.sweep is None else {self.sweep}
-        provided = set(free) | set(self.fixed_inputs) | swept
-        m = self.measurement
-        used = {*self.family.parameter_names,
-                *_phase_names(self.family, provided),
-                *(m.setting_names if isinstance(m, MeasurementGenerator)
-                  else ())}
-        for problem, names in (
-                ("inputs both free and fixed or swept",
-                 sorted(set(free) & (set(self.fixed_inputs) | swept))),
-                ("free inputs repeated",
-                 sorted({n for n in free if free.count(n) > 1})),
-                ("inputs not used by this scenario", sorted(provided - used)),
-                ("scenario does not cover inputs", sorted(used - provided))):
-            if names:
-                raise ValueError(f"{problem}: {names}")
+        problems = input_problems(
+            self.family, self.free_inputs, self.fixed_inputs, self.sweep,
+            m.setting_names if isinstance(m, MeasurementGenerator) else ())
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -175,7 +185,7 @@ def evaluate_kappa(scenario: Scenario, values: dict[str, float]) -> KappaResult:
     vals = dict(scenario.fixed_inputs)
     vals.update(values)
     params = tuple(float(vals[n]) for n in scenario.family.parameter_names)
-    phases = tuple(float(vals[n]) for n in _phase_names(scenario.family, vals))
+    phases = tuple(float(vals[n]) for n in phase_names(scenario.family, vals))
     m = scenario.measurement
     povm = m if isinstance(m, Povm) else m.build(vals)
     swd = probe_with_derivatives(scenario.family, params, phases)
@@ -203,7 +213,7 @@ class _Objective:
         self.scenario = scenario
         self.base = base
         self.names = names
-        self.phase_names = _phase_names(scenario.family, {*names, *base})
+        self.phase_names = phase_names(scenario.family, {*names, *base})
         m = scenario.measurement
         if isinstance(m, tuple):
             self.elements = np.stack([povm.elements for povm in m])
@@ -359,8 +369,8 @@ def _optimize(scenario: Scenario, base: dict, budget: int):
     that every grid row is a different point of kappa.
     """
     names = list(scenario.free_inputs)
-    if scenario.family.kind == PHASE_DEPHASING and "phi" in names \
-            and set(_phase_names(scenario.family, names)) <= set(names):
+    if scenario.family.kind == PHASE_DEPHASING and "phi" in names and set(
+            phase_names(scenario.family, {*names, *base})) <= set(names):
         base = {**base, "phi": 0.0}
         names.remove("phi")
     objective = _Objective(scenario, base, names)

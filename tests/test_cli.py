@@ -8,10 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmetro import (Povm, bell_povm, counts_to_csv, load_povm, povm_to_json,
                     reference_states, scenarios, serialize, simulate_counts,
                     validate_povm)
+from qmetro import cli
 from qmetro.cli import (COMMANDS, REQUIRED, SCHEMAS, ConfigError, main,
                         parse_config, read_command_line, read_config_file)
 
@@ -20,6 +23,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def refused(capsys, tmp_path, *argv):
+    """The errors of a config refused before the run: exit 2, and no
+    output directory made."""
+    code, doc = run_cli(capsys, *argv, "--out", str(tmp_path / "o"))
+    assert code == 2 and doc["status"] == "error"
+    assert not (tmp_path / "o").exists()
+    return doc["errors"]
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -80,11 +92,65 @@ class TestParseConfig:
 
     def test_type_conversion(self):
         cfg = parse_config("simulate-counts", {"exposure": "1e4",
+                                               "measurement": "gate",
                                                "compensated": "false",
                                                "seed": "7"})
         assert cfg["exposure"] == 1e4
         assert cfg["compensated"] is False
         assert cfg["seed"] == 7
+
+
+#: the keys that set a probe input, and names beside them that no scenario
+#: reads
+PROBE_KEYS = ("phi", "delta", "phi_y", "phi_z", "xi", "xi_1", "xi_2")
+INPUT_NAMES = PROBE_KEYS + ("xi_3", "theta_1", "bogus")
+
+
+@pytest.fixture(scope="module")
+def basis_povm_files(tmp_path_factory):
+    """A computational-basis POVM file for each of 1, 2 and 3 copies."""
+    paths = {}
+    for copies in (1, 2, 3):
+        dim = 2 ** copies
+        path = tmp_path_factory.mktemp("povm") / f"basis{dim}.json"
+        path.write_text(povm_to_json(Povm(
+            tuple(f"b{k}" for k in range(dim)),
+            np.eye(dim)[:, :, None] * np.eye(dim)[:, None, :] + 0j)),
+            encoding="utf-8")
+        paths[copies] = str(path)
+    return paths
+
+
+@given(data=st.data())
+@settings(deadline=None, max_examples=300)
+def test_every_accepted_naming_builds_its_scenario(basis_povm_files, data):
+    # parse_config and the run apply the scenario's one input rule, so a
+    # config that parses never fails at Scenario construction, and its
+    # scenario reads every probe key set
+    command = data.draw(st.sampled_from(("kappa-scan", "optimize")))
+    copies = data.draw(st.integers(1, 3))
+    raw = {"family": data.draw(st.sampled_from(("phase-dephasing",
+                                                 "two-phase"))),
+           "copies": str(copies)}
+    if data.draw(st.booleans()):
+        raw.update(measurement="file", povm=basis_povm_files[copies])
+    for key in data.draw(st.lists(st.sampled_from(PROBE_KEYS), unique=True)):
+        raw[key] = "0.3"
+    if data.draw(st.booleans()):
+        raw["free_inputs"] = ",".join(data.draw(
+            st.lists(st.sampled_from(INPUT_NAMES), max_size=5)))
+    if command == "kappa-scan" and data.draw(st.booleans()):
+        raw["sweep"] = data.draw(st.sampled_from(INPUT_NAMES))
+    try:
+        cfg = parse_config(command, raw)
+    except ConfigError:
+        return
+    scenario = cli._scenario_from_config(cfg)
+    assert scenario.family.copies == copies
+    # optimize reads its point, the swept input, from the key
+    read = {*scenario.fixed_inputs,
+            *([scenario.sweep] if command == "optimize" else [])}
+    assert set(PROBE_KEYS) & set(raw) <= read
 
 
 class TestConfigFile:
@@ -227,6 +293,12 @@ class TestCliCommands:
          ["measurement=file requires key 'povm'"]),
         (("weak-comm", "--find-root", "true"),
          ["find_root applies to the two-phase family only"]),
+        (("kappa-scan", "--copies", "1"),
+         ["measurement=bell acts on two qubits, which needs copies = 2, "
+          "got 1"]),
+        (("optimize", "--copies", "3", "--measurement", "gate"),
+         ["measurement=gate acts on two qubits, which needs copies = 2, "
+          "got 3"]),
         # a key that has its own error gets no second one
         (("kappa-scan", "--sweep-min", "abc", "--sweep-max", "0.01",
           "--measurement", "file", "--povm", ""),
@@ -236,7 +308,8 @@ class TestCliCommands:
          ["sweep_min must be finite, got -inf", "sweep_points must be >= 1"]),
     ], ids=["log-sweep-min", "falling-sweep", "empty-linear-sweep",
             "file-without-povm", "counts-file-without-povm", "find-root",
-            "unparsed-sweep-min", "invalid-sweep-min"])
+            "one-copy-bell", "three-copy-gate", "unparsed-sweep-min",
+            "invalid-sweep-min"])
     def test_settings_that_must_agree_are_named(self, tmp_path, capsys, argv,
                                                 errors):
         code, doc = run_cli(capsys, *argv, "--out", str(tmp_path / "o"))
@@ -245,9 +318,35 @@ class TestCliCommands:
         assert not (tmp_path / "o").exists()
 
     def test_gate_model_reads_no_povm(self, tmp_path, capsys):
-        code, _ = run_cli(capsys, "gate-model", "--measurement", "file",
-                          "--out", str(tmp_path / "o"))
-        assert code == 0
+        assert refused(capsys, tmp_path, "gate-model", "--povm", "p.json") == [
+            "unknown key 'povm' for command 'gate-model'"]
+
+    @pytest.mark.parametrize("argv,errors", [
+        (("simulate-counts", "--exposure", "10", "--visibility", "0.5"),
+         ["key 'visibility' is not read by measurement=bell"]),
+        (("kappa-scan", "--theta-1", "3"),
+         ["key 'theta_1' is not read by measurement=bell"]),
+        (("optimize", "--measurement", "gate", "--povm", "x.json",
+          "--eta-2", "1"),
+         ["key 'povm' is not read by measurement=gate",
+          "key 'eta_2' is not read by measurement=gate"]),
+        (("optimize", "--measurement", "product-projective", "--t-h", "0.9"),
+         ["key 't_h' is not read by measurement=product-projective"]),
+        (("kappa-scan", "--measurement", "file", "--povm", "x.json",
+          "--compensated", "false"),
+         ["key 'compensated' is not read by measurement=file"]),
+        (("gate-model", "--measurement", "file", "--theta-1", "3"),
+         ["unknown key 'measurement' for command 'gate-model'",
+          "unknown key 'theta_1' for command 'gate-model'"]),
+        # a key that has its own error gets no second one
+        (("simulate-counts", "--exposure", "10", "--visibility", "2"),
+         ["visibility must lie in [0, 1]"]),
+    ], ids=["counts-visibility", "scan-angle", "gate-povm-and-angle",
+            "angles-gate-key", "file-gate-key", "gate-model",
+            "invalid-visibility"])
+    def test_measurement_keys_that_nothing_reads_are_refused(
+            self, tmp_path, capsys, argv, errors):
+        assert refused(capsys, tmp_path, *argv) == errors
 
     def test_help_lists_every_key_and_its_default(self, capsys):
         for command in COMMANDS:
@@ -371,18 +470,17 @@ class TestCliCommands:
         assert int(log["evaluations"]) > int(log["kernel_calls"]) > 0
         assert int(log["refine_iterations"]) > 0
 
-    @pytest.mark.parametrize("command,free,named", [
-        ("optimize", "phi,xi_1,xi_2,bogus", "'bogus'"),
-        ("optimize", "phi,phi,xi_1,xi_2", "'phi'"),
-        ("kappa-scan", "phi,xi_1,xi_2,delta", "'delta'"),
+    @pytest.mark.parametrize("command,free,error", [
+        ("optimize", "phi,xi_1,xi_2,bogus",
+         "inputs not used by this scenario: ['bogus']"),
+        ("optimize", "phi,phi,xi_1,xi_2", "free inputs repeated: ['phi']"),
+        ("kappa-scan", "phi,xi_1,xi_2,delta",
+         "inputs both free and fixed or swept: ['delta']"),
     ], ids=["unused", "repeated", "swept"])
     def test_bad_free_inputs_fail_by_name(self, tmp_path, capsys, command,
-                                          free, named):
-        code, doc = run_cli(capsys, command, "--free-inputs", free,
-                            "--budget", "50", "--out", str(tmp_path / "o"))
-        assert code == 1
-        assert named in doc["errors"][0]
-        assert not (tmp_path / "o" / "manifest.json").exists()
+                                          free, error):
+        assert refused(capsys, tmp_path, command, "--free-inputs", free,
+                       "--budget", "50") == [error]
 
     def test_optimize_frees_every_copy_phase_by_default(self, tmp_path,
                                                         capsys):
@@ -451,63 +549,76 @@ class TestCliCommands:
         assert doc["errors"] == [f"{key} must be finite, got nan"]
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("argv,error", [
+    # a probe key set is a fixed input, checked as the scenario checks its
+    # inputs: refused where the scenario does not read it, and where it is
+    # set for an input that the search frees or the scan sweeps, which the
+    # run would drop
+    @pytest.mark.parametrize("argv,errors", [
         (("qfi", "--family", "two-phase", "--xi-1", "0.5"),
-         "key 'xi_1' is not read by the two-phase family"),
+         ["inputs not used by this scenario: ['xi_1']"]),
         (("qfi", "--family", "two-phase", "--phi", "0.9"),
-         "key 'phi' is not read by the two-phase family"),
+         ["inputs not used by this scenario: ['phi']"]),
         (("weak-comm", "--family", "two-phase", "--delta", "2"),
-         "key 'delta' is not read by the two-phase family"),
+         ["inputs not used by this scenario: ['delta']"]),
         (("qfi", "--family", "phase-dephasing", "--phi-y", "3"),
-         "key 'phi_y' is not read by the phase-dephasing family"),
+         ["inputs not used by this scenario: ['phi_y']"]),
         (("optimize", "--phi-z", "0.1"),
-         "key 'phi_z' is not read by the phase-dephasing family"),
-        (("kappa-scan", "--copies", "1", "--xi-2", "0.3"),
-         "key 'xi_2' is not read with copies = 1"),
+         ["inputs not used by this scenario: ['phi_z']"]),
+        (("kappa-scan", "--copies", "1", "--measurement", "file",
+          "--povm", "p.json", "--xi-2", "0.3"),
+         ["inputs not used by this scenario: ['xi_2']"]),
         (("qfi", "--copies", "two", "--xi-2", "0.3"),
-         "key 'copies': cannot parse 'two' as int"),
+         ["key 'copies': cannot parse 'two' as int"]),
+        (("kappa-scan", "--sweep", "bogus"),
+         ["inputs not used by this scenario: ['bogus']"]),
+        (("kappa-scan", "--family", "two-phase", "--free-inputs",
+          "xi,xi,bogus", "--delta", "1"),
+         ["free inputs repeated: ['xi']",
+          "inputs not used by this scenario: ['bogus', 'delta']"]),
     ], ids=["two-phase-xi_1", "two-phase-phi", "two-phase-delta",
             "dephasing-phi_y", "dephasing-phi_z", "beyond-the-copies",
-            "copies-unparsed"])
+            "copies-unparsed", "unknown-sweep", "every-problem"])
     def test_family_keys_that_nothing_reads_are_refused(self, tmp_path, capsys,
-                                                        argv, error):
-        code, doc = run_cli(capsys, *argv, "--out", str(tmp_path / "o"))
-        assert code == 2
-        assert doc["errors"] == [error]
-        assert not (tmp_path / "o").exists()
+                                                        argv, errors):
+        assert refused(capsys, tmp_path, *argv) == errors
 
     @pytest.mark.parametrize("argv,errors", [
         (("optimize", "--delta", "0.3", "--budget", "300", "--phi", "0.9",
           "--xi-1", "1.3"),
-         ["key 'phi' is set, but phi is a free input, which the search "
-          "chooses",
-          "key 'xi_1' is set, but xi_1 is a free input, which the search "
-          "chooses"]),
+         ["inputs both free and fixed or swept: ['phi', 'xi_1']"]),
         (("optimize", "--family", "two-phase", "--xi", "0.5"),
-         ["key 'xi' is set, but xi is a free input, which the search "
-          "chooses"]),
+         ["inputs both free and fixed or swept: ['xi']"]),
         (("kappa-scan", "--free-inputs", "phi,xi", "--xi", "0.5"),
-         ["key 'xi' is set, but xi is a free input, which the search "
-          "chooses"]),
+         ["inputs both free and fixed or swept: ['xi']"]),
         (("optimize", "--xi", "0.5"),
-         ["key 'xi' is set, but each copy's input phase is free or set by "
-          "its own xi_j"]),
+         ["inputs not used by this scenario: ['xi']"]),
         (("optimize", "--free-inputs", "phi,xi_2", "--xi", "0.5",
           "--xi-1", "0.2"),
-         ["key 'xi' is set, but each copy's input phase is free or set by "
-          "its own xi_j"]),
+         ["inputs not used by this scenario: ['xi']"]),
         (("kappa-scan", "--sweep-points", "3", "--budget", "100", "--delta",
           "0.3"),
-         ["key 'delta' is set, but delta is the swept input, which the scan "
-          "sets"]),
+         ["inputs both fixed and swept: ['delta']"]),
+        (("kappa-scan", "--sweep", "xi_1"),
+         ["inputs both free and fixed or swept: ['xi_1']"]),
     ], ids=["phi-and-xi_1", "two-phase-xi", "shared-xi", "xi-of-free-copies",
-            "xi-of-set-copies", "swept-delta"])
+            "xi-of-set-copies", "swept-delta", "swept-free-phase"])
     def test_keys_set_for_free_inputs_are_refused(self, tmp_path, capsys,
                                                   argv, errors):
-        code, doc = run_cli(capsys, *argv, "--out", str(tmp_path / "o"))
-        assert code == 2
-        assert doc["errors"] == errors
-        assert not (tmp_path / "o").exists()
+        assert refused(capsys, tmp_path, *argv) == errors
+
+    @pytest.mark.parametrize("argv,phases", [
+        (("--xi", "0.1"), [0.1, 0.1]),
+        (("--xi-1", "0.3", "--xi", "0.1"), [0.3, 0.1]),
+        (("--xi-2", "0.4"), [0.0, 0.4]),
+        (("--family", "two-phase", "--xi", "0.7"), [0.7, 0.7]),
+    ], ids=["shared", "per-copy-and-shared", "per-copy", "two-phase"])
+    def test_each_copy_reads_its_xi_j_or_xi(self, tmp_path, capsys, argv,
+                                            phases):
+        code, _ = run_cli(capsys, "qfi", "--copies", "2", *argv,
+                          "--out", str(tmp_path))
+        assert code == 0
+        doc = json.loads((tmp_path / "qfi.json").read_text())
+        assert doc["input_phases"] == phases
 
     def test_keys_that_fix_an_input_are_kept(self, tmp_path, capsys):
         # xi sets the phase of copy 2, which is fixed; xi_1 is fixed too
@@ -518,15 +629,14 @@ class TestCliCommands:
 
     def test_per_copy_phase_beside_a_free_shared_phase_is_named(self, tmp_path,
                                                                capsys):
+        # copy 1 reads the xi_1 named, copy 2 the free shared xi
         argv = ("optimize", "--free-inputs", "phi,xi", "--budget", "50")
-        code, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "ok"))
+        code, _ = run_cli(capsys, *argv, "--xi-1", "0.3",
+                          "--out", str(tmp_path / "o"))
         assert code == 0
-        code, doc = run_cli(capsys, *argv, "--xi-1", "0.3",
-                            "--out", str(tmp_path / "o"))
-        assert code == 1
-        assert doc["errors"] == [
-            "inputs not used by this scenario: ['xi_1']"]
-        assert not (tmp_path / "o" / "manifest.json").exists()
+        doc = json.loads((tmp_path / "o" / "optimize.json").read_text())
+        assert sorted(doc["settings"]) == ["phi", "xi"]
+        assert 0.0 < doc["kappa"] <= 1.5 + 1e-9
 
     @pytest.mark.parametrize("cell", ["abc", ""])
     def test_counts_cell_that_is_not_a_number_is_named(self, tmp_path, capsys,

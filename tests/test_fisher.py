@@ -385,7 +385,7 @@ class TestGillMassarBound:
         if two_phase:
             scenario = Scenario(family=ProbeFamily.two_phase(), measurement=povm,
                                 fixed_inputs={"phi_y": a, "phi_z": b, "xi": xi},
-                                sweep="phi_z")
+                                sweep=None)
             batch = kernels.kappa_two_phase_batch(np.array([xi]), a, b, stack,
                                                   1e-12, copies=1)
         else:
@@ -393,7 +393,7 @@ class TestGillMassarBound:
             scenario = Scenario(family=family, measurement=povm,
                                 fixed_inputs={"phi": a, "delta": delta,
                                               "xi_1": xi},
-                                sweep="delta")
+                                sweep=None)
             batch = kernels.kappa_phase_dephasing_batch(
                 np.array([[a + xi]]), delta, stack, 1e-12)
         assert evaluate_kappa(scenario, {}).kappa <= 1.0 + 1e-9

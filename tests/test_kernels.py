@@ -30,7 +30,7 @@ def test_dephasing_kernel_matches_reference_path():
                         free_inputs=(),
                         fixed_inputs={"phi": 0.5, "delta": 0.45,
                                       "xi_1": 0.2, "xi_2": 1.1},
-                        sweep="delta")
+                        sweep=None)
     reference = evaluate_kappa(scenario, {})
     povm = np.ascontiguousarray(bell_povm().elements)
     value, k1, k2, status = kernels.kappa_phase_dephasing(
@@ -50,7 +50,7 @@ def test_two_phase_kernel_matches_reference_path(xi, phi_y, phi_z):
                         measurement=povm, free_inputs=(),
                         fixed_inputs={"phi_y": phi_y, "phi_z": phi_z,
                                       "xi": xi},
-                        sweep="phi_z")
+                        sweep=None)
     reference = evaluate_kappa(scenario, {})
     stack = np.ascontiguousarray(povm.elements)
     value, k1, k2, status = kernels.kappa_two_phase(
@@ -93,7 +93,7 @@ def test_singular_point_follows_the_reference_policy():
     scenario = Scenario(family=ProbeFamily.two_phase(copies=2), measurement=povm,
                         free_inputs=(),
                         fixed_inputs={"phi_y": phi_y, "phi_z": phi_z, "xi": xi},
-                        sweep="phi_z")
+                        sweep=None)
     reference = evaluate_kappa(scenario, {})
     value, k1, k2, status = kernels.kappa_two_phase(
         xi, phi_y, phi_z, np.ascontiguousarray(povm.elements), 1e-12)
@@ -169,7 +169,7 @@ def test_dephasing_batch_matches_scalar_and_reference(seed, kind, phi, rows):
     references = [evaluate_kappa(Scenario(
         family=family, measurement=povm, free_inputs=(),
         fixed_inputs={"phi": phi, "delta": delta, "xi_1": x1, "xi_2": x2},
-        sweep="delta"), {}) for x1, x2, delta in rows]
+        sweep=None), {}) for x1, x2, delta in rows]
     tolerances = [_tolerance(family, (phi, delta), (x1, x2), povm)
                   for x1, x2, delta in rows]
     _assert_rows_agree(batch, scalars, references, tolerances)
@@ -195,7 +195,7 @@ def test_two_phase_batch_matches_scalar_and_reference(seed, kind, rows):
     references = [evaluate_kappa(Scenario(
         family=ProbeFamily.two_phase(copies=2), measurement=povm,
         free_inputs=(), fixed_inputs={"phi_y": phi_y, "phi_z": phi_z, "xi": xi},
-        sweep="phi_z"), {}) for xi, phi_y, phi_z in rows]
+        sweep=None), {}) for xi, phi_y, phi_z in rows]
     tolerances = [_tolerance(ProbeFamily.two_phase(copies=2), (phi_y, phi_z),
                              (xi, xi), povm) for xi, phi_y, phi_z in rows]
     _assert_rows_agree(batch, scalars, references, tolerances)
@@ -222,7 +222,7 @@ def test_single_copy_dephasing_batch_matches_reference(seed, kind, phi, delta,
     references = [evaluate_kappa(Scenario(
         family=family, measurement=povm,
         fixed_inputs={"phi": phi, "delta": delta, "xi_1": xi},
-        sweep="delta"), {}) for xi in xis]
+        sweep=None), {}) for xi in xis]
     tolerances = [_tolerance(family, (phi, delta), (xi,), povm) for xi in xis]
     _assert_rows_agree(batch, ones, references, tolerances)
 
@@ -242,7 +242,7 @@ def test_single_copy_two_phase_batch_matches_reference(seed, kind, phi_y,
     references = [evaluate_kappa(Scenario(
         family=ProbeFamily.two_phase(), measurement=povm,
         fixed_inputs={"phi_y": phi_y, "phi_z": phi_z, "xi": xi},
-        sweep="phi_z"), {}) for xi in xis]
+        sweep=None), {}) for xi in xis]
     tolerances = [_tolerance(ProbeFamily.two_phase(), (phi_y, phi_z), (xi,),
                              povm) for xi in xis]
     _assert_rows_agree(batch, ones, references, tolerances)
@@ -289,7 +289,7 @@ def test_three_copy_dephasing_batch_matches_reference(seed, kind, phi, delta,
         family=family, measurement=povm,
         fixed_inputs={"phi": phi, "delta": delta, "xi_1": x1, "xi_2": x2,
                       "xi_3": x3},
-        sweep="delta"), {}) for x1, x2, x3 in phases]
+        sweep=None), {}) for x1, x2, x3 in phases]
     tolerances = [_tolerance(family, (phi, delta), xis, povm)
                   for xis in phases]
     _assert_rows_agree(batch, ones, references, tolerances)
@@ -310,7 +310,7 @@ def test_three_copy_two_phase_batch_matches_reference(seed, kind, phi_y,
     references = [evaluate_kappa(Scenario(
         family=ProbeFamily.two_phase(copies=3), measurement=povm,
         fixed_inputs={"phi_y": phi_y, "phi_z": phi_z, "xi": xi},
-        sweep="phi_z"), {}) for xi in xis]
+        sweep=None), {}) for xi in xis]
     tolerances = [_tolerance(ProbeFamily.two_phase(copies=3), (phi_y, phi_z),
                              (xi,) * 3, povm) for xi in xis]
     _assert_rows_agree(batch, ones, references, tolerances)
@@ -362,7 +362,7 @@ def test_per_row_generator_povms_match_reference(two_phase, a, b, delta,
     references = [evaluate_kappa(Scenario(
         family=family, measurement=generator,
         fixed_inputs={**fixed, **phases(xi), **s},
-        sweep=family.parameter_names[1]), {}) for xi, s in zip(xis, angles)]
+        sweep=None), {}) for xi, s in zip(xis, angles)]
     tolerances = [_tolerance(family, params, tuple(phases(xi).values())
                              * (2 if two_phase else 1), generator.build(s))
                   for xi, s in zip(xis, angles)]
@@ -383,7 +383,7 @@ def test_singular_test_holds_at_any_fisher_scale(theta_1):
     reference = evaluate_kappa(Scenario(
         family=ProbeFamily.phase_dephasing(copies=2), measurement=generator,
         fixed_inputs={"phi": 0.0, "delta": 1.0, "xi_1": 0.0, "xi_2": 0.0,
-                      **angles}), {})
+                      **angles}, sweep=None), {})
     assert status == 1 and reference.singular
     assert math.isclose(value, reference.kappa, rel_tol=1e-12)
 

@@ -75,17 +75,19 @@ class TestScenarioValidation:
                      fixed_inputs={"phi_y": 0.4, "phi_z": 0.3},
                      sweep="delta")
 
-    @pytest.mark.parametrize("free,match", [
-        (("phi", "xi_1", "xi_2", "bogus"), r"not used.*'bogus'"),
-        (("phi", "xi_1", "xi_2", "theta_1"), r"not used.*'theta_1'"),
-        (("phi", "xi", "xi_1"), r"not used.*'xi_1'"),
-        (("phi", "phi", "xi_1", "xi_2"), r"repeated.*'phi'"),
-        (("phi", "xi_1", "xi_2", "delta"), r"free and fixed or swept.*'delta'"),
-    ], ids=["unknown", "setting-of-a-fixed-povm", "per-copy-beside-shared",
-            "repeated", "swept"])
-    def test_free_inputs_validated_by_name(self, free, match):
+    @pytest.mark.parametrize("free,fixed,match", [
+        (("phi", "xi_1", "xi_2", "bogus"), {}, r"not used.*'bogus'"),
+        (("phi", "xi_1", "xi_2", "theta_1"), {}, r"not used.*'theta_1'"),
+        (("phi", "phi", "xi_1", "xi_2"), {}, r"repeated.*'phi'"),
+        (("phi", "xi_1", "xi_2", "delta"), {},
+         r"free and fixed or swept.*'delta'"),
+        (("phi", "xi_1", "xi_2"), {"delta": 0.3},
+         r"^inputs both fixed and swept: \['delta'\]$"),
+    ], ids=["unknown", "setting-of-a-fixed-povm", "repeated", "swept",
+            "fixed-and-swept"])
+    def test_free_inputs_validated_by_name(self, free, fixed, match):
         with pytest.raises(ValueError, match=match):
-            ideal_bell_scenario(free_inputs=free)
+            ideal_bell_scenario(free_inputs=free, fixed_inputs=fixed)
 
     @pytest.mark.parametrize("family,free,fixed,sweep,named", [
         (ProbeFamily.two_phase(copies=2), ("xi",),
@@ -93,12 +95,10 @@ class TestScenarioValidation:
          "['bogus', 'delta']"),
         (ProbeFamily.two_phase(copies=2), ("xi_1", "xi_2"),
          {"phi_y": 0.4, "phi_z": 0.3}, "phi_z", "['xi_1', 'xi_2']"),
-        (ProbeFamily.phase_dephasing(copies=2), ("phi", "xi"),
-         {"xi_1": 0.3}, "delta", "['xi_1']"),
         (ProbeFamily.phase_dephasing(copies=1), ("phi", "xi_1"),
          {"xi_2": 0.3}, "delta", "['xi_2']"),
     ], ids=["fixed-of-the-other-family", "per-copy-two-phase",
-            "per-copy-beside-shared", "beyond-the-copies"])
+            "beyond-the-copies"])
     def test_unused_inputs_refused_by_name(self, family, free, fixed, sweep,
                                            named):
         with pytest.raises(ValueError, match="inputs not used by this "
@@ -128,6 +128,19 @@ class TestScenarioValidation:
     def test_shared_phase_shorthand_accepted(self):
         scenario = ideal_bell_scenario(free_inputs=("phi", "xi"))
         assert optimize_kappa(scenario, 0.3, budget=200).result.kappa > 1.0
+
+    @pytest.mark.parametrize("free,fixed,phases", [
+        (("phi", "xi"), {"xi_1": 0.3}, ("xi_1", "xi")),
+        (("phi", "xi", "xi_1"), {}, ("xi_1", "xi")),
+        (("phi", "xi_1", "xi_2"), {}, ("xi_1", "xi_2")),
+        (("phi",), {"xi": 0.3}, ("xi", "xi")),
+    ], ids=["fixed-per-copy", "free-per-copy", "per-copy", "shared"])
+    def test_each_copy_reads_xi_j_or_xi(self, free, fixed, phases):
+        scenario = ideal_bell_scenario(free_inputs=free, fixed_inputs=fixed)
+        assert scenarios.phase_names(scenario.family,
+                                     {*free, *fixed}) == phases
+        assert scenarios.phase_names(ProbeFamily.two_phase(copies=2),
+                                     {*free, *fixed}) == ("xi", "xi")
 
 
 class TestOptimizeKappa:
@@ -358,6 +371,21 @@ class TestKappaScan:
         # the negative points are never scored
         assert curve.work.evaluations <= 2 * 150
 
+    def test_fixed_value_of_the_swept_input_is_refused(self):
+        # the scan sets the swept input at every grid point, so a fixed
+        # value of it would be dropped without a word: construction
+        # refuses it, and no scan starts
+        with pytest.raises(ValueError, match=r"^inputs both fixed and "
+                                             r"swept: \['delta'\]$"):
+            kappa_scan(ideal_bell_scenario(fixed_inputs={"delta": 0.3}),
+                       [0.3, 0.6], budget=50)
+        two_phase = dict(family=ProbeFamily.two_phase(copies=2),
+                         measurement=bell_povm(), free_inputs=("xi",),
+                         fixed_inputs={"phi_y": 0.4, "phi_z": 0.3},
+                         sweep="phi_z")
+        with pytest.raises(ValueError, match=r"\['phi_z'\]"):
+            kappa_scan(Scenario(**two_phase), [0.3, 0.6], budget=50)
+
     def test_default_grid(self):
         grid = default_delta_grid()
         assert len(grid) == 40
@@ -474,6 +502,15 @@ class TestEvaluateKappa:
         a = evaluate_kappa(shared, {"delta": 0.5})
         b = evaluate_kappa(split, {"delta": 0.5})
         assert abs(a.kappa - b.kappa) < 1e-12
+        # copy 1 reads its own xi_1 and copy 2 the shared xi
+        mixed = ideal_bell_scenario(
+            free_inputs=(), fixed_inputs={"phi": 0.2, "xi_1": 0.9, "xi": 0.4})
+        split = ideal_bell_scenario(
+            free_inputs=(), fixed_inputs={"phi": 0.2, "xi_1": 0.9, "xi_2": 0.4})
+        a = evaluate_kappa(mixed, {"delta": 0.5})
+        b = evaluate_kappa(split, {"delta": 0.5})
+        assert abs(a.kappa - b.kappa) < 1e-12
+        assert abs(a.kappa - evaluate_kappa(shared, {"delta": 0.5}).kappa) > 1e-3
 
 
 class TestMaximizeGrid:
@@ -702,6 +739,15 @@ class TestHeldPhi:
         assert list(out.settings) == list(scenario.free_inputs)
         assert out.settings["phi"] == 0.0
 
+    def test_phi_beside_a_fixed_per_copy_phase_is_searched(self):
+        # copy 1 reads the fixed xi_1 and copy 2 the free shared xi, so
+        # alpha_1 = phi: holding phi at 0 would fix alpha_1 at 0
+        scenario = ideal_bell_scenario(free_inputs=("phi", "xi"),
+                                       fixed_inputs={"xi_1": 0.0})
+        out = optimize_kappa(scenario, 0.3)
+        assert out.settings["phi"] != 0.0
+        assert abs(out.result.kappa - ideal_kappa(0.3)) < 1e-5
+
     def test_phi_beside_a_fixed_input_phase_is_searched(self):
         scenario = ideal_bell_scenario(free_inputs=("phi", "xi_1"),
                                        fixed_inputs={"xi_2": 0.0})
@@ -775,7 +821,7 @@ class TestKernelRouting:
         (ProbeFamily.phase_dephasing(copies=2), ("eta_1", "eta_2"),
          {"phi": 0.3, "xi_1": 0.0, "xi_2": 0.0}, "delta", 0.4),
         (ProbeFamily.phase_dephasing(copies=2), ("eta_1", "delta"),
-         {"phi": 0.3, "xi_1": 0.0, "xi_2": 0.0, "eta_2": 1.1}, "phi", 0.3),
+         {"xi_1": 0.0, "xi_2": 0.0, "eta_2": 1.1}, "phi", 0.3),
         (ProbeFamily.two_phase(copies=2), ("eta_1", "phi_y"),
          {"xi": 0.7, "eta_2": 1.1}, "phi_z", 0.3),
     ], ids=["dephasing", "dephasing-free-delta", "two-phase-free-phi_y"])
@@ -841,7 +887,7 @@ class TestKernelRouting:
             fixed_inputs={"phi_y": 0.0, "phi_z": 0.0, "xi": math.pi / 2,
                           "theta_1": 0.9, "eta_1": 0.3, "theta_2": 1.4,
                           "eta_2": 2.0},
-            sweep="phi_z")
+            sweep=None)
         result = evaluate_kappa(scenario, {})
         assert result.singular and result.kappa > 0.7
         objective = _Objective(scenario, dict(scenario.fixed_inputs), [])
