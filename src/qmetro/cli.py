@@ -194,6 +194,21 @@ _AGREEMENTS = (
 )
 
 
+#: the artifacts each command writes into ``out``, beside manifest.json and
+#: run.log
+_ARTIFACTS = {
+    "qfi": ("qfi.json",),
+    "weak-comm": ("weak_comm.json",),
+    "kappa-scan": ("kappa_scan.csv", "kappa_scan_report.json"),
+    "optimize": ("optimize.json",),
+    "tomography": ("reconstructed_povm.json", "tomography_report.json",
+                   "ll_trace.csv"),
+    "simulate-counts": ("counts.csv",),
+    "conjecture-search": ("conjecture_search.json",),
+    "gate-model": ("gate_povm.json", "gate_report.json"),
+}
+_INPUT_PATH_KEYS = ("counts", "povm", "compare_to")
+
 #: the keys that set an input of a probe: each family's point and the phases
 _PROBE_KEYS = {key for key in _FAMILY_KEYS if key not in ("family", "copies")}
 
@@ -204,8 +219,9 @@ def parse_config(command: str, raw: dict[str, str]) -> dict:
     Reports every problem at once: unknown keys (with the nearest valid key),
     type errors, missing required keys, non-finite numbers, range
     violations, settings that must agree, such as a rising sweep range,
-    measurement keys that the measurement does not read, and the
-    scenario's ``input_problems``, where a probe key set is a fixed input.
+    measurement keys that the measurement does not read, an input file
+    that the run would overwrite, and the scenario's ``input_problems``,
+    where a probe key set is a fixed input.
     """
     if command not in SCHEMAS:
         raise ConfigError([f"unknown command {command!r}; valid: {', '.join(COMMANDS)}"])
@@ -253,6 +269,13 @@ def parse_config(command: str, raw: dict[str, str]) -> dict:
                   - {"measurement", *_MEASUREMENTS[kind][0]})
         errors += [f"key {key!r} is not read by measurement={kind}"
                    for key in raw if key in unread]
+        flagged |= unread
+    writes = {os.path.abspath(os.path.join(config["out"], name)) for name
+              in (*_ARTIFACTS[command], "manifest.json", "run.log")}
+    errors += [f"refusing to overwrite input file {config[key]} ({key}) "
+               f"with an artifact of this run" for key in _INPUT_PATH_KEYS
+               if key not in flagged and config.get(key)
+               and os.path.abspath(config[key]) in writes]
     if "family" in schema and flagged.isdisjoint(("family", "copies")):
         sweep = _swept(config)
         family, free, fixed = _inputs(config, sweep)
@@ -494,8 +517,6 @@ _RUNNERS = {
     "gate-model": _cmd_gate_model,
 }
 
-_INPUT_PATH_KEYS = ("counts", "povm", "compare_to")
-
 
 def run(command: str, cfg: dict) -> list[str]:
     """Execute a validated config; returns the artifact paths written."""
@@ -504,8 +525,6 @@ def run(command: str, cfg: dict) -> list[str]:
     start = time.perf_counter()
     log: dict[str, object] = {}
     artifacts = _RUNNERS[command](cfg, log)
-    inputs = {os.path.abspath(cfg[k]) for k in _INPUT_PATH_KEYS
-              if cfg.get(k)}
     manifest = {
         "command": command,
         "config": {k: cfg[k] for k in sorted(cfg)},
@@ -519,8 +538,6 @@ def run(command: str, cfg: dict) -> list[str]:
     written = []
     for name, text in artifacts.items():
         path = os.path.join(out_dir, name)
-        if os.path.abspath(path) in inputs:
-            raise RuntimeError(f"refusing to overwrite input file {path}")
         serialize.atomic_write_text(path, text)
         written.append(path)
     manifest_path = os.path.join(out_dir, "manifest.json")

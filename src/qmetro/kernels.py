@@ -18,12 +18,12 @@ Kernel contracts:
   from ``states.copies_with_derivatives``
 * ``mle_iterate(...)`` -> multiplicative maximum-likelihood update loop for
   detector reconstruction (Rehacek et al., PRA 75, 042108, 2007) with a
-  monotone-likelihood line search, on matrix products: the reference states
-  are flattened once, so the probabilities and all R_k are one product each,
-  and the full step is the first trial of the line search; it returns why
-  it stopped: ``"tolerance"`` (the relative log-likelihood change fell to
-  tol), ``"stalled"`` (no damped step kept the log-likelihood) or
-  ``"max_iters"``
+  monotone-likelihood line search, on real products of float views: all R_k
+  are one product, the probabilities another, gathered at the observed cells
+  by a flat index; the full step is the line search's first trial. It
+  returns why it stopped: ``"tolerance"`` (the relative log-likelihood
+  change fell to tol), ``"stalled"`` (no damped step kept the
+  log-likelihood) or ``"max_iters"``
 """
 
 from __future__ import annotations
@@ -191,36 +191,41 @@ def kappa_two_phase(xi, phi_y, phi_z, povm, *args):
 
 
 def mle_iterate(counts, rhos, init, max_iters, tol, p_floor):
-    povm = init.copy()
-    pos = counts > 0
-    observed = counts[pos]
-    # with the states flattened once, the probabilities Tr[P_k rho_j] and
-    # all R_k are one matrix product each
-    vec = rhos.reshape(len(rhos), -1)
-    vec_t = rhos.transpose(0, 2, 1).reshape(len(rhos), -1)
+    povm = np.array(init, dtype=complex, order="C")
+    rhos = np.ascontiguousarray(rhos, dtype=complex)
+    # on float views, re and im interleaved: all R_k = sum_j r_jk rho_j are
+    # one real product of the ratios with vec, and all Tr[rho_j P_k] one of W,
+    # the view of conj(rho_j^T), with the elements' views (ndarray.dot costs
+    # less per call than @ on products this small)
+    vec = rhos.reshape(len(rhos), -1).view(float)
+    W = np.ascontiguousarray(rhos.transpose(0, 2, 1).conj()) \
+        .reshape(len(rhos), -1).view(float)
+    cells = np.flatnonzero(counts > 0)
+    observed = counts.take(cells)
 
     def floor_and_ll(stack):
-        """Floored probabilities of the observed cells, the number floored
-        and the log-likelihood."""
-        p = (vec_t @ stack.reshape(len(stack), -1).T).real[pos]
-        low = p < p_floor
-        p = np.where(low, p_floor, p)
-        ll = float(np.sum(observed * np.log(p)))
-        return p, int(np.count_nonzero(low)), ll
+        """Floored observed-cell probabilities, number floored, and ll."""
+        p = W.dot(stack.reshape(len(stack), -1).view(float).T).take(cells)
+        floored = 0
+        if p.min() < p_floor:
+            low = p < p_floor
+            floored = int(np.count_nonzero(low))
+            p = np.where(low, p_floor, p)
+        return p, floored, float(observed.dot(np.log(p)))
 
     p, floored, ll = floor_and_ll(povm)
     ll_trace = [ll]
     stop = "max_iters"
     iters = 0
-    ratio = np.zeros_like(counts)
+    ratio = np.zeros(counts.shape)
     for iters in range(1, max_iters + 1):
-        ratio[pos] = observed / p
-        R = (ratio.T @ vec).reshape(povm.shape)
+        ratio.put(cells, observed / p)
+        R = ratio.T.dot(vec).view(complex).reshape(povm.shape)
         RPR = R @ povm @ R
-        w, v = np.linalg.eigh(RPR.sum(axis=0))
-        w = np.maximum(w, 1e-30)
-        s_inv = (v * (w ** -0.5)) @ v.conj().T
-        full = s_inv @ RPR @ s_inv
+        w, v = np.linalg.eigh(np.add.reduce(RPR))
+        s_inv = (v * np.maximum(w, 1e-30) ** -0.5).dot(v.conj().T)
+        # the right factor of every element at once, as one 2-D product
+        full = s_inv @ RPR.reshape(-1, len(w)).dot(s_inv).reshape(RPR.shape)
         lam = 1.0
         for _ in range(40):
             # the full step is the lam = 1 trial; mix only when damped

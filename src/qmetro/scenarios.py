@@ -380,10 +380,13 @@ def _optimize(scenario: Scenario, base: dict, budget: int):
     for p, x in enumerate(best_x):
         vals = {k: float(v[p]) if np.ndim(v) else v for k, v in base.items()}
         if not objective.any_regular[p]:
+            fixed = ", ".join(f"{n}={vals[n]}" for n in scenario.fixed_inputs)
+            where = (f"sweep {scenario.sweep} at {vals[scenario.sweep]}"
+                     if scenario.sweep in vals else
+                     f"fixed inputs {fixed}" if fixed else "every input free")
             found.append(RuntimeError(
                 "kappa evaluation failed at every grid point (singular Fisher "
-                f"matrix); scenario sweep {scenario.sweep} at "
-                f"{vals.get(scenario.sweep)}"))
+                f"matrix); scenario {where}"))
             continue
         point = {**vals, **{n: float(v) for n, v in zip(names, x)}}
         settings = {n: point[n] for n in scenario.free_inputs}

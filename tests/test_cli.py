@@ -656,6 +656,71 @@ class TestCliCommands:
             f"be a number, got '{cell}'"]
 
 
+
+def write_counts(path):
+    path.write_text(counts_to_csv(simulate_counts(
+        bell_povm(), reference_states(), 1e3, seed=1)), encoding="utf-8")
+    return str(path)
+
+
+class TestArtifactTable:
+    """Each command's artifact names are fixed in ``cli._ARTIFACTS``, so
+    ``parse_config`` can refuse an input file that the run would
+    overwrite before anything is written."""
+
+    def test_every_command_has_a_row(self):
+        assert list(cli._ARTIFACTS) == list(COMMANDS) == list(cli._RUNNERS)
+
+    @pytest.mark.parametrize("command,argv", [
+        ("qfi", ()),
+        ("weak-comm", ()),
+        ("kappa-scan", ("--sweep-points", "1", "--budget", "20")),
+        ("optimize", ("--budget", "20")),
+        ("tomography", ("--max-iters", "3")),
+        ("simulate-counts", ("--exposure", "100")),
+        ("conjecture-search", ("--trials", "2", "--xi-budget", "5")),
+        ("gate-model", ()),
+    ])
+    def test_each_runner_returns_exactly_its_names(self, tmp_path, command,
+                                                   argv):
+        if command == "tomography":
+            argv += ("--counts", write_counts(tmp_path / "c.csv"))
+        cfg = parse_config(command, read_command_line([command, *argv]))
+        assert tuple(cli._RUNNERS[command](cfg, {})) == \
+            cli._ARTIFACTS[command]
+
+    @pytest.mark.parametrize("key,name", [
+        ("compare_to", "reconstructed_povm.json"),
+        ("compare_to", "ll_trace.csv"),
+        ("counts", "manifest.json"),
+        ("counts", "run.log"),
+    ])
+    def test_tomography_input_in_its_output_is_refused(self, tmp_path,
+                                                       capsys, key, name):
+        clash = str(tmp_path / "o" / name)
+        counts = clash if key == "counts" else write_counts(tmp_path / "c.csv")
+        compare = ("--compare-to", clash) if key == "compare_to" else ()
+        errors = refused(capsys, tmp_path, "tomography", "--counts", counts,
+                         *compare)
+        assert errors == [f"refusing to overwrite input file {clash} "
+                          f"({key}) with an artifact of this run"]
+
+    def test_povm_file_in_the_output_is_refused(self, tmp_path, capsys):
+        povm = tmp_path / "o" / "counts.csv"
+        errors = refused(capsys, tmp_path, "simulate-counts",
+                         "--exposure", "10", "--measurement", "file",
+                         "--povm", str(povm))
+        assert errors == [f"refusing to overwrite input file {povm} (povm) "
+                          "with an artifact of this run"]
+
+    def test_input_beside_the_artifacts_is_read(self, tmp_path, capsys):
+        (tmp_path / "o").mkdir()
+        counts = write_counts(tmp_path / "o" / "c.csv")
+        code, doc = run_cli(capsys, "tomography", "--counts", counts,
+                            "--max-iters", "3", "--out", str(tmp_path / "o"))
+        assert code == 0 and doc["status"] == "ok"
+
+
 class TestDeterminism:
     def test_kappa_scan_reruns_are_byte_identical(self, tmp_path, capsys):
         def scan(out):

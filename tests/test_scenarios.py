@@ -211,6 +211,25 @@ class TestOptimizeKappa:
         with pytest.raises(RuntimeError, match="singular"):
             optimize_kappa(scenario, 0.4, budget=60)
 
+    @pytest.mark.parametrize("free,fixed,sweep,at,where", [
+        (("phi", "xi_1", "xi_2"), {}, "delta", 0.4, "sweep delta at 0.4"),
+        (("phi", "xi_1", "xi_2"), {"delta": 0.4}, None, None,
+         "fixed inputs delta=0.4"),
+        (("phi", "delta", "xi_1", "xi_2"), {}, None, None,
+         "every input free"),
+    ], ids=["swept", "fixed", "free"])
+    def test_singular_everywhere_names_the_point(self, free, fixed, sweep,
+                                                 at, where):
+        # the sweep is named only where the scenario has one
+        scenario = Scenario(family=ProbeFamily.phase_dephasing(copies=2),
+                            measurement=BLIND, free_inputs=free,
+                            fixed_inputs=fixed, sweep=sweep)
+        with pytest.raises(RuntimeError) as err:
+            optimize_kappa(scenario, at, budget=40)
+        assert str(err.value) == (
+            "kappa evaluation failed at every grid point (singular Fisher "
+            f"matrix); scenario {where}")
+
     def test_budget_validated(self):
         with pytest.raises(ValueError):
             optimize_kappa(ideal_bell_scenario(), 0.3, budget=0)

@@ -321,13 +321,13 @@ def einsum_mle_iterate(counts, rhos, init, max_iters, tol, p_floor):
     return povm, np.array(ll_trace), iters, stop, floored, halvings
 
 
-def _agree_with_oracle(counts, max_iters, p_floor=P_FLOOR):
+def _agree_with_oracle(counts, max_iters, p_floor=P_FLOOR, rhos=None):
     """Run the kernel and the einsum oracle from the I/K start and require
     the same path; returns the oracle's result."""
-    refs = reference_states()
+    rhos = reference_states().states if rhos is None else rhos
     k_out = counts.shape[1]
     init = np.stack([np.eye(4, dtype=complex) / k_out] * k_out)
-    args = (counts, refs.states, init, max_iters, 1e-10, p_floor)
+    args = (counts, rhos, init, max_iters, 1e-10, p_floor)
     povm, ll_trace, iters, stop, floored = mle_iterate(*args)
     oracle = einsum_mle_iterate(*args)
     assert (iters, stop, floored) == oracle[2:5]
@@ -365,6 +365,79 @@ class TestMleOracle:
         counts = simulate_counts(truth, reference_states(), 1e4, seed=4)
         oracle = _agree_with_oracle(counts.counts, 400, p_floor=0.03)
         assert oracle[4] > 0
+
+    @pytest.mark.parametrize("layout", ["fortran-counts", "strided-states",
+                                        "transposed-states"])
+    def test_any_memory_layout(self, layout):
+        # the kernel works on float views, which need a contiguous last
+        # axis: it copies where the caller's arrays have none
+        counts = simulate_counts(bell_povm(), reference_states(), 1e4,
+                                 seed=8).counts
+        states = reference_states().states
+        rhos = None
+        if layout == "fortran-counts":
+            counts = np.asfortranarray(counts)
+        elif layout == "strided-states":
+            rhos = np.zeros(states.shape[:2] + (8,), dtype=complex)
+            rhos[..., ::2] = states
+            rhos = rhos[..., ::2]
+        else:
+            rhos = np.ascontiguousarray(states.transpose(0, 2, 1)) \
+                .transpose(0, 2, 1)
+        assert rhos is None or not rhos.flags.c_contiguous
+        _agree_with_oracle(counts, 400, rhos=rhos)
+
+    def test_two_outcome_povm(self):
+        rng = np.random.default_rng(11)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4))
+                            + 1j * rng.standard_normal((4, 4)))
+        upper = q[:, :2] @ q[:, :2].conj().T
+        povm = Povm(("up", "down"), np.stack([upper, np.eye(4) - upper]))
+        counts = simulate_counts(povm, reference_states(), 1e4, seed=11)
+        oracle = _agree_with_oracle(counts.counts, 400)
+        # two outcomes pin few directions of each element, so the likelihood
+        # creeps up to the last iteration
+        assert oracle[2:4] == (400, "max_iters")
+
+    def test_inputs_are_left_unchanged(self):
+        counts = simulate_counts(bell_povm(), reference_states(), 1e3,
+                                 seed=2).counts
+        rhos = np.array(reference_states().states)
+        init = np.stack([np.eye(4, dtype=complex) / 4] * 4)
+        before = [a.copy() for a in (counts, rhos, init)]
+        for a in (counts, rhos, init):
+            a.flags.writeable = False
+        mle_iterate(counts, rhos, init, 50, 1e-10, P_FLOOR)
+        for a, b in zip((counts, rhos, init), before):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("case", ["plain", "damped", "stalled"])
+    def test_one_decomposition_per_iteration(self, monkeypatch, case):
+        # an eigendecomposition is the dearest call of an iteration: one
+        # per loop entry, the entry that stalls included
+        refs = reference_states()
+        scale = 1.0
+        if case == "plain":
+            counts = simulate_counts(bell_povm(), refs, 1e4, seed=3)
+        elif case == "damped":
+            rng = np.random.default_rng(203)
+            counts = simulate_counts(random_povm(rng, "whitened"), refs,
+                                     10.0 ** rng.uniform(3.0, 6.0), 203)
+        else:
+            # the overcomplete start of test_stalled_run_says_so
+            truth, _ = cs_gate_povm(GateModel(visibility=0.9))
+            counts = simulate_counts(truth, refs, 1e3, seed=1)
+            scale = 3.0
+        k_out = counts.counts.shape[1]
+        init = scale * np.stack([np.eye(4, dtype=complex) / k_out] * k_out)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: calls.append(1) or eigh(a))
+        _, _, iters, stop, _ = mle_iterate(counts.counts, refs.states, init,
+                                           400, 1e-10, P_FLOOR)
+        assert stop == {"stalled": "stalled"}.get(case, "tolerance")
+        assert len(calls) == iters + (stop == "stalled") > 0
 
 
 class TestPovmFidelity:
