@@ -7,7 +7,7 @@ built from partially polarising beam splitters; and reconstructs POVMs from
 simulated coincidence counts by constrained maximum likelihood.
 """
 
-from .fisher import (FisherReport, KappaResult, SldSet, classical_fi, kappa,
+from .fisher import (FisherReport, KappaResult, classical_fi, kappa,
                      measurement_probabilities, qfi_matrix, sld_operators,
                      weak_commutativity, weak_commutativity_root)
 from .linalg import hermiticity_defect, tensor_product

@@ -8,7 +8,8 @@ conjecture-search, gate-model. Flags are the config keys of ``SCHEMAS``
 anything is written (a JSON status line, exit 2); it checks the inputs a
 command names with the scenario's own ``scenarios.input_problems``, where
 copy j's phase is its ``xi_j`` if that is set, free or swept, and ``xi``
-otherwise. Every run writes its artifacts atomically into the output
+otherwise. A run that fails (a JSON status line, exit 1) writes nothing;
+every other run writes its artifacts atomically into the output
 directory along with a deterministic manifest.json; wall time goes to
 run.log so that reruns with the same config and seed are byte-identical.
 The searches add their work to run.log as key=value lines: ``evaluations``
@@ -32,8 +33,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, serialize
-from .fisher import (qfi_matrix, sld_operators, weak_commutativity,
-                     weak_commutativity_root)
+from .fisher import qfi_matrix, weak_commutativity, weak_commutativity_root
 from .povm import (BALANCED_T_V, GateModel, bell_povm, cs_gate_amplitudes,
                    cs_gate_povm, load_povm, povm_to_json,
                    product_projective_povm, validate_povm)
@@ -156,6 +156,8 @@ _VALIDATORS = {
     "t_h": lambda v: 0.0 <= v <= 1.0 or "t_h must lie in [0, 1]",
     "t_v": lambda v: 0.0 <= v <= 1.0 or "t_v must lie in [0, 1]",
     "copies": lambda v: v >= 1 or "copies must be >= 1",
+    # nan passes here, to be named as not finite below
+    "delta": lambda v: not v < 0 or "delta must be >= 0",
     "budget": lambda v: v >= 1 or "budget must be >= 1",
     "trials": lambda v: v >= 1 or "trials must be >= 1",
     "xi_budget": lambda v: v >= 1 or "xi_budget must be >= 1",
@@ -354,7 +356,7 @@ def _probe_point(cfg):
 
 def _cmd_qfi(cfg, log):
     doc, swd = _probe_point(cfg)
-    H = qfi_matrix(swd, sld_operators(swd))
+    H = qfi_matrix(swd)
     doc["qfi_matrix"] = [[float(x) for x in row] for row in H]
     doc["det"] = float(np.linalg.det(H))
     return {"qfi.json": serialize.dumps_json(doc)}
@@ -521,10 +523,10 @@ _RUNNERS = {
 def run(command: str, cfg: dict) -> list[str]:
     """Execute a validated config; returns the artifact paths written."""
     out_dir = cfg["out"]
-    os.makedirs(out_dir, exist_ok=True)
     start = time.perf_counter()
     log: dict[str, object] = {}
     artifacts = _RUNNERS[command](cfg, log)
+    os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "command": command,
         "config": {k: cfg[k] for k in sorted(cfg)},

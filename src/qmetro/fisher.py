@@ -46,14 +46,6 @@ _ROOT_AMPLITUDE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class SldSet:
-    """Symmetric logarithmic derivative operators, one per parameter."""
-
-    operators: np.ndarray         # (n, d, d) complex, Hermitian each
-    support_tolerance: float
-
-
-@dataclass(frozen=True)
 class FisherReport:
     """Classical Fisher matrix with per-parameter effective information.
 
@@ -85,8 +77,9 @@ class KappaResult:
     singular: bool = False
 
 
-def sld_operators(swd: StateWithDerivatives) -> SldSet:
-    """Solve the SLD defining equation by eigendecomposition of the state.
+def sld_operators(swd: StateWithDerivatives) -> np.ndarray:
+    """Solve the SLD defining equation by eigendecomposition of the state;
+    returns the (n, d, d) stack of Hermitian operators, one per parameter.
 
     The support tolerance is ``1e-12 * max eigenvalue``; eigenvalue pairs
     summing below it are treated as the kernel and the corresponding SLD
@@ -96,27 +89,22 @@ def sld_operators(swd: StateWithDerivatives) -> SldSet:
     if hermiticity_defect(rho) > _HERM_ATOL:
         raise ValueError("state is not Hermitian")
     w, v = np.linalg.eigh(rho)
-    support_tolerance = _SUPPORT_RTOL * float(w.max())
     pair_sums = w[:, None] + w[None, :]
-    safe = pair_sums > support_tolerance
+    safe = pair_sums > _SUPPORT_RTOL * float(w.max())
+    coeff = np.where(safe, 2.0 / np.where(safe, pair_sums, 1.0), 0.0)
     ops = []
     for drho in swd.derivatives:
         if hermiticity_defect(drho) > _HERM_ATOL:
             raise ValueError("derivative is not Hermitian")
-        mid = v.conj().T @ drho @ v
-        coeff = np.where(safe, 2.0 / np.where(safe, pair_sums, 1.0), 0.0)
-        ops.append(v @ (coeff * mid) @ v.conj().T)
-    return SldSet(np.array(ops), float(support_tolerance))
+        ops.append(v @ (coeff * (v.conj().T @ drho @ v)) @ v.conj().T)
+    return np.array(ops)
 
 
-def qfi_matrix(swd: StateWithDerivatives, slds: SldSet | None = None) -> np.ndarray:
+def qfi_matrix(swd: StateWithDerivatives) -> np.ndarray:
     """Quantum Fisher information matrix from the SLD anticommutators."""
-    if slds is None:
-        slds = sld_operators(swd)
-    ops = slds.operators
+    ops, rho = sld_operators(swd), swd.state
     n = ops.shape[0]
     H = np.empty((n, n))
-    rho = swd.state
     for i in range(n):
         for j in range(i, n):
             anti = ops[i] @ ops[j] + ops[j] @ ops[i]
@@ -124,22 +112,16 @@ def qfi_matrix(swd: StateWithDerivatives, slds: SldSet | None = None) -> np.ndar
     return H
 
 
-def weak_commutativity(swd: StateWithDerivatives, slds: SldSet | None = None,
-                       i: int = 0, j: int = 1) -> float:
-    """Expectation value of the SLD commutator, ``Tr[rho [L_i, L_j]] / i``.
+def weak_commutativity(swd: StateWithDerivatives) -> float:
+    """Expectation value of the commutator of the two parameters' SLDs,
+    ``Tr[rho [L_0, L_1]] / i``.
 
     A zero value signals that the multiparameter quantum Cramer-Rao bound is
-    asymptotically saturable. Antisymmetric under i <-> j; exactly 0 at i=j.
+    asymptotically saturable.
     """
-    if i == j:
-        return 0.0
-    if slds is None:
-        slds = sld_operators(swd)
-    li, lj = slds.operators[i], slds.operators[j]
-    # the explicit commutator form is exactly antisymmetric in floating point
-    t_ij = np.trace(swd.state @ (li @ lj))
-    t_ji = np.trace(swd.state @ (lj @ li))
-    return float(np.imag(t_ij - t_ji))
+    l0, l1 = sld_operators(swd)
+    return float(np.imag(np.trace(swd.state @ (l0 @ l1))
+                         - np.trace(swd.state @ (l1 @ l0))))
 
 
 def weak_commutativity_root(phi_y: float, phi_z: float) -> float:
@@ -153,13 +135,9 @@ def weak_commutativity_root(phi_y: float, phi_z: float) -> float:
     roots. Where the expectation vanishes for every input phase (up to
     round-off, as at (phi_y, phi_z) = (pi/2, 0)), returns 0.0.
     """
-
-    def value(xi: float) -> float:
-        swd = probe_with_derivatives(ProbeFamily.two_phase(), (phi_y, phi_z),
-                                     (xi,))
-        return weak_commutativity(swd)
-
-    b, c = value(0.0), value(math.pi / 2)
+    b, c = (weak_commutativity(probe_with_derivatives(
+        ProbeFamily.two_phase(), (phi_y, phi_z), (xi,)))
+        for xi in (0.0, math.pi / 2))
     if math.hypot(b, c) <= _ROOT_AMPLITUDE_FLOOR:
         return 0.0
     return math.atan2(-b, c) % math.pi

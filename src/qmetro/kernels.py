@@ -12,10 +12,10 @@ Kernel contracts:
   Fisher matrix (terms follow ``fisher.FisherReport``'s rule), 2 = a
   quantum-information denominator at or below ``H_FLOOR`` (term
   excluded). A front end takes delta or the rotation (phi_y, phi_z) as one
-  value or N, and computes the single-copy quantum information in closed
-  form; ``kappa_phase_dephasing(...)`` / ``kappa_two_phase(...)`` evaluate
-  one two-copy point and return Python scalars; the multi-copy states come
-  from ``states.copies_with_derivatives``
+  value or N, and divides by the closed-form single-copy quantum information
+  of ``states``; ``kappa_phase_dephasing(...)`` / ``kappa_two_phase(...)``
+  evaluate one two-copy point and return Python scalars; the multi-copy
+  states come from ``states.copies_with_derivatives``
 * ``mle_iterate(...)`` -> multiplicative maximum-likelihood update loop for
   detector reconstruction (Rehacek et al., PRA 75, 042108, 2007) with a
   monotone-likelihood line search, on real products of float views: all R_k
@@ -31,8 +31,8 @@ from __future__ import annotations
 import numpy as np
 
 from .states import (copies_with_derivatives, dephasing_qfi,
-                     dephasing_with_derivatives, pure_with_derivatives,
-                     two_phase_ket_with_derivatives)
+                     dephasing_with_derivatives, pure_qfi_diagonal,
+                     pure_with_derivatives, two_phase_ket_with_derivatives)
 
 __all__ = [
     "BACKEND",
@@ -158,12 +158,8 @@ def kappa_two_phase_batch(xi, phi_y, phi_z, povm, cutoff, copies=2):
     """kappa of the two-phase probe on ``copies`` copies at N input phases
     ``xi``; ``phi_y`` and ``phi_z`` are one value or N values each."""
     kets = two_phase_ket_with_derivatives(xi, phi_y, phi_z)
-    psi, dpsi = kets[0], kets[1:]
-    # pure-state quantum Fisher information diagonal
-    overlap = (psi.conj() * dpsi).sum(axis=-1)
-    h = 4.0 * ((np.abs(dpsi) ** 2).sum(axis=-1) - np.abs(overlap) ** 2)
     return _kappa_of_copies(povm, (pure_with_derivatives(kets),) * copies,
-                            h[0], h[1], cutoff)
+                            *pure_qfi_diagonal(kets), cutoff)
 
 
 def _scalars(batch):

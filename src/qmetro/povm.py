@@ -290,4 +290,7 @@ def povm_from_json(text: str) -> Povm:
 
 def load_povm(path) -> Povm:
     with open(path, encoding="utf-8") as fh:
-        return povm_from_json(fh.read())
+        try:
+            return povm_from_json(fh.read())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None

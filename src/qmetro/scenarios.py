@@ -13,10 +13,11 @@ Every search evaluation is scored by the batched kernels
 (``kernels.kappa_batch``), for any number of copies and for a fixed POVM, a
 stack of POVMs or a measurement generator alike; ``evaluate_kappa`` computes
 the reported value at each optimum and is the reference the kernels are
-tested against. A scan optimizes all its points, ``optimize_each`` every
-POVM of a stack, and the collective search a chunk of trials (a stack of
-one POVM per trial), in one lockstep run of ``_maximize``: each simplex step
-of every problem's refinement shares one kernel call.
+tested against; both divide by the same closed-form single-copy quantum
+information. A scan optimizes all its points, ``optimize_each`` every POVM
+of a stack, and the collective search a chunk of trials (a stack of one
+POVM per trial), in one lockstep run of ``_maximize``: each simplex step of
+every problem's refinement shares one kernel call.
 """
 
 from __future__ import annotations
@@ -27,12 +28,14 @@ from dataclasses import astuple, dataclass, field, replace
 import numpy as np
 
 from . import kernels
+# qfi_matrix and sld_operators are not called here; the benchmark wraps them
 from .fisher import (KappaResult, classical_fi, kappa,
                      measurement_probabilities, qfi_matrix, sld_operators)
 from .neldermead import minimize
 from .povm import MeasurementGenerator, Povm
 from .states import (PHASE_DEPHASING, TWO_PHASE, ProbeFamily,
-                     probe_with_derivatives)
+                     check_dephasing, dephasing_qfi, probe_with_derivatives,
+                     pure_qfi_diagonal, two_phase_ket_with_derivatives)
 
 DEFAULT_BUDGET = 2000
 #: the rotation (phi_y, phi_z) the collective search probes, and its
@@ -167,9 +170,13 @@ class KappaCurve:
 
 
 def single_copy_qfi_diagonal(family: ProbeFamily, params, xi: float) -> np.ndarray:
-    """Quantum Fisher information diagonal of one probe copy."""
-    swd = probe_with_derivatives(ProbeFamily(family.kind), params, (xi,))
-    return np.diag(qfi_matrix(swd, sld_operators(swd))).copy()
+    """Quantum Fisher information diagonal of one probe copy, in the closed
+    form that the kernels divide by."""
+    a, b = params
+    if family.kind == PHASE_DEPHASING:
+        check_dephasing(xi, a, b)
+        return np.array(dephasing_qfi(b))
+    return pure_qfi_diagonal(two_phase_ket_with_derivatives(xi, a, b))
 
 
 def _refuse_stack(scenario: Scenario, what: str) -> None:

@@ -128,7 +128,8 @@ def dephasing_qfi(delta):
     return c2, 2.0 * x * c2 / (-np.expm1(-x) + (x == 0.0))
 
 
-def _check_dephasing(xi: float, phi: float, delta: float) -> None:
+def check_dephasing(xi: float, phi: float, delta: float) -> None:
+    """Refuse a non-finite input or a negative dephasing strength."""
     _require_finite(xi=xi, phi=phi, delta=delta)
     if delta < 0:
         raise ValueError(f"dephasing strength must be >= 0, got {delta}")
@@ -194,6 +195,15 @@ def pure_with_derivatives(kets: np.ndarray) -> np.ndarray:
     return out
 
 
+def pure_qfi_diagonal(kets: np.ndarray) -> np.ndarray:
+    """From the stack (1 + n, ..., a) of kets psi and their n derivatives,
+    the (n, ...) quantum information diagonal of the pure states, 4 (<d psi|
+    d psi> - |<psi|d psi>|^2) (Braunstein and Caves, PRL 72, 3439, 1994)."""
+    psi, dpsi = kets[0], kets[1:]
+    overlap = (psi.conj() * dpsi).sum(axis=-1)
+    return 4.0 * ((np.abs(dpsi) ** 2).sum(axis=-1) - np.abs(overlap) ** 2)
+
+
 def _kron(a, b):
     """Kronecker products of two broadcast stacks of square matrices."""
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
@@ -242,7 +252,7 @@ def probe_with_derivatives(family: ProbeFamily, params,
     singles = []
     for xi in phases:
         if family.kind == PHASE_DEPHASING:
-            _check_dephasing(xi, a, b)
+            check_dephasing(xi, a, b)
             singles.append(dephasing_with_derivatives(a + xi, b))
         else:
             singles.append(pure_with_derivatives(

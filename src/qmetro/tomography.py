@@ -325,4 +325,7 @@ def counts_from_csv(text: str) -> CountsTable:
 
 def load_counts(path) -> CountsTable:
     with open(path, encoding="utf-8") as fh:
-        return counts_from_csv(fh.read())
+        try:
+            return counts_from_csv(fh.read())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None

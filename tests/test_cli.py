@@ -433,7 +433,7 @@ class TestCliCommands:
         doc = json.loads((out / "optimize.json").read_text())
         assert (doc["sweep"], doc["at"]) == ("delta", 0.3)
         assert doc["evaluations"] == 386
-        assert doc["kappa"] == 1.2903913190376919
+        assert doc["kappa"] == 1.2903913190376897
         # phi is held at 0: kappa reads it only through phi + xi_j
         assert doc["settings"] == {"phi": 0.0,
                                    "xi_1": 5.4977871719743305,
@@ -536,7 +536,8 @@ class TestCliCommands:
                             "--povm", str(path), "--budget", "50",
                             "--out", str(tmp_path / "o"))
         assert code == 1 and out["status"] == "error"
-        assert out["errors"] == ["POVM element 'DD' has a non-finite entry"]
+        assert out["errors"] == [
+            f"{path}: POVM element 'DD' has a non-finite entry"]
 
     @pytest.mark.parametrize("argv,key", [
         (("optimize", "--delta", "nan"), "delta"),
@@ -652,8 +653,46 @@ class TestCliCommands:
                             "--out", str(tmp_path / "o"))
         assert code == 1 and out["status"] == "error"
         assert out["errors"] == [
-            f"counts for input ('{a}', '{b}') and outcome '{outcome}' must "
-            f"be a number, got '{cell}'"]
+            f"{path}: counts for input ('{a}', '{b}') and outcome "
+            f"'{outcome}' must be a number, got '{cell}'"]
+
+    @pytest.mark.parametrize("command", ["optimize", "qfi", "weak-comm",
+                                         "kappa-scan"])
+    def test_negative_delta_is_refused_before_the_run(self, tmp_path, capsys,
+                                                      command):
+        argv = (command, "--delta", "-0.1")
+        if command == "kappa-scan":
+            argv += ("--sweep", "phi", "--free-inputs", "xi_1,xi_2")
+        assert refused(capsys, tmp_path, *argv) == ["delta must be >= 0"]
+
+    def test_sweep_through_negative_delta_fails_point_by_point(self, tmp_path,
+                                                               capsys):
+        out = tmp_path / "o"
+        code, _ = run_cli(capsys, "kappa-scan", "--sweep-spacing", "linear",
+                          "--sweep-min", "-0.1", "--sweep-max", "0.3",
+                          "--sweep-points", "3", "--budget", "40",
+                          "--out", str(out))
+        assert code == 0
+        report = json.loads((out / "kappa_scan_report.json").read_text())
+        assert report["failed"] == [{
+            "delta": -0.1,
+            "reason": "dephasing strength must be >= 0, got -0.1"}]
+
+    @pytest.mark.parametrize("command,key,name,text", [
+        ("tomography", "counts", "bad.csv", "a,b\n1,2\n"),
+        ("optimize", "povm", "bad.json", "{}"),
+    ], ids=["counts", "povm"])
+    def test_failed_run_writes_nothing_and_names_the_file(
+            self, tmp_path, capsys, command, key, name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        argv = [command, f"--{key}", str(path), "--out", str(tmp_path / "o")]
+        if key == "povm":
+            argv += ["--measurement", "file", "--budget", "50"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 1 and out["status"] == "error"
+        assert out["errors"][0].startswith(f"{path}: ")
+        assert not (tmp_path / "o").exists()
 
 
 

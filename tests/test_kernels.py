@@ -15,11 +15,10 @@ from hypothesis import strategies as st
 from qmetro import (Povm, ProbeFamily, ProductProjectiveGenerator, Scenario,
                     bell_povm, classical_fi, evaluate_kappa, kappa,
                     measurement_probabilities, probe_with_derivatives,
-                    product_projective_povm)
+                    product_projective_povm, qfi_matrix)
 import qmetro
 from qmetro import kernels, scenarios
 from qmetro.fisher import H_FLOOR
-from qmetro.scenarios import single_copy_qfi_diagonal
 
 ANGLES = st.floats(-math.pi, math.pi)
 
@@ -129,10 +128,12 @@ def _random_povm(seed, dim, kind):
 def _tolerance(family, params, phases, povm):
     """1e-12, widened where kappa is ill-conditioned: two ways of computing
     it differ by about eps * cond(F) from inverting the Fisher matrix F, and
-    by about eps / H_jj from dividing by a small quantum information H_jj."""
+    by about eps / H_jj from dividing by a small quantum information H_jj,
+    here from the SLD solution of one copy."""
     swd = probe_with_derivatives(family, params, phases)
     fisher_matrix = classical_fi(*measurement_probabilities(swd, povm)).classical_fi
-    h = single_copy_qfi_diagonal(family, params, phases[0])
+    h = np.diag(qfi_matrix(probe_with_derivatives(
+        ProbeFamily(family.kind), params, phases[:1])))
     return 1e-12 + 1e-14 * (np.linalg.cond(fisher_matrix) + (1.0 / h).max())
 
 

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from scipy.linalg import expm, expm_frechet
 
 from qmetro import (ProbeFamily, make_equatorial_ket, probe_with_derivatives,
-                    tensor_product, two_phase_ket_with_derivatives)
+                    qfi_matrix, tensor_product, two_phase_ket_with_derivatives)
 from qmetro.linalg import PAULI_Y, PAULI_Z, hermiticity_defect
 from qmetro.scenarios import single_copy_qfi_diagonal
-from qmetro.states import dephasing_qfi
+from qmetro.states import dephasing_qfi, pure_qfi_diagonal
 
 ANGLES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -30,6 +30,12 @@ def check_density_matrix(rho):
 
 def purity(rho):
     return float(np.real(np.trace(rho @ rho)))
+
+
+def sld_qfi_diagonal(family, params, xi):
+    """The single-copy quantum information diagonal solved through the
+    SLD: the independent oracle of the closed forms."""
+    return np.diag(qfi_matrix(probe_with_derivatives(family, params, (xi,))))
 
 
 def rotation(phi_y, phi_z):
@@ -148,23 +154,40 @@ class TestDephasedPhaseState:
 
 class TestDephasingQfi:
     """The closed-form single-copy quantum information of the dephased probe
-    against the SLD solution of the reference path."""
+    against the SLD solution."""
 
     @given(delta=st.floats(1e-3, 3.0))
     @settings(deadline=None, max_examples=200)
     def test_matches_the_sld_solution(self, delta):
         # the quantum information does not depend on the phase; phase 0 is
         # where the SLD solution is most accurate for a nearly pure state
-        sld = single_copy_qfi_diagonal(ProbeFamily.phase_dephasing(),
-                                       (0.0, delta), 0.0)
+        sld = sld_qfi_diagonal(ProbeFamily.phase_dephasing(), (0.0, delta),
+                               0.0)
         closed = np.array(dephasing_qfi(delta))
         assert np.all(np.abs(closed - sld) <= 1e-9 * np.abs(sld))
 
     def test_delta_information_vanishes_at_zero_on_both_paths(self):
-        sld = single_copy_qfi_diagonal(ProbeFamily.phase_dephasing(),
-                                       (0.4, 0.0), 0.3)
+        sld = sld_qfi_diagonal(ProbeFamily.phase_dephasing(), (0.4, 0.0), 0.3)
         assert tuple(dephasing_qfi(0.0)) == (1.0, 0.0)
         assert sld[1] == 0.0
+
+    @given(xi=ANGLES, phi=ANGLES, delta=st.floats(0.0, 3.0))
+    @settings(deadline=None, max_examples=100)
+    def test_reported_information_does_not_depend_on_the_phase(self, xi, phi,
+                                                                delta):
+        # the reported kappa divides by the bits that the kernels divide
+        # by, at every phase; the SLD solution of a nearly pure state moves
+        # with the phase, by up to 1e-9 relative at delta = 1e-3
+        reported = single_copy_qfi_diagonal(ProbeFamily.phase_dephasing(),
+                                            (phi, delta), xi)
+        assert reported.tobytes() == np.array(dephasing_qfi(delta)).tobytes()
+
+    def test_reported_information_refuses_bad_inputs(self):
+        family = ProbeFamily.phase_dephasing()
+        with pytest.raises(ValueError, match="must be >= 0"):
+            single_copy_qfi_diagonal(family, (0.3, -0.1), 0.0)
+        with pytest.raises(ValueError, match="xi must be finite"):
+            single_copy_qfi_diagonal(family, (0.3, 0.5), math.nan)
 
     def test_array_rows_match_single_values(self):
         deltas = np.array([0.0, 1e-3, 0.3, 2.0, -0.5])
@@ -173,6 +196,37 @@ class TestDephasingQfi:
             assert (h_phi[i], h_delta[i]) == tuple(dephasing_qfi(float(delta)))
         # even in delta
         assert h_delta[-1] == dephasing_qfi(0.5)[1]
+
+
+class TestPureQfi:
+    """The closed-form quantum information of the pure two-phase probe
+    against the SLD solution."""
+
+    @given(xi=ANGLES, phi_y=ANGLES, phi_z=ANGLES)
+    @settings(deadline=None, max_examples=200)
+    def test_matches_the_sld_solution(self, xi, phi_y, phi_z):
+        sld = sld_qfi_diagonal(ProbeFamily.two_phase(), (phi_y, phi_z), xi)
+        kets = two_phase_ket_with_derivatives(xi, phi_y, phi_z)
+        closed = pure_qfi_diagonal(kets)
+        # each H_jj lies in [0, 4]
+        assert np.all(np.abs(closed - sld) <= 1e-12)
+        reported = single_copy_qfi_diagonal(ProbeFamily.two_phase(),
+                                            (phi_y, phi_z), xi)
+        assert reported.tobytes() == closed.tobytes()
+
+    def test_rows_match_single_kets(self):
+        xi = np.array([0.0, 0.7, 2.5])
+        rows = pure_qfi_diagonal(two_phase_ket_with_derivatives(xi, 0.4, 0.3))
+        assert rows.shape == (2, 3)
+        for i, x in enumerate(xi):
+            single = pure_qfi_diagonal(
+                two_phase_ket_with_derivatives(float(x), 0.4, 0.3))
+            assert rows[:, i].tobytes() == single.tobytes()
+
+    def test_reported_information_refuses_bad_inputs(self):
+        with pytest.raises(ValueError, match="phi_z must be finite"):
+            single_copy_qfi_diagonal(ProbeFamily.two_phase(),
+                                     (0.3, math.inf), 0.0)
 
 
 class TestProbeWithDerivatives:
