@@ -156,8 +156,7 @@ _VALIDATORS = {
     "t_h": lambda v: 0.0 <= v <= 1.0 or "t_h must lie in [0, 1]",
     "t_v": lambda v: 0.0 <= v <= 1.0 or "t_v must lie in [0, 1]",
     "copies": lambda v: v >= 1 or "copies must be >= 1",
-    # nan passes here, to be named as not finite below
-    "delta": lambda v: not v < 0 or "delta must be >= 0",
+    "delta": lambda v: v >= 0 or "delta must be >= 0",
     "budget": lambda v: v >= 1 or "budget must be >= 1",
     "trials": lambda v: v >= 1 or "trials must be >= 1",
     "xi_budget": lambda v: v >= 1 or "xi_budget must be >= 1",
@@ -252,11 +251,13 @@ def parse_config(command: str, raw: dict[str, str]) -> dict:
             config[key] = default
     for key, value in config.items():
         check = _VALIDATORS.get(key)
-        verdict = True if value is None or check is None else check(value)
-        # float() accepts nan and inf; a key gets one message
-        if verdict is True and isinstance(value, float) \
-                and not math.isfinite(value):
+        # float() accepts nan and inf, which are named before any range
+        # check, as every comparison with nan is false; a key gets one
+        # message
+        if isinstance(value, float) and not math.isfinite(value):
             verdict = f"{key} must be finite, got {value!r}"
+        else:
+            verdict = True if value is None or check is None else check(value)
         if isinstance(verdict, str):
             errors.append(verdict)
             flagged.add(key)

@@ -26,14 +26,23 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.abs(a - a.conj().T).max())
 
 
-def projector(ket: np.ndarray) -> np.ndarray:
-    ket = np.asarray(ket, dtype=complex).ravel()
-    return np.outer(ket, ket.conj())
+def projector(kets) -> np.ndarray:
+    """|k><k| of one ket (d,) or of each ket of a stack (..., d), as a
+    C-ordered (..., d, d) array; each is bit for bit ``np.outer(k,
+    k.conj())``."""
+    # a strided stack (the columns of a basis) would give a product in its
+    # own memory order, and the kernels run slower on that than on C order
+    kets = np.ascontiguousarray(kets, dtype=complex)
+    return kets[..., :, None] * kets.conj()[..., None, :]
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the first factor is the slow index (qubit 1)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+def tensor_product(a, b) -> np.ndarray:
+    """Kronecker products of two broadcast stacks of matrices; the first
+    factor is the slow index (qubit 1). Always complex128."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (out.shape[-4] * out.shape[-3],
+                                         out.shape[-2] * out.shape[-1]))
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:

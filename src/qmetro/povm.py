@@ -105,7 +105,7 @@ def bell_povm() -> Povm:
         [s, 0, 0, -s],    # AD: (|00> - |11>)/sqrt(2)
         [0, s, -s, 0],    # AA: (|01> - |10>)/sqrt(2)
     ], dtype=complex)
-    return Povm(BELL_LABELS, np.array([projector(k) for k in kets]))
+    return Povm(BELL_LABELS, projector(kets))
 
 
 class MeasurementGenerator:
@@ -145,9 +145,8 @@ class ProductProjectiveGenerator(MeasurementGenerator):
                                    np.stack([sin, -phase * cos], axis=-1)],
                                   axis=-2))
         first, second = bases
-        kets = (first[:, :, None, :, None] * second[:, None, :, None, :]
-                ).reshape(len(first), 4, 4)
-        return kets[..., :, None] * kets.conj()[..., None, :]
+        return projector((first[:, :, None, :, None]
+                          * second[:, None, :, None, :]).reshape(-1, 4, 4))
 
 
 def product_projective_povm(basis_angles) -> Povm:

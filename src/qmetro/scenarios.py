@@ -15,9 +15,9 @@ stack of POVMs or a measurement generator alike; ``evaluate_kappa`` computes
 the reported value at each optimum and is the reference the kernels are
 tested against; both divide by the same closed-form single-copy quantum
 information. A scan optimizes all its points, ``optimize_each`` every POVM
-of a stack, and the collective search a chunk of trials (a stack of one
-POVM per trial), in one lockstep run of ``_maximize``: each simplex step of
-every problem's refinement shares one kernel call.
+of a stack, and the collective search a chunk of trials (an array of one
+projector set per trial), in one lockstep run of ``_maximize``: each simplex
+step of every problem's refinement shares one kernel call.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from . import kernels
 # qfi_matrix and sld_operators are not called here; the benchmark wraps them
 from .fisher import (KappaResult, classical_fi, kappa,
                      measurement_probabilities, qfi_matrix, sld_operators)
+from .linalg import projector
 from .neldermead import minimize
 from .povm import MeasurementGenerator, Povm
 from .states import (PHASE_DEPHASING, TWO_PHASE, ProbeFamily,
@@ -203,30 +204,31 @@ def evaluate_kappa(scenario: Scenario, values: dict[str, float]) -> KappaResult:
 
 
 class _Objective:
-    """kappa as a function of the free-input vector, for P independent
-    problems at once (P = 1 by default); counts rows and kernel calls.
+    """kappa of ``family`` measured by ``measurement`` as a function of the
+    free-input vector, for P independent problems at once (P = 1 by
+    default); counts rows and kernel calls.
 
     Every call scores its N rows with one kernel call, whichever inputs are
     free: a free input is a column of the rows. A fixed input is one value
     in ``base``, or an array of P values from which each row takes its own
     problem's; a fixed delta or rotation (phi_y, phi_z) that is one value is
-    passed to the kernel as one value. A fixed POVM is shared by all rows, a
-    stack of P POVMs is stacked once and each row takes its own problem's
-    elements, and a measurement generator builds one element set per row.
-    ``evaluate_kappa`` is not called here.
+    passed to the kernel as one value. A ``Povm`` is shared by all rows, a
+    (P, K, d, d) element array holds one POVM per problem and each row
+    takes its own problem's, and a measurement generator builds one element
+    set per row. ``evaluate_kappa`` is not called here.
     """
 
-    def __init__(self, scenario: Scenario, base: dict, names: list[str]):
-        self.scenario = scenario
+    def __init__(self, family: ProbeFamily,
+                 measurement: Povm | MeasurementGenerator | np.ndarray,
+                 base: dict, names: list[str]):
+        self.family = family
+        self.measurement = measurement
         self.base = base
         self.names = names
-        self.phase_names = phase_names(scenario.family, {*names, *base})
-        m = scenario.measurement
-        if isinstance(m, tuple):
-            self.elements = np.stack([povm.elements for povm in m])
-            self.problems = len(m)
+        self.phase_names = phase_names(family, {*names, *base})
+        if isinstance(measurement, np.ndarray):
+            self.problems = len(measurement)
         else:
-            self.elements = m.elements if isinstance(m, Povm) else None
             self.problems = max((len(v) for v in base.values()
                                  if np.ndim(v)), default=1)
         self.evaluations = 0
@@ -262,14 +264,14 @@ class _Objective:
             v = value(name)
             return v if np.ndim(v) else np.full(len(X), v)
 
-        m = self.scenario.measurement
+        m = self.measurement
         if isinstance(m, MeasurementGenerator):
             povm = m.elements({n: column(n) for n in m.setting_names})
-        elif isinstance(m, tuple):
-            povm = self.elements[rows]
+        elif isinstance(m, Povm):
+            povm = m.elements
         else:
-            povm = self.elements
-        fam = self.scenario.family
+            povm = m[rows]
+        fam = self.family
         if fam.kind == PHASE_DEPHASING:
             alphas = np.stack([column("phi") + column(n)
                                for n in self.phase_names])
@@ -380,9 +382,11 @@ def _optimize(scenario: Scenario, base: dict, budget: int):
             phase_names(scenario.family, {*names, *base})) <= set(names):
         base = {**base, "phi": 0.0}
         names.remove("phi")
-    objective = _Objective(scenario, base, names)
-    best_x, _ = _maximize(objective, names, budget)
     stack = isinstance(scenario.measurement, tuple)
+    measurement = (np.stack([povm.elements for povm in scenario.measurement])
+                   if stack else scenario.measurement)
+    objective = _Objective(scenario.family, measurement, base, names)
+    best_x, _ = _maximize(objective, names, budget)
     found = []
     for p, x in enumerate(best_x):
         vals = {k: float(v[p]) if np.ndim(v) else v for k, v in base.items()}
@@ -507,14 +511,6 @@ def _haar_bases(gaussians: np.ndarray) -> np.ndarray:
     return q * phases[..., None, :]
 
 
-def _basis_projectors(bases: np.ndarray) -> np.ndarray:
-    """The projectors onto the columns of each basis, (T, dim, dim, dim)
-    from (T, dim, dim); element k of basis b is bit for bit
-    ``np.outer(b[:, k], b[:, k].conj())``."""
-    kets = bases.transpose(0, 2, 1)
-    return kets[:, :, :, None] * kets.conj()[:, :, None, :]
-
-
 @dataclass(frozen=True)
 class CollectiveSearchResult:
     max_kappa: float
@@ -528,10 +524,6 @@ class CollectiveSearchResult:
     work: SearchWork = SearchWork()
 
 
-#: trials drawn and optimized in one lockstep run
-_SEARCH_CHUNK = _CALL_ROWS
-
-
 def random_collective_search(trials: int, seed: int,
                              at: tuple[float, float] = DEFAULT_SEARCH_AT,
                              xi_budget: int = DEFAULT_XI_BUDGET
@@ -542,10 +534,11 @@ def random_collective_search(trials: int, seed: int,
     Every trial draws a Haar-random orthonormal basis of the two-copy space
     (child generator seeded from ``(seed, trial)``), optimizes the shared
     input phase, and keeps the best kappa found; the first trial wins a
-    tie. Trials are optimized in chunks of ``_SEARCH_CHUNK``, each chunk a
-    scenario with a stack of one POVM per trial scored in one lockstep run,
-    and every trial's optimum is the one it has alone. Only the winner is
-    reported by ``evaluate_kappa``. Deterministic given seed.
+    tie. Trials are optimized in chunks of ``_CALL_ROWS``, each chunk's
+    projectors one (trials, dim, dim, dim) array scored in one lockstep
+    run, and every trial's optimum is the one it has alone. Only the winner
+    becomes a ``Povm``, reported by ``evaluate_kappa``. Deterministic given
+    seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -555,26 +548,26 @@ def random_collective_search(trials: int, seed: int,
     phi_y, phi_z = float(at[0]), float(at[1])
     fixed = {"phi_y": phi_y, "phi_z": phi_z}
     dim = 4
-    labels = tuple(f"b{k}" for k in range(dim))
-    best = (-np.inf, -1, 0.0, None, None)
+    best = (-np.inf, -1, 0.0, None)
     work = SearchWork()
-    for start in range(0, trials, _SEARCH_CHUNK):
-        chunk = range(start, min(start + _SEARCH_CHUNK, trials))
+    for start in range(0, trials, _CALL_ROWS):
+        chunk = range(start, min(start + _CALL_ROWS, trials))
         bases = _haar_bases(np.stack([
             _complex_gaussian(np.random.default_rng([seed, t]), dim)
             for t in chunk]))
-        stack = tuple(Povm(labels, elements)
-                      for elements in _basis_projectors(bases))
-        scenario = Scenario(family=family, measurement=stack,
-                            free_inputs=("xi",), fixed_inputs=fixed, sweep=None)
-        objective = _Objective(scenario, fixed, ["xi"])
+        objective = _Objective(family, projector(bases.swapaxes(1, 2)),
+                               fixed, ["xi"])
         x, values = _maximize(objective, ["xi"], xi_budget)
         work += objective.work()
-        for i, trial in enumerate(chunk):
-            if values[i] > best[0]:
-                best = (values[i], trial, float(x[i, 0]), bases[i],
-                        replace(scenario, measurement=stack[i]))
-    _, trial, xi, basis, winner = best
+        # the first maximum, so that the first trial wins a tie;
+        # ``_maximize`` scores no trial nan
+        i = int(np.argmax(values))
+        if values[i] > best[0]:
+            best = (values[i], chunk[i], float(x[i, 0]), bases[i])
+    _, trial, xi, basis = best
+    winner = Scenario(family=family, measurement=Povm(
+        tuple(f"b{k}" for k in range(dim)), projector(basis.T)),
+        free_inputs=("xi",), fixed_inputs=fixed, sweep=None)
     result = evaluate_kappa(winner, {"xi": xi})
     return CollectiveSearchResult(
         max_kappa=result.kappa, trial_index=trial, xi=xi, basis=basis,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ID2, PAULI_Y, PAULI_Z
+from .linalg import ID2, PAULI_Y, PAULI_Z, tensor_product
 
 PHASE_DEPHASING = "phase-dephasing"
 TWO_PHASE = "two-phase"
@@ -204,13 +204,6 @@ def pure_qfi_diagonal(kets: np.ndarray) -> np.ndarray:
     return 4.0 * ((np.abs(dpsi) ** 2).sum(axis=-1) - np.abs(overlap) ** 2)
 
 
-def _kron(a, b):
-    """Kronecker products of two broadcast stacks of square matrices."""
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    dim = a.shape[-1] * b.shape[-1]
-    return out.reshape(out.shape[:-4] + (dim, dim))
-
-
 def copies_with_derivatives(singles) -> np.ndarray:
     """Product state of independent copies and its derivatives, by the
     tensor-product rule.
@@ -221,11 +214,11 @@ def copies_with_derivatives(singles) -> np.ndarray:
     """
     joint = singles[0]
     for i in range(1, len(singles)):
-        left = _kron(joint, singles[i][0])
+        left = tensor_product(joint, singles[i][0])
         # adds in place through the view; ``left[1:] += ...`` would also
         # assign the slice back, a copy per call
         derivatives = left[1:]
-        derivatives += _kron(joint[0], singles[i][1:])
+        derivatives += tensor_product(joint[0], singles[i][1:])
         joint = left
     return joint
 

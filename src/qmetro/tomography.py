@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels, serialize
-from .linalg import psd_sqrt
+from .linalg import projector, psd_sqrt
 from .povm import Povm
 
 logger = logging.getLogger(__name__)
@@ -121,14 +121,10 @@ def reference_states() -> ReferenceSet:
     The set is informationally complete: the Gram matrix of the vectorized
     states has full rank 16.
     """
-    labels = []
-    states = []
-    for a in SINGLE_QUBIT_LABELS:
-        for b in SINGLE_QUBIT_LABELS:
-            k = np.kron(_KETS[a], _KETS[b])
-            labels.append((a, b))
-            states.append(np.outer(k, k.conj()))
-    refs = ReferenceSet(tuple(labels), np.ascontiguousarray(states))
+    labels = tuple((a, b) for a in SINGLE_QUBIT_LABELS
+                   for b in SINGLE_QUBIT_LABELS)
+    refs = ReferenceSet(labels, projector(
+        [np.kron(_KETS[a], _KETS[b]) for a, b in labels]))
     if refs.gram_rank != 16:
         raise AssertionError("reference set lost informational completeness")
     return refs

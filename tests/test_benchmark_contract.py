@@ -1,9 +1,11 @@
 """The qmetro names the benchmark under ``perfbench/`` relies on.
 
-``perfbench/layers.py`` wraps module attributes by name for its traced run,
-and ``perfbench/test_perfbench.py`` calls the two-phase kernel in its older
-six-argument form; a refactor that renames or drops one of them would break
-the benchmark without failing any other test here.
+``perfbench/layers.py`` wraps module attributes by name for its traced run
+and reads the searches' work from their arguments and results, and
+``perfbench/test_perfbench.py`` calls the two-phase kernel in its older
+six-argument form; a refactor that renames or drops one of them, or moves
+the work its counters read, would break the benchmark without failing any
+other test here.
 """
 
 import importlib
@@ -12,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmetro import bell_povm, kernels
+from qmetro import bell_povm, cli, kernels
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -34,3 +36,26 @@ def test_six_argument_two_phase_kernel_call():
     out = kernels.kappa_two_phase(0.3, 0.4, 0.3, stack, 1e-5, 1e-12)
     assert [type(v) for v in out] == [float, float, float, int]
     assert out == kernels.kappa_two_phase(0.3, 0.4, 0.3, stack, 1e-12)
+
+
+def test_traced_counters_match_the_work_in_run_log(layers, tmp_path):
+    tracing = importlib.import_module("tracing")
+    untraced = layers.current()
+    tracer = tracing.Tracer()
+    layers.install(tracer)
+    evaluations = 0
+    try:
+        for argv in (("conjecture-search", "--trials", "20"),
+                     ("kappa-scan", "--sweep-points", "2")):
+            out = tmp_path / argv[0]
+            assert cli.main([*argv, "--out", str(out)]) == 0
+            log = dict(line.split("=", 1) for line in
+                       (out / "run.log").read_text().splitlines())
+            evaluations += int(log["evaluations"])
+    finally:
+        tracer.restore()
+    assert evaluations > 0
+    assert tracer.counters["scenarios.evals"] == evaluations
+    assert tracer.counters["scenarios.trials"] == 20
+    restored = layers.current()
+    assert all(restored[key] is obj for key, obj in untraced.items())

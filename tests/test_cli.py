@@ -364,7 +364,6 @@ class TestCliCommands:
          "max_iters"),
         (("tomography", "--counts", "c.csv", "--max-iters", "0"), "max_iters"),
         (("tomography", "--counts", "c.csv", "--tol", "-1"), "tol"),
-        (("tomography", "--counts", "c.csv", "--tol", "nan"), "tol"),
     ])
     def test_nonsensical_iteration_settings_are_named(self, tmp_path, capsys,
                                                       argv, key):
@@ -539,15 +538,24 @@ class TestCliCommands:
         assert out["errors"] == [
             f"{path}: POVM element 'DD' has a non-finite entry"]
 
-    @pytest.mark.parametrize("argv,key", [
-        (("optimize", "--delta", "nan"), "delta"),
-        (("optimize", "--xi-1", "nan", "--free-inputs", "phi,xi_2"), "xi_1"),
-        (("kappa-scan", "--phi", "nan", "--free-inputs", "xi_1,xi_2"), "phi"),
-    ], ids=["delta", "fixed-phase", "scan"])
-    def test_non_finite_setting_is_named(self, tmp_path, capsys, argv, key):
+    # named as not finite also where the key has a range check
+    @pytest.mark.parametrize("argv,key,value", [
+        (("optimize", "--delta", "nan"), "delta", "nan"),
+        (("optimize", "--xi-1", "nan", "--free-inputs", "phi,xi_2"), "xi_1",
+         "nan"),
+        (("kappa-scan", "--phi", "nan", "--free-inputs", "xi_1,xi_2"), "phi",
+         "nan"),
+        (("tomography", "--counts", "c.csv", "--tol", "nan"), "tol", "nan"),
+        (("gate-model", "--visibility", "nan"), "visibility", "nan"),
+        (("gate-model", "--t-h", "inf"), "t_h", "inf"),
+        (("simulate-counts", "--exposure", "nan"), "exposure", "nan"),
+    ], ids=["delta", "fixed-phase", "scan", "tol", "visibility", "t_h",
+            "exposure"])
+    def test_non_finite_setting_is_named(self, tmp_path, capsys, argv, key,
+                                         value):
         code, doc = run_cli(capsys, *argv, "--out", str(tmp_path / "o"))
         assert code == 2
-        assert doc["errors"] == [f"{key} must be finite, got nan"]
+        assert doc["errors"] == [f"{key} must be finite, got {value}"]
         assert not (tmp_path / "o").exists()
 
     # a probe key set is a fixed input, checked as the scenario checks its

@@ -10,7 +10,7 @@ from qmetro import (GateModel, Povm, ProbeFamily, ProductProjectiveGenerator,
                     povm_to_json, product_projective_povm,
                     random_collective_search)
 from qmetro import cli, fisher, kernels, scenarios
-from qmetro.linalg import PAULI_Y, PAULI_Z
+from qmetro.linalg import PAULI_Y, PAULI_Z, projector
 from qmetro.scenarios import _maximize, _Objective
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -24,6 +24,11 @@ def haar_random_basis(rng, dim):
 def default_delta_grid():
     """The dephasing strengths ``kappa-scan`` sweeps by default."""
     return cli._sweep_grid(cli.parse_config("kappa-scan", {}))
+
+
+def objective_of(scenario, base, names):
+    """The search objective of a scenario with one measurement."""
+    return _Objective(scenario.family, scenario.measurement, base, names)
 
 
 def score(objective, x):
@@ -301,8 +306,8 @@ class TestNegativeDelta:
 
     def test_negative_rows_never_win_nor_count_as_regular(self):
         scenario = self.free_delta_scenario()
-        objective = _Objective(scenario, {**scenario.fixed_inputs, "xi_1": 0.3},
-                               ["phi", "delta"])
+        objective = objective_of(
+            scenario, {**scenario.fixed_inputs, "xi_1": 0.3}, ["phi", "delta"])
         assert score(objective, [0.4, -0.2]) == -np.inf
         assert not objective.any_regular
         assert score(objective, [0.4, 0.2]) > 0.0
@@ -468,7 +473,7 @@ class TestCollectiveSearch:
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_chunk_size_changes_nothing(self, monkeypatch, chunk):
         default = random_collective_search(trials=30, seed=8)
-        monkeypatch.setattr(scenarios, "_SEARCH_CHUNK", chunk)
+        monkeypatch.setattr(scenarios, "_CALL_ROWS", chunk)
         chunked = random_collective_search(trials=30, seed=8)
         assert (chunked.trial_index, chunked.xi, chunked.max_kappa) == (
             default.trial_index, default.xi, default.max_kappa)
@@ -483,11 +488,34 @@ class TestCollectiveSearch:
             haar_random_basis(np.random.default_rng([3, t]), 4)
             for t in range(20)])
         assert np.array_equal(bases[1 + result.trial_index], result.basis)
-        projectors = scenarios._basis_projectors(bases)
+        projectors = projector(bases.swapaxes(1, 2))
+        assert projectors.flags.c_contiguous
         for basis, elements in zip(bases, projectors):
             outer = [np.outer(basis[:, k], basis[:, k].conj())
                      for k in range(4)]
             assert np.array_equal(elements, outer)
+
+    def test_one_povm_and_one_scenario_per_search(self, monkeypatch):
+        built = {Povm: 0, Scenario: 0}
+        for cls in built:
+            def counted(obj, check=cls.__post_init__, cls=cls):
+                built[cls] += 1
+                check(obj)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        random_collective_search(trials=30, seed=8)
+        assert built == {Povm: 1, Scenario: 1}
+
+    def test_kernel_receives_c_ordered_povm_stacks(self, monkeypatch):
+        layouts = []
+        batched = kernels.kappa_two_phase_batch
+
+        def recorded(xi, phi_y, phi_z, povm, *args, **kwargs):
+            layouts.append(povm.flags.c_contiguous)
+            return batched(xi, phi_y, phi_z, povm, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "kappa_two_phase_batch", recorded)
+        random_collective_search(trials=30, seed=8)
+        assert layouts and all(layouts)
 
     def test_haar_basis_is_orthonormal(self):
         rng = np.random.default_rng(0)
@@ -561,7 +589,7 @@ class TestMaximizeGrid:
                             fixed_inputs={k: v for k, v in fixed.items()
                                           if k != sweep},
                             sweep=sweep)
-        objective = _Objective(scenario, dict(fixed), names)
+        objective = objective_of(scenario, dict(fixed), names)
         [best_x], [best_v] = _maximize(objective, names, budget)
         assert objective.evaluations == per_dim ** len(names)
         axes = [np.linspace(0.0, 2 * math.pi, per_dim, endpoint=False)] * len(names)
@@ -570,7 +598,7 @@ class TestMaximizeGrid:
         top, runner_up = np.sort(grid_values)[::-1][:2]
         assert top > 0 and top - runner_up > 1e-9
         loop_x, loop_v = self.scalar_loop_winner(
-            _Objective(scenario, dict(fixed), names), axes)
+            objective_of(scenario, dict(fixed), names), axes)
         assert np.array_equal(best_x, loop_x)
         assert abs(best_v - loop_v) < 1e-12
 
@@ -613,8 +641,8 @@ class TestMaximizeGrid:
         for delta, problems in ((0.3, 1), (default_delta_grid(), 40)):
             rows.clear()
             runs.clear()
-            objective = _Objective(ideal_bell_scenario(),
-                                   {"phi": 0.0, "delta": delta}, names)
+            objective = objective_of(ideal_bell_scenario(),
+                                     {"phi": 0.0, "delta": delta}, names)
             _maximize(objective, names, 400)
             assert objective.problems == problems
             # a grid too large to share a call: one grid call per problem
@@ -883,8 +911,8 @@ class TestKernelRouting:
         monkeypatch.setattr(fisher, "sld_operators", counted_solve)
         monkeypatch.setattr(scenarios, "sld_operators", counted_solve)
         names = list(scenario.free_inputs)
-        objective = _Objective(scenario, {**scenario.fixed_inputs,
-                                          scenario.sweep: 0.3}, names)
+        objective = objective_of(scenario, {**scenario.fixed_inputs,
+                                            scenario.sweep: 0.3}, names)
         # every row has its own delta or rotation; some deltas are negative
         grid = np.random.default_rng(4).uniform(-0.5, 2.0, (40, len(names)))
         values = objective.batch(grid)
@@ -911,7 +939,7 @@ class TestKernelRouting:
             sweep=None)
         result = evaluate_kappa(scenario, {})
         assert result.singular and result.kappa > 0.7
-        objective = _Objective(scenario, dict(scenario.fixed_inputs), [])
+        objective = objective_of(scenario, dict(scenario.fixed_inputs), [])
         assert score(objective, np.zeros(0)) == 0.0
         assert not objective.any_regular
         with pytest.raises(RuntimeError, match="singular"):

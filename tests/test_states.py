@@ -8,7 +8,7 @@ from scipy.linalg import expm, expm_frechet
 
 from qmetro import (ProbeFamily, make_equatorial_ket, probe_with_derivatives,
                     qfi_matrix, tensor_product, two_phase_ket_with_derivatives)
-from qmetro.linalg import PAULI_Y, PAULI_Z, hermiticity_defect
+from qmetro.linalg import PAULI_Y, PAULI_Z, hermiticity_defect, projector
 from qmetro.scenarios import single_copy_qfi_diagonal
 from qmetro.states import dephasing_qfi, pure_qfi_diagonal
 
@@ -339,3 +339,32 @@ class TestTensorProduct:
         b = b @ b.conj().T
         b /= np.trace(b)
         assert abs(np.trace(tensor_product(a, b)) - 1.0) < 1e-12
+
+    def test_stacks_are_np_kron_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2))
+        b = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+        out = tensor_product(a, b)
+        assert out.shape == (6, 8, 8)
+        for x, y, z in zip(a, b, out):
+            assert np.array_equal(z, np.kron(x, y))
+        # a single matrix broadcasts against a stack
+        for y, z in zip(b, tensor_product(a[0], b)):
+            assert np.array_equal(z, np.kron(a[0], y))
+
+    def test_real_and_list_inputs_give_complex(self):
+        out = tensor_product([[1, 2], [3, 4]], np.eye(2))
+        assert out.dtype == np.complex128
+        assert np.array_equal(out, np.kron([[1, 2], [3, 4]], np.eye(2)))
+
+
+class TestProjector:
+    def test_stacks_are_outer_products_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        kets = rng.standard_normal((5, 3, 4)) + 1j * rng.standard_normal((5, 3, 4))
+        out = projector(kets)
+        assert out.shape == (5, 3, 4, 4) and out.flags.c_contiguous
+        for row, ket in zip(out.reshape(-1, 4, 4), kets.reshape(-1, 4)):
+            assert np.array_equal(row, np.outer(ket, ket.conj()))
+        assert np.array_equal(projector(kets[0, 0]),
+                              np.outer(kets[0, 0], kets[0, 0].conj()))
