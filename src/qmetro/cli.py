@@ -1,7 +1,7 @@
 """Command-line entry point: ``qmetro COMMAND --key value ...``.
 
 Commands: qfi, weak-comm, kappa-scan, optimize, tomography, simulate-counts,
-conjecture-search, gate-model. Flags are the config keys of ``SCHEMAS``
+conjecture-search, gate-model. Flags are the config keys of ``COMMANDS``
 (``--key value`` or ``--key=value``, ``-`` read as ``_``) and win over an INI
 ``--config`` file (section [run], plus one named after the command);
 ``--help`` lists them. ``parse_config`` refuses every config mistake before
@@ -101,55 +101,16 @@ _MEASUREMENT_KEYS = {
     "povm": (str, None),
 }
 
-#: each measurement: the keys it reads, in the order its builder takes them
+#: each measurement: the keys it reads, in the order its builder takes them;
+#: the builders look the POVM functions up at call time
 _MEASUREMENTS = {
-    "bell": ((), bell_povm),
+    "bell": ((), lambda: bell_povm()),
     "gate": (("t_h", "t_v", "visibility", "compensated"),
              lambda *model: cs_gate_povm(GateModel(*model))[0]),
     "product-projective": (("theta_1", "eta_1", "theta_2", "eta_2"),
                            lambda *angles: product_projective_povm(angles)),
-    "file": (("povm",), load_povm),
+    "file": (("povm",), lambda path: load_povm(path)),
 }
-
-SCHEMAS: dict[str, dict] = {
-    "qfi": {**_COMMON, **_FAMILY_KEYS},
-    "weak-comm": {**_COMMON, **_FAMILY_KEYS, "find_root": (_bool, False)},
-    "kappa-scan": {
-        **_COMMON, **_FAMILY_KEYS, "copies": (int, 2), **_MEASUREMENT_KEYS,
-        "free_inputs": (str, None),
-        "budget": (int, DEFAULT_BUDGET),
-        "sweep": (str, None),
-        "sweep_min": (float, 0.02),
-        "sweep_max": (float, 3.0),
-        "sweep_points": (int, 40),
-        "sweep_spacing": (str, "log"),
-    },
-    "optimize": {
-        **_COMMON, **_FAMILY_KEYS, "copies": (int, 2), **_MEASUREMENT_KEYS,
-        "free_inputs": (str, None),
-        "budget": (int, DEFAULT_BUDGET),
-    },
-    "tomography": {
-        **_COMMON,
-        "counts": (str, REQUIRED),
-        "max_iters": (int, DEFAULT_MAX_ITERS),
-        "tol": (float, DEFAULT_TOL),
-        "compare_to": (str, None),
-    },
-    "simulate-counts": {
-        **_COMMON, **_MEASUREMENT_KEYS,
-        "exposure": (float, REQUIRED),
-    },
-    "conjecture-search": {
-        **_COMMON,
-        "trials": (int, 1000),
-        "phi_y": (float, DEFAULT_SEARCH_AT[0]),
-        "phi_z": (float, DEFAULT_SEARCH_AT[1]),
-        "xi_budget": (int, DEFAULT_XI_BUDGET),
-    },
-    "gate-model": {**_COMMON, **_GATE_KEYS},
-}
-COMMANDS = tuple(SCHEMAS)
 
 _VALIDATORS = {
     "visibility": lambda v: 0.0 <= v <= 1.0 or "visibility must lie in [0, 1]",
@@ -172,42 +133,31 @@ _VALIDATORS = {
         or "sweep_spacing must be log or linear",
 }
 
-#: checks on settings that must agree: the keys each reads, the commands it
-#: applies to, and the check, as in ``_VALIDATORS``
+#: checks on settings that must agree: the keys each reads and the check, as
+#: in ``_VALIDATORS``; a check applies to every command that has all its keys
 _AGREEMENTS = (
-    (("sweep_min", "sweep_spacing"), ("kappa-scan",),
+    (("sweep_min", "sweep_spacing"),
      lambda c: c["sweep_spacing"] != "log" or c["sweep_min"] > 0
      or "sweep_min must be positive for log spacing"),
-    (("sweep_min", "sweep_max", "sweep_points"), ("kappa-scan",),
+    (("sweep_max", "sweep_spacing"),
+     lambda c: c["sweep_spacing"] != "log" or c["sweep_max"] > 0
+     or "sweep_max must be positive for log spacing"),
+    (("sweep_min", "sweep_max", "sweep_points"),
      lambda c: c["sweep_points"] == 1 or c["sweep_min"] < c["sweep_max"]
      or f"sweep_min ({c['sweep_min']!r}) must be less than sweep_max "
         f"({c['sweep_max']!r}) when sweep_points > 1"),
-    (("measurement", "povm"), ("kappa-scan", "optimize", "simulate-counts"),
+    (("measurement", "povm"),
      lambda c: c["measurement"] != "file" or bool(c["povm"])
      or "measurement=file requires key 'povm'"),
-    (("copies", "measurement"), ("kappa-scan", "optimize"),
+    (("copies", "measurement"),
      lambda c: c["copies"] == 2 or c["measurement"] == "file"
      or f"measurement={c['measurement']} acts on two qubits, which needs "
         f"copies = 2, got {c['copies']}"),
-    (("find_root", "family"), ("weak-comm",),
+    (("find_root", "family"),
      lambda c: not c["find_root"] or c["family"] == TWO_PHASE
      or "find_root applies to the two-phase family only"),
 )
 
-
-#: the artifacts each command writes into ``out``, beside manifest.json and
-#: run.log
-_ARTIFACTS = {
-    "qfi": ("qfi.json",),
-    "weak-comm": ("weak_comm.json",),
-    "kappa-scan": ("kappa_scan.csv", "kappa_scan_report.json"),
-    "optimize": ("optimize.json",),
-    "tomography": ("reconstructed_povm.json", "tomography_report.json",
-                   "ll_trace.csv"),
-    "simulate-counts": ("counts.csv",),
-    "conjecture-search": ("conjecture_search.json",),
-    "gate-model": ("gate_povm.json", "gate_report.json"),
-}
 _INPUT_PATH_KEYS = ("counts", "povm", "compare_to")
 
 #: the keys that set an input of a probe: each family's point and the phases
@@ -218,15 +168,15 @@ def parse_config(command: str, raw: dict[str, str]) -> dict:
     """Validate raw string settings against the command schema.
 
     Reports every problem at once: unknown keys (with the nearest valid key),
-    type errors, missing required keys, non-finite numbers, range
-    violations, settings that must agree, such as a rising sweep range,
-    measurement keys that the measurement does not read, an input file
-    that the run would overwrite, and the scenario's ``input_problems``,
-    where a probe key set is a fixed input.
+    type errors, empty strings, missing required keys, non-finite numbers,
+    range violations, settings that must agree, such as a rising sweep
+    range, measurement keys that the measurement does not read, an input
+    file that the run would overwrite, and the scenario's
+    ``input_problems``, where a probe key set is a fixed input.
     """
-    if command not in SCHEMAS:
+    if command not in COMMANDS:
         raise ConfigError([f"unknown command {command!r}; valid: {', '.join(COMMANDS)}"])
-    schema = SCHEMAS[command]
+    schema, artifacts, _ = COMMANDS[command]
     errors = []
     config = {}
     for key, text in raw.items():
@@ -236,6 +186,9 @@ def parse_config(command: str, raw: dict[str, str]) -> dict:
             errors.append(f"unknown key {key!r} for command {command!r}{hint}")
             continue
         typ = schema[key][0]
+        if typ is str and not text:
+            errors.append(f"key {key!r} must not be empty")
+            continue
         try:
             config[key] = typ(text)
         except (TypeError, ValueError):
@@ -245,10 +198,10 @@ def parse_config(command: str, raw: dict[str, str]) -> dict:
     for key, (typ, default) in schema.items():
         if key in config:
             continue
-        if default is REQUIRED:
-            errors.append(f"command {command!r} requires key {key!r}")
-        else:
+        if default is not REQUIRED:
             config[key] = default
+        elif key not in flagged:
+            errors.append(f"command {command!r} requires key {key!r}")
     for key, value in config.items():
         check = _VALIDATORS.get(key)
         # float() accepts nan and inf, which are named before any range
@@ -261,9 +214,9 @@ def parse_config(command: str, raw: dict[str, str]) -> dict:
         if isinstance(verdict, str):
             errors.append(verdict)
             flagged.add(key)
-    for keys, commands, check in _AGREEMENTS:
+    for keys, check in _AGREEMENTS:
         # a key that has its message gets no second one
-        if command in commands and flagged.isdisjoint(keys) \
+        if schema.keys() >= set(keys) and flagged.isdisjoint(keys) \
                 and isinstance(verdict := check(config), str):
             errors.append(verdict)
     kind = config.get("measurement")
@@ -274,7 +227,7 @@ def parse_config(command: str, raw: dict[str, str]) -> dict:
                    for key in raw if key in unread]
         flagged |= unread
     writes = {os.path.abspath(os.path.join(config["out"], name)) for name
-              in (*_ARTIFACTS[command], "manifest.json", "run.log")}
+              in (*artifacts, "manifest.json", "run.log")}
     errors += [f"refusing to overwrite input file {config[key]} ({key}) "
                f"with an artifact of this run" for key in _INPUT_PATH_KEYS
                if key not in flagged and config.get(key)
@@ -360,7 +313,7 @@ def _cmd_qfi(cfg, log):
     H = qfi_matrix(swd)
     doc["qfi_matrix"] = [[float(x) for x in row] for row in H]
     doc["det"] = float(np.linalg.det(H))
-    return {"qfi.json": serialize.dumps_json(doc)}
+    return (serialize.dumps_json(doc),)
 
 
 def _cmd_weak_comm(cfg, log):
@@ -372,7 +325,7 @@ def _cmd_weak_comm(cfg, log):
             ProbeFamily.two_phase(), (cfg["phi_y"], cfg["phi_z"]), (xi_bar,))
         doc["xi_bar"] = float(xi_bar)
         doc["qfi_det_at_root"] = float(np.linalg.det(qfi_matrix(root_swd)))
-    return {"weak_comm.json": serialize.dumps_json(doc)}
+    return (serialize.dumps_json(doc),)
 
 
 def _scenario_from_config(cfg) -> Scenario:
@@ -409,8 +362,7 @@ def _cmd_kappa_scan(cfg, log):
                    for x, reason in zip(curve.grid, curve.failed)
                    if reason is not None],
     }
-    return {"kappa_scan.csv": "\n".join(lines) + "\n",
-            "kappa_scan_report.json": serialize.dumps_json(report)}
+    return "\n".join(lines) + "\n", serialize.dumps_json(report)
 
 
 def _cmd_optimize(cfg, log):
@@ -431,14 +383,14 @@ def _cmd_optimize(cfg, log):
         "evaluations": outcome.work.evaluations,
         "excluded_parameters": list(outcome.result.excluded),
     }
-    return {"optimize.json": serialize.dumps_json(doc)}
+    return (serialize.dumps_json(doc),)
 
 
 def _cmd_simulate_counts(cfg, log):
     povm = _measurement_from_config(cfg)
     refs = reference_states()
     counts = simulate_counts(povm, refs, cfg["exposure"], cfg["seed"])
-    return {"counts.csv": counts_to_csv(counts)}
+    return (counts_to_csv(counts),)
 
 
 def _cmd_tomography(cfg, log):
@@ -465,9 +417,8 @@ def _cmd_tomography(cfg, log):
                                         result.povm.elements, ideal.elements)}
     trace = "".join(f"{i},{serialize.format_float(v)}\n"
                     for i, v in enumerate(result.ll_trace))
-    return {"reconstructed_povm.json": povm_to_json(result.povm),
-            "tomography_report.json": serialize.dumps_json(doc),
-            "ll_trace.csv": "iteration,log_likelihood\n" + trace}
+    return (povm_to_json(result.povm), serialize.dumps_json(doc),
+            "iteration,log_likelihood\n" + trace)
 
 
 def _cmd_conjecture_search(cfg, log):
@@ -487,7 +438,7 @@ def _cmd_conjecture_search(cfg, log):
             "basis": serialize.complex_matrix_doc(result.basis),
         },
     }
-    return {"conjecture_search.json": serialize.dumps_json(doc)}
+    return (serialize.dumps_json(doc),)
 
 
 def _cmd_gate_model(cfg, log):
@@ -505,19 +456,52 @@ def _cmd_gate_model(cfg, log):
             np.abs(povm.elements - ideal.elements).max()),
         "validation": asdict(validate_povm(povm)),
     }
-    return {"gate_povm.json": povm_to_json(povm),
-            "gate_report.json": serialize.dumps_json(doc)}
+    return povm_to_json(povm), serialize.dumps_json(doc)
 
 
-_RUNNERS = {
-    "qfi": _cmd_qfi,
-    "weak-comm": _cmd_weak_comm,
-    "kappa-scan": _cmd_kappa_scan,
-    "optimize": _cmd_optimize,
-    "tomography": _cmd_tomography,
-    "simulate-counts": _cmd_simulate_counts,
-    "conjecture-search": _cmd_conjecture_search,
-    "gate-model": _cmd_gate_model,
+#: each command: its config keys, key -> (type, default); the artifacts it
+#: writes into ``out``, beside manifest.json and run.log; and its runner,
+#: which returns the artifacts' texts in that order
+COMMANDS = {
+    "qfi": ({**_COMMON, **_FAMILY_KEYS}, ("qfi.json",), _cmd_qfi),
+    "weak-comm": ({**_COMMON, **_FAMILY_KEYS, "find_root": (_bool, False)},
+                  ("weak_comm.json",), _cmd_weak_comm),
+    "kappa-scan": ({
+        **_COMMON, **_FAMILY_KEYS, "copies": (int, 2), **_MEASUREMENT_KEYS,
+        "free_inputs": (str, None),
+        "budget": (int, DEFAULT_BUDGET),
+        "sweep": (str, None),
+        "sweep_min": (float, 0.02),
+        "sweep_max": (float, 3.0),
+        "sweep_points": (int, 40),
+        "sweep_spacing": (str, "log"),
+    }, ("kappa_scan.csv", "kappa_scan_report.json"), _cmd_kappa_scan),
+    "optimize": ({
+        **_COMMON, **_FAMILY_KEYS, "copies": (int, 2), **_MEASUREMENT_KEYS,
+        "free_inputs": (str, None),
+        "budget": (int, DEFAULT_BUDGET),
+    }, ("optimize.json",), _cmd_optimize),
+    "tomography": ({
+        **_COMMON,
+        "counts": (str, REQUIRED),
+        "max_iters": (int, DEFAULT_MAX_ITERS),
+        "tol": (float, DEFAULT_TOL),
+        "compare_to": (str, None),
+    }, ("reconstructed_povm.json", "tomography_report.json", "ll_trace.csv"),
+        _cmd_tomography),
+    "simulate-counts": ({
+        **_COMMON, **_MEASUREMENT_KEYS,
+        "exposure": (float, REQUIRED),
+    }, ("counts.csv",), _cmd_simulate_counts),
+    "conjecture-search": ({
+        **_COMMON,
+        "trials": (int, 1000),
+        "phi_y": (float, DEFAULT_SEARCH_AT[0]),
+        "phi_z": (float, DEFAULT_SEARCH_AT[1]),
+        "xi_budget": (int, DEFAULT_XI_BUDGET),
+    }, ("conjecture_search.json",), _cmd_conjecture_search),
+    "gate-model": ({**_COMMON, **_GATE_KEYS},
+                   ("gate_povm.json", "gate_report.json"), _cmd_gate_model),
 }
 
 
@@ -526,7 +510,8 @@ def run(command: str, cfg: dict) -> list[str]:
     out_dir = cfg["out"]
     start = time.perf_counter()
     log: dict[str, object] = {}
-    artifacts = _RUNNERS[command](cfg, log)
+    _, names, runner = COMMANDS[command]
+    artifacts = dict(zip(names, runner(cfg, log), strict=True))
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "command": command,
@@ -589,9 +574,9 @@ def _failed(command, exc, code: int) -> int:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and not argv[0].startswith("-") else None
-    if command in SCHEMAS and ("-h" in argv or "--help" in argv):
+    if command in COMMANDS and ("-h" in argv or "--help" in argv):
         print(f"usage: qmetro {command} [--config FILE] [--key value ...]")
-        for key, (_, default) in SCHEMAS[command].items():
+        for key, (_, default) in COMMANDS[command][0].items():
             print(f"  --{key.replace('_', '-'):<15} "
                   f"{'required' if default is REQUIRED else default}")
         return 0

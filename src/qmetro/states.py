@@ -85,15 +85,16 @@ def two_phase_ket_with_derivatives(xi, phi_y, phi_z) -> np.ndarray:
     and ``phi_z`` are then one value or N values, one rotation per row.
     """
     if isinstance(phi_y, np.ndarray) or isinstance(phi_z, np.ndarray):
-        rows = zip(*np.broadcast_arrays(xi, phi_y, phi_z))
-        return np.concatenate([two_phase_ket_with_derivatives(
-            [x], float(a), float(b)) for x, a, b in rows], axis=1)
+        xi, phi_y, phi_z = np.broadcast_arrays(xi, phi_y, phi_z)
+        rotation = np.stack([_rotation_with_derivatives(float(a), float(b))
+                             for a, b in zip(phi_y, phi_z)], axis=1)
+    else:
+        rotation = _rotation_with_derivatives(phi_y, phi_z).reshape(
+            (3,) + (1,) * np.ndim(xi) + (2, 2))
     ket = make_equatorial_ket(xi)
     # (U @ ket) as a two-term broadcast product: unlike matmul, whose BLAS
     # path for one row differs from that for several, it gives each row the
     # same bits in any batch size
-    rotation = _rotation_with_derivatives(phi_y, phi_z).reshape(
-        (3,) + (1,) * (ket.ndim - 1) + (2, 2))
     return ket[..., :1] * rotation[..., 0] + ket[..., 1:] * rotation[..., 1]
 
 

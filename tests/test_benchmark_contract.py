@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmetro import bell_povm, cli, kernels
+from qmetro import bell_povm, cli, kernels, povm_to_json
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -59,3 +59,20 @@ def test_traced_counters_match_the_work_in_run_log(layers, tmp_path):
     assert tracer.counters["scenarios.trials"] == 20
     restored = layers.current()
     assert all(restored[key] is obj for key, obj in untraced.items())
+
+
+def test_every_povm_the_cli_builds_is_a_povm_build_span(layers, tmp_path):
+    tracing = importlib.import_module("tracing")
+    path = tmp_path / "bell.json"
+    path.write_text(povm_to_json(bell_povm()), encoding="utf-8")
+    scan = ("kappa-scan", "--sweep-points", "1", "--budget", "20")
+    tracer = tracing.Tracer()
+    layers.install(tracer)
+    try:
+        for i, argv in enumerate((
+                scan, (*scan, "--measurement", "file", "--povm", str(path)),
+                ("simulate-counts", "--exposure", "10"))):
+            assert cli.main([*argv, "--out", str(tmp_path / str(i))]) == 0
+    finally:
+        tracer.restore()
+    assert [span.name for span in tracer.spans].count("povm.build") == 3

@@ -15,8 +15,8 @@ from qmetro import (Povm, bell_povm, counts_to_csv, load_povm, povm_to_json,
                     reference_states, scenarios, serialize, simulate_counts,
                     validate_povm)
 from qmetro import cli
-from qmetro.cli import (COMMANDS, REQUIRED, SCHEMAS, ConfigError, main,
-                        parse_config, read_command_line, read_config_file)
+from qmetro.cli import (COMMANDS, REQUIRED, ConfigError, main, parse_config,
+                        read_command_line, read_config_file)
 
 
 def run_cli(capsys, *argv):
@@ -40,7 +40,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def test_importing_the_cli_leaves_scipy_and_argparse_unloaded():
     # scipy is a test dependency only; importing it costs most of the
     # start-up of every command. The command line is read into the keys of
-    # SCHEMAS, with no second declaration of them in an argparse parser.
+    # COMMANDS, with no second declaration of them in an argparse parser.
     code = ("import sys, qmetro.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'argparse')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -138,7 +138,7 @@ def test_every_accepted_naming_builds_its_scenario(basis_povm_files, data):
         raw[key] = "0.3"
     if data.draw(st.booleans()):
         raw["free_inputs"] = ",".join(data.draw(
-            st.lists(st.sampled_from(INPUT_NAMES), max_size=5)))
+            st.lists(st.sampled_from(INPUT_NAMES), min_size=1, max_size=5)))
     if command == "kappa-scan" and data.draw(st.booleans()):
         raw["sweep"] = data.draw(st.sampled_from(INPUT_NAMES))
     try:
@@ -279,6 +279,10 @@ class TestCliCommands:
     @pytest.mark.parametrize("argv,errors", [
         (("kappa-scan", "--sweep-min", "-1"),
          ["sweep_min must be positive for log spacing"]),
+        (("kappa-scan", "--sweep-points", "1", "--sweep-max", "0"),
+         ["sweep_max must be positive for log spacing"]),
+        (("kappa-scan", "--sweep-points", "1", "--sweep-max", "-1"),
+         ["sweep_max must be positive for log spacing"]),
         (("kappa-scan", "--sweep-min", "3", "--sweep-max", "0.02",
           "--sweep-points", "3"),
          ["sweep_min (3.0) must be less than sweep_max (0.02) when "
@@ -303,19 +307,57 @@ class TestCliCommands:
         (("kappa-scan", "--sweep-min", "abc", "--sweep-max", "0.01",
           "--measurement", "file", "--povm", ""),
          ["key 'sweep_min': cannot parse 'abc' as float",
-          "measurement=file requires key 'povm'"]),
+          "key 'povm' must not be empty"]),
         (("kappa-scan", "--sweep-min", "-inf", "--sweep-points", "0"),
          ["sweep_min must be finite, got -inf", "sweep_points must be >= 1"]),
-    ], ids=["log-sweep-min", "falling-sweep", "empty-linear-sweep",
+        (("simulate-counts", "--exposure", "abc"),
+         ["key 'exposure': cannot parse 'abc' as float"]),
+    ], ids=["log-sweep-min", "log-sweep-max-zero", "log-sweep-max-negative",
+            "falling-sweep", "empty-linear-sweep",
             "file-without-povm", "counts-file-without-povm", "find-root",
             "one-copy-bell", "three-copy-gate", "unparsed-sweep-min",
-            "invalid-sweep-min"])
+            "invalid-sweep-min", "unparsed-required-exposure"])
     def test_settings_that_must_agree_are_named(self, tmp_path, capsys, argv,
                                                 errors):
         code, doc = run_cli(capsys, *argv, "--out", str(tmp_path / "o"))
         assert code == 2
         assert doc["errors"] == errors
         assert not (tmp_path / "o").exists()
+
+    def test_each_agreement_applies_where_its_keys_are(self):
+        # a check applies to every command that has all the keys it reads;
+        # a schema edit that widens a check changes this table
+        scopes = {keys: [command for command, (schema, _, _)
+                         in COMMANDS.items() if set(keys) <= schema.keys()]
+                  for keys, _ in cli._AGREEMENTS}
+        assert scopes == {
+            ("sweep_min", "sweep_spacing"): ["kappa-scan"],
+            ("sweep_max", "sweep_spacing"): ["kappa-scan"],
+            ("sweep_min", "sweep_max", "sweep_points"): ["kappa-scan"],
+            ("measurement", "povm"):
+                ["kappa-scan", "optimize", "simulate-counts"],
+            ("copies", "measurement"): ["kappa-scan", "optimize"],
+            ("find_root", "family"): ["weak-comm"],
+        }
+
+    @pytest.mark.parametrize("argv,key", [
+        (("kappa-scan", "--free-inputs="), "free_inputs"),
+        (("kappa-scan", "--sweep="), "sweep"),
+        (("tomography", "--counts", "c.csv", "--compare-to="), "compare_to"),
+        (("tomography", "--counts="), "counts"),
+        (("optimize", "--measurement", "file", "--povm="), "povm"),
+        (("simulate-counts", "--exposure", "10", "--out="), "out"),
+    ], ids=["free_inputs", "sweep", "compare_to", "counts", "povm", "out"])
+    def test_empty_settings_are_refused_by_name(self, tmp_path, capsys,
+                                                monkeypatch, argv, key):
+        # an empty value is not the key's default: it would run the default
+        # free set or sweep, skip the comparison, or fail at run time on the
+        # path ''
+        monkeypatch.chdir(tmp_path)
+        code, doc = run_cli(capsys, *argv)
+        assert code == 2
+        assert doc["errors"] == [f"key {key!r} must not be empty"]
+        assert not os.listdir(tmp_path)
 
     def test_gate_model_reads_no_povm(self, tmp_path, capsys):
         assert refused(capsys, tmp_path, "gate-model", "--povm", "p.json") == [
@@ -355,7 +397,7 @@ class TestCliCommands:
             assert [line.split() for line in lines] == [
                 ["--" + key.replace("_", "-"),
                  "required" if default is REQUIRED else str(default)]
-                for key, (_, default) in SCHEMAS[command].items()]
+                for key, (_, default) in COMMANDS[command][0].items()]
 
     @pytest.mark.parametrize("argv,key", [
         (("conjecture-search", "--xi-budget", "-5"), "xi_budget"),
@@ -711,12 +753,9 @@ def write_counts(path):
 
 
 class TestArtifactTable:
-    """Each command's artifact names are fixed in ``cli._ARTIFACTS``, so
+    """Each command's artifact names are declared in ``cli.COMMANDS``, so
     ``parse_config`` can refuse an input file that the run would
     overwrite before anything is written."""
-
-    def test_every_command_has_a_row(self):
-        assert list(cli._ARTIFACTS) == list(COMMANDS) == list(cli._RUNNERS)
 
     @pytest.mark.parametrize("command,argv", [
         ("qfi", ()),
@@ -733,8 +772,10 @@ class TestArtifactTable:
         if command == "tomography":
             argv += ("--counts", write_counts(tmp_path / "c.csv"))
         cfg = parse_config(command, read_command_line([command, *argv]))
-        assert tuple(cli._RUNNERS[command](cfg, {})) == \
-            cli._ARTIFACTS[command]
+        _, names, runner = COMMANDS[command]
+        texts = runner(cfg, {})
+        assert len(texts) == len(names)
+        assert all(isinstance(text, str) for text in texts)
 
     @pytest.mark.parametrize("key,name", [
         ("compare_to", "reconstructed_povm.json"),
