@@ -4,18 +4,17 @@ Kernel contracts:
 
 * ``fisher_matrix(p, dp, cutoff)`` -> classical Fisher matrix, skipping
   outcomes with probability below ``cutoff``
-* ``kappa_batch(...)`` and its front ends
-  ``kappa_phase_dephasing_batch(...)`` / ``kappa_two_phase_batch(...)`` ->
-  fused figure-of-merit evaluation of N points at once on any number of
-  copies, with one POVM shared by every point or one per point: arrays
-  (kappa, per-parameter terms, status) with status 0 = ok, 1 = singular
-  Fisher matrix (terms follow ``fisher.FisherReport``'s rule), 2 = a
-  quantum-information denominator at or below ``H_FLOOR`` (term
-  excluded). A front end takes delta or the rotation (phi_y, phi_z) as one
-  value or N, and divides by the closed-form single-copy quantum information
-  of ``states``; ``kappa_phase_dephasing(...)`` / ``kappa_two_phase(...)``
-  evaluate one two-copy point and return Python scalars; the multi-copy
-  states come from ``states.copies_with_derivatives``
+* ``kappa_batch(...)`` -> fused figure-of-merit evaluation of N m-copy
+  states at once, with one POVM shared by every point or one per point:
+  arrays (kappa, per-parameter terms, status) with status 0 = ok, 1 =
+  singular Fisher matrix (terms follow ``fisher.FisherReport``'s rule), 2 =
+  a quantum-information denominator at or below ``H_FLOOR`` (term
+  excluded). The caller builds the states: each copy's stack and its
+  closed-form single-copy quantum information come from
+  ``states.single_copy`` and the product of the copies from
+  ``states.copies_with_derivatives``, so no kernel knows a probe family;
+  ``kappa_phase_dephasing(...)`` / ``kappa_two_phase(...)`` evaluate one
+  two-copy point that way and return Python scalars
 * ``mle_iterate(...)`` -> multiplicative maximum-likelihood update loop for
   detector reconstruction (Rehacek et al., PRA 75, 042108, 2007) with a
   monotone-likelihood line search, on real products of float views: all R_k
@@ -30,9 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import (copies_with_derivatives, dephasing_qfi,
-                     dephasing_with_derivatives, pure_qfi_diagonal,
-                     pure_with_derivatives, two_phase_ket_with_derivatives)
+from .states import ProbeFamily, copies_with_derivatives, single_copy
 
 __all__ = [
     "BACKEND",
@@ -42,9 +39,7 @@ __all__ = [
     "fisher_matrix",
     "kappa_batch",
     "kappa_phase_dephasing",
-    "kappa_phase_dephasing_batch",
     "kappa_two_phase",
-    "kappa_two_phase_batch",
     "mle_iterate",
     "singular_effective_information",
 ]
@@ -138,52 +133,36 @@ def kappa_batch(povm, states, dstates, h1, h2, m, cutoff):
     return terms.sum(axis=-1), terms[:, 0], terms[:, 1], status
 
 
-def _kappa_of_copies(povm, singles, h1, h2, cutoff):
-    """``kappa_batch`` of the product of copies whose state-and-derivative
-    stacks are ``singles``, one (3, N, 2, 2) stack per copy."""
-    joint = copies_with_derivatives(singles)
-    return kappa_batch(povm, joint[0], joint[1:].swapaxes(0, 1), h1, h2,
-                       len(singles), cutoff)
-
-
-def kappa_phase_dephasing_batch(alphas, delta, povm, cutoff):
-    """kappa of the dephased probe at N points; ``alphas`` holds one row of
-    N total phases per copy, shape (copies, N), and ``delta`` is one value
-    or N values."""
-    singles = dephasing_with_derivatives(alphas, delta).swapaxes(0, 1)
-    return _kappa_of_copies(povm, singles, *dephasing_qfi(delta), cutoff)
-
-
-def kappa_two_phase_batch(xi, phi_y, phi_z, povm, cutoff, copies=2):
-    """kappa of the two-phase probe on ``copies`` copies at N input phases
-    ``xi``; ``phi_y`` and ``phi_z`` are one value or N values each."""
-    kets = two_phase_ket_with_derivatives(xi, phi_y, phi_z)
-    return _kappa_of_copies(povm, (pure_with_derivatives(kets),) * copies,
-                            *pure_qfi_diagonal(kets), cutoff)
-
-
-def _scalars(batch):
-    kappa, k1, k2, status = batch
+def _scalars(family, params, phases, povm, cutoff):
+    """``kappa_batch`` of ``family`` at one point, one input phase per
+    copy, as Python scalars."""
+    singles = [single_copy(family, params, np.array([xi], dtype=float))
+               for xi in phases]
+    joint = copies_with_derivatives([stack for stack, _ in singles])
+    kappa, k1, k2, status = kappa_batch(
+        povm, joint[0], joint[1:].swapaxes(0, 1), *singles[0][1],
+        len(phases), cutoff)
     return float(kappa[0]), float(k1[0]), float(k2[0]), int(status[0])
 
 
 def kappa_phase_dephasing(alpha1, alpha2, delta, povm, cutoff):
-    """One row of ``kappa_phase_dephasing_batch``, as Python scalars."""
-    return _scalars(kappa_phase_dephasing_batch(
-        np.array([[alpha1], [alpha2]], dtype=float), delta, povm, cutoff))
+    """kappa of two dephased copies at the total phases ``alpha1`` and
+    ``alpha2`` (phi = 0), as Python scalars."""
+    return _scalars(ProbeFamily.phase_dephasing(), (0.0, delta),
+                    (alpha1, alpha2), povm, cutoff)
 
 
 def kappa_two_phase(xi, phi_y, phi_z, povm, *args):
-    """One row of ``kappa_two_phase_batch``, as Python scalars; ``args`` is
-    ``(cutoff,)``.
+    """kappa of two two-phase copies with input phase ``xi``, as Python
+    scalars; ``args`` is ``(cutoff,)``.
 
     The derivatives are exact, so the older ``(step, cutoff)`` form, which
     passed a finite-difference step first, is accepted and the step ignored.
     """
     if len(args) not in (1, 2):
         raise TypeError("kappa_two_phase takes a cutoff after the POVM")
-    return _scalars(kappa_two_phase_batch(np.array([xi], dtype=float), phi_y,
-                                          phi_z, povm, args[-1]))
+    return _scalars(ProbeFamily.two_phase(), (phi_y, phi_z), (xi, xi), povm,
+                    args[-1])
 
 
 def mle_iterate(counts, rhos, init, max_iters, tol, p_floor):

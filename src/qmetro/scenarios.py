@@ -9,13 +9,13 @@ one shared by the other copies: ``phase_names``), and the analysis angles
 generator. Two-phase scenarios use the shared ``xi`` alone so that the
 single-copy quantum information in the kappa denominator is unambiguous.
 
-Every search evaluation is scored by the batched kernels
+Every search evaluation is scored by the batched kernel
 (``kernels.kappa_batch``), for any number of copies and for a fixed POVM, a
 stack of POVMs or a measurement generator alike; ``evaluate_kappa`` computes
-the reported value at each optimum and is the reference the kernels are
-tested against; both divide by the same closed-form single-copy quantum
-information. A scan optimizes all its points, ``optimize_each`` every POVM
-of a stack, and the collective search a chunk of trials (an array of one
+the reported value at each optimum and is the reference the kernel is
+tested against; both build each copy, and its closed-form single-copy
+quantum information, with ``states.single_copy``. A scan optimizes all its
+points, ``optimize_each`` every POVM of a stack, and the collective search a chunk of trials (an array of one
 projector set per trial), in one lockstep run of ``_maximize``: each simplex
 step of every problem's refinement shares one kernel call.
 """
@@ -34,9 +34,9 @@ from .fisher import (KappaResult, classical_fi, kappa,
 from .linalg import projector
 from .neldermead import minimize
 from .povm import MeasurementGenerator, Povm
-from .states import (PHASE_DEPHASING, TWO_PHASE, ProbeFamily,
-                     check_dephasing, dephasing_qfi, probe_with_derivatives,
-                     pure_qfi_diagonal, two_phase_ket_with_derivatives)
+from .states import (PHASE_DEPHASING, TWO_PHASE, ProbeFamily, check_point,
+                     copies_with_derivatives, probe_with_derivatives,
+                     single_copy)
 
 DEFAULT_BUDGET = 2000
 #: the rotation (phi_y, phi_z) the collective search probes, and its
@@ -173,11 +173,8 @@ class KappaCurve:
 def single_copy_qfi_diagonal(family: ProbeFamily, params, xi: float) -> np.ndarray:
     """Quantum Fisher information diagonal of one probe copy, in the closed
     form that the kernels divide by."""
-    a, b = params
-    if family.kind == PHASE_DEPHASING:
-        check_dephasing(xi, a, b)
-        return np.array(dephasing_qfi(b))
-    return pure_qfi_diagonal(two_phase_ket_with_derivatives(xi, a, b))
+    check_point(xi=xi, **dict(zip(family.parameter_names, params)))
+    return np.array(single_copy(family, params, xi)[1])
 
 
 def _refuse_stack(scenario: Scenario, what: str) -> None:
@@ -188,13 +185,18 @@ def _refuse_stack(scenario: Scenario, what: str) -> None:
 
 
 def evaluate_kappa(scenario: Scenario, values: dict[str, float]) -> KappaResult:
-    """Reference (unaccelerated) evaluation of kappa for explicit inputs."""
+    """Reference (unaccelerated) evaluation of kappa at the point that
+    ``values`` and the fixed inputs name exactly (``input_problems``)."""
     _refuse_stack(scenario, "evaluate_kappa")
-    vals = dict(scenario.fixed_inputs)
-    vals.update(values)
+    vals = {**scenario.fixed_inputs, **values}
+    m = scenario.measurement
+    problems = input_problems(
+        scenario.family, (), vals, None,
+        m.setting_names if isinstance(m, MeasurementGenerator) else ())
+    if problems:
+        raise ValueError("; ".join(problems))
     params = tuple(float(vals[n]) for n in scenario.family.parameter_names)
     phases = tuple(float(vals[n]) for n in phase_names(scenario.family, vals))
-    m = scenario.measurement
     povm = m if isinstance(m, Povm) else m.build(vals)
     swd = probe_with_derivatives(scenario.family, params, phases)
     p, dp = measurement_probabilities(swd, povm)
@@ -212,7 +214,7 @@ class _Objective:
     free: a free input is a column of the rows. A fixed input is one value
     in ``base``, or an array of P values from which each row takes its own
     problem's; a fixed delta or rotation (phi_y, phi_z) that is one value is
-    passed to the kernel as one value. A ``Povm`` is shared by all rows, a
+    passed to ``states.single_copy`` as one value. A ``Povm`` is shared by all rows, a
     (P, K, d, d) element array holds one POVM per problem and each row
     takes its own problem's, and a measurement generator builds one element
     set per row. ``evaluate_kappa`` is not called here.
@@ -247,8 +249,8 @@ class _Objective:
         ``problems`` is None): kappa, 0 where the Fisher matrix is singular,
         and -inf where delta < 0.
 
-        A dephasing row's kernel inputs are each copy's total phase
-        phi + xi_j and delta, a two-phase row's xi, phi_y and phi_z.
+        Each distinct phase input is built into its copy once per call
+        (``states.single_copy``): the two-phase copies all read ``xi``.
         """
         X = np.asarray(X, dtype=float)
         rows = np.zeros(len(X), dtype=int) if problems is None else problems
@@ -272,22 +274,22 @@ class _Objective:
         else:
             povm = m[rows]
         fam = self.family
+        params = [value(n) for n in fam.parameter_names]
+        built = {n: single_copy(fam, params, column(n))
+                 for n in dict.fromkeys(self.phase_names)}
+        joint = copies_with_derivatives([built[n][0]
+                                         for n in self.phase_names])
+        kappa_values, _, _, status = kernels.kappa_batch(
+            povm, joint[0], joint[1:].swapaxes(0, 1),
+            *built[self.phase_names[0]][1], fam.copies,
+            kernels.DEFAULT_P_CUTOFF)
         if fam.kind == PHASE_DEPHASING:
-            alphas = np.stack([column("phi") + column(n)
-                               for n in self.phase_names])
-            delta = value("delta")
-            kappa_values, _, _, status = kernels.kappa_phase_dephasing_batch(
-                alphas, delta, povm, kernels.DEFAULT_P_CUTOFF)
-            negative = np.less(delta, 0)
+            negative = np.less(params[1], 0)
             if negative.any():
                 # kappa is even in delta, so the kernel scored the mirror
                 # point; no dephasing strength is negative
                 kappa_values = np.where(negative, -np.inf, kappa_values)
                 status = np.where(negative, _NEGATIVE_DELTA, status)
-        else:
-            kappa_values, _, _, status = kernels.kappa_two_phase_batch(
-                column("xi"), value("phi_y"), value("phi_z"), povm,
-                kernels.DEFAULT_P_CUTOFF, copies=fam.copies)
         self.kernel_calls += 1
         self.evaluations += len(X)
         self.any_regular[rows[status == 0]] = True
@@ -358,10 +360,13 @@ def _maximize(objective, names: list[str], budget: int):
     return best_x, best_v
 
 
-def _negative_delta(scenario: Scenario, vals) -> ValueError | None:
-    """The error of a point whose fixed dephasing strength is negative."""
-    if scenario.family.kind == PHASE_DEPHASING and vals.get("delta", 0.0) < 0:
-        return ValueError(f"dephasing strength must be >= 0, got {vals['delta']}")
+def _point_error(vals) -> ValueError | None:
+    """The error of a point whose fixed or swept inputs ``vals`` hold a
+    non-finite value or a negative dephasing strength."""
+    try:
+        check_point(**vals)
+    except ValueError as exc:
+        return exc
     return None
 
 
@@ -428,9 +433,7 @@ def optimize_each(scenario: Scenario, at, budget: int = DEFAULT_BUDGET
     base = dict(scenario.fixed_inputs)
     if at is not None:
         base[scenario.sweep] = float(at)
-    error = _negative_delta(scenario, base)
-    if error:
-        raise error
+    check_point(**base)
     return _optimize(scenario, base, budget)
 
 
@@ -447,10 +450,10 @@ def optimize_kappa(scenario: Scenario, at, budget: int = DEFAULT_BUDGET) -> Opti
 def kappa_scan(scenario: Scenario, grid, budget: int = DEFAULT_BUDGET) -> KappaCurve:
     """Optimize kappa independently at every grid value of the swept input.
 
-    All points with a valid dephasing strength are optimized in one
-    lockstep run, each as ``optimize_kappa`` would optimize it alone; a
-    point that fails keeps its own error message and leaves the others
-    untouched.
+    All points that pass the point check (finite inputs, delta >= 0) are
+    optimized in one lockstep run, each as ``optimize_kappa`` would optimize
+    it alone; a point that fails keeps its own error message and leaves the
+    others untouched.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -464,9 +467,8 @@ def kappa_scan(scenario: Scenario, grid, budget: int = DEFAULT_BUDGET) -> KappaC
         raise ValueError("grid must be finite")
     if not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be strictly increasing")
-    outcomes = [_negative_delta(scenario, {**scenario.fixed_inputs,
-                                           scenario.sweep: float(x)})
-                for x in grid]
+    outcomes = [_point_error({**scenario.fixed_inputs,
+                              scenario.sweep: float(x)}) for x in grid]
     valid = [i for i, error in enumerate(outcomes) if error is None]
     work = SearchWork()
     if valid:

@@ -7,11 +7,11 @@ Two built-in probe families are provided:
 * ``two-phase`` — an equatorial input is rotated by
   ``exp(i*(phi_y*sigma_y + phi_z*sigma_z))``; parameters ``(phi_y, phi_z)``.
 
-Each family evaluates the output state together with one Hermitian derivative
-matrix per parameter, both in closed form; multi-copy probes are built by the
-tensor-product rule ``d(rho (x) rho) = d(rho) (x) rho + rho (x) d(rho)``,
-implemented once, for stacks of points and any number of copies, in
-``copies_with_derivatives``.
+``single_copy`` alone builds a copy of either family: its state, one
+Hermitian derivative matrix per parameter and its quantum information, in
+closed form; multi-copy probes follow the tensor-product rule ``d(rho (x)
+rho) = d(rho) (x) rho + rho (x) d(rho)``, implemented once, for stacks of
+points and any number of copies, in ``copies_with_derivatives``.
 """
 
 from __future__ import annotations
@@ -105,8 +105,7 @@ def dephasing_with_derivatives(alpha, delta) -> np.ndarray:
     ``delta`` one value or an array that broadcasts against it. The
     (0,1) entry of the state is exp(-i*alpha - delta^2)/2 and its diagonal is
     1/2. Returns shape (3,) + alpha.shape + (2, 2): the state, d/dphi and
-    d/ddelta. Inputs are not validated; ``probe_with_derivatives``
-    checks them.
+    d/ddelta. Inputs are not validated.
     """
     off = np.exp(-1j * np.asarray(alpha) - delta * delta) / 2.0
     out = np.zeros((3,) + off.shape + (2, 2), dtype=complex)
@@ -129,11 +128,12 @@ def dephasing_qfi(delta):
     return c2, 2.0 * x * c2 / (-np.expm1(-x) + (x == 0.0))
 
 
-def check_dephasing(xi: float, phi: float, delta: float) -> None:
-    """Refuse a non-finite input or a negative dephasing strength."""
-    _require_finite(xi=xi, phi=phi, delta=delta)
-    if delta < 0:
-        raise ValueError(f"dephasing strength must be >= 0, got {delta}")
+def check_point(**values: float) -> None:
+    """Refuse a non-finite input value or a negative dephasing strength."""
+    _require_finite(**values)
+    if values.get("delta", 0.0) < 0:
+        raise ValueError(
+            f"dephasing strength must be >= 0, got {values['delta']}")
 
 
 @dataclass(frozen=True)
@@ -224,6 +224,18 @@ def copies_with_derivatives(singles) -> np.ndarray:
     return joint
 
 
+def single_copy(family: ProbeFamily, params, xi):
+    """One copy of ``family`` at ``params`` with input phase ``xi``, each
+    one value or N rows: the (3, ..., 2, 2) stack of its state and two
+    derivatives, and its quantum information diagonal (H_11, H_22). Inputs
+    are not validated (``check_point``): the search masks delta < 0."""
+    a, b = params
+    if family.kind == PHASE_DEPHASING:
+        return dephasing_with_derivatives(a + xi, b), dephasing_qfi(b)
+    kets = two_phase_ket_with_derivatives(xi, a, b)
+    return pure_with_derivatives(kets), pure_qfi_diagonal(kets)
+
+
 def probe_with_derivatives(family: ProbeFamily, params,
                            phases) -> StateWithDerivatives:
     """Evaluate the multi-copy probe state and its parameter derivatives.
@@ -242,14 +254,9 @@ def probe_with_derivatives(family: ProbeFamily, params,
     if len(phases) != family.copies:
         raise ValueError(f"{family.copies} copies take one input phase each, "
                          f"got {len(phases)}")
-    a, b = params
-    singles = []
+    point = dict(zip(family.parameter_names, params))
     for xi in phases:
-        if family.kind == PHASE_DEPHASING:
-            check_dephasing(xi, a, b)
-            singles.append(dephasing_with_derivatives(a + xi, b))
-        else:
-            singles.append(pure_with_derivatives(
-                two_phase_ket_with_derivatives(xi, a, b)))
-    joint = copies_with_derivatives(singles)
+        check_point(xi=xi, **point)
+    joint = copies_with_derivatives(
+        [single_copy(family, params, xi)[0] for xi in phases])
     return StateWithDerivatives(state=joint[0], derivatives=joint[1:])

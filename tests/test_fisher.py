@@ -13,7 +13,7 @@ from qmetro import (Povm, ProbeFamily, Scenario, bell_povm, classical_fi,
                     weak_commutativity, weak_commutativity_root)
 from qmetro import fisher, kernels, scenarios
 from qmetro.linalg import PAULI_Z
-from qmetro.states import StateWithDerivatives
+from qmetro.states import StateWithDerivatives, single_copy
 
 
 def dephasing_swd(phi=0.4, delta=0.5, xi=0.0, copies=1):
@@ -371,18 +371,15 @@ class TestGillMassarBound:
         povm = self.random_qubit_povm(seed, parts)
         stack = np.ascontiguousarray(povm.elements)
         if two_phase:
-            scenario = Scenario(family=ProbeFamily.two_phase(), measurement=povm,
-                                fixed_inputs={"phi_y": a, "phi_z": b, "xi": xi},
-                                sweep=None)
-            batch = kernels.kappa_two_phase_batch(np.array([xi]), a, b, stack,
-                                                  1e-12, copies=1)
+            family, params = ProbeFamily.two_phase(), (a, b)
+            fixed = {"phi_y": a, "phi_z": b, "xi": xi}
         else:
-            family = ProbeFamily.phase_dephasing()
-            scenario = Scenario(family=family, measurement=povm,
-                                fixed_inputs={"phi": a, "delta": delta,
-                                              "xi_1": xi},
-                                sweep=None)
-            batch = kernels.kappa_phase_dephasing_batch(
-                np.array([[a + xi]]), delta, stack, 1e-12)
+            family, params = ProbeFamily.phase_dephasing(), (a, delta)
+            fixed = {"phi": a, "delta": delta, "xi_1": xi}
+        scenario = Scenario(family=family, measurement=povm,
+                            fixed_inputs=fixed, sweep=None)
+        single, h = single_copy(family, params, np.array([xi]))
+        batch = kernels.kappa_batch(stack, single[0], single[1:].swapaxes(0, 1),
+                                    *h, 1, 1e-12)
         assert evaluate_kappa(scenario, {}).kappa <= 1.0 + 1e-9
         assert batch[0][0] <= 1.0 + 1e-9

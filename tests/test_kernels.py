@@ -19,8 +19,25 @@ from qmetro import (Povm, ProbeFamily, ProductProjectiveGenerator, Scenario,
 import qmetro
 from qmetro import kernels, scenarios
 from qmetro.fisher import H_FLOOR
+from qmetro.states import copies_with_derivatives, single_copy
 
 ANGLES = st.floats(-math.pi, math.pi)
+
+DEPHASED = ProbeFamily.phase_dephasing()
+ROTATED = ProbeFamily.two_phase()
+
+
+def kappa_rows(family, params, phases, povm):
+    """``kernels.kappa_batch`` of N rows of ``family`` on the search's
+    route: each copy built by ``states.single_copy`` from its own input
+    phases (one value or N, one entry of ``phases`` per copy) and the
+    copies multiplied by ``copies_with_derivatives``; each parameter is one
+    value or N."""
+    singles = [single_copy(family, params, np.asarray(xi, dtype=float))
+               for xi in phases]
+    joint = copies_with_derivatives([stack for stack, _ in singles])
+    return kernels.kappa_batch(povm, joint[0], joint[1:].swapaxes(0, 1),
+                               *singles[0][1], len(phases), 1e-12)
 
 
 def test_dephasing_kernel_matches_reference_path():
@@ -163,8 +180,7 @@ def test_dephasing_batch_matches_scalar_and_reference(seed, kind, phi, rows):
     stack = np.ascontiguousarray(povm.elements)
     family = ProbeFamily.phase_dephasing(copies=2)
     xi1, xi2, deltas = (np.array(column) for column in zip(*rows))
-    batch = kernels.kappa_phase_dephasing_batch(phi + np.stack((xi1, xi2)),
-                                                deltas, stack, 1e-12)
+    batch = kappa_rows(DEPHASED, (phi, deltas), (xi1, xi2), stack)
     scalars = [kernels.kappa_phase_dephasing(phi + x1, phi + x2, delta, stack,
                                              1e-12) for x1, x2, delta in rows]
     references = [evaluate_kappa(Scenario(
@@ -190,7 +206,7 @@ def test_two_phase_batch_matches_scalar_and_reference(seed, kind, rows):
     povm = _random_povm(seed, 4, kind)
     stack = np.ascontiguousarray(povm.elements)
     xis, phi_ys, phi_zs = (np.array(column) for column in zip(*rows))
-    batch = kernels.kappa_two_phase_batch(xis, phi_ys, phi_zs, stack, 1e-12)
+    batch = kappa_rows(ROTATED, (phi_ys, phi_zs), (xis, xis), stack)
     scalars = [kernels.kappa_two_phase(*row, stack, 1e-12) for row in rows]
     assert _rows(batch) == scalars
     references = [evaluate_kappa(Scenario(
@@ -215,11 +231,9 @@ def test_single_copy_dephasing_batch_matches_reference(seed, kind, phi, delta,
     povm = _random_povm(seed, 2, kind)
     stack = np.ascontiguousarray(povm.elements)
     family = ProbeFamily.phase_dephasing()
-    alphas = np.array([[phi + xi for xi in xis]])
-    batch = kernels.kappa_phase_dephasing_batch(alphas, delta, stack, 1e-12)
-    ones = [_rows(kernels.kappa_phase_dephasing_batch(
-        alphas[:, i:i + 1], delta, stack, 1e-12))[0]
-        for i in range(len(xis))]
+    batch = kappa_rows(family, (phi, delta), (xis,), stack)
+    ones = [_rows(kappa_rows(family, (phi, delta), ([xi],), stack))[0]
+            for xi in xis]
     references = [evaluate_kappa(Scenario(
         family=family, measurement=povm,
         fixed_inputs={"phi": phi, "delta": delta, "xi_1": xi},
@@ -235,11 +249,9 @@ def test_single_copy_two_phase_batch_matches_reference(seed, kind, phi_y,
                                                        phi_z, xis):
     povm = _random_povm(seed, 2, kind)
     stack = np.ascontiguousarray(povm.elements)
-    batch = kernels.kappa_two_phase_batch(np.array(xis), phi_y, phi_z, stack,
-                                          1e-12, copies=1)
-    ones = [_rows(kernels.kappa_two_phase_batch(
-        np.array([xi]), phi_y, phi_z, stack, 1e-12, copies=1))[0]
-        for xi in xis]
+    batch = kappa_rows(ROTATED, (phi_y, phi_z), (xis,), stack)
+    ones = [_rows(kappa_rows(ROTATED, (phi_y, phi_z), ([xi],), stack))[0]
+            for xi in xis]
     references = [evaluate_kappa(Scenario(
         family=ProbeFamily.two_phase(), measurement=povm,
         fixed_inputs={"phi_y": phi_y, "phi_z": phi_z, "xi": xi},
@@ -261,12 +273,10 @@ def test_each_kernel_term_at_most_one(seed, copies, data, two_phase, a, b,
     stack = np.ascontiguousarray(_random_povm(seed, 2 ** copies, kind).elements)
     xis = np.array(xis)
     if two_phase:
-        batch = kernels.kappa_two_phase_batch(xis, a, b, stack, 1e-12,
-                                              copies=copies)
+        batch = kappa_rows(ROTATED, (a, b), (xis,) * copies, stack)
     else:
-        alphas = a + np.stack((xis, xis[::-1])[:copies])
-        batch = kernels.kappa_phase_dephasing_batch(alphas, delta, stack,
-                                                    1e-12)
+        batch = kappa_rows(DEPHASED, (a, delta), (xis, xis[::-1])[:copies],
+                           stack)
     _, k1, k2, _ = batch
     assert max(k1.max(), k2.max()) <= 1.0 + 1e-9
 
@@ -281,11 +291,9 @@ def test_three_copy_dephasing_batch_matches_reference(seed, kind, phi, delta,
     povm = _random_povm(seed, 8, kind)
     stack = povm.elements
     family = ProbeFamily.phase_dephasing(copies=3)
-    alphas = phi + np.array(phases).T
-    batch = kernels.kappa_phase_dephasing_batch(alphas, delta, stack, 1e-12)
-    ones = [_rows(kernels.kappa_phase_dephasing_batch(
-        alphas[:, i:i + 1], delta, stack, 1e-12))[0]
-        for i in range(len(phases))]
+    batch = kappa_rows(family, (phi, delta), np.array(phases).T, stack)
+    ones = [_rows(kappa_rows(family, (phi, delta), np.array([row]).T,
+                             stack))[0] for row in phases]
     references = [evaluate_kappa(Scenario(
         family=family, measurement=povm,
         fixed_inputs={"phi": phi, "delta": delta, "xi_1": x1, "xi_2": x2,
@@ -303,11 +311,9 @@ def test_three_copy_two_phase_batch_matches_reference(seed, kind, phi_y,
                                                       phi_z, xis):
     povm = _random_povm(seed, 8, kind)
     stack = povm.elements
-    batch = kernels.kappa_two_phase_batch(np.array(xis), phi_y, phi_z, stack,
-                                          1e-12, copies=3)
-    ones = [_rows(kernels.kappa_two_phase_batch(
-        np.array([xi]), phi_y, phi_z, stack, 1e-12, copies=3))[0]
-        for xi in xis]
+    batch = kappa_rows(ROTATED, (phi_y, phi_z), (xis,) * 3, stack)
+    ones = [_rows(kappa_rows(ROTATED, (phi_y, phi_z), ([xi],) * 3,
+                             stack))[0] for xi in xis]
     references = [evaluate_kappa(Scenario(
         family=ProbeFamily.two_phase(copies=3), measurement=povm,
         fixed_inputs={"phi_y": phi_y, "phi_z": phi_z, "xi": xi},
@@ -345,14 +351,13 @@ def test_per_row_generator_povms_match_reference(two_phase, a, b, delta,
         params, fixed = (a, b), {"phi_y": a, "phi_z": b}
 
         def score(xi, povm):
-            return kernels.kappa_two_phase_batch(xi, a, b, povm, 1e-12)
+            return kappa_rows(family, params, (xi, xi), povm)
     else:
         family = ProbeFamily.phase_dephasing(copies=2)
         params, fixed = (a, delta), {"phi": a, "delta": delta}
 
         def score(xi, povm):
-            return kernels.kappa_phase_dephasing_batch(
-                a + np.stack((xi, -xi)), delta, povm, 1e-12)
+            return kappa_rows(family, params, (xi, -xi), povm)
 
     def phases(xi):
         return {"xi": xi} if two_phase else {"xi_1": xi, "xi_2": -xi}
@@ -379,8 +384,8 @@ def test_singular_test_holds_at_any_fisher_scale(theta_1):
     angles = {"theta_1": theta_1, "eta_1": 0.0, "theta_2": 0.0, "eta_2": 0.0}
     elements = generator.elements({k: np.array([v])
                                    for k, v in angles.items()})
-    value, _, _, status = _rows(kernels.kappa_phase_dephasing_batch(
-        np.zeros((2, 1)), 1.0, elements, 1e-12))[0]
+    value, _, _, status = _rows(kappa_rows(
+        DEPHASED, (0.0, 1.0), ([0.0], [0.0]), elements))[0]
     reference = evaluate_kappa(Scenario(
         family=ProbeFamily.phase_dephasing(copies=2), measurement=generator,
         fixed_inputs={"phi": 0.0, "delta": 1.0, "xi_1": 0.0, "xi_2": 0.0,
@@ -406,10 +411,9 @@ def test_regular_rows_have_finite_kappa(two_phase, a, b, delta, rows):
         generator.setting_names, np.array([s for _, s in rows]).T)))
     xis = np.array([xi for xi, _ in rows])
     if two_phase:
-        batch = kernels.kappa_two_phase_batch(xis, a, b, elements, 1e-12)
+        batch = kappa_rows(ROTATED, (a, b), (xis, xis), elements)
     else:
-        batch = kernels.kappa_phase_dephasing_batch(
-            a + np.stack((xis, -xis)), delta, elements, 1e-12)
+        batch = kappa_rows(DEPHASED, (a, delta), (xis, -xis), elements)
     kappa_values, _, _, status = batch
     assert np.isfinite(kappa_values[status == 0]).all()
 
@@ -424,19 +428,16 @@ def test_subnormal_fisher_matrix_is_singular():
                                    for k, v in angles.items()})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value, _, _, status = _rows(kernels.kappa_phase_dephasing_batch(
-            np.array([[1.75], [1.75]]), 1.0, elements, 1e-12))[0]
+        value, _, _, status = _rows(kappa_rows(
+            DEPHASED, (0.0, 1.0), ([1.75], [1.75]), elements))[0]
     assert status == 1 and math.isfinite(value)
 
 
 def test_kernels_check_the_povm_dimension():
     stack = np.ascontiguousarray(bell_povm().elements)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        kernels.kappa_two_phase_batch(np.zeros(2), 0.4, 0.3, stack, 1e-12,
-                                      copies=1)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        kernels.kappa_two_phase_batch(np.zeros(2), 0.4, 0.3, stack, 1e-12,
-                                      copies=3)
+    for copies in (1, 3):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            kappa_rows(ROTATED, (0.4, 0.3), (np.zeros(2),) * copies, stack)
 
 
 def test_scalar_kernels_return_python_scalars():
@@ -457,10 +458,10 @@ def test_two_phase_rows_are_the_same_bits_in_any_batch_size(rotation):
         (0.9, 0.3, 1.4, 2.0)).elements)
 
     def scored(size):
-        chunks = [kernels.kappa_two_phase_batch(
-            xis[i:i + size],
-            *(np.asarray(v)[i:i + size] if np.ndim(v) else v
-              for v in (phi_y, phi_z)), stack, 1e-12)
+        chunks = [kappa_rows(
+            ROTATED, [np.asarray(v)[i:i + size] if np.ndim(v) else v
+                        for v in (phi_y, phi_z)],
+            (xis[i:i + size],) * 2, stack)
             for i in range(0, len(xis), size)]
         return [np.concatenate(column) for column in zip(*chunks)]
 
@@ -538,12 +539,28 @@ def _policy_definitions(source):
     return found
 
 
+#: the family kinds and the per-family builders of ``states``, which only
+#: ``states.single_copy`` calls on the kappa route
+FAMILY_SPECIFIC = {"PHASE_DEPHASING", "TWO_PHASE", "dephasing_with_derivatives",
+                   "two_phase_ket_with_derivatives", "pure_with_derivatives",
+                   "dephasing_qfi", "pure_qfi_diagonal"}
+
+
+def _family_specific_names(source):
+    """The names of ``FAMILY_SPECIFIC`` that a module's source refers to;
+    docstrings do not count."""
+    return _referenced_names(ast.parse(source)) & FAMILY_SPECIFIC
+
+
 def test_structure_guards_see_their_targets():
-    source = ("from . import fisher\n"
+    source = ('"""pure_qfi_diagonal named in a docstring"""\n'
+              "from . import fisher\n"
               "from .scenarios import x\n"
               "import qmetro.povm\n"
               "from qmetro import states\n"
               "from qmetro.linalg import y\n"
+              "from .states import TWO_PHASE\n"
+              "states.dephasing_qfi(x)\n"
               "import numpy\n"
               "H_FLOOR = 1e-9\n"
               "_DET_CUTOFF: float = 1e-12\n"
@@ -553,6 +570,7 @@ def test_structure_guards_see_their_targets():
         "fisher", "scenarios", "povm", "states", "linalg"}
     assert _policy_definitions(source) == [
         "H_FLOOR", "_DET_CUTOFF", "SINGULAR_CUTOFF"]
+    assert _family_specific_names(source) == {"TWO_PHASE", "dephasing_qfi"}
 
 
 def _sources():
@@ -564,6 +582,12 @@ def test_kernels_import_neither_fisher_nor_scenarios():
     # fisher and scenarios build on the kernels; the reverse would be a cycle
     assert not {"fisher", "scenarios"} & _imported_qmetro_modules(
         _sources()["kernels"])
+
+
+def test_kernels_name_no_probe_family():
+    # the kernels score the stacks that ``states.single_copy`` builds; a
+    # new family kind changes ``states`` alone
+    assert _family_specific_names(_sources()["kernels"]) == set()
 
 
 def test_kappa_policy_is_defined_once_in_kernels():

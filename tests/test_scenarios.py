@@ -318,6 +318,45 @@ class TestNegativeDelta:
             optimize_kappa(ideal_bell_scenario(), -0.1, budget=50)
 
 
+class TestPointCheck:
+    """A point with a non-finite fixed or swept value is refused before any
+    search, with the message ``states`` gives it."""
+
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(scenarios, "_maximize", refused)
+
+    @pytest.mark.parametrize("scenario,at,message", [
+        (ideal_bell_scenario(), math.nan, "delta must be finite, got nan"),
+        (ideal_bell_scenario(free_inputs=("xi_1", "xi_2"),
+                             fixed_inputs={"phi": math.nan}), 0.3,
+         "phi must be finite, got nan"),
+        (Scenario(family=ProbeFamily.two_phase(copies=2),
+                  measurement=bell_povm(), free_inputs=("xi",),
+                  fixed_inputs={"phi_y": math.inf}, sweep="phi_z"), 0.3,
+         "phi_y must be finite, got inf"),
+        (Scenario(family=ProbeFamily.phase_dephasing(copies=2),
+                  measurement=ProductProjectiveGenerator(),
+                  free_inputs=("phi", "xi_1", "xi_2"),
+                  fixed_inputs={"theta_1": -math.inf, "eta_1": 0.0,
+                                "theta_2": 0.0, "eta_2": 0.0}), 0.3,
+         "theta_1 must be finite, got -inf"),
+    ], ids=["nan-delta", "nan-phi", "inf-phi_y", "inf-setting"])
+    def test_non_finite_point_is_refused_before_the_search(
+            self, no_search, scenario, at, message):
+        with pytest.raises(ValueError, match=message):
+            optimize_kappa(scenario, at)
+        if not math.isfinite(at):
+            return
+        # a scan fails every point the same way, and searches none
+        curve = kappa_scan(scenario, [0.3, 0.6])
+        assert curve.failed == (message, message)
+        assert np.isnan(curve.kappa_values).all()
+
+
 class TestKappaScan:
     def test_curve_matches_analytic_form(self):
         grid = np.array([0.1, 0.3, 0.7, 1.2])
@@ -507,13 +546,13 @@ class TestCollectiveSearch:
 
     def test_kernel_receives_c_ordered_povm_stacks(self, monkeypatch):
         layouts = []
-        batched = kernels.kappa_two_phase_batch
+        batched = kernels.kappa_batch
 
-        def recorded(xi, phi_y, phi_z, povm, *args, **kwargs):
+        def recorded(povm, *args):
             layouts.append(povm.flags.c_contiguous)
-            return batched(xi, phi_y, phi_z, povm, *args, **kwargs)
+            return batched(povm, *args)
 
-        monkeypatch.setattr(kernels, "kappa_two_phase_batch", recorded)
+        monkeypatch.setattr(kernels, "kappa_batch", recorded)
         random_collective_search(trials=30, seed=8)
         assert layouts and all(layouts)
 
@@ -558,6 +597,23 @@ class TestEvaluateKappa:
         b = evaluate_kappa(split, {"delta": 0.5})
         assert abs(a.kappa - b.kappa) < 1e-12
         assert abs(a.kappa - evaluate_kappa(shared, {"delta": 0.5}).kappa) > 1e-3
+
+    def test_unread_and_missing_names_are_refused(self):
+        scenario = ideal_bell_scenario()
+        point = {"phi": 0.1, "delta": 0.3, "xi_1": 0.2, "xi_2": 0.4}
+        assert evaluate_kappa(scenario, point).kappa > 0.0
+        with pytest.raises(ValueError, match=re.escape(
+                "inputs not used by this scenario: ['bogus', 'xi_3']")):
+            evaluate_kappa(scenario, {**point, "xi_3": 5.0, "bogus": 1.0})
+        with pytest.raises(ValueError, match=re.escape(
+                "scenario does not cover inputs: ['delta', 'phi', 'xi']")):
+            evaluate_kappa(scenario, {})
+        # the fixed inputs count, as in the benchmark's tomography workload
+        fixed = ideal_bell_scenario(free_inputs=(), fixed_inputs={
+            "phi": 0.0, "xi_1": math.pi / 4, "xi_2": math.pi / 4})
+        assert evaluate_kappa(fixed, {"delta": 0.3}).kappa > 0.0
+        with pytest.raises(ValueError, match="not used by this scenario"):
+            evaluate_kappa(fixed, {"delta": 0.3, "xi": 0.0})
 
 
 class TestMaximizeGrid:
@@ -622,18 +678,18 @@ class TestMaximizeGrid:
         # them together in at most 1 + 3 * max(iterations) kernel calls,
         # whatever P is; every row the kernel scores is one evaluation
         rows, runs = [], []
-        batched = kernels.kappa_phase_dephasing_batch
+        batched = kernels.kappa_batch
         refine = scenarios.minimize
 
-        def counted(alphas, *args):
-            rows.append(alphas.shape[1])
-            return batched(alphas, *args)
+        def counted(povm, states, *args):
+            rows.append(len(states))
+            return batched(povm, states, *args)
 
         def recorded(*args, **kwargs):
             runs.append(refine(*args, **kwargs))
             return runs[-1]
 
-        monkeypatch.setattr(kernels, "kappa_phase_dephasing_batch", counted)
+        monkeypatch.setattr(kernels, "kappa_batch", counted)
         monkeypatch.setattr(scenarios, "minimize", recorded)
         # the coordinates of the default Bell search, phi held at 0
         names = ["xi_1", "xi_2"]
@@ -722,31 +778,33 @@ def _default_searches(tmp_path):
 class TestDistinctGridRows:
     """With phi held at 0, no dephasing search grid scores a kernel row
     twice: each row of a grid call has its own bits of every kernel input
-    (each alpha_j, delta and the row's POVM)."""
+    (the row's state, its derivatives, its quantum information and its
+    POVM)."""
 
     @pytest.mark.parametrize("case", ["bell", "gate", "sic", "three-copies",
                                       "stack", "generator"])
     def test_grid_repeats_no_kernel_row(self, tmp_path, monkeypatch, case):
         calls, refining = [], []
-        batched = kernels.kappa_phase_dephasing_batch
+        batched = kernels.kappa_batch
         refine = scenarios.minimize
 
-        def recorded(alphas, delta, povm, *args):
+        def recorded(povm, states, dstates, h1, h2, *args):
             if not refining:
-                calls.append((alphas, delta, povm))
-            return batched(alphas, delta, povm, *args)
+                calls.append((povm, states, dstates, h1, h2))
+            return batched(povm, states, dstates, h1, h2, *args)
 
         def flagged(*args, **kwargs):
             refining.append(True)
             return refine(*args, **kwargs)
 
-        monkeypatch.setattr(kernels, "kappa_phase_dephasing_batch", recorded)
+        monkeypatch.setattr(kernels, "kappa_batch", recorded)
         monkeypatch.setattr(scenarios, "minimize", flagged)
         _default_searches(tmp_path)[case]()
         assert calls
-        for alphas, delta, povm in calls:
-            n = alphas.shape[1]
-            columns = [*alphas, np.broadcast_to(delta, n)]
+        for povm, states, dstates, h1, h2 in calls:
+            n = len(states)
+            columns = [states, dstates, np.broadcast_to(h1, n),
+                       np.broadcast_to(h2, n)]
             per_row = np.ndim(povm) == 4
             keys = {b"".join(c[i].tobytes() for c in columns)
                     + (povm[i].tobytes() if per_row else b"")
@@ -754,7 +812,8 @@ class TestDistinctGridRows:
             assert len(keys) == n
         if case == "bell":
             # 40 default delta points, a 17 x 17 grid of (xi_1, xi_2) each
-            assert [alphas.shape for alphas, _, _ in calls] == [(2, 289)] * 40
+            assert [states.shape for _, states, *_ in calls] == \
+                [(289, 4, 4)] * 40
 
 
 class TestHeldPhi:
@@ -885,17 +944,16 @@ class TestKernelRouting:
         assert len(reference_calls) == 1
         assert 0.0 < out.result.kappa <= 1.0 + 1e-9
 
-    @pytest.mark.parametrize("scenario,kernel", [
-        (TestNegativeDelta.free_delta_scenario(),
-         "kappa_phase_dephasing_batch"),
-        (Scenario(family=ProbeFamily.two_phase(copies=2),
-                  measurement=bell_povm(), free_inputs=("phi_y", "phi_z"),
-                  sweep="xi"), "kappa_two_phase_batch"),
+    @pytest.mark.parametrize("scenario", [
+        TestNegativeDelta.free_delta_scenario(),
+        Scenario(family=ProbeFamily.two_phase(copies=2),
+                 measurement=bell_povm(), free_inputs=("phi_y", "phi_z"),
+                 sweep="xi"),
     ], ids=["free-delta", "free-phi_y-phi_z"])
     def test_one_kernel_call_per_batch_and_no_sld_solve(
-            self, monkeypatch, scenario, kernel):
+            self, monkeypatch, scenario):
         kernel_calls, sld_calls = [], []
-        batched = getattr(kernels, kernel)
+        batched = kernels.kappa_batch
         solve = fisher.sld_operators
 
         def counted_kernel(*args, **kwargs):
@@ -906,7 +964,7 @@ class TestKernelRouting:
             sld_calls.append(args)
             return solve(*args)
 
-        monkeypatch.setattr(kernels, kernel, counted_kernel)
+        monkeypatch.setattr(kernels, "kappa_batch", counted_kernel)
         # by either name, as ``fisher.qfi_matrix`` or as ``scenarios`` calls it
         monkeypatch.setattr(fisher, "sld_operators", counted_solve)
         monkeypatch.setattr(scenarios, "sld_operators", counted_solve)
@@ -926,6 +984,36 @@ class TestKernelRouting:
         optimize_kappa(scenario, 0.3, budget=120)
         kappa_scan(scenario, [0.3, 0.6], budget=60)
         assert not sld_calls
+
+    @pytest.mark.parametrize("case,per_call", [
+        ("two-phase-chunk", 1), ("bell", 2), ("shared-xi", 1)])
+    def test_each_phase_input_is_built_once_per_kernel_call(
+            self, tmp_path, monkeypatch, case, per_call):
+        # the two-phase copies all read xi, and so do dephasing copies
+        # without their own xi_j: one build serves them all
+        built, per_kernel_call = [], []
+        build, batched = scenarios.single_copy, kernels.kappa_batch
+
+        def counted_build(*args):
+            built.append(args)
+            return build(*args)
+
+        def counted_kernel(*args):
+            per_kernel_call.append(len(built))
+            built.clear()
+            return batched(*args)
+
+        monkeypatch.setattr(scenarios, "single_copy", counted_build)
+        monkeypatch.setattr(kernels, "kappa_batch", counted_kernel)
+        if case == "two-phase-chunk":
+            random_collective_search(trials=30, seed=8)
+        elif case == "bell":
+            _default_searches(tmp_path)["bell"]()
+        else:
+            kappa_scan(ideal_bell_scenario(free_inputs=("phi", "xi")),
+                       [0.3, 0.6], budget=200)
+        assert len(per_kernel_call) > 10
+        assert set(per_kernel_call) == {per_call}
 
     def test_singular_reference_point_is_not_regular(self):
         # kappa > 0 at this singular point, so a status guessed from
