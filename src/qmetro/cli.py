@@ -15,9 +15,9 @@ run.log so that reruns with the same config and seed are byte-identical.
 The searches add their work to run.log as key=value lines: ``evaluations``
 (κ rows scored), ``kernel_calls`` and ``refine_iterations`` (Nelder-Mead
 iterations summed over the refined points or trials); tomography adds
-``iterations`` (MLE iterations) and ``mle_s`` (seconds in the
-reconstruction), and writes the log-likelihood at the start and after each
-iteration to ll_trace.csv.
+``iterations`` (MLE iterations), ``mle_s`` (seconds in the
+reconstruction) and ``mle_ms_per_iteration``, and writes the log-likelihood
+at the start and after each iteration to ll_trace.csv.
 """
 
 from __future__ import annotations
@@ -399,8 +399,11 @@ def _cmd_tomography(cfg, log):
     start = time.perf_counter()
     result = mle_reconstruct(counts, refs, max_iters=cfg["max_iters"],
                              tol=cfg["tol"])
+    elapsed = time.perf_counter() - start
     log["iterations"] = result.iterations
-    log["mle_s"] = f"{time.perf_counter() - start:.3f}"
+    log["mle_s"] = f"{elapsed:.3f}"
+    log["mle_ms_per_iteration"] = \
+        f"{1e3 * elapsed / max(result.iterations, 1):.4g}"
     doc = {
         "converged": result.converged,
         "stop": result.stop,

@@ -17,9 +17,12 @@ Kernel contracts:
   two-copy point that way and return Python scalars
 * ``mle_iterate(...)`` -> multiplicative maximum-likelihood update loop for
   detector reconstruction (Rehacek et al., PRA 75, 042108, 2007) with a
-  monotone-likelihood line search, on real products of float views: all R_k
-  are one product, the probabilities another, gathered at the observed cells
-  by a flat index; the full step is the line search's first trial. It
+  monotone-likelihood line search, on the real block forms
+  B(M) = [[Re M, -Im M], [Im M, Re M]] of the elements and the reference
+  states, built once per call: all R_k are one product, R_k P_k R_k two
+  batched real products, S^(-1/2) one ``np.linalg.eigh`` of the real B(S),
+  and the probabilities one product, gathered at the observed cells by a
+  flat index; the full step is the line search's first trial. It
   returns why it stopped: ``"tolerance"`` (the relative log-likelihood
   change fell to tol), ``"stalled"`` (no damped step kept the
   log-likelihood) or ``"max_iters"``
@@ -165,22 +168,32 @@ def kappa_two_phase(xi, phi_y, phi_z, povm, *args):
                     args[-1])
 
 
+def _block(m):
+    """Real block forms [[Re M, -Im M], [Im M, Re M]] of a (..., d, d)
+    complex stack, C-ordered (..., 2d, 2d)."""
+    return np.block([[m.real, -m.imag], [m.imag, m.real]])
+
+
 def mle_iterate(counts, rhos, init, max_iters, tol, p_floor):
-    povm = np.array(init, dtype=complex, order="C")
-    rhos = np.ascontiguousarray(rhos, dtype=complex)
-    # on float views, re and im interleaved: all R_k = sum_j r_jk rho_j are
-    # one real product of the ratios with vec, and all Tr[rho_j P_k] one of W,
-    # the view of conj(rho_j^T), with the elements' views (ndarray.dot costs
+    # in real block form B(M): B(A) B(B) = B(AB) and Tr[A B] = Tr[B(A)
+    # B(B)] / 2, so every product of the update is real. All R_k = sum_j
+    # r_jk rho_j are one product of the (K, J) ratios with the states' flat
+    # block forms, and all Tr[rho_j P_k] one of the elements' flat block
+    # forms with W, the flat halved transposes B(rho_j)^T (ndarray.dot costs
     # less per call than @ on products this small)
-    vec = rhos.reshape(len(rhos), -1).view(float)
-    W = np.ascontiguousarray(rhos.transpose(0, 2, 1).conj()) \
-        .reshape(len(rhos), -1).view(float)
-    cells = np.flatnonzero(counts > 0)
-    observed = counts.take(cells)
+    povm = _block(np.asarray(init, dtype=complex))
+    blocks = _block(np.asarray(rhos, dtype=complex))
+    vec = blocks.reshape(len(blocks), -1)
+    W = np.ascontiguousarray(0.5 * blocks.transpose(2, 1, 0)
+                             .reshape(-1, len(blocks)))
+    # observed cells by flat index into the (K, J) probability table
+    table = counts.T
+    cells = np.flatnonzero(table > 0)
+    observed = table.take(cells)
 
     def floor_and_ll(stack):
         """Floored observed-cell probabilities, number floored, and ll."""
-        p = W.dot(stack.reshape(len(stack), -1).view(float).T).take(cells)
+        p = stack.reshape(len(stack), -1).dot(W).take(cells)
         floored = 0
         if p.min() < p_floor:
             low = p < p_floor
@@ -192,13 +205,15 @@ def mle_iterate(counts, rhos, init, max_iters, tol, p_floor):
     ll_trace = [ll]
     stop = "max_iters"
     iters = 0
-    ratio = np.zeros(counts.shape)
+    ratio = np.zeros(table.shape)
     for iters in range(1, max_iters + 1):
         ratio.put(cells, observed / p)
-        R = ratio.T.dot(vec).view(complex).reshape(povm.shape)
+        R = ratio.dot(vec).reshape(povm.shape)
         RPR = R @ povm @ R
+        # B(S) is symmetric, and v diag(w^-1/2) v^T is B(S^-1/2) although
+        # each eigenvalue of S appears twice in w
         w, v = np.linalg.eigh(np.add.reduce(RPR))
-        s_inv = (v * np.maximum(w, 1e-30) ** -0.5).dot(v.conj().T)
+        s_inv = (v / np.sqrt(np.maximum(w, 1e-30))).dot(v.T)
         # the right factor of every element at once, as one 2-D product
         full = s_inv @ RPR.reshape(-1, len(w)).dot(s_inv).reshape(RPR.shape)
         lam = 1.0
@@ -220,4 +235,7 @@ def mle_iterate(counts, rhos, init, max_iters, tol, p_floor):
             stop = "tolerance"
             break
         ll = llt
-    return povm, np.array(ll_trace), iters, stop, floored
+    # P = Re P + i Im P, read from the left column of blocks
+    d = povm.shape[-1] // 2
+    return (povm[:, :d, :d] + 1j * povm[:, d:, :d], np.array(ll_trace), iters,
+            stop, floored)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -141,6 +142,8 @@ def reference_gram_rank(refs: ReferenceSet) -> int:
 def simulate_counts(povm: Povm, refs: ReferenceSet, exposure: float,
                     seed: int) -> CountsTable:
     """Poisson coincidence counts with mean ``exposure * p(k | input)``."""
+    if not math.isfinite(exposure):
+        raise ValueError(f"exposure must be finite, got {exposure!r}")
     if not exposure > 0:
         raise ValueError("exposure must be positive")
     p = np.einsum("kab,jba->jk", povm.elements, refs.states).real
@@ -161,6 +164,9 @@ def mle_reconstruct(counts: CountsTable, refs: ReferenceSet,
     once. Raises on a rank-deficient reference set or an all-zero input row
     (no information).
     """
+    if not float(max_iters).is_integer():
+        raise ValueError(f"max_iters must be a whole number, got "
+                         f"{max_iters!r}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if not tol >= 0:
@@ -245,7 +251,8 @@ def monte_carlo_uncertainty(counts: CountsTable, derived_quantity,
     Each run redraws every count from a Poisson law centered on the observed
     value (per-run generators derived from ``(seed, run)``), re-evaluates the
     derived quantity, and reports the sample mean and standard deviation
-    (ddof=1). Failing runs are skipped; more than 10% failures aborts.
+    (ddof=1). A run that raises or yields a value that is not finite fails
+    and is skipped; more than 10% failures aborts.
     """
     if runs < 2:
         raise ValueError("need at least 2 Monte Carlo runs")
@@ -257,7 +264,10 @@ def monte_carlo_uncertainty(counts: CountsTable, derived_quantity,
             counts.input_labels, counts.outcome_labels,
             rng.poisson(counts.counts).astype(float))
         try:
-            values.append(float(derived_quantity(resampled)))
+            value = float(derived_quantity(resampled))
+            if not math.isfinite(value):
+                raise ValueError(f"derived quantity is not finite: {value}")
+            values.append(value)
         except Exception as exc:  # noqa: BLE001 - diagnostics by contract
             failures += 1
             logger.warning("Monte Carlo run %d failed: %s", run, exc)

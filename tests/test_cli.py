@@ -858,6 +858,11 @@ class TestDeterminism:
         assert float(rows[-1].split(",")[1]) == report["log_likelihood"]
         log = dict(line.split("=") for line in
                    (tmp_path / "a" / "run.log").read_text().splitlines())
-        assert list(log) == ["wall_time_s", "iterations", "mle_s"]
+        assert list(log) == ["wall_time_s", "iterations", "mle_s",
+                             "mle_ms_per_iteration"]
         assert int(log["iterations"]) == report["iterations"]
         assert float(log["mle_s"]) <= float(log["wall_time_s"])
+        # mle_s in ms over the iterations, each rounded for the log
+        mle_ms = float(log["mle_ms_per_iteration"]) * report["iterations"]
+        assert abs(mle_ms - 1e3 * float(log["mle_s"])) \
+            <= 0.5 + 1e-3 * mle_ms

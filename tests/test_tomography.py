@@ -57,6 +57,14 @@ def random_povm(rng, kind):
     return random_valid_povm(rng, outcomes=int(rng.integers(4, 9)))
 
 
+def two_outcome_povm(rng):
+    """A random rank-2 projector and its complement."""
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4))
+                        + 1j * rng.standard_normal((4, 4)))
+    upper = q[:, :2] @ q[:, :2].conj().T
+    return Povm(("up", "down"), np.stack([upper, np.eye(4) - upper]))
+
+
 def exact_counts(povm, refs, exposure=1e6):
     p = np.einsum("kab,jba->jk", povm.elements, refs.states).real
     return CountsTable(refs.labels, povm.labels,
@@ -136,6 +144,13 @@ class TestSimulateCounts:
         with pytest.raises(ValueError):
             simulate_counts(bell_povm(), reference_states(), 0.0, seed=1)
 
+    @pytest.mark.parametrize("exposure", [math.inf, -math.inf, math.nan])
+    def test_exposure_must_be_finite(self, exposure):
+        # refused by name, before numpy multiplies by it or draws from it
+        with pytest.raises(ValueError, match="exposure must be finite"):
+            simulate_counts(bell_povm(), reference_states(), exposure,
+                            seed=1)
+
 
 class TestMleReconstruct:
     def test_exact_data_recovers_bell(self):
@@ -212,6 +227,8 @@ class TestMleReconstruct:
     @pytest.mark.parametrize("options,message", [
         ({"max_iters": 0}, "max_iters must be >= 1"),
         ({"max_iters": -3}, "max_iters must be >= 1"),
+        ({"max_iters": 2.7}, "max_iters must be a whole number, got 2.7"),
+        ({"max_iters": float("inf")}, "max_iters must be a whole number"),
         ({"tol": -1.0}, "tol must be >= 0"),
         ({"tol": float("nan")}, "tol must be >= 0"),
     ])
@@ -220,6 +237,11 @@ class TestMleReconstruct:
         counts = simulate_counts(bell_povm(), refs, 1e4, seed=6)
         with pytest.raises(ValueError, match=message):
             mle_reconstruct(counts, refs, **options)
+
+    def test_whole_float_iteration_budget_accepted(self):
+        refs = reference_states()
+        counts = simulate_counts(bell_povm(), refs, 1e5, seed=4)
+        assert mle_reconstruct(counts, refs, max_iters=3.0).iterations == 3
 
     def test_all_zero_row_rejected(self):
         refs = reference_states()
@@ -388,11 +410,7 @@ class TestMleOracle:
         _agree_with_oracle(counts, 400, rhos=rhos)
 
     def test_two_outcome_povm(self):
-        rng = np.random.default_rng(11)
-        q, _ = np.linalg.qr(rng.standard_normal((4, 4))
-                            + 1j * rng.standard_normal((4, 4)))
-        upper = q[:, :2] @ q[:, :2].conj().T
-        povm = Povm(("up", "down"), np.stack([upper, np.eye(4) - upper]))
+        povm = two_outcome_povm(np.random.default_rng(11))
         counts = simulate_counts(povm, reference_states(), 1e4, seed=11)
         oracle = _agree_with_oracle(counts.counts, 400)
         # two outcomes pin few directions of each element, so the likelihood
@@ -410,6 +428,31 @@ class TestMleOracle:
         mle_iterate(counts, rhos, init, 50, 1e-10, P_FLOOR)
         for a, b in zip((counts, rhos, init), before):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("case", ["bell", "gate", "whitened",
+                                      "two-outcome"])
+    def test_return_contract(self, case):
+        # complex128 and C-ordered whatever the arithmetic inside, each
+        # element Hermitian and the elements complete
+        if case == "bell":
+            povm = bell_povm()
+        elif case == "gate":
+            povm, _ = cs_gate_povm(GateModel(visibility=0.9))
+        elif case == "whitened":
+            povm = random_povm(np.random.default_rng(203), "whitened")
+        else:
+            povm = two_outcome_povm(np.random.default_rng(11))
+        counts = simulate_counts(povm, reference_states(), 1e4, seed=11)
+        k_out = counts.counts.shape[1]
+        init = np.stack([np.eye(4, dtype=complex) / k_out] * k_out)
+        result = mle_iterate(counts.counts, reference_states().states, init,
+                             400, 1e-10, P_FLOOR)[0]
+        assert result.dtype == np.complex128
+        assert result.flags.c_contiguous
+        assert result.shape == (k_out, 4, 4)
+        assert np.abs(result - result.conj().transpose(0, 2, 1)).max() \
+            <= 1e-14
+        assert np.abs(result.sum(axis=0) - np.eye(4)).max() <= 1e-12
 
     @pytest.mark.parametrize("case", ["plain", "damped", "stalled"])
     def test_one_decomposition_per_iteration(self, monkeypatch, case):
@@ -500,6 +543,36 @@ class TestMonteCarlo:
 
         with pytest.raises(RuntimeError):
             monte_carlo_uncertainty(counts, broken, runs=20, seed=3)
+
+    def test_non_finite_values_are_failed_runs(self, caplog):
+        # two NaN runs of 40 are skipped and named, and the rest averaged
+        refs = reference_states()
+        counts = simulate_counts(bell_povm(), refs, 1e4, seed=1)
+        calls, finite = [], []
+
+        def sometimes_nan(tbl):
+            calls.append(tbl)
+            if len(calls) - 1 in (5, 17):
+                return math.nan
+            finite.append(float(tbl.counts.sum()))
+            return finite[-1]
+
+        with caplog.at_level("WARNING", logger="qmetro.tomography"):
+            mean, std = monte_carlo_uncertainty(counts, sometimes_nan,
+                                                runs=40, seed=9)
+        assert len(finite) == 38
+        assert (mean, std) == (float(np.mean(finite)),
+                               float(np.std(finite, ddof=1)))
+        assert "Monte Carlo run 5 failed: derived quantity is not finite: " \
+            "nan" in caplog.text
+        assert "Monte Carlo run 17 failed" in caplog.text
+
+    def test_non_finite_values_count_toward_the_abort(self):
+        refs = reference_states()
+        counts = simulate_counts(bell_povm(), refs, 1e3, seed=1)
+        with pytest.raises(RuntimeError, match="3 of 3 Monte Carlo runs"):
+            monte_carlo_uncertainty(counts, lambda tbl: math.inf, runs=20,
+                                    seed=3)
 
     def test_needs_two_runs(self):
         refs = reference_states()
