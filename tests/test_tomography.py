@@ -227,10 +227,10 @@ class TestMleReconstruct:
     @pytest.mark.parametrize("options,message", [
         ({"max_iters": 0}, "max_iters must be >= 1"),
         ({"max_iters": -3}, "max_iters must be >= 1"),
-        ({"max_iters": 2.7}, "max_iters must be a whole number, got 2.7"),
-        ({"max_iters": float("inf")}, "max_iters must be a whole number"),
         ({"tol": -1.0}, "tol must be >= 0"),
         ({"tol": float("nan")}, "tol must be >= 0"),
+        ({"max_iters": 2.7}, "max_iters must be a whole number, got 2.7"),
+        ({"max_iters": float("inf")}, "max_iters must be a whole number"),
     ])
     def test_nonsensical_iteration_settings_rejected(self, options, message):
         refs = reference_states()
