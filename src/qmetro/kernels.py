@@ -9,12 +9,17 @@ Kernel contracts:
   arrays (kappa, per-parameter terms, status) with status 0 = ok, 1 =
   singular Fisher matrix (terms follow ``fisher.FisherReport``'s rule), 2 =
   a quantum-information denominator at or below ``H_FLOOR`` (term
-  excluded). The caller builds the states: each copy's stack and its
-  closed-form single-copy quantum information come from
-  ``states.single_copy`` and the product of the copies from
-  ``states.copies_with_derivatives``, so no kernel knows a probe family;
-  ``kappa_phase_dephasing(...)`` / ``kappa_two_phase(...)`` evaluate one
-  two-copy point that way and return Python scalars
+  excluded). Everything it reads is real: a state enters as its 4^m Pauli
+  coordinates r_c = Tr[rho sigma_c] and their two derivatives, the POVM as
+  its table T[k, c] = Tr[P_k sigma_c] / 2^m (``linalg.pauli_table``), so
+  that p_k = sum_c T[k, c] r_c. The probabilities and their derivatives
+  are one two-operand contraction (``probabilities``) and the three Fisher
+  entries a second; no d x d joint state is built. The caller builds the
+  coordinates: each copy's, and its closed-form single-copy quantum
+  information, come from ``states.single_copy`` and the product of the
+  copies from ``states.copies_with_derivatives``, so no kernel knows a
+  probe family; ``kappa_phase_dephasing(...)`` / ``kappa_two_phase(...)``
+  evaluate one two-copy point that way and return Python scalars
 * ``mle_iterate(...)`` -> multiplicative maximum-likelihood update loop for
   detector reconstruction (Rehacek et al., PRA 75, 042108, 2007) with a
   monotone-likelihood line search, on the real block forms
@@ -30,8 +35,11 @@ Kernel contracts:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .linalg import pauli_table
 from .states import ProbeFamily, copies_with_derivatives, single_copy
 
 __all__ = [
@@ -44,6 +52,7 @@ __all__ = [
     "kappa_phase_dephasing",
     "kappa_two_phase",
     "mle_iterate",
+    "probabilities",
     "singular_effective_information",
 ]
 
@@ -91,28 +100,43 @@ def singular_effective_information(F):
     return np.where(keep, top[:, None] / np.where(keep, pinv, 1.0), 0.0)
 
 
-def kappa_batch(povm, states, dstates, h1, h2, m, cutoff):
+def probabilities(table, coords):
+    """Outcome probabilities and their derivatives, (1 + n, N, K), from the
+    real (1 + n, N, 4^m) Pauli coordinates of N states and their n
+    derivatives and a real POVM table (``kappa_batch``): p_k = sum_c
+    T[k, c] r_c, and each derivative by the same sum."""
+    if table.shape[-1] != coords.shape[-1]:
+        # 4^m coordinates belong to dimension 2^m
+        raise ValueError(
+            f"dimension mismatch: state {math.isqrt(coords.shape[-1])}, "
+            f"povm {math.isqrt(table.shape[-1])}")
+    # with the summed axis contiguous in both operands its order does not
+    # depend on N, so a row's probabilities are the same bits alone or in
+    # a batch
+    return np.einsum("nkc,snc->snk" if table.ndim == 3 else "kc,snc->snk",
+                     table, coords)
+
+
+def kappa_batch(table, coords, h1, h2, m, cutoff):
     """kappa of N m-copy states from their Fisher matrices.
 
-    ``states`` is (N, d, d) and ``dstates`` is (N, 2, d, d) with d = 2^m,
-    and ``h1``, ``h2`` are the single-copy quantum-information diagonals,
-    scalars or length N. ``povm`` is one (K, d, d) element stack for every
-    point or an (N, K, d, d) stack of one per point. Returns arrays
-    ``(kappa, k1, k2, status)`` of length N.
+    ``coords`` is the real (3, N, 4^m) stack of the states' Pauli
+    coordinates and their two parameter derivatives
+    (``states.copies_with_derivatives``), and ``h1``, ``h2`` are the
+    single-copy quantum-information diagonals, scalars or length N.
+    ``table`` is the real POVM table T[k, c] = Tr[P_k sigma_c] / 2^m
+    (``linalg.pauli_table``), one (K, 4^m) table for every point or an (N,
+    K, 4^m) stack of one per point. Returns arrays ``(kappa, k1, k2,
+    status)`` of length N.
     """
-    if povm.shape[-1] != states.shape[-1]:
-        raise ValueError(f"dimension mismatch: state {states.shape[-1]}, "
-                         f"povm {povm.shape[-1]}")
-    elements = "nkij" if povm.ndim == 4 else "kij"
-    # with both operands' (i, j) axes contiguous the contraction order does
-    # not depend on N, so a row's kappa is the same bits alone or in a batch
-    p = np.einsum(f"{elements},nij->nk", povm,
-                  np.ascontiguousarray(states.transpose(0, 2, 1))).real
-    dp = np.einsum(f"{elements},npji->npk", povm, dstates).real
-    keep = (p >= cutoff)[:, None, :]
-    F = np.divide(dp, p[:, None, :], out=np.zeros_like(dp), where=keep) \
-        @ dp.transpose(0, 2, 1)
-    f00, f01, f11 = F[:, 0, 0], F[:, 0, 1], F[:, 1, 1]
+    pd = probabilities(table, coords)
+    dp = pd[1:]
+    # F_ij = sum_k dp_ik dp_jk / p_k, summed over the outcome axis, which
+    # is contiguous in both operands: the same bits in any batch size
+    scaled = np.divide(dp, pd[0], out=np.zeros_like(dp),
+                       where=pd[0] >= cutoff)
+    F = np.einsum("ink,jnk->ijn", scaled, dp)
+    f00, f01, f11 = F[0, 0], F[0, 1], F[1, 1]
     det = f00 * f11 - f01 * f01
     # det(F) / top^2 with top = max(f00, f11) is min(f00, f11) / top -
     # (f01 / top)^2, which does not underflow as top * top does below about
@@ -123,10 +147,11 @@ def kappa_batch(povm, states, dstates, h1, h2, m, cutoff):
     ratio = f01 / top
     singular = np.minimum(f00, f11) / top - ratio * ratio < SINGULAR_CUTOFF
     # 1/(F^-1)_jj of an invertible 2x2 matrix is det(F) / F_kk with k != j
-    other = F.diagonal(axis1=1, axis2=2)[:, ::-1]
+    other = F.diagonal()[:, ::-1]
     eff = det[:, None] / np.where(singular[:, None], 1.0, other)
     if singular.any():
-        eff[singular] = singular_effective_information(F[singular])
+        eff[singular] = singular_effective_information(
+            F[:, :, singular].transpose(2, 0, 1))
     h = np.empty_like(eff)
     h[:, 0], h[:, 1] = h1, h2
     counted = h > H_FLOOR
@@ -141,10 +166,9 @@ def _scalars(family, params, phases, povm, cutoff):
     copy, as Python scalars."""
     singles = [single_copy(family, params, np.array([xi], dtype=float))
                for xi in phases]
-    joint = copies_with_derivatives([stack for stack, _ in singles])
+    coords = copies_with_derivatives([stack for stack, _ in singles])
     kappa, k1, k2, status = kappa_batch(
-        povm, joint[0], joint[1:].swapaxes(0, 1), *singles[0][1],
-        len(phases), cutoff)
+        pauli_table(povm), coords, *singles[0][1], len(phases), cutoff)
     return float(kappa[0]), float(k1[0]), float(k2[0]), int(status[0])
 
 

@@ -13,11 +13,12 @@ Every search evaluation is scored by the batched kernel
 (``kernels.kappa_batch``), for any number of copies and for a fixed POVM, a
 stack of POVMs or a measurement generator alike; ``evaluate_kappa`` computes
 the reported value at each optimum and is the reference the kernel is
-tested against; both build each copy, and its closed-form single-copy
-quantum information, with ``states.single_copy``. A scan optimizes all its
-points, ``optimize_each`` every POVM of a stack, and the collective search a chunk of trials (an array of one
-projector set per trial), in one lockstep run of ``_maximize``: each simplex
-step of every problem's refinement shares one kernel call.
+tested against, on complex density matrices; both build each copy, and its
+closed-form single-copy quantum information, with ``states.single_copy``.
+A scan optimizes all its points, ``optimize_each`` every POVM of a stack,
+and the collective search a chunk of trials (an array of one projector set
+per trial), in one lockstep run of ``_maximize``: each simplex step of
+every problem's refinement shares one kernel call.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import kernels
 # qfi_matrix and sld_operators are not called here; the benchmark wraps them
 from .fisher import (KappaResult, classical_fi, kappa,
                      measurement_probabilities, qfi_matrix, sld_operators)
-from .linalg import projector
+from .linalg import pauli_table, projector
 from .neldermead import minimize
 from .povm import MeasurementGenerator, Povm
 from .states import (PHASE_DEPHASING, TWO_PHASE, ProbeFamily, check_point,
@@ -214,10 +215,14 @@ class _Objective:
     free: a free input is a column of the rows. A fixed input is one value
     in ``base``, or an array of P values from which each row takes its own
     problem's; a fixed delta or rotation (phi_y, phi_z) that is one value is
-    passed to ``states.single_copy`` as one value. A ``Povm`` is shared by all rows, a
-    (P, K, d, d) element array holds one POVM per problem and each row
-    takes its own problem's, and a measurement generator builds one element
-    set per row. ``evaluate_kappa`` is not called here.
+    passed to ``states.single_copy`` as one value. A ``Povm`` is shared by
+    all rows, a (P, K, d, d) element array holds one POVM per problem and
+    each row takes its own problem's, and a measurement generator builds
+    one element set per row. The kernel reads each POVM as its real Pauli
+    table (``linalg.pauli_table``), built here once for a ``Povm`` or a
+    stack and per call only for a generator, and each row's state as its
+    Pauli coordinates, so no search builds a d x d joint state.
+    ``evaluate_kappa`` is not called here.
     """
 
     def __init__(self, family: ProbeFamily,
@@ -233,6 +238,10 @@ class _Objective:
         else:
             self.problems = max((len(v) for v in base.values()
                                  if np.ndim(v)), default=1)
+        #: the kernel's real POVM table, (K, 4^m) or (P, K, 4^m); a
+        #: generator's is built per call, from the rows' settings
+        self.table = None if isinstance(measurement, MeasurementGenerator) \
+            else pauli_table(getattr(measurement, "elements", measurement))
         self.evaluations = 0
         self.kernel_calls = 0
         self.refine_iterations = 0
@@ -268,20 +277,20 @@ class _Objective:
 
         m = self.measurement
         if isinstance(m, MeasurementGenerator):
-            povm = m.elements({n: column(n) for n in m.setting_names})
+            table = pauli_table(m.elements({n: column(n)
+                                            for n in m.setting_names}))
         elif isinstance(m, Povm):
-            povm = m.elements
+            table = self.table
         else:
-            povm = m[rows]
+            table = self.table[rows]
         fam = self.family
         params = [value(n) for n in fam.parameter_names]
         built = {n: single_copy(fam, params, column(n))
                  for n in dict.fromkeys(self.phase_names)}
-        joint = copies_with_derivatives([built[n][0]
-                                         for n in self.phase_names])
+        coords = copies_with_derivatives([built[n][0]
+                                          for n in self.phase_names])
         kappa_values, _, _, status = kernels.kappa_batch(
-            povm, joint[0], joint[1:].swapaxes(0, 1),
-            *built[self.phase_names[0]][1], fam.copies,
+            table, coords, *built[self.phase_names[0]][1], fam.copies,
             kernels.DEFAULT_P_CUTOFF)
         if fam.kind == PHASE_DEPHASING:
             negative = np.less(params[1], 0)

@@ -7,11 +7,14 @@ Two built-in probe families are provided:
 * ``two-phase`` — an equatorial input is rotated by
   ``exp(i*(phi_y*sigma_y + phi_z*sigma_z))``; parameters ``(phi_y, phi_z)``.
 
-``single_copy`` alone builds a copy of either family: its state, one
-Hermitian derivative matrix per parameter and its quantum information, in
-closed form; multi-copy probes follow the tensor-product rule ``d(rho (x)
-rho) = d(rho) (x) rho + rho (x) d(rho)``, implemented once, for stacks of
-points and any number of copies, in ``copies_with_derivatives``.
+``single_copy`` alone builds a copy of either family, in closed form: the
+real Pauli coordinates r_a = Tr[rho sigma_a] of its state, with sigma =
+``linalg.PAULIS`` = (I, X, Y, Z), their derivative by each parameter, and
+its quantum information. Multi-copy probes follow the product rule ``d(r
+(x) r) = dr (x) r + r (x) dr``: on the coordinates in
+``copies_with_derivatives``, for the search, and on the density matrices
+rho = (1/2) sum_a r_a sigma_a in ``probe_with_derivatives``, for the
+reference path.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ID2, PAULI_Y, PAULI_Z, tensor_product
+from .linalg import ID2, PAULI_Y, PAULI_Z, PAULIS, tensor_product
 
 PHASE_DEPHASING = "phase-dephasing"
 TWO_PHASE = "two-phase"
@@ -30,6 +33,9 @@ TWO_PHASE = "two-phase"
 #: come from their Taylor series (truncation error < 3e-16); above it the
 #: quotients are evaluated directly.
 _SERIES_ANGLE = 1e-2
+
+#: row a is sigma_a / 2, flattened: coordinates @ it are the flat matrix
+_HALF_PAULIS = PAULIS.reshape(4, 4) / 2.0
 
 
 def _require_finite(**values: float) -> None:
@@ -98,22 +104,23 @@ def two_phase_ket_with_derivatives(xi, phi_y, phi_z) -> np.ndarray:
     return ket[..., :1] * rotation[..., 0] + ket[..., 1:] * rotation[..., 1]
 
 
-def dephasing_with_derivatives(alpha, delta) -> np.ndarray:
-    """Dephased equatorial states and their (phi, delta) derivatives.
+def dephasing_coordinates(alpha, delta) -> np.ndarray:
+    """Pauli coordinates of dephased equatorial states and their (phi,
+    delta) derivatives.
 
     ``alpha`` is the total phase phi + xi, a scalar or an array of them, and
-    ``delta`` one value or an array that broadcasts against it. The
-    (0,1) entry of the state is exp(-i*alpha - delta^2)/2 and its diagonal is
-    1/2. Returns shape (3,) + alpha.shape + (2, 2): the state, d/dphi and
-    d/ddelta. Inputs are not validated.
+    ``delta`` one value or an array that broadcasts against it. The state
+    is (1, e^{-delta^2} cos(alpha), e^{-delta^2} sin(alpha), 0). Returns
+    shape (3,) + alpha.shape + (4,): the state, d/dphi and d/ddelta. Inputs
+    are not validated.
     """
-    off = np.exp(-1j * np.asarray(alpha) - delta * delta) / 2.0
-    out = np.zeros((3,) + off.shape + (2, 2), dtype=complex)
-    out[0, ..., 0, 0] = out[0, ..., 1, 1] = 0.5
-    out[0, ..., 0, 1] = off
-    out[1, ..., 0, 1] = -1j * off
-    out[2, ..., 0, 1] = -2.0 * delta * off
-    out[..., 1, 0] = out[..., 0, 1].conjugate()
+    shrink = np.exp(-np.square(delta))
+    x, y = shrink * np.cos(alpha), shrink * np.sin(alpha)
+    out = np.zeros((3,) + x.shape + (4,))
+    out[0, ..., 0] = 1.0
+    out[0, ..., 1], out[0, ..., 2] = x, y
+    out[1, ..., 1], out[1, ..., 2] = -y, x
+    out[2, ..., 1], out[2, ..., 2] = -2.0 * delta * x, -2.0 * delta * y
     return out
 
 
@@ -185,14 +192,18 @@ class StateWithDerivatives:
         return self.state.shape[0]
 
 
-def pure_with_derivatives(kets: np.ndarray) -> np.ndarray:
-    """From the stack (1 + n, ..., a) of kets psi and their n derivatives,
-    the (1 + n, ..., a, a) stack of |psi><psi| and each |d psi><psi| +
-    |psi><d psi|."""
-    psi = kets[0]
-    out = kets[..., :, None] * psi.conj()[..., None, :]
-    derivatives = out[1:]
-    derivatives += psi[..., :, None] * kets[1:].conj()[..., None, :]
+def pure_coordinates(kets: np.ndarray) -> np.ndarray:
+    """From the stack (1 + n, ..., 2) of qubit kets psi and their n
+    derivatives, the (1 + n, ..., 4) Pauli coordinates <psi|sigma_a|psi> of
+    |psi><psi| and their derivatives 2 Re <d psi|sigma_a|psi>."""
+    # <u|sigma_a|psi> from the products conj(u_i) psi_j of each u of kets
+    prod = kets.conj()[..., :, None] * kets[0][..., None, :]
+    out = np.empty(kets.shape[:-1] + (4,))
+    out[..., 0] = (prod[..., 0, 0] + prod[..., 1, 1]).real
+    out[..., 1] = (prod[..., 0, 1] + prod[..., 1, 0]).real
+    out[..., 2] = (prod[..., 0, 1] - prod[..., 1, 0]).imag
+    out[..., 3] = (prod[..., 0, 0] - prod[..., 1, 1]).real
+    out[1:] *= 2.0
     return out
 
 
@@ -205,35 +216,52 @@ def pure_qfi_diagonal(kets: np.ndarray) -> np.ndarray:
     return 4.0 * ((np.abs(dpsi) ** 2).sum(axis=-1) - np.abs(overlap) ** 2)
 
 
-def copies_with_derivatives(singles) -> np.ndarray:
-    """Product state of independent copies and its derivatives, by the
-    tensor-product rule.
-
-    ``singles`` holds one stack (1 + n, ..., a, a) per copy: its state, then
-    its derivatives by n shared parameters; the middle axes broadcast.
-    Returns the (1 + n, ..., d, d) stack of the product state.
-    """
+def _product_rule(singles, product) -> np.ndarray:
+    """The state of independent copies and its derivatives: ``product`` of
+    the copies' states, and d(a (x) b) = da (x) b + a (x) db. Each single
+    is a stack (1 + n, ...) of its state and n derivatives."""
     joint = singles[0]
-    for i in range(1, len(singles)):
-        left = tensor_product(joint, singles[i][0])
+    for single in singles[1:]:
+        left = product(joint, single[0])
         # adds in place through the view; ``left[1:] += ...`` would also
         # assign the slice back, a copy per call
         derivatives = left[1:]
-        derivatives += tensor_product(joint[0], singles[i][1:])
+        derivatives += product(joint[0], single[1:])
         joint = left
     return joint
 
 
+def _outer(a, b) -> np.ndarray:
+    """Flat outer products of two broadcast stacks of coordinate vectors,
+    the first factor's index slowest."""
+    out = a[..., :, None] * b[..., None, :]
+    return out.reshape(out.shape[:-2] + (-1,))
+
+
+def copies_with_derivatives(singles) -> np.ndarray:
+    """Pauli coordinates of the product state of independent copies and
+    their derivatives, by the product rule.
+
+    ``singles`` holds one coordinate stack (1 + n, ..., 4) per copy: its
+    state, then its derivatives by n shared parameters; the middle axes
+    broadcast. Returns the real (1 + n, ..., 4^m) stack of the m-copy
+    coordinates r_c = Tr[rho sigma_c], copy 1's index slowest, as
+    ``linalg.pauli_table`` orders the Pauli strings.
+    """
+    return _product_rule(singles, _outer)
+
+
 def single_copy(family: ProbeFamily, params, xi):
     """One copy of ``family`` at ``params`` with input phase ``xi``, each
-    one value or N rows: the (3, ..., 2, 2) stack of its state and two
-    derivatives, and its quantum information diagonal (H_11, H_22). Inputs
-    are not validated (``check_point``): the search masks delta < 0."""
+    one value or N rows: the real (3, ..., 4) stack of its state's Pauli
+    coordinates and their two derivatives, and its quantum information
+    diagonal (H_11, H_22). Inputs are not validated (``check_point``): the
+    search masks delta < 0."""
     a, b = params
     if family.kind == PHASE_DEPHASING:
-        return dephasing_with_derivatives(a + xi, b), dephasing_qfi(b)
+        return dephasing_coordinates(a + xi, b), dephasing_qfi(b)
     kets = two_phase_ket_with_derivatives(xi, a, b)
-    return pure_with_derivatives(kets), pure_qfi_diagonal(kets)
+    return pure_coordinates(kets), pure_qfi_diagonal(kets)
 
 
 def probe_with_derivatives(family: ProbeFamily, params,
@@ -242,8 +270,9 @@ def probe_with_derivatives(family: ProbeFamily, params,
 
     ``params`` are the estimated-parameter values, ``(phi, delta)`` or
     ``(phi_y, phi_z)`` depending on the family, and ``phases`` the input
-    phase of each copy. Derivatives of the m-copy state follow the
-    tensor-product rule and are traceless by construction.
+    phase of each copy. Each copy's matrices are rho = (1/2) sum_a r_a
+    sigma_a of its ``single_copy`` coordinates; derivatives of the m-copy
+    state follow the tensor-product rule and are traceless by construction.
     """
     params = tuple(float(p) for p in params)
     if len(params) != family.num_parameters:
@@ -257,6 +286,7 @@ def probe_with_derivatives(family: ProbeFamily, params,
     point = dict(zip(family.parameter_names, params))
     for xi in phases:
         check_point(xi=xi, **point)
-    joint = copies_with_derivatives(
-        [single_copy(family, params, xi)[0] for xi in phases])
+    joint = _product_rule(
+        [(single_copy(family, params, xi)[0] @ _HALF_PAULIS).reshape(3, 2, 2)
+         for xi in phases], tensor_product)
     return StateWithDerivatives(state=joint[0], derivatives=joint[1:])

@@ -473,12 +473,12 @@ class TestCliCommands:
         assert code == 0
         doc = json.loads((out / "optimize.json").read_text())
         assert (doc["sweep"], doc["at"]) == ("delta", 0.3)
-        assert doc["evaluations"] == 386
-        assert doc["kappa"] == 1.2903913190376897
+        assert doc["evaluations"] == 383
+        assert doc["kappa"] == 1.2903913190376899
         # phi is held at 0: kappa reads it only through phi + xi_j
         assert doc["settings"] == {"phi": 0.0,
-                                   "xi_1": 5.4977871719743305,
-                                   "xi_2": 5.4977871766677175}
+                                   "xi_1": 0.7853981352052548,
+                                   "xi_2": 0.7853981305118678}
 
     @pytest.mark.parametrize("argv,free", [
         (["--free-inputs", "phi,delta,xi_1,xi_2"], "delta"),

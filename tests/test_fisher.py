@@ -12,7 +12,7 @@ from qmetro import (Povm, ProbeFamily, Scenario, bell_povm, classical_fi,
                     qfi_matrix, sld_operators, two_phase_ket_with_derivatives,
                     weak_commutativity, weak_commutativity_root)
 from qmetro import fisher, kernels, scenarios
-from qmetro.linalg import PAULI_Z
+from qmetro.linalg import PAULI_Z, pauli_table
 from qmetro.states import StateWithDerivatives, single_copy
 
 
@@ -379,7 +379,6 @@ class TestGillMassarBound:
         scenario = Scenario(family=family, measurement=povm,
                             fixed_inputs=fixed, sweep=None)
         single, h = single_copy(family, params, np.array([xi]))
-        batch = kernels.kappa_batch(stack, single[0], single[1:].swapaxes(0, 1),
-                                    *h, 1, 1e-12)
+        batch = kernels.kappa_batch(pauli_table(stack), single, *h, 1, 1e-12)
         assert evaluate_kappa(scenario, {}).kappa <= 1.0 + 1e-9
         assert batch[0][0] <= 1.0 + 1e-9

@@ -19,6 +19,7 @@ from qmetro import (Povm, ProbeFamily, ProductProjectiveGenerator, Scenario,
 import qmetro
 from qmetro import kernels, scenarios
 from qmetro.fisher import H_FLOOR
+from qmetro.linalg import pauli_table
 from qmetro.states import copies_with_derivatives, single_copy
 
 ANGLES = st.floats(-math.pi, math.pi)
@@ -30,14 +31,15 @@ ROTATED = ProbeFamily.two_phase()
 def kappa_rows(family, params, phases, povm):
     """``kernels.kappa_batch`` of N rows of ``family`` on the search's
     route: each copy built by ``states.single_copy`` from its own input
-    phases (one value or N, one entry of ``phases`` per copy) and the
-    copies multiplied by ``copies_with_derivatives``; each parameter is one
-    value or N."""
+    phases (one value or N, one entry of ``phases`` per copy), the copies'
+    coordinates multiplied by ``copies_with_derivatives`` and the POVM
+    elements (one set or N) read as their ``pauli_table``; each parameter
+    is one value or N."""
     singles = [single_copy(family, params, np.asarray(xi, dtype=float))
                for xi in phases]
-    joint = copies_with_derivatives([stack for stack, _ in singles])
-    return kernels.kappa_batch(povm, joint[0], joint[1:].swapaxes(0, 1),
-                               *singles[0][1], len(phases), 1e-12)
+    coords = copies_with_derivatives([stack for stack, _ in singles])
+    return kernels.kappa_batch(pauli_table(povm), coords, *singles[0][1],
+                               len(phases), 1e-12)
 
 
 def test_dephasing_kernel_matches_reference_path():
@@ -93,11 +95,11 @@ def test_quantum_information_floor_boundary_on_both_paths():
     assert reference.excluded == (0,)
     assert reference.per_parameter[0] == 0.0 and reference.per_parameter[1] > 0
 
-    swd = probe_with_derivatives(
-        ProbeFamily.phase_dephasing(copies=2), (0.7, 0.45), (0.0, 1.2))
+    coords = copies_with_derivatives(
+        [single_copy(DEPHASED, (0.7, 0.45), np.array([xi]))[0]
+         for xi in (0.0, 1.2)])
     value, k1, k2, status = (column[0] for column in kernels.kappa_batch(
-        np.ascontiguousarray(bell_povm().elements), swd.state[None],
-        swd.derivatives[None], h[0], h[1], 2, 1e-12))
+        pauli_table(bell_povm().elements), coords, h[0], h[1], 2, 1e-12))
     assert status == 2
     assert k1 == 0.0 and k2 > 0 and value == k2
 
@@ -471,6 +473,114 @@ def test_two_phase_rows_are_the_same_bits_in_any_batch_size(rotation):
             assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("case", ["dephasing", "stack", "generator"])
+def test_rows_are_the_same_bits_in_any_batch_size(case):
+    # the lockstep search scores a problem's rows beside any number of
+    # other problems' rows, and takes scipy's path for it only if each
+    # row's kappa does not depend on the batch around it
+    rng = np.random.default_rng(23)
+    size = 200
+    xis = rng.uniform(-math.pi, math.pi, (2, size))
+    deltas = rng.uniform(0.05, 2.5, size)
+    if case == "generator":
+        generator = ProductProjectiveGenerator()
+        povms = generator.elements(dict(zip(
+            generator.setting_names,
+            rng.uniform(0, math.pi, (len(generator.setting_names), size)))))
+    else:
+        povms = np.stack([_random_povm(seed, 4, "mixed").elements
+                          for seed in range(size)])
+
+    def scored(chunk):
+        # one shared POVM, or each row's own; a chunk's POVM table is built
+        # per call, as the search builds a generator's
+        chunks = [kappa_rows(DEPHASED, (0.3, deltas[r]),
+                             (xis[0, r], xis[1, r]),
+                             povms[0] if case == "dephasing" else povms[r])
+                  for r in (slice(i, i + chunk)
+                            for i in range(0, size, chunk))]
+        return [np.concatenate(column) for column in zip(*chunks)]
+
+    whole = scored(size)
+    for chunk in (1, 2, 7):
+        for a, b in zip(scored(chunk), whole):
+            assert np.array_equal(a, b)
+
+
+def _povms_for_rows(copies, kind, seed, n):
+    """POVM elements for n rows on ``copies`` copies: one set shared by
+    every row, one set per row (``"stacked"``), or the product
+    measurements of a generator (two copies)."""
+    rng = np.random.default_rng(seed)
+    if kind == "generator":
+        generator = ProductProjectiveGenerator()
+        return generator.elements(dict(zip(
+            generator.setting_names,
+            rng.uniform(-math.pi, math.pi, (4, n)))))
+    kinds = ["projective", "mixed"] + (["product"] if copies == 2 else [])
+    # a stack holds POVMs of one element shape, so of one kind
+    which = kinds[seed % len(kinds)]
+    if kind == "shared":
+        return _random_povm(seed, 2 ** copies, which).elements
+    return np.stack([_random_povm(seed + i, 2 ** copies, which).elements
+                     for i in range(n)])
+
+
+@given(seed=st.integers(0, 2**32 - 100), data=st.data(),
+       two_phase=st.booleans(), a=ANGLES, b=ANGLES, delta=st.floats(0.0, 3.0),
+       xis=st.lists(st.tuples(ANGLES, ANGLES, ANGLES), min_size=1,
+                    max_size=4))
+@settings(deadline=None, max_examples=80)
+def test_table_probabilities_match_the_complex_path(seed, data, two_phase, a,
+                                                    b, delta, xis):
+    # p and dp from the Pauli table and the copies' coordinates against
+    # Tr[P_k rho] and Tr[P_k d rho] on the complex matrices of the reference
+    # path, for one to three copies and every way the search holds a POVM
+    copies = data.draw(st.sampled_from([1, 2, 3]))
+    kind = data.draw(st.sampled_from(
+        ["shared", "stacked"] + (["generator"] if copies == 2 else [])))
+    n = len(xis)
+    elements = _povms_for_rows(copies, kind, seed, n)
+    if two_phase:
+        family, params = ProbeFamily.two_phase(copies=copies), (a, b)
+        phases = [(row[0],) * copies for row in xis]
+    else:
+        family = ProbeFamily.phase_dephasing(copies=copies)
+        params = (a, delta)
+        phases = [row[:copies] for row in xis]
+    coords = copies_with_derivatives([
+        single_copy(ProbeFamily(family.kind), params,
+                    np.array([row[j] for row in phases]))[0]
+        for j in range(copies)])
+    got = kernels.probabilities(pauli_table(elements), coords)
+    assert got.dtype == float
+    assert got.shape == (3, n, elements.shape[-3])
+    for i, row in enumerate(phases):
+        povm = Povm(tuple(f"b{k}" for k in range(got.shape[-1])),
+                    elements if kind == "shared" else elements[i])
+        p, dp = measurement_probabilities(
+            probe_with_derivatives(family, params, row), povm)
+        assert np.abs(got[0, i] - p).max() < 1e-14
+        assert np.abs(got[1:, i] - dp).max() < 1e-14
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3])
+def test_pauli_table_of_a_povm_is_complete(copies):
+    # sum_k P_k = I, so sum_k T[k, c] = Tr[sigma_c] / 2^m is 1 for the
+    # identity string and 0 for every other
+    for kind in ("projective", "mixed"):
+        table = pauli_table(_random_povm(copies, 2 ** copies, kind).elements)
+        total = table.sum(axis=0)
+        assert table.shape[-1] == 4 ** copies
+        assert abs(total[0] - 1.0) < 1e-14
+        assert np.abs(total[1:]).max() < 1e-14
+
+
+def test_pauli_table_needs_a_power_of_two_dimension():
+    with pytest.raises(ValueError, match="power of 2"):
+        pauli_table(np.eye(3)[None])
+
+
 def _einsum_operand_counts(source):
     """Operand count of every ``einsum`` call in a module's source."""
     counts = []
@@ -541,8 +651,8 @@ def _policy_definitions(source):
 
 #: the family kinds and the per-family builders of ``states``, which only
 #: ``states.single_copy`` calls on the kappa route
-FAMILY_SPECIFIC = {"PHASE_DEPHASING", "TWO_PHASE", "dephasing_with_derivatives",
-                   "two_phase_ket_with_derivatives", "pure_with_derivatives",
+FAMILY_SPECIFIC = {"PHASE_DEPHASING", "TWO_PHASE", "dephasing_coordinates",
+                   "two_phase_ket_with_derivatives", "pure_coordinates",
                    "dephasing_qfi", "pure_qfi_diagonal"}
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from qmetro import (GateModel, Povm, ProbeFamily, ProductProjectiveGenerator,
                     kappa_scan, optimize_each, optimize_kappa,
                     povm_to_json, product_projective_povm,
                     random_collective_search)
-from qmetro import cli, fisher, kernels, scenarios
+from qmetro import cli, fisher, kernels, linalg, scenarios, states
 from qmetro.linalg import PAULI_Y, PAULI_Z, projector
 from qmetro.scenarios import _maximize, _Objective
 
@@ -506,7 +507,7 @@ class TestCollectiveSearch:
         result = random_collective_search(trials=200, seed=77)
         assert result.trial_index == 172
         assert repr(result.xi) == "0.39124405580433264"
-        assert repr(result.max_kappa) == "0.9999999883734474"
+        assert repr(result.max_kappa) == "0.9999999883734476"
         assert result.work.evaluations == 200 * 48
 
     @pytest.mark.parametrize("chunk", [1, 7])
@@ -548,9 +549,9 @@ class TestCollectiveSearch:
         layouts = []
         batched = kernels.kappa_batch
 
-        def recorded(povm, *args):
-            layouts.append(povm.flags.c_contiguous)
-            return batched(povm, *args)
+        def recorded(table, *args):
+            layouts.append(table.flags.c_contiguous)
+            return batched(table, *args)
 
         monkeypatch.setattr(kernels, "kappa_batch", recorded)
         random_collective_search(trials=30, seed=8)
@@ -681,9 +682,9 @@ class TestMaximizeGrid:
         batched = kernels.kappa_batch
         refine = scenarios.minimize
 
-        def counted(povm, states, *args):
-            rows.append(len(states))
-            return batched(povm, states, *args)
+        def counted(table, coords, *args):
+            rows.append(coords.shape[1])
+            return batched(table, coords, *args)
 
         def recorded(*args, **kwargs):
             runs.append(refine(*args, **kwargs))
@@ -778,8 +779,8 @@ def _default_searches(tmp_path):
 class TestDistinctGridRows:
     """With phi held at 0, no dephasing search grid scores a kernel row
     twice: each row of a grid call has its own bits of every kernel input
-    (the row's state, its derivatives, its quantum information and its
-    POVM)."""
+    (the row's state coordinates, their derivatives, its quantum
+    information and its POVM table)."""
 
     @pytest.mark.parametrize("case", ["bell", "gate", "sic", "three-copies",
                                       "stack", "generator"])
@@ -788,10 +789,10 @@ class TestDistinctGridRows:
         batched = kernels.kappa_batch
         refine = scenarios.minimize
 
-        def recorded(povm, states, dstates, h1, h2, *args):
+        def recorded(table, coords, h1, h2, *args):
             if not refining:
-                calls.append((povm, states, dstates, h1, h2))
-            return batched(povm, states, dstates, h1, h2, *args)
+                calls.append((table, coords, h1, h2))
+            return batched(table, coords, h1, h2, *args)
 
         def flagged(*args, **kwargs):
             refining.append(True)
@@ -801,19 +802,20 @@ class TestDistinctGridRows:
         monkeypatch.setattr(scenarios, "minimize", flagged)
         _default_searches(tmp_path)[case]()
         assert calls
-        for povm, states, dstates, h1, h2 in calls:
-            n = len(states)
-            columns = [states, dstates, np.broadcast_to(h1, n),
+        for table, coords, h1, h2 in calls:
+            n = coords.shape[1]
+            columns = [coords.swapaxes(0, 1), np.broadcast_to(h1, n),
                        np.broadcast_to(h2, n)]
-            per_row = np.ndim(povm) == 4
+            per_row = np.ndim(table) == 3
             keys = {b"".join(c[i].tobytes() for c in columns)
-                    + (povm[i].tobytes() if per_row else b"")
+                    + (table[i].tobytes() if per_row else b"")
                     for i in range(n)}
             assert len(keys) == n
         if case == "bell":
-            # 40 default delta points, a 17 x 17 grid of (xi_1, xi_2) each
-            assert [states.shape for _, states, *_ in calls] == \
-                [(289, 4, 4)] * 40
+            # 40 default delta points, a 17 x 17 grid of (xi_1, xi_2) each,
+            # 16 two-copy coordinates per row
+            assert [coords.shape for _, coords, *_ in calls] == \
+                [(3, 289, 16)] * 40
 
 
 class TestHeldPhi:
@@ -1014,6 +1016,53 @@ class TestKernelRouting:
                        [0.3, 0.6], budget=200)
         assert len(per_kernel_call) > 10
         assert set(per_kernel_call) == {per_call}
+
+    @pytest.mark.parametrize("case", ["bell-scan", "conjecture-search"])
+    def test_search_reads_real_arrays_and_builds_no_joint_matrix(
+            self, tmp_path, monkeypatch, case):
+        # the search scores Pauli coordinates against real POVM tables; a
+        # d x d joint state is built only for each reported point, on the
+        # reference path
+        kernel_inputs, inside, joint_builds = [], [], []
+        batched, batch = kernels.kappa_batch, _Objective.batch
+        build = linalg.tensor_product
+
+        def recorded_kernel(*args):
+            kernel_inputs.extend(a for a in args if isinstance(a, np.ndarray))
+            return batched(*args)
+
+        def flagged_batch(*args, **kwargs):
+            inside.append(True)
+            try:
+                return batch(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def recorded_build(*args):
+            joint_builds.append(bool(inside))
+            return build(*args)
+
+        monkeypatch.setattr(kernels, "kappa_batch", recorded_kernel)
+        monkeypatch.setattr(_Objective, "batch", flagged_batch)
+        # under every name a qmetro module calls it by
+        holders = [module for name, module in sorted(sys.modules.items())
+                   if name.split(".")[0] == "qmetro"
+                   and getattr(module, "tensor_product", None) is build]
+        assert linalg in holders and states in holders
+        for module in holders:
+            monkeypatch.setattr(module, "tensor_product", recorded_build)
+        if case == "bell-scan":
+            cli.run("kappa-scan", cli.parse_config("kappa-scan", {
+                "measurement": "bell", "copies": "2",
+                "out": str(tmp_path / "out")}))
+        else:
+            cli.run("conjecture-search", cli.parse_config(
+                "conjecture-search", {"trials": "20", "seed": "3",
+                                      "out": str(tmp_path / "out")}))
+        assert kernel_inputs
+        assert {a.dtype for a in kernel_inputs} == {np.dtype(float)}
+        # the reported points are built, and only outside the search
+        assert joint_builds and not any(joint_builds)
 
     def test_singular_reference_point_is_not_regular(self):
         # kappa > 0 at this singular point, so a status guessed from

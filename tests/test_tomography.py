@@ -391,8 +391,9 @@ class TestMleOracle:
     @pytest.mark.parametrize("layout", ["fortran-counts", "strided-states",
                                         "transposed-states"])
     def test_any_memory_layout(self, layout):
-        # the kernel works on float views, which need a contiguous last
-        # axis: it copies where the caller's arrays have none
+        # the kernel builds the states' real block forms as new C-ordered
+        # arrays and reads the counts by flat index into their logical
+        # order, so no layout of the caller's arrays changes the result
         counts = simulate_counts(bell_povm(), reference_states(), 1e4,
                                  seed=8).counts
         states = reference_states().states
