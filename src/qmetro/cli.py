@@ -43,8 +43,8 @@ from .scenarios import (DEFAULT_BUDGET, DEFAULT_SEARCH_AT, DEFAULT_XI_BUDGET,
 from .states import (PHASE_DEPHASING, TWO_PHASE, ProbeFamily,
                      probe_with_derivatives)
 from .tomography import (DEFAULT_MAX_ITERS, DEFAULT_TOL, counts_to_csv,
-                         load_counts, mle_reconstruct, povm_fidelity,
-                         reference_states, simulate_counts)
+                         in_outcome_order, load_counts, mle_reconstruct,
+                         povm_fidelity, reference_states, simulate_counts)
 
 
 class ConfigError(Exception):
@@ -396,6 +396,14 @@ def _cmd_simulate_counts(cfg, log):
 def _cmd_tomography(cfg, log):
     counts = load_counts(cfg["counts"])
     refs = reference_states()
+    ideal = None
+    if cfg.get("compare_to"):
+        ideal = load_povm(cfg["compare_to"])
+        # refused before the reconstruction, not after it
+        try:
+            ideal = in_outcome_order(ideal, counts.outcome_labels, refs.dim)
+        except ValueError as exc:
+            raise ValueError(f"{cfg['compare_to']}: {exc}") from None
     start = time.perf_counter()
     result = mle_reconstruct(counts, refs, max_iters=cfg["max_iters"],
                              tol=cfg["tol"])
@@ -412,8 +420,7 @@ def _cmd_tomography(cfg, log):
         "floored_events": result.floored_events,
         "validation": asdict(validate_povm(result.povm)),
     }
-    if cfg.get("compare_to"):
-        ideal = load_povm(cfg["compare_to"])
+    if ideal is not None:
         doc["fidelity_vs_reference"] = {
             label: float(povm_fidelity(cand, ref))
             for label, cand, ref in zip(result.povm.labels,

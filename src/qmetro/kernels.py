@@ -85,16 +85,25 @@ def singular_effective_information(F):
 
     A parameter whose direction overlaps the null space of F gets 0 (its
     variance is unbounded); any other keeps ``1/pinv(F)_jj``. This is the
-    rule documented on ``fisher.FisherReport``. Returns shape (N, n).
+    rule documented on ``fisher.FisherReport``. Both come from one
+    eigendecomposition of F scaled by its largest diagonal entry: the null
+    space is spanned by the eigenvectors whose eigenvalues lie below
+    ``SINGULAR_CUTOFF``, and pinv(F)_jj is sum_i v_ji^2 / w_i over the
+    eigenvalues with |w_i| above ``SINGULAR_CUTOFF`` times the largest
+    |w|, the singular values that ``np.linalg.pinv`` would keep at that
+    cutoff. Returns shape (N, n).
     """
     F = np.asarray(F, dtype=float)
     top = F.diagonal(axis1=-2, axis2=-1).max(axis=-1)
     unit = F / np.where(top > 0.0, top, 1.0)[:, None, None]
     w, v = np.linalg.eigh(unit)
     null = w < SINGULAR_CUTOFF
-    affected = (np.abs(v) ** 2 * null[:, None, :]).sum(axis=-1) > 1e-8
-    pinv = np.linalg.pinv(unit, rcond=SINGULAR_CUTOFF)
-    pinv = pinv.diagonal(axis1=-2, axis2=-1)
+    squares = v * v
+    affected = (squares * null[:, None, :]).sum(axis=-1) > 1e-8
+    size = np.abs(w)
+    large = size > SINGULAR_CUTOFF * size.max(axis=-1, keepdims=True)
+    inverse = np.divide(1.0, w, out=np.zeros_like(w), where=large)
+    pinv = (squares * inverse[:, None, :]).sum(axis=-1)
     keep = (top[:, None] > 0.0) & ~affected & (pinv > 0.0)
     # 1/pinv(F)_jj = top / pinv(F / top)_jj
     return np.where(keep, top[:, None] / np.where(keep, pinv, 1.0), 0.0)
@@ -136,6 +145,9 @@ def kappa_batch(table, coords, h1, h2, m, cutoff):
     scaled = np.divide(dp, pd[0], out=np.zeros_like(dp),
                        where=pd[0] >= cutoff)
     F = np.einsum("ink,jnk->ijn", scaled, dp)
+    # free the per-outcome arrays before the per-row values are formed,
+    # which lowers the peak memory of a large call
+    del pd, dp, scaled
     f00, f01, f11 = F[0, 0], F[0, 1], F[1, 1]
     det = f00 * f11 - f01 * f01
     # det(F) / top^2 with top = max(f00, f11) is min(f00, f11) / top -

@@ -275,6 +275,16 @@ class _Objective:
             v = value(name)
             return v if np.ndim(v) else np.full(len(X), v)
 
+        fam = self.family
+        params = [value(n) for n in fam.parameter_names]
+        built = {n: single_copy(fam, params, column(n))
+                 for n in dict.fromkeys(self.phase_names)}
+        coords = copies_with_derivatives([built[n][0]
+                                          for n in self.phase_names])
+        h1, h2 = built[self.phase_names[0]][1]
+        # the copies go before a stack's per-row tables are gathered, so
+        # that the two are never held at once
+        del built
         m = self.measurement
         if isinstance(m, MeasurementGenerator):
             table = pauli_table(m.elements({n: column(n)
@@ -283,15 +293,8 @@ class _Objective:
             table = self.table
         else:
             table = self.table[rows]
-        fam = self.family
-        params = [value(n) for n in fam.parameter_names]
-        built = {n: single_copy(fam, params, column(n))
-                 for n in dict.fromkeys(self.phase_names)}
-        coords = copies_with_derivatives([built[n][0]
-                                          for n in self.phase_names])
         kappa_values, _, _, status = kernels.kappa_batch(
-            table, coords, *built[self.phase_names[0]][1], fam.copies,
-            kernels.DEFAULT_P_CUTOFF)
+            table, coords, h1, h2, fam.copies, kernels.DEFAULT_P_CUTOFF)
         if fam.kind == PHASE_DEPHASING:
             negative = np.less(params[1], 0)
             if negative.any():
@@ -315,8 +318,14 @@ _NEGATIVE_DELTA = 3
 #: the most rows of several problems that share a kernel call, which
 #: bounds its memory: grids are grouped up to it (a larger grid takes one
 #: call per problem), and the collective search refines this many trials
-#: together, one row each per simplex step
-_CALL_ROWS = 340
+#: together, one row each per simplex step. Against 340 rows (one 17 x 17
+#: Bell grid per call), in 10 interleaved perfbench pairs on 2 vCPUs, 1200
+#: rows put four grids in each call of the default Bell scan (137 kernel
+#: calls, not 167) and cut its wall_s by 14.6 % at the median, and raised
+#: peak_rss_mb by 1.6 % there and 1.8 % on conjecture-search; 1800 rows
+#: raised the scan's by 2.8 %. A 10 000-trial search makes 459 kernel
+#: calls, not 1490, and peaks at 45 MB, not 39 MB
+_CALL_ROWS = 1200
 
 
 def _maximize(objective, names: list[str], budget: int):
@@ -324,8 +333,10 @@ def _maximize(objective, names: list[str], budget: int):
     objective's P problems; returns the best inputs (P, len(names)) and
     their scores (P,).
 
-    Every problem is scored at the same grid points, several problems per
-    ``objective.batch`` call up to ``_CALL_ROWS`` rows. Each problem's best
+    Every problem is scored at the same grid points, as many whole grids
+    per ``objective.batch`` call as fit in ``_CALL_ROWS`` rows (one per
+    call when a grid alone is larger); a row gets the same bits in any
+    batch, so the grouping changes no score. Each problem's best
     grid point seeds its simplex, and ``minimize`` refines
     all problems in lockstep: one call per simplex phase scores every
     problem in it, so a run makes at most 1 + 3 * max(iterations)

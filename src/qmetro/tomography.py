@@ -142,6 +142,9 @@ def reference_gram_rank(refs: ReferenceSet) -> int:
 def simulate_counts(povm: Povm, refs: ReferenceSet, exposure: float,
                     seed: int) -> CountsTable:
     """Poisson coincidence counts with mean ``exposure * p(k | input)``."""
+    if povm.dim != refs.dim:
+        raise ValueError(f"dimension mismatch: povm {povm.dim}, reference "
+                         f"states {refs.dim}")
     if not math.isfinite(exposure):
         raise ValueError(f"exposure must be finite, got {exposure!r}")
     if not exposure > 0:
@@ -171,7 +174,9 @@ def mle_reconstruct(counts: CountsTable, refs: ReferenceSet,
         raise ValueError("max_iters must be >= 1")
     if not tol >= 0:
         raise ValueError("tol must be >= 0")
-    data = counts.counts[_reference_rows(counts.input_labels, refs)]
+    data = counts.counts[_positions(
+        counts.input_labels, refs.labels,
+        "counts table inputs do not match the reference set")]
     if refs.gram_rank < refs.dim ** 2:
         raise ValueError("reference set is rank deficient; reconstruction "
                          "is not informationally complete")
@@ -207,22 +212,38 @@ def mle_reconstruct(counts: CountsTable, refs: ReferenceSet,
     )
 
 
-def _reference_rows(input_labels, refs: ReferenceSet) -> list[int]:
-    """Index of each reference input's row in a counts table."""
-    rows: dict[tuple[str, str], int] = {}
+def _positions(found, expected, mismatch: str) -> list[int]:
+    """Index in ``found`` of each entry of ``expected``. ``found`` must
+    hold each of them once and nothing else; otherwise a ValueError that
+    starts with ``mismatch`` names the repeated, missing and unexpected
+    entries."""
+    index: dict = {}
     repeated = []
-    for i, pair in enumerate(input_labels):
-        if pair in rows:
-            repeated.append(pair)
-        rows[pair] = i
-    known = set(refs.labels)
-    missing = [pair for pair in refs.labels if pair not in rows]
-    extra = [pair for pair in rows if pair not in known]
+    for i, item in enumerate(found):
+        if item in index:
+            repeated.append(item)
+        index[item] = i
+    known = set(expected)
+    missing = [item for item in expected if item not in index]
+    extra = [item for item in index if item not in known]
     if repeated or missing or extra:
-        raise ValueError(
-            "counts table inputs do not match the reference set: "
-            f"repeated {repeated}, missing {missing}, unexpected {extra}")
-    return [rows[pair] for pair in refs.labels]
+        raise ValueError(f"{mismatch}: repeated {repeated}, missing "
+                         f"{missing}, unexpected {extra}")
+    return [index[item] for item in expected]
+
+
+def in_outcome_order(povm: Povm, outcome_labels, dim: int) -> Povm:
+    """``povm`` with its elements in the order of ``outcome_labels``, each
+    paired with its own label, so that it compares element by element with
+    a reconstruction of that many outcomes on ``dim``-dimensional states;
+    refuses a POVM of another dimension, or one whose labels are not
+    exactly ``outcome_labels``, each once."""
+    if povm.dim != dim:
+        raise ValueError(f"dimension mismatch: povm {povm.dim}, reference "
+                         f"states {dim}")
+    order = _positions(povm.labels, outcome_labels,
+                       "povm labels do not match the counts' outcomes")
+    return Povm(tuple(outcome_labels), povm.elements[order])
 
 
 def povm_fidelity(candidate: np.ndarray, ideal: np.ndarray) -> float:

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmetro import (Povm, bell_povm, counts_to_csv, load_povm, povm_to_json,
-                    reference_states, scenarios, serialize, simulate_counts,
-                    validate_povm)
+from qmetro import (Povm, bell_povm, counts_to_csv, load_povm, povm_fidelity,
+                    povm_to_json, reference_states, scenarios, serialize,
+                    simulate_counts, validate_povm)
 from qmetro import cli
 from qmetro.cli import (COMMANDS, REQUIRED, ConfigError, main, parse_config,
                         read_command_line, read_config_file)
@@ -750,6 +750,77 @@ def write_counts(path):
     path.write_text(counts_to_csv(simulate_counts(
         bell_povm(), reference_states(), 1e3, seed=1)), encoding="utf-8")
     return str(path)
+
+
+def write_povm(path, povm):
+    path.write_text(povm_to_json(povm), encoding="utf-8")
+    return str(path)
+
+
+def qubit_povm(labels=("0", "1")):
+    return Povm(labels, np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]))
+
+
+def test_simulating_counts_with_a_povm_of_another_dimension_is_refused(
+        tmp_path, capsys):
+    povm = write_povm(tmp_path / "qubit.json", qubit_povm())
+    code, out = run_cli(capsys, "simulate-counts", "--exposure", "100",
+                        "--measurement", "file", "--povm", povm,
+                        "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert out["errors"] == ["dimension mismatch: povm 2, reference states 4"]
+    assert not (tmp_path / "o").exists()
+
+
+class TestCompareTo:
+    """``tomography --compare-to`` pairs the reference's elements with the
+    reconstruction's by label, and refuses a reference that it cannot pair
+    before the reconstruction runs."""
+
+    @staticmethod
+    def tomography(capsys, tmp_path, reference):
+        path = write_povm(tmp_path / "reference.json", reference)
+        code, out = run_cli(capsys, "tomography", "--counts",
+                            write_counts(tmp_path / "c.csv"),
+                            "--compare-to", path, "--max-iters", "50",
+                            "--out", str(tmp_path / "o"))
+        return code, out, path
+
+    def test_reordered_labels_are_paired_by_label(self, tmp_path, capsys):
+        bell = bell_povm()
+        reversed_bell = Povm(bell.labels[::-1], bell.elements[::-1])
+        code, _, _ = self.tomography(capsys, tmp_path, reversed_bell)
+        assert code == 0
+        out = tmp_path / "o"
+        found = json.loads((out / "tomography_report.json").read_text())[
+            "fidelity_vs_reference"]
+        reconstructed = load_povm(out / "reconstructed_povm.json")
+        ideal = dict(bell.outcomes)
+        assert found == {label: povm_fidelity(element, ideal[label])
+                         for label, element in reconstructed.outcomes}
+        assert list(found) == list(bell.labels)
+
+    @pytest.mark.parametrize("case", ["fewer", "dimension"])
+    def test_unpairable_reference_is_refused_before_reconstructing(
+            self, tmp_path, capsys, monkeypatch, case):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the reconstruction ran")
+
+        monkeypatch.setattr(cli, "mle_reconstruct", unreachable)
+        if case == "fewer":
+            # a two-outcome measurement on the two-qubit states
+            parity = np.diag([1.0, 0.0, 0.0, 1.0])
+            reference = Povm(("x", "y"), np.array([parity, np.eye(4) - parity]))
+            message = ("povm labels do not match the counts' outcomes: "
+                       "repeated [], missing ['DD', 'DA', 'AD', 'AA'], "
+                       "unexpected ['x', 'y']")
+        else:
+            reference = qubit_povm(("DD", "DA"))
+            message = "dimension mismatch: povm 2, reference states 4"
+        code, out, path = self.tomography(capsys, tmp_path, reference)
+        assert code == 1
+        assert out["errors"] == [f"{path}: {message}"]
+        assert not (tmp_path / "o").exists()
 
 
 class TestArtifactTable:

@@ -784,3 +784,83 @@ def test_every_public_definition_is_reached():
                  for path in sorted(PERFBENCH.glob("*.py"))]
     assert perfbench
     assert _unreached(sources, perfbench) == []
+
+
+def pinv_rule(F):
+    """The singular rule as it reads with ``np.linalg.pinv``: 0 for a
+    parameter that overlaps the eigen null space of F over its largest
+    diagonal entry, and else 1/pinv(F)_jj, with pinv cut at
+    ``SINGULAR_CUTOFF``."""
+    top = F.diagonal(axis1=-2, axis2=-1).max(axis=-1)
+    unit = F / np.where(top > 0.0, top, 1.0)[:, None, None]
+    w, v = np.linalg.eigh(unit)
+    null = w < kernels.SINGULAR_CUTOFF
+    affected = (np.abs(v) ** 2 * null[:, None, :]).sum(axis=-1) > 1e-8
+    pinv = np.linalg.pinv(unit, rcond=kernels.SINGULAR_CUTOFF)
+    pinv = pinv.diagonal(axis1=-2, axis2=-1)
+    keep = (top[:, None] > 0.0) & ~affected & (pinv > 0.0)
+    return np.where(keep, top[:, None] / np.where(keep, pinv, 1.0), 0.0)
+
+
+def psd_stack(rng, n, rank, aligned, scale, count=40):
+    """``count`` symmetric n x n PSD matrices of ``rank`` times ``scale``,
+    with eigenvalues in [0.5, 2) on random orthonormal vectors. The
+    vectors span every coordinate, or, when ``aligned``, ``rank`` random
+    coordinates only: the parameters there then lie outside the null
+    space and keep their information."""
+    out = np.zeros((count, n, n))
+    for i in range(count):
+        support = rank if aligned else n
+        q, _ = np.linalg.qr(rng.standard_normal((support, support)))
+        v = np.zeros((n, rank))
+        v[rng.permutation(n)[:support]] = q[:, :rank]
+        m = (v * rng.uniform(0.5, 2.0, rank)) @ v.T
+        out[i] = 0.5 * (m + m.T) * scale
+    return out
+
+
+@pytest.mark.parametrize("n,rank,aligned", [
+    (2, 0, False), (2, 1, False), (2, 1, True), (2, 2, False),
+    (3, 0, False), (3, 1, False), (3, 1, True), (3, 2, True),
+    (3, 3, False)])
+def test_singular_rule_matches_the_pinv_rule(n, rank, aligned):
+    # one eigendecomposition gives what eigh and pinv gave, at every scale
+    # of F from subnormal entries to 1e300
+    rng = np.random.default_rng([n, rank, aligned])
+    for scale in (1e-310, 1e-200, 1e-20, 1.0, 1e20, 1e200, 1e300):
+        F = psd_stack(rng, n, rank, aligned, scale)
+        found, expected = kernels.singular_effective_information(F), \
+            pinv_rule(F)
+        assert np.array_equal(found == 0.0, expected == 0.0)
+        assert np.allclose(found, expected, rtol=1e-12, atol=0.0)
+        # an aligned or a full-rank F keeps information; a rank-deficient
+        # F spread over every coordinate keeps none
+        assert (found > 0).any() == (aligned or rank == n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_singular_rule_cuts_where_pinv_cuts(n):
+    # diagonal F, whose eigen- and singular values are its entries exactly,
+    # with entries spread from 1e-16 to 1 of the largest: each parameter
+    # keeps its information exactly when its entry is at or above the
+    # cutoff, where pinv keeps it too
+    rng = np.random.default_rng([n, 7])
+    for scale in (1e-300, 1.0, 1e300):
+        entries = 10.0 ** rng.uniform(-16.0, 0.0, (40, n))
+        entries[:, 0] = 1.0
+        entries = rng.permuted(entries, axis=1)
+        F = np.einsum("ni,ij->nij", entries, np.eye(n)) * scale
+        found = kernels.singular_effective_information(F)
+        assert np.array_equal(found == 0.0, pinv_rule(F) == 0.0)
+        assert np.allclose(found, pinv_rule(F), rtol=1e-12, atol=0.0)
+        assert np.array_equal(found > 0.0,
+                              entries >= kernels.SINGULAR_CUTOFF)
+
+
+def test_singular_rule_makes_no_second_decomposition(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.pinv called")
+
+    monkeypatch.setattr(np.linalg, "pinv", refused)
+    F = psd_stack(np.random.default_rng(2), 3, 2, True, 1.0)
+    assert (kernels.singular_effective_information(F) > 0).any()

@@ -702,10 +702,14 @@ class TestMaximizeGrid:
                                      {"phi": 0.0, "delta": delta}, names)
             _maximize(objective, names, 400)
             assert objective.problems == problems
-            # a grid too large to share a call: one grid call per problem
-            assert rows[:problems] == [per_dim ** 2] * problems
+            # the problems' grids share calls of up to ``_CALL_ROWS`` rows,
+            # as many whole grids as fit in each
+            group = max(1, scenarios._CALL_ROWS // per_dim ** 2)
+            grid_rows = [per_dim ** 2 * min(group, problems - start)
+                         for start in range(0, problems, group)]
+            assert rows[:len(grid_rows)] == grid_rows
             [run] = runs
-            refinement = rows[problems:]
+            refinement = rows[len(grid_rows):]
             assert 0 < len(refinement) <= 1 + 3 * run.nit.max()
             assert sum(refinement) == run.nfev.sum()
             assert objective.evaluations == sum(rows) == \
@@ -813,9 +817,69 @@ class TestDistinctGridRows:
             assert len(keys) == n
         if case == "bell":
             # 40 default delta points, a 17 x 17 grid of (xi_1, xi_2) each,
-            # 16 two-copy coordinates per row
-            assert [coords.shape for _, coords, *_ in calls] == \
-                [(3, 289, 16)] * 40
+            # 16 two-copy coordinates per row; the points share grid calls
+            # of up to ``_CALL_ROWS`` rows
+            group = scenarios._CALL_ROWS // 289
+            assert [coords.shape for _, coords, *_ in calls] == [
+                (3, 289 * min(group, 40 - start), 16)
+                for start in range(0, 40, group)]
+
+
+class TestGroupedGridCalls:
+    """Several problems share each grid call, up to ``_CALL_ROWS`` rows,
+    and that changes no result."""
+
+    def test_grouping_changes_nothing(self, monkeypatch):
+        grid = default_delta_grid()
+        grouped = kappa_scan(ideal_bell_scenario(), grid)
+        group = max(1, scenarios._CALL_ROWS // 289)
+        monkeypatch.setattr(scenarios, "_CALL_ROWS", 289)
+        alone = kappa_scan(ideal_bell_scenario(), grid)
+        assert np.array_equal(grouped.kappa_values, alone.kappa_values)
+        assert np.array_equal(grouped.per_parameter, alone.per_parameter)
+        assert grouped.optimizer_args == alone.optimizer_args
+        assert grouped.work.evaluations == alone.work.evaluations
+        assert grouped.work.refine_iterations == alone.work.refine_iterations
+        # one grid call per point alone, one per group of points grouped
+        assert alone.work.kernel_calls - grouped.work.kernel_calls == \
+            len(grid) - math.ceil(len(grid) / group)
+
+    def test_search_runs_without_pinv(self, tmp_path, monkeypatch):
+        # the singular rule takes the pseudo-inverse diagonal from its own
+        # eigendecomposition, on the kernel path and on the reference path
+        grid_calls, refining, rule_calls = [], [], []
+        batched, refine = kernels.kappa_batch, scenarios.minimize
+        rule = kernels.singular_effective_information
+
+        def refused(*args, **kwargs):
+            raise AssertionError("np.linalg.pinv called")
+
+        def recorded(*args):
+            if not refining:
+                grid_calls.append(args[1].shape[1])
+            return batched(*args)
+
+        def flagged(*args, **kwargs):
+            refining.append(True)
+            return refine(*args, **kwargs)
+
+        def counted(F):
+            rule_calls.append(len(F))
+            return rule(F)
+
+        monkeypatch.setattr(np.linalg, "pinv", refused)
+        monkeypatch.setattr(kernels, "kappa_batch", recorded)
+        monkeypatch.setattr(scenarios, "minimize", flagged)
+        monkeypatch.setattr(kernels, "singular_effective_information",
+                            counted)
+        curve = kappa_scan(ideal_bell_scenario(), default_delta_grid())
+        assert not any(curve.failed) and rule_calls
+        assert sum(grid_calls) == 40 * 289
+        assert len(grid_calls) <= math.ceil(40 * 289 / scenarios._CALL_ROWS)
+        report = fisher.classical_fi([0.5, 0.5], [[0.1, -0.1], [0.0, 0.0]])
+        assert report.singular and report.effective_fi[0] > 0.0
+        cli.run("conjecture-search", cli.parse_config(
+            "conjecture-search", {"trials": "20", "out": str(tmp_path)}))
 
 
 class TestHeldPhi:

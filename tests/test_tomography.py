@@ -152,6 +152,25 @@ class TestSimulateCounts:
                             seed=1)
 
 
+class TestInOutcomeOrder:
+    # the CLI tests of ``tomography --compare-to`` cover reordered labels,
+    # two other labels and another dimension
+    @pytest.mark.parametrize("labels,message", [
+        (("DD", "DA"), "repeated [], missing ['AD', 'AA'], unexpected []"),
+        (("DD", "DA", "AD", "x"), "repeated [], missing ['AA'], "
+                                  "unexpected ['x']"),
+        (("DD", "DD", "AD", "AA"), "repeated ['DD'], missing ['DA'], "
+                                   "unexpected []"),
+    ], ids=["fewer", "renamed", "repeated"])
+    def test_other_labels_are_refused_by_name(self, labels, message):
+        elements = np.stack([np.eye(4) / len(labels)] * len(labels))
+        with pytest.raises(ValueError) as info:
+            tomography.in_outcome_order(Povm(labels, elements),
+                                        bell_povm().labels, 4)
+        assert str(info.value) == ("povm labels do not match the counts' "
+                                   f"outcomes: {message}")
+
+
 class TestMleReconstruct:
     def test_exact_data_recovers_bell(self):
         refs = reference_states()
