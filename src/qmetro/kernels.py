@@ -159,18 +159,17 @@ def kappa_batch(table, coords, h1, h2, m, cutoff):
     ratio = f01 / top
     singular = np.minimum(f00, f11) / top - ratio * ratio < SINGULAR_CUTOFF
     # 1/(F^-1)_jj of an invertible 2x2 matrix is det(F) / F_kk with k != j
-    other = F.diagonal()[:, ::-1]
-    eff = det[:, None] / np.where(singular[:, None], 1.0, other)
+    e1 = det / np.where(singular, 1.0, f11)
+    e2 = det / np.where(singular, 1.0, f00)
     if singular.any():
-        eff[singular] = singular_effective_information(
-            F[:, :, singular].transpose(2, 0, 1))
-    h = np.empty_like(eff)
-    h[:, 0], h[:, 1] = h1, h2
-    counted = h > H_FLOOR
+        e1[singular], e2[singular] = singular_effective_information(
+            F[:, :, singular].transpose(2, 0, 1)).T
+    c1, c2 = h1 > H_FLOOR, h2 > H_FLOOR
     # (m-copy effective information / m) / H_jj
-    terms = np.where(counted, eff / (m * np.where(counted, h, 1.0)), 0.0)
-    status = np.where(singular, 1, np.where(counted.all(axis=-1), 0, 2))
-    return terms.sum(axis=-1), terms[:, 0], terms[:, 1], status
+    k1 = np.where(c1, e1 / (m * np.where(c1, h1, 1.0)), 0.0)
+    k2 = np.where(c2, e2 / (m * np.where(c2, h2, 1.0)), 0.0)
+    status = np.where(singular, 1, np.where(c1 & c2, 0, 2))
+    return k1 + k2, k1, k2, status
 
 
 def _scalars(family, params, phases, povm, cutoff):

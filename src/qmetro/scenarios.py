@@ -17,7 +17,7 @@ tested against, on complex density matrices; both build each copy, and its
 closed-form single-copy quantum information, with ``states.single_copy``.
 A scan optimizes all its points, ``optimize_each`` every POVM of a stack,
 and the collective search a chunk of trials (an array of one projector set
-per trial), in one lockstep run of ``_maximize``: each simplex step of
+per trial), in one lockstep run of ``_maximize``: each simplex phase of
 every problem's refinement shares one kernel call.
 """
 
@@ -120,11 +120,14 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SearchWork:
-    """What a search did: objective rows scored, kernel calls made, and
-    Nelder-Mead iterations summed over the refined problems (counted as
-    scipy counts them, from 1 per problem)."""
+    """What a search did: evaluations (grid rows plus the Nelder-Mead
+    evaluations, as scipy counts them), rows the kernel scored (the
+    evaluations plus the speculative rows of refinement steps), kernel calls
+    made, and Nelder-Mead iterations summed over the refined problems
+    (counted as scipy counts them, from 1 per problem)."""
 
     evaluations: int = 0
+    kernel_rows: int = 0
     kernel_calls: int = 0
     refine_iterations: int = 0
 
@@ -209,7 +212,7 @@ def evaluate_kappa(scenario: Scenario, values: dict[str, float]) -> KappaResult:
 class _Objective:
     """kappa of ``family`` measured by ``measurement`` as a function of the
     free-input vector, for P independent problems at once (P = 1 by
-    default); counts rows and kernel calls.
+    default); counts evaluations, kernel rows and kernel calls.
 
     Every call scores its N rows with one kernel call, whichever inputs are
     free: a free input is a column of the rows. A fixed input is one value
@@ -243,20 +246,39 @@ class _Objective:
         self.table = None if isinstance(measurement, MeasurementGenerator) \
             else pauli_table(getattr(measurement, "elements", measurement))
         self.evaluations = 0
+        self.kernel_rows = 0
         self.kernel_calls = 0
         self.refine_iterations = 0
-        #: per problem: whether any of its rows had a regular Fisher matrix
+        #: per problem: whether any of its evaluations had a regular Fisher
+        #: matrix
         self.any_regular = np.zeros(self.problems, dtype=bool)
+        #: the problem of each row of the last call, and which were regular
+        self._scored = (np.empty(0, dtype=int), np.empty(0, dtype=bool))
 
     def work(self) -> SearchWork:
-        return SearchWork(self.evaluations, self.kernel_calls,
-                          self.refine_iterations)
+        return SearchWork(self.evaluations, self.kernel_rows,
+                          self.kernel_calls, self.refine_iterations)
 
     def batch(self, X, problems=None) -> np.ndarray:
+        """``score`` with every row counted as an evaluation."""
+        values = self.score(X, problems)
+        self.count(np.ones(len(values), dtype=bool))
+        return values
+
+    def count(self, used) -> None:
+        """Count the rows of the last ``score`` call that ``used`` selects
+        as evaluations; the others, speculative rows that a search did not
+        use, count toward no problem's regularity."""
+        rows, regular = self._scored
+        self.evaluations += int(np.count_nonzero(used))
+        self.any_regular[rows[used & regular]] = True
+
+    def score(self, X, problems=None) -> np.ndarray:
         """The search score at every row of ``X`` (shape (N, len(names))),
         where row i belongs to problem ``problems[i]`` (problem 0 when
         ``problems`` is None): kappa, 0 where the Fisher matrix is singular,
-        and -inf where delta < 0.
+        and -inf where delta < 0. The rows count as kernel rows, not yet
+        as evaluations (``count``).
 
         Each distinct phase input is built into its copy once per call
         (``states.single_copy``): the two-phase copies all read ``xi``.
@@ -303,8 +325,8 @@ class _Objective:
                 kappa_values = np.where(negative, -np.inf, kappa_values)
                 status = np.where(negative, _NEGATIVE_DELTA, status)
         self.kernel_calls += 1
-        self.evaluations += len(X)
-        self.any_regular[rows[status == 0]] = True
+        self.kernel_rows += len(X)
+        self._scored = rows, status == 0
         # a singular point (status 1) scores 0: kappa jumps there, as the
         # unaffected parameter keeps its full information (``FisherReport``),
         # and a search started on it would stall
@@ -317,11 +339,16 @@ _NEGATIVE_DELTA = 3
 
 #: the most rows of several problems that share a kernel call, which
 #: bounds its memory: grids are grouped up to it (a larger grid takes one
-#: call per problem), and the collective search refines this many trials
-#: together, one row each per simplex step. Against 340 rows (one 17 x 17
-#: Bell grid per call), in 10 interleaved perfbench pairs on 2 vCPUs, 1200
-#: rows put four grids in each call of the default Bell scan (137 kernel
-#: calls, not 167) and cut its wall_s by 14.6 % at the median, and raised
+#: call per problem), a refinement step scores the reflection and its
+#: three possible successors of every problem in one call only where they
+#: fit in it (``minimize``'s ``max_rows``; else in two calls), and the
+#: collective search refines this many trials together. A refinement's
+#: first call, of every problem's n + 1 initial vertices, is not bounded
+#: by it: 2400 rows for a full chunk of trials. Against 340 rows (one
+#: 17 x 17 Bell grid per call), in 10 interleaved perfbench pairs on 2
+#: vCPUs, 1200 rows put four grids in each call of the default Bell scan
+#: (137 kernel calls, not 167, before the speculative steps made it 79)
+#: and cut its wall_s by 14.6 % at the median, and raised
 #: peak_rss_mb by 1.6 % there and 1.8 % on conjecture-search; 1800 rows
 #: raised the scan's by 2.8 %. A 10 000-trial search makes 459 kernel
 #: calls, not 1490, and peaks at 45 MB, not 39 MB
@@ -339,10 +366,14 @@ def _maximize(objective, names: list[str], budget: int):
     batch, so the grouping changes no score. Each problem's best
     grid point seeds its simplex, and ``minimize`` refines
     all problems in lockstep: one call per simplex phase scores every
-    problem in it, so a run makes at most 1 + 3 * max(iterations)
-    refinement calls whatever P is, and each problem takes the path scipy's
-    Nelder-Mead takes for it alone wherever the kernel gives a row the same
-    bits in any batch. Rows, calls and iterations add up on ``objective``.
+    problem in it, and a step scores the reflection and its three possible
+    successors together where those 4 * P rows fit in ``_CALL_ROWS``. So a
+    run makes at most 1 + 2 * max(iterations) refinement calls then, and
+    at most 1 + 3 * max(iterations) else, whatever P is, and each problem
+    takes the path scipy's Nelder-Mead takes for it alone wherever the
+    kernel gives a row the same bits in any batch. Evaluations (grid rows
+    plus scipy's ``nfev``), kernel rows (those plus the unused speculative
+    successors), calls and iterations add up on ``objective``.
     """
     everyone = np.arange(objective.problems)
     ndim = len(names)
@@ -371,8 +402,9 @@ def _maximize(objective, names: list[str], budget: int):
         simplex = np.repeat(best_x[:, None, :], ndim + 1, axis=1)
         for d in range(ndim):
             simplex[:, d + 1, d] += steps[d]
-        res = minimize(lambda X, rows: -objective.batch(X, rows), simplex,
-                       remaining, xatol=1e-7, fatol=1e-12)
+        res = minimize(lambda X, rows: -objective.score(X, rows), simplex,
+                       remaining, xatol=1e-7, fatol=1e-12,
+                       max_rows=_CALL_ROWS, counted=objective.count)
         objective.refine_iterations += int(res.nit.sum())
         better = -res.fun > best_v
         best_x = np.where(better[:, None], res.x, best_x)

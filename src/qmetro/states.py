@@ -98,10 +98,16 @@ def two_phase_ket_with_derivatives(xi, phi_y, phi_z) -> np.ndarray:
         rotation = _rotation_with_derivatives(phi_y, phi_z).reshape(
             (3,) + (1,) * np.ndim(xi) + (2, 2))
     ket = make_equatorial_ket(xi)
-    # (U @ ket) as a two-term broadcast product: unlike matmul, whose BLAS
-    # path for one row differs from that for several, it gives each row the
-    # same bits in any batch size
-    return ket[..., :1] * rotation[..., 0] + ket[..., 1:] * rotation[..., 1]
+    k0, k1 = ket[..., 0], ket[..., 1]
+    # (U @ ket) as two-term broadcast products, one per component: unlike
+    # matmul, whose BLAS path for one row differs from that for several,
+    # they give each row the same bits in any batch size, and each runs one
+    # loop over the rows rather than one per row
+    out = np.empty(np.broadcast_shapes(k0.shape, rotation.shape[:-2]) + (2,),
+                   dtype=complex)
+    for i in range(2):
+        out[..., i] = k0 * rotation[..., i, 0] + k1 * rotation[..., i, 1]
+    return out
 
 
 def dephasing_coordinates(alpha, delta) -> np.ndarray:
@@ -196,13 +202,18 @@ def pure_coordinates(kets: np.ndarray) -> np.ndarray:
     """From the stack (1 + n, ..., 2) of qubit kets psi and their n
     derivatives, the (1 + n, ..., 4) Pauli coordinates <psi|sigma_a|psi> of
     |psi><psi| and their derivatives 2 Re <d psi|sigma_a|psi>."""
-    # <u|sigma_a|psi> from the products conj(u_i) psi_j of each u of kets
-    prod = kets.conj()[..., :, None] * kets[0][..., None, :]
+    # <u|sigma_a|psi> from the products p_ij = conj(u_i) psi_j of each u of
+    # kets, one component pair at a time so that each product runs one loop
+    # over the kets
+    u = kets.conj()
+    psi = kets[0]
+    p00, p01 = u[..., 0] * psi[..., 0], u[..., 0] * psi[..., 1]
+    p10, p11 = u[..., 1] * psi[..., 0], u[..., 1] * psi[..., 1]
     out = np.empty(kets.shape[:-1] + (4,))
-    out[..., 0] = (prod[..., 0, 0] + prod[..., 1, 1]).real
-    out[..., 1] = (prod[..., 0, 1] + prod[..., 1, 0]).real
-    out[..., 2] = (prod[..., 0, 1] - prod[..., 1, 0]).imag
-    out[..., 3] = (prod[..., 0, 0] - prod[..., 1, 1]).real
+    out[..., 0] = (p00 + p11).real
+    out[..., 1] = (p01 + p10).real
+    out[..., 2] = (p01 - p10).imag
+    out[..., 3] = (p00 - p11).real
     out[1:] *= 2.0
     return out
 
@@ -212,8 +223,12 @@ def pure_qfi_diagonal(kets: np.ndarray) -> np.ndarray:
     the (n, ...) quantum information diagonal of the pure states, 4 (<d psi|
     d psi> - |<psi|d psi>|^2) (Braunstein and Caves, PRL 72, 3439, 1994)."""
     psi, dpsi = kets[0], kets[1:]
-    overlap = (psi.conj() * dpsi).sum(axis=-1)
-    return 4.0 * ((np.abs(dpsi) ** 2).sum(axis=-1) - np.abs(overlap) ** 2)
+    # sums over the two components written out: the same two-term sums as
+    # .sum(axis=-1), without a reduction loop per ket
+    prod = psi.conj() * dpsi
+    overlap = prod[..., 0] + prod[..., 1]
+    square = np.abs(dpsi) ** 2
+    return 4.0 * ((square[..., 0] + square[..., 1]) - np.abs(overlap) ** 2)
 
 
 def _product_rule(singles, product) -> np.ndarray:
@@ -234,8 +249,17 @@ def _product_rule(singles, product) -> np.ndarray:
 def _outer(a, b) -> np.ndarray:
     """Flat outer products of two broadcast stacks of coordinate vectors,
     the first factor's index slowest."""
-    out = a[..., :, None] * b[..., None, :]
-    return out.reshape(out.shape[:-2] + (-1,))
+    # each factor spread to the product's length, so that the product runs
+    # over flat rows: a[..., :, None] * b[..., None, :] runs an inner loop
+    # as short as b's vectors, at several times the cost per product. The
+    # spread factor of the result's shape, where one has it, takes the
+    # product, which saves a temporary as large as the result
+    m, k = a.shape[-1], b.shape[-1]
+    x = a.repeat(k, axis=-1)
+    y = b[..., None, :].repeat(m, axis=-2).reshape(b.shape[:-1] + (m * k,))
+    shape = np.broadcast(x, y).shape
+    return np.multiply(x, y, out=x if x.shape == shape
+                       else y if y.shape == shape else None)
 
 
 def copies_with_derivatives(singles) -> np.ndarray:

@@ -4,7 +4,8 @@ The test functions are computed elementwise, so a row's value does not
 depend on the other rows of a call; each problem must then return scipy's
 ``x``, ``fun``, ``nfev``, ``nit`` and final simplex exactly, including when
 its budget runs out in the middle of an expansion or a shrink, and when rows
-score +inf or NaN.
+score +inf or NaN, whether each step scores its four candidates in one call
+or the reflection and its successor in two.
 """
 
 import warnings
@@ -16,6 +17,8 @@ from scipy.optimize import minimize as scipy_minimize
 from qmetro.neldermead import minimize
 
 XATOL, FATOL = 1e-7, 1e-12
+#: a row bound that every step of these tests fits in, and one that none does
+ONE_CALL, TWO_CALLS = 10 ** 6, 0
 
 
 def simplices(x0, steps):
@@ -27,23 +30,27 @@ def simplices(x0, steps):
 
 
 def assert_matches_scipy(fun, sim, maxfev, xatol=XATOL, fatol=FATOL):
+    """Both step forms against scipy; returns the one-call run."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        ours = minimize(fun, sim, maxfev, xatol, fatol)
+        runs = [minimize(fun, sim, maxfev, xatol, fatol, max_rows=bound)
+                for bound in (ONE_CALL, TWO_CALLS)]
         for p in range(len(sim)):
             theirs = scipy_minimize(
                 lambda x: fun(x[None], np.array([p]))[0], sim[p, 0],
                 method="Nelder-Mead",
                 options={"maxfev": int(maxfev[p]), "xatol": xatol,
                          "fatol": fatol, "initial_simplex": sim[p]})
-            assert np.array_equal(ours.x[p], theirs.x)
-            assert np.array_equal(ours.fun[p], theirs.fun, equal_nan=True)
-            assert ours.nfev[p] == theirs.nfev
-            assert ours.nit[p] == theirs.nit
             simplex, values = theirs.final_simplex
-            assert np.array_equal(ours.simplex[p], simplex)
-            assert np.array_equal(ours.values[p], values, equal_nan=True)
-    return ours
+            for ours in runs:
+                assert np.array_equal(ours.x[p], theirs.x)
+                assert np.array_equal(ours.fun[p], theirs.fun,
+                                      equal_nan=True)
+                assert ours.nfev[p] == theirs.nfev
+                assert ours.nit[p] == theirs.nit
+                assert np.array_equal(ours.simplex[p], simplex)
+                assert np.array_equal(ours.values[p], values, equal_nan=True)
+    return runs[0]
 
 
 def smooth_problems(rng, num, n, kind):
@@ -124,18 +131,32 @@ def test_budget_cut_mid_shrink(n):
 
 
 def test_one_call_per_simplex_phase():
+    # the phases are the initial vertices, the steps and the shrinks; a
+    # step scores its reflection and three possible successors in one call
+    # where they fit in the row bound, so an iteration takes at most two
+    # calls, and in two calls (reflection, then successor) where they do
+    # not. Only the rows scipy would evaluate are counted
     rng = np.random.default_rng(7)
     num, n = 30, 3
     inner = smooth_problems(rng, num, n, "smooth")
-    calls = []
-
-    def fun(X, problems):
-        calls.append(len(problems))
-        return inner(X, problems)
-
     sim = simplices(rng.uniform(-1.0, 1.0, (num, n)), [0.5] * n)
-    out = minimize(fun, sim, 400, XATOL, FATOL)
-    assert calls[0] == num * (n + 1)
-    assert len(calls) <= 1 + 3 * out.nit.max()
-    assert sum(calls) == out.nfev.sum()
+    for bound in (4 * num, TWO_CALLS):
+        calls, masks = [], []
 
+        def fun(X, problems):
+            calls.append(len(problems))
+            return inner(X, problems)
+
+        out = minimize(fun, sim, 400, XATOL, FATOL, max_rows=bound,
+                       counted=masks.append)
+        assert calls[0] == num * (n + 1)
+        assert [len(mask) for mask in masks] == calls
+        assert sum(mask.sum() for mask in masks) == out.nfev.sum()
+        if bound:
+            assert len(calls) <= 1 + 2 * out.nit.max()
+            assert max(calls) <= bound
+            # the steps' unused successors are scored too
+            assert sum(calls) > out.nfev.sum()
+        else:
+            assert len(calls) <= 1 + 3 * out.nit.max()
+            assert sum(calls) == out.nfev.sum()

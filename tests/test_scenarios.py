@@ -676,8 +676,11 @@ class TestMaximizeGrid:
 
     def test_evaluations_count_grid_and_refinement(self, monkeypatch):
         # a lockstep run of P problems grids each one, then refines all of
-        # them together in at most 1 + 3 * max(iterations) kernel calls,
-        # whatever P is; every row the kernel scores is one evaluation
+        # them together, each step's reflection and three possible
+        # successors in one kernel call: at most 1 + 2 * max(iterations)
+        # refinement calls, whatever P is. The kernel scores grid rows plus
+        # refinement rows; the evaluations are the grid rows plus scipy's
+        # nfev, and leave out the successors a step did not use
         rows, runs = [], []
         batched = kernels.kappa_batch
         refine = scenarios.minimize
@@ -710,10 +713,14 @@ class TestMaximizeGrid:
             assert rows[:len(grid_rows)] == grid_rows
             [run] = runs
             refinement = rows[len(grid_rows):]
-            assert 0 < len(refinement) <= 1 + 3 * run.nit.max()
-            assert sum(refinement) == run.nfev.sum()
-            assert objective.evaluations == sum(rows) == \
+            assert 4 * problems <= scenarios._CALL_ROWS
+            assert 0 < len(refinement) <= 1 + 2 * run.nit.max()
+            assert max(refinement) <= scenarios._CALL_ROWS
+            assert sum(refinement) > run.nfev.sum()
+            assert objective.kernel_rows == sum(rows) == \
                 problems * per_dim ** 2 + sum(refinement)
+            assert objective.evaluations == \
+                problems * per_dim ** 2 + run.nfev.sum()
             assert objective.kernel_calls == len(rows)
             assert objective.refine_iterations == run.nit.sum()
         # lockstep: far fewer calls than refined rows
@@ -880,6 +887,97 @@ class TestGroupedGridCalls:
         assert report.singular and report.effective_fi[0] > 0.0
         cli.run("conjecture-search", cli.parse_config(
             "conjecture-search", {"trials": "20", "out": str(tmp_path)}))
+
+
+class TestSpeculativeSteps:
+    """A refinement step scores its reflection and three possible
+    successors in one kernel call where they fit in ``_CALL_ROWS``; that
+    changes no result and no evaluation count."""
+
+    def test_two_calls_per_step_change_nothing(self, monkeypatch):
+        grid = default_delta_grid()
+        one = kappa_scan(ideal_bell_scenario(), grid)
+        refine = scenarios.minimize
+        monkeypatch.setattr(scenarios, "minimize", lambda *args, **kwargs:
+                            refine(*args, **{**kwargs, "max_rows": 0}))
+        two = kappa_scan(ideal_bell_scenario(), grid)
+        assert np.array_equal(one.kappa_values, two.kappa_values)
+        assert np.array_equal(one.per_parameter, two.per_parameter)
+        assert one.optimizer_args == two.optimizer_args
+        assert one.work.evaluations == two.work.evaluations
+        assert one.work.refine_iterations == two.work.refine_iterations
+        assert two.work.kernel_calls - one.work.kernel_calls >= 50
+        # two calls per step score only the rows that are evaluations
+        assert two.work.kernel_rows == two.work.evaluations
+        assert one.work.kernel_rows > one.work.evaluations
+
+    @pytest.mark.parametrize("regular,fails", [(1, False), (0, True)],
+                             ids=["reflection", "expansion"])
+    def test_unused_speculative_rows_are_not_regular(self, monkeypatch,
+                                                     regular, fails):
+        # every row scores 0, so every step reflects, contracts inside and
+        # shrinks, and never uses its expansion (row 0 of its 4-row call,
+        # before the reflection and the two contractions); the kernel calls
+        # every row singular but row ``regular`` of each step, so only an
+        # unused row is regular when it is the expansion
+        refining, steps = [], []
+        refine = scenarios.minimize
+
+        def flagged(*args, **kwargs):
+            refining.append(True)
+            return refine(*args, **kwargs)
+
+        def singular(table, coords, *args):
+            n = coords.shape[1]
+            status = np.ones(n, dtype=int)
+            if refining and n == 4:
+                steps.append(n)
+                status[regular] = 0
+            return np.zeros(n), np.zeros(n), np.zeros(n), status
+
+        monkeypatch.setattr(kernels, "kappa_batch", singular)
+        monkeypatch.setattr(scenarios, "minimize", flagged)
+        scenario = ideal_bell_scenario()
+        if fails:
+            with pytest.raises(RuntimeError, match="singular Fisher matrix"):
+                optimize_kappa(scenario, 0.3, budget=100)
+        else:
+            assert optimize_kappa(scenario, 0.3, budget=100).work.evaluations
+        assert steps
+
+    def test_no_call_exceeds_the_row_bound(self, monkeypatch):
+        # the bound that keeps a kernel call's memory down holds for the
+        # speculative steps too: no grid, step or shrink call holds more
+        # than ``_CALL_ROWS`` rows, or one grid where a grid alone is
+        # larger. The first refinement call scores every problem's n + 1
+        # initial vertices, 2 rows per trial of the collective search
+        calls, starts = [], []
+        batched, refine = kernels.kappa_batch, scenarios.minimize
+
+        def recorded(table, coords, *args):
+            calls.append(coords.shape[1])
+            return batched(table, coords, *args)
+
+        def flagged(fun, simplex, *args, **kwargs):
+            starts.append((len(calls), simplex.shape[0] * simplex.shape[1]))
+            return refine(fun, simplex, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "kappa_batch", recorded)
+        monkeypatch.setattr(scenarios, "minimize", flagged)
+        for search, grid in (
+                (lambda: kappa_scan(ideal_bell_scenario(),
+                                    default_delta_grid()), 17 ** 2),
+                (lambda: random_collective_search(100, seed=5), 17),
+                (lambda: random_collective_search(2000, seed=5), 17)):
+            calls.clear()
+            starts.clear()
+            search()
+            assert starts
+            for start, vertices in starts:
+                assert calls[start] == vertices
+            initial = {start for start, _ in starts}
+            assert max(rows for i, rows in enumerate(calls)
+                       if i not in initial) <= max(scenarios._CALL_ROWS, grid)
 
 
 class TestHeldPhi:
