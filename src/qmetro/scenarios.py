@@ -17,8 +17,8 @@ tested against, on complex density matrices; both build each copy, and its
 closed-form single-copy quantum information, with ``states.single_copy``.
 A scan optimizes all its points, ``optimize_each`` every POVM of a stack,
 and the collective search a chunk of trials (an array of one projector set
-per trial), in one lockstep run of ``_maximize``: each simplex phase of
-every problem's refinement shares one kernel call.
+per trial), in one lockstep run of ``_maximize``: each Newton step of
+every problem's refinement shares one kernel call (``refine.minimize``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from . import kernels
 from .fisher import (KappaResult, classical_fi, kappa,
                      measurement_probabilities, qfi_matrix, sld_operators)
 from .linalg import pauli_table, projector
-from .neldermead import minimize
+from .refine import first_call_rows, minimize
 from .povm import MeasurementGenerator, Povm
 from .states import (PHASE_DEPHASING, TWO_PHASE, ProbeFamily, check_point,
                      copies_with_derivatives, probe_with_derivatives,
@@ -46,11 +46,13 @@ DEFAULT_SEARCH_AT = (0.4, 0.3)
 DEFAULT_XI_BUDGET = 48
 GRID_POINTS_PER_DIM = 17
 #: fraction of the evaluation budget spent on the coarse grid; the remainder
-#: goes to the simplex refinement
+#: goes to the refinement
 _GRID_FRACTION = 0.75
 
-_PERIODS = {"theta_1": math.pi, "theta_2": math.pi}
-_DEFAULT_PERIOD = 2.0 * math.pi
+#: each input's grid axis [0, span): a phase's period, and for delta,
+#: which is not periodic, the CLI's default sweep range
+_SPANS = {"theta_1": math.pi, "theta_2": math.pi, "delta": 3.0}
+_DEFAULT_SPAN = 2.0 * math.pi
 
 
 def phase_names(family: ProbeFamily, names) -> tuple[str, ...]:
@@ -120,11 +122,11 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SearchWork:
-    """What a search did: evaluations (grid rows plus the Nelder-Mead
-    evaluations, as scipy counts them), rows the kernel scored (the
-    evaluations plus the speculative rows of refinement steps), kernel calls
-    made, and Nelder-Mead iterations summed over the refined problems
-    (counted as scipy counts them, from 1 per problem)."""
+    """What a search did: evaluations (grid rows plus the refinement's
+    rows), rows the kernel scored (the same rows: the refinement scores no
+    row that it does not use), kernel calls made, and refinement steps
+    summed over the refined problems (the stencils each scored, its
+    first included)."""
 
     evaluations: int = 0
     kernel_rows: int = 0
@@ -252,33 +254,16 @@ class _Objective:
         #: per problem: whether any of its evaluations had a regular Fisher
         #: matrix
         self.any_regular = np.zeros(self.problems, dtype=bool)
-        #: the problem of each row of the last call, and which were regular
-        self._scored = (np.empty(0, dtype=int), np.empty(0, dtype=bool))
 
     def work(self) -> SearchWork:
         return SearchWork(self.evaluations, self.kernel_rows,
                           self.kernel_calls, self.refine_iterations)
 
     def batch(self, X, problems=None) -> np.ndarray:
-        """``score`` with every row counted as an evaluation."""
-        values = self.score(X, problems)
-        self.count(np.ones(len(values), dtype=bool))
-        return values
-
-    def count(self, used) -> None:
-        """Count the rows of the last ``score`` call that ``used`` selects
-        as evaluations; the others, speculative rows that a search did not
-        use, count toward no problem's regularity."""
-        rows, regular = self._scored
-        self.evaluations += int(np.count_nonzero(used))
-        self.any_regular[rows[used & regular]] = True
-
-    def score(self, X, problems=None) -> np.ndarray:
         """The search score at every row of ``X`` (shape (N, len(names))),
         where row i belongs to problem ``problems[i]`` (problem 0 when
         ``problems`` is None): kappa, 0 where the Fisher matrix is singular,
-        and -inf where delta < 0. The rows count as kernel rows, not yet
-        as evaluations (``count``).
+        and -inf where delta < 0. Every row counts as an evaluation.
 
         Each distinct phase input is built into its copy once per call
         (``states.single_copy``): the two-phase copies all read ``xi``.
@@ -326,7 +311,8 @@ class _Objective:
                 status = np.where(negative, _NEGATIVE_DELTA, status)
         self.kernel_calls += 1
         self.kernel_rows += len(X)
-        self._scored = rows, status == 0
+        self.evaluations += len(X)
+        self.any_regular[rows[status == 0]] = True
         # a singular point (status 1) scores 0: kappa jumps there, as the
         # unaffected parameter keeps its full information (``FisherReport``),
         # and a search started on it would stall
@@ -339,41 +325,33 @@ _NEGATIVE_DELTA = 3
 
 #: the most rows of several problems that share a kernel call, which
 #: bounds its memory: grids are grouped up to it (a larger grid takes one
-#: call per problem), a refinement step scores the reflection and its
-#: three possible successors of every problem in one call only where they
-#: fit in it (``minimize``'s ``max_rows``; else in two calls), and the
-#: collective search refines this many trials together. A refinement's
-#: first call, of every problem's n + 1 initial vertices, is not bounded
-#: by it: 2400 rows for a full chunk of trials. Against 340 rows (one
-#: 17 x 17 Bell grid per call), in 10 interleaved perfbench pairs on 2
-#: vCPUs, 1200 rows put four grids in each call of the default Bell scan
-#: (137 kernel calls, not 167, before the speculative steps made it 79)
-#: and cut its wall_s by 14.6 % at the median, and raised
-#: peak_rss_mb by 1.6 % there and 1.8 % on conjecture-search; 1800 rows
-#: raised the scan's by 2.8 %. A 10 000-trial search makes 459 kernel
-#: calls, not 1490, and peaks at 45 MB, not 39 MB
+#: call per problem), every refinement call is cut into calls of at most
+#: this many rows, and the collective search refines this many trials
+#: together. Against 340 rows (one 17 x 17 Bell grid per call), in 10
+#: interleaved perfbench pairs on 2 vCPUs, 1200 rows put four grids in each
+#: call of the default Bell scan and cut its wall_s by 14.6 % at the
+#: median, and raised peak_rss_mb by 1.6 % there and 1.8 % on
+#: conjecture-search; 1800 rows raised the scan's by 2.8 %
 _CALL_ROWS = 1200
 
 
 def _maximize(objective, names: list[str], budget: int):
-    """Deterministic coarse grid plus Nelder-Mead refinement for each of the
-    objective's P problems; returns the best inputs (P, len(names)) and
-    their scores (P,).
+    """Deterministic coarse grid plus a lockstep Newton refinement for each
+    of the objective's P problems; returns the best inputs (P, len(names))
+    and their scores (P,).
 
     Every problem is scored at the same grid points, as many whole grids
     per ``objective.batch`` call as fit in ``_CALL_ROWS`` rows (one per
     call when a grid alone is larger); a row gets the same bits in any
-    batch, so the grouping changes no score. Each problem's best
-    grid point seeds its simplex, and ``minimize`` refines
-    all problems in lockstep: one call per simplex phase scores every
-    problem in it, and a step scores the reflection and its three possible
-    successors together where those 4 * P rows fit in ``_CALL_ROWS``. So a
-    run makes at most 1 + 2 * max(iterations) refinement calls then, and
-    at most 1 + 3 * max(iterations) else, whatever P is, and each problem
-    takes the path scipy's Nelder-Mead takes for it alone wherever the
-    kernel gives a row the same bits in any batch. Evaluations (grid rows
-    plus scipy's ``nfev``), kernel rows (those plus the unused speculative
-    successors), calls and iterations add up on ``objective``.
+    batch, so the grouping changes no score. A phase is gridded over its
+    period and delta on the cell centres of [0, ``_SPANS["delta"]``). Each
+    problem's best grid point starts its refinement, with half a grid
+    spacing as its trust radius and a free delta bounded below by 0, so
+    that no row it scores has delta < 0. ``minimize`` refines all problems in
+    lockstep with one step per round, each round's rows cut into calls of
+    at most ``_CALL_ROWS``, and each problem takes the path it takes alone.
+    Evaluations (grid rows plus every refinement row), kernel rows, calls
+    and steps add up on ``objective``.
     """
     everyone = np.arange(objective.problems)
     ndim = len(names)
@@ -382,8 +360,12 @@ def _maximize(objective, names: list[str], budget: int):
             np.zeros((everyone.size, 0)), everyone)
     per_dim = min(GRID_POINTS_PER_DIM,
                   max(3, int((_GRID_FRACTION * budget) ** (1.0 / ndim))))
-    axes = [np.linspace(0.0, _PERIODS.get(n, _DEFAULT_PERIOD), per_dim,
-                        endpoint=False) for n in names]
+    spans = np.array([_SPANS.get(n, _DEFAULT_SPAN) for n in names])
+    # delta on the centres of its axis' cells: at delta = 0 the Fisher
+    # matrix is singular, so a row there scores 0
+    axes = [np.linspace(0.0, span, per_dim, endpoint=False)
+            + (0.5 * span / per_dim if n == "delta" else 0.0)
+            for n, span in zip(names, spans)]
     # rows in np.ndindex order: the last input varies fastest
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, ndim)
     group = max(1, _CALL_ROWS // len(grid))
@@ -397,14 +379,12 @@ def _maximize(objective, names: list[str], budget: int):
     best = np.argmax(ranked, axis=1)
     best_x, best_v = grid[best], ranked[everyone, best]
     remaining = budget - len(grid)
-    if remaining >= ndim + 2:
-        steps = [0.5 * (_PERIODS.get(n, _DEFAULT_PERIOD) / per_dim) for n in names]
-        simplex = np.repeat(best_x[:, None, :], ndim + 1, axis=1)
-        for d in range(ndim):
-            simplex[:, d + 1, d] += steps[d]
-        res = minimize(lambda X, rows: -objective.score(X, rows), simplex,
-                       remaining, xatol=1e-7, fatol=1e-12,
-                       max_rows=_CALL_ROWS, counted=objective.count)
+    if remaining >= first_call_rows(ndim):
+        res = minimize(lambda X, rows: -np.concatenate([
+            objective.batch(X[i:i + _CALL_ROWS], rows[i:i + _CALL_ROWS])
+            for i in range(0, len(X), _CALL_ROWS)]), best_x,
+            0.5 * spans / per_dim, remaining,
+            lower=[0.0 if n == "delta" else -np.inf for n in names])
         objective.refine_iterations += int(res.nit.sum())
         better = -res.fun > best_v
         best_x = np.where(better[:, None], res.x, best_x)
@@ -475,9 +455,9 @@ def optimize_each(scenario: Scenario, at, budget: int = DEFAULT_BUDGET
 
     ``at`` is the swept input's value, or None when every input is free or
     fixed. Every problem gets a coarse grid over each free input's period
-    followed by a simplex refinement from its best grid point, and all
-    problems run in lockstep, each as it would run alone; deterministic for
-    a fixed budget. Returns per problem its ``OptimizeOutcome`` or the error
+    (over [0, 3) for delta) followed by Newton steps from its best grid
+    point, and all problems run in lockstep, each as it would run alone;
+    deterministic for a fixed budget. Returns per problem its ``OptimizeOutcome`` or the error
     it failed with, and the run's ``SearchWork`` once.
     """
     if budget < 1:

@@ -76,3 +76,20 @@ def test_every_povm_the_cli_builds_is_a_povm_build_span(layers, tmp_path):
     finally:
         tracer.restore()
     assert [span.name for span in tracer.spans].count("povm.build") == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("kappa-scan", "--sweep-points", "2"),
+    ("conjecture-search", "--trials", "20"),
+], ids=["kappa-scan", "conjecture-search"])
+def test_each_search_records_a_refinement_span(layers, tmp_path, argv):
+    # ``scenarios.refine_self_s`` is the self time of these spans
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    layers.install(tracer)
+    try:
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.restore()
+    assert [span.name for span in tracer.spans].count(
+        "scenarios.minimize") >= 1

@@ -476,7 +476,7 @@ def test_two_phase_rows_are_the_same_bits_in_any_batch_size(rotation):
 @pytest.mark.parametrize("case", ["dephasing", "stack", "generator"])
 def test_rows_are_the_same_bits_in_any_batch_size(case):
     # the lockstep search scores a problem's rows beside any number of
-    # other problems' rows, and takes scipy's path for it only if each
+    # other problems' rows, and takes the path it takes alone only if each
     # row's kappa does not depend on the batch around it
     rng = np.random.default_rng(23)
     size = 200

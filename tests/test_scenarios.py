@@ -11,6 +11,7 @@ from qmetro import (GateModel, Povm, ProbeFamily, ProductProjectiveGenerator,
                     povm_to_json, product_projective_povm,
                     random_collective_search)
 from qmetro import cli, fisher, kernels, linalg, scenarios, states
+from qmetro import refine as refine_module
 from qmetro.linalg import PAULI_Y, PAULI_Z, projector
 from qmetro.scenarios import _maximize, _Objective
 
@@ -305,6 +306,23 @@ class TestNegativeDelta:
         assert out.settings["delta"] >= 0.0
         assert 0.0 < out.result.kappa <= 2.0
 
+    @pytest.mark.parametrize("budget", [60, 400, 2000])
+    def test_no_search_row_has_negative_delta(self, monkeypatch, budget):
+        # the grid scores delta on [0, 3) and the refinement fits its model
+        # at least one stencil step above 0, so no row scores -inf
+        deltas = []
+        batch = _Objective.batch
+
+        def recorded(self, X, problems=None):
+            deltas.append(np.asarray(X)[:, self.names.index("delta")])
+            return batch(self, X, problems)
+
+        monkeypatch.setattr(_Objective, "batch", recorded)
+        for at in (0.0, 1.0):
+            optimize_kappa(self.free_delta_scenario(), at, budget=budget)
+        deltas = np.concatenate(deltas)
+        assert deltas.min() >= refine_module.STEP and deltas.max() < 3.0
+
     def test_negative_rows_never_win_nor_count_as_regular(self):
         scenario = self.free_delta_scenario()
         objective = objective_of(
@@ -506,9 +524,9 @@ class TestCollectiveSearch:
     def test_pinned_seed_77_winner(self):
         result = random_collective_search(trials=200, seed=77)
         assert result.trial_index == 172
-        assert repr(result.xi) == "0.39124405580433264"
-        assert repr(result.max_kappa) == "0.9999999883734476"
-        assert result.work.evaluations == 200 * 48
+        assert repr(result.xi) == "0.39124381451754575"
+        assert repr(result.max_kappa) == "0.9999999883734776"
+        assert result.work.evaluations <= 200 * 48
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_chunk_size_changes_nothing(self, monkeypatch, chunk):
@@ -636,7 +654,7 @@ class TestMaximizeGrid:
     ], ids=["dephasing", "two-phase"])
     def test_batched_grid_picks_the_scalar_loop_winner(self, family, names,
                                                        fixed, budget, per_dim):
-        # a budget this small leaves no room for the simplex refinement
+        # a budget this small leaves no room for the refinement
         basis = haar_random_basis(np.random.default_rng(5), 4)
         povm = Povm(tuple("abcd"), np.stack(
             [np.outer(basis[:, k], basis[:, k].conj()) for k in range(4)]))
@@ -676,11 +694,9 @@ class TestMaximizeGrid:
 
     def test_evaluations_count_grid_and_refinement(self, monkeypatch):
         # a lockstep run of P problems grids each one, then refines all of
-        # them together, each step's reflection and three possible
-        # successors in one kernel call: at most 1 + 2 * max(iterations)
-        # refinement calls, whatever P is. The kernel scores grid rows plus
-        # refinement rows; the evaluations are the grid rows plus scipy's
-        # nfev, and leave out the successors a step did not use
+        # them together, one kernel call per Newton step whatever P is
+        # while a step's rows fit in ``_CALL_ROWS``. Every row the kernel
+        # scores is an evaluation: the grid rows plus the refinement's
         rows, runs = [], []
         batched = kernels.kappa_batch
         refine = scenarios.minimize
@@ -713,14 +729,13 @@ class TestMaximizeGrid:
             assert rows[:len(grid_rows)] == grid_rows
             [run] = runs
             refinement = rows[len(grid_rows):]
-            assert 4 * problems <= scenarios._CALL_ROWS
-            assert 0 < len(refinement) <= 1 + 2 * run.nit.max()
-            assert max(refinement) <= scenarios._CALL_ROWS
-            assert sum(refinement) > run.nfev.sum()
-            assert objective.kernel_rows == sum(rows) == \
-                problems * per_dim ** 2 + sum(refinement)
-            assert objective.evaluations == \
-                problems * per_dim ** 2 + run.nfev.sum()
+            assert problems * refine_module.first_call_rows(2) <= \
+                scenarios._CALL_ROWS
+            assert len(refinement) == run.nit.max()
+            assert sum(refinement) == run.nfev.sum()
+            assert (run.nfev <= 400 - per_dim ** 2).all()
+            assert objective.evaluations == objective.kernel_rows == \
+                sum(rows) == problems * per_dim ** 2 + run.nfev.sum()
             assert objective.kernel_calls == len(rows)
             assert objective.refine_iterations == run.nit.sum()
         # lockstep: far fewer calls than refined rows
@@ -837,10 +852,27 @@ class TestGroupedGridCalls:
     and that changes no result."""
 
     def test_grouping_changes_nothing(self, monkeypatch):
+        grid_calls, refining = [], []
+        batched, refine = kernels.kappa_batch, scenarios.minimize
+
+        def recorded(*args):
+            if not refining:
+                grid_calls.append(args[1].shape[1])
+            return batched(*args)
+
+        def flagged(*args, **kwargs):
+            refining.append(True)
+            return refine(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "kappa_batch", recorded)
+        monkeypatch.setattr(scenarios, "minimize", flagged)
         grid = default_delta_grid()
         grouped = kappa_scan(ideal_bell_scenario(), grid)
+        grouped_calls = len(grid_calls)
         group = max(1, scenarios._CALL_ROWS // 289)
         monkeypatch.setattr(scenarios, "_CALL_ROWS", 289)
+        grid_calls.clear()
+        refining.clear()
         alone = kappa_scan(ideal_bell_scenario(), grid)
         assert np.array_equal(grouped.kappa_values, alone.kappa_values)
         assert np.array_equal(grouped.per_parameter, alone.per_parameter)
@@ -848,8 +880,8 @@ class TestGroupedGridCalls:
         assert grouped.work.evaluations == alone.work.evaluations
         assert grouped.work.refine_iterations == alone.work.refine_iterations
         # one grid call per point alone, one per group of points grouped
-        assert alone.work.kernel_calls - grouped.work.kernel_calls == \
-            len(grid) - math.ceil(len(grid) / group)
+        assert (len(grid_calls), grouped_calls) == (
+            len(grid), math.ceil(len(grid) / group))
 
     def test_search_runs_without_pinv(self, tmp_path, monkeypatch):
         # the singular rule takes the pseudo-inverse diagonal from its own
@@ -889,95 +921,44 @@ class TestGroupedGridCalls:
             "conjecture-search", {"trials": "20", "out": str(tmp_path)}))
 
 
-class TestSpeculativeSteps:
-    """A refinement step scores its reflection and three possible
-    successors in one kernel call where they fit in ``_CALL_ROWS``; that
-    changes no result and no evaluation count."""
-
-    def test_two_calls_per_step_change_nothing(self, monkeypatch):
-        grid = default_delta_grid()
-        one = kappa_scan(ideal_bell_scenario(), grid)
-        refine = scenarios.minimize
-        monkeypatch.setattr(scenarios, "minimize", lambda *args, **kwargs:
-                            refine(*args, **{**kwargs, "max_rows": 0}))
-        two = kappa_scan(ideal_bell_scenario(), grid)
-        assert np.array_equal(one.kappa_values, two.kappa_values)
-        assert np.array_equal(one.per_parameter, two.per_parameter)
-        assert one.optimizer_args == two.optimizer_args
-        assert one.work.evaluations == two.work.evaluations
-        assert one.work.refine_iterations == two.work.refine_iterations
-        assert two.work.kernel_calls - one.work.kernel_calls >= 50
-        # two calls per step score only the rows that are evaluations
-        assert two.work.kernel_rows == two.work.evaluations
-        assert one.work.kernel_rows > one.work.evaluations
-
-    @pytest.mark.parametrize("regular,fails", [(1, False), (0, True)],
-                             ids=["reflection", "expansion"])
-    def test_unused_speculative_rows_are_not_regular(self, monkeypatch,
-                                                     regular, fails):
-        # every row scores 0, so every step reflects, contracts inside and
-        # shrinks, and never uses its expansion (row 0 of its 4-row call,
-        # before the reflection and the two contractions); the kernel calls
-        # every row singular but row ``regular`` of each step, so only an
-        # unused row is regular when it is the expansion
-        refining, steps = [], []
-        refine = scenarios.minimize
-
-        def flagged(*args, **kwargs):
-            refining.append(True)
-            return refine(*args, **kwargs)
-
-        def singular(table, coords, *args):
-            n = coords.shape[1]
-            status = np.ones(n, dtype=int)
-            if refining and n == 4:
-                steps.append(n)
-                status[regular] = 0
-            return np.zeros(n), np.zeros(n), np.zeros(n), status
-
-        monkeypatch.setattr(kernels, "kappa_batch", singular)
-        monkeypatch.setattr(scenarios, "minimize", flagged)
-        scenario = ideal_bell_scenario()
-        if fails:
-            with pytest.raises(RuntimeError, match="singular Fisher matrix"):
-                optimize_kappa(scenario, 0.3, budget=100)
-        else:
-            assert optimize_kappa(scenario, 0.3, budget=100).work.evaluations
-        assert steps
+class TestRefinementCalls:
+    """The bound that keeps a kernel call's memory down holds for the
+    refinement: each of its rounds is cut into calls of at most
+    ``_CALL_ROWS`` rows, its first round too, which scores every problem's
+    model and 2n probes."""
 
     def test_no_call_exceeds_the_row_bound(self, monkeypatch):
-        # the bound that keeps a kernel call's memory down holds for the
-        # speculative steps too: no grid, step or shrink call holds more
-        # than ``_CALL_ROWS`` rows, or one grid where a grid alone is
-        # larger. The first refinement call scores every problem's n + 1
-        # initial vertices, 2 rows per trial of the collective search
-        calls, starts = [], []
+        calls, refining = [], []
         batched, refine = kernels.kappa_batch, scenarios.minimize
 
         def recorded(table, coords, *args):
-            calls.append(coords.shape[1])
+            calls.append((bool(refining), coords.shape[1]))
             return batched(table, coords, *args)
 
-        def flagged(fun, simplex, *args, **kwargs):
-            starts.append((len(calls), simplex.shape[0] * simplex.shape[1]))
-            return refine(fun, simplex, *args, **kwargs)
+        def flagged(*args, **kwargs):
+            refining.append(True)
+            try:
+                return refine(*args, **kwargs)
+            finally:
+                refining.clear()
 
         monkeypatch.setattr(kernels, "kappa_batch", recorded)
         monkeypatch.setattr(scenarios, "minimize", flagged)
-        for search, grid in (
+        for search, grid, first in (
                 (lambda: kappa_scan(ideal_bell_scenario(),
-                                    default_delta_grid()), 17 ** 2),
-                (lambda: random_collective_search(100, seed=5), 17),
-                (lambda: random_collective_search(2000, seed=5), 17)):
+                                    default_delta_grid()), 17 ** 2, 40 * 13),
+                (lambda: random_collective_search(100, seed=5), 17, 100 * 5),
+                (lambda: random_collective_search(2000, seed=5), 17,
+                 scenarios._CALL_ROWS * 5)):
             calls.clear()
-            starts.clear()
             search()
-            assert starts
-            for start, vertices in starts:
-                assert calls[start] == vertices
-            initial = {start for start, _ in starts}
-            assert max(rows for i, rows in enumerate(calls)
-                       if i not in initial) <= max(scenarios._CALL_ROWS, grid)
+            refinement = [rows for inside, rows in calls if inside]
+            assert refinement and max(refinement) <= scenarios._CALL_ROWS
+            # the first round holds every problem's model and probes
+            assert sum(refinement[:math.ceil(first / scenarios._CALL_ROWS)]) \
+                == first
+            assert max(rows for inside, rows in calls if not inside) <= \
+                max(scenarios._CALL_ROWS, grid)
 
 
 class TestHeldPhi:
@@ -1176,7 +1157,8 @@ class TestKernelRouting:
         else:
             kappa_scan(ideal_bell_scenario(free_inputs=("phi", "xi")),
                        [0.3, 0.6], budget=200)
-        assert len(per_kernel_call) > 10
+        # the grid's call and at least two refinement calls
+        assert len(per_kernel_call) >= 3
         assert set(per_kernel_call) == {per_call}
 
     @pytest.mark.parametrize("case", ["bell-scan", "conjecture-search"])
