@@ -125,7 +125,7 @@ class SearchWork:
     """What a search did: evaluations (grid rows plus the refinement's
     rows), rows the kernel scored (the same rows: the refinement scores no
     row that it does not use), kernel calls made, and refinement steps
-    summed over the refined problems (the stencils each scored, its
+    summed over the refined problems (the calls each took part in, its
     first included)."""
 
     evaluations: int = 0
