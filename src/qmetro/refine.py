@@ -131,7 +131,8 @@ def minimize(fun, x0, radius, maxfev, lower=None) -> RefineResult:
     when its next step is no longer than ``XTOL``, its last accepted step
     gained or its next is predicted to gain at most ``FTOL`` times its
     value, or its step would not move it. Where the budget has no room for
-    another model, the step is scored alone, as the problem's last.
+    another model, a step is scored alone, and backtracked one row at a
+    time until one is accepted or the budget ends.
     """
     best_x = np.array(x0, dtype=float)
     num, n = best_x.shape
@@ -208,6 +209,6 @@ def minimize(fun, x0, radius, maxfev, lower=None) -> RefineResult:
                                     floor)
         fine = np.clip(np.linalg.norm(trial - x, axis=1), FINEST_STEP, STEP)
         move = np.zeros(len(run), dtype=bool)
-        go = ~last & (move | ((length > XTOL) & ~settled
-                              & (gain > FTOL * np.abs(f))))
+        go = ~(last & accept) & (move | ((length > XTOL) & ~settled
+                                         & (gain > FTOL * np.abs(f))))
     return RefineResult(x=best_x, fun=best_f, nfev=nfev, nit=nit)

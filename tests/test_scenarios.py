@@ -323,6 +323,12 @@ class TestNegativeDelta:
         deltas = np.concatenate(deltas)
         assert deltas.min() >= refine_module.STEP and deltas.max() < 3.0
 
+    def test_small_budget_backtracks_its_last_steps(self):
+        # at budget 60 the refinement holds one model after its first call;
+        # then its last rows backtrack that model's step one at a time
+        out = optimize_kappa(self.free_delta_scenario(), 1.0, budget=60)
+        assert out.result.kappa > 0.99
+
     def test_negative_rows_never_win_nor_count_as_regular(self):
         scenario = self.free_delta_scenario()
         objective = objective_of(
