@@ -1,11 +1,13 @@
-"""The lockstep Nelder-Mead against scipy's, problem by problem, bit for bit.
+"""The lockstep Newton refinement against scipy's Nelder-Mead, the method
+it replaced, on random problems.
 
-The test functions are computed elementwise, so a row's value does not
-depend on the other rows of a call; each problem must then return scipy's
-``x``, ``fun``, ``nfev``, ``nit`` and final simplex exactly, including when
-its budget runs out in the middle of an expansion or a shrink, and when rows
-score +inf or NaN, whether each step scores its four candidates in one call
-or the reflection and its successor in two.
+Each problem has one minimum, away from the rows that score +inf or NaN.
+Run to convergence, scipy's simplex and the refinement must reach the same
+minimum: the same point to 1e-7 and the same value to 1e-14, or, where the
+values are rounded to 1e-12, a value no worse than scipy's at a point
+within the rounding's reach. The refinement runs every problem in one
+lockstep batch; each test function is computed elementwise, so a row's
+value does not depend on the other rows of a call.
 """
 
 import warnings
@@ -14,68 +16,37 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize as scipy_minimize
 
-from qmetro.neldermead import minimize
+from qmetro.refine import STEP, minimize
 
-XATOL, FATOL = 1e-7, 1e-12
-#: a row bound that every step of these tests fits in, and one that none does
-ONE_CALL, TWO_CALLS = 10 ** 6, 0
-
-
-def simplices(x0, steps):
-    """(P, n + 1, n): x0 and x0 moved by one step along each axis."""
-    sim = np.repeat(x0[:, None, :], x0.shape[1] + 1, axis=1)
-    for d, step in enumerate(steps):
-        sim[:, d + 1, d] += step
-    return sim
+#: the bound of the first input below which the "inf" problems score +inf,
+#: like a negative dephasing strength
+LOWER = -1.8
 
 
-def assert_matches_scipy(fun, sim, maxfev, xatol=XATOL, fatol=FATOL):
-    """Both step forms against scipy; returns the one-call run."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        runs = [minimize(fun, sim, maxfev, xatol, fatol, max_rows=bound)
-                for bound in (ONE_CALL, TWO_CALLS)]
-        for p in range(len(sim)):
-            theirs = scipy_minimize(
-                lambda x: fun(x[None], np.array([p]))[0], sim[p, 0],
-                method="Nelder-Mead",
-                options={"maxfev": int(maxfev[p]), "xatol": xatol,
-                         "fatol": fatol, "initial_simplex": sim[p]})
-            simplex, values = theirs.final_simplex
-            for ours in runs:
-                assert np.array_equal(ours.x[p], theirs.x)
-                assert np.array_equal(ours.fun[p], theirs.fun,
-                                      equal_nan=True)
-                assert ours.nfev[p] == theirs.nfev
-                assert ours.nit[p] == theirs.nit
-                assert np.array_equal(ours.simplex[p], simplex)
-                assert np.array_equal(ours.values[p], values, equal_nan=True)
-    return runs[0]
-
-
-def smooth_problems(rng, num, n, kind):
-    """Sums of shifted quadratics and sines, one set of coefficients per
-    problem; ``kind`` adds +inf rows, NaN rows or rounded plateaus."""
+def convex_problems(rng, num, n, kind):
+    """Rotated sums of quadratics and small sines, strictly convex, with
+    their minimum within 0.6 of a centre ``c`` in [-1, 1]^n; ``kind`` adds
+    +inf rows below ``LOWER``, NaN rows 0.8 above the centre or values
+    rounded to 1e-12. Returns the problems and their centres."""
+    q = np.linalg.qr(rng.standard_normal((num, n, n)))[0]
     a = rng.uniform(0.2, 3.0, (num, n))
     c = rng.uniform(-1.0, 1.0, (num, n))
-    w = rng.uniform(0.0, 2.0, (num, n))
+    w = rng.uniform(0.0, 1.0, (num, n))
+    phase = rng.uniform(0.0, 2 * np.pi, (num, n))
 
     def fun(X, problems):
-        ap, cp, wp = a[problems], c[problems], w[problems]
-        acc = np.zeros(len(X))
-        for i in range(n):
-            acc = acc + ap[:, i] * (X[:, i] - cp[:, i]) ** 2 \
-                + 0.3 * np.sin(wp[:, i] * X[:, i])
+        y = np.einsum("rij,rj->ri", q[problems], X - c[problems])
+        acc = np.add.reduce(a[problems] * y ** 2 + 0.1 * np.sin(
+            w[problems] * y + phase[problems]), axis=1)
         if kind == "inf":
-            # like a negative dephasing strength: never the minimum
-            acc = np.where(X[:, 0] < cp[:, 0] - 0.3, np.inf, acc)
+            acc = np.where(X[:, 0] < LOWER, np.inf, acc)
         elif kind == "nan":
-            acc = np.where(X[:, -1] > cp[:, -1] + 0.4, np.nan, acc)
+            acc = np.where(X[:, -1] > c[problems, -1] + 0.8, np.nan, acc)
         elif kind == "plateau":
-            acc = np.round(acc, 2)
+            acc = np.round(acc, 12)
         return acc
 
-    return fun
+    return fun, c
 
 
 @pytest.mark.parametrize("kind", ["smooth", "inf", "nan", "plateau"])
@@ -83,80 +54,48 @@ def smooth_problems(rng, num, n, kind):
 def test_random_problems_match_scipy(n, kind):
     rng = np.random.default_rng([n, len(kind)])
     num = 12
-    fun = smooth_problems(rng, num, n, kind)
-    sim = simplices(rng.uniform(-1.0, 1.0, (num, n)),
-                    rng.uniform(0.05, 0.8, n))
-    # from n + 2, the smallest budget that refines, to budgets that converge
-    maxfev = np.concatenate([n + 2 + np.arange(num // 2),
-                             rng.integers(n + 8, 60 * n + 60, num - num // 2)])
-    out = assert_matches_scipy(fun, sim, maxfev)
-    assert (out.nfev <= maxfev).all()
+    fun, c = convex_problems(rng, num, n, kind)
+    x0 = c + rng.uniform(-0.7, 0.7, (num, n))
+    maxfev = rng.integers(60 * n * n + 60, 2000, num)
+    rows = []
 
+    def recorded(X, problems):
+        rows.append(X.copy())
+        return fun(X, problems)
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_budget_cut_mid_expansion(n):
-    # down an unbounded plane the simplex keeps expanding, so the budget
-    # runs out at reflections and at refused expansions
-    def fun(X, problems):
-        return -X.sum(axis=1) - problems
-
-    budgets = n + 2 + np.arange(3 * n + 3)
-    sim = simplices(np.zeros((len(budgets), n)), [0.3] * n)
-    out = assert_matches_scipy(fun, sim, budgets)
-    assert (out.nfev == budgets).all()
+    lower = [LOWER] + [-np.inf] * (n - 1) if kind == "inf" else None
+    ours = minimize(recorded, x0, 0.3, maxfev, lower=lower)
+    assert (ours.nfev <= maxfev).all()
+    assert np.isfinite(ours.fun).all()
+    if kind == "inf":
+        # the bound keeps every row out of the +inf region
+        assert np.concatenate(rows)[:, 0].min() >= LOWER + STEP
+    for p in range(num):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            theirs = scipy_minimize(
+                lambda x: fun(x[None], np.array([p]))[0], x0[p],
+                method="Nelder-Mead",
+                options={"xatol": 1e-10, "fatol": 1e-15, "maxfev": 10 ** 5,
+                         "maxiter": 10 ** 5})
+        assert theirs.success
+        if kind == "plateau":
+            assert ours.fun[p] <= theirs.fun
+            assert np.abs(ours.x[p] - theirs.x).max() < 1e-5
+        else:
+            assert abs(ours.fun[p] - theirs.fun) <= 1e-14
+            assert np.abs(ours.x[p] - theirs.x).max() < 1e-7
 
 
 def test_no_iteration_limit_beside_the_budget():
-    # with maxfev given scipy sets no iteration limit: 1000 iterations here,
-    # past the 200 * n it defaults to without a budget
+    # down an exponential slope each Newton step is one unit long and never
+    # converges, so only the budget stops the problem: 666 steps of 3 rows
+    # here, past the 200 * n iterations scipy's Nelder-Mead defaults to
+    # without one. The start keeps every value and its cube finite
     def fun(X, problems):
-        return -X.sum(axis=1)
+        return np.exp(-X[:, 0])
 
-    out = assert_matches_scipy(fun, simplices(np.zeros((1, 2)), [0.3, 0.3]),
-                               np.array([2000]), xatol=0.0, fatol=0.0)
-    assert out.nit[0] == 1000
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_budget_cut_mid_shrink(n):
-    # NaN everywhere: every iteration contracts inside, fails and shrinks,
-    # so most budgets run out part way through a shrink
-    def fun(X, problems):
-        return np.full(len(X), np.nan)
-
-    budgets = n + 2 + np.arange(3 * (n + 2))
-    sim = simplices(np.zeros((len(budgets), n)), [0.4] * n)
-    out = assert_matches_scipy(fun, sim, budgets)
-    assert np.isnan(out.fun).all()
-
-
-def test_one_call_per_simplex_phase():
-    # the phases are the initial vertices, the steps and the shrinks; a
-    # step scores its reflection and three possible successors in one call
-    # where they fit in the row bound, so an iteration takes at most two
-    # calls, and in two calls (reflection, then successor) where they do
-    # not. Only the rows scipy would evaluate are counted
-    rng = np.random.default_rng(7)
-    num, n = 30, 3
-    inner = smooth_problems(rng, num, n, "smooth")
-    sim = simplices(rng.uniform(-1.0, 1.0, (num, n)), [0.5] * n)
-    for bound in (4 * num, TWO_CALLS):
-        calls, masks = [], []
-
-        def fun(X, problems):
-            calls.append(len(problems))
-            return inner(X, problems)
-
-        out = minimize(fun, sim, 400, XATOL, FATOL, max_rows=bound,
-                       counted=masks.append)
-        assert calls[0] == num * (n + 1)
-        assert [len(mask) for mask in masks] == calls
-        assert sum(mask.sum() for mask in masks) == out.nfev.sum()
-        if bound:
-            assert len(calls) <= 1 + 2 * out.nit.max()
-            assert max(calls) <= bound
-            # the steps' unused successors are scored too
-            assert sum(calls) > out.nfev.sum()
-        else:
-            assert len(calls) <= 1 + 3 * out.nit.max()
-            assert sum(calls) == out.nfev.sum()
+    out = minimize(fun, np.full((1, 1), -200.0), 0.5, 2000)
+    assert out.nfev[0] == 2000
+    assert out.nit[0] == 666
+    assert abs(out.x[0, 0] - 464.0) < 1e-6

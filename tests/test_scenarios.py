@@ -927,11 +927,39 @@ class TestGroupedGridCalls:
             "conjecture-search", {"trials": "20", "out": str(tmp_path)}))
 
 
-class TestRefinementCalls:
-    """The bound that keeps a kernel call's memory down holds for the
-    refinement: each of its rounds is cut into calls of at most
-    ``_CALL_ROWS`` rows, its first round too, which scores every problem's
-    model and 2n probes."""
+class TestSpeculativeSteps:
+    """A refinement round scores each running problem's trial point with
+    the model around it, and in the first round the 2n probes too, before
+    it knows which of them it will use. How those rows are cut into kernel
+    calls changes no result and no count, and the bound that keeps a
+    kernel call's memory down holds for every round: each is cut into
+    calls of at most ``_CALL_ROWS`` rows, the first round too."""
+
+    def test_two_calls_per_step_change_nothing(self, monkeypatch):
+        grid = default_delta_grid()
+        one = kappa_scan(ideal_bell_scenario(), grid)
+        refine, rounds = scenarios.minimize, []
+
+        def halves(fun):
+            def split(X, rows):
+                rounds.append(len(X))
+                h = len(X) // 2
+                return np.concatenate([fun(X[:h], rows[:h]),
+                                       fun(X[h:], rows[h:])])
+            return split
+
+        monkeypatch.setattr(scenarios, "minimize", lambda fun, *args, **kw:
+                            refine(halves(fun), *args, **kw))
+        two = kappa_scan(ideal_bell_scenario(), grid)
+        assert np.array_equal(one.kappa_values, two.kappa_values)
+        assert np.array_equal(one.per_parameter, two.per_parameter)
+        assert one.optimizer_args == two.optimizer_args
+        assert one.work.evaluations == two.work.evaluations
+        assert one.work.kernel_rows == two.work.kernel_rows
+        assert one.work.refine_iterations == two.work.refine_iterations
+        # every round of more than one row takes one more call
+        assert rounds and min(rounds) > 1
+        assert two.work.kernel_calls - one.work.kernel_calls == len(rounds)
 
     def test_no_call_exceeds_the_row_bound(self, monkeypatch):
         calls, refining = [], []
