@@ -2,8 +2,9 @@
 
 Kernel contracts:
 
-* ``fisher_matrix(p, dp, cutoff)`` -> classical Fisher matrix, skipping
-  outcomes with probability below ``cutoff``
+* ``fisher_matrix(p, dp, cutoff)`` -> classical Fisher matrix of one
+  distribution or of each of a stack, skipping outcomes with probability
+  below ``cutoff``
 * ``kappa_batch(...)`` -> fused figure-of-merit evaluation of N m-copy
   states at once, with one POVM shared by every point or one per point:
   arrays (kappa, per-parameter terms, status) with status 0 = ok, 1 =
@@ -75,9 +76,18 @@ _SMALLEST = np.finfo(float).smallest_subnormal
 
 
 def fisher_matrix(p, dp, cutoff):
-    keep = p >= cutoff
-    dk = dp[:, keep]
-    return (dk / p[keep]) @ dk.T
+    """Classical Fisher matrix sum_k dp_ik dp_jk / p_k over the outcomes
+    with p_k >= cutoff, of one distribution (p (K,), dp (n, K)) or of each
+    of a stack ((P, K), (P, n, K)). A skipped outcome's column is zero in
+    both factors, and each matrix is its own BLAS product, so a
+    distribution gets the same bits alone and in a stack."""
+    if np.minimum.reduce(p, axis=None) >= cutoff:
+        return (dp / p[..., None, :]) @ dp.swapaxes(-1, -2)
+    keep = (p >= cutoff)[..., None, :]
+    kept = np.where(keep, dp, 0.0)
+    scaled = np.divide(kept, p[..., None, :], out=np.zeros_like(kept),
+                       where=keep)
+    return scaled @ kept.swapaxes(-1, -2)
 
 
 def singular_effective_information(F):
@@ -205,8 +215,14 @@ def kappa_two_phase(xi, phi_y, phi_z, povm, *args):
 
 def _block(m):
     """Real block forms [[Re M, -Im M], [Im M, Re M]] of a (..., d, d)
-    complex stack, C-ordered (..., 2d, 2d)."""
-    return np.block([[m.real, -m.imag], [m.imag, m.real]])
+    complex stack, C-ordered (..., 2d, 2d), filled one block at a time
+    (``np.block`` costs several times as much on stacks this small)."""
+    d = m.shape[-1]
+    out = np.empty(m.shape[:-2] + (2 * d, 2 * d))
+    out[..., :d, :d] = out[..., d:, d:] = m.real
+    out[..., d:, :d] = m.imag
+    np.negative(m.imag, out=out[..., :d, d:])
+    return out
 
 
 def mle_iterate(counts, rhos, init, max_iters, tol, p_floor):

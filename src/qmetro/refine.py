@@ -27,6 +27,10 @@ FTOL = 1e-14
 #: than ``-BENT`` times the largest takes one
 FLAT = 1e-6
 BENT = 1e-3
+#: the trust radius grows to at most this many starting radii, so that a
+#: model that stays linear walks on rather than jumping to where a step of
+#: ``STEP`` no longer changes the input
+MAX_RADIUS = 1024.0
 
 
 @dataclass(frozen=True)
@@ -78,10 +82,11 @@ def _model(values, n, dx):
 def _step(x, gradient, hessian, scale, radius, floor):
     """Each problem's trial point, the length of its step in units of
     ``scale`` and the gain that the model predicts for it: the Newton step
-    where the model's Hessian is positive semidefinite (``BENT``), its flat
-    directions (``FLAT``) left out, else the Cauchy point, the model's best
-    point along the steepest descent; clipped to the trust ``radius``, with
-    each input at its ``floor`` whose descent points below it held there."""
+    where the model's Hessian is positive semidefinite (``BENT``), plus,
+    along its flat directions (``FLAT``), the step down their gradient to
+    the trust radius, else the Cauchy point, the model's best point along
+    the steepest descent; clipped to the trust ``radius``, with each input
+    at its ``floor`` whose descent points below it held there."""
     held = (x <= floor) & (gradient > 0)
     g = np.where(held, 0.0, gradient * scale)
     h = np.where(held[:, :, None] | held[:, None, :], 0.0,
@@ -90,8 +95,14 @@ def _step(x, gradient, hessian, scale, radius, floor):
     top = np.maximum.reduce(np.abs(w), axis=1)[:, None]
     # along eigenvector k the Newton step is -c_k / w_k, where c = V^T g
     c = np.add.reduce(v * g[:, :, None], axis=1)
-    k = np.divide(-c, w, out=np.zeros_like(c), where=w > FLAT * top)
-    newton = np.add.reduce(v * k[:, None, :], axis=2)
+    flat = w <= FLAT * top
+    k = np.divide(-c, w, out=np.zeros_like(c), where=~flat)
+    # along the flat directions the model is linear, and its best point
+    # there is the Cauchy point on the trust radius, down their gradient
+    down = np.add.reduce(v * np.where(flat, c, 0.0)[:, None, :], axis=2)
+    size = np.sqrt(np.add.reduce(down * down, axis=1))
+    newton = np.add.reduce(v * k[:, None, :], axis=2) - down * np.divide(
+        radius, size, out=np.zeros_like(size), where=size > 0)[:, None]
     slope = np.sqrt(np.add.reduce(g * g, axis=1))
     curve = np.add.reduce(g * np.add.reduce(h * g[:, None, :], axis=2), axis=1)
     reach = np.where(curve > 0, np.minimum(radius, slope ** 3 / np.where(
@@ -122,9 +133,10 @@ def minimize(fun, x0, radius, maxfev, lower=None) -> RefineResult:
     start +- radius e_i, and moves to the best probe where that scores
     below the start. Every later call scores the model at the trial point,
     which is accepted where it scores at or below the accepted point. The
-    trust radius doubles after a step that filled it and gained at least
-    3/4 of the model's prediction, and falls to half the step's length
-    after one that gained less than 1/4 of it or was rejected. Each model's
+    trust radius doubles, up to ``MAX_RADIUS``, after a step that filled
+    it and gained at least 3/4 of the model's prediction, and falls to half
+    the step's length after one that gained less than 1/4 of it or was
+    rejected. Each model's
     step is the length of the step to its point, within [``FINEST_STEP``,
     ``STEP``], so that a model near a narrow peak resolves it. An input at
     its bound whose descent points below it is held there. A problem stops
@@ -204,7 +216,7 @@ def minimize(fun, x0, radius, maxfev, lower=None) -> RefineResult:
         radius = np.where(move, radius, np.where(
             ~accept | ~(actual >= 0.25 * gain), 0.5 * length,
             np.where((actual >= 0.75 * gain) & (length >= radius),
-                     2 * radius, radius)))
+                     np.minimum(2 * radius, MAX_RADIUS), radius)))
         trial, length, gain = _step(x, gradient, hessian, scale, radius,
                                     floor)
         fine = np.clip(np.linalg.norm(trial - x, axis=1), FINEST_STEP, STEP)

@@ -12,13 +12,15 @@ single-copy quantum information in the kappa denominator is unambiguous.
 Every search evaluation is scored by the batched kernel
 (``kernels.kappa_batch``), for any number of copies and for a fixed POVM, a
 stack of POVMs or a measurement generator alike; ``evaluate_kappa`` computes
-the reported value at each optimum and is the reference the kernel is
-tested against, on complex density matrices; both build each copy, and its
+the reported value at the optima and is the reference the kernel is tested
+against, on complex density matrices; both build each copy, and its
 closed-form single-copy quantum information, with ``states.single_copy``.
 A scan optimizes all its points, ``optimize_each`` every POVM of a stack,
 and the collective search a chunk of trials (an array of one projector set
 per trial), in one lockstep run of ``_maximize``: each Newton step of
 every problem's refinement shares one kernel call (``refine.minimize``).
+The run then reports all its optima with one ``evaluate_kappa`` call on
+the stack of them, each optimum with the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -29,15 +31,17 @@ from dataclasses import astuple, dataclass, field, replace
 import numpy as np
 
 from . import kernels
-# qfi_matrix and sld_operators are not called here; the benchmark wraps them
+# measurement_probabilities, probe_with_derivatives, qfi_matrix and
+# sld_operators are not called here; the benchmark wraps them
 from .fisher import (KappaResult, classical_fi, kappa,
-                     measurement_probabilities, qfi_matrix, sld_operators)
+                     measurement_probabilities, outcome_probabilities,
+                     qfi_matrix, sld_operators)
 from .linalg import pauli_table, projector
 from .refine import first_call_rows, minimize
 from .povm import MeasurementGenerator, Povm
 from .states import (PHASE_DEPHASING, TWO_PHASE, ProbeFamily, check_point,
-                     copies_with_derivatives, probe_with_derivatives,
-                     single_copy)
+                     copies_with_derivatives, density_matrices, point_errors,
+                     probe_with_derivatives, single_copy)
 
 DEFAULT_BUDGET = 2000
 #: the rotation (phi_y, phi_z) the collective search probes, and its
@@ -76,6 +80,9 @@ def input_problems(family: ProbeFamily, free, fixed, sweep: str | None,
     provided = {*free, *fixed, *swept}
     used = {*family.parameter_names, *phase_names(family, provided),
             *setting_names}
+    if provided == used and len(used) == len(free) + len(fixed) + len(swept):
+        # disjoint, each free input once, and exactly the inputs used
+        return []
     return [f"{problem}: {sorted(names)}" for problem, names in (
         ("inputs both free and fixed or swept", set(free) & (fixed | swept)),
         ("inputs both fixed and swept", fixed & swept),
@@ -190,25 +197,130 @@ def _refuse_stack(scenario: Scenario, what: str) -> None:
                          "stack with optimize_each")
 
 
-def evaluate_kappa(scenario: Scenario, values: dict[str, float]) -> KappaResult:
+def evaluate_kappa(scenario: Scenario, values: dict):
     """Reference (unaccelerated) evaluation of kappa at the point that
-    ``values`` and the fixed inputs name exactly (``input_problems``)."""
-    _refuse_stack(scenario, "evaluate_kappa")
+    ``values`` and the fixed inputs name exactly (``input_problems``): its
+    ``KappaResult``, or the error it fails with, raised.
+
+    Where any value is an array of P values, evaluates P points at once
+    and returns a list with each point's ``KappaResult`` or the error it
+    failed with, the others unchanged; a measurement stack then holds one
+    POVM per point. Each step runs once for the stack: one
+    ``states.single_copy`` per copy, complex density matrices by the
+    product rule, one probabilities contraction
+    (``fisher.outcome_probabilities``), P Fisher matrices (``classical_fi``)
+    and P results (``kappa``); every step treats a point on its own, so it
+    gets the same bits alone and in any stack. This is the reference the
+    kernel is tested against: complex matrices and an n x n inverse, and
+    no call into ``kernels.kappa_batch``.
+    """
     vals = {**scenario.fixed_inputs, **values}
+    sizes = []
+    for name, v in vals.items():
+        if not isinstance(v, float):
+            vals[name] = v = _number(v)
+            if isinstance(v, np.ndarray):
+                sizes.append(len(v))
     m = scenario.measurement
+    if not sizes:
+        _refuse_stack(scenario, "evaluate_kappa")
     problems = input_problems(
         scenario.family, (), vals, None,
         m.setting_names if isinstance(m, MeasurementGenerator) else ())
     if problems:
         raise ValueError("; ".join(problems))
-    params = tuple(float(vals[n]) for n in scenario.family.parameter_names)
-    phases = tuple(float(vals[n]) for n in phase_names(scenario.family, vals))
-    povm = m if isinstance(m, Povm) else m.build(vals)
-    swd = probe_with_derivatives(scenario.family, params, phases)
-    p, dp = measurement_probabilities(swd, povm)
-    report = classical_fi(p, dp, labels=povm.labels)
-    hdiag = single_copy_qfi_diagonal(scenario.family, params, phases[0])
-    return kappa(report, hdiag, m=scenario.family.copies)
+    count = max(sizes + [len(m) if isinstance(m, tuple) else 1])
+    if isinstance(m, tuple) and len(m) != count:
+        raise ValueError(f"a stack of {len(m)} POVMs needs as many points, "
+                         f"got {count}")
+    found = _reference(scenario.family, m, vals, count)
+    if sizes:
+        return found
+    if isinstance(found[0], Exception):
+        raise found[0]
+    return found[0]
+
+
+def _number(value):
+    """One float, or a 1-D array of floats."""
+    value = np.asarray(value, dtype=float)
+    return value if value.ndim else float(value)
+
+
+def _reference(family: ProbeFamily, measurement, values: dict,
+               count: int) -> list:
+    """``evaluate_kappa`` at ``count`` points: each of ``values`` is one
+    float, shared by every point, or an array of one per point, and a
+    measurement stack holds one POVM per point. Returns per point its
+    ``KappaResult`` or its error. A point is refused, in this order, for a
+    non-finite element of its generated POVM, an input that
+    ``check_point`` refuses, an imaginary probability residue or a failed
+    ``classical_fi`` check; the points that pass a stage go on to the next
+    as one stack."""
+    found = [None] * count
+    if isinstance(measurement, tuple):
+        elements = np.stack([povm.elements for povm in measurement])
+        labels = [povm.labels for povm in measurement]
+    elif isinstance(measurement, MeasurementGenerator):
+        elements = measurement.elements({
+            n: np.broadcast_to(values[n], (count,))
+            for n in measurement.setting_names})
+        labels = [measurement.labels] * count
+        for i in np.flatnonzero(~np.isfinite(elements).all(axis=(1, 2, 3))):
+            try:
+                Povm(measurement.labels, elements[i])
+            except ValueError as exc:
+                found[i] = exc
+    else:
+        elements, labels = measurement.elements, [measurement.labels] * count
+    params = [values[n] for n in family.parameter_names]
+    phases = [values[n] for n in phase_names(family, values)]
+    errors = point_errors(family, params, phases)
+    if errors is not None:
+        found = [a or b for a, b in zip(found, errors * count
+                                        if len(errors) < count else errors)]
+    live = range(count)
+
+    def carry(errors):
+        """Record the live points' errors; those without one stay live."""
+        nonlocal live
+        passed = np.array([error is None for error in errors])
+        for i, error in zip(live, errors):
+            found[i] = error
+        live = np.asarray(live)[passed]
+        return passed
+
+    if any(found):
+        passed = carry(found)
+        if not len(live):
+            return found
+        params, phases = ([v[passed] if isinstance(v, np.ndarray) else v
+                           for v in inputs] for inputs in (params, phases))
+        labels = [labels[i] for i in live]
+        if elements.ndim == 4:
+            elements = elements[passed]
+    singles = [single_copy(family, params, xi) for xi in phases]
+    # (n,) where every point has the same, else (P, n)
+    h = np.array(singles[0][1]).T
+    p, dp, errors = outcome_probabilities(
+        density_matrices([coords for coords, _ in singles]), elements)
+    if any(errors):
+        passed = carry(errors)
+        if not len(live):
+            return found
+        p, dp = p[passed], dp[passed]
+        h = h[passed] if h.ndim == 2 else h
+        labels = [label for label, keep in zip(labels, passed) if keep]
+    reports = classical_fi(p, dp, labels)
+    if any(isinstance(report, Exception) for report in reports):
+        passed = carry([report if isinstance(report, Exception) else None
+                        for report in reports])
+        reports = [r for r, keep in zip(reports, passed) if keep]
+        h = h[passed] if h.ndim == 2 else h
+    for i, result in zip(live, kappa(reports, h, family.copies)
+                         if reports else ()):
+        found[i] = result
+    return found
 
 
 class _Objective:
@@ -406,6 +518,9 @@ def _optimize(scenario: Scenario, base: dict, budget: int):
     """Maximize kappa for every problem of ``base`` or of a measurement
     stack in one lockstep run; returns per problem its ``OptimizeOutcome``,
     reported with its own POVM, or its error, and the run's ``SearchWork``.
+    The optima of the problems with a regular grid point are reported by
+    one ``evaluate_kappa`` call on their stack, in which a problem that
+    fails keeps its own error.
 
     A dephasing kappa reads phi and the input phases only through each
     copy's total phase alpha_j = phi + xi_j. Where phi and every copy's
@@ -424,6 +539,14 @@ def _optimize(scenario: Scenario, base: dict, budget: int):
                    if stack else scenario.measurement)
     objective = _Objective(scenario.family, measurement, base, names)
     best_x, _ = _maximize(objective, names, budget)
+    regular = np.flatnonzero(objective.any_regular)
+    points = {**{k: np.broadcast_to(v[regular] if np.ndim(v) else v,
+                                    regular.shape) for k, v in base.items()},
+              **dict(zip(names, best_x[regular].T))}
+    reported = evaluate_kappa(replace(scenario, measurement=tuple(
+        scenario.measurement[p] for p in regular)) if stack else scenario,
+        points) if regular.size else []
+    results = iter(reported)
     found = []
     for p, x in enumerate(best_x):
         vals = {k: float(v[p]) if np.ndim(v) else v for k, v in base.items()}
@@ -437,14 +560,10 @@ def _optimize(scenario: Scenario, base: dict, budget: int):
                 f"matrix); scenario {where}"))
             continue
         point = {**vals, **{n: float(v) for n, v in zip(names, x)}}
-        settings = {n: point[n] for n in scenario.free_inputs}
-        problem = replace(scenario, measurement=scenario.measurement[p]) \
-            if stack else scenario
-        try:
-            found.append(OptimizeOutcome(evaluate_kappa(problem, point),
-                                         settings))
-        except (RuntimeError, ValueError) as exc:
-            found.append(exc)
+        result = next(results)
+        found.append(result if isinstance(result, Exception) else
+                     OptimizeOutcome(result, {n: point[n]
+                                              for n in scenario.free_inputs}))
     return found, objective.work()
 
 

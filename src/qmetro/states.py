@@ -34,13 +34,20 @@ TWO_PHASE = "two-phase"
 #: quotients are evaluated directly.
 _SERIES_ANGLE = 1e-2
 
-#: row a is sigma_a / 2, flattened: coordinates @ it are the flat matrix
-_HALF_PAULIS = PAULIS.reshape(4, 4) / 2.0
+#: row a is sigma_a / 2, flattened, with each entry's real and imaginary
+#: parts side by side: real coordinates @ it are the flat complex matrix
+#: as pairs of floats. Each entry is 0 or +-1/2, so every sum has one
+#: rounding and the same value in any order
+_HALF_PAULIS = (PAULIS.reshape(4, 4) / 2.0).view(float)
 
 
-def _require_finite(**values: float) -> None:
+def _require_finite(values: dict) -> None:
     for name, v in values.items():
-        if not math.isfinite(v):
+        if isinstance(v, np.ndarray):
+            bad = v[~np.isfinite(v)]
+            if bad.size:
+                raise ValueError(f"{name} must be finite, got {float(bad[0])!r}")
+        elif not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v!r}")
 
 
@@ -68,7 +75,7 @@ def _rotation_with_derivatives(phi_y: float, phi_z: float) -> np.ndarray:
     Returns the (3, 2, 2) stack (U, dU/dphi_y, dU/dphi_z); the removable
     singularity at theta = 0 is handled by the series branch.
     """
-    _require_finite(phi_y=phi_y, phi_z=phi_z)
+    _require_finite({"phi_y": phi_y, "phi_z": phi_z})
     theta = math.hypot(phi_y, phi_z)
     t2 = theta * theta
     if theta < _SERIES_ANGLE:
@@ -124,9 +131,9 @@ def dephasing_coordinates(alpha, delta) -> np.ndarray:
     x, y = shrink * np.cos(alpha), shrink * np.sin(alpha)
     out = np.zeros((3,) + x.shape + (4,))
     out[0, ..., 0] = 1.0
-    out[0, ..., 1], out[0, ..., 2] = x, y
-    out[1, ..., 1], out[1, ..., 2] = -y, x
-    out[2, ..., 1], out[2, ..., 2] = -2.0 * delta * x, -2.0 * delta * y
+    # one assignment per coordinate, for the state and both derivatives
+    out[..., 1] = x, -y, -2.0 * delta * x
+    out[..., 2] = y, x, -2.0 * delta * y
     return out
 
 
@@ -141,12 +148,15 @@ def dephasing_qfi(delta):
     return c2, 2.0 * x * c2 / (-np.expm1(-x) + (x == 0.0))
 
 
-def check_point(**values: float) -> None:
-    """Refuse a non-finite input value or a negative dephasing strength."""
-    _require_finite(**values)
-    if values.get("delta", 0.0) < 0:
-        raise ValueError(
-            f"dephasing strength must be >= 0, got {values['delta']}")
+def check_point(**values) -> None:
+    """Refuse a non-finite input value or a negative dephasing strength;
+    each value is one float or an array of them."""
+    _require_finite(values)
+    delta = values.get("delta", 0.0)
+    if isinstance(delta, np.ndarray):
+        delta = delta.min(initial=0.0)
+    if delta < 0:
+        raise ValueError(f"dephasing strength must be >= 0, got {delta}")
 
 
 @dataclass(frozen=True)
@@ -288,6 +298,33 @@ def single_copy(family: ProbeFamily, params, xi):
     return pure_coordinates(kets), pure_qfi_diagonal(kets)
 
 
+def point_errors(family: ProbeFamily, params, phases) -> list | None:
+    """None where every point of ``params`` and ``phases`` (each one value
+    or an array of P values) passes ``check_point`` for each of its copies,
+    as ``probe_with_derivatives`` checks one point; else, per point, the
+    first error that check raises for it, or None. The points are checked
+    at once, and one by one only where that check fails."""
+    try:
+        check_point(**dict(zip(family.parameter_names, params)))
+        for xi in phases:
+            _require_finite({"xi": xi})
+        return None
+    except ValueError:
+        pass
+    values = np.array(np.broadcast_arrays(*params, *phases), dtype=float)
+    values = values.reshape(len(values), -1)
+    errors = [None] * values.shape[1]
+    n = family.num_parameters
+    for i, column in enumerate(values.T.tolist()):
+        point = dict(zip(family.parameter_names, column[:n]))
+        try:
+            for xi in column[n:]:
+                check_point(xi=xi, **point)
+        except ValueError as exc:
+            errors[i] = exc
+    return errors
+
+
 def probe_with_derivatives(family: ProbeFamily, params,
                            phases) -> StateWithDerivatives:
     """Evaluate the multi-copy probe state and its parameter derivatives.
@@ -296,7 +333,8 @@ def probe_with_derivatives(family: ProbeFamily, params,
     ``(phi_y, phi_z)`` depending on the family, and ``phases`` the input
     phase of each copy. Each copy's matrices are rho = (1/2) sum_a r_a
     sigma_a of its ``single_copy`` coordinates; derivatives of the m-copy
-    state follow the tensor-product rule and are traceless by construction.
+    state follow the tensor-product rule (``density_matrices``) and are
+    traceless by construction.
     """
     params = tuple(float(p) for p in params)
     if len(params) != family.num_parameters:
@@ -310,7 +348,24 @@ def probe_with_derivatives(family: ProbeFamily, params,
     point = dict(zip(family.parameter_names, params))
     for xi in phases:
         check_point(xi=xi, **point)
-    joint = _product_rule(
-        [(single_copy(family, params, xi)[0] @ _HALF_PAULIS).reshape(3, 2, 2)
-         for xi in phases], tensor_product)
+    joint = density_matrices([single_copy(family, params, xi)[0]
+                              for xi in phases])
     return StateWithDerivatives(state=joint[0], derivatives=joint[1:])
+
+
+def density_matrices(singles) -> np.ndarray:
+    """The complex m-copy density matrices and their derivatives, (1 + n,
+    ..., d, d), by the product rule on the matrices rho = (1/2) sum_a r_a
+    sigma_a of each copy's coordinate stack (1 + n, ..., 4)
+    (``single_copy``), whose middle axes broadcast: the reference path's
+    counterpart of ``copies_with_derivatives``. Every step is elementwise,
+    so a point gets the same bits alone and in a stack."""
+    if len({c.shape for c in singles}) > 1:
+        # the middle axes broadcast, behind the leading derivative axis
+        middle = np.broadcast_shapes(*(c.shape[1:-1] for c in singles))
+        singles = [np.broadcast_to(
+            c.reshape(c.shape[:1] + (1,) * (len(middle) + 2 - c.ndim)
+                      + c.shape[1:]), c.shape[:1] + middle + c.shape[-1:])
+            for c in singles]
+    return _product_rule([(c @ _HALF_PAULIS).view(complex).reshape(
+        c.shape[:-1] + (2, 2)) for c in singles], tensor_product)

@@ -150,3 +150,37 @@ def test_a_peak_narrower_than_the_model_step_is_reached():
 
     out = minimize(fun, [[0.3 + 1.5 * width]], 1e-3, 400)
     assert out.fun[0] < -1.0 + 1e-10
+
+
+def test_a_linear_direction_is_followed_until_the_budget_ends():
+    # a zero Hessian gives no Newton step; the Cauchy point down the
+    # gradient does, on the trust radius, at most MAX_RADIUS radii long
+    budget = 2000
+    path = []
+
+    def linear(X, owners):
+        path.append(X[0].copy())
+        return -X.sum(axis=1)
+
+    res = minimize(linear, np.zeros((1, 2)), 0.5, budget)
+    # stopped only where no further model fits in the budget
+    assert budget - 2 * 2 * 2 - 1 < res.nfev[0] <= budget
+    steps = np.diff([point.sum() for point in path[1:]])
+    assert (steps > 0).all() and np.isfinite(res.x).all()
+    assert res.fun[0] == -res.x[0].sum() < -1e4
+
+
+def test_a_flat_direction_is_followed_beside_a_curved_one():
+    # linear in x_0, quadratic in x_1: x_1 converges and x_0 keeps moving
+    res = minimize(lambda X, owners: X[:, 1] ** 2 - X[:, 0],
+                   np.array([[0.0, 1.0]]), 0.5, 600)
+    assert res.x[0, 0] > 100.0 and abs(res.x[0, 1]) < 1e-6
+
+
+def test_a_non_finite_stencil_still_stops_its_problem():
+    # past x_0 = 1 every row scores nan: the model there is flat, and the
+    # problem stops at the last finite point instead of walking on
+    res = minimize(lambda X, owners: np.where(X[:, 0] < 1.0, -X.sum(axis=1),
+                                              np.nan),
+                   np.zeros((1, 2)), 0.5, 2000)
+    assert res.nfev[0] < 200 and res.x[0, 0] < 1.0
