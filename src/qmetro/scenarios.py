@@ -130,13 +130,11 @@ class Scenario:
 @dataclass(frozen=True)
 class SearchWork:
     """What a search did: evaluations (grid rows plus the refinement's
-    rows), rows the kernel scored (the same rows: the refinement scores no
-    row that it does not use), kernel calls made, and refinement steps
-    summed over the refined problems (the calls each took part in, its
-    first included)."""
+    rows, each scored by the kernel once), kernel calls made, and
+    refinement steps summed over the refined problems (the calls each took
+    part in, its first included)."""
 
     evaluations: int = 0
-    kernel_rows: int = 0
     kernel_calls: int = 0
     refine_iterations: int = 0
 
@@ -204,47 +202,46 @@ def evaluate_kappa(scenario: Scenario, values: dict):
 
     Where any value is an array of P values, evaluates P points at once
     and returns a list with each point's ``KappaResult`` or the error it
-    failed with, the others unchanged; a measurement stack then holds one
-    POVM per point. Each step runs once for the stack: one
-    ``states.single_copy`` per copy, complex density matrices by the
-    product rule, one probabilities contraction
-    (``fisher.outcome_probabilities``), P Fisher matrices (``classical_fi``)
-    and P results (``kappa``); every step treats a point on its own, so it
-    gets the same bits alone and in any stack. This is the reference the
-    kernel is tested against: complex matrices and an n x n inverse, and
-    no call into ``kernels.kappa_batch``.
+    failed with, the others unchanged; every array holds P >= 1 values on
+    one axis, and a measurement stack then holds one POVM per point. Each
+    step runs once for the stack: one ``states.single_copy`` per copy,
+    complex density matrices by the product rule, one probabilities
+    contraction (``fisher.outcome_probabilities``), P Fisher matrices
+    (``classical_fi``) and P results (``kappa``); every step treats a point
+    on its own, so it gets the same bits alone and in any stack. This is
+    the reference the kernel is tested against: complex matrices and an n x
+    n inverse, and no call into ``kernels.kappa_batch`` or
+    ``kernels.probabilities``.
     """
     vals = {**scenario.fixed_inputs, **values}
-    sizes = []
+    shapes = {}
     for name, v in vals.items():
         if not isinstance(v, float):
-            vals[name] = v = _number(v)
-            if isinstance(v, np.ndarray):
-                sizes.append(len(v))
+            v = np.asarray(v, dtype=float)
+            vals[name] = v if v.ndim else float(v)
+            if v.ndim:
+                shapes[name] = v.shape
+    count = next(iter(shapes.values()), (1,))[0]
+    if count < 1 or any(shape != (count,) for shape in shapes.values()):
+        raise ValueError("point arrays must be 1-D, nonempty and of one "
+                         f"length, got shapes {shapes}")
     m = scenario.measurement
-    if not sizes:
+    if not shapes:
         _refuse_stack(scenario, "evaluate_kappa")
     problems = input_problems(
         scenario.family, (), vals, None,
         m.setting_names if isinstance(m, MeasurementGenerator) else ())
     if problems:
         raise ValueError("; ".join(problems))
-    count = max(sizes + [len(m) if isinstance(m, tuple) else 1])
     if isinstance(m, tuple) and len(m) != count:
         raise ValueError(f"a stack of {len(m)} POVMs needs as many points, "
                          f"got {count}")
     found = _reference(scenario.family, m, vals, count)
-    if sizes:
+    if shapes:
         return found
     if isinstance(found[0], Exception):
         raise found[0]
     return found[0]
-
-
-def _number(value):
-    """One float, or a 1-D array of floats."""
-    value = np.asarray(value, dtype=float)
-    return value if value.ndim else float(value)
 
 
 def _reference(family: ProbeFamily, measurement, values: dict,
@@ -252,81 +249,50 @@ def _reference(family: ProbeFamily, measurement, values: dict,
     """``evaluate_kappa`` at ``count`` points: each of ``values`` is one
     float, shared by every point, or an array of one per point, and a
     measurement stack holds one POVM per point. Returns per point its
-    ``KappaResult`` or its error. A point is refused, in this order, for a
-    non-finite element of its generated POVM, an input that
-    ``check_point`` refuses, an imaginary probability residue or a failed
-    ``classical_fi`` check; the points that pass a stage go on to the next
-    as one stack."""
-    found = [None] * count
+    ``KappaResult`` or its error. Every input is checked first
+    (``states.point_errors``); the points that pass go on as one stack,
+    built once, and a point's imaginary probability residue, else its
+    failed ``classical_fi`` check, else its ``kappa`` is its result."""
+    found = point_errors(values, count)
+    live = [i for i, error in enumerate(found) if error is None]
+    if not live:
+        return found
+    if len(live) < count:
+        values = {n: v[live] if isinstance(v, np.ndarray) else v
+                  for n, v in values.items()}
     if isinstance(measurement, tuple):
-        elements = np.stack([povm.elements for povm in measurement])
-        labels = [povm.labels for povm in measurement]
+        elements = np.stack([measurement[i].elements for i in live])
+        labels = [measurement[i].labels for i in live]
     elif isinstance(measurement, MeasurementGenerator):
         elements = measurement.elements({
-            n: np.broadcast_to(values[n], (count,))
+            n: np.broadcast_to(values[n], (len(live),))
             for n in measurement.setting_names})
-        labels = [measurement.labels] * count
-        for i in np.flatnonzero(~np.isfinite(elements).all(axis=(1, 2, 3))):
-            try:
-                Povm(measurement.labels, elements[i])
-            except ValueError as exc:
-                found[i] = exc
+        labels = measurement.labels
     else:
-        elements, labels = measurement.elements, [measurement.labels] * count
+        elements, labels = measurement.elements, measurement.labels
     params = [values[n] for n in family.parameter_names]
-    phases = [values[n] for n in phase_names(family, values)]
-    errors = point_errors(family, params, phases)
-    if errors is not None:
-        found = [a or b for a, b in zip(found, errors * count
-                                        if len(errors) < count else errors)]
-    live = range(count)
-
-    def carry(errors):
-        """Record the live points' errors; those without one stay live."""
-        nonlocal live
-        passed = np.array([error is None for error in errors])
-        for i, error in zip(live, errors):
-            found[i] = error
-        live = np.asarray(live)[passed]
-        return passed
-
-    if any(found):
-        passed = carry(found)
-        if not len(live):
-            return found
-        params, phases = ([v[passed] if isinstance(v, np.ndarray) else v
-                           for v in inputs] for inputs in (params, phases))
-        labels = [labels[i] for i in live]
-        if elements.ndim == 4:
-            elements = elements[passed]
-    singles = [single_copy(family, params, xi) for xi in phases]
+    singles = [single_copy(family, params, values[n])
+               for n in phase_names(family, values)]
     # (n,) where every point has the same, else (P, n)
     h = np.array(singles[0][1]).T
-    p, dp, errors = outcome_probabilities(
+    p, dp, residues = outcome_probabilities(
         density_matrices([coords for coords, _ in singles]), elements)
-    if any(errors):
-        passed = carry(errors)
-        if not len(live):
-            return found
-        p, dp = p[passed], dp[passed]
-        h = h[passed] if h.ndim == 2 else h
-        labels = [label for label, keep in zip(labels, passed) if keep]
     reports = classical_fi(p, dp, labels)
-    if any(isinstance(report, Exception) for report in reports):
-        passed = carry([report if isinstance(report, Exception) else None
-                        for report in reports])
-        reports = [r for r, keep in zip(reports, passed) if keep]
-        h = h[passed] if h.ndim == 2 else h
-    for i, result in zip(live, kappa(reports, h, family.copies)
-                         if reports else ()):
-        found[i] = result
+    passed = [i for i, report in enumerate(reports)
+              if not isinstance(report, Exception)]
+    results = dict(zip(passed, kappa(
+        [reports[i] for i in passed], h[passed] if h.ndim == 2 else h,
+        family.copies))) if passed else {}
+    for i, point in enumerate(live):
+        # a point without a result failed its check: its report is the error
+        found[point] = residues[i] or results.get(i, reports[i])
     return found
 
 
 class _Objective:
     """kappa of ``family`` measured by ``measurement`` as a function of the
     free-input vector, for P independent problems at once (P = 1 by
-    default); counts evaluations, kernel rows and kernel calls.
+    default); counts evaluations and kernel calls.
 
     Every call scores its N rows with one kernel call, whichever inputs are
     free: a free input is a column of the rows. A fixed input is one value
@@ -360,7 +326,6 @@ class _Objective:
         self.table = None if isinstance(measurement, MeasurementGenerator) \
             else pauli_table(getattr(measurement, "elements", measurement))
         self.evaluations = 0
-        self.kernel_rows = 0
         self.kernel_calls = 0
         self.refine_iterations = 0
         #: per problem: whether any of its evaluations had a regular Fisher
@@ -368,8 +333,8 @@ class _Objective:
         self.any_regular = np.zeros(self.problems, dtype=bool)
 
     def work(self) -> SearchWork:
-        return SearchWork(self.evaluations, self.kernel_rows,
-                          self.kernel_calls, self.refine_iterations)
+        return SearchWork(self.evaluations, self.kernel_calls,
+                          self.refine_iterations)
 
     def batch(self, X, problems=None) -> np.ndarray:
         """The search score at every row of ``X`` (shape (N, len(names))),
@@ -422,7 +387,6 @@ class _Objective:
                 kappa_values = np.where(negative, -np.inf, kappa_values)
                 status = np.where(negative, _NEGATIVE_DELTA, status)
         self.kernel_calls += 1
-        self.kernel_rows += len(X)
         self.evaluations += len(X)
         self.any_regular[rows[status == 0]] = True
         # a singular point (status 1) scores 0: kappa jumps there, as the
@@ -462,8 +426,8 @@ def _maximize(objective, names: list[str], budget: int):
     that no row it scores has delta < 0. ``minimize`` refines all problems in
     lockstep with one step per round, each round's rows cut into calls of
     at most ``_CALL_ROWS``, and each problem takes the path it takes alone.
-    Evaluations (grid rows plus every refinement row), kernel rows, calls
-    and steps add up on ``objective``.
+    Evaluations (grid rows plus every refinement row), kernel calls and
+    steps add up on ``objective``.
     """
     everyone = np.arange(objective.problems)
     ndim = len(names)
@@ -502,16 +466,6 @@ def _maximize(objective, names: list[str], budget: int):
         best_x = np.where(better[:, None], res.x, best_x)
         best_v = np.where(better, -res.fun, best_v)
     return best_x, best_v
-
-
-def _point_error(vals) -> ValueError | None:
-    """The error of a point whose fixed or swept inputs ``vals`` hold a
-    non-finite value or a negative dephasing strength."""
-    try:
-        check_point(**vals)
-    except ValueError as exc:
-        return exc
-    return None
 
 
 def _optimize(scenario: Scenario, base: dict, budget: int):
@@ -618,8 +572,8 @@ def kappa_scan(scenario: Scenario, grid, budget: int = DEFAULT_BUDGET) -> KappaC
         raise ValueError("grid must be finite")
     if not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be strictly increasing")
-    outcomes = [_point_error({**scenario.fixed_inputs,
-                              scenario.sweep: float(x)}) for x in grid]
+    outcomes = point_errors({**scenario.fixed_inputs, scenario.sweep: grid},
+                            grid.size)
     valid = [i for i, error in enumerate(outcomes) if error is None]
     work = SearchWork()
     if valid:

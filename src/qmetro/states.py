@@ -41,16 +41,6 @@ _SERIES_ANGLE = 1e-2
 _HALF_PAULIS = (PAULIS.reshape(4, 4) / 2.0).view(float)
 
 
-def _require_finite(values: dict) -> None:
-    for name, v in values.items():
-        if isinstance(v, np.ndarray):
-            bad = v[~np.isfinite(v)]
-            if bad.size:
-                raise ValueError(f"{name} must be finite, got {float(bad[0])!r}")
-        elif not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
-
-
 def make_equatorial_ket(xi) -> np.ndarray:
     """(|0> + e^{i xi} |1>)/sqrt(2); an array of phases gives one ket per
     phase, shape xi.shape + (2,)."""
@@ -75,7 +65,6 @@ def _rotation_with_derivatives(phi_y: float, phi_z: float) -> np.ndarray:
     Returns the (3, 2, 2) stack (U, dU/dphi_y, dU/dphi_z); the removable
     singularity at theta = 0 is handled by the series branch.
     """
-    _require_finite({"phi_y": phi_y, "phi_z": phi_z})
     theta = math.hypot(phi_y, phi_z)
     t2 = theta * theta
     if theta < _SERIES_ANGLE:
@@ -95,8 +84,10 @@ def two_phase_ket_with_derivatives(xi, phi_y, phi_z) -> np.ndarray:
 
     Returns a (3, 2) array: the ket, then its derivatives with respect to
     phi_y and phi_z. N input phases ``xi`` give shape (3, N, 2); ``phi_y``
-    and ``phi_z`` are then one value or N values, one rotation per row.
+    and ``phi_z`` are then one value or N values, one rotation per row. A
+    non-finite rotation is refused (``check_point``).
     """
+    check_point(phi_y=phi_y, phi_z=phi_z)
     if isinstance(phi_y, np.ndarray) or isinstance(phi_z, np.ndarray):
         xi, phi_y, phi_z = np.broadcast_arrays(xi, phi_y, phi_z)
         rotation = np.stack([_rotation_with_derivatives(float(a), float(b))
@@ -148,15 +139,40 @@ def dephasing_qfi(delta):
     return c2, 2.0 * x * c2 / (-np.expm1(-x) + (x == 0.0))
 
 
-def check_point(**values) -> None:
-    """Refuse a non-finite input value or a negative dephasing strength;
-    each value is one float or an array of them."""
-    _require_finite(values)
+def point_errors(values: dict, count: int) -> list:
+    """The first fault of each of ``count`` points, or None where it has
+    none: the first input of ``values``, in their order, that is not
+    finite, else a negative ``delta``. Each value is one float, shared by
+    every point, or an array of one per point."""
+    errors = [None] * count
+
+    def blame(v, bad, message):
+        # every point where ``bad`` holds and that has no fault yet
+        if isinstance(v, np.ndarray):
+            for i in np.flatnonzero(bad).tolist():
+                errors[i] = errors[i] or ValueError(message(float(v[i])))
+        elif bad:
+            error = ValueError(message(v))
+            errors[:] = [e or error for e in errors]
+
+    for name, v in values.items():
+        blame(v, ~np.isfinite(v) if isinstance(v, np.ndarray)
+              else not math.isfinite(v),
+              lambda x, name=name: f"{name} must be finite, got {x!r}")
     delta = values.get("delta", 0.0)
-    if isinstance(delta, np.ndarray):
-        delta = delta.min(initial=0.0)
-    if delta < 0:
-        raise ValueError(f"dephasing strength must be >= 0, got {delta}")
+    blame(delta, delta < 0,
+          lambda x: f"dephasing strength must be >= 0, got {x}")
+    return errors
+
+
+def check_point(**values) -> None:
+    """Raise the first fault that ``point_errors`` finds, at one point of
+    floats or at the points of arrays of one length."""
+    count = max((len(v) for v in values.values()
+                 if isinstance(v, np.ndarray)), default=1)
+    for error in point_errors(values, count):
+        if error is not None:
+            raise error
 
 
 @dataclass(frozen=True)
@@ -296,33 +312,6 @@ def single_copy(family: ProbeFamily, params, xi):
         return dephasing_coordinates(a + xi, b), dephasing_qfi(b)
     kets = two_phase_ket_with_derivatives(xi, a, b)
     return pure_coordinates(kets), pure_qfi_diagonal(kets)
-
-
-def point_errors(family: ProbeFamily, params, phases) -> list | None:
-    """None where every point of ``params`` and ``phases`` (each one value
-    or an array of P values) passes ``check_point`` for each of its copies,
-    as ``probe_with_derivatives`` checks one point; else, per point, the
-    first error that check raises for it, or None. The points are checked
-    at once, and one by one only where that check fails."""
-    try:
-        check_point(**dict(zip(family.parameter_names, params)))
-        for xi in phases:
-            _require_finite({"xi": xi})
-        return None
-    except ValueError:
-        pass
-    values = np.array(np.broadcast_arrays(*params, *phases), dtype=float)
-    values = values.reshape(len(values), -1)
-    errors = [None] * values.shape[1]
-    n = family.num_parameters
-    for i, column in enumerate(values.T.tolist()):
-        point = dict(zip(family.parameter_names, column[:n]))
-        try:
-            for xi in column[n:]:
-                check_point(xi=xi, **point)
-        except ValueError as exc:
-            errors[i] = exc
-    return errors
 
 
 def probe_with_derivatives(family: ProbeFamily, params,

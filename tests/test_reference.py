@@ -4,6 +4,7 @@ own error and leaves the others unchanged, and an optimizing run reports
 all its optima with one stacked evaluation."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from qmetro import (Povm, ProbeFamily, ProductProjectiveGenerator, Scenario,
                     bell_povm, classical_fi, evaluate_kappa, kappa_scan,
                     measurement_probabilities, optimize_each,
                     probe_with_derivatives, product_projective_povm)
-from qmetro import cli, fisher, scenarios
+from qmetro import cli, fisher, kernels, scenarios
 from qmetro.linalg import projector
 from qmetro.scenarios import phase_names
 
@@ -238,7 +239,7 @@ class TestStackedReference:
             "KappaResult", "ValueError"]
         assert "probabilities sum to" in str(found[1])
         assert "imaginary probability residue" in str(found[3])
-        assert str(found[5]) == "xi must be finite, got nan"
+        assert str(found[5]) == "xi_1 must be finite, got nan"
         assert_each_point_as_alone(scenario, values, len(stack))
 
     def test_one_point_raises_and_a_stack_needs_one_povm_per_point(self):
@@ -255,6 +256,91 @@ class TestStackedReference:
         found = evaluate_kappa(one, {"delta": np.array([0.4, -0.2])})
         assert str(found[1]) == "dephasing strength must be >= 0, got -0.2"
         assert_same_result(found[0], evaluate_kappa(one, {"delta": 0.4}))
+
+
+def bell_scenario(measurement=None):
+    return Scenario(family=ProbeFamily.phase_dephasing(copies=2),
+                    measurement=measurement or bell_povm(),
+                    fixed_inputs={"phi": 0.1, "delta": 0.4, "xi_1": 0.3,
+                                  "xi_2": 1.2}, sweep=None)
+
+
+def generator_scenario():
+    return Scenario(family=ProbeFamily.phase_dephasing(copies=2),
+                    measurement=ProductProjectiveGenerator(),
+                    fixed_inputs={"phi": 0.1, "delta": 0.4, "xi_1": 0.3,
+                                  "xi_2": 1.2, "theta_1": 0.9, "eta_1": 0.3,
+                                  "theta_2": 1.4, "eta_2": 2.0}, sweep=None)
+
+
+class TestOnePass:
+    """``_reference`` checks every input it reads with one point rule,
+    then evaluates the points that pass as one stack."""
+
+    @pytest.mark.parametrize("values,shapes", [
+        ({"delta": np.array([])}, "{'delta': (0,)}"),
+        ({"delta": np.full((2, 2), 0.4)}, "{'delta': (2, 2)}"),
+        ({"delta": np.array([0.1, 0.2]), "xi_1": np.array([0.1, 0.2, 0.3])},
+         "{'delta': (2,), 'xi_1': (3,)}"),
+    ], ids=["empty", "2-D", "two-lengths"])
+    def test_malformed_arrays_are_refused_by_name(self, monkeypatch, values,
+                                                  shapes):
+        def refused(*args):
+            raise AssertionError("the reference path ran")
+
+        monkeypatch.setattr(scenarios, "_reference", refused)
+        with pytest.raises(ValueError) as raised:
+            evaluate_kappa(bell_scenario(), values)
+        assert str(raised.value) == ("point arrays must be 1-D, nonempty and "
+                                     f"of one length, got shapes {shapes}")
+
+    def test_non_finite_setting_is_named_without_a_warning(self):
+        scenario = generator_scenario()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="^theta_1 must be finite, got inf$"):
+                evaluate_kappa(scenario, {"theta_1": math.inf})
+            found = evaluate_kappa(scenario, {
+                "theta_1": np.array([0.9, math.inf, -math.inf])})
+        assert [str(f) for f in found[1:]] == [
+            "theta_1 must be finite, got inf",
+            "theta_1 must be finite, got -inf"]
+        assert_same_result(found[0], evaluate_kappa(scenario, {}))
+
+    def test_residue_error_wins_over_a_classical_fi_error(self):
+        # doubled, so its probabilities sum to 2, and skew, so they have an
+        # imaginary residue
+        skew = 2.0 * bell_povm().elements
+        skew[0, 0, 1] += 1e-3j
+        skew[0, 1, 0] += 1e-3j
+        both = Povm(bell_povm().labels, skew)
+        with pytest.raises(ValueError, match="imaginary probability residue"):
+            evaluate_kappa(bell_scenario(both), {})
+        scenario = bell_scenario((bell_povm(), both))
+        values = {"delta": np.array([0.4, 0.4])}
+        regular, failed = evaluate_kappa(scenario, values)
+        assert "imaginary probability residue" in str(failed)
+        assert_same_result(regular, evaluate_kappa(bell_scenario(), {}))
+
+    def test_the_reference_calls_no_kernel(self, monkeypatch):
+        # the kernels are tested against this path, so it must not use
+        # them (``fisher`` may call ``kernels.fisher_matrix``)
+        def refused(*args):
+            raise AssertionError("the reference path called a kernel")
+
+        for name in ("kappa_batch", "probabilities"):
+            monkeypatch.setattr(kernels, name, refused)
+        stack = (bell_povm(), product_projective_povm((0.9, 0.3, 1.4, 2.0)))
+        deltas = {"delta": np.array([0.4, 0.7])}
+        for scenario, values in [(bell_scenario(), {}),
+                                 (bell_scenario(), deltas),
+                                 (bell_scenario(stack), deltas),
+                                 (generator_scenario(), {}),
+                                 (generator_scenario(), deltas)]:
+            found = evaluate_kappa(scenario, values)
+            for result in found if isinstance(found, list) else [found]:
+                assert result.kappa > 0.0
 
 
 @pytest.mark.parametrize("dim,outcomes", [(2, 6), (4, 4), (8, 8)])

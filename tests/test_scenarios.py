@@ -740,8 +740,8 @@ class TestMaximizeGrid:
             assert len(refinement) == run.nit.max()
             assert sum(refinement) == run.nfev.sum()
             assert (run.nfev <= 400 - per_dim ** 2).all()
-            assert objective.evaluations == objective.kernel_rows == \
-                sum(rows) == problems * per_dim ** 2 + run.nfev.sum()
+            assert objective.evaluations == sum(rows) == \
+                problems * per_dim ** 2 + run.nfev.sum()
             assert objective.kernel_calls == len(rows)
             assert objective.refine_iterations == run.nit.sum()
         # lockstep: far fewer calls than refined rows
@@ -955,7 +955,6 @@ class TestSpeculativeSteps:
         assert np.array_equal(one.per_parameter, two.per_parameter)
         assert one.optimizer_args == two.optimizer_args
         assert one.work.evaluations == two.work.evaluations
-        assert one.work.kernel_rows == two.work.kernel_rows
         assert one.work.refine_iterations == two.work.refine_iterations
         # every round of more than one row takes one more call
         assert rounds and min(rounds) > 1

@@ -10,9 +10,13 @@ from qmetro import (ProbeFamily, make_equatorial_ket, probe_with_derivatives,
                     qfi_matrix, tensor_product, two_phase_ket_with_derivatives)
 from qmetro.linalg import PAULI_Y, PAULI_Z, hermiticity_defect, projector
 from qmetro.scenarios import single_copy_qfi_diagonal
-from qmetro.states import dephasing_qfi, pure_qfi_diagonal
+from qmetro.states import (check_point, dephasing_qfi, point_errors,
+                           pure_qfi_diagonal)
 
 ANGLES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+#: an input value: finite of either sign, or nan or an infinity
+INPUTS = st.one_of(st.floats(-3.0, 3.0),
+                   st.sampled_from([math.nan, math.inf, -math.inf]))
 
 
 def dephased(xi, phi, delta):
@@ -368,3 +372,53 @@ class TestProjector:
             assert np.array_equal(row, np.outer(ket, ket.conj()))
         assert np.array_equal(projector(kets[0, 0]),
                               np.outer(kets[0, 0], kets[0, 0].conj()))
+
+
+class TestPointRule:
+    """``point_errors`` gives each point of a stack the fault that
+    ``check_point`` raises for that point alone."""
+
+    @staticmethod
+    def fault(point):
+        """The rule written out for one point of floats."""
+        for name, x in point.items():
+            if not math.isfinite(x):
+                return f"{name} must be finite, got {x!r}"
+        if point.get("delta", 0.0) < 0:
+            return f"dephasing strength must be >= 0, got {point['delta']}"
+        return None
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=300)
+    def test_each_point_has_the_fault_it_has_alone(self, data):
+        count = data.draw(st.integers(1, 6), label="count")
+        names = data.draw(st.lists(st.sampled_from(
+            ["phi", "xi_1", "xi_2", "theta_1", "eta_2"]), unique=True,
+            max_size=4), label="names")
+        names.insert(data.draw(st.integers(0, len(names))), "delta")
+        values = {name: np.array(data.draw(st.lists(
+            INPUTS, min_size=count, max_size=count), label=name))
+            if data.draw(st.booleans()) else data.draw(INPUTS, label=name)
+            for name in names}
+        errors = point_errors(values, count)
+        assert len(errors) == count
+        for i, error in enumerate(errors):
+            point = {n: float(v[i]) if isinstance(v, np.ndarray) else v
+                     for n, v in values.items()}
+            expected = self.fault(point)
+            if expected is None:
+                assert error is None
+                check_point(**point)
+                continue
+            assert type(error) is ValueError and str(error) == expected
+            with pytest.raises(ValueError) as raised:
+                check_point(**point)
+            assert str(raised.value) == expected
+        # on the whole stack, check_point raises the first point's fault
+        first = next((str(e) for e in errors if e is not None), None)
+        if first is None:
+            check_point(**values)
+        else:
+            with pytest.raises(ValueError) as raised:
+                check_point(**values)
+            assert str(raised.value) == first
