@@ -14,8 +14,8 @@ directory along with a deterministic manifest.json; wall time goes to
 run.log so that reruns with the same config and seed are byte-identical.
 The searches add their work to run.log as key=value lines: ``evaluations``
 (grid rows plus the rows of the Newton refinement, each scored once),
-``kernel_calls`` and ``refine_iterations`` (Newton steps summed over the
-refined points or trials); tomography adds
+``kernel_calls``, ``refine_iterations`` (Newton steps summed over the
+refined starts) and ``starts`` (the starts refined); tomography adds
 ``iterations`` (MLE iterations), ``mle_s`` (seconds in the
 reconstruction) and ``mle_ms_per_iteration``, and writes the log-likelihood
 at the start and after each iteration to ll_trace.csv.

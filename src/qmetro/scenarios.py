@@ -18,7 +18,8 @@ closed-form single-copy quantum information, with ``states.single_copy``.
 A scan optimizes all its points, ``optimize_each`` every POVM of a stack,
 and the collective search a chunk of trials (an array of one projector set
 per trial), in one lockstep run of ``_maximize``: each Newton step of
-every problem's refinement shares one kernel call (``refine.minimize``).
+every refined start of every problem shares one kernel call
+(``refine.minimize``).
 The run then reports all its optima with one ``evaluate_kappa`` call on
 the stack of them, each optimum with the bits it gets alone.
 """
@@ -49,6 +50,16 @@ DEFAULT_BUDGET = 2000
 DEFAULT_SEARCH_AT = (0.4, 0.3)
 DEFAULT_XI_BUDGET = 48
 GRID_POINTS_PER_DIM = 17
+#: a search of two or more inputs grids at most this many points per
+#: axis, and refines up to ``MULTI_STARTS`` local maxima of its grid where
+#: the budget left after the grid holds ``_START_CALLS`` first refinement
+#: calls per start
+MULTI_GRID_POINTS_PER_DIM = 7
+MULTI_STARTS = 2
+_START_CALLS = 4
+#: scores within this relative distance of the best tie, and a tie goes to
+#: the earlier row in grid order
+_TIE = 1e-12
 #: fraction of the evaluation budget spent on the coarse grid; the remainder
 #: goes to the refinement
 _GRID_FRACTION = 0.75
@@ -130,13 +141,14 @@ class Scenario:
 @dataclass(frozen=True)
 class SearchWork:
     """What a search did: evaluations (grid rows plus the refinement's
-    rows, each scored by the kernel once), kernel calls made, and
-    refinement steps summed over the refined problems (the calls each took
-    part in, its first included)."""
+    rows, each scored by the kernel once), kernel calls made, refinement
+    steps summed over the refined starts (the calls each took part in, its
+    first included), and the starts refined."""
 
     evaluations: int = 0
     kernel_calls: int = 0
     refine_iterations: int = 0
+    starts: int = 0
 
     def __add__(self, other: SearchWork) -> SearchWork:
         return SearchWork(*(a + b for a, b in zip(astuple(self),
@@ -328,13 +340,14 @@ class _Objective:
         self.evaluations = 0
         self.kernel_calls = 0
         self.refine_iterations = 0
+        self.starts = 0
         #: per problem: whether any of its evaluations had a regular Fisher
         #: matrix
         self.any_regular = np.zeros(self.problems, dtype=bool)
 
     def work(self) -> SearchWork:
         return SearchWork(self.evaluations, self.kernel_calls,
-                          self.refine_iterations)
+                          self.refine_iterations, self.starts)
 
     def batch(self, X, problems=None) -> np.ndarray:
         """The search score at every row of ``X`` (shape (N, len(names))),
@@ -412,36 +425,41 @@ _CALL_ROWS = 1200
 
 
 def _maximize(objective, names: list[str], budget: int):
-    """Deterministic coarse grid plus a lockstep Newton refinement for each
-    of the objective's P problems; returns the best inputs (P, len(names))
-    and their scores (P,).
+    """Deterministic coarse grid, then a lockstep Newton refinement of each
+    of the objective's P problems from the best local maxima of its grid
+    (``_refine``); returns the best inputs (P, len(names)) and their scores
+    (P,). Evaluations (grid rows plus every refinement row), kernel calls,
+    steps and refined starts add up on ``objective``, and no problem scores
+    more than ``budget`` rows.
 
     Every problem is scored at the same grid points, as many whole grids
     per ``objective.batch`` call as fit in ``_CALL_ROWS`` rows (one per
     call when a grid alone is larger); a row gets the same bits in any
     batch, so the grouping changes no score. A phase is gridded over its
-    period and delta on the cell centres of [0, ``_SPANS["delta"]``). Each
-    problem's best grid point starts its refinement, with half a grid
-    spacing as its trust radius and a free delta bounded below by 0, so
-    that no row it scores has delta < 0. ``minimize`` refines all problems in
-    lockstep with one step per round, each round's rows cut into calls of
-    at most ``_CALL_ROWS``, and each problem takes the path it takes alone.
-    Evaluations (grid rows plus every refinement row), kernel calls and
-    steps add up on ``objective``.
+    period and delta on the cell centres of [0, ``_SPANS["delta"]``), in
+    at most ``_GRID_FRACTION`` of the budget (``_grid_counts``). A grid row
+    is a local maximum where it scores at least as high as its 2n
+    neighbours (a phase axis wraps around, delta's does not). A search of
+    one input refines its best one; a search of more refines its
+    ``MULTI_STARTS`` best where the budget left holds ``_START_CALLS``
+    first refinement calls for each start, and else its best alone. The
+    starts rank by score, scores within ``_TIE`` of each other by grid
+    order (``np.ndindex``), and each takes an equal share of the budget
+    left, with half a grid spacing as its trust radius and a free delta
+    bounded below by 0, so that no row it scores has delta < 0.
     """
     everyone = np.arange(objective.problems)
     ndim = len(names)
     if ndim == 0:
         return np.zeros((everyone.size, 0)), objective.batch(
             np.zeros((everyone.size, 0)), everyone)
-    per_dim = min(GRID_POINTS_PER_DIM,
-                  max(3, int((_GRID_FRACTION * budget) ** (1.0 / ndim))))
+    counts = _grid_counts(ndim, _GRID_FRACTION * budget)
     spans = np.array([_SPANS.get(n, _DEFAULT_SPAN) for n in names])
     # delta on the centres of its axis' cells: at delta = 0 the Fisher
     # matrix is singular, so a row there scores 0
-    axes = [np.linspace(0.0, span, per_dim, endpoint=False)
-            + (0.5 * span / per_dim if n == "delta" else 0.0)
-            for n, span in zip(names, spans)]
+    axes = [np.linspace(0.0, span, c, endpoint=False)
+            + (0.5 * span / c if n == "delta" else 0.0)
+            for n, span, c in zip(names, spans, counts)]
     # rows in np.ndindex order: the last input varies fastest
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, ndim)
     group = max(1, _CALL_ROWS // len(grid))
@@ -449,23 +467,101 @@ def _maximize(objective, names: list[str], budget: int):
         objective.batch(np.tile(grid, (len(part), 1)),
                         np.repeat(part, len(grid)))
         for part in np.split(everyone, range(group, everyone.size, group))])
-    # per problem the first strict maximum wins and NaN never does, as a
-    # running ``v > best`` comparison from -inf would choose
+    # NaN never starts a refinement, as it never wins a comparison
     ranked = np.where(np.isnan(values), -np.inf, values).reshape(everyone.size, -1)
-    best = np.argmax(ranked, axis=1)
-    best_x, best_v = grid[best], ranked[everyone, best]
     remaining = budget - len(grid)
-    if remaining >= first_call_rows(ndim):
-        res = minimize(lambda X, rows: -np.concatenate([
-            objective.batch(X[i:i + _CALL_ROWS], rows[i:i + _CALL_ROWS])
-            for i in range(0, len(X), _CALL_ROWS)]), best_x,
-            0.5 * spans / per_dim, remaining,
-            lower=[0.0 if n == "delta" else -np.inf for n in names])
-        objective.refine_iterations += int(res.nit.sum())
-        better = -res.fun > best_v
-        best_x = np.where(better[:, None], res.x, best_x)
-        best_v = np.where(better, -res.fun, best_v)
-    return best_x, best_v
+    count = MULTI_STARTS if ndim > 1 and remaining >= (
+        _START_CALLS * MULTI_STARTS * first_call_rows(ndim)) else 1
+    # each problem's starts in grid order
+    owners, rows = np.nonzero(_best_local_maxima(
+        ranked, counts, [n != "delta" for n in names], count))
+    if remaining < first_call_rows(ndim):
+        # one start per problem, and no room to refine it
+        return grid[rows], ranked[owners, rows]
+    return _refine(objective, grid[rows], ranked[owners, rows], owners,
+                   remaining // np.bincount(owners)[owners],
+                   0.5 * spans / counts,
+                   [0.0 if n == "delta" else -np.inf for n in names])
+
+
+def _grid_counts(ndim: int, rows: float) -> np.ndarray:
+    """The grid points on each of ``ndim`` axes, at least one, with at
+    most ``rows`` rows in all where one point per axis fits: the same
+    number k on every axis, up to ``GRID_POINTS_PER_DIM`` for one input and
+    ``MULTI_GRID_POINTS_PER_DIM`` for more. Where k < 3, the leading axes
+    take one point more, up to 3, while the grid still fits: a phase axis
+    of two points holds only 0 and half the period, where every row of a
+    product measurement's grid can be singular."""
+    cap = GRID_POINTS_PER_DIM if ndim == 1 else MULTI_GRID_POINTS_PER_DIM
+    counts = np.full(ndim, max(1, min(cap, int(rows ** (1.0 / ndim)))))
+    for axis in range(ndim):
+        if counts[axis] < 3 and (np.prod(counts) // counts[axis]
+                                 * (counts[axis] + 1)) <= rows:
+            counts[axis] += 1
+    return counts
+
+
+def _best_local_maxima(ranked, shape, periodic, count):
+    """Per problem, which rows of its grid scores ``ranked`` (P, rows) are
+    among its ``count`` best local maxima, as a mask of ``ranked``'s shape:
+    rows at least as high as their neighbours along each axis of a grid of
+    ``shape`` in ``np.ndindex`` order, where an axis wraps around if it is
+    ``periodic``. Scores within ``_TIE`` of the best left rank by grid
+    order, so the first such row comes next."""
+    cube = ranked.reshape(len(ranked), *shape)
+    peak = np.ones(cube.shape, dtype=bool)
+    for axis, wraps in enumerate(periodic, start=1):
+        # views with this axis last; ``at`` writes through to ``peak``
+        v, at = cube.swapaxes(axis, -1), peak.swapaxes(axis, -1)
+        at[..., 1:] &= v[..., 1:] >= v[..., :-1]
+        at[..., :-1] &= v[..., :-1] >= v[..., 1:]
+        if wraps:
+            at[..., 0] &= v[..., 0] >= v[..., -1]
+            at[..., -1] &= v[..., -1] >= v[..., 0]
+    left = peak.reshape(len(ranked), -1)
+    chosen = np.zeros_like(left)
+    everyone = np.arange(len(ranked))
+    for _ in range(count):
+        top = np.where(left, ranked, -np.inf).max(axis=1, keepdims=True)
+        tied = left & (ranked >= top - _TIE * np.abs(top))
+        first = np.argmax(tied, axis=1)
+        # a problem with no local maximum left has no tied row
+        found = tied[everyone, first]
+        chosen[everyone[found], first[found]] = True
+        left[everyone, first] = False
+    return chosen
+
+
+def _refine(objective, starts, values, owners, budgets, radius, lower):
+    """Refine every start (S, n) of every problem in one lockstep
+    ``minimize`` run and keep each problem's best; returns per problem of
+    ``objective`` its best inputs and score.
+
+    Start s belongs to problem ``owners[s]`` (ascending, each problem's
+    starts in grid order), scored ``values[s]`` on the grid, and refines
+    within ``budgets[s]`` rows from the trust radius ``radius``, above the
+    bound ``lower`` of each input (``refine.minimize``). Each row is scored
+    for its start's problem, in calls of at most ``_CALL_ROWS`` rows. A
+    start keeps its grid point unless the refinement scored higher, and a
+    problem's winner is its first start within ``_TIE`` of its best.
+    """
+    res = minimize(lambda X, rows: -np.concatenate([
+        objective.batch(X[i:i + _CALL_ROWS], owners[rows[i:i + _CALL_ROWS]])
+        for i in range(0, len(X), _CALL_ROWS)]), starts, radius, budgets,
+        lower=lower)
+    objective.refine_iterations += int(res.nit.sum())
+    objective.starts += len(starts)
+    better = -res.fun > values
+    x = np.where(better[:, None], res.x, starts)
+    v = np.where(better, -res.fun, values)
+    if len(starts) == objective.problems:
+        # one start per problem
+        return x, v
+    top = np.full(objective.problems, -np.inf)
+    np.maximum.at(top, owners, v)
+    tied = np.flatnonzero(v >= top[owners] - _TIE * np.abs(top[owners]))
+    _, first = np.unique(owners[tied], return_index=True)
+    return x[tied[first]], v[tied[first]]
 
 
 def _optimize(scenario: Scenario, base: dict, budget: int):
@@ -528,10 +624,11 @@ def optimize_each(scenario: Scenario, at, budget: int = DEFAULT_BUDGET
 
     ``at`` is the swept input's value, or None when every input is free or
     fixed. Every problem gets a coarse grid over each free input's period
-    (over [0, 3) for delta) followed by Newton steps from its best grid
-    point, and all problems run in lockstep, each as it would run alone;
-    deterministic for a fixed budget. Returns per problem its ``OptimizeOutcome`` or the error
-    it failed with, and the run's ``SearchWork`` once.
+    (over [0, 3) for delta) followed by Newton steps from the best local
+    maxima of its grid, and all problems run in lockstep, each as it would
+    run alone (``_maximize``); deterministic for a fixed budget, which no
+    problem exceeds. Returns per problem its ``OptimizeOutcome`` or the
+    error it failed with, and the run's ``SearchWork`` once.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")

@@ -43,10 +43,11 @@ _HALF_PAULIS = (PAULIS.reshape(4, 4) / 2.0).view(float)
 
 def make_equatorial_ket(xi) -> np.ndarray:
     """(|0> + e^{i xi} |1>)/sqrt(2); an array of phases gives one ket per
-    phase, shape xi.shape + (2,)."""
+    phase, shape xi.shape + (2,). A non-finite phase is refused
+    (``check_point``)."""
     xi = np.asarray(xi, dtype=float)
     if not np.isfinite(xi).all():
-        raise ValueError(f"xi must be finite, got {xi.tolist()!r}")
+        check_point(xi=xi.ravel())
     ket = np.ones(xi.shape + (2,), dtype=complex)
     ket[..., 1] = np.exp(1j * xi)
     return ket / np.sqrt(2.0)

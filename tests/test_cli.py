@@ -473,12 +473,13 @@ class TestCliCommands:
         assert code == 0
         doc = json.loads((out / "optimize.json").read_text())
         assert (doc["sweep"], doc["at"]) == ("delta", 0.3)
-        assert doc["evaluations"] == 320
+        # a 7 x 7 grid of (xi_1, xi_2) and two refined starts
+        assert doc["evaluations"] == 111
         assert doc["kappa"] == 1.2903913190376914
         # phi is held at 0: kappa reads it only through phi + xi_j
         assert doc["settings"] == {"phi": 0.0,
-                                   "xi_1": 0.7853981633840376,
-                                   "xi_2": 0.7853981633840376}
+                                   "xi_1": 0.7853981651411942,
+                                   "xi_2": 0.7853981651411942}
 
     @pytest.mark.parametrize("argv,free", [
         (["--free-inputs", "phi,delta,xi_1,xi_2"], "delta"),
@@ -507,9 +508,10 @@ class TestCliCommands:
         lines = (tmp_path / "run.log").read_text().splitlines()
         log = dict(line.split("=") for line in lines)
         assert list(log) == ["wall_time_s", "evaluations", "kernel_calls",
-                             "refine_iterations"]
+                             "refine_iterations", "starts"]
         assert int(log["evaluations"]) > int(log["kernel_calls"]) > 0
-        assert int(log["refine_iterations"]) > 0
+        # every refined start takes part in at least one step
+        assert int(log["refine_iterations"]) >= int(log["starts"]) > 0
 
     @pytest.mark.parametrize("command,free,error", [
         ("optimize", "phi,xi_1,xi_2,bogus",

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmetro import (GateModel, Povm, ProbeFamily, ProductProjectiveGenerator,
                     Scenario, bell_povm, cs_gate_povm, evaluate_kappa,
@@ -699,10 +701,11 @@ class TestMaximizeGrid:
         assert best_x[0] == 2 * math.pi / 3
 
     def test_evaluations_count_grid_and_refinement(self, monkeypatch):
-        # a lockstep run of P problems grids each one, then refines all of
-        # them together, one kernel call per Newton step whatever P is
-        # while a step's rows fit in ``_CALL_ROWS``. Every row the kernel
-        # scores is an evaluation: the grid rows plus the refinement's
+        # a lockstep run of P problems grids each one, then refines the
+        # starts of all of them together, one kernel call per Newton step
+        # whatever P is while a step's rows fit in ``_CALL_ROWS``. Every
+        # row the kernel scores is an evaluation: the grid rows plus the
+        # refinement's
         rows, runs = [], []
         batched = kernels.kappa_batch
         refine = scenarios.minimize
@@ -719,7 +722,8 @@ class TestMaximizeGrid:
         monkeypatch.setattr(scenarios, "minimize", recorded)
         # the coordinates of the default Bell search, phi held at 0
         names = ["xi_1", "xi_2"]
-        per_dim = int((0.75 * 400) ** (1 / 2))
+        per_dim = scenarios.MULTI_GRID_POINTS_PER_DIM
+        assert per_dim < int((0.75 * 400) ** (1 / 2))
         for delta, problems in ((0.3, 1), (default_delta_grid(), 40)):
             rows.clear()
             runs.clear()
@@ -735,17 +739,146 @@ class TestMaximizeGrid:
             assert rows[:len(grid_rows)] == grid_rows
             [run] = runs
             refinement = rows[len(grid_rows):]
-            assert problems * refine_module.first_call_rows(2) <= \
+            # the budget left holds four first calls for each of two
+            # starts, and the Bell grid has two local maxima, the mirror
+            # optima
+            starts = scenarios.MULTI_STARTS * problems
+            assert 400 - per_dim ** 2 >= scenarios._START_CALLS * \
+                scenarios.MULTI_STARTS * refine_module.first_call_rows(2)
+            assert len(run.nfev) == objective.starts == starts
+            assert starts * refine_module.first_call_rows(2) <= \
                 scenarios._CALL_ROWS
             assert len(refinement) == run.nit.max()
             assert sum(refinement) == run.nfev.sum()
-            assert (run.nfev <= 400 - per_dim ** 2).all()
+            assert (run.nfev <= (400 - per_dim ** 2) // 2).all()
             assert objective.evaluations == sum(rows) == \
-                problems * per_dim ** 2 + run.nfev.sum()
+                problems * per_dim ** 2 + run.nfev.sum() <= 400 * problems
             assert objective.kernel_calls == len(rows)
             assert objective.refine_iterations == run.nit.sum()
         # lockstep: far fewer calls than refined rows
         assert len(refinement) < sum(refinement) / 10
+
+
+class Bumpy:
+    """A cheap objective of one problem with several maxima along every
+    input, for searches of any number of inputs."""
+
+    problems = 1
+
+    def __init__(self):
+        self.evaluations = self.refine_iterations = self.starts = 0
+
+    def batch(self, X, problems):
+        self.evaluations += len(X)
+        return np.cos(2 * X).sum(axis=1) + 0.3 * np.sin(X[:, 0])
+
+
+class TestSeededStarts:
+    """A search of two or more inputs grids each axis at up to
+    ``MULTI_GRID_POINTS_PER_DIM`` points and refines the best local maxima
+    of its grid; no search scores more rows than its budget."""
+
+    @given(ndim=st.integers(1, 8), budget=st.integers(1, 5000),
+           delta=st.booleans())
+    @settings(deadline=None, max_examples=150)
+    def test_evaluations_never_exceed_the_budget(self, ndim, budget, delta):
+        names = [f"xi_{j}" for j in range(1, ndim + 1)]
+        if delta:
+            names[-1] = "delta"
+        objective = Bumpy()
+        [best_x], [best_v] = _maximize(objective, names, budget)
+        assert 0 < objective.evaluations <= budget
+        assert objective.starts <= (1 if ndim == 1 else
+                                    scenarios.MULTI_STARTS)
+        assert best_v == Bumpy().batch(best_x[None], None)[0]
+
+    @pytest.mark.parametrize("free,fixed,budget", [
+        (("xi_1", "xi_2", "theta_1", "eta_1", "theta_2"), {"eta_2": -0.4},
+         100),
+        (("delta", "xi_1", "xi_2", "theta_1", "eta_1", "theta_2", "eta_2"),
+         {}, 500),
+    ], ids=["five", "seven"])
+    def test_generator_search_keeps_its_budget(self, free, fixed, budget):
+        # at least 3 grid points per axis would score 3^5 = 243 and
+        # 3^7 = 2187 rows
+        sweep = None if "delta" in free else "delta"
+        scenario = Scenario(family=ProbeFamily.phase_dephasing(copies=2),
+                            measurement=ProductProjectiveGenerator(),
+                            free_inputs=free,
+                            fixed_inputs={"phi": 0.0, **fixed}, sweep=sweep)
+        out = optimize_kappa(scenario, sweep and 0.3, budget)
+        assert 0 < out.work.evaluations <= budget
+        assert 0.0 < out.result.kappa <= 2.0
+
+    def test_local_maxima_wrap_on_phases_not_on_delta(self):
+        # one problem on a 4 x 3 grid, rows in np.ndindex order: along the
+        # phase axis the first and last rows are neighbours, along delta's
+        # the ends have one neighbour each
+        ranked = np.array([[5.0, 1.0, 0.5],
+                           [1.0, 0.2, 2.0],
+                           [0.3, 0.1, 0.4],
+                           [4.0, 0.6, 3.0]]).reshape(1, -1)
+
+        def best(count, periodic):
+            return np.flatnonzero(scenarios._best_local_maxima(
+                ranked, [4, 3], periodic, count)).tolist()
+
+        assert best(2, [True, False]) == [0, 11]
+        assert best(3, [True, False]) == [0, 5, 11]
+        # with delta's axis periodic, row (3, 2) would see row (3, 0)
+        assert best(3, [True, True]) == [0, 5]
+
+    def test_ties_go_to_the_earlier_grid_row(self):
+        ranked = np.array([[1.0, 3.0, 1.0, 3.0 * (1 + 1e-13), 1.0, 2.0]])
+
+        def best():
+            return np.flatnonzero(scenarios._best_local_maxima(
+                ranked, [6], [True], 1)).tolist()
+
+        assert best() == [1]
+        ranked[0, 3] = 3.0 * (1 + 1e-11)
+        assert best() == [3]
+
+    def test_last_bit_noise_moves_no_setting(self, monkeypatch):
+        # the Bell optima at xi_j = pi/4 and 7 pi/4 are mirror images whose
+        # kappa differs in the last bits only: a relative 1e-15 noise on
+        # every kernel row must not move the reported settings between them
+        grid = default_delta_grid()
+        clean = kappa_scan(ideal_bell_scenario(), grid)
+        rng = np.random.default_rng(2)
+        batched = kernels.kappa_batch
+
+        def noisy(*args):
+            kappa_values, *rest = batched(*args)
+            return (kappa_values * (1 + 1e-15 * rng.uniform(
+                -1, 1, kappa_values.shape)), *rest)
+
+        monkeypatch.setattr(kernels, "kappa_batch", noisy)
+        shaken = kappa_scan(ideal_bell_scenario(), grid)
+        assert not any(clean.failed) and not any(shaken.failed)
+        for name in ("xi_1", "xi_2"):
+            moved = [abs(a[name] - b[name]) for a, b in
+                     zip(clean.optimizer_args, shaken.optimizer_args)]
+            assert max(moved) < 1e-6
+        assert np.abs(shaken.kappa_values / clean.kappa_values - 1).max() \
+            < 1e-13
+
+    @pytest.mark.parametrize("delta,reached", [
+        (0.02, [0.77146, 0.96760, 1.04861, 1.04861]),
+        (0.3, [0.79515, 0.84124, 0.88452, 0.88452]),
+    ])
+    def test_three_copies_never_fall_as_the_budget_grows(self, delta,
+                                                         reached):
+        # on this Haar basis a fine grid's best row lies in a lower basin:
+        # one start from it reported 0.97717 at delta = 0.02 and budget
+        # 20 000, where budget 2 000 reached 1.04861
+        scenario = Scenario(family=ProbeFamily.phase_dephasing(copies=3),
+                            measurement=haar_povm(8, seed=5),
+                            free_inputs=("phi", "xi_1", "xi_2", "xi_3"))
+        kappas = [optimize_kappa(scenario, delta, budget).result.kappa
+                  for budget in (150, 400, 2000, 20000)]
+        assert np.all(np.diff(kappas) >= 0)
+        assert np.abs(np.array(kappas) - reached).max() < 5e-6
 
 
 def pauli_povm():
@@ -844,12 +977,13 @@ class TestDistinctGridRows:
                     for i in range(n)}
             assert len(keys) == n
         if case == "bell":
-            # 40 default delta points, a 17 x 17 grid of (xi_1, xi_2) each,
+            # 40 default delta points, a 7 x 7 grid of (xi_1, xi_2) each,
             # 16 two-copy coordinates per row; the points share grid calls
             # of up to ``_CALL_ROWS`` rows
-            group = scenarios._CALL_ROWS // 289
+            rows = scenarios.MULTI_GRID_POINTS_PER_DIM ** 2
+            group = scenarios._CALL_ROWS // rows
             assert [coords.shape for _, coords, *_ in calls] == [
-                (3, 289 * min(group, 40 - start), 16)
+                (3, rows * min(group, 40 - start), 16)
                 for start in range(0, 40, group)]
 
 
@@ -875,8 +1009,10 @@ class TestGroupedGridCalls:
         grid = default_delta_grid()
         grouped = kappa_scan(ideal_bell_scenario(), grid)
         grouped_calls = len(grid_calls)
-        group = max(1, scenarios._CALL_ROWS // 289)
-        monkeypatch.setattr(scenarios, "_CALL_ROWS", 289)
+        # a 7 x 7 grid of (xi_1, xi_2) per point
+        rows = scenarios.MULTI_GRID_POINTS_PER_DIM ** 2
+        group = max(1, scenarios._CALL_ROWS // rows)
+        monkeypatch.setattr(scenarios, "_CALL_ROWS", rows)
         grid_calls.clear()
         refining.clear()
         alone = kappa_scan(ideal_bell_scenario(), grid)
@@ -885,6 +1021,7 @@ class TestGroupedGridCalls:
         assert grouped.optimizer_args == alone.optimizer_args
         assert grouped.work.evaluations == alone.work.evaluations
         assert grouped.work.refine_iterations == alone.work.refine_iterations
+        assert grouped.work.starts == alone.work.starts
         # one grid call per point alone, one per group of points grouped
         assert (len(grid_calls), grouped_calls) == (
             len(grid), math.ceil(len(grid) / group))
@@ -919,8 +1056,9 @@ class TestGroupedGridCalls:
                             counted)
         curve = kappa_scan(ideal_bell_scenario(), default_delta_grid())
         assert not any(curve.failed) and rule_calls
-        assert sum(grid_calls) == 40 * 289
-        assert len(grid_calls) <= math.ceil(40 * 289 / scenarios._CALL_ROWS)
+        rows = 40 * scenarios.MULTI_GRID_POINTS_PER_DIM ** 2
+        assert sum(grid_calls) == rows
+        assert len(grid_calls) <= math.ceil(rows / scenarios._CALL_ROWS)
         report = fisher.classical_fi([0.5, 0.5], [[0.1, -0.1], [0.0, 0.0]])
         assert report.singular and report.effective_fi[0] > 0.0
         cli.run("conjecture-search", cli.parse_config(
@@ -977,9 +1115,11 @@ class TestSpeculativeSteps:
 
         monkeypatch.setattr(kernels, "kappa_batch", recorded)
         monkeypatch.setattr(scenarios, "minimize", flagged)
+        # the Bell scan refines two starts per point, the mirror optima
         for search, grid, first in (
                 (lambda: kappa_scan(ideal_bell_scenario(),
-                                    default_delta_grid()), 17 ** 2, 40 * 13),
+                                    default_delta_grid()),
+                 scenarios.MULTI_GRID_POINTS_PER_DIM ** 2, 40 * 2 * 13),
                 (lambda: random_collective_search(100, seed=5), 17, 100 * 5),
                 (lambda: random_collective_search(2000, seed=5), 17,
                  scenarios._CALL_ROWS * 5)):

@@ -73,6 +73,20 @@ class TestEquatorialState:
         with pytest.raises(ValueError):
             make_equatorial_ket(float("nan"))
 
+    @pytest.mark.parametrize("make", [
+        lambda xi: make_equatorial_ket(xi),
+        lambda xi: two_phase_ket_with_derivatives(xi, 0.4, 0.3),
+    ], ids=["equatorial", "two-phase"])
+    @pytest.mark.parametrize("xi", [
+        math.nan, np.array([0.0, math.nan]), np.array([[0.3], [-math.inf]]),
+    ], ids=["one", "row", "column"])
+    def test_non_finite_phase_named_by_the_point_rule(self, make, xi):
+        # the first non-finite phase, as ``point_errors`` names it
+        bad = float(np.ravel(xi)[~np.isfinite(np.ravel(xi))][0])
+        with pytest.raises(ValueError) as refused:
+            make(xi)
+        assert str(refused.value) == f"xi must be finite, got {bad!r}"
+
 
 class TestRotationUnitary:
     """The two-phase rotation U, read off the output kets U|+> and U|->
