@@ -442,11 +442,12 @@ def _maximize(objective, names: list[str], budget: int):
     neighbours (a phase axis wraps around, delta's does not). A search of
     one input refines its best one; a search of more refines its
     ``MULTI_STARTS`` best where the budget left holds ``_START_CALLS``
-    first refinement calls for each start, and else its best alone. The
-    starts rank by score, scores within ``_TIE`` of each other by grid
-    order (``np.ndindex``), and each takes an equal share of the budget
-    left, with half a grid spacing as its trust radius and a free delta
-    bounded below by 0, so that no row it scores has delta < 0.
+    first refinement calls for each start, and else its best alone; only
+    the best may score 0 or less (``_best_local_maxima``). The starts rank
+    by score, scores within ``_TIE`` of each other by grid order
+    (``np.ndindex``), and each of a problem's starts takes an equal share
+    of the budget left, with half a grid spacing as its trust radius and a
+    free delta bounded below by 0, so that no row it scores has delta < 0.
     """
     everyone = np.arange(objective.problems)
     ndim = len(names)
@@ -467,7 +468,7 @@ def _maximize(objective, names: list[str], budget: int):
         objective.batch(np.tile(grid, (len(part), 1)),
                         np.repeat(part, len(grid)))
         for part in np.split(everyone, range(group, everyone.size, group))])
-    # NaN never starts a refinement, as it never wins a comparison
+    # NaN ranks lowest, and starts a refinement only where every row is NaN
     ranked = np.where(np.isnan(values), -np.inf, values).reshape(everyone.size, -1)
     remaining = budget - len(grid)
     count = MULTI_STARTS if ndim > 1 and remaining >= (
@@ -489,14 +490,16 @@ def _grid_counts(ndim: int, rows: float) -> np.ndarray:
     most ``rows`` rows in all where one point per axis fits: the same
     number k on every axis, up to ``GRID_POINTS_PER_DIM`` for one input and
     ``MULTI_GRID_POINTS_PER_DIM`` for more. Where k < 3, the leading axes
-    take one point more, up to 3, while the grid still fits: a phase axis
-    of two points holds only 0 and half the period, where every row of a
-    product measurement's grid can be singular."""
+    in turn take points up to 3 each while the grid still fits, as a phase
+    axis of two points holds only 0 and half the period. So from k = 1 a
+    grid of 3 rows or more has an axis of 3 points; from k = 2 every axis
+    can keep two (2^6 rows for six inputs at budget 100), where every row
+    of a product measurement's grid can be singular."""
     cap = GRID_POINTS_PER_DIM if ndim == 1 else MULTI_GRID_POINTS_PER_DIM
     counts = np.full(ndim, max(1, min(cap, int(rows ** (1.0 / ndim)))))
     for axis in range(ndim):
-        if counts[axis] < 3 and (np.prod(counts) // counts[axis]
-                                 * (counts[axis] + 1)) <= rows:
+        while counts[axis] < 3 and (np.prod(counts) // counts[axis]
+                                    * (counts[axis] + 1)) <= rows:
             counts[axis] += 1
     return counts
 
@@ -507,7 +510,9 @@ def _best_local_maxima(ranked, shape, periodic, count):
     rows at least as high as their neighbours along each axis of a grid of
     ``shape`` in ``np.ndindex`` order, where an axis wraps around if it is
     ``periodic``. Scores within ``_TIE`` of the best left rank by grid
-    order, so the first such row comes next."""
+    order, so the first such row comes next. Only the first may score 0 or
+    less, or -inf: a row inside a flat region of singular (0) or failed
+    rows is a local maximum too, and no better a start than none."""
     cube = ranked.reshape(len(ranked), *shape)
     peak = np.ones(cube.shape, dtype=bool)
     for axis, wraps in enumerate(periodic, start=1):
@@ -529,6 +534,7 @@ def _best_local_maxima(ranked, shape, periodic, count):
         found = tied[everyone, first]
         chosen[everyone[found], first[found]] = True
         left[everyone, first] = False
+        left &= (ranked > 0) & (ranked < np.inf)
     return chosen
 
 
@@ -554,9 +560,6 @@ def _refine(objective, starts, values, owners, budgets, radius, lower):
     better = -res.fun > values
     x = np.where(better[:, None], res.x, starts)
     v = np.where(better, -res.fun, values)
-    if len(starts) == objective.problems:
-        # one start per problem
-        return x, v
     top = np.full(objective.problems, -np.inf)
     np.maximum.at(top, owners, v)
     tied = np.flatnonzero(v >= top[owners] - _TIE * np.abs(top[owners]))

@@ -791,6 +791,37 @@ class TestSeededStarts:
         assert objective.starts <= (1 if ndim == 1 else
                                     scenarios.MULTI_STARTS)
         assert best_v == Bumpy().batch(best_x[None], None)[0]
+        rows = scenarios._GRID_FRACTION * budget
+        if 3 <= rows < 2 ** ndim:
+            # one point per axis fits and two do not: the leading axes take
+            # 3 points, so the grid holds more than 0 and half a period
+            assert scenarios._grid_counts(ndim, rows).max() == 3
+
+    @pytest.mark.parametrize("ndim,budget,counts", [
+        (1, 2000, [17]), (2, 2000, [7, 7]), (3, 150, [4, 4, 4]),
+        (2, 5, [3, 1]), (7, 100, [3, 3, 3, 2, 1, 1, 1]),
+        (6, 100, [2, 2, 2, 2, 2, 2])])
+    def test_grid_counts(self, ndim, budget, counts):
+        assert scenarios._grid_counts(
+            ndim, scenarios._GRID_FRACTION * budget).tolist() == counts
+
+    @pytest.mark.parametrize("fill", [np.nan, 0.0], ids=["failed", "singular"])
+    def test_flat_region_starts_no_second_refinement(self, fill):
+        # rows with xi_1 > 3.5 score ``fill``; the grid rows inside that
+        # region are as high as their neighbours, so they are local maxima
+        # too, but only the one peak above 0 starts a refinement, and it
+        # keeps the whole budget left after the grid
+        class Flat(Bumpy):
+            def batch(self, X, problems):
+                self.evaluations += len(X)
+                values = 10.0 - ((X - 2.0) ** 2).sum(axis=1)
+                values[X[:, 0] > 3.5] = fill
+                return values
+
+        objective = Flat()
+        [best_x], [best_v] = _maximize(objective, ["xi_1", "xi_2"], 400)
+        assert objective.starts == 1
+        assert np.abs(best_x - 2.0).max() < 1e-6 and best_v > 10.0 - 1e-12
 
     @pytest.mark.parametrize("free,fixed,budget", [
         (("xi_1", "xi_2", "theta_1", "eta_1", "theta_2"), {"eta_2": -0.4},
