@@ -33,9 +33,9 @@ class Povm:
     """An ordered set of labeled POVM elements.
 
     ``elements`` is a (K, d, d) complex array; elements are Hermitian PSD and
-    sum to the identity. A non-finite entry is rejected with its element's
-    label. Arrays are frozen after construction so values can be shared
-    freely.
+    sum to the identity. Labels are distinct; repeated labels are rejected
+    by name, and a non-finite entry with its element's label. Arrays are
+    frozen after construction so values can be shared freely.
     """
 
     labels: tuple[str, ...]
@@ -45,14 +45,20 @@ class Povm:
         el = np.ascontiguousarray(np.asarray(self.elements, dtype=complex))
         if el.ndim != 3 or el.shape[1] != el.shape[2]:
             raise ValueError(f"elements must be (K, d, d), got {el.shape}")
-        if len(self.labels) != el.shape[0]:
+        labels = tuple(str(s) for s in self.labels)
+        if len(labels) != el.shape[0]:
             raise ValueError("one label per element required")
+        repeated = list(dict.fromkeys(
+            s for i, s in enumerate(labels) if s in labels[:i]))
+        if repeated:
+            raise ValueError(f"POVM labels must be distinct, repeated "
+                             f"{repeated}")
         bad = np.flatnonzero(~np.isfinite(el).all(axis=(1, 2)))
         if bad.size:
-            raise ValueError(f"POVM element {self.labels[bad[0]]!r} has a "
+            raise ValueError(f"POVM element {labels[bad[0]]!r} has a "
                              "non-finite entry")
         el.setflags(write=False)
-        object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "elements", el)
 
     @property
@@ -268,7 +274,11 @@ def _field(doc, key: str, where: str):
 
 def povm_from_json(text: str) -> Povm:
     doc = json.loads(text)
-    dim = int(_field(doc, "dim", "the document"))
+    dim = _field(doc, "dim", "the document")
+    # JSON true is a Python int, and 2.5 or "2" would pass int()
+    if type(dim) is not int or dim < 1:
+        raise ValueError(f"POVM file: 'dim' must be a positive integer, "
+                         f"got {dim!r}")
     outcomes = _field(doc, "outcomes", "the document")
     if not isinstance(outcomes, list):
         raise ValueError("POVM file: 'outcomes' must be a list")
@@ -276,6 +286,9 @@ def povm_from_json(text: str) -> Povm:
     elements = []
     for k, out in enumerate(outcomes):
         label = _field(out, "label", f"outcome {k}")
+        if not isinstance(label, str):
+            raise ValueError(f"POVM file: outcome {k} has label {label!r}, "
+                             "which is not a string")
         where = f"outcome {label!r}"
         labels.append(label)
         m = (np.array(_field(out, "re", where), dtype=float)

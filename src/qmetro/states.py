@@ -10,11 +10,12 @@ Two built-in probe families are provided:
 ``single_copy`` alone builds a copy of either family, in closed form: the
 real Pauli coordinates r_a = Tr[rho sigma_a] of its state, with sigma =
 ``linalg.PAULIS`` = (I, X, Y, Z), their derivative by each parameter, and
-its quantum information. Multi-copy probes follow the product rule ``d(r
-(x) r) = dr (x) r + r (x) dr``: on the coordinates in
-``copies_with_derivatives``, for the search, and on the density matrices
-rho = (1/2) sum_a r_a sigma_a in ``probe_with_derivatives``, for the
-reference path.
+its quantum information: ``dephasing_qfi`` for the dephased probe, and
+|d_j r|^2 of the pure two-phase probe's own coordinates. Multi-copy
+probes follow the product rule ``d(r (x) r) = dr (x) r + r (x) dr``: on
+the coordinates in ``copies_with_derivatives``, for the search, and on
+the density matrices rho = (1/2) sum_a r_a sigma_a in
+``probe_with_derivatives``, for the reference path.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ID2, PAULI_Y, PAULI_Z, PAULIS, tensor_product
+from .linalg import PAULIS, tensor_product
 
 PHASE_DEPHASING = "phase-dephasing"
 TWO_PHASE = "two-phase"
@@ -53,59 +54,51 @@ def make_equatorial_ket(xi) -> np.ndarray:
     return ket / np.sqrt(2.0)
 
 
-def _rotation_with_derivatives(phi_y: float, phi_z: float) -> np.ndarray:
-    """U = exp(i*(phi_y*sigma_y + phi_z*sigma_z)) and its two derivatives.
+def two_phase_ket_with_derivatives(xi, phi_y, phi_z) -> np.ndarray:
+    """Two-phase output ket U(phi_y, phi_z)|xi> and its exact derivatives,
+    with U = exp(i*(phi_y*sigma_y + phi_z*sigma_z)).
 
-    With theta = sqrt(phi_y^2 + phi_z^2), G = phi_y*sigma_y + phi_z*sigma_z,
-    s = sin(theta)/theta and c = (cos(theta) - s)/theta^2 (the derivative of
-    s divided by theta):
+    Returns a (3, ..., 2) array: the ket, then its derivatives with
+    respect to phi_y and phi_z, over the broadcast shape of ``xi``,
+    ``phi_y`` and ``phi_z``; a shared rotation is one value of each. A
+    non-finite rotation is refused (``check_point``).
+
+    With theta = hypot(phi_y, phi_z), G = phi_y*sigma_y + phi_z*sigma_z,
+    s = sin(theta)/theta and c = (cos(theta) - s)/theta^2 (the derivative
+    of s divided by theta):
 
         U          = cos(theta)*I + i*s*G
         dU/dphi_j  = phi_j*(i*c*G - s*I) + i*s*sigma_j
 
-    Returns the (3, 2, 2) stack (U, dU/dphi_y, dU/dphi_z); the removable
-    singularity at theta = 0 is handled by the series branch.
-    """
-    theta = math.hypot(phi_y, phi_z)
-    t2 = theta * theta
-    if theta < _SERIES_ANGLE:
-        s = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-        c = -1.0 / 3.0 + t2 / 30.0 - t2 * t2 / 840.0
-    else:
-        s = math.sin(theta) / theta
-        c = (math.cos(theta) - s) / t2
-    ig = 1j * (phi_y * PAULI_Y + phi_z * PAULI_Z)
-    return np.array([math.cos(theta) * ID2 + s * ig,
-                     phi_y * (c * ig - s * ID2) + 1j * s * PAULI_Y,
-                     phi_z * (c * ig - s * ID2) + 1j * s * PAULI_Z])
-
-
-def two_phase_ket_with_derivatives(xi, phi_y, phi_z) -> np.ndarray:
-    """Two-phase output ket U(phi_y, phi_z)|xi> and its exact derivatives.
-
-    Returns a (3, 2) array: the ket, then its derivatives with respect to
-    phi_y and phi_z. N input phases ``xi`` give shape (3, N, 2); ``phi_y``
-    and ``phi_z`` are then one value or N values, one rotation per row. A
-    non-finite rotation is refused (``check_point``).
+    Each is [[a, b], [-b, conj(a)]] with b real. Every step is
+    elementwise, so a row gets the same bits alone and in any batch.
     """
     check_point(phi_y=phi_y, phi_z=phi_z)
-    if isinstance(phi_y, np.ndarray) or isinstance(phi_z, np.ndarray):
-        xi, phi_y, phi_z = np.broadcast_arrays(xi, phi_y, phi_z)
-        rotation = np.stack([_rotation_with_derivatives(float(a), float(b))
-                             for a, b in zip(phi_y, phi_z)], axis=1)
-    else:
-        rotation = _rotation_with_derivatives(phi_y, phi_z).reshape(
-            (3,) + (1,) * np.ndim(xi) + (2, 2))
+    theta = np.hypot(phi_y, phi_z)
+    # the series where theta is small, else the quotients, each times its
+    # row's 1 or 0: both are finite on every row (a small theta's
+    # quotients divide by theta + 1), so the pick keeps the chosen bits
+    small = theta < _SERIES_ANGLE
+    large = ~small
+    t2 = np.square(theta * small)
+    t4 = t2 * t2
+    cos = np.cos(theta)
+    quotient = np.sin(theta) / (theta + small)
+    s = (1.0 - t2 / 6.0 + t4 / 120.0) * small + quotient * large
+    c = ((-1.0 / 3.0 + t2 / 30.0 - t4 / 840.0) * small
+         + (cos - quotient) / (theta * theta + small) * large)
+    cy, cz = c * phi_y, c * phi_z
+    # (U, dU/dphi_y, dU/dphi_z) on a leading axis, ahead of one axis for
+    # each axis of xi that the rotation lacks
+    lead = (3,) + (1,) * (np.ndim(xi) - np.ndim(theta)) + np.shape(theta)
+    a = np.array([cos + 1j * (s * phi_z), -s * phi_y + 1j * (phi_y * cz),
+                  -s * phi_z + 1j * (phi_z * cz + s)]).reshape(lead)
+    b = np.array([s * phi_y, phi_y * cy + s, phi_z * cy]).reshape(lead)
     ket = make_equatorial_ket(xi)
     k0, k1 = ket[..., 0], ket[..., 1]
-    # (U @ ket) as two-term broadcast products, one per component: unlike
-    # matmul, whose BLAS path for one row differs from that for several,
-    # they give each row the same bits in any batch size, and each runs one
-    # loop over the rows rather than one per row
-    out = np.empty(np.broadcast_shapes(k0.shape, rotation.shape[:-2]) + (2,),
-                   dtype=complex)
-    for i in range(2):
-        out[..., i] = k0 * rotation[..., i, 0] + k1 * rotation[..., i, 1]
+    out = np.empty(np.broadcast_shapes(k0.shape, lead) + (2,), dtype=complex)
+    out[..., 0] = a * k0 + b * k1
+    out[..., 1] = a.conj() * k1 - b * k0
     return out
 
 
@@ -245,19 +238,6 @@ def pure_coordinates(kets: np.ndarray) -> np.ndarray:
     return out
 
 
-def pure_qfi_diagonal(kets: np.ndarray) -> np.ndarray:
-    """From the stack (1 + n, ..., a) of kets psi and their n derivatives,
-    the (n, ...) quantum information diagonal of the pure states, 4 (<d psi|
-    d psi> - |<psi|d psi>|^2) (Braunstein and Caves, PRL 72, 3439, 1994)."""
-    psi, dpsi = kets[0], kets[1:]
-    # sums over the two components written out: the same two-term sums as
-    # .sum(axis=-1), without a reduction loop per ket
-    prod = psi.conj() * dpsi
-    overlap = prod[..., 0] + prod[..., 1]
-    square = np.abs(dpsi) ** 2
-    return 4.0 * ((square[..., 0] + square[..., 1]) - np.abs(overlap) ** 2)
-
-
 def _product_rule(singles, product) -> np.ndarray:
     """The state of independent copies and its derivatives: ``product`` of
     the copies' states, and d(a (x) b) = da (x) b + a (x) db. Each single
@@ -311,8 +291,11 @@ def single_copy(family: ProbeFamily, params, xi):
     a, b = params
     if family.kind == PHASE_DEPHASING:
         return dephasing_coordinates(a + xi, b), dephasing_qfi(b)
-    kets = two_phase_ket_with_derivatives(xi, a, b)
-    return pure_coordinates(kets), pure_qfi_diagonal(kets)
+    coords = pure_coordinates(two_phase_ket_with_derivatives(xi, a, b))
+    # a pure qubit's quantum information is |dr|^2 of its Bloch vector r,
+    # a sum that, unlike 4 (<d psi|d psi> - |<psi|d psi>|^2), never cancels
+    square = np.square(coords[1:, ..., 1:])
+    return coords, square[..., 0] + square[..., 1] + square[..., 2]
 
 
 def probe_with_derivatives(family: ProbeFamily, params,

@@ -774,6 +774,22 @@ def test_simulating_counts_with_a_povm_of_another_dimension_is_refused(
     assert not (tmp_path / "o").exists()
 
 
+def test_povm_file_with_a_repeated_label_is_refused(tmp_path, capsys):
+    # counts.csv would hold two rows per state for the label, which
+    # tomography refuses; the file is refused before any count is drawn
+    doc = json.loads(povm_to_json(bell_povm()))
+    doc["outcomes"][1]["label"] = "DD"
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run_cli(capsys, "simulate-counts", "--exposure", "100",
+                        "--measurement", "file", "--povm", str(path),
+                        "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert out["errors"] == [f"{path}: POVM labels must be distinct, "
+                             "repeated ['DD']"]
+    assert not (tmp_path / "o").exists()
+
+
 class TestCompareTo:
     """``tomography --compare-to`` pairs the reference's elements with the
     reconstruction's by label, and refuses a reference that it cannot pair

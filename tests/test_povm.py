@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -181,6 +182,31 @@ class TestPovmFileFormat:
         doc = json.loads(povm_to_json(bell_povm()))
         assert doc["dim"] == 4
         assert doc["basis"] == "logical |00>,|01>,|10>,|11>; qubit1 slow"
+
+    @pytest.mark.parametrize("dim", [2.5, "4", 0, True])
+    def test_dim_must_be_a_positive_integer(self, dim):
+        doc = json.loads(povm_to_json(bell_povm()))
+        doc["dim"] = dim
+        with pytest.raises(ValueError) as info:
+            povm_from_json(json.dumps(doc))
+        assert str(info.value) == ("POVM file: 'dim' must be a positive "
+                                   f"integer, got {dim!r}")
+
+    @pytest.mark.parametrize("label", [1, None, ["DD"]])
+    def test_label_must_be_a_string(self, label):
+        doc = json.loads(povm_to_json(bell_povm()))
+        doc["outcomes"][2]["label"] = label
+        with pytest.raises(ValueError) as info:
+            povm_from_json(json.dumps(doc))
+        assert str(info.value) == (f"POVM file: outcome 2 has label "
+                                   f"{label!r}, which is not a string")
+
+    def test_repeated_labels_are_refused_by_name(self):
+        elements = np.stack([np.eye(2) / 4] * 4)
+        with pytest.raises(ValueError) as info:
+            Povm(("a", "b", "a", "b"), elements)
+        assert str(info.value) == ("POVM labels must be distinct, repeated "
+                                   "['a', 'b']")
 
     def test_shape_mismatch_rejected(self):
         import json

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from qmetro import (ProbeFamily, make_equatorial_ket, probe_with_derivatives,
 from qmetro.linalg import PAULI_Y, PAULI_Z, hermiticity_defect, projector
 from qmetro.scenarios import single_copy_qfi_diagonal
 from qmetro.states import (check_point, dephasing_qfi, point_errors,
-                           pure_qfi_diagonal)
+                           single_copy)
 
 ANGLES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 #: an input value: finite of either sign, or nan or an infinity
@@ -217,15 +219,20 @@ class TestDephasingQfi:
 
 
 class TestPureQfi:
-    """The closed-form quantum information of the pure two-phase probe
-    against the SLD solution."""
+    """The quantum information of the pure two-phase probe, |dr|^2 of its
+    Bloch vector r, against the SLD solution."""
+
+    @staticmethod
+    def bloch_information(coords):
+        """|d_j r|^2 from a (3, ..., 4) coordinate stack, written out."""
+        return sum(coords[1:, ..., a] ** 2 for a in (1, 2, 3))
 
     @given(xi=ANGLES, phi_y=ANGLES, phi_z=ANGLES)
     @settings(deadline=None, max_examples=200)
     def test_matches_the_sld_solution(self, xi, phi_y, phi_z):
         sld = sld_qfi_diagonal(ProbeFamily.two_phase(), (phi_y, phi_z), xi)
-        kets = two_phase_ket_with_derivatives(xi, phi_y, phi_z)
-        closed = pure_qfi_diagonal(kets)
+        coords, _ = single_copy(ProbeFamily.two_phase(), (phi_y, phi_z), xi)
+        closed = self.bloch_information(coords)
         # each H_jj lies in [0, 4]
         assert np.all(np.abs(closed - sld) <= 1e-12)
         reported = single_copy_qfi_diagonal(ProbeFamily.two_phase(),
@@ -233,18 +240,87 @@ class TestPureQfi:
         assert reported.tobytes() == closed.tobytes()
 
     def test_rows_match_single_kets(self):
+        family = ProbeFamily.two_phase()
         xi = np.array([0.0, 0.7, 2.5])
-        rows = pure_qfi_diagonal(two_phase_ket_with_derivatives(xi, 0.4, 0.3))
+        rows = np.array(single_copy(family, (0.4, 0.3), xi)[1])
         assert rows.shape == (2, 3)
         for i, x in enumerate(xi):
-            single = pure_qfi_diagonal(
-                two_phase_ket_with_derivatives(float(x), 0.4, 0.3))
+            single = np.array(single_copy(family, (0.4, 0.3), float(x))[1])
             assert rows[:, i].tobytes() == single.tobytes()
 
     def test_reported_information_refuses_bad_inputs(self):
         with pytest.raises(ValueError, match="phi_z must be finite"):
             single_copy_qfi_diagonal(ProbeFamily.two_phase(),
                                      (0.3, math.inf), 0.0)
+
+
+def oracle_two_phase_qfi(xi, phi_y, phi_z):
+    """H_jj = 4 (<d psi|d psi> - |<psi|d psi>|^2) at 50 digits, with
+    psi = expm(i (phi_y sigma_y + phi_z sigma_z))|xi> by mpmath and its
+    derivatives by central differences of step 1e-20, whose error is far
+    below a double's rounding."""
+    with mpmath.workdps(50):
+        sy = mpmath.matrix([[0, -1j], [1j, 0]])
+        sz = mpmath.matrix([[1, 0], [0, -1]])
+        plus = mpmath.matrix([1, mpmath.expj(xi)]) / mpmath.sqrt(2)
+
+        def ket(a, b):
+            return mpmath.expm(1j * (a * sy + b * sz)) * plus
+
+        psi, h = ket(phi_y, phi_z), mpmath.mpf("1e-20")
+        out = []
+        for da, db in ((h, 0), (0, h)):
+            d = (ket(phi_y + da, phi_z + db)
+                 - ket(phi_y - da, phi_z - db)) / (2 * h)
+            overlap = sum(mpmath.conj(psi[i]) * d[i] for i in range(2))
+            out.append(4 * (sum(abs(d[i]) ** 2 for i in range(2))
+                            - abs(overlap) ** 2))
+        return out
+
+
+class TestTwoPhaseRows:
+    """The two-phase copy: its quantum information at small H against an
+    mpmath oracle, and each row's bits alone and in a batch."""
+
+    # (xi, phi_y, phi_z) where one H_jj lies between 5e-4 and 1.2e-2;
+    # there 4 (<d psi|d psi> - |<psi|d psi>|^2) in doubles cancels to a
+    # relative error of 1.6e-13 to 3.0e-12
+    @pytest.mark.parametrize("xi,phi_y,phi_z", [
+        (0.2278, 0.05, 1.8), (-1.6054, -1.4, -0.07), (-1.5614, -1.47, 0.02),
+        (-0.3597, 0.02, -1.93), (-1.5834, -1.03, -0.02),
+        (-2.0609, -0.06, -0.49), (-1.7279, -0.49, -0.17),
+        (-1.4357, -0.3, 0.14),
+    ])
+    def test_small_information_matches_the_oracle(self, xi, phi_y, phi_z):
+        h = np.array(single_copy(ProbeFamily.two_phase(), (phi_y, phi_z),
+                                 xi)[1])
+        exact = oracle_two_phase_qfi(xi, phi_y, phi_z)
+        assert min(exact) < 1.2e-2
+        for value, reference in zip(h, exact):
+            assert abs((value - reference) / reference) <= 1e-13
+
+    def test_rows_of_every_branch_get_their_bits_alone(self):
+        # theta = 0, theta on both sides of the series cutoff 1e-2 and
+        # generic theta, in one batch of per-row rotations
+        cut = 1e-2
+        thetas = [0.0, 1e-9, 0.99 * cut, np.nextafter(cut, 0.0), cut,
+                  np.nextafter(cut, 1.0), 1.01 * cut, 0.7, 2.5]
+        rows = [(t, 0.0) for t in thetas] + [(0.6 * t, -0.8 * t)
+                                            for t in thetas]
+        phi_y, phi_z = np.array(rows).T
+        xi = np.linspace(-3.0, 3.0, len(rows))
+        family = ProbeFamily.two_phase()
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            kets = two_phase_ket_with_derivatives(xi, phi_y, phi_z)
+            coords, h = single_copy(family, (phi_y, phi_z), xi)
+            for i in range(len(rows)):
+                point = (float(phi_y[i]), float(phi_z[i]))
+                alone = two_phase_ket_with_derivatives(float(xi[i]), *point)
+                assert kets[:, i].tobytes() == alone.tobytes()
+                one, one_h = single_copy(family, point, float(xi[i]))
+                assert coords[:, i].tobytes() == one.tobytes()
+                assert h[:, i].tobytes() == np.array(one_h).tobytes()
 
 
 class TestProbeWithDerivatives:
