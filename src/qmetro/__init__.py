@@ -19,8 +19,7 @@ from .scenarios import (CollectiveSearchResult, KappaCurve, OptimizeOutcome,
                         Scenario, evaluate_kappa, kappa_scan, optimize_each,
                         optimize_kappa, random_collective_search,
                         single_copy_qfi_diagonal)
-from .states import (ProbeFamily, StateWithDerivatives, make_equatorial_ket,
-                     probe_with_derivatives, two_phase_ket_with_derivatives)
+from .states import ProbeFamily, StateWithDerivatives, probe_with_derivatives
 from .tomography import (CountsTable, MleResult, ReferenceSet, counts_from_csv,
                          counts_to_csv, load_counts, mle_reconstruct,
                          monte_carlo_uncertainty, povm_fidelity,

@@ -272,6 +272,22 @@ def _field(doc, key: str, where: str):
     return doc[key]
 
 
+def _matrix(out, key: str, where: str, dim: int) -> np.ndarray:
+    """The real (dim, dim) matrix ``out[key]`` of JSON numbers."""
+    entries = np.array(_field(out, key, where), dtype=object)
+    for entry in entries.flat:
+        # as floats "1" is 1.0, false 0.0 and null NaN; JSON true and
+        # false are Python ints
+        if type(entry) not in (int, float):
+            raise ValueError(f"POVM file: {where} has {key!r} entry "
+                             f"{entry!r}, which is not a number")
+    # one shape for each part, so that a scalar part does not broadcast
+    if entries.shape != (dim, dim):
+        raise ValueError(f"POVM file: {where} has {key!r} of shape "
+                         f"{entries.shape}, expected ({dim}, {dim})")
+    return entries.astype(float)
+
+
 def povm_from_json(text: str) -> Povm:
     doc = json.loads(text)
     dim = _field(doc, "dim", "the document")
@@ -291,12 +307,8 @@ def povm_from_json(text: str) -> Povm:
                              "which is not a string")
         where = f"outcome {label!r}"
         labels.append(label)
-        m = (np.array(_field(out, "re", where), dtype=float)
-             + 1j * np.array(_field(out, "im", where), dtype=float))
-        if m.shape != (dim, dim):
-            raise ValueError(f"{where} has shape {m.shape}, "
-                             f"expected ({dim}, {dim})")
-        elements.append(m)
+        elements.append(_matrix(out, "re", where, dim)
+                        + 1j * _matrix(out, "im", where, dim))
     return Povm(tuple(labels), np.array(elements))
 
 

@@ -7,11 +7,13 @@ Two built-in probe families are provided:
 * ``two-phase`` — an equatorial input is rotated by
   ``exp(i*(phi_y*sigma_y + phi_z*sigma_z))``; parameters ``(phi_y, phi_z)``.
 
-``single_copy`` alone builds a copy of either family, in closed form: the
-real Pauli coordinates r_a = Tr[rho sigma_a] of its state, with sigma =
-``linalg.PAULIS`` = (I, X, Y, Z), their derivative by each parameter, and
-its quantum information: ``dephasing_qfi`` for the dephased probe, and
-|d_j r|^2 of the pure two-phase probe's own coordinates. Multi-copy
+``single_copy`` alone builds a copy of either family, in closed form and
+in real numbers: the Pauli coordinates r_a = Tr[rho sigma_a] of its state,
+with sigma = ``linalg.PAULIS`` = (I, X, Y, Z), and their derivative by
+each parameter, which are each family's Bloch map
+(``dephasing_coordinates``, ``two_phase_coordinates``), and its quantum
+information: ``dephasing_qfi`` for the dephased probe, and |d_j r|^2 of
+the pure two-phase probe's own coordinates. Multi-copy
 probes follow the product rule ``d(r (x) r) = dr (x) r + r (x) dr``: on
 the coordinates in ``copies_with_derivatives``, for the search, and on
 the density matrices rho = (1/2) sum_a r_a sigma_a in
@@ -42,39 +44,30 @@ _SERIES_ANGLE = 1e-2
 _HALF_PAULIS = (PAULIS.reshape(4, 4) / 2.0).view(float)
 
 
-def make_equatorial_ket(xi) -> np.ndarray:
-    """(|0> + e^{i xi} |1>)/sqrt(2); an array of phases gives one ket per
-    phase, shape xi.shape + (2,). A non-finite phase is refused
-    (``check_point``)."""
-    xi = np.asarray(xi, dtype=float)
-    if not np.isfinite(xi).all():
-        check_point(xi=xi.ravel())
-    ket = np.ones(xi.shape + (2,), dtype=complex)
-    ket[..., 1] = np.exp(1j * xi)
-    return ket / np.sqrt(2.0)
+def two_phase_coordinates(xi, phi_y, phi_z) -> np.ndarray:
+    """Pauli coordinates of the two-phase output U|xi>, with U =
+    exp(i*(phi_y*sigma_y + phi_z*sigma_z)), and their derivatives by phi_y
+    and phi_z: a real (3, ..., 4) stack over the broadcast shape of the
+    inputs, of which a shared rotation is one value each. A non-finite
+    input is refused (``check_point``).
 
+    U turns the input's Bloch vector (cos(xi), sin(xi), 0) by the unit
+    quaternion q = (w, y, z) = (cos(theta), -s*phi_y, -s*phi_z), theta =
+    hypot(phi_y, phi_z) and s = sin(theta)/theta, into
 
-def two_phase_ket_with_derivatives(xi, phi_y, phi_z) -> np.ndarray:
-    """Two-phase output ket U(phi_y, phi_z)|xi> and its exact derivatives,
-    with U = exp(i*(phi_y*sigma_y + phi_z*sigma_z)).
+        r_x = cos(xi)*(w^2 - y^2 - z^2) - sin(xi)*2wz
+        r_y = cos(xi)*2wz + sin(xi)*(w^2 + y^2 - z^2)
+        r_z = -cos(xi)*2wy + sin(xi)*2yz,
 
-    Returns a (3, ..., 2) array: the ket, then its derivatives with
-    respect to phi_y and phi_z, over the broadcast shape of ``xi``,
-    ``phi_y`` and ``phi_z``; a shared rotation is one value of each. A
-    non-finite rotation is refused (``check_point``).
-
-    With theta = hypot(phi_y, phi_z), G = phi_y*sigma_y + phi_z*sigma_z,
-    s = sin(theta)/theta and c = (cos(theta) - s)/theta^2 (the derivative
-    of s divided by theta):
-
-        U          = cos(theta)*I + i*s*G
-        dU/dphi_j  = phi_j*(i*c*G - s*I) + i*s*sigma_j
-
-    Each is [[a, b], [-b, conj(a)]] with b real. Every step is
-    elementwise, so a row gets the same bits alone and in any batch.
+    and the product rule on q (x) q gives the derivatives, from dw/dphi_j
+    = -s*phi_j and d(s*phi_k)/dphi_j = s*[j == k] + c*phi_j*phi_k with c =
+    (cos(theta) - s)/theta^2. Every step is elementwise, so a row gets the
+    same bits alone and in any batch.
     """
-    check_point(phi_y=phi_y, phi_z=phi_z)
     theta = np.hypot(phi_y, phi_z)
+    # theta is not finite where phi_y or phi_z is not
+    if not (np.isfinite(xi).all() and np.isfinite(theta).all()):
+        check_point(xi=np.ravel(xi), phi_y=phi_y, phi_z=phi_z)
     # the series where theta is small, else the quotients, each times its
     # row's 1 or 0: both are finite on every row (a small theta's
     # quotients divide by theta + 1), so the pick keeps the chosen bits
@@ -87,18 +80,26 @@ def two_phase_ket_with_derivatives(xi, phi_y, phi_z) -> np.ndarray:
     s = (1.0 - t2 / 6.0 + t4 / 120.0) * small + quotient * large
     c = ((-1.0 / 3.0 + t2 / 30.0 - t4 / 840.0) * small
          + (cos - quotient) / (theta * theta + small) * large)
-    cy, cz = c * phi_y, c * phi_z
-    # (U, dU/dphi_y, dU/dphi_z) on a leading axis, ahead of one axis for
-    # each axis of xi that the rotation lacks
+    sy, sz, cy = s * phi_y, s * phi_z, c * phi_y
+    # -q, -dq/dphi_y and -dq/dphi_z, whose products are those of q
+    q = np.array([[-cos, sy, sz], [sy, phi_y * cy + s, phi_z * cy],
+                  [sz, phi_z * cy, phi_z * (c * phi_z) + s]])
+    # q_a q_b, then d(q_a q_b) = dq_a q_b + q_a dq_b: on row 0 the sum is
+    # twice the product, and halving it is exact
+    qq = q[:, :, None] * q[0]
+    qq = qq + qq.swapaxes(1, 2)
+    qq[0] *= 0.5
+    (ww, wy, wz), (_, yy, yz), (_, _, zz) = np.moveaxis(qq, 0, 2)
+    # the rotation's first two columns, which take (cos(xi), sin(xi), 0),
+    # ahead of one axis for each axis of xi that the rotation lacks
     lead = (3,) + (1,) * (np.ndim(xi) - np.ndim(theta)) + np.shape(theta)
-    a = np.array([cos + 1j * (s * phi_z), -s * phi_y + 1j * (phi_y * cz),
-                  -s * phi_z + 1j * (phi_z * cz + s)]).reshape(lead)
-    b = np.array([s * phi_y, phi_y * cy + s, phi_z * cy]).reshape(lead)
-    ket = make_equatorial_ket(xi)
-    k0, k1 = ket[..., 0], ket[..., 1]
-    out = np.empty(np.broadcast_shapes(k0.shape, lead) + (2,), dtype=complex)
-    out[..., 0] = a * k0 + b * k1
-    out[..., 1] = a.conj() * k1 - b * k0
+    columns = np.stack([ww - yy - zz, 2.0 * wz, -2.0 * wy, -2.0 * wz,
+                        ww + yy - zz, 2.0 * yz], -1).reshape(lead + (2, 3))
+    bloch = (np.cos(xi)[..., None] * columns[..., 0, :]
+             + np.sin(xi)[..., None] * columns[..., 1, :])
+    out = np.zeros(bloch.shape[:-1] + (4,))
+    out[0, ..., 0] = 1.0
+    out[..., 1:] = bloch
     return out
 
 
@@ -218,26 +219,6 @@ class StateWithDerivatives:
         return self.state.shape[0]
 
 
-def pure_coordinates(kets: np.ndarray) -> np.ndarray:
-    """From the stack (1 + n, ..., 2) of qubit kets psi and their n
-    derivatives, the (1 + n, ..., 4) Pauli coordinates <psi|sigma_a|psi> of
-    |psi><psi| and their derivatives 2 Re <d psi|sigma_a|psi>."""
-    # <u|sigma_a|psi> from the products p_ij = conj(u_i) psi_j of each u of
-    # kets, one component pair at a time so that each product runs one loop
-    # over the kets
-    u = kets.conj()
-    psi = kets[0]
-    p00, p01 = u[..., 0] * psi[..., 0], u[..., 0] * psi[..., 1]
-    p10, p11 = u[..., 1] * psi[..., 0], u[..., 1] * psi[..., 1]
-    out = np.empty(kets.shape[:-1] + (4,))
-    out[..., 0] = (p00 + p11).real
-    out[..., 1] = (p01 + p10).real
-    out[..., 2] = (p01 - p10).imag
-    out[..., 3] = (p00 - p11).real
-    out[1:] *= 2.0
-    return out
-
-
 def _product_rule(singles, product) -> np.ndarray:
     """The state of independent copies and its derivatives: ``product`` of
     the copies' states, and d(a (x) b) = da (x) b + a (x) db. Each single
@@ -291,7 +272,7 @@ def single_copy(family: ProbeFamily, params, xi):
     a, b = params
     if family.kind == PHASE_DEPHASING:
         return dephasing_coordinates(a + xi, b), dephasing_qfi(b)
-    coords = pure_coordinates(two_phase_ket_with_derivatives(xi, a, b))
+    coords = two_phase_coordinates(xi, a, b)
     # a pure qubit's quantum information is |dr|^2 of its Bloch vector r,
     # a sum that, unlike 4 (<d psi|d psi> - |<psi|d psi>|^2), never cancels
     square = np.square(coords[1:, ..., 1:])

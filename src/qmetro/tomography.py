@@ -306,12 +306,14 @@ def monte_carlo_uncertainty(counts: CountsTable, derived_quantity,
 
 def counts_to_csv(counts: CountsTable) -> str:
     buf = io.StringIO()
-    buf.write("input1,input2,outcome,counts\n")
+    # csv quotes a label that holds a comma, a quote or a line feed
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["input1", "input2", "outcome", "counts"])
     for (a, b), row in zip(counts.input_labels, counts.counts):
         for outcome, value in zip(counts.outcome_labels, row):
             rendered = str(int(value)) if float(value).is_integer() \
                 else serialize.format_float(float(value))
-            buf.write(f"{a},{b},{outcome},{rendered}\n")
+            writer.writerow([a, b, outcome, rendered])
     return buf.getvalue()
 
 

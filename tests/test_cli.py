@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmetro import (Povm, bell_povm, counts_to_csv, load_povm, povm_fidelity,
-                    povm_to_json, reference_states, scenarios, serialize,
-                    simulate_counts, validate_povm)
+from qmetro import (Povm, bell_povm, counts_to_csv, load_counts, load_povm,
+                    povm_fidelity, povm_to_json, reference_states, scenarios,
+                    serialize, simulate_counts, validate_povm)
 from qmetro import cli
 from qmetro.cli import (COMMANDS, REQUIRED, ConfigError, main, parse_config,
                         read_command_line, read_config_file)
@@ -567,10 +567,17 @@ class TestCliCommands:
         assert code == 1 and out["status"] == "error"
         assert all(word in out["errors"][0] for word in named)
 
-    @pytest.mark.parametrize("entry", [None, float("nan"), float("inf")],
-                             ids=["null", "nan", "inf"])
+    # a null is no number, where NaN and the infinities are numbers that
+    # are not finite
+    @pytest.mark.parametrize("entry,error", [
+        (None, "POVM file: outcome 'DD' has 're' entry None, which is not "
+               "a number"),
+        (float("nan"), "POVM element 'DD' has a non-finite entry"),
+        (float("inf"), "POVM element 'DD' has a non-finite entry"),
+    ], ids=["null", "nan", "inf"])
     def test_povm_file_with_a_non_finite_entry_is_an_error(self, tmp_path,
-                                                            capsys, entry):
+                                                            capsys, entry,
+                                                            error):
         doc = json.loads(povm_to_json(bell_povm()))
         doc["outcomes"][0]["re"][0][0] = entry
         path = tmp_path / "povm.json"
@@ -579,8 +586,7 @@ class TestCliCommands:
                             "--povm", str(path), "--budget", "50",
                             "--out", str(tmp_path / "o"))
         assert code == 1 and out["status"] == "error"
-        assert out["errors"] == [
-            f"{path}: POVM element 'DD' has a non-finite entry"]
+        assert out["errors"] == [f"{path}: {error}"]
 
     # named as not finite also where the key has a range check
     @pytest.mark.parametrize("argv,key,value", [
@@ -788,6 +794,24 @@ def test_povm_file_with_a_repeated_label_is_refused(tmp_path, capsys):
     assert out["errors"] == [f"{path}: POVM labels must be distinct, "
                              "repeated ['DD']"]
     assert not (tmp_path / "o").exists()
+
+
+def test_counts_of_labels_with_csv_syntax_round_trip(tmp_path, capsys):
+    # a comma, a quote and a line break in a label are quoted in counts.csv
+    bell = bell_povm()
+    labels = ("D,D", 'D"A', "A\nD", "AA")
+    povm = write_povm(tmp_path / "povm.json", Povm(labels, bell.elements))
+    code, _ = run_cli(capsys, "simulate-counts", "--exposure", "100",
+                      "--measurement", "file", "--povm", povm,
+                      "--out", str(tmp_path / "s"))
+    assert code == 0
+    counts = tmp_path / "s" / "counts.csv"
+    assert load_counts(counts).outcome_labels == labels
+    code, _ = run_cli(capsys, "tomography", "--counts", str(counts),
+                      "--max-iters", "20", "--out", str(tmp_path / "t"))
+    assert code == 0
+    reconstructed = load_povm(tmp_path / "t" / "reconstructed_povm.json")
+    assert reconstructed.labels == labels
 
 
 class TestCompareTo:

@@ -652,8 +652,7 @@ def _policy_definitions(source):
 #: the family kinds and the per-family builders of ``states``, which only
 #: ``states.single_copy`` calls on the kappa route
 FAMILY_SPECIFIC = {"PHASE_DEPHASING", "TWO_PHASE", "dephasing_coordinates",
-                   "two_phase_ket_with_derivatives", "pure_coordinates",
-                   "dephasing_qfi"}
+                   "two_phase_coordinates", "dephasing_qfi"}
 
 
 def _family_specific_names(source):
@@ -663,7 +662,7 @@ def _family_specific_names(source):
 
 
 def test_structure_guards_see_their_targets():
-    source = ('"""pure_coordinates named in a docstring"""\n'
+    source = ('"""two_phase_coordinates named in a docstring"""\n'
               "from . import fisher\n"
               "from .scenarios import x\n"
               "import qmetro.povm\n"

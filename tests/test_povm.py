@@ -7,15 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmetro import (GateModel, Povm, bell_povm, cs_gate_amplitudes,
-                    cs_gate_povm, make_equatorial_ket, povm_from_json,
-                    povm_to_json, product_projective_povm, tensor_product,
-                    validate_povm)
+                    cs_gate_povm, povm_from_json, povm_to_json,
+                    product_projective_povm, tensor_product, validate_povm)
 
 ANGLES = st.floats(0.0, 2.0 * math.pi)
 
 
 def equatorial_state(xi):
-    ket = make_equatorial_ket(xi)
+    ket = np.array([1.0, np.exp(1j * xi)]) / np.sqrt(2.0)
     return np.outer(ket, ket.conj())
 
 
@@ -200,6 +199,30 @@ class TestPovmFileFormat:
             povm_from_json(json.dumps(doc))
         assert str(info.value) == (f"POVM file: outcome 2 has label "
                                    f"{label!r}, which is not a string")
+
+    @pytest.mark.parametrize("key,entry", [
+        ("re", "1"), ("im", False), ("im", True), ("re", None),
+    ], ids=["string", "false", "true", "null"])
+    def test_matrix_entry_must_be_a_number(self, key, entry):
+        # float() reads "1" as 1.0 and false as 0.0
+        doc = json.loads(povm_to_json(bell_povm()))
+        doc["outcomes"][1][key][0][0] = entry
+        with pytest.raises(ValueError) as info:
+            povm_from_json(json.dumps(doc))
+        assert str(info.value) == (f"POVM file: outcome 'DA' has {key!r} "
+                                   f"entry {entry!r}, which is not a number")
+
+    @pytest.mark.parametrize("part", [0.25, [[0.25, 0.0, 0.0, 0.0]]],
+                             ids=["scalar", "row"])
+    def test_each_part_must_be_dim_by_dim(self, part):
+        # a part of another shape would broadcast against the other part
+        doc = json.loads(povm_to_json(bell_povm()))
+        doc["outcomes"][1]["im"] = part
+        with pytest.raises(ValueError) as info:
+            povm_from_json(json.dumps(doc))
+        shape = np.shape(part)
+        assert str(info.value) == (f"POVM file: outcome 'DA' has 'im' of "
+                                   f"shape {shape}, expected (4, 4)")
 
     def test_repeated_labels_are_refused_by_name(self):
         elements = np.stack([np.eye(2) / 4] * 4)

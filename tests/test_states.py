@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, expm_frechet
 
-from qmetro import (ProbeFamily, make_equatorial_ket, probe_with_derivatives,
-                    qfi_matrix, tensor_product, two_phase_ket_with_derivatives)
-from qmetro.linalg import PAULI_Y, PAULI_Z, hermiticity_defect, projector
+from qmetro import (ProbeFamily, probe_with_derivatives, qfi_matrix,
+                    tensor_product)
+from qmetro.linalg import (PAULI_Y, PAULI_Z, PAULIS, hermiticity_defect,
+                           projector)
 from qmetro.scenarios import single_copy_qfi_diagonal
 from qmetro.states import (check_point, dephasing_qfi, point_errors,
-                           single_copy)
+                           single_copy, two_phase_coordinates)
 
 ANGLES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 #: an input value: finite of either sign, or nan or an infinity
@@ -49,6 +50,32 @@ def rotation(phi_y, phi_z):
     return expm(1j * (phi_y * PAULI_Y + phi_z * PAULI_Z))
 
 
+def equatorial_ket(xi):
+    """(|0> + e^{i xi}|1>)/sqrt(2)."""
+    return np.array([1.0, np.exp(1j * xi)]) / np.sqrt(2.0)
+
+
+def bloch_rotation(u):
+    """The rotation R_ab = Tr[sigma_a u sigma_b u^dagger]/2 (a, b = x, y, z)
+    by which the unitary ``u`` turns Bloch vectors."""
+    return np.array([[np.trace(a @ u @ b @ u.conj().T).real / 2.0
+                      for b in PAULIS[1:]] for a in PAULIS[1:]])
+
+
+def oracle_coordinates(xi, phi_y, phi_z):
+    """The two-phase copy's (3, 4) coordinate stack from scipy: psi =
+    expm(iG)|xi> with G = phi_y*sigma_y + phi_z*sigma_z, d psi from
+    expm_frechet, then r_a = <psi|sigma_a|psi> and d r_a = 2 Re <d psi|
+    sigma_a|psi>."""
+    generator = 1j * (phi_y * PAULI_Y + phi_z * PAULI_Z)
+    ket = equatorial_ket(xi)
+    kets = [expm(generator) @ ket] + [
+        expm_frechet(generator, 1j * pauli)[1] @ ket
+        for pauli in (PAULI_Y, PAULI_Z)]
+    return np.array([[(1.0 + (k > 0)) * np.vdot(d, pauli @ kets[0]).real
+                      for pauli in PAULIS] for k, d in enumerate(kets)])
+
+
 class TestEquatorialState:
     """The input state: the dephasing probe with no phase and no dephasing."""
 
@@ -73,11 +100,12 @@ class TestEquatorialState:
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            make_equatorial_ket(float("nan"))
+            dephased(float("nan"), 0.0, 0.0)
 
+    # the equatorial input itself is the two-phase copy at no rotation
     @pytest.mark.parametrize("make", [
-        lambda xi: make_equatorial_ket(xi),
-        lambda xi: two_phase_ket_with_derivatives(xi, 0.4, 0.3),
+        lambda xi: two_phase_coordinates(xi, 0.0, 0.0),
+        lambda xi: two_phase_coordinates(xi, 0.4, 0.3),
     ], ids=["equatorial", "two-phase"])
     @pytest.mark.parametrize("xi", [
         math.nan, np.array([0.0, math.nan]), np.array([[0.3], [-math.inf]]),
@@ -91,31 +119,31 @@ class TestEquatorialState:
 
 
 class TestRotationUnitary:
-    """The two-phase rotation U, read off the output kets U|+> and U|->
-    of the inputs xi = 0 and pi: its columns are U|0> = (U|+> + U|->)/sqrt(2)
-    and U|1> = (U|+> - U|->)/sqrt(2)."""
+    """The two-phase rotation U, as the rotation R of the Bloch sphere that
+    it makes, read off the output coordinates of the inputs xi = 0 and
+    pi/2: those are R's first two columns R e_x and R e_y, and their cross
+    product is its third."""
 
     @staticmethod
-    def rotation_unitary(phi_y, phi_z):
-        kets = [two_phase_ket_with_derivatives(xi, phi_y, phi_z)[0]
-                for xi in (0.0, math.pi)]
-        return np.stack([kets[0] + kets[1], kets[0] - kets[1]],
-                        axis=1) / np.sqrt(2.0)
+    def read_rotation(phi_y, phi_z):
+        x, y = (two_phase_coordinates(xi, phi_y, phi_z)[0, 1:]
+                for xi in (0.0, math.pi / 2))
+        return np.stack([x, y, np.cross(x, y)], axis=1)
 
     def test_zero_angles_identity(self):
-        assert np.allclose(self.rotation_unitary(0.0, 0.0), np.eye(2),
+        assert np.allclose(self.read_rotation(0.0, 0.0), np.eye(3),
                            atol=1e-15)
 
     def test_z_generator_quarter_turn(self):
         # closed-form exponential of sigma_z alone
         expected = np.diag([np.exp(1j * math.pi / 2), np.exp(-1j * math.pi / 2)])
-        assert np.allclose(self.rotation_unitary(0.0, math.pi / 2), expected,
-                           atol=1e-14)
+        assert np.allclose(self.read_rotation(0.0, math.pi / 2),
+                           bloch_rotation(expected), atol=1e-14)
 
     def test_y_generator_quarter_turn(self):
         expected = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        assert np.allclose(self.rotation_unitary(math.pi / 2, 0.0), expected,
-                           atol=1e-14)
+        assert np.allclose(self.read_rotation(math.pi / 2, 0.0),
+                           bloch_rotation(expected), atol=1e-14)
 
     @pytest.mark.parametrize("phi_y,phi_z", [
         (0.3, 0.4), (0.9, -0.1), (-0.5, 0.5), (1e-9, 1e-9), (0.6, 0.7),
@@ -128,20 +156,24 @@ class TestRotationUnitary:
         for k in range(1, 13):
             term = term @ a / k
             series = series + term
-        assert np.abs(self.rotation_unitary(phi_y, phi_z) - series).max() < 1e-10
+        assert np.abs(self.read_rotation(phi_y, phi_z)
+                      - bloch_rotation(series)).max() < 1e-10
 
     @given(phi_y=ANGLES, phi_z=ANGLES, xi=ANGLES)
     @settings(deadline=None, max_examples=60)
     def test_matches_scipy_expm(self, phi_y, phi_z, xi):
-        ket = two_phase_ket_with_derivatives(xi, phi_y, phi_z)[0]
-        expected = rotation(phi_y, phi_z) @ make_equatorial_ket(xi)
-        assert np.abs(ket - expected).max() < 1e-12
+        coords = two_phase_coordinates(xi, phi_y, phi_z)[0]
+        u = rotation(phi_y, phi_z)
+        expected = u @ projector(equatorial_ket(xi)) @ u.conj().T
+        assert np.abs(coords - [np.trace(expected @ pauli).real
+                                for pauli in PAULIS]).max() < 1e-12
 
     @given(phi_y=ANGLES, phi_z=ANGLES)
     @settings(deadline=None, max_examples=60)
     def test_unitarity(self, phi_y, phi_z):
-        u = self.rotation_unitary(phi_y, phi_z)
-        assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-12
+        # a unitary U turns the Bloch sphere by an orthogonal R
+        r = self.read_rotation(phi_y, phi_z)
+        assert np.abs(r.T @ r - np.eye(3)).max() < 1e-12
 
 
 class TestDephasedPhaseState:
@@ -284,12 +316,14 @@ class TestTwoPhaseRows:
 
     # (xi, phi_y, phi_z) where one H_jj lies between 5e-4 and 1.2e-2;
     # there 4 (<d psi|d psi> - |<psi|d psi>|^2) in doubles cancels to a
-    # relative error of 1.6e-13 to 3.0e-12
+    # relative error of 1.6e-13 to 3.0e-12, and |d_j r|^2 of coordinates
+    # formed from kets to up to 2.4e-14. The last point has H_yy = 3.3e-6,
+    # where the coordinates from kets were off by 1.3e-13
     @pytest.mark.parametrize("xi,phi_y,phi_z", [
         (0.2278, 0.05, 1.8), (-1.6054, -1.4, -0.07), (-1.5614, -1.47, 0.02),
         (-0.3597, 0.02, -1.93), (-1.5834, -1.03, -0.02),
         (-2.0609, -0.06, -0.49), (-1.7279, -0.49, -0.17),
-        (-1.4357, -0.3, 0.14),
+        (-1.4357, -0.3, 0.14), (-1.45399, -0.0103092, 0.117249),
     ])
     def test_small_information_matches_the_oracle(self, xi, phi_y, phi_z):
         h = np.array(single_copy(ProbeFamily.two_phase(), (phi_y, phi_z),
@@ -297,7 +331,7 @@ class TestTwoPhaseRows:
         exact = oracle_two_phase_qfi(xi, phi_y, phi_z)
         assert min(exact) < 1.2e-2
         for value, reference in zip(h, exact):
-            assert abs((value - reference) / reference) <= 1e-13
+            assert abs((value - reference) / reference) <= 1e-14
 
     def test_rows_of_every_branch_get_their_bits_alone(self):
         # theta = 0, theta on both sides of the series cutoff 1e-2 and
@@ -312,12 +346,12 @@ class TestTwoPhaseRows:
         family = ProbeFamily.two_phase()
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            kets = two_phase_ket_with_derivatives(xi, phi_y, phi_z)
+            stack = two_phase_coordinates(xi, phi_y, phi_z)
             coords, h = single_copy(family, (phi_y, phi_z), xi)
             for i in range(len(rows)):
                 point = (float(phi_y[i]), float(phi_z[i]))
-                alone = two_phase_ket_with_derivatives(float(xi[i]), *point)
-                assert kets[:, i].tobytes() == alone.tobytes()
+                alone = two_phase_coordinates(float(xi[i]), *point)
+                assert stack[:, i].tobytes() == alone.tobytes()
                 one, one_h = single_copy(family, point, float(xi[i]))
                 assert coords[:, i].tobytes() == one.tobytes()
                 assert h[:, i].tobytes() == np.array(one_h).tobytes()
@@ -353,28 +387,28 @@ class TestProbeWithDerivatives:
             assert np.abs(deriv - commutator).max() < 1e-9
 
     def test_two_phase_analytic_derivative(self):
-        # closed form against a central difference of the ket and against
-        # the exact Frechet derivative of expm, at random points and around
-        # the series cutoff of the theta -> 0 branch
+        # closed form against a central difference of the coordinates and
+        # against the exact Frechet derivative of expm, at random points
+        # and on both sides of the series cutoff 1e-2 of the theta -> 0
+        # branch, along each generator and between them
         rng = np.random.default_rng(5)
         points = [tuple(rng.uniform(-2.0, 2.0, 3)) for _ in range(50)]
-        for theta in (0.0, 1e-9, 0.99e-2, 1.01e-2):
-            points += [(0.4, theta, 0.0), (1.3, 0.6 * theta, 0.8 * theta)]
+        for theta in (0.0, 1e-9, 1e-4, 0.99e-2, np.nextafter(1e-2, 0.0),
+                      1e-2, np.nextafter(1e-2, 1.0), 1.01e-2):
+            points += [(0.4, theta, 0.0), (-2.2, 0.0, -theta),
+                       (1.3, 0.6 * theta, 0.8 * theta)]
         h = 1e-6
         for xi, phi_y, phi_z in points:
-            psi, *dpsi = two_phase_ket_with_derivatives(xi, phi_y, phi_z)
+            coords = two_phase_coordinates(xi, phi_y, phi_z)
+            oracle = oracle_coordinates(xi, phi_y, phi_z)
 
-            def ket(a, b):
-                return two_phase_ket_with_derivatives(xi, a, b)[0]
+            def state(a, b):
+                return two_phase_coordinates(xi, a, b)[0]
 
-            fd = [(ket(phi_y + h, phi_z) - ket(phi_y - h, phi_z)) / (2 * h),
-                  (ket(phi_y, phi_z + h) - ket(phi_y, phi_z - h)) / (2 * h)]
-            generator = 1j * (phi_y * PAULI_Y + phi_z * PAULI_Z)
-            for d, fd_j, pauli in zip(dpsi, fd, (PAULI_Y, PAULI_Z)):
-                u, du = expm_frechet(generator, 1j * pauli)
-                assert np.abs(psi - u @ make_equatorial_ket(xi)).max() < 1e-14
-                assert np.abs(d - du @ make_equatorial_ket(xi)).max() < 1e-14
-                assert np.abs(d - fd_j).max() < 1e-9
+            fd = [(state(phi_y + h, phi_z) - state(phi_y - h, phi_z)),
+                  (state(phi_y, phi_z + h) - state(phi_y, phi_z - h))]
+            assert np.abs(coords - oracle).max() < 1e-14
+            assert np.abs(coords[1:] - np.array(fd) / (2 * h)).max() < 1e-9
 
     def test_two_copy_product_rule(self):
         swd = probe_with_derivatives(ProbeFamily.phase_dephasing(copies=2),
