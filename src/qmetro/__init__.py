@@ -9,7 +9,7 @@ simulated coincidence counts by constrained maximum likelihood.
 
 from .fisher import (FisherReport, KappaResult, classical_fi, kappa,
                      measurement_probabilities, qfi_matrix, sld_operators,
-                     weak_commutativity, weak_commutativity_root)
+                     weak_commutativity_root)
 from .linalg import hermiticity_defect, tensor_product
 from .povm import (GateModel, MeasurementGenerator, Povm, PovmValidation,
                    ProductProjectiveGenerator, bell_povm, cs_gate_amplitudes,

@@ -34,7 +34,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, serialize
-from .fisher import qfi_matrix, weak_commutativity, weak_commutativity_root
+from .fisher import weak_commutativity_root
 from .povm import (BALANCED_T_V, GateModel, bell_povm, cs_gate_amplitudes,
                    cs_gate_povm, load_povm, povm_to_json,
                    product_projective_povm, validate_povm)
@@ -42,7 +42,7 @@ from .scenarios import (DEFAULT_BUDGET, DEFAULT_SEARCH_AT, DEFAULT_XI_BUDGET,
                         Scenario, input_problems, kappa_scan, optimize_kappa,
                         phase_names, random_collective_search)
 from .states import (PHASE_DEPHASING, TWO_PHASE, ProbeFamily,
-                     probe_with_derivatives)
+                     commutator_entry, qfi_entry, single_copy)
 from .tomography import (DEFAULT_MAX_ITERS, DEFAULT_TOL, counts_to_csv,
                          in_outcome_order, load_counts, mle_reconstruct,
                          povm_fidelity, reference_states, simulate_counts)
@@ -295,7 +295,7 @@ def _inputs(cfg, sweep: str | None):
 
 def _probe_point(cfg):
     """The probe that ``qfi`` and ``weak-comm`` evaluate: its JSON header
-    and its state with derivatives."""
+    and each copy's coordinate stack and impurity (``single_copy``)."""
     family, _, fixed = _inputs(cfg, None)
     params = tuple(fixed[n] for n in family.parameter_names)
     phases = tuple(fixed[n] for n in phase_names(family, fixed))
@@ -306,26 +306,33 @@ def _probe_point(cfg):
         "params": [float(p) for p in params],
         "input_phases": [float(x) for x in phases],
     }
-    return doc, probe_with_derivatives(family, params, phases)
+    return doc, [single_copy(family, params, xi) for xi in phases]
+
+
+def _qfi(copies):
+    """The quantum Fisher matrix of independent copies, the sum of theirs."""
+    return sum(qfi_entry(*copy, [[0], [1]], [0, 1]) for copy in copies)
 
 
 def _cmd_qfi(cfg, log):
-    doc, swd = _probe_point(cfg)
-    H = qfi_matrix(swd)
+    doc, copies = _probe_point(cfg)
+    H = _qfi(copies)
     doc["qfi_matrix"] = [[float(x) for x in row] for row in H]
     doc["det"] = float(np.linalg.det(H))
     return (serialize.dumps_json(doc),)
 
 
 def _cmd_weak_comm(cfg, log):
-    doc, swd = _probe_point(cfg)
-    doc["value"] = float(weak_commutativity(swd))
+    doc, copies = _probe_point(cfg)
+    # Tr[rho [L_0, L_1]] / i of independent copies, 2 D_01 summed
+    doc["value"] = float(sum(2.0 * commutator_entry(coords, 0, 1)
+                             for coords, _ in copies))
     if cfg["find_root"]:
         xi_bar = weak_commutativity_root(cfg["phi_y"], cfg["phi_z"])
-        root_swd = probe_with_derivatives(
-            ProbeFamily.two_phase(), (cfg["phi_y"], cfg["phi_z"]), (xi_bar,))
+        root = single_copy(ProbeFamily.two_phase(),
+                           (cfg["phi_y"], cfg["phi_z"]), xi_bar)
         doc["xi_bar"] = float(xi_bar)
-        doc["qfi_det_at_root"] = float(np.linalg.det(qfi_matrix(root_swd)))
+        doc["qfi_det_at_root"] = float(np.linalg.det(_qfi([root])))
     return (serialize.dumps_json(doc),)
 
 

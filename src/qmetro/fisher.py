@@ -1,6 +1,7 @@
-"""Estimation theory: symmetric logarithmic derivatives, quantum and
-classical Fisher information, weak commutativity, and the kappa figure of
-merit.
+"""Estimation theory: classical Fisher information, the kappa figure of
+merit, the two-phase weak-commutativity root, and the SLD solve that is the
+tests' oracle for the closed-form quantum information of
+``states.qfi_entry`` and ``states.commutator_entry``.
 
 Conventions
 -----------
@@ -29,7 +30,8 @@ from . import kernels
 from .kernels import DEFAULT_P_CUTOFF, H_FLOOR, SINGULAR_CUTOFF
 from .linalg import hermiticity_defect
 from .povm import Povm
-from .states import ProbeFamily, StateWithDerivatives, probe_with_derivatives
+from .states import (StateWithDerivatives, commutator_entry,
+                     two_phase_coordinates)
 
 #: outcomes dropped for small probability are flagged as "boundary" when the
 #: corresponding derivative is not negligible (diverging information)
@@ -115,32 +117,18 @@ def qfi_matrix(swd: StateWithDerivatives) -> np.ndarray:
     return H
 
 
-def weak_commutativity(swd: StateWithDerivatives) -> float:
-    """Expectation value of the commutator of the two parameters' SLDs,
-    ``Tr[rho [L_0, L_1]] / i``.
-
-    A zero value signals that the multiparameter quantum Cramer-Rao bound is
-    asymptotically saturable.
-    """
-    l0, l1 = sld_operators(swd)
-    return float(np.imag(np.trace(swd.state @ (l0 @ l1))
-                         - np.trace(swd.state @ (l1 @ l0))))
-
-
 def weak_commutativity_root(phi_y: float, phi_z: float) -> float:
     """First input phase in [0, pi) at which the two-phase SLD commutator
     expectation vanishes, in closed form.
 
-    Any expectation in the probe ket (|0> + e^{i xi}|1>)/sqrt(2) is
-    a + b cos xi + c sin xi, and the commutator's has a = 0, so its roots
-    are atan2(-b, c) mod pi and that plus pi. The probe is one copy: the
-    m-copy commutator is m times the single-copy one and has the same
-    roots. Where the expectation vanishes for every input phase (up to
-    round-off, as at (phi_y, phi_z) = (pi/2, 0)), returns 0.0.
+    Any expectation in the probe ket (|0> + e^{i xi}|1>)/sqrt(2) is a + b
+    cos xi + c sin xi. The commutator's, 2 D_01 (``states.commutator_entry``)
+    of one copy or m times that of m, has a = 0, so its roots are atan2(-b,
+    c) mod pi and that plus pi. Where it vanishes for every input phase (up
+    to round-off, as at (phi_y, phi_z) = (pi/2, 0)), returns 0.0.
     """
-    b, c = (weak_commutativity(probe_with_derivatives(
-        ProbeFamily.two_phase(), (phi_y, phi_z), (xi,)))
-        for xi in (0.0, math.pi / 2))
+    b, c = commutator_entry(two_phase_coordinates(
+        np.array([0.0, math.pi / 2]), phi_y, phi_z), 0, 1)
     if math.hypot(b, c) <= _ROOT_AMPLITUDE_FLOOR:
         return 0.0
     return math.atan2(-b, c) % math.pi

@@ -15,12 +15,12 @@ Kernel contracts:
   its table T[k, c] = Tr[P_k sigma_c] / 2^m (``linalg.pauli_table``), so
   that p_k = sum_c T[k, c] r_c. The probabilities and their derivatives
   are one two-operand contraction (``probabilities``) and the three Fisher
-  entries a second; no d x d joint state is built. The caller builds the
-  coordinates: each copy's, and its closed-form single-copy quantum
-  information, come from ``states.single_copy`` and the product of the
-  copies from ``states.copies_with_derivatives``, so no kernel knows a
-  probe family; ``kappa_phase_dephasing(...)`` / ``kappa_two_phase(...)``
-  evaluate one two-copy point that way and return Python scalars
+  entries a second; no d x d joint state is built. The caller builds each
+  copy (``states.single_copy``), its quantum information
+  (``states.qfi_entry``) and the copies' product
+  (``states.copies_with_derivatives``), so no kernel knows a probe family;
+  ``kappa_phase_dephasing(...)`` / ``kappa_two_phase(...)`` evaluate one
+  two-copy point that way and return Python scalars
 * ``mle_iterate(...)`` -> multiplicative maximum-likelihood update loop for
   detector reconstruction (Rehacek et al., PRA 75, 042108, 2007) with a
   monotone-likelihood line search, on the real block forms
@@ -41,21 +41,8 @@ import math
 import numpy as np
 
 from .linalg import pauli_table
-from .states import ProbeFamily, copies_with_derivatives, single_copy
-
-__all__ = [
-    "BACKEND",
-    "DEFAULT_P_CUTOFF",
-    "H_FLOOR",
-    "SINGULAR_CUTOFF",
-    "fisher_matrix",
-    "kappa_batch",
-    "kappa_phase_dephasing",
-    "kappa_two_phase",
-    "mle_iterate",
-    "probabilities",
-    "singular_effective_information",
-]
+from .states import (ProbeFamily, copies_with_derivatives, qfi_entry,
+                     single_copy)
 
 #: The kernels are vectorized numpy; the name is recorded by benchmark runs.
 BACKEND = "numpy"
@@ -188,8 +175,8 @@ def _scalars(family, params, phases, povm, cutoff):
     singles = [single_copy(family, params, np.array([xi], dtype=float))
                for xi in phases]
     coords = copies_with_derivatives([stack for stack, _ in singles])
-    kappa, k1, k2, status = kappa_batch(
-        pauli_table(povm), coords, *singles[0][1], len(phases), cutoff)
+    kappa, k1, k2, status = kappa_batch(pauli_table(povm), coords, *qfi_entry(
+        *singles[0], [0, 1]), len(phases), cutoff)
     return float(kappa[0]), float(k1[0]), float(k2[0]), int(status[0])
 
 

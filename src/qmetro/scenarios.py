@@ -13,15 +13,14 @@ Every search evaluation is scored by the batched kernel
 (``kernels.kappa_batch``), for any number of copies and for a fixed POVM, a
 stack of POVMs or a measurement generator alike; ``evaluate_kappa`` computes
 the reported value at the optima and is the reference the kernel is tested
-against, on complex density matrices; both build each copy, and its
-closed-form single-copy quantum information, with ``states.single_copy``.
+against, on complex density matrices; both build each copy with
+``states.single_copy`` and divide by the diagonal of ``states.qfi_entry``.
 A scan optimizes all its points, ``optimize_each`` every POVM of a stack,
 and the collective search a chunk of trials (an array of one projector set
 per trial), in one lockstep run of ``_maximize``: each Newton step of
 every refined start of every problem shares one kernel call
-(``refine.minimize``).
-The run then reports all its optima with one ``evaluate_kappa`` call on
-the stack of them, each optimum with the bits it gets alone.
+(``refine.minimize``). The run then reports all its optima with one
+``evaluate_kappa`` call on the stack of them, each with its lone bits.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .refine import first_call_rows, minimize
 from .povm import MeasurementGenerator, Povm
 from .states import (PHASE_DEPHASING, TWO_PHASE, ProbeFamily, check_point,
                      copies_with_derivatives, density_matrices, point_errors,
-                     probe_with_derivatives, single_copy)
+                     probe_with_derivatives, qfi_entry, single_copy)
 
 DEFAULT_BUDGET = 2000
 #: the rotation (phi_y, phi_z) the collective search probes, and its
@@ -197,7 +196,7 @@ def single_copy_qfi_diagonal(family: ProbeFamily, params, xi: float) -> np.ndarr
     """Quantum Fisher information diagonal of one probe copy, in the closed
     form that the kernels divide by."""
     check_point(xi=xi, **dict(zip(family.parameter_names, params)))
-    return np.array(single_copy(family, params, xi)[1])
+    return qfi_entry(*single_copy(family, params, xi), [0, 1])
 
 
 def _refuse_stack(scenario: Scenario, what: str) -> None:
@@ -285,8 +284,8 @@ def _reference(family: ProbeFamily, measurement, values: dict,
     params = [values[n] for n in family.parameter_names]
     singles = [single_copy(family, params, values[n])
                for n in phase_names(family, values)]
-    # (n,) where every point has the same, else (P, n)
-    h = np.array(singles[0][1]).T
+    # (n,) where every value is one float, else (P, n)
+    h = qfi_entry(*singles[0], [0, 1]).T
     p, dp, residues = outcome_probabilities(
         density_matrices([coords for coords, _ in singles]), elements)
     reports = classical_fi(p, dp, labels)
@@ -378,7 +377,7 @@ class _Objective:
                  for n in dict.fromkeys(self.phase_names)}
         coords = copies_with_derivatives([built[n][0]
                                           for n in self.phase_names])
-        h1, h2 = built[self.phase_names[0]][1]
+        h1, h2 = qfi_entry(*built[self.phase_names[0]], [0, 1])
         # the copies go before a stack's per-row tables are gathered, so
         # that the two are never held at once
         del built
@@ -684,7 +683,7 @@ def kappa_scan(scenario: Scenario, grid, budget: int = DEFAULT_BUDGET) -> KappaC
             outcomes[i] = outcome
     # a failed point reads nan
     kappas = np.full(grid.size, np.nan)
-    per = np.full((grid.size, scenario.family.num_parameters), np.nan)
+    per = np.full((grid.size, len(scenario.family.parameter_names)), np.nan)
     args = [{name: float("nan") for name in scenario.free_inputs}
             for _ in grid]
     failed = [str(o) if isinstance(o, Exception) else None for o in outcomes]

@@ -8,16 +8,16 @@ Two built-in probe families are provided:
   ``exp(i*(phi_y*sigma_y + phi_z*sigma_z))``; parameters ``(phi_y, phi_z)``.
 
 ``single_copy`` alone builds a copy of either family, in closed form and
-in real numbers: the Pauli coordinates r_a = Tr[rho sigma_a] of its state,
-with sigma = ``linalg.PAULIS`` = (I, X, Y, Z), and their derivative by
-each parameter, which are each family's Bloch map
-(``dephasing_coordinates``, ``two_phase_coordinates``), and its quantum
-information: ``dephasing_qfi`` for the dephased probe, and |d_j r|^2 of
-the pure two-phase probe's own coordinates. Multi-copy
-probes follow the product rule ``d(r (x) r) = dr (x) r + r (x) dr``: on
-the coordinates in ``copies_with_derivatives``, for the search, and on
-the density matrices rho = (1/2) sum_a r_a sigma_a in
-``probe_with_derivatives``, for the reference path.
+in real numbers: its family's Bloch map (``dephasing_coordinates``,
+``two_phase_coordinates``) gives the Pauli coordinates r_a = Tr[rho
+sigma_a], sigma = ``linalg.PAULIS`` = (I, X, Y, Z), and their derivatives
+by each parameter, and with its impurity 1 - |r|^2 they give its quantum
+Fisher matrix J (``qfi_entry``) and SLD commutator term D
+(``commutator_entry``). Multi-copy probes follow the product rule
+d(r (x) r) = dr (x) r + r (x) dr: on the coordinates in
+``copies_with_derivatives``, for the search, and on the density matrices
+rho = (1/2) sum_a r_a sigma_a in ``probe_with_derivatives``, for the
+reference path.
 """
 
 from __future__ import annotations
@@ -123,17 +123,6 @@ def dephasing_coordinates(alpha, delta) -> np.ndarray:
     return out
 
 
-def dephasing_qfi(delta):
-    """Closed-form single-copy quantum information (H_phi, H_delta) of the
-    dephased probe at one delta or an array of them: with c^2 = exp(-2
-    delta^2), H_phi = c^2 and H_delta = 4 delta^2 c^2 / (1 - c^2). H_delta
-    is 0 at delta = 0, where the state does not move with delta."""
-    x = 2.0 * delta * delta
-    c2 = np.exp(-x)
-    # the numerator is 0 where x is; adding (x == 0) keeps 0/0 out there
-    return c2, 2.0 * x * c2 / (-np.expm1(-x) + (x == 0.0))
-
-
 def point_errors(values: dict, count: int) -> list:
     """The first fault of each of ``count`` points, or None where it has
     none: the first input of ``values``, in their order, that is not
@@ -194,10 +183,6 @@ class ProbeFamily:
             return ("phi", "delta")
         return ("phi_y", "phi_z")
 
-    @property
-    def num_parameters(self) -> int:
-        return 2
-
     @classmethod
     def phase_dephasing(cls, copies: int = 1):
         return cls(PHASE_DEPHASING, copies=copies)
@@ -213,10 +198,6 @@ class StateWithDerivatives:
 
     state: np.ndarray                 # (d, d) complex
     derivatives: np.ndarray           # (n, d, d) complex, Hermitian each
-
-    @property
-    def dim(self) -> int:
-        return self.state.shape[0]
 
 
 def _product_rule(singles, product) -> np.ndarray:
@@ -266,35 +247,62 @@ def copies_with_derivatives(singles) -> np.ndarray:
 def single_copy(family: ProbeFamily, params, xi):
     """One copy of ``family`` at ``params`` with input phase ``xi``, each
     one value or N rows: the real (3, ..., 4) stack of its state's Pauli
-    coordinates and their two derivatives, and its quantum information
-    diagonal (H_11, H_22). Inputs are not validated (``check_point``): the
-    search masks delta < 0."""
+    coordinates and their two derivatives, and its impurity 1 - |r|^2 in
+    closed form (0.0 for the pure two-phase copy), which ``qfi_entry``
+    divides by. Inputs are not validated (``check_point``): the search
+    masks delta < 0."""
     a, b = params
     if family.kind == PHASE_DEPHASING:
-        return dephasing_coordinates(a + xi, b), dephasing_qfi(b)
-    coords = two_phase_coordinates(xi, a, b)
-    # a pure qubit's quantum information is |dr|^2 of its Bloch vector r,
-    # a sum that, unlike 4 (<d psi|d psi> - |<psi|d psi>|^2), never cancels
-    square = np.square(coords[1:, ..., 1:])
-    return coords, square[..., 0] + square[..., 1] + square[..., 2]
+        # |r|^2 = exp(-2 delta^2); 1 - r.r would cancel where delta is small
+        return dephasing_coordinates(a + xi, b), -np.expm1(-2.0 * np.square(b))
+    return two_phase_coordinates(xi, a, b), 0.0
+
+
+def _dot(u, v):
+    """u . v of the x, y, z components, the last three of each vector,
+    summed in that order."""
+    product = u * v
+    return product[..., -3] + product[..., -2] + product[..., -1]
+
+
+def qfi_entry(coords, impurity, i, j=None):
+    """Quantum Fisher information J_ij = d_i r . d_j r + (r . d_i r)(r .
+    d_j r) / (1 - |r|^2) of qubit copies with Bloch vectors r, from their
+    (1 + n, ..., 4) coordinate stacks and impurities (``single_copy``); the
+    second term is 0 for a pure copy, whose r is orthogonal to every d_i r.
+    ``i`` and ``j`` are parameter indices, or index arrays that broadcast,
+    and ``j`` is ``i`` by default: ``[0, 1]`` gives the diagonal and
+    ``[[0], [1]], [0, 1]`` the matrix. Each copy gets the same bits alone
+    and in a stack."""
+    r, di = coords[0], coords[1:][i]
+    dj = di if j is None else coords[1:][j]
+    ri = _dot(r, di)
+    rj = ri if j is None else _dot(r, dj)
+    mixed = impurity > 0.0
+    term = ri * rj / np.where(mixed, impurity, 1.0)
+    return _dot(di, dj) + np.where(mixed, term, 0.0)
+
+
+def commutator_entry(coords, i, j):
+    """D_ij = Im Tr[rho L_i L_j] = r . (d_i r x d_j r) of qubit copies, half
+    the SLD commutator's expectation Tr[rho [L_i, L_j]] / i; a mixed copy's
+    SLD adds multiples of r to each d_i r, which the triple product drops.
+    ``coords``, ``i`` and ``j`` are as in ``qfi_entry``."""
+    r, d = coords[0, ..., 1:], coords[1:, ..., 1:]
+    return _dot(r, np.cross(d[i], d[j]))
 
 
 def probe_with_derivatives(family: ProbeFamily, params,
                            phases) -> StateWithDerivatives:
-    """Evaluate the multi-copy probe state and its parameter derivatives.
-
-    ``params`` are the estimated-parameter values, ``(phi, delta)`` or
-    ``(phi_y, phi_z)`` depending on the family, and ``phases`` the input
-    phase of each copy. Each copy's matrices are rho = (1/2) sum_a r_a
-    sigma_a of its ``single_copy`` coordinates; derivatives of the m-copy
-    state follow the tensor-product rule (``density_matrices``) and are
-    traceless by construction.
+    """The multi-copy probe state and its parameter derivatives at
+    ``params``, ``(phi, delta)`` or ``(phi_y, phi_z)``, with ``phases`` the
+    input phase of each copy: the density matrices of the copies'
+    ``single_copy`` coordinates by the product rule (``density_matrices``).
     """
     params = tuple(float(p) for p in params)
-    if len(params) != family.num_parameters:
-        raise ValueError(
-            f"{family.kind} takes {family.num_parameters} parameters, "
-            f"got {len(params)}")
+    if len(params) != len(family.parameter_names):
+        raise ValueError(f"{family.kind} takes 2 parameters, "
+                         f"got {len(params)}")
     phases = tuple(float(xi) for xi in phases)
     if len(phases) != family.copies:
         raise ValueError(f"{family.copies} copies take one input phase each, "

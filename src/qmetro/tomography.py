@@ -305,8 +305,13 @@ def monte_carlo_uncertainty(counts: CountsTable, derived_quantity,
 # ---------------------------------------------------------------------------
 
 def counts_to_csv(counts: CountsTable) -> str:
+    # csv quotes a label that holds a comma, a quote or a line feed, but
+    # not a carriage return, which a reader would take for a line break
+    for label in (*counts.outcome_labels, *sum(counts.input_labels, ())):
+        if "\r" in label:
+            raise ValueError(f"label {label!r} holds a carriage return, which "
+                             "counts.csv cannot hold")
     buf = io.StringIO()
-    # csv quotes a label that holds a comma, a quote or a line feed
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["input1", "input2", "outcome", "counts"])
     for (a, b), row in zip(counts.input_labels, counts.counts):
@@ -320,6 +325,11 @@ def counts_to_csv(counts: CountsTable) -> str:
 def counts_from_csv(text: str) -> CountsTable:
     """Parse a counts CSV; the table must be complete and duplicate-free."""
     reader = csv.DictReader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        # such as a line break inside a field that is not quoted
+        raise ValueError(f"counts CSV is malformed: {exc}") from None
     required = {"input1", "input2", "outcome", "counts"}
     if reader.fieldnames is None or set(reader.fieldnames) != required:
         raise ValueError(f"counts CSV must have columns {sorted(required)}, "
@@ -327,7 +337,7 @@ def counts_from_csv(text: str) -> CountsTable:
     cells: dict[tuple[str, str, str], float] = {}
     inputs: list[tuple[str, str]] = []
     outcomes: list[str] = []
-    for row in reader:
+    for row in rows:
         key = (row["input1"], row["input2"], row["outcome"])
         if key in cells:
             raise ValueError(f"duplicate row for {key}")
@@ -353,7 +363,8 @@ def counts_from_csv(text: str) -> CountsTable:
 
 
 def load_counts(path) -> CountsTable:
-    with open(path, encoding="utf-8") as fh:
+    # newline="" leaves each line break to csv, which keeps a quoted one
+    with open(path, encoding="utf-8", newline="") as fh:
         try:
             return counts_from_csv(fh.read())
         except ValueError as exc:

@@ -242,6 +242,30 @@ class TestCliCommands:
         doc = json.loads((out2 / "weak_comm.json").read_text())
         assert abs(doc["qfi_det_at_root"]) < 1e-8
 
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_qfi_at_small_delta(self, tmp_path, capsys, copies):
+        # H_delta tends to 2 per copy as delta -> 0; the SLD solve of the
+        # nearly pure state wrote 1.0e-12 on one copy and 3.99986 on two
+        delta = 1e-6
+        code, _ = run_cli(capsys, "qfi", "--delta", str(delta), "--copies",
+                          str(copies), "--out", str(tmp_path))
+        assert code == 0
+        H = json.loads((tmp_path / "qfi.json").read_text())["qfi_matrix"]
+        x = 2.0 * delta * delta
+        exact = copies * 2.0 * x * np.exp(-x) / -np.expm1(-x)
+        assert abs(H[1][1] - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("copies,delta", [(1, 0.5), (2, 1e-6), (3, 1.3)])
+    def test_weak_comm_of_the_dephased_probe_is_zero(self, tmp_path, capsys,
+                                                     copies, delta):
+        # the SLD solve wrote 4.3e-10 at delta = 1e-6 on two copies
+        code, _ = run_cli(capsys, "weak-comm", "--delta", str(delta),
+                          "--copies", str(copies), "--phi", "0.4", "--xi",
+                          "1.1", "--out", str(tmp_path))
+        assert code == 0
+        text = (tmp_path / "weak_comm.json").read_text()
+        assert json.loads(text)["value"] == 0.0 and '"value": 0.0' in text
+
     @pytest.mark.parametrize("argv,error", [
         (["gate-model", "--visibility", "7"], "visibility must lie in [0, 1]"),
         (["kappa-scan", "--bogus", "1"],
@@ -478,8 +502,8 @@ class TestCliCommands:
         assert doc["kappa"] == 1.2903913190376914
         # phi is held at 0: kappa reads it only through phi + xi_j
         assert doc["settings"] == {"phi": 0.0,
-                                   "xi_1": 0.7853981651411942,
-                                   "xi_2": 0.7853981651411942}
+                                   "xi_1": 0.7853981650578516,
+                                   "xi_2": 0.7853981650451944}
 
     @pytest.mark.parametrize("argv,free", [
         (["--free-inputs", "phi,delta,xi_1,xi_2"], "delta"),
@@ -812,6 +836,31 @@ def test_counts_of_labels_with_csv_syntax_round_trip(tmp_path, capsys):
     assert code == 0
     reconstructed = load_povm(tmp_path / "t" / "reconstructed_povm.json")
     assert reconstructed.labels == labels
+
+
+def test_a_carriage_return_in_a_label_is_refused_by_name(tmp_path, capsys):
+    # csv.writer does not quote a bare carriage return, which a reader
+    # takes for a line break: simulate-counts refuses such a label, and
+    # tomography names a counts.csv that holds one
+    povm = write_povm(tmp_path / "povm.json",
+                      Povm(("A\rA", "DA", "AD", "AA"), bell_povm().elements))
+    code, out = run_cli(capsys, "simulate-counts", "--exposure", "100",
+                        "--measurement", "file", "--povm", povm,
+                        "--out", str(tmp_path / "s"))
+    assert code == 1
+    assert out["errors"] == ["label 'A\\rA' holds a carriage return, which "
+                             "counts.csv cannot hold"]
+    assert not (tmp_path / "s").exists()
+    path = tmp_path / "counts.csv"
+    path.write_text(counts_to_csv(simulate_counts(
+        bell_povm(), reference_states(), 100, seed=1)).replace("DD", "A\rA"),
+        encoding="utf-8", newline="")
+    with pytest.raises(ValueError, match=f"^{path}: counts CSV is malformed"):
+        load_counts(path)
+    code, out = run_cli(capsys, "tomography", "--counts", str(path),
+                        "--out", str(tmp_path / "t"))
+    assert code == 1 and out["errors"][0].startswith(f"{path}: ")
+    assert not (tmp_path / "t").exists()
 
 
 class TestCompareTo:

@@ -10,12 +10,11 @@ from scipy.optimize import brentq
 from qmetro import (Povm, ProbeFamily, Scenario, bell_povm, classical_fi,
                     evaluate_kappa, kappa, measurement_probabilities,
                     probe_with_derivatives, product_projective_povm,
-                    qfi_matrix, sld_operators, weak_commutativity,
-                    weak_commutativity_root)
+                    qfi_matrix, sld_operators, weak_commutativity_root)
 from qmetro import fisher, kernels, scenarios
 from qmetro.linalg import PAULI_Y, PAULI_Z, pauli_table
-from qmetro.states import (StateWithDerivatives, single_copy,
-                           two_phase_coordinates)
+from qmetro.states import (StateWithDerivatives, commutator_entry, qfi_entry,
+                           single_copy, two_phase_coordinates)
 
 
 def dephasing_swd(phi=0.4, delta=0.5, xi=0.0, copies=1):
@@ -33,6 +32,14 @@ def sld_residual(swd, slds):
     return max(float(np.abs(proj @ (2.0 * drho - L @ rho - rho @ L)
                             @ proj).max())
                for drho, L in zip(swd.derivatives, slds))
+
+
+def weak_commutativity(swd):
+    """The SLD commutator expectation Tr[rho [L_0, L_1]] / i from the SLD
+    solve: the oracle of twice ``states.commutator_entry``."""
+    l0, l1 = sld_operators(swd)
+    return float(np.imag(np.trace(swd.state @ (l0 @ l1))
+                         - np.trace(swd.state @ (l1 @ l0))))
 
 
 def analytic_qfi_diag(delta):
@@ -163,6 +170,54 @@ class TestWeakCommutativity:
                                          (phi_y, 0.0), (xi,))
             assert abs(weak_commutativity(swd)) < 1e-14
         assert weak_commutativity_root(phi_y, 0.0) == 0.0
+
+
+class TestBlochInformation:
+    """J and D in closed form (``states.qfi_entry`` and
+    ``commutator_entry``), summed over the copies, against the SLD solve of
+    the m-copy probe."""
+
+    @given(two_phase=st.booleans(), copies=st.integers(1, 3),
+           a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
+           delta=st.floats(1e-2, 2.5),
+           phases=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+    @settings(deadline=None, max_examples=300)
+    def test_matches_the_sld_solution(self, two_phase, copies, a, b, delta,
+                                      phases):
+        if not two_phase and copies == 3:
+            # the smallest eigenvalue of three dephased copies,
+            # (delta^2 / 2)^3, falls below the SLD solve's support cutoff
+            # near delta = 0.014: at delta = 0.0105 the solve is 9e-9 off
+            delta = max(delta, 0.05)
+        family = (ProbeFamily.two_phase(copies) if two_phase
+                  else ProbeFamily.phase_dephasing(copies))
+        params = (a, b) if two_phase else (a, delta)
+        phases = phases[:copies]
+        swd = probe_with_derivatives(family, params, phases)
+        singles = [single_copy(family, params, xi) for xi in phases]
+        J = sum(qfi_entry(*single, [[0], [1]], [0, 1]) for single in singles)
+        D = sum(commutator_entry(coords, 0, 1) for coords, _ in singles)
+        H = qfi_matrix(swd)
+        assert np.abs(J - H).max() <= 1e-10 * np.abs(H).max()
+        assert J[0, 1] == J[1, 0]
+        assert abs(2.0 * D - weak_commutativity(swd)) <= 1e-12 * max(
+            1.0, abs(2.0 * D))
+
+    @pytest.mark.parametrize("i,j", [(0, 0), (1, 1), (0, 1), (1, 0)])
+    def test_index_arrays_give_the_entries_alone(self, i, j):
+        # the diagonal and the matrix forms are the single entries' bits
+        coords, impurity = single_copy(ProbeFamily.phase_dephasing(),
+                                       (0.3, 0.4), np.array([0.1, 2.0]))
+        matrix = qfi_entry(coords, impurity, [[0], [1]], [0, 1])
+        one = qfi_entry(coords, impurity, i, j)
+        assert matrix[i, j].tobytes() == one.tobytes()
+        if i == j:
+            # j defaults to i
+            for diagonal in (qfi_entry(coords, impurity, [0, 1]),
+                             qfi_entry(coords, impurity, [0, 1], [0, 1])):
+                assert diagonal[i].tobytes() == one.tobytes()
+        assert (commutator_entry(coords, i, j)
+                == -commutator_entry(coords, j, i)).all()
 
 
 class TestMeasurementProbabilities:
@@ -381,7 +436,9 @@ class TestGillMassarBound:
             fixed = {"phi": a, "delta": delta, "xi_1": xi}
         scenario = Scenario(family=family, measurement=povm,
                             fixed_inputs=fixed, sweep=None)
-        single, h = single_copy(family, params, np.array([xi]))
-        batch = kernels.kappa_batch(pauli_table(stack), single, *h, 1, 1e-12)
+        single = single_copy(family, params, np.array([xi]))
+        batch = kernels.kappa_batch(pauli_table(stack), single[0],
+                                    *qfi_entry(*single, [0, 1]), 1,
+                                    1e-12)
         assert evaluate_kappa(scenario, {}).kappa <= 1.0 + 1e-9
         assert batch[0][0] <= 1.0 + 1e-9

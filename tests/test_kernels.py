@@ -20,7 +20,7 @@ import qmetro
 from qmetro import kernels, scenarios
 from qmetro.fisher import H_FLOOR
 from qmetro.linalg import pauli_table
-from qmetro.states import copies_with_derivatives, single_copy
+from qmetro.states import copies_with_derivatives, qfi_entry, single_copy
 
 ANGLES = st.floats(-math.pi, math.pi)
 
@@ -38,7 +38,8 @@ def kappa_rows(family, params, phases, povm):
     singles = [single_copy(family, params, np.asarray(xi, dtype=float))
                for xi in phases]
     coords = copies_with_derivatives([stack for stack, _ in singles])
-    return kernels.kappa_batch(pauli_table(povm), coords, *singles[0][1],
+    return kernels.kappa_batch(pauli_table(povm), coords,
+                               *qfi_entry(*singles[0], [0, 1]),
                                len(phases), 1e-12)
 
 
@@ -649,10 +650,11 @@ def _policy_definitions(source):
     return found
 
 
-#: the family kinds and the per-family builders of ``states``, which only
-#: ``states.single_copy`` calls on the kappa route
+#: the family kinds and the per-family Bloch maps of ``states``, which only
+#: ``states.single_copy`` calls on the kappa route; the quantum information
+#: of every family is ``states.qfi_entry`` of what it returns
 FAMILY_SPECIFIC = {"PHASE_DEPHASING", "TWO_PHASE", "dephasing_coordinates",
-                   "two_phase_coordinates", "dephasing_qfi"}
+                   "two_phase_coordinates"}
 
 
 def _family_specific_names(source):
@@ -669,7 +671,7 @@ def test_structure_guards_see_their_targets():
               "from qmetro import states\n"
               "from qmetro.linalg import y\n"
               "from .states import TWO_PHASE\n"
-              "states.dephasing_qfi(x)\n"
+              "states.dephasing_coordinates(x)\n"
               "import numpy\n"
               "H_FLOOR = 1e-9\n"
               "_DET_CUTOFF: float = 1e-12\n"
@@ -679,7 +681,8 @@ def test_structure_guards_see_their_targets():
         "fisher", "scenarios", "povm", "states", "linalg"}
     assert _policy_definitions(source) == [
         "H_FLOOR", "_DET_CUTOFF", "SINGULAR_CUTOFF"]
-    assert _family_specific_names(source) == {"TWO_PHASE", "dephasing_qfi"}
+    assert _family_specific_names(source) == {"TWO_PHASE",
+                                              "dephasing_coordinates"}
 
 
 def _sources():

@@ -13,7 +13,7 @@ from qmetro import (ProbeFamily, probe_with_derivatives, qfi_matrix,
 from qmetro.linalg import (PAULI_Y, PAULI_Z, PAULIS, hermiticity_defect,
                            projector)
 from qmetro.scenarios import single_copy_qfi_diagonal
-from qmetro.states import (check_point, dephasing_qfi, point_errors,
+from qmetro.states import (check_point, point_errors, qfi_entry,
                            single_copy, two_phase_coordinates)
 
 ANGLES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -204,35 +204,72 @@ class TestDephasedPhaseState:
         assert abs(purity(rho) - expected) < 1e-10
 
 
+def qfi_diagonal(family, params, xi):
+    """J's diagonal in closed form, of what ``single_copy`` returns."""
+    return qfi_entry(*single_copy(family, params, xi), [0, 1])
+
+
+def exact_dephasing_qfi(delta):
+    """The dephased probe's (H_phi, H_delta), e^{-2 delta^2} and 4 delta^2
+    e^{-2 delta^2} / (1 - e^{-2 delta^2}), which do not depend on the
+    phase, at 50 digits; H_delta is 0 at delta = 0, where the state does
+    not move with delta."""
+    if delta == 0.0:
+        return 1.0, 0.0
+    with mpmath.workdps(50):
+        x = 2 * mpmath.mpf(delta) ** 2
+        return float(mpmath.exp(-x)), float(2 * x * mpmath.exp(-x)
+                                            / -mpmath.expm1(-x))
+
+
 class TestDephasingQfi:
     """The closed-form single-copy quantum information of the dephased probe
-    against the SLD solution."""
+    against the SLD solution and the exact values."""
 
     @given(delta=st.floats(1e-3, 3.0))
     @settings(deadline=None, max_examples=200)
     def test_matches_the_sld_solution(self, delta):
-        # the quantum information does not depend on the phase; phase 0 is
-        # where the SLD solution is most accurate for a nearly pure state
+        # phase 0 is where the SLD solution is most accurate for a nearly
+        # pure state
         sld = sld_qfi_diagonal(ProbeFamily.phase_dephasing(), (0.0, delta),
                                0.0)
-        closed = np.array(dephasing_qfi(delta))
+        closed = qfi_diagonal(ProbeFamily.phase_dephasing(), (0.0, delta),
+                              0.0)
         assert np.all(np.abs(closed - sld) <= 1e-9 * np.abs(sld))
+
+    @given(xi=ANGLES, log_delta=st.floats(-150.0, math.log10(3.0)))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_the_exact_values_at_every_delta(self, xi, log_delta):
+        # 1 - |r|^2 is -expm1(-2 delta^2), not 1 - r.r, which cancels to
+        # nothing below delta = 1e-8: H_delta stays near 2 as delta -> 0
+        delta = 10.0 ** log_delta
+        closed = qfi_diagonal(ProbeFamily.phase_dephasing(), (0.0, delta), xi)
+        exact = exact_dephasing_qfi(delta)
+        assert np.all(np.abs(closed - exact) <= 1e-14 * np.abs(exact))
 
     def test_delta_information_vanishes_at_zero_on_both_paths(self):
         sld = sld_qfi_diagonal(ProbeFamily.phase_dephasing(), (0.4, 0.0), 0.3)
-        assert tuple(dephasing_qfi(0.0)) == (1.0, 0.0)
+        closed = qfi_diagonal(ProbeFamily.phase_dephasing(), (0.4, 0.0), 0.3)
+        assert abs(closed[0] - 1.0) <= 2e-16 and closed[1] == 0.0
         assert sld[1] == 0.0
 
-    @given(xi=ANGLES, phi=ANGLES, delta=st.floats(0.0, 3.0))
+    # below delta = 1e-154, delta^2 underflows to 0 and H_delta with it
+    @given(xi=ANGLES, phi=ANGLES,
+           delta=st.one_of(st.just(0.0), st.floats(1e-150, 3.0)))
     @settings(deadline=None, max_examples=100)
     def test_reported_information_does_not_depend_on_the_phase(self, xi, phi,
                                                                 delta):
         # the reported kappa divides by the bits that the kernels divide
-        # by, at every phase; the SLD solution of a nearly pure state moves
-        # with the phase, by up to 1e-9 relative at delta = 1e-3
-        reported = single_copy_qfi_diagonal(ProbeFamily.phase_dephasing(),
-                                            (phi, delta), xi)
-        assert reported.tobytes() == np.array(dephasing_qfi(delta)).tobytes()
+        # by, which hold the phase-free values to rounding at every phase;
+        # the SLD solution of a nearly pure state moves with the phase, by
+        # up to 1e-9 relative at delta = 1e-3
+        family = ProbeFamily.phase_dephasing()
+        reported = single_copy_qfi_diagonal(family, (phi, delta), xi)
+        assert reported.tobytes() == qfi_diagonal(family, (phi, delta),
+                                                  xi).tobytes()
+        # exp(-delta^2) rounds delta^2 first: 2e-15 relative at delta = 3
+        exact = exact_dephasing_qfi(delta)
+        assert np.all(np.abs(reported - exact) <= 5e-15 * np.abs(exact))
 
     def test_reported_information_refuses_bad_inputs(self):
         family = ProbeFamily.phase_dephasing()
@@ -242,12 +279,14 @@ class TestDephasingQfi:
             single_copy_qfi_diagonal(family, (0.3, 0.5), math.nan)
 
     def test_array_rows_match_single_values(self):
+        family = ProbeFamily.phase_dephasing()
         deltas = np.array([0.0, 1e-3, 0.3, 2.0, -0.5])
-        h_phi, h_delta = dephasing_qfi(deltas)
+        h_phi, h_delta = qfi_diagonal(family, (0.2, deltas), 0.7)
         for i, delta in enumerate(deltas):
-            assert (h_phi[i], h_delta[i]) == tuple(dephasing_qfi(float(delta)))
+            one = qfi_diagonal(family, (0.2, float(delta)), 0.7)
+            assert (h_phi[i], h_delta[i]) == tuple(one)
         # even in delta
-        assert h_delta[-1] == dephasing_qfi(0.5)[1]
+        assert h_delta[-1] == qfi_diagonal(family, (0.2, 0.5), 0.7)[1]
 
 
 class TestPureQfi:
@@ -274,10 +313,10 @@ class TestPureQfi:
     def test_rows_match_single_kets(self):
         family = ProbeFamily.two_phase()
         xi = np.array([0.0, 0.7, 2.5])
-        rows = np.array(single_copy(family, (0.4, 0.3), xi)[1])
+        rows = qfi_diagonal(family, (0.4, 0.3), xi)
         assert rows.shape == (2, 3)
         for i, x in enumerate(xi):
-            single = np.array(single_copy(family, (0.4, 0.3), float(x))[1])
+            single = qfi_diagonal(family, (0.4, 0.3), float(x))
             assert rows[:, i].tobytes() == single.tobytes()
 
     def test_reported_information_refuses_bad_inputs(self):
@@ -326,8 +365,7 @@ class TestTwoPhaseRows:
         (-1.4357, -0.3, 0.14), (-1.45399, -0.0103092, 0.117249),
     ])
     def test_small_information_matches_the_oracle(self, xi, phi_y, phi_z):
-        h = np.array(single_copy(ProbeFamily.two_phase(), (phi_y, phi_z),
-                                 xi)[1])
+        h = qfi_diagonal(ProbeFamily.two_phase(), (phi_y, phi_z), xi)
         exact = oracle_two_phase_qfi(xi, phi_y, phi_z)
         assert min(exact) < 1.2e-2
         for value, reference in zip(h, exact):
@@ -347,14 +385,16 @@ class TestTwoPhaseRows:
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             stack = two_phase_coordinates(xi, phi_y, phi_z)
-            coords, h = single_copy(family, (phi_y, phi_z), xi)
+            coords, _ = single_copy(family, (phi_y, phi_z), xi)
+            h = qfi_diagonal(family, (phi_y, phi_z), xi)
             for i in range(len(rows)):
                 point = (float(phi_y[i]), float(phi_z[i]))
                 alone = two_phase_coordinates(float(xi[i]), *point)
                 assert stack[:, i].tobytes() == alone.tobytes()
-                one, one_h = single_copy(family, point, float(xi[i]))
+                one, _ = single_copy(family, point, float(xi[i]))
                 assert coords[:, i].tobytes() == one.tobytes()
-                assert h[:, i].tobytes() == np.array(one_h).tobytes()
+                one_h = qfi_diagonal(family, point, float(xi[i]))
+                assert h[:, i].tobytes() == one_h.tobytes()
 
 
 class TestProbeWithDerivatives:
