@@ -295,7 +295,8 @@ def _inputs(cfg, sweep: str | None):
 
 def _probe_point(cfg):
     """The probe that ``qfi`` and ``weak-comm`` evaluate: its JSON header
-    and each copy's coordinate stack and impurity (``single_copy``)."""
+    and each copy's coordinate stack and depth derivatives
+    (``single_copy``)."""
     family, _, fixed = _inputs(cfg, None)
     params = tuple(fixed[n] for n in family.parameter_names)
     phases = tuple(fixed[n] for n in phase_names(family, fixed))

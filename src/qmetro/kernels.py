@@ -44,6 +44,20 @@ from .linalg import pauli_table
 from .states import (ProbeFamily, copies_with_derivatives, qfi_entry,
                      single_copy)
 
+__all__ = [
+    "BACKEND",
+    "DEFAULT_P_CUTOFF",
+    "H_FLOOR",
+    "SINGULAR_CUTOFF",
+    "fisher_matrix",
+    "kappa_batch",
+    "kappa_phase_dephasing",
+    "kappa_two_phase",
+    "mle_iterate",
+    "probabilities",
+    "singular_effective_information",
+]
+
 #: The kernels are vectorized numpy; the name is recorded by benchmark runs.
 BACKEND = "numpy"
 
@@ -175,8 +189,9 @@ def _scalars(family, params, phases, povm, cutoff):
     singles = [single_copy(family, params, np.array([xi], dtype=float))
                for xi in phases]
     coords = copies_with_derivatives([stack for stack, _ in singles])
-    kappa, k1, k2, status = kappa_batch(pauli_table(povm), coords, *qfi_entry(
-        *singles[0], [0, 1]), len(phases), cutoff)
+    h = qfi_entry(*singles[0])
+    kappa, k1, k2, status = kappa_batch(
+        pauli_table(povm), coords, *h, len(phases), cutoff)
     return float(kappa[0]), float(k1[0]), float(k2[0]), int(status[0])
 
 

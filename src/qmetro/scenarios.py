@@ -19,8 +19,9 @@ A scan optimizes all its points, ``optimize_each`` every POVM of a stack,
 and the collective search a chunk of trials (an array of one projector set
 per trial), in one lockstep run of ``_maximize``: each Newton step of
 every refined start of every problem shares one kernel call
-(``refine.minimize``). The run then reports all its optima with one
-``evaluate_kappa`` call on the stack of them, each with its lone bits.
+(``refine.minimize``).
+The run then reports all its optima with one ``evaluate_kappa`` call on
+the stack of them, each optimum with the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def single_copy_qfi_diagonal(family: ProbeFamily, params, xi: float) -> np.ndarr
     """Quantum Fisher information diagonal of one probe copy, in the closed
     form that the kernels divide by."""
     check_point(xi=xi, **dict(zip(family.parameter_names, params)))
-    return qfi_entry(*single_copy(family, params, xi), [0, 1])
+    return qfi_entry(*single_copy(family, params, xi))
 
 
 def _refuse_stack(scenario: Scenario, what: str) -> None:
@@ -284,8 +285,8 @@ def _reference(family: ProbeFamily, measurement, values: dict,
     params = [values[n] for n in family.parameter_names]
     singles = [single_copy(family, params, values[n])
                for n in phase_names(family, values)]
-    # (n,) where every value is one float, else (P, n)
-    h = qfi_entry(*singles[0], [0, 1]).T
+    # (n,) where every point has the same, else (P, n)
+    h = qfi_entry(*singles[0]).T
     p, dp, residues = outcome_probabilities(
         density_matrices([coords for coords, _ in singles]), elements)
     reports = classical_fi(p, dp, labels)
@@ -377,7 +378,7 @@ class _Objective:
                  for n in dict.fromkeys(self.phase_names)}
         coords = copies_with_derivatives([built[n][0]
                                           for n in self.phase_names])
-        h1, h2 = qfi_entry(*built[self.phase_names[0]], [0, 1])
+        h1, h2 = qfi_entry(*built[self.phase_names[0]])
         # the copies go before a stack's per-row tables are gathered, so
         # that the two are never held at once
         del built
@@ -683,7 +684,7 @@ def kappa_scan(scenario: Scenario, grid, budget: int = DEFAULT_BUDGET) -> KappaC
             outcomes[i] = outcome
     # a failed point reads nan
     kappas = np.full(grid.size, np.nan)
-    per = np.full((grid.size, len(scenario.family.parameter_names)), np.nan)
+    per = np.full((grid.size, scenario.family.num_parameters), np.nan)
     args = [{name: float("nan") for name in scenario.free_inputs}
             for _ in grid]
     failed = [str(o) if isinstance(o, Exception) else None for o in outcomes]

@@ -11,9 +11,9 @@ Two built-in probe families are provided:
 in real numbers: its family's Bloch map (``dephasing_coordinates``,
 ``two_phase_coordinates``) gives the Pauli coordinates r_a = Tr[rho
 sigma_a], sigma = ``linalg.PAULIS`` = (I, X, Y, Z), and their derivatives
-by each parameter, and with its impurity 1 - |r|^2 they give its quantum
-Fisher matrix J (``qfi_entry``) and SLD commutator term D
-(``commutator_entry``). Multi-copy probes follow the product rule
+by each parameter, and with the derivatives of its depth sqrt(1 - |r|^2)
+they give its quantum Fisher matrix J (``qfi_entry``) and SLD commutator
+term D (``commutator_entry``). Multi-copy probes follow the product rule
 d(r (x) r) = dr (x) r + r (x) dr: on the coordinates in
 ``copies_with_derivatives``, for the search, and on the density matrices
 rho = (1/2) sum_a r_a sigma_a in ``probe_with_derivatives``, for the
@@ -183,6 +183,10 @@ class ProbeFamily:
             return ("phi", "delta")
         return ("phi_y", "phi_z")
 
+    @property
+    def num_parameters(self) -> int:
+        return 2
+
     @classmethod
     def phase_dephasing(cls, copies: int = 1):
         return cls(PHASE_DEPHASING, copies=copies)
@@ -198,6 +202,10 @@ class StateWithDerivatives:
 
     state: np.ndarray                 # (d, d) complex
     derivatives: np.ndarray           # (n, d, d) complex, Hermitian each
+
+    @property
+    def dim(self) -> int:
+        return self.state.shape[0]
 
 
 def _product_rule(singles, product) -> np.ndarray:
@@ -247,15 +255,25 @@ def copies_with_derivatives(singles) -> np.ndarray:
 def single_copy(family: ProbeFamily, params, xi):
     """One copy of ``family`` at ``params`` with input phase ``xi``, each
     one value or N rows: the real (3, ..., 4) stack of its state's Pauli
-    coordinates and their two derivatives, and its impurity 1 - |r|^2 in
-    closed form (0.0 for the pure two-phase copy), which ``qfi_entry``
-    divides by. Inputs are not validated (``check_point``): the search
-    masks delta < 0."""
+    coordinates and their two derivatives, and the (2, ...) derivatives of
+    its depth s = sqrt(1 - |r|^2) in closed form (0 for the pure two-phase
+    copy), which ``qfi_entry`` adds. Inputs are not validated
+    (``check_point``): the search masks delta < 0."""
     a, b = params
     if family.kind == PHASE_DEPHASING:
-        # |r|^2 = exp(-2 delta^2); 1 - r.r would cancel where delta is small
-        return dephasing_coordinates(a + xi, b), -np.expm1(-2.0 * np.square(b))
-    return two_phase_coordinates(xi, a, b), 0.0
+        coords = dephasing_coordinates(a + xi, b)
+        depth = np.zeros_like(coords[1:, ..., 0])
+        # with y = -2 delta^2, ds/d delta = 2 delta e^y / s and s^2 =
+        # -expm1(y), not 1 - r.r, which cancels where delta is small; y
+        # cancels from 2 y / expm1(y), which the smallest subnormal added
+        # to both keeps at 2 where y underflows to 0, and the sign is 0 at
+        # delta = 0, where the state does not move
+        y = -2.0 * np.square(b)
+        depth[1] = np.sign(b) * np.exp(y) * np.sqrt(
+            2.0 * (y - 5e-324) / (np.expm1(y) - 5e-324))
+        return coords, depth
+    coords = two_phase_coordinates(xi, a, b)
+    return coords, np.zeros_like(coords[1:, ..., 0])
 
 
 def _dot(u, v):
@@ -265,22 +283,20 @@ def _dot(u, v):
     return product[..., -3] + product[..., -2] + product[..., -1]
 
 
-def qfi_entry(coords, impurity, i, j=None):
-    """Quantum Fisher information J_ij = d_i r . d_j r + (r . d_i r)(r .
-    d_j r) / (1 - |r|^2) of qubit copies with Bloch vectors r, from their
-    (1 + n, ..., 4) coordinate stacks and impurities (``single_copy``); the
-    second term is 0 for a pure copy, whose r is orthogonal to every d_i r.
-    ``i`` and ``j`` are parameter indices, or index arrays that broadcast,
-    and ``j`` is ``i`` by default: ``[0, 1]`` gives the diagonal and
-    ``[[0], [1]], [0, 1]`` the matrix. Each copy gets the same bits alone
-    and in a stack."""
-    r, di = coords[0], coords[1:][i]
-    dj = di if j is None else coords[1:][j]
-    ri = _dot(r, di)
-    rj = ri if j is None else _dot(r, dj)
-    mixed = impurity > 0.0
-    term = ri * rj / np.where(mixed, impurity, 1.0)
-    return _dot(di, dj) + np.where(mixed, term, 0.0)
+def qfi_entry(coords, depth, i=slice(None), j=None):
+    """Quantum Fisher information J_ij = d_i r . d_j r + d_i s d_j s of
+    qubit copies with Bloch vectors r, from their (1 + n, ..., 4)
+    coordinate stacks and the (n, ...) derivatives of their depths s =
+    sqrt(1 - |r|^2) (``single_copy``): the metric of the unit vector (r,
+    s), which is d_i r . d_j r + (r . d_i r)(r . d_j r) / (1 - |r|^2) as r
+    . d_i r = -s d_i s. ``i`` and ``j`` are parameter indices, or index
+    arrays that broadcast; ``i`` is every parameter and ``j`` is ``i`` by
+    default, which gives the diagonal, and ``[[0], [1]], [0, 1]`` gives the
+    matrix. Each copy gets the same bits alone and in a stack."""
+    di = coords[1:][i]
+    if j is None:
+        return _dot(di, di) + depth[i] * depth[i]
+    return _dot(di, coords[1:][j]) + depth[i] * depth[j]
 
 
 def commutator_entry(coords, i, j):
@@ -294,15 +310,20 @@ def commutator_entry(coords, i, j):
 
 def probe_with_derivatives(family: ProbeFamily, params,
                            phases) -> StateWithDerivatives:
-    """The multi-copy probe state and its parameter derivatives at
-    ``params``, ``(phi, delta)`` or ``(phi_y, phi_z)``, with ``phases`` the
-    input phase of each copy: the density matrices of the copies'
-    ``single_copy`` coordinates by the product rule (``density_matrices``).
+    """Evaluate the multi-copy probe state and its parameter derivatives.
+
+    ``params`` are the estimated-parameter values, ``(phi, delta)`` or
+    ``(phi_y, phi_z)`` depending on the family, and ``phases`` the input
+    phase of each copy. Each copy's matrices are rho = (1/2) sum_a r_a
+    sigma_a of its ``single_copy`` coordinates; derivatives of the m-copy
+    state follow the tensor-product rule (``density_matrices``) and are
+    traceless by construction.
     """
     params = tuple(float(p) for p in params)
-    if len(params) != len(family.parameter_names):
-        raise ValueError(f"{family.kind} takes 2 parameters, "
-                         f"got {len(params)}")
+    if len(params) != family.num_parameters:
+        raise ValueError(
+            f"{family.kind} takes {family.num_parameters} parameters, "
+            f"got {len(params)}")
     phases = tuple(float(xi) for xi in phases)
     if len(phases) != family.copies:
         raise ValueError(f"{family.copies} copies take one input phase each, "

@@ -325,11 +325,6 @@ def counts_to_csv(counts: CountsTable) -> str:
 def counts_from_csv(text: str) -> CountsTable:
     """Parse a counts CSV; the table must be complete and duplicate-free."""
     reader = csv.DictReader(io.StringIO(text))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        # such as a line break inside a field that is not quoted
-        raise ValueError(f"counts CSV is malformed: {exc}") from None
     required = {"input1", "input2", "outcome", "counts"}
     if reader.fieldnames is None or set(reader.fieldnames) != required:
         raise ValueError(f"counts CSV must have columns {sorted(required)}, "
@@ -337,7 +332,7 @@ def counts_from_csv(text: str) -> CountsTable:
     cells: dict[tuple[str, str, str], float] = {}
     inputs: list[tuple[str, str]] = []
     outcomes: list[str] = []
-    for row in rows:
+    for row in reader:
         key = (row["input1"], row["input2"], row["outcome"])
         if key in cells:
             raise ValueError(f"duplicate row for {key}")
@@ -363,8 +358,7 @@ def counts_from_csv(text: str) -> CountsTable:
 
 
 def load_counts(path) -> CountsTable:
-    # newline="" leaves each line break to csv, which keeps a quoted one
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return counts_from_csv(fh.read())
         except ValueError as exc:

@@ -206,15 +206,16 @@ class TestBlochInformation:
     @pytest.mark.parametrize("i,j", [(0, 0), (1, 1), (0, 1), (1, 0)])
     def test_index_arrays_give_the_entries_alone(self, i, j):
         # the diagonal and the matrix forms are the single entries' bits
-        coords, impurity = single_copy(ProbeFamily.phase_dephasing(),
-                                       (0.3, 0.4), np.array([0.1, 2.0]))
-        matrix = qfi_entry(coords, impurity, [[0], [1]], [0, 1])
-        one = qfi_entry(coords, impurity, i, j)
+        coords, depth = single_copy(ProbeFamily.phase_dephasing(),
+                                    (0.3, 0.4), np.array([0.1, 2.0]))
+        matrix = qfi_entry(coords, depth, [[0], [1]], [0, 1])
+        one = qfi_entry(coords, depth, i, j)
         assert matrix[i, j].tobytes() == one.tobytes()
         if i == j:
-            # j defaults to i
-            for diagonal in (qfi_entry(coords, impurity, [0, 1]),
-                             qfi_entry(coords, impurity, [0, 1], [0, 1])):
+            # i defaults to every parameter and j to i
+            for diagonal in (qfi_entry(coords, depth),
+                             qfi_entry(coords, depth, [0, 1]),
+                             qfi_entry(coords, depth, [0, 1], [0, 1])):
                 assert diagonal[i].tobytes() == one.tobytes()
         assert (commutator_entry(coords, i, j)
                 == -commutator_entry(coords, j, i)).all()

@@ -4,7 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, expm_frechet
 
@@ -229,19 +229,26 @@ class TestDephasingQfi:
     @given(delta=st.floats(1e-3, 3.0))
     @settings(deadline=None, max_examples=200)
     def test_matches_the_sld_solution(self, delta):
-        # phase 0 is where the SLD solution is most accurate for a nearly
-        # pure state
+        # the quantum information does not depend on the phase; phase 0 is
+        # where the SLD solution is most accurate for a nearly pure state
         sld = sld_qfi_diagonal(ProbeFamily.phase_dephasing(), (0.0, delta),
                                0.0)
         closed = qfi_diagonal(ProbeFamily.phase_dephasing(), (0.0, delta),
                               0.0)
         assert np.all(np.abs(closed - sld) <= 1e-9 * np.abs(sld))
 
-    @given(xi=ANGLES, log_delta=st.floats(-150.0, math.log10(3.0)))
+    @given(xi=ANGLES, log_delta=st.floats(math.log10(5e-324),
+                                          math.log10(3.0)))
+    # delta^2 underflows to 0 (5e-324, 1e-170) or is subnormal
+    @example(xi=1.1, log_delta=math.log10(5e-324))
+    @example(xi=1.1, log_delta=-170.0)
+    @example(xi=1.1, log_delta=math.log10(1.6e-162))
+    @example(xi=1.1, log_delta=-155.0)
     @settings(deadline=None, max_examples=200)
     def test_matches_the_exact_values_at_every_delta(self, xi, log_delta):
-        # 1 - |r|^2 is -expm1(-2 delta^2), not 1 - r.r, which cancels to
-        # nothing below delta = 1e-8: H_delta stays near 2 as delta -> 0
+        # s^2 = 1 - |r|^2 is -expm1(-2 delta^2), not 1 - r.r, which cancels
+        # to nothing below delta = 1e-8, and delta^2 cancels from ds/d delta,
+        # so H_delta stays at 2 where delta^2 is subnormal or underflows
         delta = 10.0 ** log_delta
         closed = qfi_diagonal(ProbeFamily.phase_dephasing(), (0.0, delta), xi)
         exact = exact_dephasing_qfi(delta)
@@ -253,9 +260,7 @@ class TestDephasingQfi:
         assert abs(closed[0] - 1.0) <= 2e-16 and closed[1] == 0.0
         assert sld[1] == 0.0
 
-    # below delta = 1e-154, delta^2 underflows to 0 and H_delta with it
-    @given(xi=ANGLES, phi=ANGLES,
-           delta=st.one_of(st.just(0.0), st.floats(1e-150, 3.0)))
+    @given(xi=ANGLES, phi=ANGLES, delta=st.floats(0.0, 3.0))
     @settings(deadline=None, max_examples=100)
     def test_reported_information_does_not_depend_on_the_phase(self, xi, phi,
                                                                 delta):
