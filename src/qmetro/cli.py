@@ -39,8 +39,8 @@ from .povm import (BALANCED_T_V, GateModel, bell_povm, cs_gate_amplitudes,
                    cs_gate_povm, load_povm, povm_to_json,
                    product_projective_povm, validate_povm)
 from .scenarios import (DEFAULT_BUDGET, DEFAULT_SEARCH_AT, DEFAULT_XI_BUDGET,
-                        Scenario, input_problems, kappa_scan, optimize_kappa,
-                        phase_names, random_collective_search)
+                        DELTA_SPAN, Scenario, input_problems, kappa_scan,
+                        optimize_kappa, phase_names, random_collective_search)
 from .states import (PHASE_DEPHASING, TWO_PHASE, ProbeFamily,
                      commutator_entry, qfi_entry, single_copy)
 from .tomography import (DEFAULT_MAX_ITERS, DEFAULT_TOL, counts_to_csv,
@@ -491,7 +491,7 @@ COMMANDS = {
         "budget": (int, DEFAULT_BUDGET),
         "sweep": (str, None),
         "sweep_min": (float, 0.02),
-        "sweep_max": (float, 3.0),
+        "sweep_max": (float, DELTA_SPAN),
         "sweep_points": (int, 40),
         "sweep_spacing": (str, "log"),
     }, ("kappa_scan.csv", "kappa_scan_report.json"), _cmd_kappa_scan),

@@ -244,10 +244,7 @@ def classical_fi(probabilities, derivative_probabilities,
                 "parameter, expected 0")
         if one and found[0] is not None:
             raise found[0]
-        if bad.all():
-            return found
-        p, dp = p[~bad], dp[~bad]
-        labels = [label for label, out in zip(labels, bad.tolist()) if not out]
+        dp = np.where(bad[:, None, None], 0.0, dp)
 
     dropped, boundary = [()] * len(p), [False] * len(p)
     if not low(p, axis=None) >= DEFAULT_P_CUTOFF:
@@ -285,9 +282,8 @@ def classical_fi(probabilities, derivative_probabilities,
                             boundary=boundary[i])
                for i, singular_i in enumerate(singular.tolist())]
     if found is not None:
-        # the reports fill the places of the distributions that passed
-        reports = iter(reports)
-        reports = [error or next(reports) for error in found]
+        # a failed distribution, scored without derivatives, keeps its error
+        reports = [error or report for error, report in zip(found, reports)]
     return reports[0] if one else reports
 
 

@@ -41,8 +41,8 @@ import math
 import numpy as np
 
 from .linalg import pauli_table
-from .states import (ProbeFamily, copies_with_derivatives, qfi_entry,
-                     single_copy)
+from .states import (ProbeFamily, SMALLEST_SUBNORMAL, copies_with_derivatives,
+                     qfi_entry, single_copy)
 
 __all__ = [
     "BACKEND",
@@ -73,7 +73,6 @@ H_FLOOR = 1e-9
 SINGULAR_CUTOFF = 1e-12
 
 _LL_SLACK = 1e-12     # relative slack when enforcing likelihood monotonicity
-_SMALLEST = np.finfo(float).smallest_subnormal
 
 
 def fisher_matrix(p, dp, cutoff):
@@ -166,7 +165,7 @@ def kappa_batch(table, coords, h1, h2, m, cutoff):
     # 1e-154; the smallest subnormal stands in for top = 0, which gives 0.
     # F is positive semidefinite, so a negative value is round-off (as in a
     # subnormal F) and the matrix singular
-    top = np.maximum(np.maximum(f00, f11), _SMALLEST)
+    top = np.maximum(np.maximum(f00, f11), SMALLEST_SUBNORMAL)
     ratio = f01 / top
     singular = np.minimum(f00, f11) / top - ratio * ratio < SINGULAR_CUTOFF
     # 1/(F^-1)_jj of an invertible 2x2 matrix is det(F) / F_kk with k != j

@@ -17,9 +17,9 @@ against, on complex density matrices; both build each copy with
 ``states.single_copy`` and divide by the diagonal of ``states.qfi_entry``.
 A scan optimizes all its points, ``optimize_each`` every POVM of a stack,
 and the collective search a chunk of trials (an array of one projector set
-per trial), in one lockstep run of ``_maximize``: each Newton step of
-every refined start of every problem shares one kernel call
-(``refine.minimize``).
+per trial), in one lockstep run of ``_maximize``: all grids are one batch,
+and so is each Newton step of every start (``refine.minimize``), which
+``_Objective.batch`` cuts into kernel calls of at most ``_CALL_ROWS`` rows.
 The run then reports all its optima with one ``evaluate_kappa`` call on
 the stack of them, each optimum with the bits it gets alone.
 """
@@ -65,8 +65,9 @@ _TIE = 1e-12
 _GRID_FRACTION = 0.75
 
 #: each input's grid axis [0, span): a phase's period, and for delta,
-#: which is not periodic, the CLI's default sweep range
-_SPANS = {"theta_1": math.pi, "theta_2": math.pi, "delta": 3.0}
+#: which is not periodic, DELTA_SPAN, also the CLI's default sweep range
+DELTA_SPAN = 3.0
+_SPANS = {"theta_1": math.pi, "theta_2": math.pi, "delta": DELTA_SPAN}
 _DEFAULT_SPAN = 2.0 * math.pi
 
 
@@ -301,13 +302,25 @@ def _reference(family: ProbeFamily, measurement, values: dict,
     return found
 
 
+#: the most rows one kernel call scores, which bounds its memory:
+#: ``_Objective.batch`` cuts a longer batch into consecutive calls of at
+#: most this many rows. Against 340 rows, in 10 interleaved perfbench pairs
+#: on 2 vCPUs, 1200 rows cut the default Bell scan's wall_s by 14.6 % at
+#: the median, and raised peak_rss_mb by 1.6 % there and 1.8 % on
+#: conjecture-search; 1800 rows raised the scan's by 2.8 %. The collective
+#: search optimizes this many trials at a time, which bounds only its
+#: resident projector and table arrays: 10^4 trials in one chunk peaked
+#: at 75.2 MB of RSS against 45.5 MB, with the same result
+_CALL_ROWS = 1200
+
+
 class _Objective:
     """kappa of ``family`` measured by ``measurement`` as a function of the
     free-input vector, for P independent problems at once (P = 1 by
     default); counts evaluations and kernel calls.
 
-    Every call scores its N rows with one kernel call, whichever inputs are
-    free: a free input is a column of the rows. A fixed input is one value
+    Every kernel call scores up to ``_CALL_ROWS`` rows, whichever inputs
+    are free: a free input is a column of the rows. A fixed input is one value
     in ``base``, or an array of P values from which each row takes its own
     problem's; a fixed delta or rotation (phi_y, phi_z) that is one value is
     passed to ``states.single_copy`` as one value. A ``Povm`` is shared by
@@ -352,14 +365,20 @@ class _Objective:
     def batch(self, X, problems=None) -> np.ndarray:
         """The search score at every row of ``X`` (shape (N, len(names))),
         where row i belongs to problem ``problems[i]`` (problem 0 when
-        ``problems`` is None): kappa, 0 where the Fisher matrix is singular,
-        and -inf where delta < 0. Every row counts as an evaluation.
+        ``problems`` is None): kappa, and 0 where the Fisher matrix is
+        singular. Every row counts as an evaluation. The rows are scored in
+        consecutive kernel calls of at most ``_CALL_ROWS`` rows; a row gets
+        the same bits in any call.
 
         Each distinct phase input is built into its copy once per call
         (``states.single_copy``): the two-phase copies all read ``xi``.
         """
         X = np.asarray(X, dtype=float)
         rows = np.zeros(len(X), dtype=int) if problems is None else problems
+        if len(X) > _CALL_ROWS:
+            return np.concatenate([
+                self.batch(X[i:i + _CALL_ROWS], rows[i:i + _CALL_ROWS])
+                for i in range(0, len(X), _CALL_ROWS)])
         cols = {n: X[:, i] for i, n in enumerate(self.names)}
 
         def value(name):
@@ -386,19 +405,10 @@ class _Objective:
         if isinstance(m, MeasurementGenerator):
             table = pauli_table(m.elements({n: column(n)
                                             for n in m.setting_names}))
-        elif isinstance(m, Povm):
-            table = self.table
         else:
-            table = self.table[rows]
+            table = self.table if self.table.ndim == 2 else self.table[rows]
         kappa_values, _, _, status = kernels.kappa_batch(
             table, coords, h1, h2, fam.copies, kernels.DEFAULT_P_CUTOFF)
-        if fam.kind == PHASE_DEPHASING:
-            negative = np.less(params[1], 0)
-            if negative.any():
-                # kappa is even in delta, so the kernel scored the mirror
-                # point; no dephasing strength is negative
-                kappa_values = np.where(negative, -np.inf, kappa_values)
-                status = np.where(negative, _NEGATIVE_DELTA, status)
         self.kernel_calls += 1
         self.evaluations += len(X)
         self.any_regular[rows[status == 0]] = True
@@ -406,22 +416,6 @@ class _Objective:
         # unaffected parameter keeps its full information (``FisherReport``),
         # and a search started on it would stall
         return np.where(status == 1, 0.0, kappa_values)
-
-
-#: status of a row with delta < 0, beside the kernels' codes 0, 1 and 2
-_NEGATIVE_DELTA = 3
-
-
-#: the most rows of several problems that share a kernel call, which
-#: bounds its memory: grids are grouped up to it (a larger grid takes one
-#: call per problem), every refinement call is cut into calls of at most
-#: this many rows, and the collective search refines this many trials
-#: together. Against 340 rows (one 17 x 17 Bell grid per call), in 10
-#: interleaved perfbench pairs on 2 vCPUs, 1200 rows put four grids in each
-#: call of the default Bell scan and cut its wall_s by 14.6 % at the
-#: median, and raised peak_rss_mb by 1.6 % there and 1.8 % on
-#: conjecture-search; 1800 rows raised the scan's by 2.8 %
-_CALL_ROWS = 1200
 
 
 def _maximize(objective, names: list[str], budget: int):
@@ -432,22 +426,22 @@ def _maximize(objective, names: list[str], budget: int):
     steps and refined starts add up on ``objective``, and no problem scores
     more than ``budget`` rows.
 
-    Every problem is scored at the same grid points, as many whole grids
-    per ``objective.batch`` call as fit in ``_CALL_ROWS`` rows (one per
-    call when a grid alone is larger); a row gets the same bits in any
-    batch, so the grouping changes no score. A phase is gridded over its
-    period and delta on the cell centres of [0, ``_SPANS["delta"]``), in
-    at most ``_GRID_FRACTION`` of the budget (``_grid_counts``). A grid row
-    is a local maximum where it scores at least as high as its 2n
-    neighbours (a phase axis wraps around, delta's does not). A search of
-    one input refines its best one; a search of more refines its
-    ``MULTI_STARTS`` best where the budget left holds ``_START_CALLS``
-    first refinement calls for each start, and else its best alone; only
-    the best may score 0 or less (``_best_local_maxima``). The starts rank
-    by score, scores within ``_TIE`` of each other by grid order
-    (``np.ndindex``), and each of a problem's starts takes an equal share
-    of the budget left, with half a grid spacing as its trust radius and a
-    free delta bounded below by 0, so that no row it scores has delta < 0.
+    Every problem is scored at the same grid points, all problems' grids
+    in one ``objective.batch`` call, which cuts its own kernel calls. A
+    phase is gridded over its period and delta on the cell centres of [0,
+    ``DELTA_SPAN``), in at most ``_GRID_FRACTION`` of the budget
+    (``_grid_counts``). A grid row is a local maximum where it scores at
+    least as high as its 2n neighbours (a phase axis wraps around, delta's
+    does not). A search of one input refines its best one; a search of
+    more refines its ``MULTI_STARTS`` best where the budget left holds
+    ``_START_CALLS`` first refinement calls for each start, and else its
+    best alone; only the best may score 0 or less (``_best_local_maxima``).
+    The starts rank by score, scores within ``_TIE`` of each other by grid
+    order (``np.ndindex``), and each of a problem's starts takes an equal
+    share of the budget left, with half a grid spacing as its trust radius
+    and a free delta bounded below by 0, so that no row it scores has
+    delta < 0; a start whose share holds no first refinement call keeps
+    its grid row.
     """
     everyone = np.arange(objective.problems)
     ndim = len(names)
@@ -463,11 +457,8 @@ def _maximize(objective, names: list[str], budget: int):
             for n, span, c in zip(names, spans, counts)]
     # rows in np.ndindex order: the last input varies fastest
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, ndim)
-    group = max(1, _CALL_ROWS // len(grid))
-    values = np.concatenate([
-        objective.batch(np.tile(grid, (len(part), 1)),
-                        np.repeat(part, len(grid)))
-        for part in np.split(everyone, range(group, everyone.size, group))])
+    values = objective.batch(np.tile(grid, (everyone.size, 1)),
+                             np.repeat(everyone, len(grid)))
     # NaN ranks lowest, and starts a refinement only where every row is NaN
     ranked = np.where(np.isnan(values), -np.inf, values).reshape(everyone.size, -1)
     remaining = budget - len(grid)
@@ -476,9 +467,6 @@ def _maximize(objective, names: list[str], budget: int):
     # each problem's starts in grid order
     owners, rows = np.nonzero(_best_local_maxima(
         ranked, counts, [n != "delta" for n in names], count))
-    if remaining < first_call_rows(ndim):
-        # one start per problem, and no room to refine it
-        return grid[rows], ranked[owners, rows]
     return _refine(objective, grid[rows], ranked[owners, rows], owners,
                    remaining // np.bincount(owners)[owners],
                    0.5 * spans / counts,
@@ -547,16 +535,15 @@ def _refine(objective, starts, values, owners, budgets, radius, lower):
     starts in grid order), scored ``values[s]`` on the grid, and refines
     within ``budgets[s]`` rows from the trust radius ``radius``, above the
     bound ``lower`` of each input (``refine.minimize``). Each row is scored
-    for its start's problem, in calls of at most ``_CALL_ROWS`` rows. A
-    start keeps its grid point unless the refinement scored higher, and a
-    problem's winner is its first start within ``_TIE`` of its best.
+    for its start's problem, and a start counts as refined where its budget
+    held a first call. A start keeps its grid point unless the refinement
+    scored higher, and a problem's winner is its first start within
+    ``_TIE`` of its best.
     """
-    res = minimize(lambda X, rows: -np.concatenate([
-        objective.batch(X[i:i + _CALL_ROWS], owners[rows[i:i + _CALL_ROWS]])
-        for i in range(0, len(X), _CALL_ROWS)]), starts, radius, budgets,
-        lower=lower)
+    res = minimize(lambda X, rows: -objective.batch(X, owners[rows]), starts,
+                   radius, budgets, lower=lower)
     objective.refine_iterations += int(res.nit.sum())
-    objective.starts += len(starts)
+    objective.starts += int(np.count_nonzero(res.nit))
     better = -res.fun > values
     x = np.where(better[:, None], res.x, starts)
     v = np.where(better, -res.fun, values)
@@ -741,9 +728,10 @@ def random_collective_search(trials: int, seed: int,
     Every trial draws a Haar-random orthonormal basis of the two-copy space
     (child generator seeded from ``(seed, trial)``), optimizes the shared
     input phase, and keeps the best kappa found; the first trial wins a
-    tie. Trials are optimized in chunks of ``_CALL_ROWS``, each chunk's
-    projectors one (trials, dim, dim, dim) array scored in one lockstep
-    run, and every trial's optimum is the one it has alone. Only the winner
+    tie. Trials are optimized in chunks of ``_CALL_ROWS``, which bound the
+    projector and table arrays held at once; each chunk's projectors are
+    one (trials, dim, dim, dim) array scored in one lockstep run, and every
+    trial's optimum is the one it has alone. Only the winner
     becomes a ``Povm``, reported by ``evaluate_kappa``. Deterministic given
     seed.
     """

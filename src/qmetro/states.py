@@ -29,6 +29,7 @@ import numpy as np
 
 from .linalg import PAULIS, tensor_product
 
+SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
 PHASE_DEPHASING = "phase-dephasing"
 TWO_PHASE = "two-phase"
 
@@ -258,7 +259,7 @@ def single_copy(family: ProbeFamily, params, xi):
     coordinates and their two derivatives, and the (2, ...) derivatives of
     its depth s = sqrt(1 - |r|^2) in closed form (0 for the pure two-phase
     copy), which ``qfi_entry`` adds. Inputs are not validated
-    (``check_point``): the search masks delta < 0."""
+    (``check_point``): no search scores delta < 0."""
     a, b = params
     if family.kind == PHASE_DEPHASING:
         coords = dephasing_coordinates(a + xi, b)
@@ -269,8 +270,8 @@ def single_copy(family: ProbeFamily, params, xi):
         # to both keeps at 2 where y underflows to 0, and the sign is 0 at
         # delta = 0, where the state does not move
         y = -2.0 * np.square(b)
-        depth[1] = np.sign(b) * np.exp(y) * np.sqrt(
-            2.0 * (y - 5e-324) / (np.expm1(y) - 5e-324))
+        depth[1] = np.sign(b) * np.exp(y) * np.sqrt(2.0 * (
+            y - SMALLEST_SUBNORMAL) / (np.expm1(y) - SMALLEST_SUBNORMAL))
         return coords, depth
     coords = two_phase_coordinates(xi, a, b)
     return coords, np.zeros_like(coords[1:, ..., 0])

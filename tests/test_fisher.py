@@ -317,6 +317,27 @@ class TestClassicalFi:
         with pytest.raises(ValueError):
             classical_fi(np.array([1.1, -0.1]), np.array([[0.1, -0.1]]))
 
+    def test_stack_keeps_each_failed_distribution_in_its_place(self):
+        # a failed distribution, an infinite derivative among them, warns
+        # of nothing and leaves the others' reports as they are alone
+        p = np.array([[0.5, 0.3, 0.2], [0.5, 0.3, 0.2], [1.1, -0.1, 0.0],
+                      [0.6, 0.4, 0.0], [np.inf, 0.5, 0.5]])
+        dp = np.tile([[0.1, -0.05, -0.05], [0.0, 0.1, -0.1]], (5, 1, 1))
+        dp[1, 0, 0] = np.inf
+        labels = [tuple(f"{s}{k}" for k in range(3)) for s in "abcde"]
+        reports = classical_fi(p, dp, labels)
+        assert [str(r) for r in reports[1:3]] == [
+            "derivative probabilities sum to inf per parameter, expected 0",
+            "negative probability -1.000e-01"]
+        assert isinstance(reports[4], ValueError)
+        for i in (0, 3):
+            alone = classical_fi(p[i], dp[i], labels[i])
+            assert np.array_equal(reports[i].classical_fi, alone.classical_fi)
+            assert reports[i].dropped_outcomes == alone.dropped_outcomes
+        assert reports[3].dropped_outcomes == ("d2",)
+        assert all(isinstance(r, ValueError)
+                   for r in classical_fi(p[1:3], dp[1:3]))
+
     def test_optimal_single_qubit_phase_measurement(self):
         # scanning projective bases must top out at the quantum limit, which
         # is attained measuring along the eigenbasis of the phase SLD

@@ -1,16 +1,17 @@
 import math
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmetro import (GateModel, Povm, ProbeFamily, ProductProjectiveGenerator,
-                    Scenario, bell_povm, cs_gate_povm, evaluate_kappa,
-                    kappa_scan, optimize_each, optimize_kappa,
-                    povm_to_json, product_projective_povm,
+from qmetro import (GateModel, KappaCurve, Povm, ProbeFamily,
+                    ProductProjectiveGenerator, Scenario, bell_povm,
+                    cs_gate_povm, evaluate_kappa, kappa_scan, optimize_each,
+                    optimize_kappa, povm_to_json, product_projective_povm,
                     random_collective_search)
 from qmetro import cli, fisher, kernels, linalg, scenarios, states
 from qmetro import refine as refine_module
@@ -310,8 +311,12 @@ class TestNegativeDelta:
 
     @pytest.mark.parametrize("budget", [60, 400, 2000])
     def test_no_search_row_has_negative_delta(self, monkeypatch, budget):
-        # the grid scores delta on [0, 3) and the refinement fits its model
-        # at least one stencil step above 0, so no row scores -inf
+        # the grid scores delta on the cell centres of [0, 3) and the
+        # refinement fits its model at least one stencil step above 0, for
+        # a Povm, a stack of them and a generator alike. This is the only
+        # guard of delta >= 0: the objective would score a row with
+        # delta < 0 as its mirror, since kappa is even in delta. The
+        # refinement may leave the grid's range upwards
         deltas = []
         batch = _Objective.batch
 
@@ -320,25 +325,28 @@ class TestNegativeDelta:
             return batch(self, X, problems)
 
         monkeypatch.setattr(_Objective, "batch", recorded)
+        stack = replace(self.free_delta_scenario(), measurement=tuple(
+            haar_povm(4, seed=s) for s in (1, 2)))
+        generator = Scenario(
+            family=ProbeFamily.phase_dephasing(copies=2),
+            measurement=ProductProjectiveGenerator(),
+            free_inputs=("eta_1", "delta"),
+            fixed_inputs={"xi_1": 0.0, "xi_2": 0.0, "theta_1": math.pi / 2,
+                          "theta_2": math.pi / 2, "eta_2": 1.1}, sweep="phi")
         for at in (0.0, 1.0):
             optimize_kappa(self.free_delta_scenario(), at, budget=budget)
-        deltas = np.concatenate(deltas)
-        assert deltas.min() >= refine_module.STEP and deltas.max() < 3.0
+        bell = np.concatenate(deltas)
+        assert bell.min() >= refine_module.STEP and bell.max() < 3.0
+        for at in (0.0, 1.0):
+            optimize_each(stack, at, budget=budget)
+            optimize_kappa(generator, at, budget=budget)
+        assert np.concatenate(deltas).min() >= refine_module.STEP
 
     def test_small_budget_backtracks_its_last_steps(self):
         # at budget 60 the refinement holds one model after its first call;
         # then its last rows backtrack that model's step one at a time
         out = optimize_kappa(self.free_delta_scenario(), 1.0, budget=60)
         assert out.result.kappa > 0.99
-
-    def test_negative_rows_never_win_nor_count_as_regular(self):
-        scenario = self.free_delta_scenario()
-        objective = objective_of(
-            scenario, {**scenario.fixed_inputs, "xi_1": 0.3}, ["phi", "delta"])
-        assert score(objective, [0.4, -0.2]) == -np.inf
-        assert not objective.any_regular
-        assert score(objective, [0.4, 0.2]) > 0.0
-        assert objective.any_regular
 
     def test_fixed_negative_delta_is_named(self):
         with pytest.raises(ValueError, match="dephasing strength must be >= 0"):
@@ -687,7 +695,7 @@ class TestMaximizeGrid:
 
     def test_nan_row_never_wins(self):
         class Fake:
-            evaluations = 0
+            evaluations = refine_iterations = starts = 0
             problems = 1
 
             def batch(self, X, problems):
@@ -701,8 +709,8 @@ class TestMaximizeGrid:
         assert best_x[0] == 2 * math.pi / 3
 
     def test_evaluations_count_grid_and_refinement(self, monkeypatch):
-        # a lockstep run of P problems grids each one, then refines the
-        # starts of all of them together, one kernel call per Newton step
+        # a lockstep run of P problems grids all of them in one batch, then
+        # refines the starts of all of them together, one call per Newton step
         # whatever P is while a step's rows fit in ``_CALL_ROWS``. Every
         # row the kernel scores is an evaluation: the grid rows plus the
         # refinement's
@@ -731,11 +739,11 @@ class TestMaximizeGrid:
                                      {"phi": 0.0, "delta": delta}, names)
             _maximize(objective, names, 400)
             assert objective.problems == problems
-            # the problems' grids share calls of up to ``_CALL_ROWS`` rows,
-            # as many whole grids as fit in each
-            group = max(1, scenarios._CALL_ROWS // per_dim ** 2)
-            grid_rows = [per_dim ** 2 * min(group, problems - start)
-                         for start in range(0, problems, group)]
+            # all problems' grids are one batch, cut into consecutive
+            # kernel calls of up to ``_CALL_ROWS`` rows
+            total = problems * per_dim ** 2
+            grid_rows = [min(scenarios._CALL_ROWS, total - start)
+                         for start in range(0, total, scenarios._CALL_ROWS)]
             assert rows[:len(grid_rows)] == grid_rows
             [run] = runs
             refinement = rows[len(grid_rows):]
@@ -1026,18 +1034,19 @@ class TestDistinctGridRows:
             assert len(keys) == n
         if case == "bell":
             # 40 default delta points, a 7 x 7 grid of (xi_1, xi_2) each,
-            # 16 two-copy coordinates per row; the points share grid calls
-            # of up to ``_CALL_ROWS`` rows
-            rows = scenarios.MULTI_GRID_POINTS_PER_DIM ** 2
-            group = scenarios._CALL_ROWS // rows
+            # 16 two-copy coordinates per row; the points' grids are one
+            # batch, cut into consecutive calls of up to ``_CALL_ROWS`` rows
+            rows = 40 * scenarios.MULTI_GRID_POINTS_PER_DIM ** 2
+            bound = scenarios._CALL_ROWS
             assert [coords.shape for _, coords, *_ in calls] == [
-                (3, rows * min(group, 40 - start), 16)
-                for start in range(0, 40, group)]
+                (3, min(bound, rows - start), 16)
+                for start in range(0, rows, bound)]
 
 
 class TestGroupedGridCalls:
-    """Several problems share each grid call, up to ``_CALL_ROWS`` rows,
-    and that changes no result."""
+    """All problems' grids are one batch, which the objective cuts into
+    kernel calls of up to ``_CALL_ROWS`` rows, and that changes no
+    result."""
 
     def test_grouping_changes_nothing(self, monkeypatch):
         grid_calls, refining = [], []
@@ -1059,7 +1068,7 @@ class TestGroupedGridCalls:
         grouped_calls = len(grid_calls)
         # a 7 x 7 grid of (xi_1, xi_2) per point
         rows = scenarios.MULTI_GRID_POINTS_PER_DIM ** 2
-        group = max(1, scenarios._CALL_ROWS // rows)
+        bound = scenarios._CALL_ROWS
         monkeypatch.setattr(scenarios, "_CALL_ROWS", rows)
         grid_calls.clear()
         refining.clear()
@@ -1070,9 +1079,10 @@ class TestGroupedGridCalls:
         assert grouped.work.evaluations == alone.work.evaluations
         assert grouped.work.refine_iterations == alone.work.refine_iterations
         assert grouped.work.starts == alone.work.starts
-        # one grid call per point alone, one per group of points grouped
+        # one grid call per point alone, one per ``_CALL_ROWS`` grid rows
+        # grouped
         assert (len(grid_calls), grouped_calls) == (
-            len(grid), math.ceil(len(grid) / group))
+            len(grid), math.ceil(len(grid) * rows / bound))
 
     def test_search_runs_without_pinv(self, tmp_path, monkeypatch):
         # the singular rule takes the pseudo-inverse diagonal from its own
@@ -1179,7 +1189,82 @@ class TestSpeculativeSteps:
             assert sum(refinement[:math.ceil(first / scenarios._CALL_ROWS)]) \
                 == first
             assert max(rows for inside, rows in calls if not inside) <= \
-                max(scenarios._CALL_ROWS, grid)
+                scenarios._CALL_ROWS
+
+
+class TestCallRowBound:
+    """``_Objective.batch`` alone cuts a batch into kernel calls of at most
+    ``_CALL_ROWS`` rows, for the grid and the refinement alike, and where
+    it cuts them changes no result and no count."""
+
+    @staticmethod
+    def six_settings():
+        """Two dephased copies measured by a product generator, with both
+        input phases and all four settings free: at budget 20 000 a grid of
+        4^6 = 4 096 rows."""
+        return Scenario(family=ProbeFamily.phase_dephasing(copies=2),
+                        measurement=ProductProjectiveGenerator(),
+                        free_inputs=("xi_1", "xi_2", "theta_1", "eta_1",
+                                     "theta_2", "eta_2"),
+                        fixed_inputs={"phi": 0.0})
+
+    @pytest.mark.parametrize("case", ["bell", "sic", "two-phase", "stack",
+                                      "collective", "six-settings"])
+    def test_no_search_makes_a_call_above_the_bound(self, tmp_path,
+                                                     monkeypatch, case):
+        rows = []
+        batched = kernels.kappa_batch
+
+        def recorded(table, coords, *args):
+            rows.append(coords.shape[1])
+            return batched(table, coords, *args)
+
+        monkeypatch.setattr(kernels, "kappa_batch", recorded)
+        searches = _default_searches(tmp_path)
+        searches.update({
+            "two-phase": lambda: cli.run("kappa-scan", cli.parse_config(
+                "kappa-scan", {"family": "two-phase",
+                               "out": str(tmp_path / "two-phase")})),
+            "collective": lambda: random_collective_search(20, seed=3),
+            "six-settings": lambda: optimize_kappa(self.six_settings(), 0.3,
+                                                   budget=20000)})
+        searches[case]()
+        assert rows and max(rows) <= scenarios._CALL_ROWS
+        if case == "six-settings":
+            # the grid alone is more than three calls' worth of rows
+            assert sum(rows) > 3 * scenarios._CALL_ROWS
+
+    @pytest.mark.parametrize("bound", [7, 10 ** 6])
+    def test_bound_changes_nothing(self, monkeypatch, bound):
+        sic = Scenario(family=ProbeFamily.phase_dephasing(copies=1),
+                       measurement=sic_povm(), free_inputs=("phi", "xi_1"))
+
+        def run():
+            return [kappa_scan(ideal_bell_scenario(), default_delta_grid()),
+                    kappa_scan(sic, [0.02, 0.3, 1.0], budget=800),
+                    optimize_kappa(TestNegativeDelta.free_delta_scenario(),
+                                   1.0, budget=400),
+                    optimize_kappa(self.six_settings(), 0.3, budget=2000)]
+
+        default = run()
+        monkeypatch.setattr(scenarios, "_CALL_ROWS", bound)
+        for cut, alone in zip(run(), default):
+            if isinstance(cut, KappaCurve):
+                assert np.array_equal(cut.kappa_values, alone.kappa_values)
+                assert np.array_equal(cut.per_parameter, alone.per_parameter)
+                assert cut.optimizer_args == alone.optimizer_args
+            else:
+                assert cut.result.kappa == alone.result.kappa
+                assert np.array_equal(cut.result.per_parameter,
+                                      alone.result.per_parameter)
+                assert cut.settings == alone.settings
+            assert (cut.work.evaluations, cut.work.refine_iterations,
+                    cut.work.starts) == (alone.work.evaluations,
+                                         alone.work.refine_iterations,
+                                         alone.work.starts)
+            assert (cut.work.kernel_calls > alone.work.kernel_calls
+                    if bound == 7 else
+                    cut.work.kernel_calls <= alone.work.kernel_calls)
 
 
 class TestHeldPhi:
@@ -1337,14 +1422,11 @@ class TestKernelRouting:
         names = list(scenario.free_inputs)
         objective = objective_of(scenario, {**scenario.fixed_inputs,
                                             scenario.sweep: 0.3}, names)
-        # every row has its own delta or rotation; some deltas are negative
-        grid = np.random.default_rng(4).uniform(-0.5, 2.0, (40, len(names)))
+        # every row has its own delta or rotation
+        grid = np.random.default_rng(4).uniform(0.0, 2.0, (40, len(names)))
         values = objective.batch(grid)
         assert len(kernel_calls) == 1 and values.shape == (40,)
-        if "delta" in names:
-            negative = grid[:, names.index("delta")] < 0
-            assert negative.any() and (values[negative] == -np.inf).all()
-            assert (values[~negative] > -np.inf).all()
+        assert np.isfinite(values).all()
         # the reported value at each optimum divides by the closed form
         # that the kernel divides by, with no SLD solve
         optimize_kappa(scenario, 0.3, budget=120)
